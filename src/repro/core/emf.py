@@ -29,7 +29,9 @@ from repro.core.transform import TransformMatrix
 from repro.ldp.ems import em_reconstruct, em_reconstruct_batch
 from repro.utils.histogram import histogram_mean, histogram_variance
 
-#: hard cap on EM iterations; generous relative to typical convergence (<100)
+#: hard cap on EM iterations; above the slowest probe side seen in practice
+#: (~2,400 iterations for the left side of a 2x10^5-user, eps=1 DAP round's
+#: probe at eps=0.0625, ~250 for its right side)
 DEFAULT_MAX_ITER = 5_000
 
 

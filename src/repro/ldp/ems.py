@@ -435,6 +435,27 @@ class BatchEMResult:
     screened: np.ndarray
 
 
+def _scatter_tail(
+    out: np.ndarray, tail_weights: np.ndarray, rows: np.ndarray, share: float
+) -> None:
+    """Add ``share * tail_weights[h, t]`` to ``out[h, rows[h, t, s]]`` in place.
+
+    One ``bincount`` over the flat ``(hypothesis, row)`` cells sums every
+    tail column's mass, so the call count does not grow with the tail width.
+    """
+    n_rows, d_out = out.shape
+    cells = np.arange(0, n_rows * d_out, d_out)[:, None, None] + rows
+    mass = np.broadcast_to((tail_weights * share)[:, :, None], rows.shape)
+    out += np.bincount(
+        cells.ravel(), weights=mass.ravel(), minlength=out.size
+    ).reshape(out.shape)
+
+
+def _gather_tail(ratios: np.ndarray, rows: np.ndarray, share: float) -> np.ndarray:
+    """Tail gradients ``share * sum_s ratios[h, rows[h, t, s]]``, shape ``(H, T)``."""
+    return share * ratios[np.arange(rows.shape[0])[:, None, None], rows].sum(axis=2)
+
+
 def em_reconstruct_batch(
     dense: np.ndarray,
     counts: np.ndarray,
@@ -455,8 +476,9 @@ def em_reconstruct_batch(
     columns, so one batch evaluates every candidate poison hypothesis of a
     greedy probing round — or both side hypotheses of Algorithm 3 — at once:
     each EM iteration advances *all* still-active hypotheses with a single
-    BLAS matrix product over the shared dense block plus a gather/scatter
-    over the indicator rows, instead of one full EM solve per hypothesis.
+    BLAS matrix product over the shared dense block plus one scatter and one
+    gather over the indicator rows (a fixed number of numpy calls, whatever
+    the tail width), instead of one full EM solve per hypothesis.
 
     Parameters
     ----------
@@ -471,7 +493,7 @@ def em_reconstruct_batch(
         *spread* tails: tail column ``t`` of hypothesis ``h`` then places
         mass ``1/S`` on each of the ``S`` distinct rows ``tail_rows[h, t]``
         (the shape of a sketch poison column, which lands on one cell per
-        sketch row).  ``S = 1`` squeezes to the one-hot path bit-identically.
+        sketch row).  An ``(H, T)`` one-hot tail is the ``S = 1`` case.
         Hypotheses with fewer than ``T`` real tail columns are *padded*:
         repeat any of their real rows and mark the padding ``False`` in
         ``tail_mask`` — padded components are pinned to weight zero and
@@ -521,33 +543,28 @@ def em_reconstruct_batch(
     if counts.sum() == 0:
         raise ValueError("counts must contain at least one observation")
     tail_rows = np.asarray(tail_rows, dtype=np.intp)
-    spread = None
-    if tail_rows.ndim == 3:
-        if tail_rows.shape[2] == 1:
-            tail_rows = tail_rows[:, :, 0]
-        elif tail_rows.shape[2] > 1:
-            spread = tail_rows.shape[2]
-        else:
-            raise ValueError("spread tail_rows need at least one row per column")
-    if tail_rows.ndim != 2 and spread is None:
+    if tail_rows.ndim == 2:
+        tail_rows = tail_rows[:, :, None]  # one-hot: the S = 1 spread
+    if tail_rows.ndim != 3:
         raise ValueError(
             f"tail_rows must be (H, T) or (H, T, S), got shape {tail_rows.shape}"
         )
-    n_hypotheses, n_tail = tail_rows.shape[:2]
+    n_hypotheses, n_tail, spread = tail_rows.shape
+    if spread == 0:
+        raise ValueError("spread tail_rows need at least one row per column")
     if n_hypotheses == 0:
         raise ValueError("at least one hypothesis is required")
     if n_tail and (tail_rows.min() < 0 or tail_rows.max() >= d_out):
         raise ValueError("tail_rows must index output rows of the dense block")
-    if spread is not None and n_tail:
-        # each spread column scatters 1/S onto its S rows with one
-        # fancy-indexed add per s; duplicate rows within a column would be
-        # silently lost by that add, so they are rejected up front
+    if spread > 1 and n_tail:
+        # a spread column models a sketch poison column, which lands on one
+        # cell per sketch row: a row repeated within a column is malformed
         sorted_rows = np.sort(tail_rows, axis=2)
         if np.any(sorted_rows[:, :, 1:] == sorted_rows[:, :, :-1]):
             raise ValueError(
                 "spread tail_rows must be distinct within each tail column"
             )
-    inv_spread = None if spread is None else 1.0 / spread
+    share = 1.0 / spread
     if tail_mask is None:
         tail_mask = np.ones((n_hypotheses, n_tail), dtype=bool)
     else:
@@ -586,21 +603,13 @@ def em_reconstruct_batch(
     # arrays the moment it finishes, so converged hypotheses stop costing
     # anything (convergence masking) and the loop never pays fancy-indexed
     # scatters into the full arrays per iteration.
-    def _mixtures(w: np.ndarray, rows: np.ndarray, index: np.ndarray) -> np.ndarray:
-        """Clamped mixtures for the active block: one GEMM + column scatters."""
+    def _mixtures(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Clamped mixtures for the active block: one GEMM + one scatter."""
         out = backend.matmul(w[:, :n_dense], dense.T)
-        # one fancy-indexed add per tail column (and per spread slot): the
-        # (row, column) pairs within a single assignment are unique — across
-        # hypotheses trivially, across spread slots by the distinctness
-        # check — and padded columns add exact zeros
-        if spread is None:
-            for t in range(n_tail):
-                out[index, rows[:, t]] += w[:, n_dense + t]
-        else:
-            for t in range(n_tail):
-                share = w[:, n_dense + t] * inv_spread
-                for s in range(spread):
-                    out[index, rows[:, t, s]] += share
+        # padded columns add exact zeros, so a cell that one real tail column
+        # hits reads exactly GEMM + weight; only cells two real columns share
+        # (sketch tails) depend on the summation order
+        _scatter_tail(out, w[:, n_dense:], rows, share)
         return np.maximum(out, 1e-300)
 
     def _log_likelihoods(mixtures: np.ndarray) -> np.ndarray:
@@ -620,8 +629,7 @@ def em_reconstruct_batch(
     w_active = weights.copy()
     rows_active = tail_rows
     mask_active = tail_mask
-    index = np.arange(n_hypotheses)
-    mixtures = _mixtures(w_active, rows_active, index)
+    mixtures = _mixtures(w_active, rows_active)
     ll_active = _log_likelihoods(mixtures)
     log_likelihoods[:] = ll_active
     # In certified mode a handful of stragglers finish on the accelerated
@@ -658,14 +666,10 @@ def em_reconstruct_batch(
                 real = np.ones(n_components, dtype=bool)
                 real[n_dense:] = tail_mask[h]
                 real_rows = tail_rows[h][tail_mask[h]]
-                transform = np.zeros((d_out, int(real.sum())))
+                n_real_tail = real_rows.shape[0]
+                transform = np.zeros((d_out, n_dense + n_real_tail))
                 transform[:, :n_dense] = dense
-                if spread is None:
-                    for t, row in enumerate(real_rows):
-                        transform[row, n_dense + t] = 1.0
-                else:
-                    for t in range(real_rows.shape[0]):
-                        transform[real_rows[t], n_dense + t] = inv_spread
+                transform[real_rows, n_dense + np.arange(n_real_tail)[:, None]] = share
                 budget = max_iter - iteration
                 if gap_tol is not None:
                     result = em_reconstruct_accelerated(
@@ -695,7 +699,7 @@ def em_reconstruct_batch(
                         tol=tol,
                         # spread columns are not one-hot, so the indicator
                         # split does not apply to them
-                        indicator_tail=real_rows if spread is None else None,
+                        indicator_tail=real_rows[:, 0] if spread == 1 else None,
                     )
                 weights[h][real] = result.weights
                 weights[h][~real] = 0.0
@@ -708,14 +712,7 @@ def em_reconstruct_batch(
         ratios = counts / mixtures  # zero counts contribute zero everywhere
         aggregates = np.empty((active.size, n_components))
         backend.matmul(ratios, dense, out=aggregates[:, :n_dense])
-        if spread is None:
-            for t in range(n_tail):
-                aggregates[:, n_dense + t] = ratios[index, rows_active[:, t]]
-        else:
-            for t in range(n_tail):
-                aggregates[:, n_dense + t] = inv_spread * (
-                    ratios[index[:, None], rows_active[:, t, :]].sum(axis=1)
-                )
+        aggregates[:, n_dense:] = _gather_tail(ratios, rows_active, share)
         responsibilities = w_active * aggregates
         totals = responsibilities.sum(axis=1)
         if use_bounds:
@@ -723,16 +720,10 @@ def em_reconstruct_batch(
             # the aggregate IS the likelihood gradient and totals its inner
             # product with the weights, so the bounds come almost for free
             if has_pads:
-                feasible_max = aggregates[:, :n_dense].max(axis=1)
-                for t in range(n_tail):
-                    feasible_max = np.maximum(
-                        feasible_max,
-                        np.where(
-                            mask_active[:, t],
-                            aggregates[:, n_dense + t],
-                            -np.inf,
-                        ),
-                    )
+                feasible_max = np.maximum(
+                    aggregates[:, :n_dense].max(axis=1),
+                    np.where(mask_active, aggregates[:, n_dense:], -np.inf).max(axis=1),
+                )
             else:
                 feasible_max = aggregates.max(axis=1)
             gaps = feasible_max - totals
@@ -765,7 +756,6 @@ def em_reconstruct_batch(
                 responsibilities = responsibilities[keep]
                 totals = totals[keep]
                 ll_active = ll_active[keep]
-                index = index[: active.size]
         dead = totals <= 0
         if np.any(dead):
             # mirror em_reconstruct: stop before the update, unconverged
@@ -784,9 +774,8 @@ def em_reconstruct_batch(
             responsibilities = responsibilities[keep]
             totals = totals[keep]
             ll_active = ll_active[keep]
-            index = index[: active.size]
         w_active = responsibilities / totals[:, None]
-        mixtures = _mixtures(w_active, rows_active, index)
+        mixtures = _mixtures(w_active, rows_active)
         lls = _log_likelihoods(mixtures)
         deltas = np.abs(lls - ll_active)
         done = deltas < tol
@@ -807,7 +796,6 @@ def em_reconstruct_batch(
                 mask_active = mask_active[keep]
             mixtures = mixtures[keep]
             ll_active = ll_active[keep]
-            index = index[: active.size]
     if active.size:
         # max_iter exhausted with several hypotheses still running
         weights[active] = w_active
@@ -884,6 +872,7 @@ __all__ = [
     "EMResult",
     "BatchEMResult",
     "em_reconstruct",
+    "em_reconstruct_accelerated",
     "em_reconstruct_batch",
     "smooth_histogram",
     "expectation_maximization_smoothing",

@@ -1,6 +1,6 @@
 """Equivalence suite for the fast probing + vectorized defense kernels.
 
-Three contracts introduced by the perf overhaul, each enforced here:
+Four contracts introduced by the perf overhauls, each enforced here:
 
 * the **batched** (screened, warm-started, gap-certified) hypothesis
   evaluation selects the same poison categories and the same poisoned side
@@ -9,6 +9,9 @@ Three contracts introduced by the perf overhaul, each enforced here:
   reconstruction on the cold path);
 * the batched EM kernel converges to the same maximisers as per-hypothesis
   scalar solves, and its screening certificates are sound;
+* the batched kernel's whole-array tail scatter/gather reproduces the
+  per-column loops it replaced: bit-identically on one-hot tails, to
+  summation order on spread tails that share cells;
 * the vectorized defense kernels (interval-encoded isolation forest,
   searchsorted k-means assignment, blocked subset sampling) are
   bit-identical to the seed loop implementations under a fixed rng.
@@ -22,8 +25,10 @@ from hypothesis import strategies as st
 from repro.attacks.bba import BiasedByzantineAttack
 from repro.attacks.distributions import PAPER_POISON_RANGES
 from repro.core.dap import DAPConfig, DAPProtocol
+from repro.core.emf import default_tolerance
 from repro.core.frequency import FrequencyDAP
 from repro.core.probing import check_probe_strategy
+from repro.core.transform import cached_transform_matrix, default_bucket_counts
 from repro.datasets import covid_dataset
 from repro.datasets.synthetic import uniform_dataset
 from repro.defenses.isolation_forest import IsolationForest
@@ -33,6 +38,7 @@ from repro.defenses.kmeans import (
     _nearest_center_labels_brute,
     kmeans_1d,
 )
+from repro.ldp import ems
 from repro.ldp.ems import (
     em_reconstruct,
     em_reconstruct_accelerated,
@@ -133,6 +139,162 @@ class TestBatchKernel:
         assert certified.converged
         assert certified.n_iterations <= full.n_iterations
         assert full.log_likelihood - certified.log_likelihood <= 1e-4
+
+
+# ----------------------------------------------------------------------
+# batched EM tail products: one scatter + one gather == per-column loops
+# ----------------------------------------------------------------------
+def _loop_scatter_tail(out, tail_weights, rows, share):
+    """The per-tail-column scatter the batched kernel used to run (oracle)."""
+    index = np.arange(rows.shape[0])
+    for t in range(rows.shape[1]):
+        mass = tail_weights[:, t] * share
+        for s in range(rows.shape[2]):
+            out[index, rows[:, t, s]] += mass
+
+
+def _loop_gather_tail(ratios, rows, share):
+    """The per-tail-column gather the batched kernel used to run (oracle)."""
+    index = np.arange(rows.shape[0])
+    out = np.empty(rows.shape[:2])
+    for t in range(rows.shape[1]):
+        out[:, t] = share * ratios[index[:, None], rows[:, t, :]].sum(axis=1)
+    return out
+
+
+def _batch_both_ways(monkeypatch, *args, **kwargs):
+    """Run ``em_reconstruct_batch`` vectorised, then on the loop oracle."""
+    fast = em_reconstruct_batch(*args, **kwargs)
+    with monkeypatch.context() as patch:
+        patch.setattr(ems, "_scatter_tail", _loop_scatter_tail)
+        patch.setattr(ems, "_gather_tail", _loop_gather_tail)
+        loop = em_reconstruct_batch(*args, **kwargs)
+    return fast, loop
+
+
+@pytest.fixture(scope="module")
+def side_probe_problem():
+    """EMF side hypotheses at the real probe geometry, padded to one width.
+
+    A ``DAPProtocol`` at eps=1 probes its eps=0.0625 group; 640,000 reports
+    there give d=12, d'=800 and 400 one-hot poison columns per side.  Six
+    truncated variants add ragged, zero-weight-padded tails.
+    """
+    protocol = DAPProtocol(DAPConfig(epsilon=1.0))
+    epsilon = min(protocol.config.budget_ladder)
+    d_in, d_out = default_bucket_counts(640_000, epsilon)
+    assert (d_in, d_out) == (12, 800)
+    mechanism = protocol.mechanism_for(epsilon)
+    sides = [
+        cached_transform_matrix(
+            mechanism, n_input_buckets=d_in, n_output_buckets=d_out, side=side
+        )
+        for side in ("left", "right")
+    ]
+    dense = sides[0].matrix[:, :d_in]
+    tails = [side.poison_bucket_indices for side in sides]
+    tails += [tails[0][:150], tails[1][:300], tails[1][100:], tails[0][::3]]
+    tails += [tails[1][::2], tails[1][50:]]
+    n_tail = max(tail.size for tail in tails)
+    tail_rows = np.empty((len(tails), n_tail), dtype=np.intp)
+    tail_mask = np.zeros((len(tails), n_tail), dtype=bool)
+    for h, tail in enumerate(tails):
+        tail_rows[h] = tail[0]
+        tail_rows[h, : tail.size] = tail
+        tail_mask[h, : tail.size] = True
+    rng = np.random.default_rng(13)
+    normal = rng.dirichlet(np.ones(d_in))
+    poison = np.zeros(d_out)
+    poison[tails[1][200:]] = 1.0 / tails[1][200:].size
+    mixture = 0.75 * (dense @ normal) + 0.25 * poison
+    counts = rng.multinomial(640_000, mixture / mixture.sum()).astype(float)
+    return dense, counts, tail_rows, tail_mask, default_tolerance(epsilon)
+
+
+@pytest.fixture(scope="module")
+def colliding_spread_problem():
+    """Spread tails whose columns share cells within one hypothesis.
+
+    Overlapping bump columns and a planted interior optimum keep every
+    weight well determined: in certified mode the accelerated finisher can
+    otherwise magnify a last-bit difference along flat likelihood
+    directions, whatever the summation order that caused it.
+    """
+    rng = np.random.default_rng(22)
+    d_out, n_dense, n_hyp, n_tail, spread = 120, 10, 10, 12, 3
+    dense = np.zeros((d_out, n_dense))
+    for k in range(n_dense):
+        dense[8 * k : 8 * k + 16, k] = 1.0 / 16
+    tail_rows = 80 + np.stack(
+        [
+            [rng.choice(40, size=spread, replace=False) for _ in range(n_tail)]
+            for _ in range(n_hyp)
+        ]
+    )
+    tail_mask = rng.random((n_hyp, n_tail)) < 0.8
+    tail_mask[:, 0] = True
+    mixture = 0.8 * (dense @ rng.dirichlet(np.ones(n_dense)))
+    np.add.at(
+        mixture,
+        tail_rows[0].ravel(),
+        np.repeat(0.2 * rng.dirichlet(np.ones(n_tail)) / spread, spread),
+    )
+    mixture[80:] += 1e-3
+    counts = rng.multinomial(200_000, mixture / mixture.sum()).astype(float)
+    return dense, counts, tail_rows, tail_mask
+
+
+class TestVectorisedTailProducts:
+    @pytest.mark.parametrize("certified", [False, True], ids=["plain", "certified"])
+    def test_emf_tails_bit_identical_to_loop(
+        self, monkeypatch, side_probe_problem, certified
+    ):
+        dense, counts, tail_rows, tail_mask, tol = side_probe_problem
+        # the iteration caps bound the loop oracle's cost (a few ms an
+        # iteration here); the right-side hypotheses still converge first
+        kwargs = {"tail_mask": tail_mask, "tol": tol, "max_iter": 600}
+        if certified:
+            plain = em_reconstruct_batch(dense, counts, tail_rows, **kwargs)
+            floor = float(np.median(plain.log_likelihoods))
+            kwargs.update(gap_tol=1.0, ll_floor=floor, tol=1e-9, max_iter=400)
+        fast, loop = _batch_both_ways(
+            monkeypatch, dense, counts, tail_rows, **kwargs
+        )
+        if certified:
+            assert loop.screened.any()
+        for field in (
+            "weights",
+            "log_likelihoods",
+            "n_iterations",
+            "converged",
+            "screened",
+        ):
+            np.testing.assert_array_equal(
+                getattr(fast, field), getattr(loop, field), err_msg=field
+            )
+
+    @pytest.mark.parametrize("certified", [False, True], ids=["plain", "certified"])
+    def test_colliding_spread_tails_match_loop(
+        self, monkeypatch, colliding_spread_problem, certified
+    ):
+        dense, counts, tail_rows, tail_mask = colliding_spread_problem
+        kwargs = {"tail_mask": tail_mask, "tol": 1e-6}
+        if certified:
+            plain = em_reconstruct_batch(dense, counts, tail_rows, **kwargs)
+            floor = float(np.quantile(plain.log_likelihoods, 0.3))
+            kwargs.update(gap_tol=1e-3, ll_floor=floor, tol=1e-9)
+        fast, loop = _batch_both_ways(
+            monkeypatch, dense, counts, tail_rows, **kwargs
+        )
+        if certified:
+            assert loop.screened.any()
+        np.testing.assert_array_equal(fast.n_iterations, loop.n_iterations)
+        np.testing.assert_array_equal(fast.converged, loop.converged)
+        np.testing.assert_array_equal(fast.screened, loop.screened)
+        np.testing.assert_allclose(fast.weights, loop.weights, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(
+            fast.log_likelihoods, loop.log_likelihoods, rtol=1e-12, atol=0
+        )
 
 
 # ----------------------------------------------------------------------
