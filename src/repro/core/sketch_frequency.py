@@ -114,7 +114,12 @@ class SketchFrequencyDAPResult:
         Estimated fraction of poison reports.  Approximate by design: the
         candidate/poison mass split sits on a near-flat likelihood ridge
         (see the module docstring), and the refit stops at the decision-
-        irrelevant gap rather than grinding the ridge to its end.
+        irrelevant gap rather than grinding the ridge to its end.  When
+        ``refit_converged`` is false the unconstrained refit exhausted its
+        ridge-polish budget without a duality-gap certificate: its
+        likelihood is still within reach of the optimum, but ``gamma_hat``
+        is an uncertified point on the flat ridge (it can sit well below
+        the true fraction and move with floating-point noise).
     log_likelihood_gains:
         Single-target likelihood gain of each flagged category over the
         dense-only incumbent (capped-iteration lower bounds; diagnostic —
@@ -128,6 +133,9 @@ class SketchFrequencyDAPResult:
     poisoned_categories: List[int] = field(default_factory=list)
     gamma_hat: float = 0.0
     log_likelihood_gains: List[float] = field(default_factory=list)
+    #: whether the unconstrained refit that sets ``gamma_hat`` ended with a
+    #: duality-gap certificate (see ``gamma_hat``)
+    refit_converged: bool = True
     mechanism: CountSketch | None = field(default=None, repr=False)
     sketch_counts: np.ndarray | None = field(default=None, repr=False)
     #: reports dropped by the contribution-cap client gate (end-to-end runs)
@@ -148,13 +156,22 @@ class _ProbeState:
 
     candidates: np.ndarray  # (M,) heavy-hitter category ids, decode-ranked
     decoded: np.ndarray  # (M,) their raw sketch decodes
-    dense: np.ndarray  # (d', M [+1]) reduced normal block over sketch cells
-    cells: np.ndarray  # (M, rows) flat sketch-cell index of each candidate
+    dense: np.ndarray  # (C, M [+1]) reduced normal block over cell classes
+    cells: np.ndarray  # (M, rows) cell-class row of each candidate's cells
+    cell_class: np.ndarray  # (rows * width,) flat sketch cell -> class row
     has_background: bool
     positions: List[int]  # flagged candidate positions (the poison set)
     gains: List[float]
     min_decoded: np.ndarray | None = None  # (M,) row-minimum decodes
     weights: np.ndarray | None = None  # converged reduced weights (dense [+ poison])
+
+    def class_counts(self, counts: np.ndarray) -> np.ndarray:
+        """Sketch counts summed per cell class (the reduced problem's data)."""
+        return np.bincount(
+            self.cell_class,
+            weights=counts.ravel().astype(float),
+            minlength=self.dense.shape[0],
+        )
 
 
 class SketchFrequencyDAP:
@@ -424,13 +441,26 @@ class SketchFrequencyDAP:
     def _reduced_problem(self, counts: np.ndarray) -> _ProbeState:
         """Decode the domain, rank heavy hitters, build the reduced transform.
 
-        The reduced normal block lives on the ``rows * width`` flattened
+        The reduced model is defined on the ``rows * width`` flattened
         sketch cells: candidate category ``v`` reports cell ``(j, b)`` with
         probability ``(p if h_j(v) == b else q) / rows``, and the background
         column averages that distribution over every non-candidate category —
         its per-cell hash multiplicity is exactly the domain occupancy minus
         the candidates' own cells, so the column is closed-form (no per-
         category work beyond the occupancy pass).
+
+        The transform is stored on *cell classes*, not cells.  A cell no
+        candidate hashes to has the row ``q / rows`` in every candidate
+        column, a background value fixed by its domain occupancy, and zero
+        in every poison column (poison only lands on candidate cells), so
+        untouched cells of equal occupancy — all untouched cells, without a
+        background column — are interchangeable and share one row, their
+        counts summed (:meth:`_ProbeState.class_counts`).  Each candidate
+        cell keeps its own row.  The likelihood, the EM gradient and the
+        duality gap are sums over cells whose terms agree within a class, so
+        the classed problem has the same likelihoods, iterates and
+        certificates up to floating-point summation order, on a few hundred
+        rows instead of ``rows * width``.
 
         Ranking uses the *row-minimum* decode (the same statistic the flag
         rule keys on): collisions only ever *add* mass, so an honest heavy
@@ -459,22 +489,38 @@ class SketchFrequencyDAP:
         cells = mechanism.hash_rows(candidates)  # (M, rows) buckets
         cells = cells + (np.arange(rows) * width)[np.newaxis, :]  # flat indices
 
-        n_cells = rows * width
         n_other = self.n_categories - candidates.size
         p_cell = mechanism.p / rows
         q_cell = mechanism.q / rows
-        dense = np.full((n_cells, candidates.size + (1 if n_other else 0)), q_cell)
-        for m in range(candidates.size):
-            dense[cells[m], m] = p_cell
+        # candidate cells first (one class each), then one class per
+        # occupancy level of the untouched cells
+        touched = np.unique(cells)
+        untouched = np.ones(rows * width, dtype=bool)
+        untouched[touched] = False
         if n_other:
             occupancy = mechanism.occupancy().ravel().astype(float)
             np.subtract.at(occupancy, cells.ravel(), 1.0)
-            dense[:, -1] = q_cell + (p_cell - q_cell) * occupancy / n_other
+            levels, level_of = np.unique(occupancy[untouched], return_inverse=True)
+        else:
+            level_of = np.zeros(int(untouched.sum()), dtype=np.intp)
+            levels = np.zeros(min(1, level_of.size))
+        cell_class = np.empty(rows * width, dtype=np.intp)
+        cell_class[touched] = np.arange(touched.size)
+        cell_class[untouched] = touched.size + level_of
+        cells = cell_class[cells]
+
+        n_classes = touched.size + levels.size
+        dense = np.full((n_classes, candidates.size + (1 if n_other else 0)), q_cell)
+        dense[cells, np.arange(candidates.size)[:, np.newaxis]] = p_cell
+        if n_other:
+            class_occupancy = np.concatenate([occupancy[touched], levels])
+            dense[:, -1] = q_cell + (p_cell - q_cell) * class_occupancy / n_other
         return _ProbeState(
             candidates=candidates,
             decoded=decoded,
             dense=dense,
             cells=cells,
+            cell_class=cell_class,
             has_background=bool(n_other),
             positions=[],
             gains=[],
@@ -816,7 +862,7 @@ class SketchFrequencyDAP:
             flagged = flagged[np.argsort(-min_decoded[flagged], kind="stable")]
             flagged = flagged[: self.max_poisoned]
         with stage("probe.em"):
-            counts_flat = counts.ravel().astype(float)
+            counts_flat = state.class_counts(counts)
             gap_tol = 1e-3 * self.min_likelihood_gain
             incumbent = em_reconstruct_accelerated(
                 state.dense,
@@ -853,7 +899,7 @@ class SketchFrequencyDAP:
         """
         counts = self._check_counts(counts)
         state = self._probe(counts)
-        counts_flat = counts.ravel().astype(float)
+        counts_flat = state.class_counts(counts)
         positions = list(state.positions)
 
         with stage("aggregate"):
@@ -910,6 +956,7 @@ class SketchFrequencyDAP:
             poisoned_categories=[int(state.candidates[p]) for p in state.positions],
             gamma_hat=gamma_hat,
             log_likelihood_gains=state.gains,
+            refit_converged=bool(emf.converged),
             mechanism=self.mechanism,
             sketch_counts=counts,
             amplification=self.pipeline.ledger(

@@ -84,6 +84,7 @@ class CountSketch(CategoricalMechanism):
         #: k-RR keep/other probabilities over the ``w``-bucket domain
         self.p = exp_eps / (exp_eps + self.sketch_width - 1.0)
         self.q = 1.0 / (exp_eps + self.sketch_width - 1.0)
+        self._occupancy: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # client side
@@ -200,10 +201,19 @@ class CountSketch(CategoricalMechanism):
         return self.estimate_all(self.fold(reports))
 
     def occupancy(self) -> np.ndarray:
-        """Per-cell domain occupancy: categories hashing to each ``(row, bucket)``."""
-        return get_backend().sketch_occupancy(
-            self.n_categories, _hash_categories, self.row_seeds, self.sketch_width
-        )
+        """Per-cell domain occupancy: categories hashing to each ``(row, bucket)``.
+
+        A function of the mechanism's identity alone (domain size, row
+        seeds, width), so the full-domain hash pass runs once per instance;
+        the cached array is read-only.
+        """
+        if self._occupancy is None:
+            occupancy = get_backend().sketch_occupancy(
+                self.n_categories, _hash_categories, self.row_seeds, self.sketch_width
+            )
+            occupancy.flags.writeable = False
+            self._occupancy = occupancy
+        return self._occupancy
 
     # ------------------------------------------------------------------
     # accuracy

@@ -9,6 +9,8 @@ Covers the pieces the property tests (``test_sketch_properties.py``) do not:
 * the probe end to end — planted targeted poison is flagged exactly, a
   clean round is never flagged, honest heavy hitters stay accurate;
 * the ``probe.decode`` / ``probe.em`` stage timers;
+* the cell-class reduction against the full-cell reduced problem (oracle);
+* the cached domain occupancy;
 * the dense probe's frozen-poison-set transform cache.
 
 The end-to-end configuration (k = 20_000, n = 40_000 + 2_000 Byzantine,
@@ -20,11 +22,14 @@ more than 3x, and the joint-likelihood verification gains are ~30 against a
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.collect import SketchAccumulator
 from repro.core.frequency import DENSE_MAX_CATEGORIES, FrequencyDAP
+from repro.backends import get_backend
 from repro.core.sketch_frequency import SketchFrequencyDAP
 from repro.ldp.count_sketch import CountSketch
 from repro.ldp.olh import OLH_MAX_CATEGORIES, OptimizedLocalHashing
@@ -263,6 +268,178 @@ class TestProbe:
             <= profile["probe"] + 1e-6
         )
         assert profile["collect"] > 0.0
+
+
+# ----------------------------------------------------------------------
+# cell-class reduction vs the full-cell reduced problem
+# ----------------------------------------------------------------------
+def _full_cell_state(dap: SketchFrequencyDAP, counts: np.ndarray):
+    """The reduced problem on every ``rows * width`` sketch cell.
+
+    The oracle the cell-class reduction must reproduce: one transform row
+    per cell, filled candidate by candidate, with the identity cell map.
+    """
+    classed = SketchFrequencyDAP._reduced_problem(dap, counts)
+    mechanism = dap.mechanism
+    rows, width = dap.sketch_rows, dap.sketch_width
+    candidates = classed.candidates
+    cells = mechanism.hash_rows(candidates) + (np.arange(rows) * width)[np.newaxis, :]
+    n_other = dap.n_categories - candidates.size
+    p_cell, q_cell = mechanism.p / rows, mechanism.q / rows
+    dense = np.full((rows * width, candidates.size + (1 if n_other else 0)), q_cell)
+    for m in range(candidates.size):
+        dense[cells[m], m] = p_cell
+    if n_other:
+        occupancy = mechanism.occupancy().ravel().astype(float)
+        np.subtract.at(occupancy, cells.ravel(), 1.0)
+        dense[:, -1] = q_cell + (p_cell - q_cell) * occupancy / n_other
+    return replace(
+        classed, dense=dense, cells=cells, cell_class=np.arange(rows * width)
+    )
+
+
+def _full_cell_poison(state, positions, rows: int) -> np.ndarray:
+    """Full-cell transform with one spread poison column per position."""
+    poison = np.zeros((state.dense.shape[0], len(positions)))
+    for column, position in enumerate(positions):
+        poison[state.cells[position], column] = 1.0 / rows
+    return np.hstack([state.dense, poison])
+
+
+def _small_round(n_categories: int):
+    """A 2 x 16 sketch with 8 heavy hitters: 16 candidate cells in 32, so
+    candidates collide."""
+    dap = SketchFrequencyDAP(
+        2.0, n_categories, sketch_rows=2, sketch_width=16, n_heavy_hitters=8
+    )
+    rng = np.random.default_rng(5)
+    categories = rng.integers(0, n_categories, 3_000)
+    categories[:600] = 3
+    counts = dap.mechanism.fold(dap.collect(categories, [1, 2], 400, rng))
+    return dap, counts
+
+
+@pytest.fixture(params=[300, 8], ids=["background", "no-background"])
+def small_round(request):
+    return _small_round(request.param)
+
+
+class TestCellClasses:
+    def test_geometry_has_colliding_candidates(self, small_round):
+        dap, counts = small_round
+        full = _full_cell_state(dap, counts)
+        assert np.unique(full.cells).size < full.cells.size
+        assert full.has_background == (dap.n_categories > 8)
+
+    def test_expanded_blocks_reproduce_the_full_cell_matrices(self, small_round):
+        dap, counts = small_round
+        state = dap._reduced_problem(counts)
+        full = _full_cell_state(dap, counts)
+        assert state.dense.shape[0] < full.dense.shape[0]
+        np.testing.assert_array_equal(state.dense[state.cell_class], full.dense)
+        positions = [0, 2, 5]
+        np.testing.assert_array_equal(
+            dap._poison_transform(state, positions)[state.cell_class],
+            _full_cell_poison(full, positions, dap.sketch_rows),
+        )
+        class_counts = state.class_counts(counts)
+        for row, count in enumerate(class_counts):
+            assert count == counts.ravel()[state.cell_class == row].sum()
+
+    def test_untouched_classes_are_distinct_rows(self, small_round):
+        dap, counts = small_round
+        state = dap._reduced_problem(counts)
+        untouched = np.setdiff1d(np.arange(state.dense.shape[0]), state.cells)
+        rows = state.dense[untouched]
+        assert np.unique(rows, axis=0).shape[0] == rows.shape[0]
+        if not state.has_background:
+            assert untouched.size == 1
+
+    def test_likelihood_and_gradient_match_the_full_cells(self, small_round):
+        dap, counts = small_round
+        state = dap._reduced_problem(counts)
+        full = _full_cell_state(dap, counts)
+        positions = [0, 1, 4]
+        classed = dap._poison_transform(state, positions)
+        reference = _full_cell_poison(full, positions, dap.sketch_rows)
+        class_counts = state.class_counts(counts)
+        cell_counts = counts.ravel().astype(float)
+        rng = np.random.default_rng(0)
+        for _ in range(5):
+            weights = rng.dirichlet(np.ones(classed.shape[1]))
+            (ll_classed, grad_classed), (ll_full, grad_full) = (
+                (
+                    float(c[c > 0] @ np.log((transform @ weights)[c > 0])),
+                    transform.T @ (c / (transform @ weights)),
+                )
+                for transform, c in (
+                    (classed, class_counts),
+                    (reference, cell_counts),
+                )
+            )
+            assert ll_classed == pytest.approx(ll_full, rel=1e-12)
+            np.testing.assert_allclose(grad_classed, grad_full, rtol=1e-12)
+
+    def test_attacked_probe_matches_the_full_cell_probe(self, monkeypatch):
+        dap = _dap()
+        rng = np.random.default_rng(SEED)
+        counts = dap.mechanism.fold(
+            dap.collect(_population(rng), list(TARGETS), N_BYZANTINE, rng)
+        )
+        classed = dap._probe(counts)
+        monkeypatch.setattr(
+            dap, "_reduced_problem", lambda c: _full_cell_state(dap, c)
+        )
+        full = dap._probe(counts)
+        assert full.dense.shape[0] == dap.sketch_rows * dap.sketch_width
+        assert classed.dense.shape[0] < full.dense.shape[0]
+        assert classed.positions == full.positions
+        assert sorted(int(classed.candidates[p]) for p in classed.positions) == sorted(
+            TARGETS
+        )
+        np.testing.assert_allclose(classed.gains, full.gains, rtol=1e-7)
+
+
+class TestRefitCertificate:
+    def test_attack_round_reports_the_refit_certificate(self, attack_round):
+        _, result = attack_round
+        assert result.refit_converged is True
+
+    def test_clean_round_refit_certified(self, clean_round):
+        _, result = clean_round
+        assert result.refit_converged is True
+
+
+# ----------------------------------------------------------------------
+# cached domain occupancy
+# ----------------------------------------------------------------------
+class TestOccupancyCache:
+    def test_second_call_skips_the_kernel_and_result_is_read_only(
+        self, monkeypatch
+    ):
+        mechanism = CountSketch(1.0, 5_000, sketch_rows=3, sketch_width=64)
+        backend_type = type(get_backend())
+        kernel = backend_type.sketch_occupancy
+        calls = []
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return kernel(self, *args, **kwargs)
+
+        monkeypatch.setattr(backend_type, "sketch_occupancy", counting)
+        first = mechanism.occupancy()
+        second = mechanism.occupancy()
+        assert len(calls) == 1
+        assert second is first
+        assert int(first.sum()) == 3 * 5_000
+        with pytest.raises(ValueError):
+            first[0, 0] = 1
+
+    def test_cache_is_per_instance(self):
+        narrow = CountSketch(1.0, 1_000, sketch_rows=2, sketch_width=16)
+        wide = CountSketch(1.0, 1_000, sketch_rows=2, sketch_width=32)
+        assert narrow.occupancy().shape == (2, 16)
+        assert wide.occupancy().shape == (2, 32)
 
 
 # ----------------------------------------------------------------------
