@@ -10,6 +10,7 @@ Covers the pieces the property tests (``test_sketch_properties.py``) do not:
   clean round is never flagged, honest heavy hitters stay accurate;
 * the ``probe.decode`` / ``probe.em`` stage timers;
 * the cell-class reduction against the full-cell reduced problem (oracle);
+* the refit certificate report (``refit_converged``);
 * the cached domain occupancy;
 * the dense probe's frozen-poison-set transform cache.
 
@@ -401,13 +402,24 @@ class TestCellClasses:
 
 
 class TestRefitCertificate:
-    def test_attack_round_reports_the_refit_certificate(self, attack_round):
+    def test_certified_attack_refit(self, attack_round):
         _, result = attack_round
         assert result.refit_converged is True
 
-    def test_clean_round_refit_certified(self, clean_round):
-        _, result = clean_round
-        assert result.refit_converged is True
+    def test_uncertified_refit_is_reported(self, monkeypatch):
+        dap = _dap()
+        rng = np.random.default_rng(SEED)
+        reports = dap.collect(_population(rng), list(TARGETS), N_BYZANTINE, rng)
+        solve = dap._reconstruct_reduced
+
+        def uncertified(*args, gamma_hat=None, **kwargs):
+            fit = solve(*args, gamma_hat=gamma_hat, **kwargs)
+            return fit if gamma_hat is not None else replace(fit, converged=False)
+
+        monkeypatch.setattr(dap, "_reconstruct_reduced", uncertified)
+        result = dap.estimate(reports)
+        assert result.refit_converged is False
+        assert sorted(result.poisoned_categories) == sorted(TARGETS)
 
 
 # ----------------------------------------------------------------------
