@@ -101,8 +101,9 @@ def bench_probe(categories, n_users):
             min_likelihood_gain=MIN_LIKELIHOOD_GAIN,
             probe_strategy="batched",
         )
-        reports = cold.collect(normal, targets, n_byzantine, rng=rng)
-        counts = np.bincount(reports, minlength=n_categories).astype(float)
+        counts = cold.collect_sharded(
+            normal, targets, n_byzantine, rng=rng
+        ).counts_float()
 
         (cold_set, _), cold_s = _timed_best(
             2, cold.probe_poisoned_categories, counts

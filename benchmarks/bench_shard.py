@@ -1,21 +1,17 @@
-"""Shard benchmark: sharded vs streaming DAP collection at scale.
+"""Shard benchmark: DAP collection rounds at scale, per shard-worker count.
 
-Runs one DAP-CEMF* collection round (under a biased-Byzantine attack) at
-large population sizes, once through the single-process streaming path
-(``stream_population`` + ``DAPProtocol.run_stream`` — the committed
-``BENCH_scale.json`` baseline) and once through the sharded path
-(``build_population`` + ``DAPProtocol.run_sharded``) at several shard-worker
-counts.  Wall time and peak memory are recorded per configuration.
+Runs one DAP-CEMF* round (under a biased-Byzantine attack) at large
+population sizes through ``build_population`` + ``DAPProtocol.run_sharded``
+at several shard-worker counts.  Wall time and peak memory are recorded per
+configuration.
 
-The JSON payload has the same shape as ``bench_scale.py`` (one ``results``
-list of ``{mode, n_users, ok, wall_time_s, peak_rss_mb, ...}`` rows), so the
-two benchmark trajectories are directly comparable; sharded rows additionally
-record their ``collect_workers``.
+The JSON payload is one ``results`` list of ``{mode, n_users, ok,
+wall_time_s, peak_rss_mb, collect_workers, ...}`` rows (``mode`` is
+``sharded-<workers>``).
 
 Every measurement runs in a fresh subprocess under an address-space cap
-(``--mem-limit-gb``, default 4 GiB), like ``bench_scale.py``: the sharded
-path materialises only the raw values (~80 MiB at 10^7 users), never the
-reports, so it must stay within the same budget the streaming path satisfies.
+(``--mem-limit-gb``, default 4 GiB): a round materialises only the raw
+values (~80 MiB at 10^7 users), never the reports.
 
 Usage::
 
@@ -35,7 +31,6 @@ import time
 EPSILON = 1.0
 GAMMA = 0.25
 SEED = 7
-CHUNK_SIZE = 65_536
 #: dataset records are sampled with replacement, so the dataset itself stays
 #: small no matter the population size
 DATASET_SAMPLES = 100_000
@@ -65,39 +60,29 @@ def run_single(mode: str, n_users: int, mem_limit_gb: float) -> dict:
     from repro.attacks.distributions import PAPER_POISON_RANGES
     from repro.core.dap import DAPConfig, DAPProtocol
     from repro.datasets.synthetic import uniform_dataset
-    from repro.simulation.population import build_population, stream_population
+    from repro.simulation.population import build_population
 
     dataset = uniform_dataset(n_samples=DATASET_SAMPLES, rng=SEED)
     attack = BiasedByzantineAttack(PAPER_POISON_RANGES["[C/2,C]"])
     protocol = DAPProtocol(DAPConfig(epsilon=EPSILON, estimator="cemf_star"))
 
-    workers = None
-    start = time.perf_counter()
-    if mode == "streaming":
-        stream = stream_population(
-            dataset, n_users, GAMMA, rng=SEED, chunk_size=CHUNK_SIZE
-        )
-        result = protocol.run_stream(
-            stream.chunks(), stream.n_normal, attack, stream.n_byzantine, rng=SEED
-        )
-        truth = stream.true_mean
-    elif mode.startswith("sharded-"):
-        workers = int(mode.rsplit("-", 1)[1])
-        population = build_population(dataset, n_users, GAMMA, rng=SEED)
-        result = protocol.run_sharded(
-            population.normal_values,
-            attack,
-            population.n_byzantine,
-            rng=SEED,
-            n_shards=workers,
-            n_workers=workers,
-        )
-        truth = population.true_mean
-    else:
+    if not mode.startswith("sharded-"):
         raise ValueError(f"unknown mode {mode!r}")
+    workers = int(mode.rsplit("-", 1)[1])
+    start = time.perf_counter()
+    population = build_population(dataset, n_users, GAMMA, rng=SEED)
+    result = protocol.run_sharded(
+        population.normal_values,
+        attack,
+        population.n_byzantine,
+        rng=SEED,
+        n_shards=workers,
+        n_workers=workers,
+    )
     elapsed = time.perf_counter() - start
+    truth = population.true_mean
 
-    report = {
+    return {
         "mode": mode,
         "n_users": n_users,
         "ok": True,
@@ -107,10 +92,8 @@ def run_single(mode: str, n_users: int, mem_limit_gb: float) -> dict:
         "true_mean": truth,
         "abs_error": abs(result.estimate - truth),
         "gamma_hat": result.gamma_hat,
+        "collect_workers": workers,
     }
-    if workers is not None:
-        report["collect_workers"] = workers
-    return report
 
 
 def run_child(mode: str, n_users: int, mem_limit_gb: float, timeout_s: float) -> dict:
@@ -174,8 +157,7 @@ def main(argv=None) -> int:
     results = []
     estimates: dict = {}
     for n_users in args.sizes:
-        modes = ["streaming"] + [f"sharded-{workers}" for workers in args.workers]
-        for mode in modes:
+        for mode in [f"sharded-{workers}" for workers in args.workers]:
             print(f"[bench_shard] {mode} @ {n_users:,} users ...", flush=True)
             report = run_child(mode, n_users, args.mem_limit_gb, args.timeout_s)
             status = (
@@ -185,7 +167,7 @@ def main(argv=None) -> int:
             )
             print(f"[bench_shard]   -> {status}", flush=True)
             results.append(report)
-            if report.get("ok") and mode.startswith("sharded-"):
+            if report.get("ok"):
                 estimates.setdefault(n_users, set()).add(report["estimate"])
 
     # the sharded estimate must not depend on the worker count
@@ -198,13 +180,12 @@ def main(argv=None) -> int:
             )
 
     payload = {
-        "benchmark": "sharded vs streaming DAP collection",
+        "benchmark": "sharded DAP collection per shard-worker count",
         "config": {
             "epsilon": EPSILON,
             "gamma": GAMMA,
             "estimator": "cemf_star",
             "attack": "bba [C/2,C]",
-            "chunk_size": CHUNK_SIZE,
             "dataset_samples": DATASET_SAMPLES,
             "mem_limit_gb": args.mem_limit_gb,
             "seed": SEED,

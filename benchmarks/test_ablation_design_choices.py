@@ -85,9 +85,7 @@ def test_ablation_aggregation_weights(benchmark):
     def run_both():
         optimal, equal = [], []
         for seed in (3, 4):
-            protocol = DAPProtocol(config)
-            groups = protocol.collect(dataset.values, ATTACK, N_BYZ, rng=seed)
-            result = protocol.aggregate(groups)
+            result = DAPProtocol(config).run(dataset.values, ATTACK, N_BYZ, rng=seed)
             optimal.append(result.estimate)
             means = [g.mean for g in result.group_estimates]
             equal.append(aggregate_means(means, np.ones(len(means))))

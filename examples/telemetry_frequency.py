@@ -32,12 +32,17 @@ def main() -> None:
     dataset = covid_dataset(n_samples=n_normal, rng=rng)
     truth = dataset.true_frequencies
 
+    # one collection round — dap.run() is exactly these first two steps —
+    # scored by both the defended and the undefended estimator
     dap = FrequencyDAP(epsilon, dataset.n_categories)
-    reports = dap.collect(dataset.categories, poisoned_groups, n_byzantine, rng=rng)
+    counts = dap.collect_sharded(
+        dataset.categories, poisoned_groups, n_byzantine, rng=rng
+    )
+    defended = dap.estimate_from_counts(counts)
 
     mechanism = KRandomizedResponse(epsilon, dataset.n_categories)
+    reports = np.repeat(np.arange(dataset.n_categories), counts.counts)
     undefended = ostrich_frequencies(mechanism, reports)
-    defended = dap.estimate(reports)
 
     print(f"{'age group':<16} {'true':>8} {'ostrich':>8} {'DAP':>8}")
     for index, label in enumerate(AGE_GROUP_LABELS):

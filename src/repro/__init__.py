@@ -13,9 +13,9 @@ Local Differential Privacy:
 * :mod:`repro.core` — the paper's contribution: the EMF family of
   reconstruction filters, Byzantine feature probing and the multi-group
   Differential Aggregation Protocol;
-* :mod:`repro.collect` — streaming sufficient-statistics accumulators, the
-  constant-memory collection layer behind ``DAPProtocol.collect_stream`` and
-  multi-million-user scenarios;
+* :mod:`repro.collect` — mergeable sufficient-statistics accumulators and
+  the block-seeded shard plans behind every protocol's ``collect_sharded``,
+  the one collection path (a round never materialises its reports);
 * :mod:`repro.datasets` — the evaluation datasets (synthetic Beta draws and
   offline substitutes for Taxi, Retirement and COVID-19);
 * :mod:`repro.simulation` / :mod:`repro.experiments` — the experiment harness
@@ -53,7 +53,6 @@ from repro.core import (
 from repro.collect import GroupAccumulator, GroupStats
 from repro.ldp import PiecewiseMechanism, SquareWaveMechanism, KRandomizedResponse
 from repro.scenario import ScenarioSpec, run_scenario
-from repro.simulation.population import stream_population
 
 __version__ = "1.3.0"
 
@@ -69,7 +68,6 @@ __all__ = [
     "estimate_byzantine_features",
     "GroupAccumulator",
     "GroupStats",
-    "stream_population",
     "PiecewiseMechanism",
     "SquareWaveMechanism",
     "KRandomizedResponse",

@@ -12,11 +12,9 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
-from repro.collect.streaming import DEFAULT_CHUNK_SIZE, iter_chunks
 from repro.ldp.base import NumericalMechanism
 from repro.registry import ATTACKS
 from repro.utils.rng import RngLike, ensure_rng
@@ -88,38 +86,13 @@ class Attack(abc.ABC):
         """How many poison reports ``n_byzantine`` Byzantine users submit.
 
         One per user for every real attack (the default); degenerate attacks
-        that stay silent (:class:`NoAttack`) override this, so the streaming
-        and sharded collectors can size their accumulators — whose expected
-        report counts double as consistency checks — without materialising
-        the poison first.  Must be additive in ``n_byzantine`` (the sharded
-        path sums per-shard expectations into the group total).
+        that stay silent (:class:`NoAttack`) override this, so the sharded
+        collector can size its accumulators — whose expected report counts
+        double as consistency checks — without materialising the poison
+        first.  Must be additive in ``n_byzantine`` (the collector sums
+        per-shard expectations into the group total).
         """
         return self._check_population(n_byzantine)
-
-    def poison_report_chunks(
-        self,
-        n_byzantine: int,
-        mechanism: NumericalMechanism,
-        reference_mean: float = 0.0,
-        rng: RngLike = None,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-    ) -> Iterator[np.ndarray]:
-        """Yield the poison reports in chunks of at most ``chunk_size``.
-
-        The streaming counterpart of :meth:`poison_reports` used by
-        :meth:`repro.core.dap.DAPProtocol.collect_stream`: ``n_byzantine``
-        reports are drawn through repeated :meth:`poison_reports` calls, so
-        memory stays bounded by the chunk size.  Every attack in the library
-        draws poison values i.i.d., which makes the chunked stream equal in
-        distribution to one bulk call (the randomness is consumed
-        differently, so individual draws differ for a fixed generator).
-        """
-        rng = ensure_rng(rng)
-        n_byzantine = self._check_population(n_byzantine)
-        for start, stop in iter_chunks(n_byzantine, chunk_size):
-            yield self.poison_reports(
-                stop - start, mechanism, reference_mean, rng
-            ).reports
 
     def _check_population(self, n_byzantine: int) -> int:
         return check_integer(n_byzantine, "n_byzantine", minimum=0)

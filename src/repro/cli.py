@@ -70,7 +70,6 @@ def _positive_int(flag: str):
     return parse
 
 
-_chunk_size = _positive_int("--chunk-size")
 _collect_workers = _positive_int("--collect-workers")
 _sketch_rows = _positive_int("--sketch-rows")
 
@@ -166,8 +165,6 @@ class _ProgressPrinter:
 def _execute(args: argparse.Namespace, resume: bool, require_artifact: bool) -> int:
     scenario = ScenarioSpec.from_file(args.scenario)
     overrides = {}
-    if args.chunk_size is not None:
-        overrides["chunk_size"] = args.chunk_size
     if args.collect_workers is not None:
         overrides["collect_workers"] = args.collect_workers
     if args.probe_strategy is not None:
@@ -411,14 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="process-pool size, or 'auto' for one worker per CPU (default: serial)",
     )
     run_parser.add_argument(
-        "--chunk-size",
-        type=_chunk_size,
-        default=None,
-        help="run trials through the constant-memory streaming collection "
-        "path with this report chunk size (overrides the scenario's "
-        "'chunk_size'; default: the scenario's setting, else in-memory)",
-    )
-    run_parser.add_argument(
         "--collect-workers",
         type=_collect_workers,
         default=None,
@@ -503,7 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     resume_parser.add_argument("scenario", help="path to a scenario JSON file")
     resume_parser.add_argument("--workers", type=_workers, default=None)
-    resume_parser.add_argument("--chunk-size", type=_chunk_size, default=None)
     resume_parser.add_argument(
         "--collect-workers", type=_collect_workers, default=None
     )

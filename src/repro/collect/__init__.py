@@ -1,15 +1,15 @@
-"""Streaming sufficient-statistics collection.
+"""Sufficient-statistics collection.
 
 The collector side of every protocol in this library only ever consumes
 *sufficient statistics* of the report stream — bucketized histograms for the
 EMF / EMF* / CEMF* probing machinery, exact sums and counts for the corrected
 mean, category counts for the k-RR frequency extension.  The accumulators in
-this package compute those statistics chunk by chunk, so populations far
-larger than RAM can be collected in bounded memory:
+this package compute those statistics block by block and merge, so a round
+never materialises its reports:
 
 * :class:`~repro.collect.accumulators.ExactSum` — chunking-invariant
   compensated summation (the corrected mean divides a report sum, so the sum
-  must not depend on how the stream was chunked);
+  must not depend on how the reports were split);
 * :class:`~repro.collect.accumulators.SumCount` — streaming mean;
 * :class:`~repro.collect.accumulators.HistogramAccumulator` — counts over a
   :class:`~repro.utils.discretization.BucketGrid`;
@@ -22,11 +22,9 @@ larger than RAM can be collected in bounded memory:
   :class:`~repro.collect.accumulators.GroupStats` — everything one DAP group
   contributes to :meth:`repro.core.dap.DAPProtocol.aggregate_stats`.
 
-:mod:`repro.collect.streaming` holds the chunk-planning helpers shared by the
-streaming population generator, the chunked perturb/poison paths and the
-``collect_stream`` protocol entry points.  :mod:`repro.collect.sharding`
-adds the deterministic block-seeded :class:`~repro.collect.sharding.ShardPlan`
-behind the parallel ``collect_sharded`` paths: every accumulator's
+:mod:`repro.collect.sharding` adds the deterministic block-seeded
+:class:`~repro.collect.sharding.ShardPlan` behind every protocol's
+``collect_sharded`` — the one collection path: every accumulator's
 associative ``merge()`` plus per-block pre-drawn seeds make the merged round
 bit-identical at any shard count and any worker count.
 """
@@ -46,11 +44,9 @@ from repro.collect.sharding import (
     ShardSlice,
     build_shard_plan,
 )
-from repro.collect.streaming import DEFAULT_CHUNK_SIZE, chunk_array, iter_chunks
 
 __all__ = [
     "CategoryCountAccumulator",
-    "DEFAULT_CHUNK_SIZE",
     "DEFAULT_SHARD_BLOCK",
     "ExactSum",
     "GroupAccumulator",
@@ -61,6 +57,4 @@ __all__ = [
     "ShardSlice",
     "SumCount",
     "build_shard_plan",
-    "chunk_array",
-    "iter_chunks",
 ]

@@ -494,7 +494,7 @@ class GroupStats:
     Everything :meth:`repro.core.dap.DAPProtocol.aggregate_stats` needs:
     the output-grid histogram drives probing and the EMF family, the exact
     report sum and count drive the corrected mean, and ``n_users`` is kept
-    for bookkeeping parity with :class:`~repro.core.dap.GroupCollection`.
+    for bookkeeping (users assigned to the group).
     """
 
     epsilon: float

@@ -39,7 +39,7 @@ from repro.core.mean_estimation import (
 )
 from repro.core.baseline_protocol import BaselineProtocol, BaselineResult
 from repro.core.aggregation import aggregation_weights, aggregate_means, worst_case_group_variance
-from repro.core.dap import DAPProtocol, DAPConfig, DAPResult, GroupCollection, GroupEstimate
+from repro.core.dap import DAPProtocol, DAPConfig, DAPResult, GroupEstimate
 from repro.core.frequency import FrequencyDAP, FrequencyDAPResult
 from repro.core.sketch_frequency import SketchFrequencyDAP, SketchFrequencyDAPResult
 
@@ -68,7 +68,6 @@ __all__ = [
     "DAPProtocol",
     "DAPConfig",
     "DAPResult",
-    "GroupCollection",
     "GroupEstimate",
     "FrequencyDAP",
     "FrequencyDAPResult",

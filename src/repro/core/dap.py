@@ -18,32 +18,32 @@ The five stages of the protocol:
    minimum-variance weights of Theorem 6.
 
 ``DAPProtocol.run`` simulates the client side and the collector side end to
-end; ``DAPProtocol.aggregate`` is the collector-only entry point that consumes
-already-collected per-group reports.
+end; ``DAPProtocol.aggregate_stats`` is the collector-only entry point.
 
 The collector only ever needs *sufficient statistics* of the report stream —
 the output-grid histogram (probing + the EMF family) and the report sum and
-count (corrected mean) — so the whole pipeline also runs in bounded memory:
-``collect_stream`` consumes user values chunk by chunk into per-group
-:class:`~repro.collect.GroupAccumulator` objects, and
-``aggregate_accumulated`` / ``aggregate_stats`` run stages 3-5 on the
-accumulated statistics, bit-identical to the in-memory path on the same
-reports.
+count (corrected mean) — so a round never materialises its reports:
+``collect_sharded`` assigns users to groups, cuts each group into fixed-size
+blocks with one pre-drawn seed each, perturbs every block into per-group
+:class:`~repro.collect.GroupAccumulator` objects (optionally over a process
+pool) and merges them; ``aggregate_stats`` runs stages 3-5 on the merged
+statistics.  ``run`` is that round with one shard, and its result is the
+same at any shard or worker count.
 
-Every collection path (in-memory, streaming, sharded) lowers to the shared
-client → transport → server pipeline of :mod:`repro.protocol`: the client
-stage applies the contribution cap and hands compromised slots to the
-attack (under the shuffle protocol, against the group-blind
-domain-intersection view), the transport stage is an identity pass-through
-(``protocol="local"``) or the seeded shuffler (``protocol="shuffle"``),
-and the server stage folds accumulators and — under shuffle — writes the
-privacy-amplification ledger into :class:`DAPResult`.
+Collection lowers to the shared client → transport → server pipeline of
+:mod:`repro.protocol`: the client stage applies the contribution cap and
+hands compromised slots to the attack (under the shuffle protocol, against
+the group-blind domain-intersection view), the transport stage is an
+identity pass-through (``protocol="local"``) or the seeded shuffler
+(``protocol="shuffle"``), and the server stage folds accumulators and —
+under shuffle — writes the privacy-amplification ledger into
+:class:`DAPResult`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Literal, Mapping, Sequence, Tuple
+from typing import Callable, List, Literal, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -55,7 +55,6 @@ from repro.collect.sharding import (
     build_shard_plan,
     run_shard_tasks,
 )
-from repro.collect.streaming import DEFAULT_CHUNK_SIZE
 from repro.core.aggregation import aggregate_means, aggregation_weights
 from repro.core.cemf_star import DEFAULT_SUPPRESSION_FACTOR, run_cemf_star
 from repro.core.emf import EMFResult, run_emf
@@ -192,34 +191,6 @@ class DAPConfig:
 
 
 @dataclass
-class GroupCollection:
-    """Reports collected from one group.
-
-    Attributes
-    ----------
-    epsilon:
-        The group's privacy budget ``eps_t``.
-    reports:
-        All reports from the group (normal + poison), one entry per report
-        (users may contribute several).
-    n_users:
-        Number of users assigned to the group (normal + Byzantine).
-    """
-
-    epsilon: float
-    reports: np.ndarray
-    n_users: int = 0
-
-    def __post_init__(self) -> None:
-        self.reports = np.asarray(self.reports, dtype=float).ravel()
-
-    @property
-    def n_reports(self) -> int:
-        """Number of collected reports ``N_t``."""
-        return int(self.reports.size)
-
-
-@dataclass
 class GroupEstimate:
     """Collector-side result for one group.
 
@@ -301,8 +272,7 @@ def _client_perturb(
 ) -> np.ndarray:
     """Client stage, honest users: perturb ``repeats`` reports per value.
 
-    The single perturbation kernel every collection path (in-memory,
-    streaming, sharded worker) lowers to.
+    The perturbation kernel every shard worker lowers to.
     """
     with stage("collect.sample"):
         return mechanism.perturb(np.repeat(values, repeats), rng)
@@ -391,78 +361,6 @@ class DAPProtocol:
         """The mechanism instance used by the group with budget ``epsilon``."""
         return self._mechanisms[epsilon]
 
-    @profiled_stage("collect")
-    def collect(
-        self,
-        normal_values: np.ndarray,
-        attack: Attack | None = None,
-        n_byzantine: int = 0,
-        rng: RngLike = None,
-    ) -> List[GroupCollection]:
-        """Simulate grouping + perturbation and return per-group reports.
-
-        Normal users perturb their value ``eps / eps_t`` times with their
-        group's mechanism; Byzantine users submit the same number of poison
-        reports drawn from the attack strategy against that group's output
-        domain (under the shuffle protocol, against the group-blind
-        domain-intersection view), and each group's batch then rides the
-        transport stage — identity (local) or the seeded shuffler.
-        """
-        rng = ensure_rng(rng)
-        attack = attack or NoAttack()
-        pipeline = self.pipeline
-        normal_values = np.asarray(normal_values, dtype=float).ravel()
-        n_byzantine = check_integer(n_byzantine, "n_byzantine", minimum=0)
-
-        n_normal = normal_values.size
-        n_total = n_normal + n_byzantine
-        if n_total == 0:
-            raise ValueError("at least one user is required")
-
-        ladder = self.config.budget_ladder
-        h = len(ladder)
-
-        # random assignment into h (nearly) equal-sized groups
-        user_indices = rng.permutation(n_total)
-        group_of_user = np.empty(n_total, dtype=int)
-        for group_index, member in enumerate(np.array_split(user_indices, h)):
-            group_of_user[member] = group_index
-
-        groups: List[GroupCollection] = []
-        for group_index, epsilon_t in enumerate(ladder):
-            mechanism = self.mechanism_for(epsilon_t)
-            members = np.flatnonzero(group_of_user == group_index)
-            normal_members = members[members < n_normal]
-            byzantine_members = members[members >= n_normal]
-            repeats = self._reports_per_user(epsilon_t)
-
-            pieces = []
-            if normal_members.size and repeats:
-                pieces.append(
-                    _client_perturb(
-                        mechanism, normal_values[normal_members], repeats, rng
-                    )
-                )
-            if byzantine_members.size and repeats:
-                view = pipeline.adversary_view(mechanism, self._mechanisms)
-                pieces.append(
-                    _client_poison(
-                        attack,
-                        view,
-                        int(byzantine_members.size) * repeats,
-                        self._reference_mean(view),
-                        rng,
-                    )
-                )
-            reports = np.concatenate(pieces) if pieces else np.empty(0)
-            reports = pipeline.deliver(reports, (group_index, reports.size))
-            groups.append(
-                GroupCollection(
-                    epsilon=epsilon_t, reports=reports, n_users=int(members.size)
-                )
-            )
-        return groups
-
     def _uncapped_reports_per_user(self, epsilon_t: float) -> int:
         """The ladder's per-user multiplicity, before the contribution cap."""
         repeats = int(round(self.config.epsilon / epsilon_t))
@@ -479,13 +377,13 @@ class DAPProtocol:
         return 0.5 * (low + high)
 
     # ------------------------------------------------------------------
-    # streaming accumulators
+    # group accumulators
     # ------------------------------------------------------------------
     def group_sizes(self, n_total: int) -> List[int]:
         """User head-count per group for a population of ``n_total``.
 
-        Matches the (nearly) equal split of :meth:`collect`: the first
-        ``n_total % h`` groups receive one extra user.
+        Matches the (nearly) equal split of :meth:`collect_sharded`: the
+        first ``n_total % h`` groups receive one extra user.
         """
         n_total = check_integer(n_total, "n_total", minimum=1)
         h = self.config.n_groups
@@ -507,135 +405,12 @@ class DAPProtocol:
         (the collector knows it up front: group sizes and per-user report
         multiplicities are fixed by the grouping stage), so feeding exactly
         that many reports — in chunks of any size — yields statistics
-        bit-identical to an in-memory :class:`GroupCollection`.
+        bit-identical to a one-shot update with all of them.
         """
         grid = self.group_output_grid(epsilon, max(1, n_expected_reports))
         return GroupAccumulator(
             epsilon, grid, n_expected_reports=n_expected_reports, n_users=n_users
         )
-
-    @profiled_stage("collect")
-    def collect_stream(
-        self,
-        value_chunks: Iterable[np.ndarray],
-        n_normal: int,
-        attack: Attack | None = None,
-        n_byzantine: int = 0,
-        rng: RngLike = None,
-        poison_chunk_size: int = DEFAULT_CHUNK_SIZE,
-    ) -> List[GroupAccumulator]:
-        """Streaming grouping + perturbation: constant memory in ``n_normal``.
-
-        The chunked counterpart of :meth:`collect`: normal users' values
-        arrive as an iterable of chunks (``n_normal`` must be declared up
-        front so groups can be sized), each chunk is assigned to groups,
-        perturbed and folded into per-group accumulators, and poison reports
-        are drawn in bounded chunks.  Peak memory is proportional to the
-        chunk size times the report multiplicity, never to the population.
-
-        Group head-counts are identical in distribution to :meth:`collect`'s
-        random assignment (per-chunk counts are drawn from the multivariate
-        hypergeometric law over the groups' remaining slots), but the two
-        paths consume randomness differently, so individual draws differ.
-        """
-        rng = ensure_rng(rng)
-        attack = attack or NoAttack()
-        pipeline = self.pipeline
-        n_normal = check_integer(n_normal, "n_normal", minimum=0)
-        n_byzantine = check_integer(n_byzantine, "n_byzantine", minimum=0)
-        n_total = n_normal + n_byzantine
-        if n_total == 0:
-            raise ValueError("at least one user is required")
-
-        ladder = self.config.budget_ladder
-        h = len(ladder)
-        sizes = np.asarray(self.group_sizes(n_total), dtype=np.int64)
-        # random user->group assignment makes each group's Byzantine
-        # head-count multivariate hypergeometric over the group slots
-        if n_byzantine:
-            byz_counts = rng.multivariate_hypergeometric(sizes, n_byzantine)
-        else:
-            byz_counts = np.zeros(h, dtype=np.int64)
-        remaining = sizes - byz_counts
-
-        # silent attacks (NoAttack) contribute no reports, so the expected
-        # count — which sizes the histogram grid and doubles as a
-        # consistency check — asks the attack for its poison report count
-        accumulators = [
-            self.group_accumulator(
-                epsilon_t,
-                int(size - byz) * self._reports_per_user(epsilon_t)
-                + attack.n_poison_reports(int(byz) * self._reports_per_user(epsilon_t)),
-                n_users=int(size),
-            )
-            for epsilon_t, size, byz in zip(ladder, sizes, byz_counts)
-        ]
-
-        consumed = 0
-        # one delivery lane per (group, delivered batch): streaming batches
-        # ride the transport independently, so the shuffler composes with
-        # any chunking (its statistics are permutation-invariant anyway)
-        lane_counters = [0] * h
-        for chunk in value_chunks:
-            chunk = np.asarray(chunk, dtype=float).ravel()
-            if chunk.size == 0:
-                continue
-            consumed += chunk.size
-            if consumed > n_normal:
-                raise ValueError(
-                    f"value stream yielded more than the declared "
-                    f"n_normal={n_normal} values"
-                )
-            counts = rng.multivariate_hypergeometric(remaining, chunk.size)
-            remaining = remaining - counts
-            assignment = np.repeat(np.arange(h), counts)
-            rng.shuffle(assignment)
-            for group_index, epsilon_t in enumerate(ladder):
-                values = chunk[assignment == group_index]
-                repeats = self._reports_per_user(epsilon_t)
-                if not values.size or not repeats:
-                    continue
-                mechanism = self.mechanism_for(epsilon_t)
-                reports = _client_perturb(mechanism, values, repeats, rng)
-                reports = pipeline.deliver(
-                    reports, (group_index, lane_counters[group_index], reports.size)
-                )
-                lane_counters[group_index] += 1
-                with stage("collect.accumulate"):
-                    accumulators[group_index].update(reports)
-        if consumed != n_normal:
-            raise ValueError(
-                f"value stream yielded {consumed} normal values, expected "
-                f"{n_normal}"
-            )
-
-        for group_index, epsilon_t in enumerate(ladder):
-            n_byz = int(byz_counts[group_index])
-            n_poison = n_byz * self._reports_per_user(epsilon_t)
-            if not n_poison:
-                continue
-            view = pipeline.adversary_view(
-                self.mechanism_for(epsilon_t), self._mechanisms
-            )
-            reference = self._reference_mean(view)
-            chunks = attack.poison_report_chunks(
-                n_poison, view, reference, rng, chunk_size=poison_chunk_size
-            )
-            # drive the generator with next() so the poison drawing and the
-            # accumulator update land in their own sub-timers (a for-loop
-            # would charge the draw of chunk i+1 to the accumulate stage)
-            while True:
-                with stage("collect.poison"):
-                    piece = next(chunks, None)
-                if piece is None:
-                    break
-                piece = pipeline.deliver(
-                    piece, (group_index, lane_counters[group_index], piece.size)
-                )
-                lane_counters[group_index] += 1
-                with stage("collect.accumulate"):
-                    accumulators[group_index].update(piece)
-        return accumulators
 
     # ------------------------------------------------------------------
     # sharded collection
@@ -653,14 +428,17 @@ class DAPProtocol:
     ) -> List[GroupAccumulator]:
         """Sharded grouping + perturbation: one collection round, many cores.
 
-        The population is assigned to groups with the *same* master-generator
-        permutation draw as :meth:`collect` (group composition is identical
-        bit for bit), then each group's user range is cut into fixed-size
-        blocks with one pre-drawn seed per block
+        The population is assigned to ``h`` (nearly) equal-sized groups by
+        one master-generator permutation draw, then each group's user range
+        is cut into fixed-size blocks with one pre-drawn seed per block
         (:func:`repro.collect.build_shard_plan`).  A shard — a contiguous run
-        of whole blocks — is processed by the existing chunked perturb/poison
-        path into fresh :class:`~repro.collect.GroupAccumulator` objects, and
-        shard results are folded back with ``merge()``.
+        of whole blocks — is perturbed and poisoned block by block into
+        fresh :class:`~repro.collect.GroupAccumulator` objects, and shard
+        results are folded back with ``merge()``.  Normal users perturb
+        their value ``eps / eps_t`` times with their group's mechanism;
+        Byzantine users submit the same number of poison reports drawn from
+        the attack against that group's output domain (under the shuffle
+        protocol, against the group-blind domain-intersection view).
 
         Because the blocks own the randomness, the merged accumulators are
         bit-identical at any ``n_shards`` and any ``n_workers`` (both are
@@ -674,8 +452,13 @@ class DAPProtocol:
             The normal users' values (materialised; at 10^7 users this is
             ~80 MiB — the reports, which would be an order of magnitude
             larger, are never materialised).
-        attack, n_byzantine, rng:
-            As in :meth:`collect`.
+        attack:
+            The Byzantine strategy (``None`` = :class:`NoAttack`).
+        n_byzantine:
+            Number of Byzantine users.
+        rng:
+            Master generator: consumed for the group assignment and the
+            block seeds only.
         n_shards:
             Number of independent work units to split the round into.
         n_workers:
@@ -689,6 +472,7 @@ class DAPProtocol:
         attack = attack or NoAttack()
         normal_values = np.asarray(normal_values, dtype=float).ravel()
         n_byzantine = check_integer(n_byzantine, "n_byzantine", minimum=0)
+        self._check_values(normal_values)
         n_normal = normal_values.size
         n_total = n_normal + n_byzantine
         if n_total == 0:
@@ -697,8 +481,8 @@ class DAPProtocol:
         ladder = self.config.budget_ladder
         h = len(ladder)
 
-        # identical group assignment to collect(): same permutation draw,
-        # same nearly-equal split, members processed in ascending user order
+        # one permutation draw, nearly-equal split, members processed in
+        # ascending user order
         user_indices = rng.permutation(n_total)
         group_values: List[np.ndarray] = []
         group_byzantine: List[int] = []
@@ -775,59 +559,27 @@ class DAPProtocol:
                 accumulators[group_index].merge(GroupAccumulator.from_state(state))
         return accumulators
 
-    def run_sharded(
-        self,
-        normal_values: np.ndarray,
-        attack: Attack | None = None,
-        n_byzantine: int = 0,
-        rng: RngLike = None,
-        n_shards: int = 1,
-        n_workers: int | None = None,
-        block_size: int = DEFAULT_SHARD_BLOCK,
-    ) -> DAPResult:
-        """One full DAP round through the sharded collection path."""
-        accumulators = self.collect_sharded(
-            normal_values,
-            attack,
-            n_byzantine,
-            rng=rng,
-            n_shards=n_shards,
-            n_workers=n_workers,
-            block_size=block_size,
-        )
-        result = self.aggregate_accumulated(accumulators)
-        result.skipped_reports = self.contribution_summary(
-            int(np.asarray(normal_values).size) + int(n_byzantine)
-        )
-        return result
+    def _check_values(self, normal_values: np.ndarray) -> None:
+        """Refuse inputs a shard worker would, before any shard is dispatched.
+
+        A worker raising on bad input would be retried by the resilient pool
+        and surface as a ``TaskFailedError``; checking in the parent raises
+        what the client stage raises instead:
+        :class:`~repro.ldp.base.MechanismError` for values outside the input
+        domain (infinities included) and ``ValueError`` for NaN, which the
+        group accumulators refuse.
+        """
+        self.mechanism_for(self.config.epsilon).check_inputs(normal_values)
+        if np.isnan(normal_values).any():
+            raise ValueError("normal_values must not contain NaN")
 
     # ------------------------------------------------------------------
     # collector side
     # ------------------------------------------------------------------
-    def group_stats(self, group: GroupCollection) -> GroupStats:
-        """Reduce an in-memory group to its sufficient statistics."""
-        accumulator = self.group_accumulator(
-            group.epsilon, group.n_reports, n_users=group.n_users
-        )
-        return accumulator.update(group.reports).stats()
-
-    def aggregate(self, groups: Sequence[GroupCollection]) -> DAPResult:
-        """Probing + intra-group estimation + inter-group aggregation.
-
-        The in-memory entry point: each group's raw reports are reduced to
-        :class:`~repro.collect.GroupStats` (a one-chunk accumulator pass) and
-        handed to :meth:`aggregate_stats` — the collector never needs more
-        than the sufficient statistics.
-        """
-        groups = [g for g in groups if g.n_reports > 0]
-        if not groups:
-            raise ValueError("no group contributed any reports")
-        return self.aggregate_stats([self.group_stats(group) for group in groups])
-
     def aggregate_accumulated(
         self, accumulators: Sequence[GroupAccumulator]
     ) -> DAPResult:
-        """Aggregate from streaming accumulators (see :meth:`collect_stream`)."""
+        """Aggregate from group accumulators (see :meth:`collect_sharded`)."""
         stats = [acc.stats() for acc in accumulators if acc.n_reports > 0]
         if not stats:
             raise ValueError("no group contributed any reports")
@@ -840,10 +592,9 @@ class DAPProtocol:
     ) -> DAPResult:
         """Stages 3-5 on per-group sufficient statistics.
 
-        Bit-identical to feeding the same reports through the in-memory
-        :meth:`aggregate`: EMF and its variants already operate on the
-        output-grid histogram, and the corrected mean only needs the report
-        sum and count, so no stage ever touches raw reports.
+        EMF and its variants operate on the output-grid histogram, and the
+        corrected mean only needs the report sum and count, so no stage
+        ever touches raw reports.
 
         ``probe_warm_start`` optionally seeds the probing stage's side EMs
         from a previous round's converged weights
@@ -1070,32 +821,32 @@ class DAPProtocol:
         attack: Attack | None = None,
         n_byzantine: int = 0,
         rng: RngLike = None,
+        n_shards: int = 1,
+        n_workers: int | None = None,
+        block_size: int = DEFAULT_SHARD_BLOCK,
     ) -> DAPResult:
-        """Simulate one full DAP round (client + collector)."""
-        groups = self.collect(normal_values, attack, n_byzantine, rng)
-        result = self.aggregate(groups)
+        """Simulate one full DAP round (client + collector).
+
+        :meth:`collect_sharded` followed by :meth:`aggregate_accumulated`;
+        ``n_shards`` and ``n_workers`` only schedule the collection, so the
+        result is identical for any value of either.
+        """
+        accumulators = self.collect_sharded(
+            normal_values,
+            attack,
+            n_byzantine,
+            rng=rng,
+            n_shards=n_shards,
+            n_workers=n_workers,
+            block_size=block_size,
+        )
+        result = self.aggregate_accumulated(accumulators)
         result.skipped_reports = self.contribution_summary(
             int(np.asarray(normal_values).size) + int(n_byzantine)
         )
         return result
 
-    def run_stream(
-        self,
-        value_chunks: Iterable[np.ndarray],
-        n_normal: int,
-        attack: Attack | None = None,
-        n_byzantine: int = 0,
-        rng: RngLike = None,
-    ) -> DAPResult:
-        """One full DAP round over a chunked value stream (bounded memory)."""
-        accumulators = self.collect_stream(
-            value_chunks, n_normal, attack, n_byzantine, rng=rng
-        )
-        result = self.aggregate_accumulated(accumulators)
-        result.skipped_reports = self.contribution_summary(
-            int(n_normal) + int(n_byzantine)
-        )
-        return result
+    run_sharded = run
 
 
 # ----------------------------------------------------------------------
@@ -1195,6 +946,5 @@ __all__ = [
     "DAPConfig",
     "DAPProtocol",
     "DAPResult",
-    "GroupCollection",
     "GroupEstimate",
 ]

@@ -23,7 +23,7 @@ Figure 9(c)(d) evaluates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Literal, Sequence, Tuple
+from typing import List, Literal, Sequence, Tuple
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from repro.collect.sharding import (
     build_shard_plan,
     run_shard_tasks,
 )
-from repro.collect.streaming import DEFAULT_CHUNK_SIZE, iter_chunks
 from repro.core.emf_star import constrained_m_step
 from repro.core.probing import PROBE_STRATEGIES, check_probe_strategy
 from repro.ldp.ems import EMResult, em_reconstruct, em_reconstruct_batch
@@ -196,87 +195,6 @@ class FrequencyDAP:
     # client-side simulation helpers
     # ------------------------------------------------------------------
     @profiled_stage("collect")
-    def collect(
-        self,
-        normal_categories: np.ndarray,
-        poisoned_categories: Sequence[int] = (),
-        n_byzantine: int = 0,
-        rng: RngLike = None,
-    ) -> np.ndarray:
-        """Simulate one collection round.
-
-        Normal users perturb their category with k-RR; Byzantine users report
-        one of the ``poisoned_categories`` directly (uniformly at random among
-        them), which is the strongest attack available in the k-RR output
-        domain.  The combined batch then rides the transport stage.
-        """
-        rng = ensure_rng(rng)
-        pipeline = self.pipeline
-        normal_categories = np.asarray(normal_categories, dtype=int)
-        n_byzantine = check_integer(n_byzantine, "n_byzantine", minimum=0)
-        if not self._reports_per_user():
-            return np.empty(0, dtype=int)
-        with stage("collect.sample"):
-            reports = [self.mechanism.perturb(normal_categories, rng)]
-        if n_byzantine:
-            if not poisoned_categories:
-                raise ValueError(
-                    "poisoned_categories must be provided when n_byzantine > 0"
-                )
-            targets = np.asarray(list(poisoned_categories), dtype=int)
-            with stage("collect.poison"):
-                poison = targets[rng.integers(0, targets.size, size=n_byzantine)]
-            reports.append(poison)
-        merged = np.concatenate(reports)
-        return pipeline.deliver(merged, (0, merged.size))
-
-    @profiled_stage("collect")
-    def collect_stream(
-        self,
-        category_chunks: Iterable[np.ndarray],
-        poisoned_categories: Sequence[int] = (),
-        n_byzantine: int = 0,
-        rng: RngLike = None,
-        poison_chunk_size: int = DEFAULT_CHUNK_SIZE,
-    ) -> CategoryCountAccumulator:
-        """Chunked collection into a category-count accumulator.
-
-        The streaming counterpart of :meth:`collect`: normal users' category
-        chunks are perturbed and counted as they arrive, and Byzantine
-        reports are drawn in bounded chunks, so memory never scales with the
-        population.  Feed the result to :meth:`estimate_from_counts`.
-        """
-        rng = ensure_rng(rng)
-        pipeline = self.pipeline
-        capped = not self._reports_per_user()
-        lane = 0
-        accumulator = CategoryCountAccumulator(self.n_categories)
-        for chunk in category_chunks:
-            chunk = np.asarray(chunk, dtype=int).ravel()
-            if chunk.size and not capped:
-                with stage("collect.sample"):
-                    reports = self.mechanism.perturb(chunk, rng)
-                reports = pipeline.deliver(reports, (0, lane, reports.size))
-                lane += 1
-                with stage("collect.accumulate"):
-                    accumulator.update(reports)
-        n_byzantine = check_integer(n_byzantine, "n_byzantine", minimum=0)
-        if n_byzantine and not capped:
-            if not poisoned_categories:
-                raise ValueError(
-                    "poisoned_categories must be provided when n_byzantine > 0"
-                )
-            targets = np.asarray(list(poisoned_categories), dtype=int)
-            for start, stop in iter_chunks(n_byzantine, poison_chunk_size):
-                with stage("collect.poison"):
-                    poison = targets[rng.integers(0, targets.size, size=stop - start)]
-                poison = pipeline.deliver(poison, (0, lane, poison.size))
-                lane += 1
-                with stage("collect.accumulate"):
-                    accumulator.update(poison)
-        return accumulator
-
-    @profiled_stage("collect")
     def collect_sharded(
         self,
         normal_categories: np.ndarray,
@@ -287,15 +205,19 @@ class FrequencyDAP:
         n_workers: int | None = None,
         block_size: int = DEFAULT_SHARD_BLOCK,
     ) -> CategoryCountAccumulator:
-        """Sharded collection into one merged category-count accumulator.
+        """Simulate one collection round into a category-count accumulator.
 
-        The categorical counterpart of
+        Normal users perturb their category with k-RR; Byzantine users
+        report one of the ``poisoned_categories`` directly (uniformly at
+        random among them), which is the strongest attack available in the
+        k-RR output domain.  The categorical counterpart of
         :meth:`repro.core.dap.DAPProtocol.collect_sharded`: the users are cut
         into fixed-size blocks with one pre-drawn seed each
         (:func:`repro.collect.build_shard_plan`), shards — contiguous runs of
         blocks — are processed independently (optionally over a process
         pool), and the per-shard counts are folded with ``merge()``.  The
         merged counts are bit-identical at any ``n_shards`` / ``n_workers``.
+        Feed the result to :meth:`estimate_from_counts`.
         """
         rng = ensure_rng(rng)
         normal_categories = np.asarray(normal_categories, dtype=int).ravel()
@@ -305,6 +227,14 @@ class FrequencyDAP:
                 "poisoned_categories must be provided when n_byzantine > 0"
             )
         targets = np.asarray(list(poisoned_categories), dtype=int)
+        # refuse bad input here, where it raises once, instead of in a shard
+        # worker, whose failure the resilient pool would retry
+        self.mechanism.check_categories(normal_categories)
+        if n_byzantine and (targets.min() < 0 or targets.max() >= self.n_categories):
+            raise ValueError(
+                f"poisoned_categories must lie in [0, {self.n_categories}), got "
+                f"{sorted(set(targets.tolist()))}"
+            )
         if not self._reports_per_user():
             return CategoryCountAccumulator(self.n_categories)
         plan = build_shard_plan(
@@ -564,9 +494,9 @@ class FrequencyDAP:
         """The collector pipeline on category counts (the sufficient statistic).
 
         Accepts either a raw count vector or the accumulator produced by
-        :meth:`collect_stream`.  Category counts accumulated over chunks are
-        exactly the bincount of the concatenated stream, so this path is
-        bit-identical to :meth:`estimate` on the same reports.
+        :meth:`collect_sharded`.  Category counts accumulated over blocks are
+        exactly the bincount of all reports, so this path is bit-identical
+        to :meth:`estimate` on the same reports.
         """
         if isinstance(counts, CategoryCountAccumulator):
             counts = counts.counts_float()
@@ -633,9 +563,12 @@ class FrequencyDAP:
         n_byzantine: int = 0,
         rng: RngLike = None,
     ) -> FrequencyDAPResult:
-        """Simulate one round end to end (collection + estimation)."""
-        reports = self.collect(normal_categories, poisoned_categories, n_byzantine, rng)
-        result = self.estimate(reports)
+        """Simulate one round end to end: :meth:`collect_sharded` (one shard)
+        followed by :meth:`estimate_from_counts`."""
+        counts = self.collect_sharded(
+            normal_categories, poisoned_categories, n_byzantine, rng
+        )
+        result = self.estimate_from_counts(counts)
         result.skipped_reports = self.contribution_summary(
             int(np.asarray(normal_categories).size) + int(n_byzantine)
         )

@@ -9,8 +9,8 @@ re-based on the :class:`~repro.ldp.count_sketch.CountSketch` mechanism.
 
 * **Collection** is O(1) per user: each report is a ``(row, bucket)`` pair
   folded into the mergeable ``(rows, width)``
-  :class:`~repro.collect.SketchAccumulator`, so streaming, sharding and the
-  windowed service compose exactly as on the dense path.
+  :class:`~repro.collect.SketchAccumulator`, so sharding and the windowed
+  service compose exactly as on the dense path.
 * **Probing** never touches a ``k x k`` transform — and unlike the dense
   probe it does not *attribute* poison greedily by likelihood.  At sketch
   geometry the reduced model is nearly unidentifiable per candidate: a
@@ -60,7 +60,7 @@ also (by construction) not frequency-relevant at the sketch's resolution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -71,7 +71,6 @@ from repro.collect.sharding import (
     build_shard_plan,
     run_shard_tasks,
 )
-from repro.collect.streaming import DEFAULT_CHUNK_SIZE, iter_chunks
 from repro.core.emf_star import constrained_m_step
 from repro.core.frequency import EstimatorName
 from repro.ldp.count_sketch import CountSketch
@@ -286,82 +285,6 @@ class SketchFrequencyDAP:
     # client-side simulation helpers
     # ------------------------------------------------------------------
     @profiled_stage("collect")
-    def collect(
-        self,
-        normal_categories: np.ndarray,
-        poisoned_categories: Sequence[int] = (),
-        n_byzantine: int = 0,
-        rng: RngLike = None,
-    ) -> np.ndarray:
-        """Simulate one collection round (returns raw ``(row, bucket)`` reports).
-
-        Normal users perturb through the sketch mechanism; Byzantine users
-        submit the strongest sketch poison — a target category's own cell in
-        a uniformly chosen row (see :meth:`CountSketch.target_reports`).
-        """
-        rng = ensure_rng(rng)
-        pipeline = self.pipeline
-        normal_categories = np.asarray(normal_categories, dtype=int)
-        n_byzantine = check_integer(n_byzantine, "n_byzantine", minimum=0)
-        if not self._reports_per_user():
-            return np.empty((0, 2), dtype=int)
-        with stage("collect.sample"):
-            reports = [self.mechanism.perturb(normal_categories, rng)]
-        if n_byzantine:
-            if not len(poisoned_categories):
-                raise ValueError(
-                    "poisoned_categories must be provided when n_byzantine > 0"
-                )
-            targets = np.asarray(list(poisoned_categories), dtype=int)
-            with stage("collect.poison"):
-                poison = self.mechanism.target_reports(targets, rng, size=n_byzantine)
-            reports.append(poison)
-        merged = np.concatenate(reports)
-        return pipeline.deliver(merged, (0, len(merged)))
-
-    @profiled_stage("collect")
-    def collect_stream(
-        self,
-        category_chunks: Iterable[np.ndarray],
-        poisoned_categories: Sequence[int] = (),
-        n_byzantine: int = 0,
-        rng: RngLike = None,
-        poison_chunk_size: int = DEFAULT_CHUNK_SIZE,
-    ) -> SketchAccumulator:
-        """Chunked collection into a sketch accumulator (bounded memory)."""
-        rng = ensure_rng(rng)
-        pipeline = self.pipeline
-        capped = not self._reports_per_user()
-        lane = 0
-        accumulator = SketchAccumulator(self.sketch_rows, self.sketch_width)
-        for chunk in category_chunks:
-            chunk = np.asarray(chunk, dtype=int).ravel()
-            if chunk.size and not capped:
-                with stage("collect.sample"):
-                    reports = self.mechanism.perturb(chunk, rng)
-                reports = pipeline.deliver(reports, (0, lane, len(reports)))
-                lane += 1
-                with stage("collect.accumulate"):
-                    accumulator.update(reports)
-        n_byzantine = check_integer(n_byzantine, "n_byzantine", minimum=0)
-        if n_byzantine and not capped:
-            if not len(poisoned_categories):
-                raise ValueError(
-                    "poisoned_categories must be provided when n_byzantine > 0"
-                )
-            targets = np.asarray(list(poisoned_categories), dtype=int)
-            for start, stop in iter_chunks(n_byzantine, poison_chunk_size):
-                with stage("collect.poison"):
-                    poison = self.mechanism.target_reports(
-                        targets, rng, size=stop - start
-                    )
-                poison = pipeline.deliver(poison, (0, lane, len(poison)))
-                lane += 1
-                with stage("collect.accumulate"):
-                    accumulator.update(poison)
-        return accumulator
-
-    @profiled_stage("collect")
     def collect_sharded(
         self,
         normal_categories: np.ndarray,
@@ -372,8 +295,11 @@ class SketchFrequencyDAP:
         n_workers: int | None = None,
         block_size: int = DEFAULT_SHARD_BLOCK,
     ) -> SketchAccumulator:
-        """Sharded collection into one merged sketch accumulator.
+        """Simulate one collection round into a merged sketch accumulator.
 
+        Normal users perturb through the sketch mechanism; Byzantine users
+        submit the strongest sketch poison — a target category's own cell in
+        a uniformly chosen row (see :meth:`CountSketch.target_reports`).
         Same contract as the dense path: fixed-size blocks with pre-drawn
         seeds, shards folded with ``merge()`` — the merged sketch counts are
         bit-identical at any ``n_shards`` / ``n_workers``.
@@ -386,6 +312,11 @@ class SketchFrequencyDAP:
                 "poisoned_categories must be provided when n_byzantine > 0"
             )
         targets = np.asarray(list(poisoned_categories), dtype=int)
+        # refuse bad input here, where it raises once, instead of in a shard
+        # worker, whose failure the resilient pool would retry
+        self.mechanism.check_categories(normal_categories)
+        if n_byzantine:
+            self.mechanism.check_categories(targets)
         if not self._reports_per_user():
             return SketchAccumulator(self.sketch_rows, self.sketch_width)
         plan = build_shard_plan(
@@ -899,9 +830,9 @@ class SketchFrequencyDAP:
         """The collector pipeline on sketch counts (the sufficient statistic).
 
         Accepts the raw ``(rows, width)`` count matrix or the accumulator
-        produced by :meth:`collect_stream` / :meth:`collect_sharded`.  Sketch
-        counts folded over chunks equal the one-shot fold of the concatenated
-        stream, so this path is report-order invariant.
+        produced by :meth:`collect_sharded`.  Sketch counts folded over
+        blocks equal the one-shot fold of all reports, so this path is
+        report-order invariant.
         """
         counts = self._check_counts(counts)
         state = self._probe(counts)
@@ -978,9 +909,12 @@ class SketchFrequencyDAP:
         n_byzantine: int = 0,
         rng: RngLike = None,
     ) -> SketchFrequencyDAPResult:
-        """Simulate one round end to end (collection + estimation)."""
-        reports = self.collect(normal_categories, poisoned_categories, n_byzantine, rng)
-        result = self.estimate(reports)
+        """Simulate one round end to end: :meth:`collect_sharded` (one shard)
+        followed by :meth:`estimate_from_counts`."""
+        counts = self.collect_sharded(
+            normal_categories, poisoned_categories, n_byzantine, rng
+        )
+        result = self.estimate_from_counts(counts)
         result.skipped_reports = self.contribution_summary(
             int(np.asarray(normal_categories).size) + int(n_byzantine)
         )

@@ -275,44 +275,11 @@ def _load_completed_units(
     stored_fingerprint = dict(artifact.meta.get("fingerprint") or {})
     # artifacts written before chunk_size became an execution detail folded
     # it into the fingerprint; strip it so those runs stay resumable
-    legacy_chunk_size = stored_fingerprint.pop("chunk_size", None)
+    stored_fingerprint.pop("chunk_size", None)
     if stored_fingerprint != spec.fingerprint():
         return {}
-    # artifacts written before execution provenance existed identify their
-    # collection path through that legacy fingerprint key (collect_workers
-    # did not exist yet, so None is exact); knobs added later are normalised
-    # with .get() so older artifacts compare as "default", and non-knob
-    # provenance (e.g. profile timings) never participates.  Only the
-    # *collection* knobs matter here: they change which randomness stream
-    # computes the pending units, whereas probe_strategy changes solver
-    # arithmetic only and consumes no randomness, so it never warrants the
-    # warning.  The backend is a collection knob too — the fast backends'
-    # samplers consume the RNG stream differently from the reference.
-    stored_raw = artifact.meta.get("execution") or {
-        "chunk_size": legacy_chunk_size,
-    }
-    collection_knobs = ("chunk_size", "collect_workers", "backend")
-    details = _execution_details(spec)
-    current_execution = {key: details[key] for key in collection_knobs}
-    stored_execution = {key: stored_raw.get(key) for key in collection_knobs}
-    if (
-        stored_execution != current_execution
-        and len(artifact.rows) < len(units)
-    ):
-        # execution knobs never gate reuse (completed records are served
-        # verbatim), but a *partial* artifact's remaining units will now be
-        # computed under a different collection path, whose randomness
-        # stream differs for the same seeds — statistically equivalent, yet
-        # the records are no longer reproducible from one configuration
-        warnings.warn(
-            f"resuming a partial artifact ({len(artifact.rows)} stored rows) "
-            f"recorded under execution settings {stored_execution}, but the "
-            f"pending units will run under {current_execution}; "
-            f"completed records are reused verbatim while the remaining ones "
-            f"use the new path's randomness (statistically equivalent draws)",
-            RuntimeWarning,
-            stacklevel=3,
-        )
+    if len(artifact.rows) < len(units):
+        _warn_on_changed_collection(spec, artifact.meta.get("execution"))
     by_key: Dict[tuple, SweepRecord] = {
         (record.point_index, record.record.scheme): record.record
         for record in artifact.rows
@@ -326,12 +293,56 @@ def _load_completed_units(
     return completed
 
 
+def _warn_on_changed_collection(spec: ExperimentSpec, stored: dict | None) -> None:
+    """Warn when a partial artifact's pending units draw other randomness.
+
+    Execution knobs never gate reuse (completed records are served
+    verbatim), but two of them decide which randomness stream computes the
+    pending units, so the resumed records would no longer be reproducible
+    from one configuration:
+
+    * the collection path — an artifact written while in-memory and
+      streaming collection still existed carries ``chunk_size`` in its
+      ``meta.execution`` (or predates execution provenance altogether);
+      unless it ran sharded (``collect_workers`` set), its records came
+      from a path every pending unit now replaces with the block-seeded one;
+    * the backend — the fast backends' samplers consume the RNG stream
+      differently from the reference.
+
+    ``probe_strategy`` changes solver arithmetic only and consumes no
+    randomness, and ``collect_workers`` never changes a record, so neither
+    warrants the warning.
+    """
+    stored = stored or {"chunk_size": None}
+    changes = []
+    if "chunk_size" in stored and stored.get("collect_workers") is None:
+        changes.append(
+            "it was recorded on a collection path that no longer exists "
+            "(in-memory or streaming); pending units run on the block-seeded "
+            "sharded path"
+        )
+    backend = getattr(spec, "backend", None)
+    if stored.get("backend") != backend:
+        changes.append(
+            f"it was recorded under backend {stored.get('backend')!r}; "
+            f"pending units run under {backend!r}"
+        )
+    if changes:
+        warnings.warn(
+            f"resuming a partial artifact: {'; and '.join(changes)} — "
+            f"completed records are reused verbatim while the remaining ones "
+            f"use the new randomness stream (statistically equivalent draws)",
+            RuntimeWarning,
+            stacklevel=4,
+        )
+
+
 def _execution_details(spec: ExperimentSpec) -> dict:
     """The execution knobs recorded in artifacts for provenance.
 
     Informational only — never compared for record reuse (that is the
     fingerprint's job); used to warn when a partial artifact is resumed
-    under a different collection path.  Under the shuffle protocol the
+    under a different randomness stream.  Under the shuffle protocol the
     details also carry a privacy-amplification digest: the Feldman et al.
     local→central bound evaluated at every swept epsilon with the full
     population size (an optimistic per-run summary — the exact per-group
@@ -339,7 +350,6 @@ def _execution_details(spec: ExperimentSpec) -> dict:
     :class:`~repro.core.dap.DAPResult`).
     """
     details = {
-        "chunk_size": spec.chunk_size,
         "collect_workers": spec.collect_workers,
         "probe_strategy": getattr(spec, "probe_strategy", None),
         "backend": getattr(spec, "backend", None),

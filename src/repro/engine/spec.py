@@ -38,12 +38,7 @@ from repro.backends import check_backend, use_backend
 from repro.core.probing import check_probe_strategy
 from repro.datasets.base import NumericalDataset
 from repro.protocol.plan import check_protocol
-from repro.simulation.runner import (
-    run_trials_batched,
-    run_trials_from_seeds,
-    run_trials_sharded,
-    run_trials_streaming,
-)
+from repro.simulation.runner import run_trials_batched, run_trials_from_seeds
 from repro.simulation.schemes import Scheme
 from repro.simulation.sweep import SweepRecord
 from repro.utils.validation import check_integer
@@ -80,29 +75,21 @@ class ExperimentSpec:
         Use the stacked-trials estimation path (one ``perturb`` per scheme
         per point).  The default ``False`` reproduces the legacy serial
         ``sweep`` output bit for bit; ``True`` opts into the fast path.
-    chunk_size:
-        Run trials through the streaming collection path with this report
-        chunk size (see :func:`repro.simulation.runner.run_trials_streaming`)
-        — populations are generated and collected chunk by chunk, so memory
-        is bounded by the chunk size instead of ``n_users``.  Mutually
-        exclusive with ``batched``; ``None`` (default) keeps the in-memory
-        path.
     collect_workers:
-        Run trials through the sharded collection path
-        (:func:`repro.simulation.runner.run_trials_sharded`) with this many
-        shard workers per collection round.  A pure execution detail — the
-        shard plan's block seeds own the randomness, so records are
-        bit-identical for any positive value — and therefore *not* part of
-        :meth:`fingerprint`.  Mutually exclusive with ``batched`` and
-        ``chunk_size``.
+        Fan every collection round of the schemes with a sharded collection
+        round (the DAP variants, see
+        :meth:`repro.simulation.schemes.Scheme.configure_collection`) out
+        over this many shard workers.  A pure execution detail — the shard
+        plan's block seeds own the randomness, so records are bit-identical
+        for any positive value — and therefore *not* part of
+        :meth:`fingerprint`.
     probe_strategy:
         Override the probe-strategy execution knob on every scheme that has
         a probing stage (``"batched"`` / ``"cold"``, see
         :data:`repro.core.probing.PROBE_STRATEGIES`); ``None`` keeps each
-        scheme's own default.  An execution detail like ``chunk_size`` and
-        ``collect_workers`` — probe selections are strategy-invariant — so
-        it is recorded in artifact provenance but excluded from
-        :meth:`fingerprint`.
+        scheme's own default.  An execution detail like ``collect_workers``
+        — probe selections are strategy-invariant — so it is recorded in
+        artifact provenance but excluded from :meth:`fingerprint`.
     backend:
         Array-compute backend every work unit runs under (see
         :data:`repro.backends.BACKENDS`); ``None`` keeps the process default
@@ -143,7 +130,6 @@ class ExperimentSpec:
         1.0,
     )
     batched: bool = False
-    chunk_size: int | None = None
     collect_workers: int | None = None
     probe_strategy: str | None = None
     backend: str | None = None
@@ -158,26 +144,8 @@ class ExperimentSpec:
             raise ValueError(f"spec {self.name!r} has no sweep points")
         check_integer(self.n_users, "n_users", minimum=1)
         check_integer(self.n_trials, "n_trials", minimum=1)
-        if self.chunk_size is not None:
-            check_integer(self.chunk_size, "chunk_size", minimum=1)
-            if self.batched:
-                raise ValueError(
-                    f"spec {self.name!r} sets both batched and chunk_size; the "
-                    f"stacked-trials and streaming paths are mutually exclusive"
-                )
-            if self.is_point_granular():
-                raise ValueError(
-                    f"spec {self.name!r} overrides evaluate_point, which runs "
-                    f"outside the trial runners; chunk_size is never honoured"
-                )
         if self.collect_workers is not None:
             check_integer(self.collect_workers, "collect_workers", minimum=1)
-            if self.batched or self.chunk_size is not None:
-                raise ValueError(
-                    f"spec {self.name!r} sets collect_workers alongside "
-                    f"batched/chunk_size; the sharded, stacked-trials and "
-                    f"streaming paths are mutually exclusive"
-                )
             if self.is_point_granular():
                 raise ValueError(
                     f"spec {self.name!r} overrides evaluate_point, which runs "
@@ -230,6 +198,9 @@ class ExperimentSpec:
         if self.protocol is not None:
             for scheme in schemes:
                 scheme.configure_protocol(self.protocol)
+        if self.collect_workers is not None:
+            for scheme in schemes:
+                scheme.configure_collection(self.collect_workers)
         return schemes
 
     # ------------------------------------------------------------------
@@ -260,20 +231,7 @@ class ExperimentSpec:
         if self.is_point_granular():
             return list(self.evaluate_point(point, trial_seeds))
         scheme = self.schemes_for(point)[scheme_index]
-        kwargs: dict = {}
-        if self.chunk_size is not None:
-            runner = run_trials_streaming
-            kwargs["chunk_size"] = self.chunk_size
-        elif self.collect_workers is not None:
-            # n_shards tracks the worker count for scheduling, but the
-            # records do not depend on it (block seeds own the randomness)
-            runner = run_trials_sharded
-            kwargs["n_shards"] = self.collect_workers
-            kwargs["n_workers"] = self.collect_workers
-        elif self.batched:
-            runner = run_trials_batched
-        else:
-            runner = run_trials_from_seeds
+        runner = run_trials_batched if self.batched else run_trials_from_seeds
         result = runner(
             scheme,
             self.dataset_factory(point),
@@ -282,7 +240,6 @@ class ExperimentSpec:
             gamma=self.point_gamma(point),
             trial_seeds=trial_seeds,
             input_domain=self.point_domain(point),
-            **kwargs,
         )
         return [
             SweepRecord(
@@ -316,16 +273,16 @@ class ExperimentSpec:
         an artifact from a *different* sweep of the same shape (e.g. other
         epsilons, or other schemes) can never be mistaken for this one.
 
-        Execution details — ``chunk_size``, ``collect_workers``,
-        ``probe_strategy``, ``backend``, and the executor's worker count — are
-        deliberately *not* part of the identity: the accumulators behind the
-        streaming and sharded paths are chunking/merge-invariant and the
-        probe strategies select the same hypotheses, so completed records
-        are reusable verbatim whatever path computes the remaining ones, and
-        a run must stay resumable when only its execution knobs change (e.g.
-        resuming an in-memory run with ``--chunk-size`` to fit a bigger
-        machine's memory budget, or with ``--probe-strategy cold`` to
-        reproduce the seed implementation's exact arithmetic).  The
+        Execution details — ``collect_workers``, ``probe_strategy``,
+        ``backend``, and the executor's worker count — are deliberately *not*
+        part of the identity: the block-seeded collection is merge-invariant
+        and the probe strategies select the same hypotheses, so completed
+        records are reusable verbatim whatever configuration computes the
+        remaining ones, and a run must stay resumable when only its
+        execution knobs change (e.g. resuming a serial run with
+        ``--collect-workers 4`` on a bigger machine, or with
+        ``--probe-strategy cold`` to reproduce the seed implementation's
+        exact arithmetic).  The
         ``protocol`` trust model is the exception: it changes what the
         adversary observes, so it joins the identity whenever it is set.
         """

@@ -71,17 +71,22 @@ class Fig9FreqSpec(ExperimentSpec):
             normal_categories = self.dataset.sample(n_normal, trial_rng)
             truth = np.bincount(normal_categories, minlength=n_categories) / n_normal
 
+            # one collection round (what FrequencyDAP.run does) scored by
+            # every estimator, so the schemes are compared on the same counts
             dap = FrequencyDAP(epsilon, n_categories)
-            reports = dap.collect(normal_categories, poisoned, n_byzantine, rng=trial_rng)
+            counts = dap.collect_sharded(
+                normal_categories, poisoned, n_byzantine, rng=trial_rng
+            )
             for name in self.schemes:
                 if name == "Ostrich":
                     mechanism = KRandomizedResponse(epsilon, n_categories)
+                    reports = np.repeat(np.arange(n_categories), counts.counts)
                     estimate = ostrich_frequencies(mechanism, reports)
                 else:
                     scheme_dap = FrequencyDAP(
                         epsilon, n_categories, estimator=_ESTIMATOR_OF[name]
                     )
-                    estimate = scheme_dap.estimate(reports).frequencies
+                    estimate = scheme_dap.estimate_from_counts(counts).frequencies
                 per_scheme_errors[name].append(frequency_mse(estimate, truth))
         return [
             Fig9FreqRecord(

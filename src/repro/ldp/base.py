@@ -67,7 +67,12 @@ class NumericalMechanism(abc.ABC):
     # ------------------------------------------------------------------
     # shared helpers
     # ------------------------------------------------------------------
-    def _validate_inputs(self, values: np.ndarray) -> np.ndarray:
+    def check_inputs(self, values: np.ndarray) -> None:
+        """Raise :class:`MechanismError` unless ``values`` lie in the input domain.
+
+        NaN compares false and passes; callers that must refuse it check
+        separately.
+        """
         low, high = self.input_domain
         values = np.asarray(values, dtype=float)
         if values.size and (values.min() < low - 1e-9 or values.max() > high + 1e-9):
@@ -75,7 +80,11 @@ class NumericalMechanism(abc.ABC):
                 f"{type(self).__name__} inputs must lie in [{low}, {high}], got range "
                 f"[{values.min():.4g}, {values.max():.4g}]"
             )
-        return np.clip(values, low, high)
+
+    def _validate_inputs(self, values: np.ndarray) -> np.ndarray:
+        self.check_inputs(values)
+        low, high = self.input_domain
+        return np.clip(np.asarray(values, dtype=float), low, high)
 
     def estimate_mean(self, reports: np.ndarray) -> float:
         """Unbiased mean estimate from perturbed reports.
@@ -195,7 +204,8 @@ class CategoricalMechanism(abc.ABC):
         for chunk in category_chunks:
             yield self.perturb(chunk, rng)
 
-    def _validate_categories(self, categories: np.ndarray) -> np.ndarray:
+    def check_categories(self, categories: np.ndarray) -> None:
+        """Raise :class:`MechanismError` unless every category is in ``[0, k)``."""
         categories = np.asarray(categories)
         if categories.size and (
             categories.min() < 0 or categories.max() >= self.n_categories
@@ -204,7 +214,10 @@ class CategoricalMechanism(abc.ABC):
                 f"categories must lie in [0, {self.n_categories}), got range "
                 f"[{categories.min()}, {categories.max()}]"
             )
-        return categories.astype(int)
+
+    def _validate_categories(self, categories: np.ndarray) -> np.ndarray:
+        self.check_categories(categories)
+        return np.asarray(categories).astype(int)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -1,7 +1,7 @@
 """The client → transport → server pipeline the collection paths lower to.
 
-Every collection round in the repo — ``DAPProtocol`` (in-memory, streaming,
-sharded), ``FrequencyDAP``, ``SketchFrequencyDAP``, and the windowed
+Every collection round in the repo — ``DAPProtocol``, ``FrequencyDAP``,
+``SketchFrequencyDAP`` (all block-seeded and sharded), and the windowed
 service runtime on top of them — is the same three-stage pipeline run over
 different batch shapes:
 
@@ -11,7 +11,7 @@ different batch shapes:
    into a deterministic ``skipped`` tally.
 2. **transport** — identity pass-through (local) or the seeded
    :class:`~repro.protocol.transport.Shuffler` (shuffle), applied per
-   delivery lane so it composes with streaming chunks and shard blocks.
+   delivery lane so it composes with shard blocks.
 3. **server** — accumulator folding plus the estimation stages; under the
    shuffle protocol the server also writes the amplification ledger.
 

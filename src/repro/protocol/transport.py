@@ -1,9 +1,8 @@
 """Transport stage: identity pass-through (local) or a seeded shuffler.
 
 The shuffler applies a uniform random permutation to each delivery lane (a
-batch of reports travelling together: one budget group in the in-memory
-path, one group×chunk in the streaming path, one group×block in the
-sharded path).  Its RNG is derived from a dedicated
+batch of reports travelling together: one group×block of a sharded
+collection round).  Its RNG is derived from a dedicated
 :class:`numpy.random.SeedSequence` namespace, **never** from the round's
 main RNG stream, so enabling the shuffler does not consume main-stream
 draws — the sharded path's block-seed contract is untouched and merges

@@ -194,7 +194,6 @@ SCENARIO_KEYS = (
     "seed",
     "epsilon_min",
     "batched",
-    "chunk_size",
     "collect_workers",
     "probe_strategy",
     "backend",
@@ -238,19 +237,12 @@ class ScenarioSpec:
         Mechanism input domain.
     batched:
         Use the stacked-trials fast path of the engine.
-    chunk_size:
-        Run every trial through the streaming collection path with this
-        report chunk size, so memory is bounded by the chunk size instead of
-        the population — the knob that lets a scenario declare
-        ``"population": {"n_users": 5000000}`` and still run.  Mutually
-        exclusive with ``batched``.
     collect_workers:
-        Run every trial through the sharded collection path with this many
-        shard workers, so one collection round uses that many cores.
-        Records are bit-identical for any positive value, so this is a pure
-        execution detail: it is excluded from :meth:`document` (and hence
-        the resume digest), exactly like the executor's ``n_workers``.
-        Mutually exclusive with ``batched`` and ``chunk_size``.
+        Fan every DAP collection round out over this many shard workers, so
+        one round uses that many cores.  Records are bit-identical for any
+        positive value, so this is a pure execution detail: it is excluded
+        from :meth:`document` (and hence the resume digest), exactly like
+        the executor's ``n_workers``.
     probe_strategy:
         Override every probing scheme's hypothesis-evaluation strategy
         (``"batched"`` / ``"cold"``; ``None`` keeps the scheme defaults).
@@ -295,7 +287,6 @@ class ScenarioSpec:
     epsilon_min: float = 1.0 / 16.0
     input_domain: Tuple[float, float] = (-1.0, 1.0)
     batched: bool = False
-    chunk_size: int | None = None
     collect_workers: int | None = None
     probe_strategy: str | None = None
     backend: str | None = None
@@ -332,24 +323,10 @@ class ScenarioSpec:
                 raise ValueError(f"scenario {self.name!r} has an empty 'gammas' grid")
         self.input_domain = (float(self.input_domain[0]), float(self.input_domain[1]))
         self.seed = int(self.seed)
-        if self.chunk_size is not None:
-            self.chunk_size = check_integer(self.chunk_size, "chunk_size", minimum=1)
-            if self.batched:
-                raise ValueError(
-                    f"scenario {self.name!r} sets both 'batched' and "
-                    f"'chunk_size'; the stacked-trials and streaming paths "
-                    f"are mutually exclusive"
-                )
         if self.collect_workers is not None:
             self.collect_workers = check_integer(
                 self.collect_workers, "collect_workers", minimum=1
             )
-            if self.batched or self.chunk_size is not None:
-                raise ValueError(
-                    f"scenario {self.name!r} sets 'collect_workers' alongside "
-                    f"'batched'/'chunk_size'; the sharded, stacked-trials and "
-                    f"streaming paths are mutually exclusive"
-                )
         if self.probe_strategy is not None:
             check_probe_strategy(self.probe_strategy)
         if self.backend is not None:
@@ -393,7 +370,7 @@ class ScenarioSpec:
             "epsilons": payload["epsilons"],
         }
         for key in ("description", "attacks", "datasets", "gammas", "seed",
-                    "epsilon_min", "batched", "chunk_size", "collect_workers",
+                    "epsilon_min", "batched", "collect_workers",
                     "probe_strategy", "backend", "protocol", "sketch_rows",
                     "sketch_width"):
             if key in payload:
@@ -424,13 +401,12 @@ class ScenarioSpec:
 
         Captures every knob that affects results — including seed,
         epsilon_min and per-component params — so its digest identifies the
-        scenario for artifact resume.  Execution details (``chunk_size``,
-        ``collect_workers``, ``probe_strategy``, ``backend``) are
+        scenario for artifact resume.  Execution details
+        (``collect_workers``, ``probe_strategy``, ``backend``) are
         deliberately excluded, like the executor's ``n_workers``: completed
-        records are reusable verbatim whichever collection path computes the
-        rest, so a run started in memory must stay resumable with
-        ``--chunk-size``, ``--collect-workers``, ``--probe-strategy`` or
-        ``--backend`` set.
+        records are reusable verbatim whichever configuration computes the
+        rest, so a run must stay resumable with ``--collect-workers``,
+        ``--probe-strategy`` or ``--backend`` set.
 
         The sketch geometry knobs are the opposite: they change report bits,
         so when set they enter the document (and digest) — but only when
@@ -518,7 +494,6 @@ class ScenarioSpec:
             dataset_factory=DatasetLookup(datasets),
             input_domain=self.input_domain,
             batched=self.batched,
-            chunk_size=self.chunk_size,
             collect_workers=self.collect_workers,
             probe_strategy=self.probe_strategy,
             backend=self.backend,

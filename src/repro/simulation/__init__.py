@@ -14,10 +14,8 @@ handful of calls:
 
 from repro.simulation.population import (
     Population,
-    PopulationStream,
     build_population,
     population_counts,
-    stream_population,
 )
 from repro.simulation.schemes import (
     Scheme,
@@ -34,7 +32,6 @@ from repro.simulation.runner import (
     run_trials,
     run_trials_from_seeds,
     run_trials_batched,
-    run_trials_streaming,
     evaluate_schemes,
 )
 from repro.simulation.sweep import SweepRecord, sweep, records_to_table
@@ -42,12 +39,9 @@ from repro.simulation.sweep import SweepRecord, sweep, records_to_table
 __all__ = [
     "run_trials_from_seeds",
     "run_trials_batched",
-    "run_trials_streaming",
     "Population",
-    "PopulationStream",
     "build_population",
     "population_counts",
-    "stream_population",
     "Scheme",
     "DAPScheme",
     "SingleRoundScheme",

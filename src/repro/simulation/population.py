@@ -4,23 +4,14 @@ The paper parameterises every experiment by the total population ``N`` and the
 Byzantine proportion ``gamma``; Byzantine users' *original* values are
 irrelevant (they submit whatever the attack strategy chooses), so a population
 is simply the normal users' values plus a Byzantine head-count.
-
-For populations larger than RAM, :func:`stream_population` produces the same
-split as a :class:`PopulationStream`: the normal users' values are sampled
-chunk by chunk and the ground-truth mean is accumulated on the fly, so memory
-stays proportional to the chunk size.  Both generators share
-:func:`population_counts`, so the byzantine/normal split rounds identically.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
-from repro.collect.accumulators import SumCount
-from repro.collect.streaming import DEFAULT_CHUNK_SIZE, iter_chunks
 from repro.datasets.base import NumericalDataset
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import check_fraction, check_integer
@@ -29,8 +20,7 @@ from repro.utils.validation import check_fraction, check_integer
 def population_counts(n_users: int, gamma: float) -> tuple[int, int]:
     """The ``(n_normal, n_byzantine)`` split of a population.
 
-    Single source of truth for the rounding rule (``m = round(N * gamma)``),
-    shared by the in-memory and streaming generators so both always satisfy
+    The rounding rule is ``m = round(N * gamma)``; the split always satisfies
     ``n_normal + n_byzantine == n_users`` with at least one normal user.
     """
     n_users = check_integer(n_users, "n_users", minimum=1)
@@ -113,114 +103,8 @@ def build_population(
     )
 
 
-class PopulationStream:
-    """A population whose normal-user values arrive as chunks.
-
-    The streaming counterpart of :class:`Population`: the byzantine/normal
-    split is fixed up front (same rounding as :func:`build_population`), the
-    values are sampled lazily in chunks of ``chunk_size``, and the exact
-    ground-truth mean is accumulated while the stream is consumed.  The
-    stream is single-use: :meth:`chunks` may only be iterated once, and
-    :attr:`true_mean` is available only after full consumption.
-    """
-
-    def __init__(
-        self,
-        dataset: NumericalDataset,
-        n_users: int,
-        gamma: float,
-        rng: RngLike = None,
-        input_domain: tuple[float, float] = (-1.0, 1.0),
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-    ) -> None:
-        self.n_normal, self.n_byzantine = population_counts(n_users, gamma)
-        self.chunk_size = check_integer(chunk_size, "chunk_size", minimum=1)
-        self.input_domain = (float(input_domain[0]), float(input_domain[1]))
-        self._dataset = dataset
-        self._rng = ensure_rng(rng)
-        self._truth = SumCount()
-        self._started = False
-
-    @property
-    def n_total(self) -> int:
-        """Total number of users ``N``."""
-        return self.n_normal + self.n_byzantine
-
-    @property
-    def gamma(self) -> float:
-        """True Byzantine proportion ``gamma = m / N``."""
-        return self.n_byzantine / self.n_total
-
-    def chunks(self) -> Iterator[np.ndarray]:
-        """Yield the normal users' values in chunks (single use)."""
-        if self._started:
-            raise RuntimeError(
-                "PopulationStream.chunks() may only be consumed once; build a "
-                "fresh stream per collection round"
-            )
-        self._started = True
-        for start, stop in iter_chunks(self.n_normal, self.chunk_size):
-            values = _rescale(
-                self._dataset.sample(stop - start, self._rng), self.input_domain
-            )
-            self._truth.update(values)
-            yield values
-
-    @property
-    def true_mean(self) -> float:
-        """Mean of the normal users' values (exact, chunking-invariant)."""
-        if self._truth.count != self.n_normal:
-            raise RuntimeError(
-                f"true_mean is only defined once the stream is fully consumed "
-                f"({self._truth.count}/{self.n_normal} values seen)"
-            )
-        return self._truth.mean
-
-    def materialize(self) -> Population:
-        """Concatenate the stream into an in-memory :class:`Population`.
-
-        Fallback for schemes without a native streaming path — this costs the
-        full population's memory, which is exactly what streaming avoids, so
-        it is only appropriate at scales where the in-memory path would have
-        worked anyway.
-        """
-        values = np.concatenate(list(self.chunks())) if self.n_normal else np.empty(0)
-        return Population(
-            normal_values=values,
-            n_byzantine=self.n_byzantine,
-            true_mean=self.true_mean,
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"PopulationStream(n_normal={self.n_normal}, "
-            f"n_byzantine={self.n_byzantine}, chunk_size={self.chunk_size})"
-        )
-
-
-def stream_population(
-    dataset: NumericalDataset,
-    n_users: int,
-    gamma: float,
-    rng: RngLike = None,
-    input_domain: tuple[float, float] = (-1.0, 1.0),
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-) -> PopulationStream:
-    """Chunked counterpart of :func:`build_population` (same split rounding)."""
-    return PopulationStream(
-        dataset,
-        n_users,
-        gamma,
-        rng=rng,
-        input_domain=input_domain,
-        chunk_size=chunk_size,
-    )
-
-
 __all__ = [
     "Population",
-    "PopulationStream",
     "build_population",
     "population_counts",
-    "stream_population",
 ]

@@ -8,17 +8,15 @@ and ``evaluate_schemes`` aggregates them into per-scheme MSE.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
 
 from repro.attacks.base import Attack
-from repro.collect.streaming import DEFAULT_CHUNK_SIZE
 from repro.datasets.base import NumericalDataset
 from repro.estimators.metrics import mean_squared_error
-from repro.simulation.population import build_population, stream_population
+from repro.simulation.population import build_population
 from repro.simulation.schemes import Scheme
 from repro.utils.rng import RngLike, ensure_rng, spawn_rngs
 from repro.utils.validation import check_integer
@@ -135,95 +133,6 @@ def run_trials_from_seeds(
     return result
 
 
-def run_trials_streaming(
-    scheme: Scheme,
-    dataset: NumericalDataset,
-    attack: Attack | None,
-    n_users: int,
-    gamma: float,
-    trial_seeds: Sequence[int],
-    input_domain: tuple[float, float] = (-1.0, 1.0),
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-) -> TrialResult:
-    """Streaming variant of :func:`run_trials_from_seeds` (bounded memory).
-
-    Each trial's population is generated chunk by chunk and handed to
-    :meth:`~repro.simulation.schemes.Scheme.estimate_stream`, so schemes with
-    a chunked collection path (DAP) never materialise per-user arrays — the
-    path that makes multi-million-user populations runnable.  Per-seed
-    determinism is preserved (one fresh generator per trial), but the rng is
-    consumed chunk-wise, so the draws differ from the in-memory path.
-    """
-    if not scheme.supports_streaming:
-        warnings.warn(
-            f"scheme {scheme.name!r} has no streaming collection path; each "
-            f"trial will materialise all {n_users} users in memory (the "
-            f"chunked population draw is kept, but the bounded-memory "
-            f"guarantee is not)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    result = TrialResult(scheme=scheme.name)
-    for seed in trial_seeds:
-        trial_rng = np.random.default_rng(int(seed))
-        stream = stream_population(
-            dataset,
-            n_users,
-            gamma,
-            rng=trial_rng,
-            input_domain=input_domain,
-            chunk_size=chunk_size,
-        )
-        estimate = scheme.estimate_stream(stream, attack, rng=trial_rng)
-        result.estimates.append(float(estimate))
-        result.truths.append(stream.true_mean)
-    return result
-
-
-def run_trials_sharded(
-    scheme: Scheme,
-    dataset: NumericalDataset,
-    attack: Attack | None,
-    n_users: int,
-    gamma: float,
-    trial_seeds: Sequence[int],
-    input_domain: tuple[float, float] = (-1.0, 1.0),
-    n_shards: int = 1,
-    n_workers: int | None = None,
-) -> TrialResult:
-    """Sharded variant of :func:`run_trials_from_seeds`.
-
-    Populations (and hence the per-trial truths) are drawn exactly as in
-    :func:`run_trials_from_seeds` — same seed, same draw — but the collection
-    round goes through :meth:`~repro.simulation.schemes.Scheme.estimate_sharded`,
-    which for DAP splits the round into block-seeded shards and fans them out
-    over ``n_workers`` processes.  The records are bit-identical for any
-    ``n_shards >= 1`` and any worker count (the shard plan's block seeds, not
-    the shards, own the randomness), so both knobs are pure execution
-    details.
-    """
-    if not scheme.supports_sharding:
-        warnings.warn(
-            f"scheme {scheme.name!r} has no sharded collection path; trials "
-            f"will run single-process through the in-memory estimate "
-            f"(n_shards/n_workers are ignored)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    result = TrialResult(scheme=scheme.name)
-    for seed in trial_seeds:
-        trial_rng = np.random.default_rng(int(seed))
-        population = build_population(
-            dataset, n_users, gamma, rng=trial_rng, input_domain=input_domain
-        )
-        estimate = scheme.estimate_sharded(
-            population, attack, rng=trial_rng, n_shards=n_shards, n_workers=n_workers
-        )
-        result.estimates.append(float(estimate))
-        result.truths.append(population.true_mean)
-    return result
-
-
 def run_trials_batched(
     scheme: Scheme,
     dataset: NumericalDataset,
@@ -311,8 +220,6 @@ __all__ = [
     "run_trials",
     "run_trials_from_seeds",
     "run_trials_batched",
-    "run_trials_sharded",
-    "run_trials_streaming",
     "evaluate_schemes",
     "summarize_mse",
 ]

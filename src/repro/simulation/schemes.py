@@ -23,9 +23,10 @@ from repro.defenses.base import Defense
 from repro.ldp.base import NumericalMechanism
 from repro.ldp.piecewise import PiecewiseMechanism
 from repro.registry import DEFENSES, MECHANISMS, SCHEMES
-from repro.simulation.population import Population, PopulationStream
+from repro.simulation.population import Population
 from repro.utils.profiling import stage
 from repro.utils.rng import RngLike, ensure_rng, spawn_rngs
+from repro.utils.validation import check_integer
 
 MechanismFactory = Callable[[float], NumericalMechanism]
 
@@ -34,14 +35,6 @@ class Scheme(abc.ABC):
     """A named mean-estimation scheme evaluated by the harness."""
 
     name: str = "scheme"
-
-    #: whether :meth:`estimate_stream` runs in bounded memory (overridden by
-    #: schemes with a native chunked collection path)
-    supports_streaming: bool = False
-
-    #: whether :meth:`estimate_sharded` actually fans the collection round
-    #: out over shard workers (overridden by schemes with a sharded path)
-    supports_sharding: bool = False
 
     @abc.abstractmethod
     def estimate(
@@ -77,36 +70,18 @@ class Scheme(abc.ABC):
         check_protocol(protocol)
         return self
 
-    def estimate_sharded(
-        self,
-        population: Population,
-        attack: Attack | None,
-        rng: RngLike = None,
-        n_shards: int = 1,
-        n_workers: int | None = None,
-    ) -> float:
-        """Run one collection round split into shards (see
-        :meth:`repro.core.dap.DAPProtocol.collect_sharded`).
+    def configure_collection(self, collect_workers: int) -> "Scheme":
+        """Set the shard-worker count of each collection round (execution knob).
 
-        Schemes with a map-reducible collection round (DAP) override this to
-        process shards in parallel and fold the per-shard accumulators; the
-        default runs the ordinary single-process :meth:`estimate`, which is
-        correct but ignores ``n_shards`` / ``n_workers``.
+        The DAP variants override this to fan every round's
+        :meth:`~repro.core.dap.DAPProtocol.collect_sharded` out over
+        ``collect_workers`` processes — records are identical for any value;
+        schemes without a sharded collection round validate the count and
+        ignore it, so an experiment-wide override can be applied across a
+        mixed scheme list.
         """
-        return float(self.estimate(population, attack, rng=rng))
-
-    def estimate_stream(
-        self, stream: PopulationStream, attack: Attack | None, rng: RngLike = None
-    ) -> float:
-        """Run one collection round over a chunked population stream.
-
-        Schemes with a chunked collection path (DAP) override this to stay in
-        bounded memory; the default materialises the stream and defers to
-        :meth:`estimate`, which is correct but costs the full population's
-        memory — fine for the classical baselines at the scales they can run
-        at anyway.
-        """
-        return float(self.estimate(stream.materialize(), attack, rng=rng))
+        check_integer(collect_workers, "collect_workers", minimum=1)
+        return self
 
     def estimate_batch(
         self,
@@ -141,6 +116,7 @@ class DAPScheme(Scheme):
         self.protocol = DAPProtocol(config)
         suffix = {"emf": "EMF", "emf_star": "EMF*", "cemf_star": "CEMF*"}[config.estimator]
         self.name = name or f"DAP-{suffix}"
+        self.collect_workers: int | None = None
 
     def configure_probing(self, strategy: str) -> "DAPScheme":
         """Switch the protocol's side-probe strategy (execution detail)."""
@@ -156,50 +132,25 @@ class DAPScheme(Scheme):
         self.config.protocol = check_protocol(protocol)
         return self
 
-    supports_streaming = True
+    def configure_collection(self, collect_workers: int) -> "DAPScheme":
+        """Fan each collection round out over ``collect_workers`` shards and
+        processes (execution detail: block seeds own the randomness)."""
+        self.collect_workers = check_integer(
+            collect_workers, "collect_workers", minimum=1
+        )
+        return self
 
     def estimate(
         self, population: Population, attack: Attack | None, rng: RngLike = None
     ) -> float:
+        workers = self.collect_workers or 1
         result = self.protocol.run(
             population.normal_values,
             attack or NoAttack(),
             population.n_byzantine,
             rng=rng,
-        )
-        return result.estimate
-
-    def estimate_stream(
-        self, stream: PopulationStream, attack: Attack | None, rng: RngLike = None
-    ) -> float:
-        """Constant-memory round: chunked collection into group accumulators."""
-        result = self.protocol.run_stream(
-            stream.chunks(),
-            stream.n_normal,
-            attack or NoAttack(),
-            stream.n_byzantine,
-            rng=rng,
-        )
-        return result.estimate
-
-    supports_sharding = True
-
-    def estimate_sharded(
-        self,
-        population: Population,
-        attack: Attack | None,
-        rng: RngLike = None,
-        n_shards: int = 1,
-        n_workers: int | None = None,
-    ) -> float:
-        """Sharded round: per-block seeded collection, merged accumulators."""
-        result = self.protocol.run_sharded(
-            population.normal_values,
-            attack or NoAttack(),
-            population.n_byzantine,
-            rng=rng,
-            n_shards=n_shards,
-            n_workers=n_workers,
+            n_shards=workers,
+            n_workers=workers,
         )
         return result.estimate
 

@@ -1,12 +1,11 @@
 """Seed grid shared by the golden generator and the local-protocol test.
 
 The committed ``tests/data/golden_local_protocol.json`` was produced by
-running :func:`compute_goldens` on the pre-refactor tree (before the
-``repro/protocol`` pipeline existed).  The regression test recomputes the
-same grid — once with the defaults and once with ``protocol="local"``
-forced explicitly — and requires bit-identical floats, which pins the
-refactored pipeline to the historical collection semantics for every
-registered mechanism and scheme.
+running :func:`compute_goldens`.  The regression test recomputes the same
+grid — once with the defaults and once with ``protocol="local"`` forced
+explicitly — and requires bit-identical floats, which pins the collection
+semantics for every registered mechanism and scheme.  Re-pin (run this
+module) only when a change is meant to move seeded outputs.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import numpy as np
 
 from repro.attacks import BiasedByzantineAttack, GeneralByzantineAttack, NoAttack
 from repro.registry import DATASETS
-from repro.simulation.population import PopulationStream, build_population
+from repro.simulation.population import build_population
 from repro.simulation.schemes import make_scheme
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_local_protocol.json"
@@ -55,8 +54,8 @@ def _make(scheme_name: str, mechanism: str, protocol: str | None):
 
 
 def compute_mean_goldens(protocol: str | None = None) -> dict:
-    """Mean-estimation grid: mechanisms x schemes x attacks, plus the
-    streaming and sharded collection paths for the DAP variants."""
+    """Mean-estimation grid: mechanisms x schemes x attacks, plus a
+    two-shard DAP round on its own seeds."""
     # the synthetic datasets draw their records at creation time, so the
     # dataset itself must be pinned for the grid to be reproducible
     dataset = DATASETS.create(_DATASET, rng=np.random.default_rng([_SEED, 999]))
@@ -82,24 +81,8 @@ def compute_mean_goldens(protocol: str | None = None) -> dict:
                     rng=np.random.default_rng([_SEED, mech_index, scheme_index, 1]),
                 )
                 goldens[f"{mechanism_name}/{scheme_name}/{attack_kind}"] = float(estimate)
-        # streaming + sharded paths (DAP only; bit-identity across paths is
-        # covered elsewhere — here each path is pinned on its own RNG contract)
-        scheme = _make("DAP-CEMF*", mechanism_name, protocol)
-        stream = PopulationStream(
-            dataset,
-            _N_USERS,
-            _GAMMA,
-            rng=np.random.default_rng([_SEED, mech_index, 7, 0]),
-            input_domain=input_domain,
-            chunk_size=64,
-        )
-        goldens[f"{mechanism_name}/DAP-CEMF*/bba/stream"] = float(
-            scheme.estimate_stream(
-                stream,
-                _attack_for("bba"),
-                rng=np.random.default_rng([_SEED, mech_index, 7, 1]),
-            )
-        )
+        # a two-shard round (shard-count invariance is covered elsewhere —
+        # here the round is pinned on its own seeds)
         scheme = _make("DAP-CEMF*", mechanism_name, protocol)
         population = build_population(
             dataset,
@@ -108,14 +91,13 @@ def compute_mean_goldens(protocol: str | None = None) -> dict:
             rng=np.random.default_rng([_SEED, mech_index, 8, 0]),
             input_domain=input_domain,
         )
-        goldens[f"{mechanism_name}/DAP-CEMF*/bba/sharded"] = float(
-            scheme.estimate_sharded(
-                population,
-                _attack_for("bba"),
-                rng=np.random.default_rng([_SEED, mech_index, 8, 1]),
-                n_shards=2,
-            )
-        )
+        goldens[f"{mechanism_name}/DAP-CEMF*/bba/sharded"] = scheme.protocol.run(
+            population.normal_values,
+            _attack_for("bba"),
+            population.n_byzantine,
+            rng=np.random.default_rng([_SEED, mech_index, 8, 1]),
+            n_shards=2,
+        ).estimate
     for mech_index, mechanism_name in enumerate(ALL_NUMERICAL_MECHANISMS):
         input_domain = make_scheme(
             "Ostrich", epsilon=_EPSILON, mechanism_factory=mechanism_name
@@ -139,7 +121,7 @@ def compute_mean_goldens(protocol: str | None = None) -> dict:
 
 
 def compute_frequency_goldens(protocol: str | None = None) -> dict:
-    """k-RR frequency grid: every estimator, in-memory + sharded paths."""
+    """k-RR frequency grid: every estimator's run(), plus a two-shard round."""
     from repro.core.frequency import FrequencyDAP
 
     extra = {} if protocol is None else {"protocol": protocol}

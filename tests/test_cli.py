@@ -102,69 +102,51 @@ class TestRun:
         assert "unknown scenario keys" in result.stderr
 
 
-class TestChunkSize:
-    def test_run_with_chunk_size_flag(self, tmp_path):
-        scenario = dict(TINY_SCENARIO, name="tiny_stream", schemes=["DAP-EMF"])
-        path = tmp_path / "stream.json"
-        path.write_text(json.dumps(scenario))
-        store = tmp_path / "stream_artifact.json"
-        result = run_cli(
-            "run", str(path), "--store", str(store), "--chunk-size", "128"
-        )
-        assert result.returncode == 0, result.stderr
-        artifact = load_run(store)
-        assert artifact.records
-        # the chunk size is an execution detail, not part of the run identity
-        assert "chunk_size" not in artifact.meta["fingerprint"]
+class TestResumeAcrossTheCollectionChange:
+    """Artifacts written while in-memory and streaming collection existed
+    record ``chunk_size`` in ``meta.execution``; they must still resume."""
 
-    def test_chunk_size_flag_matches_scenario_key(self, tmp_path):
-        flagged = dict(TINY_SCENARIO, name="s1", schemes=["DAP-EMF"])
-        keyed = dict(flagged, name="s1", chunk_size=128)
-        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-        p1.write_text(json.dumps(flagged))
-        p2.write_text(json.dumps(keyed))
-        s1, s2 = tmp_path / "a_art.json", tmp_path / "b_art.json"
-        assert (
-            run_cli("run", str(p1), "--store", str(s1), "--chunk-size", "128").returncode
-            == 0
-        )
-        assert run_cli("run", str(p2), "--store", str(s2)).returncode == 0
-        assert json.loads(s1.read_text())["columns"] == json.loads(s2.read_text())["columns"]
-
-    def test_rejects_bad_chunk_size(self, scenario_file):
-        result = run_cli("run", str(scenario_file), "--chunk-size", "0")
-        assert result.returncode == 2  # argparse usage error
-        assert "positive integer" in result.stderr
-
-    def test_rejects_chunk_size_on_batched_scenario(self, tmp_path):
-        batched = dict(TINY_SCENARIO, batched=True)
-        path = tmp_path / "batched.json"
-        path.write_text(json.dumps(batched))
-        result = run_cli("run", str(path), "--chunk-size", "64")
-        assert result.returncode == 1
-        assert "mutually exclusive" in result.stderr
-
-    def test_resume_in_memory_artifact_with_chunk_size(self, tmp_path):
-        """Regression: a completed in-memory run must be resumable (and its
-        records reused verbatim) when ``--chunk-size`` is set afterwards —
-        the chunk size was wrongly folded into the fingerprint and silently
-        refused identical records."""
-        scenario = dict(TINY_SCENARIO, name="resume_stream", schemes=["DAP-EMF"])
-        path = tmp_path / "resume_stream.json"
+    def _partial_artifact(self, tmp_path, **execution):
+        scenario = dict(TINY_SCENARIO, name="legacy", schemes=["DAP-EMF", "Ostrich"])
+        path = tmp_path / "legacy.json"
         path.write_text(json.dumps(scenario))
         store = tmp_path / "artifact.json"
         assert run_cli("run", str(path), "--store", str(store)).returncode == 0
-        before = json.loads(store.read_text())
+        full = json.loads(store.read_text())
+        payload = json.loads(store.read_text())
+        kept = [i for i, s in enumerate(payload["columns"]["scheme"]) if s == "Ostrich"]
+        payload["columns"] = {
+            key: [column[i] for i in kept] for key, column in payload["columns"].items()
+        }
+        payload["meta"]["execution"].update(execution)
+        store.write_text(json.dumps(payload))
+        return path, store, full
+
+    def test_pre_change_partial_artifact_resumes_with_a_warning(self, tmp_path):
+        path, store, full = self._partial_artifact(tmp_path, chunk_size=None)
+        result = run_cli("resume", str(path), "--store", str(store), "--quiet")
+        assert result.returncode == 0, result.stderr
+        assert "no longer exists" in result.stderr
+        # the pending DAP units ran on the one collection path, which is
+        # what a fresh run computes too
+        assert json.loads(store.read_text())["columns"] == full["columns"]
+
+    def test_partial_resume_under_collect_workers_is_silent(self, tmp_path):
+        path, store, full = self._partial_artifact(tmp_path)
         result = run_cli(
-            "resume", str(path), "--store", str(store), "--chunk-size", "64"
+            "resume", str(path), "--store", str(store), "--quiet",
+            "--collect-workers", "2",
         )
         assert result.returncode == 0, result.stderr
-        after = json.loads(store.read_text())
-        # every unit was already complete: records reused verbatim under the
-        # same fingerprint; only the informational execution provenance moved
-        assert after["columns"] == before["columns"]
-        assert after["meta"]["fingerprint"] == before["meta"]["fingerprint"]
-        assert after["meta"]["execution"]["chunk_size"] == 64
+        assert "RuntimeWarning" not in result.stderr
+        assert json.loads(store.read_text())["columns"] == full["columns"]
+
+    def test_scenario_chunk_size_key_is_rejected(self, tmp_path):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(dict(TINY_SCENARIO, chunk_size=128)))
+        result = run_cli("run", str(path))
+        assert result.returncode == 1
+        assert "unknown scenario keys ['chunk_size']" in result.stderr
 
 
 class TestCollectWorkers:
@@ -193,13 +175,6 @@ class TestCollectWorkers:
         result = run_cli("run", str(scenario_file), "--collect-workers", "0")
         assert result.returncode == 2  # argparse usage error
         assert "positive integer" in result.stderr
-
-    def test_rejects_collect_workers_plus_chunk_size(self, scenario_file):
-        result = run_cli(
-            "run", str(scenario_file), "--collect-workers", "2", "--chunk-size", "64"
-        )
-        assert result.returncode == 1
-        assert "mutually exclusive" in result.stderr
 
 
 class TestProgressOutput:
@@ -477,14 +452,13 @@ class TestProfile:
             <= profile["collect"] + 1e-6
         )
 
-    def test_streaming_profile_covers_accumulation(self, tmp_path):
-        scenario = dict(DAP_SCENARIO, name="dap_stream")
-        path = tmp_path / "dap_stream.json"
+    def test_profile_covers_accumulation(self, tmp_path):
+        scenario = dict(DAP_SCENARIO, name="dap_accumulate")
+        path = tmp_path / "dap_accumulate.json"
         path.write_text(json.dumps(scenario))
         store = tmp_path / "artifact.json"
         result = run_cli(
-            "run", str(path), "--quiet", "--profile", "--chunk-size", "128",
-            "--store", str(store),
+            "run", str(path), "--quiet", "--profile", "--store", str(store),
         )
         assert result.returncode == 0, result.stderr
         profile = load_run(store).meta["execution"]["profile"]

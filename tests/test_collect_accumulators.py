@@ -1,4 +1,4 @@
-"""Unit tests for the streaming sufficient-statistics accumulators."""
+"""Unit tests for the sufficient-statistics accumulators."""
 
 from __future__ import annotations
 
@@ -11,38 +11,12 @@ from repro.collect import (
     GroupAccumulator,
     HistogramAccumulator,
     SumCount,
-    chunk_array,
-    iter_chunks,
 )
 from repro.ldp import PiecewiseMechanism
-from repro.attacks import BiasedByzantineAttack, PoisonRange
 from repro.utils.discretization import BucketGrid
+from tests.client_reports import chunk_array
 
 CHUNK_SIZES = (1, 7, 64, 1_000, 10_000)
-
-
-class TestIterChunks:
-    def test_covers_range_without_overlap(self):
-        bounds = list(iter_chunks(1_003, 100))
-        assert bounds[0] == (0, 100)
-        assert bounds[-1] == (1_000, 1_003)
-        assert sum(stop - start for start, stop in bounds) == 1_003
-
-    def test_chunk_larger_than_n(self):
-        assert list(iter_chunks(5, 100)) == [(0, 5)]
-
-    def test_empty(self):
-        assert list(iter_chunks(0, 100)) == []
-
-    def test_rejects_bad_chunk_size(self):
-        with pytest.raises(ValueError):
-            list(iter_chunks(10, 0))
-
-    def test_chunk_array_round_trips(self):
-        values = np.arange(11.0)
-        chunks = list(chunk_array(values, 4))
-        assert [c.size for c in chunks] == [4, 4, 3]
-        np.testing.assert_array_equal(np.concatenate(chunks), values)
 
 
 class TestExactSum:
@@ -272,12 +246,3 @@ class TestChunkedClientPaths:
         np.testing.assert_array_equal(first, second)
         # PM reports are unbiased estimates of the inputs
         assert abs(first.mean() - values.mean()) < 0.05
-
-    def test_poison_report_chunks_cover_n_byzantine(self):
-        attack = BiasedByzantineAttack(PoisonRange.of_c(0.5, 1.0))
-        mech = PiecewiseMechanism(1.0)
-        pieces = list(attack.poison_report_chunks(1_003, mech, 0.0, rng=0, chunk_size=400))
-        assert [p.size for p in pieces] == [400, 400, 203]
-        low, high = mech.output_domain
-        stacked = np.concatenate(pieces)
-        assert stacked.min() >= low - 1e-9 and stacked.max() <= high + 1e-9

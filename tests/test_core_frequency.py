@@ -32,18 +32,18 @@ class TestOstrichFrequencies:
 class TestFrequencyDAPCollection:
     def test_report_count(self, covid, rng):
         dap = FrequencyDAP(1.0, covid.n_categories)
-        reports = dap.collect(covid.categories[:2_000], (9,), 500, rng=rng)
-        assert reports.size == 2_500
+        counts = dap.collect_sharded(covid.categories[:2_000], (9,), 500, rng=rng)
+        assert counts.n_reports == 2_500
 
     def test_byzantine_requires_targets(self, covid, rng):
         dap = FrequencyDAP(1.0, covid.n_categories)
         with pytest.raises(ValueError):
-            dap.collect(covid.categories[:100], (), 10, rng=rng)
+            dap.collect_sharded(covid.categories[:100], (), 10, rng=rng)
 
     def test_poison_reports_hit_targets(self, covid, rng):
         dap = FrequencyDAP(1.0, covid.n_categories)
-        reports = dap.collect(covid.categories[:0], (3, 4), 1_000, rng=rng)
-        assert set(np.unique(reports)) <= {3, 4}
+        counts = dap.collect_sharded(covid.categories[:0], (3, 4), 1_000, rng=rng)
+        assert set(np.flatnonzero(counts.counts)) <= {3, 4}
 
 
 class TestFrequencyDAPEstimation:
@@ -51,10 +51,9 @@ class TestFrequencyDAPEstimation:
         dap = FrequencyDAP(1.0, covid.n_categories)
         n_byz = 2_000
         normal = covid.categories[:6_000]
-        reports = dap.collect(normal, (3,), n_byz, rng=rng)
-        result = dap.estimate(reports)
+        result = dap.run(normal, (3,), n_byz, rng=rng)
         assert 3 in result.poisoned_categories
-        assert result.gamma_hat == pytest.approx(n_byz / reports.size, abs=0.08)
+        assert result.gamma_hat == pytest.approx(n_byz / (normal.size + n_byz), abs=0.08)
 
     def test_beats_ostrich_under_attack(self, covid, rng):
         epsilon = 1.0
@@ -62,8 +61,9 @@ class TestFrequencyDAPEstimation:
         normal = covid.categories[:6_000]
         truth = np.bincount(normal, minlength=covid.n_categories) / normal.size
         dap = FrequencyDAP(epsilon, covid.n_categories)
-        reports = dap.collect(normal, (3,), n_byz, rng=rng)
-        dap_mse = frequency_mse(dap.estimate(reports).frequencies, truth)
+        counts = dap.collect_sharded(normal, (3,), n_byz, rng=rng)
+        dap_mse = frequency_mse(dap.estimate_from_counts(counts).frequencies, truth)
+        reports = np.repeat(np.arange(covid.n_categories), counts.counts)
         mech = KRandomizedResponse(epsilon, covid.n_categories)
         ostrich_mse = frequency_mse(ostrich_frequencies(mech, reports), truth)
         assert dap_mse < ostrich_mse
@@ -71,8 +71,7 @@ class TestFrequencyDAPEstimation:
     def test_no_attack_flags_nothing_catastrophic(self, covid, rng):
         dap = FrequencyDAP(1.0, covid.n_categories, min_likelihood_gain=10.0)
         normal = covid.categories[:6_000]
-        reports = dap.collect(normal, (), 0, rng=rng)
-        result = dap.estimate(reports)
+        result = dap.run(normal, (), 0, rng=rng)
         assert result.gamma_hat < 0.15
         assert result.frequencies.sum() == pytest.approx(1.0)
 
@@ -80,16 +79,14 @@ class TestFrequencyDAPEstimation:
         normal = covid.categories[:4_000]
         for estimator in ("emf", "emf_star", "cemf_star"):
             dap = FrequencyDAP(1.0, covid.n_categories, estimator=estimator)
-            reports = dap.collect(normal, (3,), 1_000, rng=rng)
-            result = dap.estimate(reports)
+            result = dap.run(normal, (3,), 1_000, rng=rng)
             assert result.frequencies.sum() == pytest.approx(1.0)
             assert result.frequencies.min() >= 0
 
     def test_multiple_poisoned_categories(self, covid, rng):
         dap = FrequencyDAP(2.0, covid.n_categories)
         normal = covid.categories[:6_000]
-        reports = dap.collect(normal, (2, 3), 3_000, rng=rng)
-        result = dap.estimate(reports)
+        result = dap.run(normal, (2, 3), 3_000, rng=rng)
         assert set(result.poisoned_categories) & {2, 3}
 
     def test_run_end_to_end(self, covid, rng):

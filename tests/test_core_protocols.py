@@ -5,9 +5,10 @@ import pytest
 
 from repro.attacks import BiasedByzantineAttack, NoAttack, PAPER_POISON_RANGES
 from repro.core.baseline_protocol import BaselineProtocol
-from repro.core.dap import DAPConfig, DAPProtocol, GroupCollection
+from repro.core.dap import DAPConfig, DAPProtocol
 from repro.defenses import OstrichDefense
 from repro.ldp import PiecewiseMechanism, SquareWaveMechanism
+from tests.client_reports import group_reports
 
 
 @pytest.fixture(scope="module")
@@ -45,14 +46,14 @@ class TestDAPCollect:
     def test_group_structure(self, normal_values):
         config = DAPConfig(epsilon=1.0, epsilon_min=1 / 4)
         protocol = DAPProtocol(config)
-        groups = protocol.collect(normal_values, ATTACK, n_byzantine=2_000, rng=0)
+        groups = protocol.collect_sharded(normal_values, ATTACK, n_byzantine=2_000, rng=0)
         assert len(groups) == config.n_groups
         # every user lands in exactly one group
         assert sum(g.n_users for g in groups) == normal_values.size + 2_000
 
     def test_small_budget_groups_have_more_reports(self, normal_values):
         config = DAPConfig(epsilon=1.0, epsilon_min=1 / 4)
-        groups = DAPProtocol(config).collect(normal_values, ATTACK, 2_000, rng=0)
+        groups = DAPProtocol(config).collect_sharded(normal_values, ATTACK, 2_000, rng=0)
         by_eps = {g.epsilon: g for g in groups}
         # reports scale like 1/epsilon_t for (roughly) equal-sized groups
         assert by_eps[0.25].n_reports > by_eps[0.5].n_reports > by_eps[1.0].n_reports
@@ -60,7 +61,9 @@ class TestDAPCollect:
     def test_reports_within_group_output_domain(self, normal_values):
         config = DAPConfig(epsilon=1.0, epsilon_min=1 / 4)
         protocol = DAPProtocol(config)
-        groups = protocol.collect(normal_values, ATTACK, 1_000, rng=0)
+        groups = group_reports(
+            protocol, normal_values, ATTACK, 1_000, np.random.default_rng(0)
+        )
         for group in groups:
             mech = protocol.mechanism_for(group.epsilon)
             assert group.reports.min() >= mech.output_domain[0] - 1e-9
@@ -69,7 +72,7 @@ class TestDAPCollect:
     def test_no_users_rejected(self):
         protocol = DAPProtocol(DAPConfig(epsilon=1.0))
         with pytest.raises(ValueError):
-            protocol.collect(np.array([]), NoAttack(), 0, rng=0)
+            protocol.collect_sharded(np.array([]), NoAttack(), 0, rng=0)
 
     def test_reports_per_user_cap(self):
         config = DAPConfig(epsilon=1.0, epsilon_min=1 / 64, max_reports_per_user=4)
@@ -119,13 +122,13 @@ class TestDAPAggregate:
     def test_aggregate_rejects_empty_groups(self):
         protocol = DAPProtocol(DAPConfig(epsilon=1.0))
         with pytest.raises(ValueError):
-            protocol.aggregate([GroupCollection(epsilon=1.0, reports=np.array([]))])
+            protocol.aggregate_accumulated([protocol.group_accumulator(1.0, 0)])
 
     def test_aggregate_collector_only_entry_point(self, normal_values):
         config = DAPConfig(epsilon=1.0, epsilon_min=1 / 4)
         protocol = DAPProtocol(config)
-        groups = protocol.collect(normal_values, ATTACK, 1_000, rng=6)
-        result = protocol.aggregate(groups)
+        groups = protocol.collect_sharded(normal_values, ATTACK, 1_000, rng=6)
+        result = protocol.aggregate_stats([group.stats() for group in groups])
         assert len(result.group_estimates) == len(groups)
 
     def test_left_side_attack_detected(self, normal_values):

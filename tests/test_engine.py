@@ -262,66 +262,87 @@ class TestStore:
         with pytest.raises(ValueError, match="not a repro.engine.run"):
             load_run(path)
 
-    def test_partial_resume_under_different_execution_path_warns(
-        self, dataset, tmp_path
-    ):
-        """Execution knobs never gate record reuse, but resuming a *partial*
-        artifact under a different collection path computes the pending
-        units on a different randomness stream — flagged, not refused."""
-        import dataclasses
+    @staticmethod
+    def _keep_only(path, scheme, **execution):
+        """Rewrite an artifact to hold only ``scheme``'s rows (a partial run),
+        optionally overriding fields of its ``meta.execution``."""
         import json
+
+        payload = json.loads(path.read_text())
+        kept = [i for i, s in enumerate(payload["columns"]["scheme"]) if s == scheme]
+        payload["columns"] = {
+            key: [column[i] for i in kept]
+            for key, column in payload["columns"].items()
+        }
+        payload["meta"]["execution"].update(execution)
+        path.write_text(json.dumps(payload))
+
+    def test_partial_pre_sharding_artifact_resumes_and_warns(self, dataset, tmp_path):
+        """An artifact written while the in-memory and streaming collection
+        paths existed carries ``chunk_size`` in its ``meta.execution``.  It
+        still resumes — completed records verbatim — but its pending units
+        now run on the block-seeded sharded path, which is flagged."""
         import warnings
 
         path = tmp_path / "run.json"
         spec = make_spec(dataset, batched=False, schemes=("DAP-EMF", "Ostrich"))
         first = run_experiment(spec, rng=5, store_path=path)
+        self._keep_only(path, "Ostrich", chunk_size=None)
 
-        # drop one scheme's column: a partial artifact, same fingerprint
-        payload = json.loads(path.read_text())
-        kept = [
-            i for i, s in enumerate(payload["columns"]["scheme"]) if s == "Ostrich"
-        ]
-        payload["columns"] = {
-            key: [column[i] for i in kept]
-            for key, column in payload["columns"].items()
-        }
-        path.write_text(json.dumps(payload))
-
-        streamed = dataclasses.replace(spec, chunk_size=256)
-        with pytest.warns(RuntimeWarning, match="partial artifact"):
-            resumed = run_experiment(streamed, rng=5, store_path=path)
+        with pytest.warns(RuntimeWarning, match="no longer exists"):
+            resumed = run_experiment(spec, rng=5, store_path=path)
         assert len(resumed) == len(first)
-        # the completed Ostrich units were served verbatim
         ostrich = lambda records: [
             (r.point["epsilon"], repr(r.mse)) for r in records if r.scheme == "Ostrich"
         ]
         assert ostrich(resumed) == ostrich(first)
 
-        # a complete artifact under a different path resumes silently
+        # a complete artifact has no pending units: it resumes silently
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             run_experiment(spec, rng=5, store_path=path)
 
+        # a pre-change artifact that already ran sharded (collect_workers
+        # set) produced records the new path reproduces: no warning either
+        run_experiment(spec, rng=5, store_path=path, resume=False)
+        self._keep_only(path, "Ostrich", chunk_size=None, collect_workers=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert record_key(run_experiment(spec, rng=5, store_path=path)) == (
+                record_key(first)
+            )
+
+    def test_partial_resume_under_other_collect_workers_is_silent(
+        self, dataset, tmp_path
+    ):
+        """``collect_workers`` never changes a record, so resuming a partial
+        artifact under another shard-worker count neither warns nor moves
+        the pending units' records."""
+        import dataclasses
+        import warnings
+
+        path = tmp_path / "run.json"
+        spec = make_spec(dataset, batched=False, schemes=("DAP-EMF", "Ostrich"))
+        first = run_experiment(spec, rng=5, store_path=path)
+        self._keep_only(path, "Ostrich")
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            resumed = run_experiment(
+                dataclasses.replace(spec, collect_workers=2), rng=5, store_path=path
+            )
+        assert record_key(resumed) == record_key(first)
+
     def test_partial_resume_under_different_backend_warns(self, dataset, tmp_path):
         """The backend is a collection knob: the fast samplers consume the
         RNG stream differently, so a partial artifact resumed under another
-        backend is flagged exactly like a chunk-size change."""
+        backend is flagged."""
         import dataclasses
-        import json
 
         path = tmp_path / "run.json"
         spec = make_spec(dataset, batched=False, schemes=("Ostrich", "Trimming"))
         first = run_experiment(spec, rng=5, store_path=path)
-
-        payload = json.loads(path.read_text())
-        kept = [
-            i for i, s in enumerate(payload["columns"]["scheme"]) if s == "Ostrich"
-        ]
-        payload["columns"] = {
-            key: [column[i] for i in kept]
-            for key, column in payload["columns"].items()
-        }
-        path.write_text(json.dumps(payload))
+        self._keep_only(path, "Ostrich")
 
         fast = dataclasses.replace(spec, backend="fast")
         with pytest.warns(RuntimeWarning, match="partial artifact"):
@@ -338,14 +359,11 @@ class TestStore:
         """Artifacts written when chunk_size was (wrongly) part of the
         fingerprint, and before execution provenance existed, must still be
         served — the legacy key is stripped before comparison."""
-        import dataclasses
         import json
 
         path = tmp_path / "run.json"
         spec = make_spec(dataset, batched=False)
-        first = run_experiment(
-            dataclasses.replace(spec, chunk_size=256), rng=5, store_path=path
-        )
+        first = run_experiment(spec, rng=5, store_path=path)
         payload = json.loads(path.read_text())
         payload["meta"]["fingerprint"]["chunk_size"] = 256  # legacy shape
         del payload["meta"]["execution"]
@@ -359,9 +377,7 @@ class TestStore:
             return original(self, unit, seeds)
 
         monkeypatch.setattr(ExperimentSpec, "evaluate_unit", counting)
-        resumed = run_experiment(
-            dataclasses.replace(spec, chunk_size=256), rng=5, store_path=path
-        )
+        resumed = run_experiment(spec, rng=5, store_path=path)
         assert calls == []  # everything served despite the legacy fingerprint
         assert record_key(resumed) == record_key(first)
 

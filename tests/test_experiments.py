@@ -185,8 +185,15 @@ class TestFig10:
     def test_small_evasion_keeps_mse_low(self):
         records = run_fig10(TINY, evasive_fractions=(0.0, 0.4), epsilon=0.5,
                             schemes=("DAP-EMF*",), rng=0)
-        by_a = {r.point["evasive_fraction"]: r.mse for r in records}
-        # with no evasion the estimate is accurate; strong evasion may or may
-        # not flip the side, but the zero-evasion MSE must stay small
-        assert by_a[0.0] < 0.05
         assert "evasive fraction" in format_fig10(records)
+        # with no evasion the estimate is accurate; strong evasion may or may
+        # not flip the side, but the zero-evasion MSE must stay small.  One
+        # 4,000-user round's squared error averages ~0.04 and exceeds 0.05
+        # about one time in four, so the bound applies to the median of 21
+        # rounds, which exceeds it well under one time in a hundred
+        mses = [
+            run_fig10(TINY, evasive_fractions=(0.0,), epsilon=0.5,
+                      schemes=("DAP-EMF*",), rng=seed)[0].mse
+            for seed in range(21)
+        ]
+        assert np.median(mses) < 0.05

@@ -128,7 +128,7 @@ class TestPrivacyAccountingIntegration:
         population = build_population(dataset, 4_000, 0.25, rng=12)
         config = DAPConfig(epsilon=0.5, epsilon_min=1 / 4)
         protocol = DAPProtocol(config)
-        groups = protocol.collect(
+        groups = protocol.collect_sharded(
             population.normal_values, BiasedByzantineAttack(), population.n_byzantine, rng=13
         )
         assert sum(g.n_users for g in groups) == population.n_total

@@ -325,10 +325,9 @@ class TestFrequencyProbeEquivalence:
         batched = FrequencyDAP(
             1.0, covid.n_categories, estimator=estimator, probe_strategy="batched"
         )
-        reports = cold.collect(
+        counts = cold.collect_sharded(
             covid.categories[:6_000], targets, n_byzantine, rng=rng
-        )
-        counts = np.bincount(reports, minlength=covid.n_categories).astype(float)
+        ).counts_float()
 
         cold_set, _ = cold.probe_poisoned_categories(counts)
         batched_set, _ = batched.probe_poisoned_categories(counts)

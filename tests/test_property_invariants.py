@@ -19,7 +19,6 @@ from repro.collect import (
     ExactSum,
     GroupAccumulator,
     HistogramAccumulator,
-    chunk_array,
 )
 from repro.utils.discretization import BucketGrid
 from repro.core.aggregation import aggregation_weights
@@ -27,13 +26,9 @@ from repro.core.emf import run_emf
 from repro.core.emf_star import run_emf_star
 from repro.core.mean_estimation import corrected_mean, corrected_mean_from_stats
 from repro.core.transform import build_transform_matrix
-from repro.datasets.synthetic import uniform_dataset
 from repro.ldp import DuchiMechanism, KRandomizedResponse, PiecewiseMechanism
-from repro.simulation.population import (
-    build_population,
-    population_counts,
-    stream_population,
-)
+from repro.simulation.population import population_counts
+from tests.client_reports import chunk_array
 
 COMMON_SETTINGS = dict(
     deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -170,32 +165,6 @@ class TestPopulationSplitInvariants:
         # the largest gamma that still rounds to n-1 Byzantine users works
         n_normal, n_byzantine = population_counts(n_users, (n_users - 1) / n_users)
         assert n_normal >= 1 and n_normal + n_byzantine == n_users
-
-    @given(
-        n_users=st.integers(1, 1_500),
-        gamma=st.floats(0.0, 0.999),
-        chunk_size=st.integers(1, 2_048),
-        seed=st.integers(0, 100),
-    )
-    @settings(max_examples=80, **COMMON_SETTINGS)
-    def test_chunked_generator_rounds_like_in_memory(
-        self, n_users, gamma, chunk_size, seed
-    ):
-        dataset = uniform_dataset(n_samples=200, rng=0)
-        try:
-            population = build_population(dataset, n_users, gamma, rng=seed)
-        except ValueError:
-            with pytest.raises(ValueError):
-                stream_population(dataset, n_users, gamma, rng=seed)
-            return
-        stream = stream_population(
-            dataset, n_users, gamma, rng=seed, chunk_size=chunk_size
-        )
-        assert stream.n_normal == population.n_normal
-        assert stream.n_byzantine == population.n_byzantine
-        values = np.concatenate(list(stream.chunks())) if stream.n_normal else []
-        assert len(values) == stream.n_normal
-        assert stream.true_mean == pytest.approx(np.mean(values))
 
 
 class TestStreamingSumInvariants:

@@ -41,16 +41,15 @@ def _protocol(**overrides) -> DAPProtocol:
     return DAPProtocol(config)
 
 
-def _accumulator_states(protocol: DAPProtocol, groups) -> list:
+def _states(protocol: DAPProtocol, values, attack, n_byzantine, rng, n_shards=1):
     """JSON round-tripped accumulator snapshots (the checkpoint boundary)."""
-    states = []
-    for group in groups:
-        accumulator = protocol.group_accumulator(
-            group.epsilon, group.n_reports, n_users=group.n_users
-        )
-        accumulator.update(group.reports)
-        states.append(json.loads(json.dumps(accumulator.state_dict())))
-    return states
+    accumulators = protocol.collect_sharded(
+        values, attack, n_byzantine=n_byzantine, rng=rng, n_shards=n_shards
+    )
+    return [
+        json.loads(json.dumps(accumulator.state_dict()))
+        for accumulator in accumulators
+    ]
 
 
 class TestShuffleSeedInvariance:
@@ -61,16 +60,16 @@ class TestShuffleSeedInvariance:
     @settings(max_examples=15, **COMMON_SETTINGS)
     def test_accumulator_state_invariant_to_shuffle_seed(self, data_seed, seeds):
         values = np.random.default_rng([data_seed, 0]).uniform(-1, 1, size=N_NORMAL)
-        states = []
-        for shuffle_seed in seeds:
-            protocol = _protocol(shuffle_seed=shuffle_seed)
-            groups = protocol.collect(
+        states = [
+            _states(
+                _protocol(shuffle_seed=shuffle_seed),
                 values,
                 BiasedByzantineAttack(),
-                n_byzantine=N_BYZANTINE,
-                rng=np.random.default_rng([data_seed, 1]),
+                N_BYZANTINE,
+                np.random.default_rng([data_seed, 1]),
             )
-            states.append(_accumulator_states(protocol, groups))
+            for shuffle_seed in seeds
+        ]
         assert states[0] == states[1]
 
     @given(data_seed=st.integers(0, 2**20), shuffle_seed=st.integers(0, 2**32 - 1))
@@ -80,19 +79,17 @@ class TestShuffleSeedInvariance:
     ):
         # with no Byzantine users the client stage is identical between trust
         # models, so the shuffled round must deliver exactly the local
-        # round's reports, reordered — same multiset, group by group
+        # round's reports, reordered — the same multiset statistics, group by
+        # group
         values = np.random.default_rng([data_seed, 0]).uniform(-1, 1, size=N_NORMAL)
 
-        def rounds(protocol):
-            return protocol.collect(
-                values, NoAttack(), rng=np.random.default_rng([data_seed, 1])
+        def states(protocol):
+            return _states(
+                protocol, values, NoAttack(), 0, np.random.default_rng([data_seed, 1])
             )
 
-        local = rounds(DAPProtocol(DAPConfig(epsilon=1.0, epsilon_min=0.25)))
-        shuffled = rounds(_protocol(shuffle_seed=shuffle_seed))
-        for ours, theirs in zip(shuffled, local):
-            assert ours.epsilon == theirs.epsilon
-            assert np.array_equal(np.sort(ours.reports), np.sort(theirs.reports))
+        local = states(DAPProtocol(DAPConfig(epsilon=1.0, epsilon_min=0.25)))
+        assert states(_protocol(shuffle_seed=shuffle_seed)) == local
 
 
 class TestShardedShuffleMerges:
@@ -102,18 +99,14 @@ class TestShardedShuffleMerges:
         values = np.random.default_rng([data_seed, 0]).uniform(-1, 1, size=N_NORMAL)
 
         def states(shards):
-            protocol = _protocol()
-            accumulators = protocol.collect_sharded(
+            return _states(
+                _protocol(),
                 values,
                 BiasedByzantineAttack(),
-                n_byzantine=N_BYZANTINE,
-                rng=np.random.default_rng([data_seed, 1]),
+                N_BYZANTINE,
+                np.random.default_rng([data_seed, 1]),
                 n_shards=shards,
             )
-            return [
-                json.loads(json.dumps(accumulator.state_dict()))
-                for accumulator in accumulators
-            ]
 
         assert states(n_shards) == states(1)
 

@@ -8,10 +8,14 @@ The sharded path rests on two guarantees, both enforced here:
   shard count and any worker count;
 * **accumulate/merge equivalence** — sharding a report stream into
   contiguous slices, accumulating each independently and folding with
-  ``merge()`` yields statistics bit-identical to the one-shot chunked
-  (``collect_stream``-style) accumulation and to the in-memory
-  ``DAPProtocol.aggregate`` on the same reports, for all three estimators
-  and the k-RR frequency route.
+  ``merge()`` yields statistics bit-identical to chunked and to one-shot
+  accumulation of the same reports, for all three estimators and the k-RR
+  frequency route.
+
+Because ``run()`` is the one-shard sharded round on every protocol class,
+it must equal ``collect_sharded`` plus the estimate at any shard and worker
+count, and bad input must be refused in the parent — with the exception the
+client stage raises — before a shard task could fail and be retried.
 """
 
 from __future__ import annotations
@@ -20,17 +24,16 @@ import numpy as np
 import pytest
 
 from repro.attacks import BiasedByzantineAttack, PoisonRange
-from repro.collect import (
-    CategoryCountAccumulator,
-    GroupAccumulator,
-    build_shard_plan,
-    chunk_array,
-)
+from repro.collect import CategoryCountAccumulator, GroupAccumulator, build_shard_plan
 from repro.core.dap import DAPConfig, DAPProtocol
 from repro.core.frequency import FrequencyDAP
+from repro.core.sketch_frequency import SketchFrequencyDAP
 from repro.datasets.synthetic import uniform_dataset
-from repro.simulation.runner import run_trials_from_seeds, run_trials_sharded
+from repro.ldp.base import MechanismError
+from repro.resilience import stats
+from repro.simulation.runner import run_trials_from_seeds
 from repro.simulation.schemes import make_scheme
+from tests.client_reports import accumulate, group_reports
 
 ATTACK = BiasedByzantineAttack(PoisonRange.of_c(0.5, 1.0))
 SHARD_COUNTS = (1, 2, 5)
@@ -125,34 +128,25 @@ class TestDAPShardedBitIdentity:
     @pytest.mark.parametrize(
         "estimator, seed", [("emf", 101), ("emf_star", 202), ("cemf_star", 303)]
     )
-    def test_shard_merge_matches_stream_and_in_memory_aggregation(
+    def test_shard_merge_matches_chunked_and_one_shot_aggregation(
         self, estimator, seed
     ):
         """Contiguous shards of the same reports, accumulated independently
-        and merged, aggregate bit-identically to the chunked
-        (``collect_stream``-style) accumulation and to the in-memory path."""
+        and merged, aggregate bit-identically to one accumulator fed in
+        chunks and to one fed every report at once."""
         protocol = DAPProtocol(DAPConfig(epsilon=1.0, estimator=estimator))
         rng = np.random.default_rng(seed)
         values = rng.uniform(-0.8, 0.8, 4_000)
-        groups = protocol.collect(values, ATTACK, 1_500, rng=rng)
-        in_memory = protocol.aggregate(groups)
-
-        def fresh(group):
-            return protocol.group_accumulator(
-                group.epsilon, group.n_reports, n_users=group.n_users
-            )
-
-        # collect_stream-style accumulation: one accumulator fed in chunks
-        streamed = [
-            fresh(group).update_stream(chunk_array(group.reports, 997))
-            for group in groups
-        ]
-        stream_result = protocol.aggregate_accumulated(streamed)
+        groups = group_reports(protocol, values, ATTACK, 1_500, rng)
+        one_shot = protocol.aggregate_accumulated(accumulate(protocol, groups, 10**7))
+        chunked = protocol.aggregate_accumulated(accumulate(protocol, groups, 997))
 
         for n_shards in SHARD_COUNTS:
             merged = []
             for group in groups:
-                accumulator = fresh(group)
+                accumulator = protocol.group_accumulator(
+                    group.epsilon, group.n_reports, n_users=group.n_users
+                )
                 for piece in np.array_split(group.reports, n_shards):
                     shard_acc = GroupAccumulator(
                         group.epsilon, accumulator.output_grid
@@ -163,22 +157,25 @@ class TestDAPShardedBitIdentity:
                     )
                 merged.append(accumulator)
             sharded = protocol.aggregate_accumulated(merged)
-            for result in (stream_result, sharded):
-                assert result.estimate == in_memory.estimate
-                assert result.gamma_hat == in_memory.gamma_hat
-                assert result.poisoned_side == in_memory.poisoned_side
-                np.testing.assert_array_equal(result.weights, in_memory.weights)
+            for result in (chunked, sharded):
+                assert result.estimate == one_shot.estimate
+                assert result.gamma_hat == one_shot.gamma_hat
+                assert result.poisoned_side == one_shot.poisoned_side
+                np.testing.assert_array_equal(result.weights, one_shot.weights)
 
-    def test_group_composition_matches_collect(self):
+    def test_group_composition_matches_group_sizes(self):
         protocol = DAPProtocol(DAPConfig(epsilon=1.0))
         values = np.random.default_rng(8).uniform(-0.5, 0.5, 3_210)
         accumulators = protocol.collect_sharded(
             values, ATTACK, 1_111, rng=np.random.default_rng(8), n_shards=3,
             block_size=256,
         )
-        groups = protocol.collect(values, ATTACK, 1_111, rng=np.random.default_rng(8))
-        assert [a.n_users for a in accumulators] == [g.n_users for g in groups]
-        assert [a.n_reports for a in accumulators] == [g.n_reports for g in groups]
+        sizes = protocol.group_sizes(3_210 + 1_111)
+        assert [a.n_users for a in accumulators] == sizes
+        assert [a.n_reports for a in accumulators] == [
+            size * protocol._reports_per_user(a.epsilon)
+            for size, a in zip(sizes, accumulators)
+        ]
 
     def test_silent_attack_with_byzantine_users_completes(self):
         """NoAttack submits zero reports however many Byzantine users exist
@@ -234,7 +231,9 @@ class TestFrequencySharded:
         the estimate is bit-identical to ``estimate`` on the raw reports."""
         rng = np.random.default_rng(6)
         dap = FrequencyDAP(epsilon=1.0, n_categories=6)
-        reports = dap.collect(rng.integers(0, 6, 3_000), (2,), 700, rng=rng)
+        reports = np.concatenate(
+            [dap.mechanism.perturb(rng.integers(0, 6, 3_000), rng), np.full(700, 2)]
+        )
         reference = dap.estimate(reports)
         for n_shards in SHARD_COUNTS:
             accumulator = CategoryCountAccumulator(6)
@@ -253,54 +252,165 @@ class TestFrequencySharded:
 
 
 class TestShardedTrialPath:
-    def test_truths_match_the_in_memory_runner_exactly(self):
+    def test_collect_workers_leave_records_unchanged(self):
         dataset = uniform_dataset(n_samples=2_000, rng=0)
-        scheme = make_scheme("DAP-EMF", epsilon=1.0)
-        sharded = run_trials_sharded(
-            scheme, dataset, ATTACK, n_users=2_000, gamma=0.25,
-            trial_seeds=[11, 22], n_shards=3,
-        )
-        in_memory = run_trials_from_seeds(
-            scheme, dataset, ATTACK, n_users=2_000, gamma=0.25,
-            trial_seeds=[11, 22],
-        )
-        # same seeds, same population draw: the ground truths pair exactly
-        assert sharded.truths == in_memory.truths
-        assert sharded.mse < 1.0
-
-    def test_records_invariant_to_worker_count(self):
-        dataset = uniform_dataset(n_samples=1_500, rng=0)
-        scheme = make_scheme("DAP-CEMF*", epsilon=1.0)
         results = [
-            run_trials_sharded(
-                scheme, dataset, ATTACK, n_users=1_500, gamma=0.2,
-                trial_seeds=[7], n_shards=shards, n_workers=workers,
+            run_trials_from_seeds(
+                scheme, dataset, ATTACK, n_users=2_000, gamma=0.25,
+                trial_seeds=[11, 22],
             )
-            for shards, workers in ((1, None), (4, None), (4, 2))
+            for scheme in (
+                make_scheme("DAP-EMF", epsilon=1.0),
+                make_scheme("DAP-EMF", epsilon=1.0).configure_collection(1),
+                make_scheme("DAP-EMF", epsilon=1.0).configure_collection(2),
+            )
         ]
+        # same seeds, same population draw: the ground truths pair exactly,
+        # and the block seeds make the estimates worker-count invariant
+        assert results[0].truths == results[1].truths == results[2].truths
         assert results[0].estimates == results[1].estimates == results[2].estimates
+        assert results[0].mse < 1.0
 
-    def test_non_sharding_scheme_warns(self):
-        dataset = uniform_dataset(n_samples=500, rng=0)
-        scheme = make_scheme("Trimming", epsilon=1.0)
-        assert not scheme.supports_sharding
-        with pytest.warns(RuntimeWarning, match="no sharded collection path"):
-            run_trials_sharded(
-                scheme, dataset, None, n_users=500, gamma=0.0,
-                trial_seeds=[1], n_shards=4,
-            )
-
-    def test_fallback_matches_in_memory_runner(self):
+    def test_schemes_without_a_sharded_round_ignore_collect_workers(self):
         dataset = uniform_dataset(n_samples=1_000, rng=0)
-        scheme = make_scheme("Ostrich", epsilon=1.0)
-        with pytest.warns(RuntimeWarning, match="no sharded collection path"):
-            fallback = run_trials_sharded(
-                scheme, dataset, None, n_users=1_000, gamma=0.0,
-                trial_seeds=[5, 6], n_shards=4,
+        plain, configured = (
+            run_trials_from_seeds(
+                scheme, dataset, None, n_users=1_000, gamma=0.0, trial_seeds=[5, 6]
             )
-        in_memory = run_trials_from_seeds(
-            scheme, dataset, None, n_users=1_000, gamma=0.0, trial_seeds=[5, 6]
+            for scheme in (
+                make_scheme("Ostrich", epsilon=1.0),
+                make_scheme("Ostrich", epsilon=1.0).configure_collection(4),
+            )
         )
-        # the default estimate_sharded defers to estimate: identical records
-        assert fallback.estimates == in_memory.estimates
-        assert fallback.truths == in_memory.truths
+        assert configured.estimates == plain.estimates
+        assert configured.truths == plain.truths
+
+    def test_configure_collection_validates_the_count(self):
+        for name in ("DAP-EMF", "Ostrich"):
+            with pytest.raises(ValueError, match="collect_workers"):
+                make_scheme(name, epsilon=1.0).configure_collection(0)
+
+
+#: past one default seed block per group, so shards split real block runs
+N_ROUND = 100_000
+
+
+def _dap_round():
+    protocol = DAPProtocol(
+        DAPConfig(epsilon=1.0, epsilon_min=0.5, estimator="cemf_star")
+    )
+    values = np.random.default_rng(41).uniform(-0.8, 0.8, N_ROUND)
+    return (
+        protocol,
+        (values, ATTACK, 40_000),
+        lambda accumulators: protocol.aggregate_accumulated(accumulators),
+    )
+
+
+def _frequency_round():
+    dap = FrequencyDAP(epsilon=1.0, n_categories=8, max_poisoned=3)
+    normal = np.random.default_rng(42).integers(0, 8, N_ROUND)
+    return dap, (normal, (3,), 25_000), dap.estimate_from_counts
+
+
+def _sketch_round():
+    dap = SketchFrequencyDAP(
+        1.0, 64, sketch_rows=2, sketch_width=32, n_heavy_hitters=8, max_poisoned=2
+    )
+    normal = np.random.default_rng(43).integers(0, 64, N_ROUND)
+    return dap, (normal, (1,), 20_000), dap.estimate_from_counts
+
+
+ROUNDS = {"dap": _dap_round, "frequency": _frequency_round, "sketch": _sketch_round}
+
+
+def _fingerprint(result):
+    """Every float an estimate exposes, for bit-for-bit comparison."""
+    if hasattr(result, "frequencies"):
+        return (
+            list(result.frequencies),
+            list(result.poisoned_categories),
+            result.gamma_hat,
+            result.skipped_reports,
+        )
+    return (
+        result.estimate,
+        result.gamma_hat,
+        result.poisoned_side,
+        list(result.weights),
+        result.skipped_reports,
+    )
+
+
+class TestRunIsTheShardedRound:
+    @pytest.mark.parametrize("kind", sorted(ROUNDS))
+    def test_run_equals_collect_sharded_plus_estimate(self, kind):
+        protocol, args, estimate = ROUNDS[kind]()
+        reference = _fingerprint(protocol.run(*args, rng=np.random.default_rng(9)))
+        for n_shards in (1, 3):
+            for n_workers in (1, 2):
+                collected = protocol.collect_sharded(
+                    *args,
+                    rng=np.random.default_rng(9),
+                    n_shards=n_shards,
+                    n_workers=n_workers,
+                )
+                result = estimate(collected)
+                result.skipped_reports = protocol.contribution_summary(
+                    len(args[0]) + args[2]
+                )
+                assert _fingerprint(result) == reference, (n_shards, n_workers)
+
+
+class TestBadInputRefusedInTheParent:
+    """The exception ``run()`` raised before every round was sharded, with
+    no shard task dispatched (so none is retried)."""
+
+    def _assert_refused(self, call, error):
+        before = stats.snapshot()
+        with pytest.raises(error):
+            call()
+        assert stats.delta_since(before).get("retries", 0) == 0
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [(1.5, MechanismError), (np.inf, MechanismError), (np.nan, ValueError)],
+    )
+    def test_dap_values(self, bad, error):
+        protocol, (values, attack, n_byzantine), _ = _dap_round()
+        values = values.copy()
+        values[7] = bad
+        self._assert_refused(
+            lambda: protocol.run(values, attack, n_byzantine, rng=0), error
+        )
+
+    @pytest.mark.parametrize(
+        "categories_bad, targets, error",
+        [
+            (8, (3,), MechanismError),
+            (-1, (3,), MechanismError),
+            (None, (8,), ValueError),
+            (None, (-1,), ValueError),
+        ],
+    )
+    def test_frequency_inputs(self, categories_bad, targets, error):
+        dap, (normal, _, n_byzantine), _ = _frequency_round()
+        normal = normal.copy()
+        if categories_bad is not None:
+            normal[7] = categories_bad
+        self._assert_refused(
+            lambda: dap.run(normal, targets, n_byzantine, rng=0), error
+        )
+
+    @pytest.mark.parametrize(
+        "categories_bad, targets",
+        [(64, (1,)), (-1, (1,)), (None, (64,)), (None, (-1,))],
+    )
+    def test_sketch_inputs(self, categories_bad, targets):
+        dap, (normal, _, n_byzantine), _ = _sketch_round()
+        normal = normal.copy()
+        if categories_bad is not None:
+            normal[7] = categories_bad
+        self._assert_refused(
+            lambda: dap.run(normal, targets, n_byzantine, rng=0), MechanismError
+        )

@@ -75,8 +75,7 @@ def attack_round():
     rng = np.random.default_rng(SEED)
     categories = _population(rng)
     dap = _dap()
-    reports = dap.collect(categories, list(TARGETS), N_BYZANTINE, rng)
-    return dap, dap.estimate(reports)
+    return dap, dap.run(categories, list(TARGETS), N_BYZANTINE, rng)
 
 
 @pytest.fixture(scope="module")
@@ -84,7 +83,7 @@ def clean_round():
     rng = np.random.default_rng(SEED)
     categories = _population(rng)
     dap = _dap()
-    return dap, dap.estimate(dap.collect(categories, rng=rng))
+    return dap, dap.run(categories, rng=rng)
 
 
 def _estimates(result) -> dict:
@@ -258,8 +257,7 @@ class TestProbe:
         dap = _dap()
         rng = np.random.default_rng(SEED)
         before = profiling.snapshot()
-        reports = dap.collect(_population(rng), list(TARGETS), N_BYZANTINE, rng)
-        dap.estimate(reports)
+        dap.run(_population(rng), list(TARGETS), N_BYZANTINE, rng)
         profile = profiling.delta_since(before)
         assert profile["probe.decode"] > 0.0
         assert profile["probe.em"] > 0.0
@@ -316,7 +314,7 @@ def _small_round(n_categories: int):
     rng = np.random.default_rng(5)
     categories = rng.integers(0, n_categories, 3_000)
     categories[:600] = 3
-    counts = dap.mechanism.fold(dap.collect(categories, [1, 2], 400, rng))
+    counts = dap.collect_sharded(categories, [1, 2], 400, rng).counts
     return dap, counts
 
 
@@ -384,9 +382,9 @@ class TestCellClasses:
     def test_attacked_probe_matches_the_full_cell_probe(self, monkeypatch):
         dap = _dap()
         rng = np.random.default_rng(SEED)
-        counts = dap.mechanism.fold(
-            dap.collect(_population(rng), list(TARGETS), N_BYZANTINE, rng)
-        )
+        counts = dap.collect_sharded(
+            _population(rng), list(TARGETS), N_BYZANTINE, rng
+        ).counts
         classed = dap._probe(counts)
         monkeypatch.setattr(
             dap, "_reduced_problem", lambda c: _full_cell_state(dap, c)
@@ -409,7 +407,7 @@ class TestRefitCertificate:
     def test_uncertified_refit_is_reported(self, monkeypatch):
         dap = _dap()
         rng = np.random.default_rng(SEED)
-        reports = dap.collect(_population(rng), list(TARGETS), N_BYZANTINE, rng)
+        counts = dap.collect_sharded(_population(rng), list(TARGETS), N_BYZANTINE, rng)
         solve = dap._reconstruct_reduced
 
         def uncertified(*args, gamma_hat=None, **kwargs):
@@ -417,7 +415,7 @@ class TestRefitCertificate:
             return fit if gamma_hat is not None else replace(fit, converged=False)
 
         monkeypatch.setattr(dap, "_reconstruct_reduced", uncertified)
-        result = dap.estimate(reports)
+        result = dap.estimate_from_counts(counts)
         assert result.refit_converged is False
         assert sorted(result.poisoned_categories) == sorted(TARGETS)
 

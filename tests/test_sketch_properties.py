@@ -11,8 +11,9 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.collect import SketchAccumulator, chunk_array
+from repro.collect import SketchAccumulator
 from repro.ldp.count_sketch import CountSketch, sketch_row_seeds
+from tests.client_reports import chunk_array
 
 COMMON_SETTINGS = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
