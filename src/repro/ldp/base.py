@@ -17,7 +17,7 @@ domain: attackers may submit *any* value inside it.
 from __future__ import annotations
 
 import abc
-from typing import Iterable, Iterator, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -98,20 +98,6 @@ class NumericalMechanism(abc.ABC):
         if reports.size == 0:
             raise MechanismError("cannot estimate a mean from zero reports")
         return float(reports.mean())
-
-    def perturb_stream(
-        self, value_chunks: Iterable[np.ndarray], rng: RngLike = None
-    ) -> Iterator[np.ndarray]:
-        """Perturb a chunked value stream, yielding one report chunk per input.
-
-        The streaming counterpart of :meth:`perturb` for populations that do
-        not fit in memory: one generator shared across all chunks, so memory
-        stays proportional to the chunk size.  Feed the yielded chunks to the
-        accumulators in :mod:`repro.collect`.
-        """
-        rng = ensure_rng(rng)
-        for chunk in value_chunks:
-            yield self.perturb(chunk, rng)
 
     def sample_output_domain(self, size: int, rng: RngLike = None) -> np.ndarray:
         """Uniform samples from the output domain.
@@ -195,14 +181,6 @@ class CategoricalMechanism(abc.ABC):
     @abc.abstractmethod
     def estimate_frequencies(self, reports: np.ndarray) -> np.ndarray:
         """Unbiased (possibly negative) frequency estimates from reports."""
-
-    def perturb_stream(
-        self, category_chunks: Iterable[np.ndarray], rng: RngLike = None
-    ) -> Iterator[np.ndarray]:
-        """Perturb a chunked category stream, one report chunk per input chunk."""
-        rng = ensure_rng(rng)
-        for chunk in category_chunks:
-            yield self.perturb(chunk, rng)
 
     def check_categories(self, categories: np.ndarray) -> None:
         """Raise :class:`MechanismError` unless every category is in ``[0, k)``."""

@@ -116,7 +116,7 @@ class DAPScheme(Scheme):
         self.protocol = DAPProtocol(config)
         suffix = {"emf": "EMF", "emf_star": "EMF*", "cemf_star": "CEMF*"}[config.estimator]
         self.name = name or f"DAP-{suffix}"
-        self.collect_workers: int | None = None
+        self.collect_workers = 1
 
     def configure_probing(self, strategy: str) -> "DAPScheme":
         """Switch the protocol's side-probe strategy (execution detail)."""
@@ -143,14 +143,13 @@ class DAPScheme(Scheme):
     def estimate(
         self, population: Population, attack: Attack | None, rng: RngLike = None
     ) -> float:
-        workers = self.collect_workers or 1
         result = self.protocol.run(
             population.normal_values,
             attack or NoAttack(),
             population.n_byzantine,
             rng=rng,
-            n_shards=workers,
-            n_workers=workers,
+            n_shards=self.collect_workers,
+            n_workers=self.collect_workers,
         )
         return result.estimate
 

@@ -258,23 +258,6 @@ class TestNumpyBitIdentity:
         want = _seed_krr_perturb(mechanism, categories, np.random.default_rng(42))
         np.testing.assert_array_equal(got, want)
 
-    def test_pm_perturb_stream(self, rng):
-        """Streamed perturbation shares one RNG, exactly like the seed."""
-        mechanism = PiecewiseMechanism(1.0)
-        values = rng.uniform(-1.0, 1.0, 3000)
-        chunks = [values[start : start + 777] for start in range(0, 3000, 777)]
-        streamed = np.concatenate(
-            list(mechanism.perturb_stream(chunks, np.random.default_rng(9)))
-        )
-        want = np.concatenate(
-            [
-                _seed_pm_perturb(mechanism, chunk, generator)
-                for generator in [np.random.default_rng(9)]
-                for chunk in chunks
-            ]
-        )
-        np.testing.assert_array_equal(streamed, want)
-
     def test_explicit_numpy_backend_matches_default(self, rng):
         mechanism = PiecewiseMechanism(1.0)
         values = rng.uniform(-1.0, 1.0, 1000)

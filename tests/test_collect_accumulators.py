@@ -12,7 +12,6 @@ from repro.collect import (
     HistogramAccumulator,
     SumCount,
 )
-from repro.ldp import PiecewiseMechanism
 from repro.utils.discretization import BucketGrid
 from tests.client_reports import chunk_array
 
@@ -222,27 +221,3 @@ class TestSnapshots:
         state["histogram"]["sum"] = None
         with pytest.raises(ValueError, match="report sum"):
             GroupAccumulator.from_state(state)
-
-
-class TestChunkedClientPaths:
-    def test_perturb_stream_yields_one_chunk_per_input(self):
-        mech = PiecewiseMechanism(1.0)
-        values = np.random.default_rng(6).uniform(-1, 1, 1_000)
-        chunks = list(mech.perturb_stream(chunk_array(values, 300), rng=0))
-        assert [c.size for c in chunks] == [300, 300, 300, 100]
-        low, high = mech.output_domain
-        for chunk in chunks:
-            assert chunk.min() >= low and chunk.max() <= high
-
-    def test_perturb_stream_is_deterministic_and_unbiased(self):
-        mech = PiecewiseMechanism(2.0)
-        values = np.random.default_rng(7).uniform(-0.2, 0.2, 50_000)
-        first = np.concatenate(
-            list(mech.perturb_stream(chunk_array(values, 999), np.random.default_rng(42)))
-        )
-        second = np.concatenate(
-            list(mech.perturb_stream(chunk_array(values, 999), np.random.default_rng(42)))
-        )
-        np.testing.assert_array_equal(first, second)
-        # PM reports are unbiased estimates of the inputs
-        assert abs(first.mean() - values.mean()) < 0.05
