@@ -258,6 +258,20 @@ class TestNumpyBitIdentity:
         want = _seed_krr_perturb(mechanism, categories, np.random.default_rng(42))
         np.testing.assert_array_equal(got, want)
 
+    def test_pm_consecutive_calls_share_one_generator_like_the_seed(self, rng):
+        """Each call draws exactly what the seed drew, so a generator reused
+        across calls lines up with the seed draw for draw."""
+        mechanism = PiecewiseMechanism(1.0)
+        values = rng.uniform(-1.0, 1.0, 3000)
+        blocks = [values[start : start + 777] for start in range(0, 3000, 777)]
+        generator, seed_generator = np.random.default_rng(9), np.random.default_rng(9)
+        for block in blocks:
+            np.testing.assert_array_equal(
+                mechanism.perturb(block, generator),
+                _seed_pm_perturb(mechanism, block, seed_generator),
+            )
+        assert generator.random() == seed_generator.random()
+
     def test_explicit_numpy_backend_matches_default(self, rng):
         mechanism = PiecewiseMechanism(1.0)
         values = rng.uniform(-1.0, 1.0, 1000)

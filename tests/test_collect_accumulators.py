@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.attacks import BiasedByzantineAttack, PoisonRange
 from repro.collect import (
     CategoryCountAccumulator,
     ExactSum,
@@ -12,6 +13,8 @@ from repro.collect import (
     HistogramAccumulator,
     SumCount,
 )
+from repro.core.dap import _client_perturb, _client_poison
+from repro.ldp import PiecewiseMechanism
 from repro.utils.discretization import BucketGrid
 from tests.client_reports import chunk_array
 
@@ -221,3 +224,32 @@ class TestSnapshots:
         state["histogram"]["sum"] = None
         with pytest.raises(ValueError, match="report sum"):
             GroupAccumulator.from_state(state)
+
+
+class TestClientStage:
+    """The client-stage kernels every shard worker feeds its accumulators."""
+
+    def test_perturb_repeats_each_value_inside_the_output_domain(self):
+        mech = PiecewiseMechanism(1.0)
+        values = np.random.default_rng(6).uniform(-1, 1, 1_000)
+        reports = _client_perturb(mech, values, 3, np.random.default_rng(0))
+        assert reports.size == 3_000
+        low, high = mech.output_domain
+        assert reports.min() >= low and reports.max() <= high
+
+    def test_perturb_is_deterministic_and_unbiased(self):
+        mech = PiecewiseMechanism(2.0)
+        values = np.random.default_rng(7).uniform(-0.2, 0.2, 50_000)
+        first = _client_perturb(mech, values, 1, np.random.default_rng(42))
+        second = _client_perturb(mech, values, 1, np.random.default_rng(42))
+        np.testing.assert_array_equal(first, second)
+        # PM reports are unbiased estimates of the inputs
+        assert abs(first.mean() - values.mean()) < 0.05
+
+    def test_poison_draws_the_requested_reports_inside_the_view(self):
+        attack = BiasedByzantineAttack(PoisonRange.of_c(0.5, 1.0))
+        mech = PiecewiseMechanism(1.0)
+        poison = _client_poison(attack, mech, 1_003, 0.0, np.random.default_rng(0))
+        assert poison.size == 1_003
+        low, high = mech.output_domain
+        assert poison.min() >= low - 1e-9 and poison.max() <= high + 1e-9

@@ -26,8 +26,9 @@ from repro.core.emf import run_emf
 from repro.core.emf_star import run_emf_star
 from repro.core.mean_estimation import corrected_mean, corrected_mean_from_stats
 from repro.core.transform import build_transform_matrix
+from repro.datasets.synthetic import uniform_dataset
 from repro.ldp import DuchiMechanism, KRandomizedResponse, PiecewiseMechanism
-from repro.simulation.population import population_counts
+from repro.simulation.population import build_population, population_counts
 from tests.client_reports import chunk_array
 
 COMMON_SETTINGS = dict(
@@ -165,6 +166,26 @@ class TestPopulationSplitInvariants:
         # the largest gamma that still rounds to n-1 Byzantine users works
         n_normal, n_byzantine = population_counts(n_users, (n_users - 1) / n_users)
         assert n_normal >= 1 and n_normal + n_byzantine == n_users
+
+    @given(
+        n_users=st.integers(1, 1_500),
+        gamma=st.floats(0.0, 0.999),
+        seed=st.integers(0, 100),
+    )
+    @settings(max_examples=80, **COMMON_SETTINGS)
+    def test_build_population_rounds_like_population_counts(
+        self, n_users, gamma, seed
+    ):
+        dataset = uniform_dataset(n_samples=200, rng=0)
+        try:
+            counts = population_counts(n_users, gamma)
+        except ValueError:
+            with pytest.raises(ValueError):
+                build_population(dataset, n_users, gamma, rng=seed)
+            return
+        population = build_population(dataset, n_users, gamma, rng=seed)
+        assert (population.n_normal, population.n_byzantine) == counts
+        assert population.true_mean == pytest.approx(np.mean(population.normal_values))
 
 
 class TestStreamingSumInvariants:

@@ -25,7 +25,7 @@ import pytest
 
 from repro.attacks import BiasedByzantineAttack, PoisonRange
 from repro.collect import CategoryCountAccumulator, GroupAccumulator, build_shard_plan
-from repro.core.dap import DAPConfig, DAPProtocol
+from repro.core.dap import DAPConfig, DAPProtocol, _client_perturb, _client_poison
 from repro.core.frequency import FrequencyDAP
 from repro.core.sketch_frequency import SketchFrequencyDAP
 from repro.datasets.synthetic import uniform_dataset
@@ -86,6 +86,40 @@ class TestShardPlan:
     def test_rejects_misaligned_groups(self):
         with pytest.raises(ValueError, match="align"):
             build_shard_plan([10], [1, 2], n_shards=1, rng=0)
+
+    def test_shards_past_the_block_count_are_empty(self):
+        plan = build_shard_plan([100], [30], n_shards=8, rng=1, block_size=64)
+        # two normal blocks and one Byzantine block: shards 0 and 1 hold
+        # them, the remaining six shards own nothing
+        shards = plan.shards()
+        assert [piece.n_users for piece in shards[0]] == [64 + 30]
+        assert [piece.n_users for piece in shards[1]] == [36]
+        assert all(shard == [] for shard in shards[2:])
+
+    def test_empty_groups_draw_no_seeds(self):
+        plan = build_shard_plan([0, 0], [0, 0], n_shards=3, rng=2, block_size=16)
+        assert plan.normal_seeds == ((), ())
+        assert plan.byzantine_seeds == ((), ())
+        assert plan.shards() == [[], [], []]
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(n_shards=0),
+            dict(n_shards=1, block_size=0),
+            dict(n_shards=1, normal_counts=[-1]),
+        ],
+    )
+    def test_rejects_bad_counts(self, kwargs):
+        arguments = dict(normal_counts=[10], byzantine_counts=[1], rng=0)
+        arguments.update(kwargs)
+        with pytest.raises(ValueError):
+            build_shard_plan(**arguments)
+
+    def test_shard_index_out_of_range(self):
+        plan = build_shard_plan([10], [1], n_shards=2, rng=0)
+        with pytest.raises(IndexError, match="out of range"):
+            plan.shard(2)
 
 
 class TestDAPShardedBitIdentity:
@@ -176,6 +210,57 @@ class TestDAPShardedBitIdentity:
             size * protocol._reports_per_user(a.epsilon)
             for size, a in zip(sizes, accumulators)
         ]
+
+    def test_each_block_is_the_client_stage_under_its_own_seed(self):
+        """The block-seeding contract itself: a group's merged statistics
+        equal the client kernels run block by block, each with a fresh
+        generator seeded by that block's pre-drawn seed."""
+        protocol = DAPProtocol(DAPConfig(epsilon=1.0, estimator="emf_star"))
+        values = np.random.default_rng(4).uniform(-0.5, 0.5, 2_500)
+        n_byzantine, block = 700, 128
+        accumulators = protocol.collect_sharded(
+            values, ATTACK, n_byzantine, rng=np.random.default_rng(4),
+            n_shards=3, block_size=block,
+        )
+
+        rng = np.random.default_rng(4)
+        ladder = protocol.config.budget_ladder
+        users = rng.permutation(values.size + n_byzantine)
+        members = [np.sort(piece) for piece in np.array_split(users, len(ladder))]
+        group_values = [values[m[m < values.size]] for m in members]
+        group_byzantine = [int((m >= values.size).sum()) for m in members]
+        plan = build_shard_plan(
+            [v.size for v in group_values], group_byzantine, n_shards=1, rng=rng,
+            block_size=block,
+        )
+        for index, (epsilon, accumulator) in enumerate(zip(ladder, accumulators)):
+            mechanism = protocol.mechanism_for(epsilon)
+            repeats = protocol._reports_per_user(epsilon)
+            reports = [
+                _client_perturb(
+                    mechanism, group_values[index][k * block : (k + 1) * block],
+                    repeats, np.random.default_rng(seed),
+                )
+                for k, seed in enumerate(plan.normal_seeds[index])
+            ]
+            remaining = group_byzantine[index]
+            for seed in plan.byzantine_seeds[index]:
+                n_block = min(block, remaining)
+                remaining -= n_block
+                reports.append(
+                    _client_poison(
+                        ATTACK, mechanism, n_block * repeats,
+                        protocol._reference_mean(mechanism),
+                        np.random.default_rng(seed),
+                    )
+                )
+            want = protocol.group_accumulator(
+                epsilon, accumulator.n_reports, n_users=accumulator.n_users
+            ).update(np.concatenate(reports)).stats()
+            got = accumulator.stats()
+            assert got.n_reports == want.n_reports
+            assert got.report_sum == want.report_sum
+            np.testing.assert_array_equal(got.output_counts, want.output_counts)
 
     def test_silent_attack_with_byzantine_users_completes(self):
         """NoAttack submits zero reports however many Byzantine users exist
