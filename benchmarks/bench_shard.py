@@ -10,8 +10,10 @@ wall_time_s, peak_rss_mb, collect_workers, ...}`` rows (``mode`` is
 ``sharded-<workers>``).
 
 Every measurement runs in a fresh subprocess under an address-space cap
-(``--mem-limit-gb``, default 4 GiB): a round materialises only the raw
-values (~80 MiB at 10^7 users), never the reports.
+(``--mem-limit-gb``, default 4 GiB): a round holds the raw values (~80 MiB
+at 10^7 users) and one seed block's reports at a time — up to
+``block_size x repeats`` under the numpy reference backend this script runs,
+one leaf of at most 2^15 under ``fast`` and the local protocol.
 
 Usage::
 

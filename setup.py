@@ -1,8 +1,9 @@
 """Setuptools entry point.
 
-The pyproject.toml carries all metadata; this stub exists so that editable
-installs work in fully offline environments where pip cannot fetch an isolated
-build backend (``pip install -e . --no-build-isolation`` or legacy mode).
+There is no pyproject.toml, and this stub declares no metadata (no name,
+version or dependencies).  Every entry point — tests, benchmarks, examples,
+``python -m repro`` — runs from the source tree with ``PYTHONPATH=src``;
+nothing relies on installing the package.
 """
 
 from setuptools import setup

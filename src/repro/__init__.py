@@ -15,7 +15,8 @@ Local Differential Privacy:
   Differential Aggregation Protocol;
 * :mod:`repro.collect` — mergeable sufficient-statistics accumulators and
   the block-seeded shard plans behind every protocol's ``collect_sharded``,
-  the one collection path (a round never materialises its reports);
+  the one collection path (a worker holds one leaf of at most 2^15 reports
+  under the fast backend and the local protocol, else one seed block);
 * :mod:`repro.datasets` — the evaluation datasets (synthetic Beta draws and
   offline substitutes for Taxi, Retirement and COVID-19);
 * :mod:`repro.simulation` / :mod:`repro.experiments` — the experiment harness

@@ -66,6 +66,14 @@ class ArrayBackend:
 
     name = "numpy"
 
+    #: whether a block's reports may be drawn and summed in consecutive
+    #: slices ("leaves") without changing a bit: ``pm_sample`` / ``sw_sample``
+    #: take exactly one uniform per report, in report order, and
+    #: ``histogram_chunk`` pre-reduces with numpy's pairwise ``sum``.  The
+    #: reference samplers draw a band mask first and fill it in a second
+    #: pass, so they need the whole block at once.
+    streams_leaves = False
+
     # ------------------------------------------------------------------
     # numerical mechanism sampling
     # ------------------------------------------------------------------

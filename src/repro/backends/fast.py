@@ -45,6 +45,7 @@ class FastBackend(ArrayBackend):
     """Pure-numpy single-pass kernels (no extra dependencies)."""
 
     name = "fast"
+    streams_leaves = True
 
     # ------------------------------------------------------------------
     # numerical mechanism sampling

@@ -89,6 +89,9 @@ class NumbaBackend(FastBackend):  # pragma: no cover - requires numba
     """JIT-compiled kernels over the fast backend's algorithms."""
 
     name = "numba"
+    # the fused histogram kernel sums left to right, not pairwise, so leaf
+    # sums would not add up to the one-shot block sum
+    streams_leaves = False
 
     def pm_sample(self, values, left, right, C, high_prob, p_high, p_low, rng):
         u = rng.random(values.size)

@@ -5,7 +5,10 @@ The collector side of every protocol in this library only ever consumes
 EMF / EMF* / CEMF* probing machinery, exact sums and counts for the corrected
 mean, category counts for the k-RR frequency extension.  The accumulators in
 this package compute those statistics block by block and merge, so a round
-never materialises its reports:
+holds at most one block's reports at a time — one leaf of at most 2^15
+reports under the ``fast`` backend and the local protocol, one seed block of
+up to ``block_size x repeats`` reports under the numpy reference backend or
+the shuffle protocol (see :func:`repro.core.dap.DAPProtocol.collect_sharded`):
 
 * :class:`~repro.collect.accumulators.ExactSum` — chunking-invariant
   compensated summation (the corrected mean divides a report sum, so the sum

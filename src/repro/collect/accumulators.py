@@ -268,17 +268,33 @@ class HistogramAccumulator:
         if not np.all(np.isfinite(values)):
             raise ValueError("HistogramAccumulator requires finite values")
         counts, chunk_sum = get_backend().histogram_chunk(values, self.grid)
+        if self._sum is not None and chunk_sum is None:
+            # reference path: exact, chunking-invariant fsum over values
+            self._sum.add(values)
+        # a fast backend pre-reduced the chunk to one float instead; it folds
+        # into the same partials representation, so shard snapshots and
+        # merges behave identically
+        return self.fold(counts, values.size, chunk_sum)
+
+    def fold(
+        self, counts: np.ndarray, n_values: int, total: float | None = None
+    ) -> "HistogramAccumulator":
+        """Fold in values binned elsewhere: their counts and pre-reduced sum.
+
+        ``total`` is the values' float sum (``None`` leaves the tracked sum
+        alone).  It is folded first, so a non-finite total — which any
+        non-finite value makes it — raises before a single count lands.
+        """
+        counts = np.asarray(counts)
+        if counts.shape != self.counts.shape:
+            raise ValueError(
+                f"cannot fold {counts.shape} counts into a "
+                f"{self.grid.n_buckets}-bucket histogram"
+            )
+        if self._sum is not None and total is not None:
+            self._sum.add_value(total)
         self.counts += counts
-        if self._sum is not None:
-            if chunk_sum is None:
-                # reference path: exact, chunking-invariant fsum over values
-                self._sum.add(values)
-            else:
-                # fast path: the backend pre-reduced the chunk to one float;
-                # the scalar folds into the same partials representation, so
-                # shard snapshots and merges behave identically
-                self._sum.add_value(chunk_sum)
-        self.n_values += int(values.size)
+        self.n_values += int(n_values)
         return self
 
     def merge(self, other: "HistogramAccumulator") -> "HistogramAccumulator":
@@ -541,6 +557,19 @@ class GroupAccumulator:
     def update(self, reports: np.ndarray) -> "GroupAccumulator":
         """Consume one chunk of (perturbed or poison) reports."""
         self._histogram.update(reports)
+        return self
+
+    def fold(
+        self, counts: np.ndarray, n_reports: int, report_sum: float
+    ) -> "GroupAccumulator":
+        """Fold in reports binned elsewhere: bucket counts plus their sum.
+
+        The streamed collector (:mod:`repro.core.dap`) bins a block leaf by
+        leaf and adds the leaf sums up numpy's pairwise-sum tree, then folds
+        the block here once — the statistics :meth:`update` takes from the
+        whole block under a pre-reducing backend, bit for bit.
+        """
+        self._histogram.fold(counts, n_reports, report_sum)
         return self
 
     def update_stream(self, chunks: Iterable[np.ndarray]) -> "GroupAccumulator":

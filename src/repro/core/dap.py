@@ -22,13 +22,19 @@ end; ``DAPProtocol.aggregate_stats`` is the collector-only entry point.
 
 The collector only ever needs *sufficient statistics* of the report stream —
 the output-grid histogram (probing + the EMF family) and the report sum and
-count (corrected mean) — so a round never materialises its reports:
-``collect_sharded`` assigns users to groups, cuts each group into fixed-size
-blocks with one pre-drawn seed each, perturbs every block into per-group
-:class:`~repro.collect.GroupAccumulator` objects (optionally over a process
-pool) and merges them; ``aggregate_stats`` runs stages 3-5 on the merged
-statistics.  ``run`` is that round with one shard, and its result is the
-same at any shard or worker count.
+count (corrected mean) — so a round never holds more than one block's
+reports: ``collect_sharded`` assigns users to groups, cuts each group into
+fixed-size blocks with one pre-drawn seed each, perturbs every block into
+per-group :class:`~repro.collect.GroupAccumulator` objects (optionally over
+a process pool) and merges them; ``aggregate_stats`` runs stages 3-5 on the
+merged statistics.  ``run`` is that round with one shard, and its result is
+the same at any shard or worker count.  Under the ``fast`` backend and the
+local protocol an honest block is drawn, binned and summed in leaves of at
+most :data:`LEAF_REPORTS` reports cut along numpy's pairwise-sum tree, so
+only one leaf's arrays (~2 MiB) exist at a time and the statistics are bit
+for bit the whole block's; under the numpy reference backend or the shuffle
+protocol (whose transport permutes the whole block) the leaf is the block,
+up to ``block_size x repeats`` reports.
 
 Collection lowers to the shared client → transport → server pipeline of
 :mod:`repro.protocol`: the client stage applies the contribution cap and
@@ -42,6 +48,7 @@ under shuffle — writes the privacy-amplification ledger into
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, List, Literal, Mapping, Sequence, Tuple
 
@@ -76,6 +83,10 @@ from repro.utils.validation import check_integer, check_positive
 
 MechanismFactory = Callable[[float], NumericalMechanism]
 EstimatorName = Literal["emf", "emf_star", "cemf_star"]
+
+#: most reports one leaf of a streamed collection block holds: its handful
+#: of float64 work arrays (~2 MiB together) stay in cache
+LEAF_REPORTS = 1 << 15
 
 
 @dataclass
@@ -269,13 +280,23 @@ def _client_perturb(
     values: np.ndarray,
     repeats: int,
     rng: RngLike,
+    start: int = 0,
+    stop: int | None = None,
 ) -> np.ndarray:
     """Client stage, honest users: perturb ``repeats`` reports per value.
 
-    The perturbation kernel every shard worker lowers to.
+    The perturbation kernel every shard worker lowers to.  ``start`` /
+    ``stop`` select a slice of the ``values.size * repeats`` reports (all of
+    them by default); only the slice's inputs are built and perturbed.
     """
+    if stop is None:
+        stop = values.size * repeats
+    first = start // repeats
+    users = values[first : (stop + repeats - 1) // repeats]
+    offset = start - first * repeats
     with stage("collect.sample"):
-        return mechanism.perturb(np.repeat(values, repeats), rng)
+        inputs = np.repeat(users, repeats)[offset : offset + stop - start]
+        return mechanism.perturb(inputs, rng)
 
 
 def _client_poison(
@@ -446,12 +467,20 @@ class DAPProtocol:
         Shard results cross process boundaries as accumulator snapshots
         (bucket counts plus compacted sum partials), never as raw reports.
 
+        A worker holds the reports of one leaf at a time: at most
+        :data:`LEAF_REPORTS` of them under the ``fast`` backend and the local
+        protocol, a whole block of up to ``block_size`` times the group's
+        reports per user under the numpy reference backend, the shuffle
+        protocol, for poison blocks and for mechanisms other than PM / SW.
+        Leaf size never changes a bit.
+
         Parameters
         ----------
         normal_values:
             The normal users' values (materialised; at 10^7 users this is
-            ~80 MiB — the reports, which would be an order of magnitude
-            larger, are never materialised).
+            ~80 MiB — the round's reports, which would be an order of
+            magnitude larger, are only ever held a leaf or a block at a
+            time).
         attack:
             The Byzantine strategy (``None`` = :class:`NoAttack`).
         n_byzantine:
@@ -889,14 +918,83 @@ def _run_shard(task: _ShardTask) -> List[Tuple[int, dict]]:
         return _run_shard_inner(task)
 
 
+def _draw_normal(
+    pipeline: ProtocolPipeline,
+    mechanism: NumericalMechanism,
+    values: np.ndarray,
+    repeats: int,
+    seed: int,
+    rng: np.random.Generator,
+    start: int,
+    stop: int,
+) -> np.ndarray:
+    """Reports ``[start, stop)`` of one honest block, delivered."""
+    reports = _client_perturb(mechanism, values, repeats, rng, start, stop)
+    # the block seed is the shard-partition-invariant lane key, so shuffled
+    # merges stay bit-identical at any shard/worker count
+    return pipeline.deliver(reports, (seed,))
+
+
+def _collect_block(
+    accumulator: GroupAccumulator,
+    draw: Callable[[int, int], np.ndarray],
+    n_reports: int,
+    leaf_reports: int,
+) -> None:
+    """Draw, bin and sum one block's ``n_reports`` reports, a leaf at a time.
+
+    ``draw(start, stop)`` returns the block's reports ``[start, stop)`` and
+    must give, leaf after leaf, exactly the reports one whole-block draw
+    would.  The block is cut the way numpy's pairwise ``sum`` cuts an
+    array — at half its length rounded down to a multiple of 8 — until a
+    piece holds at most ``leaf_reports``.  Each leaf is drawn, binned and
+    summed while it fits in cache, and the leaf sums are added back up the
+    same tree, so counts and report sum are bit for bit those of one
+    :meth:`GroupAccumulator.update` with the whole block, and only one
+    leaf's arrays exist at a time.  With ``leaf_reports >= n_reports`` the
+    leaf is the whole block.
+    """
+    if n_reports <= leaf_reports:
+        reports = draw(0, n_reports)
+        with stage("collect.accumulate"):
+            accumulator.update(reports)
+        return
+
+    grid = accumulator.output_grid
+    histogram_chunk = get_backend().histogram_chunk
+    counts = np.zeros(grid.n_buckets, dtype=np.int64)
+
+    def tree_sum(start: int, stop: int) -> float:
+        size = stop - start
+        if size > leaf_reports:
+            half = size // 2
+            half -= half % 8
+            return tree_sum(start, start + half) + tree_sum(start + half, stop)
+        reports = draw(start, stop)
+        with stage("collect.accumulate"):
+            leaf_counts, leaf_sum = histogram_chunk(reports, grid)
+            np.add(counts, leaf_counts, out=counts)
+        return leaf_sum
+
+    report_sum = tree_sum(0, n_reports)
+    with stage("collect.accumulate"):
+        accumulator.fold(counts, n_reports, report_sum)
+
+
 def _run_shard_inner(task: _ShardTask) -> List[Tuple[int, dict]]:
     protocol = DAPProtocol(task.config)
     pipeline = protocol.pipeline
     block = task.block_size
+    # leaves reproduce the whole-block draw only when the sampler takes one
+    # uniform per report in order and nothing reorders the block afterwards
+    streamed = get_backend().streams_leaves and not pipeline.plan.is_shuffle
     states: List[Tuple[int, dict]] = []
     for payload in task.groups:
         mechanism = protocol.mechanism_for(payload.epsilon)
         repeats = protocol._reports_per_user(payload.epsilon)
+        leaf_reports = (
+            LEAF_REPORTS if streamed and mechanism.samples_on_backend else None
+        )
         grid = protocol.group_output_grid(
             payload.epsilon, max(1, payload.total_expected_reports)
         )
@@ -911,14 +1009,21 @@ def _run_shard_inner(task: _ShardTask) -> List[Tuple[int, dict]]:
             chunk = payload.values[index * block : (index + 1) * block]
             if not chunk.size or not repeats:
                 continue
-            reports = _client_perturb(
-                mechanism, chunk, repeats, np.random.default_rng(int(seed))
+            n_reports = chunk.size * repeats
+            _collect_block(
+                accumulator,
+                functools.partial(
+                    _draw_normal,
+                    pipeline,
+                    mechanism,
+                    chunk,
+                    repeats,
+                    int(seed),
+                    np.random.default_rng(int(seed)),
+                ),
+                n_reports,
+                leaf_reports or n_reports,
             )
-            # the block seed is the shard-partition-invariant lane key, so
-            # shuffled merges stay bit-identical at any shard/worker count
-            reports = pipeline.deliver(reports, (int(seed),))
-            with stage("collect.accumulate"):
-                accumulator.update(reports)
         if payload.n_byzantine and repeats:
             view = pipeline.adversary_view(mechanism, protocol._mechanisms)
             reference = protocol._reference_mean(view)

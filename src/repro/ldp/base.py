@@ -41,6 +41,11 @@ class NumericalMechanism(abc.ABC):
     #: canonical input domain used throughout the paper
     input_domain: Tuple[float, float] = (-1.0, 1.0)
 
+    #: whether :meth:`perturb` is elementwise input handling plus one call to
+    #: the active backend's sampler, so a batch may be perturbed slice by
+    #: slice (see :attr:`repro.backends.base.ArrayBackend.streams_leaves`)
+    samples_on_backend: bool = False
+
     def __init__(self, epsilon: float) -> None:
         self.epsilon = check_positive(epsilon, "epsilon")
 

@@ -43,6 +43,8 @@ from repro.utils.rng import RngLike, ensure_rng
 class PiecewiseMechanism(NumericalMechanism):
     """Piecewise Mechanism for numerical values in ``[-1, 1]``."""
 
+    samples_on_backend = True
+
     def __init__(self, epsilon: float) -> None:
         super().__init__(epsilon)
         half = math.exp(self.epsilon / 2.0)

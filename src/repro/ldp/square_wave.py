@@ -39,6 +39,7 @@ class SquareWaveMechanism(NumericalMechanism):
     """Square Wave mechanism over the input domain ``[0, 1]``."""
 
     input_domain: Tuple[float, float] = (0.0, 1.0)
+    samples_on_backend = True
 
     def __init__(self, epsilon: float) -> None:
         super().__init__(epsilon)
