@@ -15,7 +15,7 @@ accumulators all funnel their array work through one process-local
     otherwise it degrades to the numpy reference with a
     :class:`RuntimeWarning` instead of crashing.
 
-Like ``collect_workers`` and ``probe_strategy``, the backend is an
+Like ``collect_workers``, the backend is an
 *execution detail*: it never enters an experiment fingerprint or scenario
 digest, but it is recorded in ``meta.execution`` because the fast backends
 consume the RNG stream differently and therefore change which statistically

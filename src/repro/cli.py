@@ -29,7 +29,6 @@ import time
 from typing import List, Sequence
 
 from repro.backends import BACKENDS
-from repro.core.probing import PROBE_STRATEGIES
 from repro.protocol.plan import PROTOCOL_NAMES
 from repro.registry import ALL_REGISTRIES
 from repro.resilience import (
@@ -167,8 +166,6 @@ def _execute(args: argparse.Namespace, resume: bool, require_artifact: bool) -> 
     overrides = {}
     if args.collect_workers is not None:
         overrides["collect_workers"] = args.collect_workers
-    if args.probe_strategy is not None:
-        overrides["probe_strategy"] = args.probe_strategy
     if args.backend is not None:
         overrides["backend"] = args.backend
     # sketch geometry and trust model are identity: overriding them changes
@@ -266,8 +263,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         overrides["n_windows"] = args.windows
     if args.window_size is not None:
         overrides["window_size"] = args.window_size
-    if args.probe_strategy is not None:
-        overrides["probe_strategy"] = args.probe_strategy
     if args.protocol is not None:
         overrides["protocol"] = args.protocol
     if args.sketch_rows is not None:
@@ -416,14 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
         "'collect_workers')",
     )
     run_parser.add_argument(
-        "--probe-strategy",
-        choices=PROBE_STRATEGIES,
-        default=None,
-        help="hypothesis-evaluation strategy for probing schemes: 'batched' "
-        "(fast, selection-identical) or 'cold' (the seed implementation's "
-        "bit-stable arithmetic); default: each scheme's own default",
-    )
-    run_parser.add_argument(
         "--backend",
         choices=BACKENDS,
         default=None,
@@ -495,9 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
     resume_parser.add_argument(
         "--collect-workers", type=_collect_workers, default=None
     )
-    resume_parser.add_argument(
-        "--probe-strategy", choices=PROBE_STRATEGIES, default=None
-    )
     resume_parser.add_argument("--backend", choices=BACKENDS, default=None)
     resume_parser.add_argument("--protocol", choices=PROTOCOL_NAMES, default=None)
     resume_parser.add_argument("--sketch-rows", type=_sketch_rows, default=None)
@@ -555,13 +539,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--fresh",
         action="store_true",
         help="ignore any existing checkpoint and recompute from window 0",
-    )
-    serve_parser.add_argument(
-        "--probe-strategy",
-        choices=PROBE_STRATEGIES,
-        default=None,
-        help="probe hypothesis-evaluation strategy (identity for services: "
-        "it is pinned by the checkpoint digest)",
     )
     serve_parser.add_argument(
         "--protocol",

@@ -23,7 +23,6 @@ import numpy as np
 from repro.attacks.base import Attack, NoAttack
 from repro.core.features import ByzantineFeatures, estimate_byzantine_features
 from repro.core.mean_estimation import corrected_mean
-from repro.core.probing import check_probe_strategy
 from repro.ldp.base import NumericalMechanism
 from repro.ldp.piecewise import PiecewiseMechanism
 from repro.utils.rng import RngLike, ensure_rng
@@ -65,9 +64,6 @@ class BaselineProtocol:
         ``epsilon_alpha << epsilon_beta`` so the default is 0.1.
     mechanism_factory:
         Callable mapping a budget to a numerical mechanism (PM by default).
-    probe_strategy:
-        Side-hypothesis evaluation strategy for the probing round (see
-        :func:`repro.core.probing.probe_poisoned_side`).
     """
 
     def __init__(
@@ -75,12 +71,10 @@ class BaselineProtocol:
         epsilon: float,
         alpha_fraction: float = 0.1,
         mechanism_factory: MechanismFactory = PiecewiseMechanism,
-        probe_strategy: str = "batched",
     ) -> None:
         self.epsilon = check_positive(epsilon, "epsilon")
         self.alpha_fraction = check_fraction(alpha_fraction, "alpha_fraction", inclusive=False)
         self.mechanism_factory = mechanism_factory
-        self.probe_strategy = check_probe_strategy(probe_strategy)
         self.epsilon_alpha = self.alpha_fraction * self.epsilon
         self.epsilon_beta = self.epsilon - self.epsilon_alpha
         self.mechanism_alpha = mechanism_factory(self.epsilon_alpha)
@@ -149,7 +143,6 @@ class BaselineProtocol:
             alpha_reports,
             reference_mean=reference_mean,
             epsilon=self.epsilon_alpha,
-            strategy=self.probe_strategy,
         )
         estimate = corrected_mean(
             beta_reports,

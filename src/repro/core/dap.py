@@ -68,7 +68,6 @@ from repro.core.emf import EMFResult, run_emf
 from repro.core.emf_star import run_emf_star
 from repro.core.features import ByzantineFeatures, estimate_byzantine_features
 from repro.core.mean_estimation import corrected_mean_from_stats
-from repro.core.probing import check_probe_strategy
 from repro.core.transform import cached_transform_matrix, default_bucket_counts
 from repro.ldp.base import NumericalMechanism
 from repro.ldp.budget import dap_budget_ladder
@@ -120,14 +119,6 @@ class DAPConfig:
         reports are biased).
     max_reports_per_user:
         Safety cap on the per-user report multiplicity for tiny ``eps_0``.
-    probe_strategy:
-        How the probing stage evaluates its side hypotheses: ``"batched"``
-        (default) solves both sides in one stacked EM over their shared
-        normal block — same side selections, statistically equivalent
-        reconstructions; ``"cold"`` solves each side independently,
-        bit-identical to the seed implementation.  A pure execution detail
-        of the collector (see
-        :func:`repro.core.probing.probe_poisoned_side`).
     protocol:
         Trust model of the round (identity knob): ``"local"`` (default;
         bit-identical to the historical behaviour) or ``"shuffle"`` (seeded
@@ -153,7 +144,6 @@ class DAPConfig:
     suppression_factor: float = DEFAULT_SUPPRESSION_FACTOR
     intra_group_mean: Literal["corrected_sum", "distribution"] = "corrected_sum"
     max_reports_per_user: int = 64
-    probe_strategy: str = "batched"
     protocol: str = "local"
     contribution_cap: int | None = None
     shuffle_seed: int = 0
@@ -177,7 +167,6 @@ class DAPConfig:
                 f"{self.intra_group_mean!r}"
             )
         check_integer(self.max_reports_per_user, "max_reports_per_user", minimum=1)
-        check_probe_strategy(self.probe_strategy)
         check_protocol(self.protocol)
         check_contribution_cap(self.contribution_cap)
 
@@ -652,7 +641,6 @@ class DAPProtocol:
                 n_output_buckets=d_out,
                 reference_mean=self.config.reference_mean,
                 epsilon=probe_stats.epsilon,
-                strategy=self.config.probe_strategy,
                 warm_start=probe_warm_start,
                 poison_domain=self.poison_domain(),
             )

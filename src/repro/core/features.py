@@ -71,7 +71,6 @@ def estimate_byzantine_features(
     tol: float | None = None,
     counts: np.ndarray | None = None,
     n_reports: int | None = None,
-    strategy: str = "batched",
     warm_start: Mapping[str, np.ndarray] | None = None,
     poison_domain: tuple[float, float] | None = None,
 ) -> ByzantineFeatures:
@@ -85,7 +84,6 @@ def estimate_byzantine_features(
     ``n_output_buckets``, which is then required) plus ``n_reports`` (used
     for the default bucket formulas; defaults to ``counts.sum()``).
 
-    ``strategy`` selects how the side hypotheses are evaluated,
     ``warm_start`` optionally seeds both side EMs from a previous probe's
     converged weights, and ``poison_domain`` restricts the poison-column
     support when the trust model bounds the adversary's values (see
@@ -117,7 +115,6 @@ def estimate_byzantine_features(
         epsilon=epsilon,
         tol=tol,
         counts=counts,
-        strategy=strategy,
         warm_start=warm_start,
         poison_domain=poison_domain,
     )

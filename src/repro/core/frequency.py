@@ -35,8 +35,7 @@ from repro.collect.sharding import (
     run_shard_tasks,
 )
 from repro.core.emf_star import constrained_m_step
-from repro.core.probing import PROBE_STRATEGIES, check_probe_strategy
-from repro.ldp.ems import EMResult, em_reconstruct, em_reconstruct_batch
+from repro.ldp.ems import em_reconstruct, em_reconstruct_batch
 from repro.ldp.krr import KRandomizedResponse
 from repro.protocol.pipeline import ProtocolPipeline
 from repro.protocol.plan import ProtocolPlan
@@ -112,18 +111,6 @@ class FrequencyDAP:
         (defaults to half the domain, mirroring the BFT bound).
     min_likelihood_gain:
         Greedy-probe stopping threshold on the per-step log-likelihood gain.
-    probe_strategy:
-        How each greedy round evaluates its candidate hypotheses.
-        ``"batched"`` (the default) solves every surviving candidate of a
-        round in one batched EM (:func:`repro.ldp.ems.em_reconstruct_batch`),
-        warm-started from the incumbent's converged weights, after a sound
-        likelihood-cap screen discarded candidates that provably cannot reach
-        the gain threshold.  ``"cold"`` is the bit-stable fallback: one
-        cold-start EM solve per candidate per round, exactly the historical
-        search.  Both strategies select the same poison set (the screen is a
-        proof, the warm start a test-enforced property), and the final
-        estimate is always recomputed on the bit-stable path, so
-        :meth:`estimate_from_counts` results are identical either way.
     """
 
     def __init__(
@@ -133,7 +120,6 @@ class FrequencyDAP:
         estimator: EstimatorName = "emf_star",
         max_poisoned: int | None = None,
         min_likelihood_gain: float = 2.0,
-        probe_strategy: str = "batched",
         protocol: str = "local",
         contribution_cap: int | None = None,
         shuffle_seed: int = 0,
@@ -158,7 +144,6 @@ class FrequencyDAP:
             max(1, n_categories // 2) if max_poisoned is None else int(max_poisoned)
         )
         self.min_likelihood_gain = check_positive(min_likelihood_gain, "min_likelihood_gain")
-        self.probe_strategy = check_probe_strategy(probe_strategy)
         # the frequency route has a single budget group, so the shuffle
         # protocol leaves the adversary's reach unchanged (poison is already
         # category-targeted); what shuffling adds here is the amplification
@@ -331,65 +316,11 @@ class FrequencyDAP:
         self, counts: np.ndarray
     ) -> tuple[List[int], List[float]]:
         """Greedy likelihood-driven search for the poisoned categories."""
-        poison_set, gains, _ = self._probe(np.asarray(counts, dtype=float))
-        return poison_set, gains
+        return self._probe(np.asarray(counts, dtype=float))
 
     @profiled_stage("probe")
-    def _probe(
-        self, counts: np.ndarray
-    ) -> tuple[List[int], List[float], EMResult | None]:
-        """Dispatch the greedy probe; returns ``(poison_set, gains, emf)``.
-
-        The third element is the incumbent's converged plain-EM result when
-        the probe produced it on the bit-stable path (cold strategy), so
-        :meth:`estimate_from_counts` can reuse it instead of re-solving the
-        identical problem; the batched strategy returns ``None`` because its
-        warm-started iterates are not bit-comparable to a cold solve.
-        """
-        if self.probe_strategy == "cold":
-            return self._probe_cold(counts)
-        return self._probe_batched(counts)
-
-    def _probe_cold(
-        self, counts: np.ndarray
-    ) -> tuple[List[int], List[float], EMResult | None]:
-        """One cold-start EM solve per candidate per round (bit-stable)."""
-        poison_set: List[int] = []
-        poisoned: set[int] = set()
-        gains: List[float] = []
-        incumbent = self._reconstruct(counts, poison_set)
-        current_ll = incumbent.log_likelihood
-
-        while len(poison_set) < self.max_poisoned:
-            best_category = None
-            best_ll = current_ll
-            best_result = None
-            candidate = poison_set + [-1]  # reused buffer: only the tail varies
-            for category in range(self.n_categories):
-                if category in poisoned:
-                    continue
-                candidate[-1] = category
-                result = self._reconstruct(counts, candidate)
-                if result.log_likelihood > best_ll:
-                    best_ll = result.log_likelihood
-                    best_category = category
-                    best_result = result
-            if best_category is None:
-                break
-            gain = best_ll - current_ll
-            if gain < self.min_likelihood_gain:
-                break
-            poison_set.append(best_category)
-            poisoned.add(best_category)
-            gains.append(float(gain))
-            current_ll = best_ll
-            incumbent = best_result
-        return poison_set, gains, incumbent
-
-    def _probe_batched(
-        self, counts: np.ndarray
-    ) -> tuple[List[int], List[float], EMResult | None]:
-        """Batched hypothesis evaluation: screen, warm-start, solve jointly.
+    def _probe(self, counts: np.ndarray) -> tuple[List[int], List[float]]:
+        """Greedy search with batched hypothesis evaluation.
 
         Each greedy round (1) discards candidates whose log-likelihood
         provably cannot reach ``current_ll + min_likelihood_gain`` — for any
@@ -402,7 +333,9 @@ class FrequencyDAP:
         Screened-out candidates can never change the selection: if the best
         survivor clears the gain threshold it also beats every screened
         candidate's cap, and if it does not, the round terminates the greedy
-        loop exactly as the cold path would.
+        loop exactly as a search solving every candidate from a cold start
+        would.  That cold search selects the same poison set (the screen is a
+        proof, the warm start a test-enforced property).
         """
         dense = self._transition_matrix()
         poison_set: List[int] = []
@@ -445,9 +378,9 @@ class FrequencyDAP:
             # mass so no component starts at the (EM-absorbing) exact zero.
             # The deliberate blur keeps each candidate's effective solver
             # accuracy comparable to a cold-start solve under the same
-            # tol/max_iter budget — candidates must not *out-converge* the
+            # tol/max_iter budget — candidates must not *out-converge* a
             # cold search, or threshold-marginal configurations would select
-            # more categories than the cold path they must reproduce.
+            # more categories than the cold search they must reproduce.
             share = 1.0 / n_components
             initial = np.empty((survivors.size, n_components))
             initial[:, :-1] = incumbent_weights * (1.0 - share)
@@ -478,7 +411,7 @@ class FrequencyDAP:
             gains.append(float(gain))
             current_ll = best_ll
             incumbent_weights = batch.weights[best]
-        return poison_set, gains, None
+        return poison_set, gains
 
     def estimate(self, reports: np.ndarray) -> FrequencyDAPResult:
         """Full collector pipeline: probe poisoned categories, then estimate."""
@@ -509,18 +442,13 @@ class FrequencyDAP:
         if counts.sum() == 0:
             raise ValueError("cannot estimate frequencies from zero reports")
 
-        poison_set, gains, probe_emf = self._probe(counts)
+        poison_set, gains = self._probe(counts)
 
         with stage("aggregate"):
-            # plain EMF reconstruction gives gamma_hat; the cold probe already
-            # solved exactly this problem for its final incumbent (same
-            # transform, counts and initialisation — the solve is
-            # deterministic, so reuse is bit-identical), while the batched
-            # probe re-solves on the bit-stable path so both strategies
-            # return identical estimates
-            emf = probe_emf if probe_emf is not None else self._reconstruct(
-                counts, poison_set
-            )
+            # plain EMF reconstruction gives gamma_hat; it re-solves from a
+            # cold start because the probe's warm-started iterates are not
+            # bit-comparable to one
+            emf = self._reconstruct(counts, poison_set)
             gamma_hat = (
                 float(emf.weights[self.n_categories:].sum()) if poison_set else 0.0
             )
@@ -639,6 +567,5 @@ __all__ = [
     "DENSE_MAX_CATEGORIES",
     "FrequencyDAP",
     "FrequencyDAPResult",
-    "PROBE_STRATEGIES",
     "ostrich_frequencies",
 ]

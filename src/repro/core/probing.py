@@ -17,23 +17,8 @@ from typing import Dict, Mapping
 
 import numpy as np
 
-from repro.core.emf import DEFAULT_MAX_ITER, EMFResult, run_emf, run_emf_stacked
+from repro.core.emf import DEFAULT_MAX_ITER, EMFResult, run_emf_stacked
 from repro.core.transform import TransformMatrix, cached_transform_matrix
-
-#: hypothesis-evaluation strategies shared by the probing stages:
-#: ``"batched"`` evaluates all hypotheses jointly (one BLAS product per EM
-#: iteration, convergence masking), ``"cold"`` is the bit-stable fallback
-#: solving each hypothesis independently, exactly as the seed implementation
-PROBE_STRATEGIES = ("batched", "cold")
-
-
-def check_probe_strategy(strategy: str) -> str:
-    """Validate a probe-strategy name (shared by every layer exposing it)."""
-    if strategy not in PROBE_STRATEGIES:
-        raise ValueError(
-            f"probe strategy must be one of {PROBE_STRATEGIES}, got {strategy!r}"
-        )
-    return strategy
 
 
 @dataclass
@@ -91,7 +76,6 @@ def probe_poisoned_side(
     tol: float | None = None,
     max_iter: int = DEFAULT_MAX_ITER,
     counts: np.ndarray | None = None,
-    strategy: str = "batched",
     warm_start: Mapping[str, np.ndarray] | None = None,
     poison_domain: tuple[float, float] | None = None,
 ) -> SideProbeResult:
@@ -116,13 +100,6 @@ def probe_poisoned_side(
         from a streaming :class:`~repro.collect.HistogramAccumulator`.  Both
         side hypotheses share the same output grid, so one histogram is the
         complete sufficient statistic of the probe.
-    strategy:
-        ``"batched"`` (default) solves both side hypotheses in one stacked EM
-        over their shared normal block (:func:`repro.core.emf.run_emf_stacked`)
-        — the sides reach the same maximisers and the variance comparison
-        selects the same side, but iterate-level floating point differs from
-        two independent solves; ``"cold"`` runs the two sides separately,
-        bit-identical to the seed implementation.
     warm_start:
         Optional per-side initial weight vectors (a previous
         :meth:`SideProbeResult.warm_weights` mapping).  The likelihood is
@@ -138,7 +115,6 @@ def probe_poisoned_side(
     """
     if (reports is None) == (counts is None):
         raise ValueError("provide exactly one of `reports` or `counts`")
-    check_probe_strategy(strategy)
     if counts is not None:
         counts = np.asarray(counts, dtype=float)
         if counts.shape != (n_output_buckets,):
@@ -189,44 +165,27 @@ def probe_poisoned_side(
             # mass anywhere (the floor washes out within an iteration or two)
             initials[side] = np.maximum(weights, 1e-12)
 
-    if strategy == "batched":
-        emf_left, emf_right = run_emf_stacked(
-            [transforms["left"], transforms["right"]],
-            counts=counts,
-            epsilon=epsilon,
-            tol=tol,
-            max_iter=max_iter,
-            initial=[initials["left"], initials["right"]],
-        )
-        results = {"left": emf_left, "right": emf_right}
-    else:
-        results = {
-            side: run_emf(
-                transforms[side],
-                counts=counts,
-                epsilon=epsilon,
-                tol=tol,
-                max_iter=max_iter,
-                initial=initials[side],
-            )
-            for side in ("left", "right")
-        }
-
-    variance_left = results["left"].normal_histogram_variance
-    variance_right = results["right"].normal_histogram_variance
+    # both side hypotheses share the normal block, so one stacked EM solves
+    # them together; they reach the same maximisers as two independent
+    # solves, and the variance comparison selects the same side
+    emf_left, emf_right = run_emf_stacked(
+        [transforms["left"], transforms["right"]],
+        counts=counts,
+        epsilon=epsilon,
+        tol=tol,
+        max_iter=max_iter,
+        initial=[initials["left"], initials["right"]],
+    )
+    variance_left = emf_left.normal_histogram_variance
+    variance_right = emf_right.normal_histogram_variance
     side = "left" if variance_left < variance_right else "right"
     return SideProbeResult(
         side=side,
         variance_left=variance_left,
         variance_right=variance_right,
-        emf_left=results["left"],
-        emf_right=results["right"],
+        emf_left=emf_left,
+        emf_right=emf_right,
     )
 
 
-__all__ = [
-    "PROBE_STRATEGIES",
-    "SideProbeResult",
-    "check_probe_strategy",
-    "probe_poisoned_side",
-]
+__all__ = ["SideProbeResult", "probe_poisoned_side"]

@@ -62,14 +62,6 @@ def _build_tree(
     )
 
 
-def _path_length(node: _TreeNode, value: float, depth: int = 0) -> float:
-    if node.split is None:
-        return depth + _average_path_length(node.size)
-    if value < node.split:
-        return _path_length(node.left, value, depth + 1)
-    return _path_length(node.right, value, depth + 1)
-
-
 class _FlatTree:
     """An isolation tree encoded as the interval partition it induces.
 
@@ -103,7 +95,7 @@ class _FlatTree:
         self.leaf_values = np.asarray(leaf_values, dtype=float)
 
     def path_lengths(self, values: np.ndarray) -> np.ndarray:
-        """Path length of every value, matching :func:`_path_length` bit for bit."""
+        """Path length of every value: the recursive descent's, bit for bit."""
         return self.leaf_values[
             np.searchsorted(self.boundaries, values, side="right")
         ]
@@ -126,7 +118,6 @@ class IsolationForest:
         self.n_trees = check_integer(n_trees, "n_trees", minimum=1)
         self.subsample_size = check_integer(subsample_size, "subsample_size", minimum=2)
         self._rng = ensure_rng(rng)
-        self._trees: List[_TreeNode] = []
         self._flat_trees: List[_FlatTree] = []
         self._sample_size = 0
 
@@ -137,11 +128,11 @@ class IsolationForest:
             raise ValueError("IsolationForest requires at least one value")
         self._sample_size = min(self.subsample_size, values.size)
         max_depth = int(np.ceil(np.log2(max(2, self._sample_size))))
-        self._trees = []
+        self._flat_trees = []
         for _ in range(self.n_trees):
             idx = self._rng.choice(values.size, size=self._sample_size, replace=False)
-            self._trees.append(_build_tree(values[idx], 0, max_depth, self._rng))
-        self._flat_trees = [_FlatTree(tree) for tree in self._trees]
+            tree = _build_tree(values[idx], 0, max_depth, self._rng)
+            self._flat_trees.append(_FlatTree(tree))
         return self
 
     def scores(self, values: np.ndarray) -> np.ndarray:
@@ -153,10 +144,10 @@ class IsolationForest:
         same pairwise summation as the per-user loop's 1-D mean, and the
         final ``2 ** x`` uses ``np.float_power`` (the generic libm pow loop,
         matching Python's ``**``; numpy's SIMD ``np.power`` rounds a few
-        results one ulp differently) — bit-identical to :meth:`scores_loop`,
-        test-enforced, at array speed.
+        results one ulp differently) — bit-identical to per-user recursive
+        scoring, test-enforced, at array speed.
         """
-        if not self._trees:
+        if not self._flat_trees:
             raise RuntimeError("IsolationForest must be fit before scoring")
         values = np.asarray(values, dtype=float).ravel()
         c_n = _average_path_length(self._sample_size)
@@ -173,26 +164,6 @@ class IsolationForest:
             scores[start : start + SCORE_CHUNK] = np.float_power(
                 2.0, -mean_paths / c_n
             )
-        return scores
-
-    def scores_loop(self, values: np.ndarray) -> np.ndarray:
-        """Reference per-user recursive scoring (the seed implementation).
-
-        Kept as the equivalence oracle for :meth:`scores` and as the
-        benchmark baseline; prefer :meth:`scores` everywhere else.
-        """
-        if not self._trees:
-            raise RuntimeError("IsolationForest must be fit before scoring")
-        values = np.asarray(values, dtype=float).ravel()
-        c_n = _average_path_length(self._sample_size)
-        if c_n <= 0:
-            return np.full(values.size, 0.5)
-        scores = np.empty(values.size)
-        for i, value in enumerate(values):
-            mean_path = float(
-                np.mean([_path_length(tree, value) for tree in self._trees])
-            )
-            scores[i] = 2.0 ** (-mean_path / c_n)
         return scores
 
 

@@ -12,8 +12,8 @@ out over a ``concurrent.futures`` process pool.  Determinism contract:
 3. Results are gathered back into canonical unit order.
 
 Together these make the output bit-identical for any worker count, including
-the serial fallback, and — for ``batched=False`` specs — bit-identical to the
-legacy :func:`repro.simulation.sweep.sweep` path.
+the serial fallback, and to the legacy :func:`repro.simulation.sweep.sweep`
+path.
 
 Workers are forked (or spawned) with the spec shipped once via the pool
 initializer; each worker then owns a process-local transform cache
@@ -309,9 +309,8 @@ def _warn_on_changed_collection(spec: ExperimentSpec, stored: dict | None) -> No
     * the backend — the fast backends' samplers consume the RNG stream
       differently from the reference.
 
-    ``probe_strategy`` changes solver arithmetic only and consumes no
-    randomness, and ``collect_workers`` never changes a record, so neither
-    warrants the warning.
+    ``collect_workers`` never changes a record, so it does not warrant the
+    warning.
     """
     stored = stored or {"chunk_size": None}
     changes = []
@@ -351,7 +350,6 @@ def _execution_details(spec: ExperimentSpec) -> dict:
     """
     details = {
         "collect_workers": spec.collect_workers,
-        "probe_strategy": getattr(spec, "probe_strategy", None),
         "backend": getattr(spec, "backend", None),
         "protocol": getattr(spec, "protocol", None),
     }

@@ -18,6 +18,10 @@ Two properties make specs parallelisable without changing results:
 * **picklable factories** — factories are small frozen dataclasses (not
   closures), so a spec can be shipped to worker processes.
 
+A scheme unit runs :func:`~repro.simulation.runner.run_trials`, the one
+trial runner, over its row of seeds, so its record equals the serial
+``sweep``'s bit for bit.
+
 Experiments that are not scheme sweeps (Table I, the probing panels of
 Figures 5 and 8, the frequency-estimation panels) subclass the spec and
 override :meth:`ExperimentSpec.evaluate_point`; the executor then fans out
@@ -35,10 +39,9 @@ import numpy as np
 
 from repro.attacks.base import Attack
 from repro.backends import check_backend, use_backend
-from repro.core.probing import check_probe_strategy
 from repro.datasets.base import NumericalDataset
 from repro.protocol.plan import check_protocol
-from repro.simulation.runner import run_trials_batched, run_trials_from_seeds
+from repro.simulation.runner import run_trials
 from repro.simulation.schemes import Scheme
 from repro.simulation.sweep import SweepRecord
 from repro.utils.validation import check_integer
@@ -71,10 +74,6 @@ class ExperimentSpec:
         overrides :meth:`evaluate_point`.
     input_domain:
         Mechanism input domain — a constant or a per-point callable.
-    batched:
-        Use the stacked-trials estimation path (one ``perturb`` per scheme
-        per point).  The default ``False`` reproduces the legacy serial
-        ``sweep`` output bit for bit; ``True`` opts into the fast path.
     collect_workers:
         Fan every collection round of the schemes with a sharded collection
         round (the DAP variants, see
@@ -83,18 +82,11 @@ class ExperimentSpec:
         plan's block seeds own the randomness, so records are bit-identical
         for any positive value — and therefore *not* part of
         :meth:`fingerprint`.
-    probe_strategy:
-        Override the probe-strategy execution knob on every scheme that has
-        a probing stage (``"batched"`` / ``"cold"``, see
-        :data:`repro.core.probing.PROBE_STRATEGIES`); ``None`` keeps each
-        scheme's own default.  An execution detail like ``collect_workers``
-        — probe selections are strategy-invariant — so it is recorded in
-        artifact provenance but excluded from :meth:`fingerprint`.
     backend:
         Array-compute backend every work unit runs under (see
         :data:`repro.backends.BACKENDS`); ``None`` keeps the process default
         (the bit-stable ``"numpy"`` reference).  An execution detail like
-        ``probe_strategy`` — excluded from :meth:`fingerprint`, recorded in
+        ``collect_workers`` — excluded from :meth:`fingerprint`, recorded in
         ``meta.execution`` — but note the fast backends consume the RNG
         stream differently, so a seeded run's records are statistically
         equivalent rather than bit-identical across backends.
@@ -129,9 +121,7 @@ class ExperimentSpec:
         -1.0,
         1.0,
     )
-    batched: bool = False
     collect_workers: int | None = None
-    probe_strategy: str | None = None
     backend: str | None = None
     protocol: str | None = None
     seed: int | None = None
@@ -152,8 +142,6 @@ class ExperimentSpec:
                     f"outside the trial runners; collect_workers is never "
                     f"honoured"
                 )
-        if self.probe_strategy is not None:
-            check_probe_strategy(self.probe_strategy)
         if self.backend is not None:
             check_backend(self.backend)
         if self.protocol is not None:
@@ -192,9 +180,6 @@ class ExperimentSpec:
         if self.scheme_factory is None:
             raise ValueError(f"spec {self.name!r} has no scheme factory")
         schemes = list(self.scheme_factory(point))
-        if self.probe_strategy is not None:
-            for scheme in schemes:
-                scheme.configure_probing(self.probe_strategy)
         if self.protocol is not None:
             for scheme in schemes:
                 scheme.configure_protocol(self.protocol)
@@ -231,8 +216,7 @@ class ExperimentSpec:
         if self.is_point_granular():
             return list(self.evaluate_point(point, trial_seeds))
         scheme = self.schemes_for(point)[scheme_index]
-        runner = run_trials_batched if self.batched else run_trials_from_seeds
-        result = runner(
+        result = run_trials(
             scheme,
             self.dataset_factory(point),
             self.attack_factory(point),
@@ -273,18 +257,15 @@ class ExperimentSpec:
         an artifact from a *different* sweep of the same shape (e.g. other
         epsilons, or other schemes) can never be mistaken for this one.
 
-        Execution details — ``collect_workers``, ``probe_strategy``,
-        ``backend``, and the executor's worker count — are deliberately *not*
-        part of the identity: the block-seeded collection is merge-invariant
-        and the probe strategies select the same hypotheses, so completed
-        records are reusable verbatim whatever configuration computes the
-        remaining ones, and a run must stay resumable when only its
-        execution knobs change (e.g. resuming a serial run with
-        ``--collect-workers 4`` on a bigger machine, or with
-        ``--probe-strategy cold`` to reproduce the seed implementation's
-        exact arithmetic).  The
-        ``protocol`` trust model is the exception: it changes what the
-        adversary observes, so it joins the identity whenever it is set.
+        Execution details — ``collect_workers``, ``backend``, and the
+        executor's worker count — are deliberately *not* part of the
+        identity: the block-seeded collection is merge-invariant, so
+        completed records are reusable verbatim whatever configuration
+        computes the remaining ones, and a run must stay resumable when only
+        its execution knobs change (e.g. resuming a serial run with
+        ``--collect-workers 4`` on a bigger machine).  The ``protocol`` trust
+        model is the exception: it changes what the adversary observes, so
+        it joins the identity whenever it is set.
         """
         gamma = self.gamma if isinstance(self.gamma, (int, float)) else "per-point"
         points_digest = hashlib.sha256(
@@ -303,7 +284,9 @@ class ExperimentSpec:
             "n_users": int(self.n_users),
             "n_trials": int(self.n_trials),
             "gamma": gamma,
-            "batched": bool(self.batched),
+            # the stacked-trials path is gone and every record is computed
+            # per trial; the constant keeps stored artifacts resumable
+            "batched": False,
             "granularity": "point" if self.is_point_granular() else "scheme",
         }
         # identity axis, not an execution knob — but only when set, so every

@@ -48,7 +48,6 @@ def build_fig10_spec(
     epsilon: float = 0.5,
     schemes: Sequence[str] = ("DAP-EMF", "DAP-EMF*", "DAP-CEMF*"),
     rng: RngLike = None,
-    batched: bool = False,
 ) -> ExperimentSpec:
     """Build the Figure 10 evasion-sweep spec."""
     rng = ensure_rng(rng)
@@ -70,7 +69,6 @@ def build_fig10_spec(
         scheme_factory=FixedEpsilonSchemes(tuple(schemes), epsilon=epsilon),
         attack_factory=Fig10Attack(),
         dataset_factory=DatasetLookup(dataset_cache),
-        batched=batched,
     )
 
 
@@ -82,7 +80,6 @@ def run_fig10(
     schemes: Sequence[str] = ("DAP-EMF", "DAP-EMF*", "DAP-CEMF*"),
     rng: RngLike = None,
     n_workers: int | str | None = None,
-    batched: bool = False,
 ) -> List[SweepRecord]:
     """Regenerate the Figure 10 evasion sweep."""
     rng = ensure_rng(rng)
@@ -93,7 +90,6 @@ def run_fig10(
         epsilon=epsilon,
         schemes=schemes,
         rng=rng,
-        batched=batched,
     )
     return run_experiment(spec, rng=rng, n_workers=n_workers)
 

@@ -40,7 +40,6 @@ def build_fig6_spec(
     schemes: Sequence[str] = FIG6_SCHEMES,
     epsilon_min: float = 1.0 / 16.0,
     rng: RngLike = None,
-    batched: bool = False,
 ) -> ExperimentSpec:
     """Build the Figure 6 spec (datasets are sampled here, from ``rng``)."""
     rng = ensure_rng(rng)
@@ -63,7 +62,6 @@ def build_fig6_spec(
         scheme_factory=SchemesByName(tuple(schemes), epsilon_min=epsilon_min),
         attack_factory=PoisonRangeAttack(),
         dataset_factory=DatasetLookup(dataset_cache),
-        batched=batched,
     )
 
 
@@ -76,17 +74,14 @@ def run_fig6(
     epsilon_min: float = 1.0 / 16.0,
     rng: RngLike = None,
     n_workers: int | str | None = None,
-    batched: bool = False,
     store_path=None,
 ) -> List[SweepRecord]:
     """Regenerate (a configurable slice of) the Figure 6 grid.
 
     Defaults run one dataset and one poison range across every budget and
     scheme — one panel of the figure.  Pass ``datasets=FIG6_DATASETS`` and
-    ``poison_ranges=FIG6_RANGES`` for the complete 16-panel grid.  With the
-    default ``batched=False`` the records are bit-identical to the historical
-    serial sweep for a given ``rng``; ``batched=True`` switches to the
-    stacked-trials fast path.
+    ``poison_ranges=FIG6_RANGES`` for the complete 16-panel grid.  The records
+    are bit-identical to the historical serial sweep for a given ``rng``.
     """
     rng = ensure_rng(rng)
     spec = build_fig6_spec(
@@ -97,7 +92,6 @@ def run_fig6(
         schemes=schemes,
         epsilon_min=epsilon_min,
         rng=rng,
-        batched=batched,
     )
     return run_experiment(spec, rng=rng, n_workers=n_workers, store_path=store_path)
 

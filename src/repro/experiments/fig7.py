@@ -75,7 +75,6 @@ def build_fig7_spec(
     distributions: Sequence[str] = FIG7_DISTRIBUTIONS,
     schemes: Sequence[str] = FIG6_SCHEMES,
     rng: RngLike = None,
-    batched: bool = False,
 ) -> ExperimentSpec:
     """Build the Figure 7 spec (both the gamma and distribution axes)."""
     rng = ensure_rng(rng)
@@ -112,7 +111,6 @@ def build_fig7_spec(
         scheme_factory=FixedEpsilonSchemes(tuple(schemes), epsilon=epsilon),
         attack_factory=Fig7Attack(),
         dataset_factory=FixedDataset(dataset),
-        batched=batched,
     )
 
 
@@ -126,7 +124,6 @@ def run_fig7(
     schemes: Sequence[str] = FIG6_SCHEMES,
     rng: RngLike = None,
     n_workers: int | str | None = None,
-    batched: bool = False,
 ) -> List[SweepRecord]:
     """Regenerate the Figure 7 sweeps (both the gamma and distribution axes)."""
     rng = ensure_rng(rng)
@@ -139,7 +136,6 @@ def run_fig7(
         distributions=distributions,
         schemes=schemes,
         rng=rng,
-        batched=batched,
     )
     return run_experiment(spec, rng=rng, n_workers=n_workers)
 

@@ -250,7 +250,6 @@ def build_fig8_mse_spec(
     epsilons: Sequence[float] = PAPER_EPSILONS,
     epsilon_min: float = 1.0 / 4.0,
     rng: RngLike = None,
-    batched: bool = False,
 ) -> ExperimentSpec:
     """Build the panels (c)(d) spec: mean-estimation MSE under SW."""
     rng = ensure_rng(rng)
@@ -274,7 +273,6 @@ def build_fig8_mse_spec(
         attack_factory=FixedAttack(BiasedByzantineAttack(SW_POISON_RANGE, side="right")),
         dataset_factory=DatasetLookup(dataset_cache),
         input_domain=(0.0, 1.0),
-        batched=batched,
     )
 
 
@@ -285,7 +283,6 @@ def run_fig8_mse(
     epsilon_min: float = 1.0 / 4.0,
     rng: RngLike = None,
     n_workers: int | str | None = None,
-    batched: bool = False,
 ) -> List[SweepRecord]:
     """Panels (c)(d): mean-estimation MSE under SW."""
     rng = ensure_rng(rng)
@@ -295,7 +292,6 @@ def run_fig8_mse(
         epsilons=epsilons,
         epsilon_min=epsilon_min,
         rng=rng,
-        batched=batched,
     )
     return run_experiment(spec, rng=rng, n_workers=n_workers)
 

@@ -175,7 +175,6 @@ def run_fig9_defense_comparison(
     ima_epsilon: float = 1.0,
     rng: RngLike = None,
     n_workers: int | str | None = None,
-    batched: bool = False,
 ) -> List[SweepRecord]:
     """Regenerate Figure 9 (a) and optionally (b)."""
     rng = ensure_rng(rng)
@@ -195,7 +194,6 @@ def run_fig9_defense_comparison(
         scheme_factory=Fig9BBASchemes(tuple(sampling_rates)),
         attack_factory=PoisonRangeAttack(),
         dataset_factory=FixedDataset(dataset),
-        batched=batched,
     )
     records = run_experiment(spec_a, rng=rng, n_workers=n_workers)
 
@@ -215,7 +213,6 @@ def run_fig9_defense_comparison(
             scheme_factory=Fig9IMASchemes(),
             attack_factory=Fig9IMAAttack(),
             dataset_factory=FixedDataset(dataset),
-            batched=batched,
         )
         records += run_experiment(spec_b, rng=rng, n_workers=n_workers)
     return records

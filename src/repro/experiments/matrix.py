@@ -53,7 +53,6 @@ def build_matrix_scenario(
     epsilons: Sequence[float] = MATRIX_EPSILONS,
     epsilon_min: float = 1.0 / 16.0,
     seed: int = 0,
-    batched: bool = False,
 ) -> ScenarioSpec:
     """Declare the cross-grid as a :class:`~repro.scenario.ScenarioSpec`."""
     return ScenarioSpec(
@@ -71,7 +70,6 @@ def build_matrix_scenario(
         gamma=scale.gamma,
         seed=seed,
         epsilon_min=epsilon_min,
-        batched=batched,
     )
 
 
@@ -85,7 +83,6 @@ def run_matrix(
     seed: int = 0,
     rng: RngLike = None,
     n_workers: int | str | None = None,
-    batched: bool = False,
     store_path=None,
 ) -> List[SweepRecord]:
     """Run the attack x defense cross-grid through the parallel executor.
@@ -101,7 +98,6 @@ def run_matrix(
         epsilons=epsilons,
         epsilon_min=epsilon_min,
         seed=seed,
-        batched=batched,
     )
     return run_scenario(
         scenario, rng=rng, n_workers=n_workers, store_path=store_path

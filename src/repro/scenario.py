@@ -27,6 +27,10 @@ master generator — first to sample the datasets (in listed order), then for
 the executor's seed matrix — so the records are bit-identical to running the
 lowered :class:`~repro.engine.ExperimentSpec` programmatically the same way,
 at any worker count.
+
+Documents are strict: an unknown key is refused rather than ignored, so a
+document naming a knob this version no longer has fails loudly instead of
+running differently from how it reads.
 """
 
 from __future__ import annotations
@@ -58,7 +62,6 @@ from repro.engine.factories import (
     PointKey,
     SchemesFromSpecs,
 )
-from repro.core.probing import check_probe_strategy
 from repro.protocol.plan import check_protocol
 from repro.registry import ATTACKS, DATASETS
 from repro.simulation.sweep import SweepRecord, format_table, records_to_table
@@ -193,9 +196,7 @@ SCENARIO_KEYS = (
     "n_trials",
     "seed",
     "epsilon_min",
-    "batched",
     "collect_workers",
-    "probe_strategy",
     "backend",
     "protocol",
     "sketch_rows",
@@ -235,26 +236,17 @@ class ScenarioSpec:
         Probing budget floor forwarded to DAP-style schemes.
     input_domain:
         Mechanism input domain.
-    batched:
-        Use the stacked-trials fast path of the engine.
     collect_workers:
         Fan every DAP collection round out over this many shard workers, so
         one round uses that many cores.  Records are bit-identical for any
         positive value, so this is a pure execution detail: it is excluded
         from :meth:`document` (and hence the resume digest), exactly like
         the executor's ``n_workers``.
-    probe_strategy:
-        Override every probing scheme's hypothesis-evaluation strategy
-        (``"batched"`` / ``"cold"``; ``None`` keeps the scheme defaults).
-        An execution detail like ``collect_workers`` — probe selections are
-        strategy-invariant — so it is likewise excluded from
-        :meth:`document` and the resume digest, and recorded only as
-        artifact provenance.
     backend:
         Array-compute backend the run executes under (see
         :data:`repro.backends.BACKENDS`); ``None`` keeps the process default
         (the bit-stable ``"numpy"`` reference).  An execution detail like
-        ``probe_strategy`` — excluded from :meth:`document` and the resume
+        ``collect_workers`` — excluded from :meth:`document` and the resume
         digest, recorded only in ``meta.execution`` — though the fast
         backends draw statistically equivalent (not bit-identical) samples.
     protocol:
@@ -286,9 +278,7 @@ class ScenarioSpec:
     seed: int = 0
     epsilon_min: float = 1.0 / 16.0
     input_domain: Tuple[float, float] = (-1.0, 1.0)
-    batched: bool = False
     collect_workers: int | None = None
-    probe_strategy: str | None = None
     backend: str | None = None
     protocol: str = "local"
     sketch_rows: int | None = None
@@ -327,8 +317,6 @@ class ScenarioSpec:
             self.collect_workers = check_integer(
                 self.collect_workers, "collect_workers", minimum=1
             )
-        if self.probe_strategy is not None:
-            check_probe_strategy(self.probe_strategy)
         if self.backend is not None:
             check_backend(self.backend)
         check_protocol(self.protocol)
@@ -370,9 +358,8 @@ class ScenarioSpec:
             "epsilons": payload["epsilons"],
         }
         for key in ("description", "attacks", "datasets", "gammas", "seed",
-                    "epsilon_min", "batched", "collect_workers",
-                    "probe_strategy", "backend", "protocol", "sketch_rows",
-                    "sketch_width"):
+                    "epsilon_min", "collect_workers", "backend", "protocol",
+                    "sketch_rows", "sketch_width"):
             if key in payload:
                 kwargs[key] = payload[key]
         n_trials = payload.get("trials", payload.get("n_trials"))
@@ -402,11 +389,10 @@ class ScenarioSpec:
         Captures every knob that affects results — including seed,
         epsilon_min and per-component params — so its digest identifies the
         scenario for artifact resume.  Execution details
-        (``collect_workers``, ``probe_strategy``, ``backend``) are
-        deliberately excluded, like the executor's ``n_workers``: completed
-        records are reusable verbatim whichever configuration computes the
-        rest, so a run must stay resumable with ``--collect-workers``,
-        ``--probe-strategy`` or ``--backend`` set.
+        (``collect_workers``, ``backend``) are deliberately excluded, like
+        the executor's ``n_workers``: completed records are reusable verbatim
+        whichever configuration computes the rest, so a run must stay
+        resumable with ``--collect-workers`` or ``--backend`` set.
 
         The sketch geometry knobs are the opposite: they change report bits,
         so when set they enter the document (and digest) — but only when
@@ -430,7 +416,9 @@ class ScenarioSpec:
             "n_trials": self.n_trials,
             "seed": self.seed,
             "epsilon_min": self.epsilon_min,
-            "batched": self.batched,
+            # every trial runs on the per-trial path since the stacked-trials
+            # knob was removed; the constant keeps stored digests resumable
+            "batched": False,
         }
         if self.protocol != "local":
             document["protocol"] = self.protocol
@@ -493,9 +481,7 @@ class ScenarioSpec:
             attack_factory=AttackLookup(attacks),
             dataset_factory=DatasetLookup(datasets),
             input_domain=self.input_domain,
-            batched=self.batched,
             collect_workers=self.collect_workers,
-            probe_strategy=self.probe_strategy,
             backend=self.backend,
             protocol=self.protocol if self.protocol != "local" else None,
             seed=self.seed,

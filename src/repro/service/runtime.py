@@ -190,7 +190,6 @@ class WindowedAggregationService:
             epsilon=spec.epsilon,
             epsilon_min=spec.epsilon_min,
             estimator=spec.estimator,  # type: ignore[arg-type]
-            probe_strategy=spec.probe_strategy,
             protocol=spec.protocol,
         )
         probe_protocol = DAPProtocol(base)

@@ -29,11 +29,13 @@ cadence — are execution details.  Two service-specific callouts:
 * ``window_size`` and ``n_windows`` are **identity**: they fix the window
   boundaries and the frozen probe-grid geometry, so changing either is a
   different stream, not a different execution of the same stream.
-* ``warm_probe`` and ``probe_strategy`` are **identity** here (unlike the
-  batch scenarios, where probe strategy is an execution detail): the service
-  guarantees *bit-identical* kill/resume, and warm starts change the
-  iterate-level floating point of every window's probe, so they must be
-  pinned by the digest for that guarantee to mean anything.
+* ``warm_probe`` is **identity**: the service guarantees *bit-identical*
+  kill/resume, and warm starts change the iterate-level floating point of
+  every window's probe, so the digest must pin it for that guarantee to
+  mean anything.
+
+Documents are strict: unknown keys, including those of removed knobs, are
+refused rather than ignored.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Tuple
 
 from repro.backends import check_backend
-from repro.core.probing import check_probe_strategy
 from repro.protocol.plan import check_protocol
 from repro.service.checkpoint import DEFAULT_RETAIN
 from repro.utils.validation import check_fraction, check_integer, check_positive
@@ -66,7 +67,6 @@ SERVICE_KEYS = (
     "seed",
     "input_domain",
     "warm_probe",
-    "probe_strategy",
     "protocol",
     "sketch_rows",
     "sketch_width",
@@ -119,8 +119,6 @@ class ServiceSpec:
         Warm-start each window's probe EMs from the previous window's
         converged weights (the steady-state fast path).  Identity, because it
         changes iterate-level floating point.
-    probe_strategy:
-        ``"batched"`` or ``"cold"`` (identity here; see module docstring).
     protocol:
         Trust model the windows collect under (``"local"`` / ``"shuffle"``,
         see :data:`repro.protocol.PROTOCOL_NAMES`).  Identity when not the
@@ -158,7 +156,6 @@ class ServiceSpec:
     seed: int = 0
     input_domain: Tuple[float, float] = (-1.0, 1.0)
     warm_probe: bool = True
-    probe_strategy: str = "batched"
     protocol: str = "local"
     sketch_rows: int | None = None
     sketch_width: int | None = None
@@ -184,7 +181,11 @@ class ServiceSpec:
             check_integer(self.collect_workers, "collect_workers", minimum=1)
         check_integer(self.checkpoint_every, "checkpoint_every", minimum=1)
         check_integer(self.checkpoint_retain, "checkpoint_retain", minimum=1)
-        check_probe_strategy(self.probe_strategy)
+        if not isinstance(self.warm_probe, bool):
+            raise ValueError(
+                f"warm_probe must be a boolean (true or false), got "
+                f"{self.warm_probe!r}"
+            )
         check_protocol(self.protocol)
         if self.sketch_rows is not None:
             check_integer(self.sketch_rows, "sketch_rows", minimum=1)
@@ -231,7 +232,10 @@ class ServiceSpec:
     def from_file(cls, path: str) -> "ServiceSpec":
         """Load a spec from a JSON file."""
         with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
+            try:
+                payload = json.load(handle)
+            except json.JSONDecodeError as error:
+                raise ValueError(f"{os.fspath(path)}: invalid JSON ({error})") from None
         return cls.from_mapping(payload)
 
     def detector_config(self) -> Dict[str, float]:
@@ -244,8 +248,7 @@ class ServiceSpec:
         """The service as a canonical JSON-style document.
 
         Captures every knob that affects a single output bit — window
-        boundaries, grids, seeds, probe strategy, warm starts, detector
-        thresholds.  Execution details (``backend``, ``collect_shards``,
+        boundaries, grids, seeds, warm starts, detector thresholds.  Execution details (``backend``, ``collect_shards``,
         ``collect_workers``, ``checkpoint_every``) are excluded, exactly as
         the scenario digest excludes its collection knobs: a stream started
         serially must stay resumable from its checkpoint with a shard pool.
@@ -267,7 +270,9 @@ class ServiceSpec:
             "seed": self.seed,
             "input_domain": list(self.input_domain),
             "warm_probe": self.warm_probe,
-            "probe_strategy": self.probe_strategy,
+            # every window probes with the stacked side EM since the strategy
+            # knob was removed; the constant keeps checkpoint digests resumable
+            "probe_strategy": "batched",
             "detector": self.detector_config(),
         }
         if self.protocol != "local":

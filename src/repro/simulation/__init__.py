@@ -30,15 +30,11 @@ from repro.simulation.schemes import (
 from repro.simulation.runner import (
     TrialResult,
     run_trials,
-    run_trials_from_seeds,
-    run_trials_batched,
     evaluate_schemes,
 )
 from repro.simulation.sweep import SweepRecord, sweep, records_to_table
 
 __all__ = [
-    "run_trials_from_seeds",
-    "run_trials_batched",
     "Population",
     "build_population",
     "population_counts",

@@ -1,15 +1,16 @@
 """Trial runner: repeated collection rounds and MSE computation.
 
 The paper reports the MSE of each scheme's mean estimate over repeated runs;
-``run_trials`` performs those repetitions with independent randomness per
-trial (fresh perturbation noise, fresh poison values, fresh population draw)
-and ``evaluate_schemes`` aggregates them into per-scheme MSE.
+``run_trials`` performs those repetitions, one per explicit trial seed, with
+independent randomness per trial (fresh perturbation noise, fresh poison
+values, fresh population draw), and ``evaluate_schemes`` aggregates them into
+per-scheme MSE.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -18,8 +19,7 @@ from repro.datasets.base import NumericalDataset
 from repro.estimators.metrics import mean_squared_error
 from repro.simulation.population import build_population
 from repro.simulation.schemes import Scheme
-from repro.utils.rng import RngLike, ensure_rng, spawn_rngs
-from repro.utils.validation import check_integer
+from repro.utils.rng import RngLike, ensure_rng
 
 
 @dataclass
@@ -87,34 +87,10 @@ def run_trials(
     attack: Attack | None,
     n_users: int,
     gamma: float,
-    n_trials: int = 5,
-    rng: RngLike = None,
-    input_domain: tuple[float, float] = (-1.0, 1.0),
-) -> TrialResult:
-    """Run ``n_trials`` independent collection rounds of one scheme."""
-    check_integer(n_trials, "n_trials", minimum=1)
-    rngs = spawn_rngs(rng, n_trials)
-    result = TrialResult(scheme=scheme.name)
-    for trial_rng in rngs:
-        population = build_population(
-            dataset, n_users, gamma, rng=trial_rng, input_domain=input_domain
-        )
-        estimate = scheme.estimate(population, attack, rng=trial_rng)
-        result.estimates.append(float(estimate))
-        result.truths.append(population.true_mean)
-    return result
-
-
-def run_trials_from_seeds(
-    scheme: Scheme,
-    dataset: NumericalDataset,
-    attack: Attack | None,
-    n_users: int,
-    gamma: float,
     trial_seeds: Sequence[int],
     input_domain: tuple[float, float] = (-1.0, 1.0),
 ) -> TrialResult:
-    """Run one trial per explicit seed (the paired-comparison primitive).
+    """Run one collection round of ``scheme`` per explicit trial seed.
 
     Each trial re-seeds a fresh generator, so two calls with the same seed
     list — for different schemes, or in different worker processes — see the
@@ -133,47 +109,6 @@ def run_trials_from_seeds(
     return result
 
 
-def run_trials_batched(
-    scheme: Scheme,
-    dataset: NumericalDataset,
-    attack: Attack | None,
-    n_users: int,
-    gamma: float,
-    trial_seeds: Sequence[int],
-    input_domain: tuple[float, float] = (-1.0, 1.0),
-) -> TrialResult:
-    """Batched variant of :func:`run_trials_from_seeds`.
-
-    Populations are still drawn per trial seed (so the paired-comparison
-    guarantee — identical truths across schemes per trial index — is
-    preserved exactly), but the estimation side is handed to
-    :meth:`~repro.simulation.schemes.Scheme.estimate_batch`, which stacks all
-    trials' populations and, for single-round schemes, perturbs them with one
-    mechanism call per scheme instead of one per trial.  The estimation
-    randomness comes from a single stream derived from the full seed list, so
-    results are deterministic but differ from the per-trial path.
-    """
-    populations = [
-        build_population(
-            dataset,
-            n_users,
-            gamma,
-            rng=np.random.default_rng(int(seed)),
-            input_domain=input_domain,
-        )
-        for seed in trial_seeds
-    ]
-    batch_rng = np.random.default_rng(
-        np.random.SeedSequence([int(seed) for seed in trial_seeds])
-    )
-    estimates = scheme.estimate_batch(populations, attack, rng=batch_rng)
-    return TrialResult(
-        scheme=scheme.name,
-        estimates=[float(estimate) for estimate in estimates],
-        truths=[population.true_mean for population in populations],
-    )
-
-
 def evaluate_schemes(
     schemes: Sequence[Scheme],
     dataset: NumericalDataset,
@@ -183,22 +118,18 @@ def evaluate_schemes(
     n_trials: int = 5,
     rng: RngLike = None,
     input_domain: tuple[float, float] = (-1.0, 1.0),
-    batched: bool = False,
 ) -> Dict[str, TrialResult]:
     """Evaluate several schemes on the *same* sequence of trial seeds.
 
     Using a shared seed sequence per trial index keeps the comparison paired:
     every scheme sees the same population draw and the same attack randomness,
-    which reduces the variance of MSE differences between schemes.  With
-    ``batched=True`` the estimation side goes through the stacked-trials path
-    (same populations and truths, different perturbation stream).
+    which reduces the variance of MSE differences between schemes.
     """
     rng = ensure_rng(rng)
     trial_seeds = rng.integers(0, 2**63 - 1, size=n_trials, dtype=np.int64)
-    runner = run_trials_batched if batched else run_trials_from_seeds
     results: Dict[str, TrialResult] = {}
     for scheme in schemes:
-        results[scheme.name] = runner(
+        results[scheme.name] = run_trials(
             scheme,
             dataset,
             attack,
@@ -218,8 +149,6 @@ def summarize_mse(results: Dict[str, TrialResult]) -> Dict[str, float]:
 __all__ = [
     "TrialResult",
     "run_trials",
-    "run_trials_from_seeds",
-    "run_trials_batched",
     "evaluate_schemes",
     "summarize_mse",
 ]

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Any, Callable, List, Mapping, Sequence
+from typing import Any, Callable, List, Mapping
 
 import numpy as np
 
 from repro.attacks.base import Attack, NoAttack
 from repro.core.baseline_protocol import BaselineProtocol
 from repro.core.dap import DAPConfig, DAPProtocol
-from repro.core.probing import check_probe_strategy
 from repro.protocol.plan import check_protocol
 from repro.defenses.base import Defense
 from repro.ldp.base import NumericalMechanism
@@ -25,7 +24,7 @@ from repro.ldp.piecewise import PiecewiseMechanism
 from repro.registry import DEFENSES, MECHANISMS, SCHEMES
 from repro.simulation.population import Population
 from repro.utils.profiling import stage
-from repro.utils.rng import RngLike, ensure_rng, spawn_rngs
+from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import check_integer
 
 MechanismFactory = Callable[[float], NumericalMechanism]
@@ -41,19 +40,6 @@ class Scheme(abc.ABC):
         self, population: Population, attack: Attack | None, rng: RngLike = None
     ) -> float:
         """Run one collection round and return the mean estimate."""
-
-    def configure_probing(self, strategy: str) -> "Scheme":
-        """Set the probe-strategy execution knob, where the scheme has one.
-
-        Schemes with a probing stage (the DAP variants, the baseline
-        protocol) override this to switch between the batched and the
-        bit-stable cold hypothesis evaluation
-        (:data:`repro.core.probing.PROBE_STRATEGIES`); schemes without a
-        probing stage validate the name and ignore it, so an experiment-wide
-        override can be applied across a mixed scheme list.
-        """
-        check_probe_strategy(strategy)
-        return self
 
     def configure_protocol(self, protocol: str) -> "Scheme":
         """Set the collection trust model (identity knob), where it applies.
@@ -83,27 +69,6 @@ class Scheme(abc.ABC):
         check_integer(collect_workers, "collect_workers", minimum=1)
         return self
 
-    def estimate_batch(
-        self,
-        populations: "Sequence[Population]",
-        attack: Attack | None,
-        rng: RngLike = None,
-    ) -> np.ndarray:
-        """Estimate a stack of trial populations, one estimate per trial.
-
-        The default implementation spawns one child stream per trial and runs
-        :meth:`estimate` in a loop; schemes whose collection round is a single
-        vectorisable mechanism call override this to perturb all trials at
-        once (see :meth:`SingleRoundScheme.estimate_batch`).
-        """
-        rngs = spawn_rngs(ensure_rng(rng), len(populations))
-        return np.array(
-            [
-                float(self.estimate(population, attack, rng=trial_rng))
-                for population, trial_rng in zip(populations, rngs)
-            ]
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"
 
@@ -117,11 +82,6 @@ class DAPScheme(Scheme):
         suffix = {"emf": "EMF", "emf_star": "EMF*", "cemf_star": "CEMF*"}[config.estimator]
         self.name = name or f"DAP-{suffix}"
         self.collect_workers = 1
-
-    def configure_probing(self, strategy: str) -> "DAPScheme":
-        """Switch the protocol's side-probe strategy (execution detail)."""
-        self.config.probe_strategy = check_probe_strategy(strategy)
-        return self
 
     def configure_protocol(self, protocol: str) -> "DAPScheme":
         """Switch the collection trust model (identity knob).
@@ -190,52 +150,6 @@ class SingleRoundScheme(Scheme):
         with stage("defense"):
             return self.defense.estimate_mean(reports, self.mechanism, rng).estimate
 
-    def estimate_batch(
-        self,
-        populations: Sequence[Population],
-        attack: Attack | None,
-        rng: RngLike = None,
-    ) -> np.ndarray:
-        """Batched collection: one ``perturb`` call for all trials.
-
-        All trials' normal values are stacked into a single array and
-        perturbed in one mechanism call, and all trials' poison reports are
-        drawn in one attack call, instead of one call per trial.  The reports
-        are then split back per trial and fed to the defence.
-        """
-        rng = ensure_rng(rng)
-        attack = attack or NoAttack()
-
-        with stage("collect"):
-            normal_sizes = np.array([p.n_normal for p in populations])
-            stacked = np.concatenate([p.normal_values for p in populations])
-            with stage("collect.sample"):
-                perturbed = self.mechanism.perturb(stacked, rng)
-            normal_reports = np.split(perturbed, np.cumsum(normal_sizes)[:-1])
-
-            byzantine_sizes = np.array([p.n_byzantine for p in populations])
-            total_byzantine = int(byzantine_sizes.sum())
-            with stage("collect.poison"):
-                poison_all = (
-                    attack.poison_reports(
-                        total_byzantine, self.mechanism, 0.0, rng
-                    ).reports
-                    if total_byzantine
-                    else np.empty(0)
-                )
-            poison_reports = np.split(poison_all, np.cumsum(byzantine_sizes)[:-1])
-
-        with stage("defense"):
-            estimates = np.empty(len(populations))
-            for index, (normal, poison) in enumerate(
-                zip(normal_reports, poison_reports)
-            ):
-                reports = np.concatenate([normal, poison])
-                estimates[index] = self.defense.estimate_mean(
-                    reports, self.mechanism, rng
-                ).estimate
-            return estimates
-
 
 class BaselineProtocolScheme(Scheme):
     """The Section IV two-budget baseline protocol as a scheme."""
@@ -253,11 +167,6 @@ class BaselineProtocolScheme(Scheme):
         )
         self.evade_probing = evade_probing
         self.name = name or ("Baseline(evaded)" if evade_probing else "Baseline")
-
-    def configure_probing(self, strategy: str) -> "BaselineProtocolScheme":
-        """Switch the protocol's side-probe strategy (execution detail)."""
-        self.protocol.probe_strategy = check_probe_strategy(strategy)
-        return self
 
     def estimate(
         self, population: Population, attack: Attack | None, rng: RngLike = None

@@ -265,50 +265,20 @@ DAP_SCENARIO = {
 
 
 class TestProbeStrategy:
-    def test_flag_recorded_and_statistically_equivalent(self, tmp_path):
-        path = tmp_path / "dappy.json"
-        path.write_text(json.dumps(DAP_SCENARIO))
-        stores = {}
-        for strategy in ("batched", "cold"):
-            store = tmp_path / f"{strategy}.json"
-            result = run_cli(
-                "run", str(path), "--quiet", "--probe-strategy", strategy,
-                "--store", str(store),
-            )
-            assert result.returncode == 0, result.stderr
-            stores[strategy] = load_run(store)
-        for strategy, artifact in stores.items():
-            assert artifact.meta["execution"]["probe_strategy"] == strategy
-        # the strategies evaluate the same hypotheses; only iterate-level
-        # floating point may differ
-        for cold_row, batched_row in zip(
-            stores["cold"].records, stores["batched"].records
-        ):
-            assert batched_row.mse == pytest.approx(cold_row.mse, rel=1e-6)
-
-    def test_strategy_is_an_execution_detail_for_resume(self, tmp_path):
-        path = tmp_path / "dappy.json"
-        path.write_text(json.dumps(DAP_SCENARIO))
-        store = tmp_path / "artifact.json"
-        result = run_cli("run", str(path), "--quiet", "--store", str(store))
-        assert result.returncode == 0, result.stderr
-        before = load_run(store)
-        # resuming a complete artifact under the other strategy must reuse
-        # every record verbatim (the knob is not part of the fingerprint)
-        result = run_cli(
-            "resume", str(path), "--quiet", "--probe-strategy", "cold",
-            "--store", str(store),
-        )
-        assert result.returncode == 0, result.stderr
-        after = load_run(store)
-        assert [
-            (r.point, r.scheme, r.mse, r.bias) for r in after.records
-        ] == [(r.point, r.scheme, r.mse, r.bias) for r in before.records]
+    """The probe-strategy flag is gone: every probing scheme runs the one
+    stacked-EM probe, and a command line naming the flag is refused."""
 
     def test_rejects_unknown_strategy(self, scenario_file):
         result = run_cli("run", str(scenario_file), "--probe-strategy", "warm")
         assert result.returncode == 2
         assert "--probe-strategy" in result.stderr
+
+    @pytest.mark.parametrize("command", ["run", "resume", "serve"])
+    def test_flag_refused_on_every_command(self, scenario_file, command):
+        # even the one strategy that remains is refused, not silently ignored
+        result = run_cli(command, str(scenario_file), "--probe-strategy", "batched")
+        assert result.returncode == 2
+        assert "unrecognized arguments: --probe-strategy" in result.stderr
 
 
 class TestBackend:

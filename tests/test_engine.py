@@ -3,11 +3,13 @@
 The load-bearing guarantees:
 
 * seed pairing — every scheme sees the identical population draw per trial
-  index, in the legacy runner and in both engine paths;
+  index, in the legacy runner and in the engine;
 * worker-count invariance — the parallel executor reproduces the serial path
-  bit for bit, and (for ``batched=False`` specs) the legacy serial ``sweep``;
+  bit for bit, and the legacy serial ``sweep``;
 * the columnar store round-trips records exactly and supports resume.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from repro.engine import (
     run_experiment,
 )
 from repro.engine.store import columns_to_records, records_to_columns
-from repro.simulation.runner import evaluate_schemes, run_trials_batched, run_trials_from_seeds
+from repro.simulation.runner import evaluate_schemes
 from repro.simulation.schemes import make_scheme
 from repro.simulation.sweep import SweepRecord, sweep
 
@@ -37,7 +39,7 @@ def dataset():
     return uniform_dataset(n_samples=3_000, low=-0.5, high=0.5, rng=1)
 
 
-def make_spec(dataset, batched, epsilons=(0.5, 1.0), schemes=("Ostrich", "Trimming")):
+def make_spec(dataset, epsilons=(0.5, 1.0), schemes=("Ostrich", "Trimming")):
     return ExperimentSpec(
         name="test",
         points=[{"epsilon": e, "poison_range": "[C/2,C]"} for e in epsilons],
@@ -47,7 +49,6 @@ def make_spec(dataset, batched, epsilons=(0.5, 1.0), schemes=("Ostrich", "Trimmi
         scheme_factory=SchemesByName(tuple(schemes)),
         attack_factory=PoisonRangeAttack(),
         dataset_factory=FixedDataset(dataset),
-        batched=batched,
     )
 
 
@@ -64,19 +65,6 @@ class TestSeedPairing:
                                    n_trials=3, rng=11)
         truths = [results[s.name].truths for s in schemes]
         assert truths[0] == truths[1] == truths[2]
-
-    def test_batched_evaluate_schemes_identical_truths(self, dataset):
-        schemes = [make_scheme("Ostrich", 1.0), make_scheme("Trimming", 1.0)]
-        results = evaluate_schemes(schemes, dataset, ATTACK, 1_500, 0.25,
-                                   n_trials=3, rng=11, batched=True)
-        assert results["Ostrich"].truths == results["Trimming"].truths
-
-    def test_batched_and_per_trial_paths_share_populations(self, dataset):
-        seeds = [5, 6, 7]
-        scheme = make_scheme("Ostrich", 1.0)
-        a = run_trials_from_seeds(scheme, dataset, ATTACK, 1_500, 0.25, seeds)
-        b = run_trials_batched(scheme, dataset, ATTACK, 1_500, 0.25, seeds)
-        assert a.truths == b.truths
 
     def test_seed_matrix_matches_sequential_draws(self):
         """Pre-drawing all point seeds must consume the master stream in the
@@ -102,22 +90,16 @@ class TestExecutorEquivalence:
             n_trials=2,
             rng=0,
         )
-        engine = run_experiment(make_spec(dataset, batched=False), rng=0)
+        engine = run_experiment(make_spec(dataset), rng=0)
         assert record_key(engine) == record_key(legacy)
 
     def test_parallel_reproduces_serial_bit_for_bit(self, dataset):
-        spec = make_spec(dataset, batched=False)
+        spec = make_spec(dataset)
         serial = run_experiment(spec, rng=7)
         parallel_2 = run_experiment(spec, rng=7, n_workers=2)
         parallel_4 = run_experiment(spec, rng=7, n_workers=4)
         assert record_key(parallel_2) == record_key(serial)
         assert record_key(parallel_4) == record_key(serial)
-
-    def test_parallel_reproduces_serial_batched(self, dataset):
-        spec = make_spec(dataset, batched=True)
-        serial = run_experiment(spec, rng=7)
-        parallel = run_experiment(spec, rng=7, n_workers=3)
-        assert record_key(parallel) == record_key(serial)
 
     def test_unpicklable_spec_falls_back_to_serial(self, dataset):
         spec = ExperimentSpec(
@@ -129,7 +111,6 @@ class TestExecutorEquivalence:
             scheme_factory=lambda pt: [make_scheme("Ostrich", pt["epsilon"])],
             attack_factory=lambda pt: ATTACK,
             dataset_factory=lambda pt: dataset,
-            batched=False,
         )
         serial = run_experiment(spec, rng=1)
         with pytest.warns(RuntimeWarning, match="not picklable"):
@@ -207,7 +188,7 @@ class TestStore:
 
     def test_save_and_load_run(self, dataset, tmp_path):
         path = tmp_path / "run.json"
-        spec = make_spec(dataset, batched=False)
+        spec = make_spec(dataset)
         records = run_experiment(spec, rng=5, store_path=path)
         assert path.exists()
         artifact = load_run(path)
@@ -216,7 +197,7 @@ class TestStore:
 
     def test_resume_skips_completed_units(self, dataset, tmp_path, monkeypatch):
         path = tmp_path / "run.json"
-        spec = make_spec(dataset, batched=False)
+        spec = make_spec(dataset)
         first = run_experiment(spec, rng=5, store_path=path)
 
         calls = []
@@ -233,26 +214,51 @@ class TestStore:
 
     def test_resume_ignores_mismatched_fingerprint(self, dataset, tmp_path):
         path = tmp_path / "run.json"
-        spec = make_spec(dataset, batched=False)
+        spec = make_spec(dataset)
         run_experiment(spec, rng=5, store_path=path)
-        other = make_spec(dataset, batched=False, epsilons=(0.5, 1.0, 2.0))
+        other = make_spec(dataset, epsilons=(0.5, 1.0, 2.0))
         records = run_experiment(other, rng=5, store_path=path)
         assert len(records) == 3 * 2  # recomputed for the new spec
+
+    @pytest.mark.parametrize("stored_batched, reused", [(False, True), (True, False)])
+    def test_resume_reuses_only_per_trial_artifacts(
+        self, dataset, tmp_path, stored_batched, reused
+    ):
+        """Records of the removed stacked-trials path never resume: only a
+        stored fingerprint with the constant ``"batched": false`` matches."""
+        path = tmp_path / "run.json"
+        spec = make_spec(dataset)
+        fresh = run_experiment(spec, rng=5, store_path=path)
+        # leave a partial artifact with sentinel values, so reused records
+        # are told apart from recomputed ones
+        document = json.loads(path.read_text())
+        document["meta"]["fingerprint"]["batched"] = stored_batched
+        columns = document["columns"]
+        for name in columns:
+            columns[name] = columns[name][:-1]
+        columns["mse"] = [123.0] * len(columns["mse"])
+        path.write_text(json.dumps(document))
+
+        resumed = run_experiment(spec, rng=5, store_path=path)
+        served = [record.mse == 123.0 for record in resumed]
+        assert served == [reused] * (len(fresh) - 1) + [False]
+        if not reused:
+            assert record_key(resumed) == record_key(fresh)
 
     def test_resume_rejects_same_shape_different_points(self, dataset, tmp_path):
         """An artifact from another sweep of identical shape must not be
         served: the fingerprint digests the point values themselves."""
         path = tmp_path / "run.json"
-        run_experiment(make_spec(dataset, batched=False, epsilons=(0.5, 1.0)),
+        run_experiment(make_spec(dataset, epsilons=(0.5, 1.0)),
                        rng=5, store_path=path)
-        other = make_spec(dataset, batched=False, epsilons=(1.5, 2.0))
+        other = make_spec(dataset, epsilons=(1.5, 2.0))
         records = run_experiment(other, rng=5, store_path=path)
         assert sorted({r.point["epsilon"] for r in records}) == [1.5, 2.0]
 
     def test_resume_rejects_different_schemes(self, dataset, tmp_path):
         path = tmp_path / "run.json"
-        run_experiment(make_spec(dataset, batched=False), rng=5, store_path=path)
-        other = make_spec(dataset, batched=False, schemes=("Ostrich", "Boxplot"))
+        run_experiment(make_spec(dataset), rng=5, store_path=path)
+        other = make_spec(dataset, schemes=("Ostrich", "Boxplot"))
         records = run_experiment(other, rng=5, store_path=path)
         assert {r.scheme for r in records} == {"Ostrich", "Boxplot"}
 
@@ -285,7 +291,7 @@ class TestStore:
         import warnings
 
         path = tmp_path / "run.json"
-        spec = make_spec(dataset, batched=False, schemes=("DAP-EMF", "Ostrich"))
+        spec = make_spec(dataset, schemes=("DAP-EMF", "Ostrich"))
         first = run_experiment(spec, rng=5, store_path=path)
         self._keep_only(path, "Ostrich", chunk_size=None)
 
@@ -322,7 +328,7 @@ class TestStore:
         import warnings
 
         path = tmp_path / "run.json"
-        spec = make_spec(dataset, batched=False, schemes=("DAP-EMF", "Ostrich"))
+        spec = make_spec(dataset, schemes=("DAP-EMF", "Ostrich"))
         first = run_experiment(spec, rng=5, store_path=path)
         self._keep_only(path, "Ostrich")
 
@@ -340,7 +346,7 @@ class TestStore:
         import dataclasses
 
         path = tmp_path / "run.json"
-        spec = make_spec(dataset, batched=False, schemes=("Ostrich", "Trimming"))
+        spec = make_spec(dataset, schemes=("Ostrich", "Trimming"))
         first = run_experiment(spec, rng=5, store_path=path)
         self._keep_only(path, "Ostrich")
 
@@ -362,7 +368,7 @@ class TestStore:
         import json
 
         path = tmp_path / "run.json"
-        spec = make_spec(dataset, batched=False)
+        spec = make_spec(dataset)
         first = run_experiment(spec, rng=5, store_path=path)
         payload = json.loads(path.read_text())
         payload["meta"]["fingerprint"]["chunk_size"] = 256  # legacy shape

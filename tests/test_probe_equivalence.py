@@ -3,10 +3,10 @@
 Four contracts introduced by the perf overhauls, each enforced here:
 
 * the **batched** (screened, warm-started, gap-certified) hypothesis
-  evaluation selects the same poison categories and the same poisoned side
-  as the bit-stable **cold** greedy path on the seed grids, and the final
-  frequency estimates are bit-identical (both strategies solve the final
-  reconstruction on the cold path);
+  evaluation selects the same poison categories, and the stacked side EM the
+  same poisoned side, as the **cold** oracles kept below (one cold-start EM
+  solve per hypothesis, the seed implementation's search) on the seed grids,
+  and the final estimates agree;
 * the batched EM kernel converges to the same maximisers as per-hypothesis
   scalar solves, and its screening certificates are sound;
 * the batched kernel's whole-array tail scatter/gather reproduces the
@@ -14,7 +14,8 @@ Four contracts introduced by the perf overhauls, each enforced here:
   summation order on spread tails that share cells;
 * the vectorized defense kernels (interval-encoded isolation forest,
   searchsorted k-means assignment, blocked subset sampling) are
-  bit-identical to the seed loop implementations under a fixed rng.
+  bit-identical to the seed loop implementations, kept below as oracles,
+  under a fixed rng.
 """
 
 import numpy as np
@@ -24,14 +25,19 @@ from hypothesis import strategies as st
 
 from repro.attacks.bba import BiasedByzantineAttack
 from repro.attacks.distributions import PAPER_POISON_RANGES
+from repro.core import features as features_module
 from repro.core.dap import DAPConfig, DAPProtocol
-from repro.core.emf import default_tolerance
+from repro.core.emf import DEFAULT_MAX_ITER, default_tolerance, run_emf
 from repro.core.frequency import FrequencyDAP
-from repro.core.probing import check_probe_strategy
+from repro.core.probing import SideProbeResult
 from repro.core.transform import cached_transform_matrix, default_bucket_counts
 from repro.datasets import covid_dataset
 from repro.datasets.synthetic import uniform_dataset
-from repro.defenses.isolation_forest import IsolationForest
+from repro.defenses.isolation_forest import (
+    IsolationForest,
+    _average_path_length,
+    _build_tree,
+)
 from repro.defenses.kmeans import (
     KMeansDefense,
     _nearest_center_labels,
@@ -300,6 +306,31 @@ class TestVectorisedTailProducts:
 # ----------------------------------------------------------------------
 # greedy category probe: batched == cold selections, identical estimates
 # ----------------------------------------------------------------------
+def _cold_greedy_probe(dap, counts):
+    """One cold-start EM solve per candidate per greedy round (oracle).
+
+    The seed implementation's search: each round re-solves every unflagged
+    category's hypothesis from scratch and keeps the best one while its
+    likelihood gain clears ``min_likelihood_gain``.
+    """
+    poison_set, gains = [], []
+    current_ll = dap._reconstruct(counts, poison_set).log_likelihood
+    while len(poison_set) < dap.max_poisoned:
+        best_category, best_ll = None, current_ll
+        for category in range(dap.n_categories):
+            if category in poison_set:
+                continue
+            ll = dap._reconstruct(counts, poison_set + [category]).log_likelihood
+            if ll > best_ll:
+                best_category, best_ll = category, ll
+        if best_category is None or best_ll - current_ll < dap.min_likelihood_gain:
+            break
+        poison_set.append(best_category)
+        gains.append(float(best_ll - current_ll))
+        current_ll = best_ll
+    return poison_set, gains
+
+
 @pytest.fixture(scope="module")
 def covid():
     return covid_dataset(n_samples=12_000, rng=3)
@@ -319,66 +350,103 @@ class TestFrequencyProbeEquivalence:
     def test_same_selections_and_identical_estimates(self, covid, estimator, grid):
         seed, targets, n_byzantine = grid
         rng = np.random.default_rng(seed)
-        cold = FrequencyDAP(
-            1.0, covid.n_categories, estimator=estimator, probe_strategy="cold"
-        )
-        batched = FrequencyDAP(
-            1.0, covid.n_categories, estimator=estimator, probe_strategy="batched"
-        )
-        counts = cold.collect_sharded(
+        dap = FrequencyDAP(1.0, covid.n_categories, estimator=estimator)
+        counts = dap.collect_sharded(
             covid.categories[:6_000], targets, n_byzantine, rng=rng
         ).counts_float()
 
-        cold_set, _ = cold.probe_poisoned_categories(counts)
-        batched_set, _ = batched.probe_poisoned_categories(counts)
-        assert batched_set == cold_set
+        cold_selection = _cold_greedy_probe(dap, counts)
+        batched_set, _ = dap.probe_poisoned_categories(counts)
+        assert batched_set == cold_selection[0]
 
+        # the estimate the cold search leads to, from the same pipeline
+        cold = FrequencyDAP(1.0, covid.n_categories, estimator=estimator)
+        cold._probe = lambda counts: cold_selection
         cold_result = cold.estimate_from_counts(counts)
-        batched_result = batched.estimate_from_counts(counts)
+        batched_result = dap.estimate_from_counts(counts)
         assert batched_result.poisoned_categories == cold_result.poisoned_categories
         assert batched_result.gamma_hat == cold_result.gamma_hat
         np.testing.assert_array_equal(
             batched_result.frequencies, cold_result.frequencies
         )
 
-    def test_default_strategy_is_batched(self, covid):
-        assert FrequencyDAP(1.0, covid.n_categories).probe_strategy == "batched"
-
     def test_invalid_strategy_rejected(self, covid):
-        with pytest.raises(ValueError):
-            FrequencyDAP(1.0, covid.n_categories, probe_strategy="bogus")
-        with pytest.raises(ValueError):
-            check_probe_strategy("warm")
+        # the strategy knob is gone: naming it is an error, whatever the value
+        for strategy in ("batched", "cold"):
+            with pytest.raises(TypeError, match="probe_strategy"):
+                FrequencyDAP(1.0, covid.n_categories, probe_strategy=strategy)
 
 
 # ----------------------------------------------------------------------
 # side probe: batched == cold side selection across the DAP estimators
 # ----------------------------------------------------------------------
+def _cold_side_probe(
+    mechanism,
+    reports,
+    n_input_buckets,
+    n_output_buckets,
+    reference_mean=None,
+    epsilon=None,
+    tol=None,
+    max_iter=DEFAULT_MAX_ITER,
+    counts=None,
+    warm_start=None,
+    poison_domain=None,
+):
+    """Algorithm 3 as two independent cold-start EMF solves (oracle)."""
+    assert reports is None and warm_start is None
+    emfs = {
+        side: run_emf(
+            cached_transform_matrix(
+                mechanism,
+                n_input_buckets=n_input_buckets,
+                n_output_buckets=n_output_buckets,
+                side=side,
+                reference_mean=reference_mean,
+                poison_domain=poison_domain,
+            ),
+            counts=counts,
+            epsilon=epsilon,
+            tol=tol,
+            max_iter=max_iter,
+        )
+        for side in ("left", "right")
+    }
+    variance_left = emfs["left"].normal_histogram_variance
+    variance_right = emfs["right"].normal_histogram_variance
+    return SideProbeResult(
+        side="left" if variance_left < variance_right else "right",
+        variance_left=variance_left,
+        variance_right=variance_right,
+        emf_left=emfs["left"],
+        emf_right=emfs["right"],
+    )
+
+
 class TestSideProbeEquivalence:
     @pytest.mark.parametrize("estimator", ["emf", "emf_star", "cemf_star"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_same_side_and_equivalent_estimates(self, estimator, seed):
+    def test_same_side_and_equivalent_estimates(self, estimator, seed, monkeypatch):
         dataset = uniform_dataset(n_samples=20_000, rng=seed)
         population = build_population(dataset, 20_000, 0.25, rng=seed)
         attack = BiasedByzantineAttack(PAPER_POISON_RANGES["[C/2,C]"])
-        results = {}
-        for strategy in ("cold", "batched"):
-            protocol = DAPProtocol(
-                DAPConfig(epsilon=1.0, estimator=estimator, probe_strategy=strategy)
-            )
-            results[strategy] = protocol.run(
+        protocol = DAPProtocol(DAPConfig(epsilon=1.0, estimator=estimator))
+
+        def run():
+            return protocol.run(
                 population.normal_values,
                 attack,
                 population.n_byzantine,
                 rng=np.random.default_rng(seed),
             )
-        assert results["batched"].poisoned_side == results["cold"].poisoned_side
-        assert results["batched"].estimate == pytest.approx(
-            results["cold"].estimate, abs=1e-9
-        )
-        assert results["batched"].gamma_hat == pytest.approx(
-            results["cold"].gamma_hat, abs=1e-9
-        )
+
+        batched = run()
+        with monkeypatch.context() as patch:
+            patch.setattr(features_module, "probe_poisoned_side", _cold_side_probe)
+            cold = run()
+        assert batched.poisoned_side == cold.poisoned_side
+        assert batched.estimate == pytest.approx(cold.estimate, abs=1e-9)
+        assert batched.gamma_hat == pytest.approx(cold.gamma_hat, abs=1e-9)
 
 
 # ----------------------------------------------------------------------
@@ -417,6 +485,37 @@ report_vectors = st.lists(
 )
 
 
+def _path_length(node, value, depth=0):
+    """Recursive descent of one isolation tree (the seed implementation)."""
+    if node.split is None:
+        return depth + _average_path_length(node.size)
+    if value < node.split:
+        return _path_length(node.left, value, depth + 1)
+    return _path_length(node.right, value, depth + 1)
+
+
+def _scores_loop(train, values, n_trees, subsample_size, seed):
+    """Per-user recursive scoring over recursive trees (oracle).
+
+    Grows the trees on the same rng stream :meth:`IsolationForest.fit`
+    consumes, keeps them as linked nodes, and scores one value at a time.
+    """
+    rng = np.random.default_rng(seed)
+    train = np.asarray(train, dtype=float)
+    sample_size = min(subsample_size, train.size)
+    max_depth = int(np.ceil(np.log2(max(2, sample_size))))
+    trees = []
+    for _ in range(n_trees):
+        idx = rng.choice(train.size, size=sample_size, replace=False)
+        trees.append(_build_tree(train[idx], 0, max_depth, rng))
+    c_n = _average_path_length(sample_size)
+    scores = np.empty(len(values))
+    for i, value in enumerate(values):
+        mean_path = float(np.mean([_path_length(tree, value) for tree in trees]))
+        scores[i] = 2.0 ** (-mean_path / c_n)
+    return scores
+
+
 class TestIsolationForestVectorization:
     @settings(max_examples=25, deadline=None)
     @given(values=report_vectors, seed=st.integers(0, 2**31 - 1))
@@ -426,20 +525,19 @@ class TestIsolationForestVectorization:
         forest = IsolationForest(n_trees=15, subsample_size=64, rng=seed).fit(train)
         values = np.asarray(values)
         np.testing.assert_array_equal(
-            forest.scores(values), forest.scores_loop(values)
+            forest.scores(values), _scores_loop(train, values, 15, 64, seed)
         )
 
     def test_boundary_values_bit_identical(self):
         rng = np.random.default_rng(11)
-        forest = IsolationForest(n_trees=25, subsample_size=128, rng=4).fit(
-            rng.normal(0.0, 1.0, 2_000)
-        )
+        train = rng.normal(0.0, 1.0, 2_000)
+        forest = IsolationForest(n_trees=25, subsample_size=128, rng=4).fit(train)
         # exact split boundaries exercise the `value < split` tie handling
         boundaries = np.concatenate(
             [tree.boundaries for tree in forest._flat_trees]
         )
         np.testing.assert_array_equal(
-            forest.scores(boundaries), forest.scores_loop(boundaries)
+            forest.scores(boundaries), _scores_loop(train, boundaries, 25, 128, 4)
         )
 
     def test_chunked_scoring_matches_single_chunk(self):
@@ -521,7 +619,7 @@ class TestKMeansVectorization:
 
 
 # ----------------------------------------------------------------------
-# engine / scenario knob: execution detail, not identity
+# the removed probe-strategy knob: refused at every layer
 # ----------------------------------------------------------------------
 class TestProbeStrategyKnob:
     def _spec(self, **kwargs):
@@ -540,37 +638,29 @@ class TestProbeStrategyKnob:
         )
 
     def test_excluded_from_fingerprint(self):
-        assert (
-            self._spec(probe_strategy="cold").fingerprint()
-            == self._spec().fingerprint()
-        )
+        from repro.engine.executor import _execution_details
 
-    def test_applied_to_schemes(self):
-        spec = self._spec(probe_strategy="cold")
-        (scheme,) = spec.schemes_for(spec.points[0])
-        assert scheme.config.probe_strategy == "cold"
-        (default_scheme,) = self._spec().schemes_for(self._spec().points[0])
-        assert default_scheme.config.probe_strategy == "batched"
+        spec = self._spec()
+        assert "probe_strategy" not in spec.fingerprint()
+        assert "probe_strategy" not in _execution_details(spec)
 
     def test_invalid_strategy_rejected(self):
-        with pytest.raises(ValueError):
-            self._spec(probe_strategy="warm")
+        for strategy in ("batched", "cold"):
+            with pytest.raises(TypeError, match="probe_strategy"):
+                self._spec(probe_strategy=strategy)
+            with pytest.raises(TypeError, match="probe_strategy"):
+                DAPConfig(epsilon=1.0, probe_strategy=strategy)
 
     def test_scenario_document_excludes_the_knob(self):
         from repro.scenario import ScenarioSpec
 
-        base = dict(
-            name="s", schemes=["Ostrich"], epsilons=[1.0], n_users=100, n_trials=1
-        )
-        with_knob = ScenarioSpec(**base, probe_strategy="cold")
-        without = ScenarioSpec(**base)
-        assert with_knob.document() == without.document()
-        assert with_knob.digest() == without.digest()
-
-    def test_non_probing_schemes_validate_and_ignore(self):
-        from repro.simulation.schemes import make_scheme
-
-        scheme = make_scheme("Ostrich", epsilon=1.0)
-        assert scheme.configure_probing("cold") is scheme
-        with pytest.raises(ValueError):
-            scheme.configure_probing("warm")
+        base = dict(name="s", schemes=["Ostrich"], epsilons=[1.0])
+        assert "probe_strategy" not in ScenarioSpec.from_dict(base).document()
+        for key, value in (
+            ("probe_strategy", "batched"),
+            ("probe_strategy", "cold"),
+            ("batched", False),
+            ("batched", True),
+        ):
+            with pytest.raises(ValueError, match="unknown scenario keys"):
+                ScenarioSpec.from_dict({**base, key: value})

@@ -78,7 +78,6 @@ class TestServiceSpec:
             {"window_size": 600},
             {"n_windows": 6},
             {"warm_probe": False},
-            {"probe_strategy": "cold"},
             {"detector": {"warmup": 3}},
             {"gamma": 0.25},
             {"attack_start": 2},
@@ -86,8 +85,15 @@ class TestServiceSpec:
             assert small_spec(**overrides).digest() != base.digest(), overrides
 
     def test_unknown_keys_rejected(self):
-        with pytest.raises(ValueError, match="unknown service keys"):
-            ServiceSpec.from_mapping({**SMALL, "n_wndows": 3})
+        # a removed knob is unknown too, even at the value it always had
+        for extra in ({"n_wndows": 3}, {"probe_strategy": "batched"}):
+            with pytest.raises(ValueError, match="unknown service keys"):
+                ServiceSpec.from_mapping({**SMALL, **extra})
+
+    def test_warm_probe_must_be_a_boolean(self):
+        for value in ("false", "true", 0, 1, None):
+            with pytest.raises(ValueError, match="warm_probe"):
+                ServiceSpec.from_mapping({**SMALL, "warm_probe": value})
 
     def test_unknown_detector_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown detector keys"):
@@ -372,6 +378,14 @@ class TestServeCli:
         )
         assert second.returncode == 0, second.stderr
         assert f"resumed from window {SMALL['n_windows']}" in second.stdout
+
+    def test_serve_malformed_json_names_the_file(self, tmp_path):
+        service_file = tmp_path / "broken.json"
+        service_file.write_text('{"name": "svc", }')
+        result = self.run_cli("serve", str(service_file), "--quiet")
+        assert result.returncode == 1
+        assert "broken.json" in result.stderr
+        assert "invalid JSON" in result.stderr
 
     def test_serve_identity_override_errors_on_foreign_checkpoint(self, tmp_path):
         service_file = tmp_path / "svc.json"

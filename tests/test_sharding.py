@@ -31,7 +31,7 @@ from repro.core.sketch_frequency import SketchFrequencyDAP
 from repro.datasets.synthetic import uniform_dataset
 from repro.ldp.base import MechanismError
 from repro.resilience import stats
-from repro.simulation.runner import run_trials_from_seeds
+from repro.simulation.runner import run_trials
 from repro.simulation.schemes import make_scheme
 from tests.client_reports import accumulate, group_reports
 
@@ -340,7 +340,7 @@ class TestShardedTrialPath:
     def test_collect_workers_leave_records_unchanged(self):
         dataset = uniform_dataset(n_samples=2_000, rng=0)
         results = [
-            run_trials_from_seeds(
+            run_trials(
                 scheme, dataset, ATTACK, n_users=2_000, gamma=0.25,
                 trial_seeds=[11, 22],
             )
@@ -359,7 +359,7 @@ class TestShardedTrialPath:
     def test_schemes_without_a_sharded_round_ignore_collect_workers(self):
         dataset = uniform_dataset(n_samples=1_000, rng=0)
         plain, configured = (
-            run_trials_from_seeds(
+            run_trials(
                 scheme, dataset, None, n_users=1_000, gamma=0.0, trial_seeds=[5, 6]
             )
             for scheme in (

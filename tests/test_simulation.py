@@ -97,14 +97,14 @@ class TestRunner:
     def test_run_trials_counts(self, dataset):
         scheme = make_scheme("Ostrich", 1.0)
         result = run_trials(scheme, dataset, NoAttack(), n_users=2_000, gamma=0.0,
-                            n_trials=3, rng=0)
+                            trial_seeds=[0, 1, 2])
         assert len(result.estimates) == 3
         assert result.mse >= 0
 
     def test_run_trials_reproducible(self, dataset):
         scheme = make_scheme("Ostrich", 1.0)
-        a = run_trials(scheme, dataset, ATTACK, 2_000, 0.25, n_trials=2, rng=7)
-        b = run_trials(scheme, dataset, ATTACK, 2_000, 0.25, n_trials=2, rng=7)
+        a = run_trials(scheme, dataset, ATTACK, 2_000, 0.25, trial_seeds=[7, 8])
+        b = run_trials(scheme, dataset, ATTACK, 2_000, 0.25, trial_seeds=[7, 8])
         assert a.estimates == b.estimates
 
     def test_evaluate_schemes_shares_trial_seeds(self, dataset):
@@ -116,7 +116,7 @@ class TestRunner:
 
     def test_trial_result_statistics(self, dataset):
         result = run_trials(make_scheme("Ostrich", 2.0), dataset, NoAttack(), 2_000, 0.0,
-                            n_trials=3, rng=0)
+                            trial_seeds=[0, 1, 2])
         assert result.mse == pytest.approx(
             np.mean((np.array(result.estimates) - np.array(result.truths)) ** 2)
         )
