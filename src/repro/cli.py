@@ -70,16 +70,6 @@ def _positive_int(flag: str):
 
 
 _collect_workers = _positive_int("--collect-workers")
-_sketch_rows = _positive_int("--sketch-rows")
-
-
-def _sketch_width(value: str) -> int:
-    parsed = _positive_int("--sketch-width")(value)
-    if parsed < 2:
-        raise argparse.ArgumentTypeError(
-            f"--sketch-width must be at least 2, got {value!r}"
-        )
-    return parsed
 
 
 def _window_size(value: str) -> int:
@@ -168,15 +158,11 @@ def _execute(args: argparse.Namespace, resume: bool, require_artifact: bool) -> 
         overrides["collect_workers"] = args.collect_workers
     if args.backend is not None:
         overrides["backend"] = args.backend
-    # sketch geometry and trust model are identity: overriding them changes
-    # the document digest, so a run recorded under one adversary model or
-    # sketch geometry cannot silently resume into another
+    # the trust model is identity: overriding it changes the document
+    # digest, so a run recorded under one adversary model cannot silently
+    # resume into another
     if args.protocol is not None:
         overrides["protocol"] = args.protocol
-    if args.sketch_rows is not None:
-        overrides["sketch_rows"] = args.sketch_rows
-    if args.sketch_width is not None:
-        overrides["sketch_width"] = args.sketch_width
     if overrides:
         # rebuild (rather than mutate) so the spec's own validation runs on
         # the overrides; the execution-detail knobs are excluded from the
@@ -265,10 +251,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         overrides["window_size"] = args.window_size
     if args.protocol is not None:
         overrides["protocol"] = args.protocol
-    if args.sketch_rows is not None:
-        overrides["sketch_rows"] = args.sketch_rows
-    if args.sketch_width is not None:
-        overrides["sketch_width"] = args.sketch_width
     # ... and execution details (same stream, different machinery)
     if args.backend is not None:
         overrides["backend"] = args.backend
@@ -431,21 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
         "the scenario's 'protocol'",
     )
     run_parser.add_argument(
-        "--sketch-rows",
-        type=_sketch_rows,
-        default=None,
-        help="count-sketch hash rows for sketch-backed categorical "
-        "components (identity: enters the scenario digest when set; "
-        "overrides the scenario's 'sketch_rows')",
-    )
-    run_parser.add_argument(
-        "--sketch-width",
-        type=_sketch_width,
-        default=None,
-        help="count-sketch buckets per row (identity, like --sketch-rows; "
-        "overrides the scenario's 'sketch_width')",
-    )
-    run_parser.add_argument(
         "--store",
         default=None,
         help="run-artifact path (default: runs/<scenario name>.json)",
@@ -484,8 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     resume_parser.add_argument("--backend", choices=BACKENDS, default=None)
     resume_parser.add_argument("--protocol", choices=PROTOCOL_NAMES, default=None)
-    resume_parser.add_argument("--sketch-rows", type=_sketch_rows, default=None)
-    resume_parser.add_argument("--sketch-width", type=_sketch_width, default=None)
     resume_parser.add_argument("--store", default=None)
     resume_parser.add_argument("--profile", action="store_true")
     resume_parser.add_argument("--profile-out", default=None, metavar="PATH")
@@ -546,19 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="trust model the windows collect under (identity: a shuffle "
         "stream keeps its own checkpoint digest)",
-    )
-    serve_parser.add_argument(
-        "--sketch-rows",
-        type=_sketch_rows,
-        default=None,
-        help="count-sketch hash rows for sketch-backed collection "
-        "(identity: pinned by the checkpoint digest when set)",
-    )
-    serve_parser.add_argument(
-        "--sketch-width",
-        type=_sketch_width,
-        default=None,
-        help="count-sketch buckets per row (identity, like --sketch-rows)",
     )
     serve_parser.add_argument("--backend", choices=BACKENDS, default=None)
     serve_parser.add_argument(

@@ -199,8 +199,6 @@ SCENARIO_KEYS = (
     "collect_workers",
     "backend",
     "protocol",
-    "sketch_rows",
-    "sketch_width",
     "population",
 )
 
@@ -257,13 +255,6 @@ class ScenarioSpec:
         observe, so when it is not ``"local"`` it enters :meth:`document`
         and the resume digest.  Leaving it at the default keeps digests of
         existing scenarios unchanged.
-    sketch_rows, sketch_width:
-        Count-sketch geometry for sketch-backed categorical components.
-        **Identity** knobs (unlike ``backend``): the sketch's hash rows and
-        width determine every report bit, so when set they are part of
-        :meth:`document` and the resume digest.  ``None`` (the default)
-        leaves them out of the document entirely, keeping digests of
-        existing non-sketch scenarios unchanged.
     """
 
     name: str
@@ -281,8 +272,6 @@ class ScenarioSpec:
     collect_workers: int | None = None
     backend: str | None = None
     protocol: str = "local"
-    sketch_rows: int | None = None
-    sketch_width: int | None = None
     description: str = ""
 
     def __post_init__(self) -> None:
@@ -320,12 +309,6 @@ class ScenarioSpec:
         if self.backend is not None:
             check_backend(self.backend)
         check_protocol(self.protocol)
-        if self.sketch_rows is not None:
-            self.sketch_rows = check_integer(self.sketch_rows, "sketch_rows", minimum=1)
-        if self.sketch_width is not None:
-            self.sketch_width = check_integer(
-                self.sketch_width, "sketch_width", minimum=2
-            )
 
     # ------------------------------------------------------------------
     # construction from documents
@@ -358,8 +341,7 @@ class ScenarioSpec:
             "epsilons": payload["epsilons"],
         }
         for key in ("description", "attacks", "datasets", "gammas", "seed",
-                    "epsilon_min", "collect_workers", "backend", "protocol",
-                    "sketch_rows", "sketch_width"):
+                    "epsilon_min", "collect_workers", "backend", "protocol"):
             if key in payload:
                 kwargs[key] = payload[key]
         n_trials = payload.get("trials", payload.get("n_trials"))
@@ -394,11 +376,10 @@ class ScenarioSpec:
         whichever configuration computes the rest, so a run must stay
         resumable with ``--collect-workers`` or ``--backend`` set.
 
-        The sketch geometry knobs are the opposite: they change report bits,
-        so when set they enter the document (and digest) — but only when
-        set, so non-sketch scenario digests are stable across versions.  The
-        ``protocol`` trust model follows the same pattern: it joins the
-        document only when it is not the default ``"local"``.
+        The ``protocol`` trust model is the opposite: it changes what the
+        adversary observes, so it joins the document — but only when it is
+        not the default ``"local"``, so local-model digests are stable
+        across versions.
         """
         document = {
             "name": self.name,
@@ -422,10 +403,6 @@ class ScenarioSpec:
         }
         if self.protocol != "local":
             document["protocol"] = self.protocol
-        if self.sketch_rows is not None:
-            document["sketch_rows"] = self.sketch_rows
-        if self.sketch_width is not None:
-            document["sketch_width"] = self.sketch_width
         return document
 
     def digest(self) -> str:

@@ -68,8 +68,6 @@ SERVICE_KEYS = (
     "input_domain",
     "warm_probe",
     "protocol",
-    "sketch_rows",
-    "sketch_width",
     "detector",
     "backend",
     "collect_shards",
@@ -125,11 +123,6 @@ class ServiceSpec:
         default ``"local"`` — the shuffle model changes what the adversary
         observes — and left out of :meth:`document` otherwise, so digests
         of existing local-model services are unchanged.
-    sketch_rows, sketch_width:
-        Count-sketch geometry for sketch-backed categorical collection.
-        Identity when set (the hash rows and width determine every report
-        bit); ``None`` leaves them out of :meth:`document`, so digests of
-        existing non-sketch services are unchanged.
     detector:
         Change-detector overrides merged over :data:`DEFAULT_DETECTOR`.
     backend, collect_shards, collect_workers, checkpoint_every:
@@ -157,8 +150,6 @@ class ServiceSpec:
     input_domain: Tuple[float, float] = (-1.0, 1.0)
     warm_probe: bool = True
     protocol: str = "local"
-    sketch_rows: int | None = None
-    sketch_width: int | None = None
     detector: Dict[str, Any] = field(default_factory=dict)
     backend: str | None = None
     collect_shards: int = 1
@@ -187,10 +178,6 @@ class ServiceSpec:
                 f"{self.warm_probe!r}"
             )
         check_protocol(self.protocol)
-        if self.sketch_rows is not None:
-            check_integer(self.sketch_rows, "sketch_rows", minimum=1)
-        if self.sketch_width is not None:
-            check_integer(self.sketch_width, "sketch_width", minimum=2)
         if self.backend is not None:
             check_backend(self.backend)
         if len(self.input_domain) != 2:
@@ -252,8 +239,6 @@ class ServiceSpec:
         ``collect_workers``, ``checkpoint_every``) are excluded, exactly as
         the scenario digest excludes its collection knobs: a stream started
         serially must stay resumable from its checkpoint with a shard pool.
-        The sketch geometry knobs enter only when set, so digests of
-        existing non-sketch services are unchanged.
         """
         document = {
             "name": self.name,
@@ -277,10 +262,6 @@ class ServiceSpec:
         }
         if self.protocol != "local":
             document["protocol"] = self.protocol
-        if self.sketch_rows is not None:
-            document["sketch_rows"] = self.sketch_rows
-        if self.sketch_width is not None:
-            document["sketch_width"] = self.sketch_width
         return document
 
     def digest(self) -> str:

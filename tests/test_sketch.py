@@ -31,6 +31,7 @@ import pytest
 from repro.collect import SketchAccumulator
 from repro.core.frequency import DENSE_MAX_CATEGORIES, FrequencyDAP
 from repro.backends import get_backend
+from repro.cli import build_parser
 from repro.core.sketch_frequency import SketchFrequencyDAP
 from repro.ldp.count_sketch import CountSketch
 from repro.ldp.olh import OLH_MAX_CATEGORIES, OptimizedLocalHashing
@@ -129,39 +130,26 @@ class TestWiring:
     def test_mechanism_registry_aliases(self, name):
         assert MECHANISMS.get(name) is CountSketch
 
-    def test_scenario_digest_pins_sketch_geometry(self):
-        base = ScenarioSpec(name="s", schemes=["Ostrich"], epsilons=[1.0])
-        sketched = ScenarioSpec(
-            name="s",
-            schemes=["Ostrich"],
-            epsilons=[1.0],
-            sketch_rows=4,
-            sketch_width=1024,
-        )
-        assert "sketch_rows" not in base.document()
-        assert sketched.document()["sketch_width"] == 1024
-        assert base.digest() != sketched.digest()
+    @pytest.mark.parametrize("key", ["sketch_rows", "sketch_width"])
+    def test_scenario_document_refuses_sketch_geometry(self, key):
+        # scenarios sweep numerical mean estimation, so no component reads a
+        # sketch geometry: the keys are unknown, not silently digested
+        document = {"name": "s", "schemes": ["Ostrich"], "epsilons": [1.0], key: 4}
+        with pytest.raises(ValueError, match=f"unknown scenario keys \\['{key}'\\]"):
+            ScenarioSpec.from_dict(document)
 
-    def test_service_digest_pins_sketch_geometry(self):
-        base = ServiceSpec(name="svc", window_size=100, n_windows=2)
-        sketched = ServiceSpec(
-            name="svc",
-            window_size=100,
-            n_windows=2,
-            sketch_rows=4,
-            sketch_width=512,
-        )
-        assert "sketch_rows" not in base.document()
-        assert sketched.document()["sketch_rows"] == 4
-        assert base.digest() != sketched.digest()
+    @pytest.mark.parametrize("key", ["sketch_rows", "sketch_width"])
+    def test_service_document_refuses_sketch_geometry(self, key):
+        with pytest.raises(ValueError, match=f"unknown service keys \\['{key}'\\]"):
+            ServiceSpec.from_mapping({"name": "svc", key: 4})
 
-    def test_sketch_width_validated(self):
-        with pytest.raises(ValueError, match="sketch_width"):
-            ServiceSpec(name="svc", window_size=100, n_windows=2, sketch_width=1)
-        with pytest.raises(ValueError, match="sketch_rows"):
-            ScenarioSpec(
-                name="s", schemes=["Ostrich"], epsilons=[1.0], sketch_rows=0
-            )
+    @pytest.mark.parametrize("command", ["run", "resume", "serve"])
+    @pytest.mark.parametrize("flag", ["--sketch-rows", "--sketch-width"])
+    def test_cli_refuses_sketch_geometry_flags(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([command, "doc.json", flag, "4"])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag} 4" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
