@@ -26,10 +26,9 @@ import json
 import os
 import sys
 import time
-from typing import List, Sequence
+from typing import Sequence
 
-from repro.backends import BACKENDS
-from repro.protocol.plan import PROTOCOL_NAMES
+from repro import knobs
 from repro.registry import ALL_REGISTRIES
 from repro.resilience import (
     DEFAULT_POLICY,
@@ -38,6 +37,7 @@ from repro.resilience import (
     use_retry_policy,
 )
 from repro.scenario import ScenarioSpec, format_scenario_records, run_scenario
+from repro.service import ServiceSpec, WindowedAggregationService, format_window
 
 
 def _workers(value: str) -> int | str:
@@ -52,50 +52,54 @@ def _workers(value: str) -> int | str:
         ) from None
 
 
-def _positive_int(flag: str):
-    """Build an argparse type callable for a positive-integer flag."""
+def _checked(flag: str, check: knobs.Check):
+    """argparse ``type=`` that runs a knob validator on the flag's value.
 
-    def parse(value: str) -> int:
+    The text is read as the JSON document would spell the value (``4``,
+    ``fast``), so a flag accepts exactly what the document key accepts.
+    """
+
+    def parse(text: str):
         try:
-            parsed = int(value)
-        except ValueError:
-            parsed = 0
-        if parsed < 1:
-            raise argparse.ArgumentTypeError(
-                f"{flag} must be a positive integer, got {value!r}"
-            )
-        return parsed
+            value = json.loads(text)
+        except json.JSONDecodeError:
+            value = text
+        try:
+            return check(value, flag)
+        except (KeyError, TypeError, ValueError) as error:
+            raise argparse.ArgumentTypeError(error.args[0]) from None
 
     return parse
 
 
-_collect_workers = _positive_int("--collect-workers")
-
-
-def _window_size(value: str) -> int:
-    parsed = _positive_int("--window-size")(value)
-    if parsed < 2:
-        raise argparse.ArgumentTypeError(
-            f"--window-size must be at least 2, got {value!r}"
+def _add_knob_flags(parser: argparse.ArgumentParser, spec_class: type) -> None:
+    """One override flag per flagged knob of ``spec_class``."""
+    for field in knobs.flagged(spec_class):
+        parser.add_argument(
+            field.metadata["flag"],
+            dest=field.name,
+            type=_checked(field.metadata["flag"], field.metadata["check"]),
+            default=None,
+            help=f"{field.metadata['help']} "
+            f"({knobs.ROLE_NOTES[field.metadata['role']]}); overrides the "
+            f"document's {field.name!r}",
         )
-    return parsed
 
 
-def _positive_float(flag: str):
-    """Build an argparse type callable for a positive-float flag."""
+def _with_overrides(spec, args: argparse.Namespace):
+    """``spec`` with the knob flags given on the command line applied.
 
-    def parse(value: str) -> float:
-        try:
-            parsed = float(value)
-        except ValueError:
-            parsed = 0.0
-        if parsed <= 0:
-            raise argparse.ArgumentTypeError(
-                f"{flag} must be a positive number, got {value!r}"
-            )
-        return parsed
-
-    return parse
+    The spec is rebuilt (not mutated) so its own validation runs on the
+    overrides.  An identity override changes the digest, so a run or stream
+    recorded under one setting never resumes into another; an execution
+    override leaves existing artifacts and checkpoints resumable.
+    """
+    overrides = {
+        field.name: getattr(args, field.name)
+        for field in knobs.flagged(spec)
+        if getattr(args, field.name) is not None
+    }
+    return dataclasses.replace(spec, **overrides)
 
 
 def _default_store(scenario: ScenarioSpec) -> str:
@@ -152,22 +156,7 @@ class _ProgressPrinter:
 
 
 def _execute(args: argparse.Namespace, resume: bool, require_artifact: bool) -> int:
-    scenario = ScenarioSpec.from_file(args.scenario)
-    overrides = {}
-    if args.collect_workers is not None:
-        overrides["collect_workers"] = args.collect_workers
-    if args.backend is not None:
-        overrides["backend"] = args.backend
-    # the trust model is identity: overriding it changes the document
-    # digest, so a run recorded under one adversary model cannot silently
-    # resume into another
-    if args.protocol is not None:
-        overrides["protocol"] = args.protocol
-    if overrides:
-        # rebuild (rather than mutate) so the spec's own validation runs on
-        # the overrides; the execution-detail knobs are excluded from the
-        # document digest, so an existing artifact stays resumable
-        scenario = dataclasses.replace(scenario, **overrides)
+    scenario = _with_overrides(ScenarioSpec.from_file(args.scenario), args)
     store = args.store or _default_store(scenario)
     if require_artifact and not os.path.exists(store):
         print(
@@ -240,30 +229,7 @@ def _cmd_resume(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.service import ServiceSpec, WindowedAggregationService, format_window
-
-    spec = ServiceSpec.from_file(args.service)
-    overrides = {}
-    # identity overrides (change the stream, hence the checkpoint digest) ...
-    if args.windows is not None:
-        overrides["n_windows"] = args.windows
-    if args.window_size is not None:
-        overrides["window_size"] = args.window_size
-    if args.protocol is not None:
-        overrides["protocol"] = args.protocol
-    # ... and execution details (same stream, different machinery)
-    if args.backend is not None:
-        overrides["backend"] = args.backend
-    if args.collect_shards is not None:
-        overrides["collect_shards"] = args.collect_shards
-    if args.collect_workers is not None:
-        overrides["collect_workers"] = args.collect_workers
-    if args.checkpoint_every is not None:
-        overrides["checkpoint_every"] = args.checkpoint_every
-    if args.checkpoint_retain is not None:
-        overrides["checkpoint_retain"] = args.checkpoint_retain
-    if overrides:
-        spec = dataclasses.replace(spec, **overrides)
+    spec = _with_overrides(ServiceSpec.from_file(args.service), args)
     checkpoint_dir = args.checkpoint_dir or os.path.join("runs", "service")
     checkpoint_path = spec.default_checkpoint_path(checkpoint_dir)
     service = WindowedAggregationService(spec, checkpoint_path=checkpoint_path)
@@ -352,7 +318,7 @@ def _add_resilience_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--task-retries",
-        type=_positive_int("--task-retries"),
+        type=_checked("--task-retries", knobs.integer(1)),
         default=None,
         help="total attempts per pool task before the run fails "
         f"(default: {DEFAULT_POLICY.max_attempts}); retried tasks are "
@@ -360,13 +326,47 @@ def _add_resilience_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--task-timeout",
-        type=_positive_float("--task-timeout"),
+        type=_checked("--task-timeout", knobs.positive),
         default=None,
         metavar="SECONDS",
         help="per-task watchdog: a pool task running longer is re-dispatched "
         "(straggler mitigation; first result wins and both compute the same "
         "bits); default: no watchdog",
     )
+
+
+def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
+    """The arguments ``run`` and ``resume`` share."""
+    parser.add_argument("scenario", help="path to a scenario JSON file")
+    parser.add_argument(
+        "--workers",
+        type=_workers,
+        default=None,
+        help="process-pool size, or 'auto' for one worker per CPU (default: serial)",
+    )
+    _add_knob_flags(parser, ScenarioSpec)
+    parser.add_argument(
+        "--store",
+        default=None,
+        help="run-artifact path (default: runs/<scenario name>.json)",
+    )
+    parser.add_argument(
+        "--profile",
+        action="store_true",
+        help="record per-stage wall times (collect / probe / aggregate / "
+        "defense) into the artifact's meta.execution.profile and print them",
+    )
+    parser.add_argument(
+        "--profile-out",
+        default=None,
+        metavar="PATH",
+        help="also write the per-stage profile dict as JSON to PATH "
+        "(implies --profile)",
+    )
+    parser.add_argument(
+        "--quiet", action="store_true", help="print only the summary line"
+    )
+    _add_resilience_flags(parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -377,85 +377,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_parser = sub.add_parser("run", help="execute a scenario file")
-    run_parser.add_argument("scenario", help="path to a scenario JSON file")
-    run_parser.add_argument(
-        "--workers",
-        type=_workers,
-        default=None,
-        help="process-pool size, or 'auto' for one worker per CPU (default: serial)",
-    )
-    run_parser.add_argument(
-        "--collect-workers",
-        type=_collect_workers,
-        default=None,
-        help="fan each collection round out over this many shard workers "
-        "(records are bit-identical for any value; overrides the scenario's "
-        "'collect_workers')",
-    )
-    run_parser.add_argument(
-        "--backend",
-        choices=BACKENDS,
-        default=None,
-        help="array-compute backend for the hot kernels: 'numpy' (the "
-        "bit-stable reference), 'fast' (single-pass pure-numpy rewrites, "
-        "statistically equivalent) or 'numba' (JIT loops when numba is "
-        "installed, else falls back to numpy with a warning); overrides the "
-        "scenario's 'backend'; default: the scenario's setting, else numpy",
-    )
-    run_parser.add_argument(
-        "--protocol",
-        choices=PROTOCOL_NAMES,
-        default=None,
-        help="trust model the collection runs under: 'local' (classical "
-        "local model) or 'shuffle' (a shuffler breaks the sender-to-group "
-        "linkage and the artifact carries a privacy-amplification ledger); "
-        "identity: enters the scenario digest when not 'local'; overrides "
-        "the scenario's 'protocol'",
-    )
-    run_parser.add_argument(
-        "--store",
-        default=None,
-        help="run-artifact path (default: runs/<scenario name>.json)",
-    )
+    _add_scenario_arguments(run_parser)
     run_parser.add_argument(
         "--fresh",
         action="store_true",
         help="ignore any existing artifact and recompute every unit",
     )
-    run_parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="record per-stage wall times (collect / probe / aggregate / "
-        "defense) into the artifact's meta.execution.profile and print them",
-    )
-    run_parser.add_argument(
-        "--profile-out",
-        default=None,
-        metavar="PATH",
-        help="also write the per-stage profile dict as JSON to PATH "
-        "(implies --profile)",
-    )
-    run_parser.add_argument(
-        "--quiet", action="store_true", help="print only the summary line"
-    )
-    _add_resilience_flags(run_parser)
     run_parser.set_defaults(func=_cmd_run)
 
     resume_parser = sub.add_parser(
         "resume", help="continue an interrupted run from its artifact"
     )
-    resume_parser.add_argument("scenario", help="path to a scenario JSON file")
-    resume_parser.add_argument("--workers", type=_workers, default=None)
-    resume_parser.add_argument(
-        "--collect-workers", type=_collect_workers, default=None
-    )
-    resume_parser.add_argument("--backend", choices=BACKENDS, default=None)
-    resume_parser.add_argument("--protocol", choices=PROTOCOL_NAMES, default=None)
-    resume_parser.add_argument("--store", default=None)
-    resume_parser.add_argument("--profile", action="store_true")
-    resume_parser.add_argument("--profile-out", default=None, metavar="PATH")
-    resume_parser.add_argument("--quiet", action="store_true")
-    _add_resilience_flags(resume_parser)
+    _add_scenario_arguments(resume_parser)
     resume_parser.set_defaults(func=_cmd_resume)
 
     serve_parser = sub.add_parser(
@@ -464,19 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
         "JSON file (checkpointed; re-running resumes bit-identically)",
     )
     serve_parser.add_argument("service", help="path to a service JSON file")
-    serve_parser.add_argument(
-        "--windows",
-        type=_positive_int("--windows"),
-        default=None,
-        help="override the service's 'n_windows' horizon (identity: a "
-        "different horizon is a different stream with its own checkpoint)",
-    )
-    serve_parser.add_argument(
-        "--window-size",
-        type=_window_size,
-        default=None,
-        help="override the service's 'window_size' (identity, like --windows)",
-    )
+    _add_knob_flags(serve_parser, ServiceSpec)
     serve_parser.add_argument(
         "--checkpoint-dir",
         default=None,
@@ -485,43 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: runs/service/<name>.checkpoint.json)",
     )
     serve_parser.add_argument(
-        "--checkpoint-every",
-        type=_positive_int("--checkpoint-every"),
-        default=None,
-        help="checkpoint after every N completed windows (default: the "
-        "service's setting, else 1)",
-    )
-    serve_parser.add_argument(
-        "--checkpoint-retain",
-        type=_positive_int("--checkpoint-retain"),
-        default=None,
-        help="keep this many last-good checkpoint ancestors for chain "
-        "recovery (corrupt heads are quarantined and the service rolls back "
-        "to the newest valid ancestor; default: the service's setting, "
-        "else 3)",
-    )
-    serve_parser.add_argument(
         "--fresh",
         action="store_true",
         help="ignore any existing checkpoint and recompute from window 0",
-    )
-    serve_parser.add_argument(
-        "--protocol",
-        choices=PROTOCOL_NAMES,
-        default=None,
-        help="trust model the windows collect under (identity: a shuffle "
-        "stream keeps its own checkpoint digest)",
-    )
-    serve_parser.add_argument("--backend", choices=BACKENDS, default=None)
-    serve_parser.add_argument(
-        "--collect-shards",
-        type=_positive_int("--collect-shards"),
-        default=None,
-        help="shards per window's collection round (bit-identical for any "
-        "value)",
-    )
-    serve_parser.add_argument(
-        "--collect-workers", type=_collect_workers, default=None
     )
     serve_parser.add_argument("--profile", action="store_true")
     serve_parser.add_argument(

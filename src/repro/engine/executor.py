@@ -32,6 +32,7 @@ ProgressCallback = Callable[[int, int], None]
 
 import numpy as np
 
+from repro import knobs
 from repro.engine.spec import ExperimentSpec, Unit
 from repro.engine.store import load_run, save_run
 from repro.resilience import stats
@@ -306,11 +307,12 @@ def _warn_on_changed_collection(spec: ExperimentSpec, stored: dict | None) -> No
       ``meta.execution`` (or predates execution provenance altogether);
       unless it ran sharded (``collect_workers`` set), its records came
       from a path every pending unit now replaces with the block-seeded one;
-    * the backend — the fast backends' samplers consume the RNG stream
-      differently from the reference.
+    * a knob declared :data:`~repro.knobs.EXECUTION_REDRAWS` (the
+      backend: the fast backends' samplers consume the RNG stream
+      differently from the reference).
 
-    ``collect_workers`` never changes a record, so it does not warrant the
-    warning.
+    Plain execution knobs (``collect_workers``) never change a record, so
+    they do not warrant the warning.
     """
     stored = stored or {"chunk_size": None}
     changes = []
@@ -320,12 +322,14 @@ def _warn_on_changed_collection(spec: ExperimentSpec, stored: dict | None) -> No
             "(in-memory or streaming); pending units run on the block-seeded "
             "sharded path"
         )
-    backend = getattr(spec, "backend", None)
-    if stored.get("backend") != backend:
-        changes.append(
-            f"it was recorded under backend {stored.get('backend')!r}; "
-            f"pending units run under {backend!r}"
-        )
+    for field in knobs.knobs(spec):
+        current = getattr(spec, field.name)
+        redraws = field.metadata["role"] == knobs.EXECUTION_REDRAWS
+        if redraws and stored.get(field.name) != current:
+            changes.append(
+                f"it was recorded under {field.name} {stored.get(field.name)!r}; "
+                f"pending units run under {current!r}"
+            )
     if changes:
         warnings.warn(
             f"resuming a partial artifact: {'; and '.join(changes)} — "
@@ -337,7 +341,7 @@ def _warn_on_changed_collection(spec: ExperimentSpec, stored: dict | None) -> No
 
 
 def _execution_details(spec: ExperimentSpec) -> dict:
-    """The execution knobs recorded in artifacts for provenance.
+    """Every declared knob of the spec, recorded in artifacts for provenance.
 
     Informational only — never compared for record reuse (that is the
     fingerprint's job); used to warn when a partial artifact is resumed
@@ -348,12 +352,8 @@ def _execution_details(spec: ExperimentSpec) -> dict:
     ledger, with the actual report counts, rides on each
     :class:`~repro.core.dap.DAPResult`).
     """
-    details = {
-        "collect_workers": spec.collect_workers,
-        "backend": getattr(spec, "backend", None),
-        "protocol": getattr(spec, "protocol", None),
-    }
-    if details["protocol"] == "shuffle":
+    details = {field.name: getattr(spec, field.name) for field in knobs.knobs(spec)}
+    if spec.protocol == "shuffle":
         from repro.protocol.amplification import DEFAULT_DELTA, amplified_epsilon
 
         epsilons = sorted(

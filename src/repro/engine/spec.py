@@ -37,10 +37,11 @@ from typing import Any, Callable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
+from repro import knobs
 from repro.attacks.base import Attack
-from repro.backends import check_backend, use_backend
+from repro.backends import BACKENDS, check_backend, use_backend
 from repro.datasets.base import NumericalDataset
-from repro.protocol.plan import check_protocol
+from repro.protocol.plan import PROTOCOL_NAMES, check_protocol
 from repro.simulation.runner import run_trials
 from repro.simulation.schemes import Scheme
 from repro.simulation.sweep import SweepRecord
@@ -52,6 +53,47 @@ PointSpec = Mapping[str, Any]
 #: a work unit: ``(point index, scheme index)`` (scheme index 0 for
 #: point-granular specs)
 Unit = Tuple[int, int]
+
+#: the knobs every spec layer (experiment, scenario, service) carries
+_SHARED_KNOBS = {
+    "collect_workers": dict(
+        role=knobs.EXECUTION,
+        check=knobs.integer(1),
+        flag="--collect-workers",
+        help="fan each collection round out over this many shard workers; "
+        "the shard plan's block seeds own the randomness, so records are "
+        "bit-identical for any value",
+    ),
+    "backend": dict(
+        role=knobs.EXECUTION_REDRAWS,
+        check=lambda value, name: check_backend(value),
+        flag="--backend",
+        help=f"array-compute backend for the hot kernels, one of "
+        f"{', '.join(BACKENDS)}: 'numpy' is the bit-stable reference, 'fast' "
+        f"draws statistically equivalent samples, 'numba' runs JIT loops when "
+        f"numba is installed and otherwise falls back to numpy with a warning; "
+        f"unset keeps the process default (numpy)",
+    ),
+    "protocol": dict(
+        role=knobs.IDENTITY_UNLESS_DEFAULT,
+        check=lambda value, name: check_protocol(value),
+        flag="--protocol",
+        help=f"trust model the collection runs under, one of "
+        f"{', '.join(PROTOCOL_NAMES)}: 'local' is the classical local model, "
+        f"'shuffle' has a shuffler break the sender-to-group linkage and "
+        f"records a privacy-amplification ledger; it changes what the "
+        f"adversary observes",
+    ),
+}
+
+
+def shared_knob(name: str, default: Any = None) -> Any:
+    """The field declaring ``collect_workers``, ``backend`` or ``protocol``.
+
+    Each of these knobs is declared once, here, for every spec that carries
+    it; only the default differs between specs.
+    """
+    return knobs.knob(default=default, **_SHARED_KNOBS[name])
 
 
 @dataclass
@@ -74,29 +116,15 @@ class ExperimentSpec:
         overrides :meth:`evaluate_point`.
     input_domain:
         Mechanism input domain — a constant or a per-point callable.
-    collect_workers:
-        Fan every collection round of the schemes with a sharded collection
-        round (the DAP variants, see
-        :meth:`repro.simulation.schemes.Scheme.configure_collection`) out
-        over this many shard workers.  A pure execution detail — the shard
-        plan's block seeds own the randomness, so records are bit-identical
-        for any positive value — and therefore *not* part of
-        :meth:`fingerprint`.
-    backend:
-        Array-compute backend every work unit runs under (see
-        :data:`repro.backends.BACKENDS`); ``None`` keeps the process default
-        (the bit-stable ``"numpy"`` reference).  An execution detail like
-        ``collect_workers`` — excluded from :meth:`fingerprint`, recorded in
-        ``meta.execution`` — but note the fast backends consume the RNG
-        stream differently, so a seeded run's records are statistically
-        equivalent rather than bit-identical across backends.
-    protocol:
-        Trust-model identity axis applied to every scheme (see
-        :data:`repro.protocol.PROTOCOL_NAMES`); ``None`` keeps each scheme's
-        own default (the classical ``"local"`` model).  Unlike the execution
-        knobs above this *changes what the adversary can observe*, so when it
-        is set it enters :meth:`fingerprint` — an artifact collected under
-        the shuffle model can never be resumed as a local-model run.
+    collect_workers, backend, protocol:
+        The knobs shared with scenarios and services (see
+        :func:`shared_knob`; each field's metadata gives its role and help).
+        ``collect_workers`` reaches the schemes with a sharded collection
+        round (see
+        :meth:`repro.simulation.schemes.Scheme.configure_collection`), and
+        ``protocol=None`` keeps each scheme's own default, the classical
+        ``"local"`` model.  The identity ones join :meth:`fingerprint`;
+        every one of them is recorded in ``meta.execution``.
     seed:
         Default master seed used when the executor is not handed an explicit
         generator.
@@ -121,9 +149,9 @@ class ExperimentSpec:
         -1.0,
         1.0,
     )
-    collect_workers: int | None = None
-    backend: str | None = None
-    protocol: str | None = None
+    collect_workers: int | None = shared_knob("collect_workers")
+    backend: str | None = shared_knob("backend")
+    protocol: str | None = shared_knob("protocol")
     seed: int | None = None
     description: str = ""
     fingerprint_extra: Mapping[str, Any] | None = None
@@ -134,18 +162,12 @@ class ExperimentSpec:
             raise ValueError(f"spec {self.name!r} has no sweep points")
         check_integer(self.n_users, "n_users", minimum=1)
         check_integer(self.n_trials, "n_trials", minimum=1)
-        if self.collect_workers is not None:
-            check_integer(self.collect_workers, "collect_workers", minimum=1)
-            if self.is_point_granular():
-                raise ValueError(
-                    f"spec {self.name!r} overrides evaluate_point, which runs "
-                    f"outside the trial runners; collect_workers is never "
-                    f"honoured"
-                )
-        if self.backend is not None:
-            check_backend(self.backend)
-        if self.protocol is not None:
-            check_protocol(self.protocol)
+        knobs.validate(self)
+        if self.collect_workers is not None and self.is_point_granular():
+            raise ValueError(
+                f"spec {self.name!r} overrides evaluate_point, which runs "
+                f"outside the trial runners; collect_workers is never honoured"
+            )
         if not self.is_point_granular():
             missing = [
                 label
@@ -257,15 +279,13 @@ class ExperimentSpec:
         an artifact from a *different* sweep of the same shape (e.g. other
         epsilons, or other schemes) can never be mistaken for this one.
 
-        Execution details — ``collect_workers``, ``backend``, and the
-        executor's worker count — are deliberately *not* part of the
-        identity: the block-seeded collection is merge-invariant, so
+        Of the declared knobs only the identity ones join (``protocol``,
+        when set).  Execution details — ``collect_workers``, ``backend``
+        and the executor's worker count — are deliberately left out:
         completed records are reusable verbatim whatever configuration
-        computes the remaining ones, and a run must stay resumable when only
+        computes the remaining ones, so a run must stay resumable when only
         its execution knobs change (e.g. resuming a serial run with
-        ``--collect-workers 4`` on a bigger machine).  The ``protocol`` trust
-        model is the exception: it changes what the adversary observes, so
-        it joins the identity whenever it is set.
+        ``--collect-workers 4`` on a bigger machine).
         """
         gamma = self.gamma if isinstance(self.gamma, (int, float)) else "per-point"
         points_digest = hashlib.sha256(
@@ -289,13 +309,10 @@ class ExperimentSpec:
             "batched": False,
             "granularity": "point" if self.is_point_granular() else "scheme",
         }
-        # identity axis, not an execution knob — but only when set, so every
-        # historical local-model fingerprint stays byte-identical
-        if self.protocol is not None:
-            fingerprint["protocol"] = self.protocol
+        fingerprint.update(knobs.document(self))
         if self.fingerprint_extra:
             fingerprint.update(self.fingerprint_extra)
         return fingerprint
 
 
-__all__ = ["ExperimentSpec", "PointSpec", "Unit"]
+__all__ = ["ExperimentSpec", "PointSpec", "Unit", "shared_knob"]

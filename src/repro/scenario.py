@@ -35,8 +35,6 @@ running differently from how it reads.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
@@ -44,7 +42,6 @@ from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
 import numpy as np
 
 from repro.attacks.base import Attack
-from repro.backends import check_backend
 from repro.attacks.distributions import (
     BetaPoison,
     GaussianPoison,
@@ -56,17 +53,29 @@ from repro.attacks.distributions import (
 )
 from repro.datasets.base import NumericalDataset
 from repro.engine import ExperimentSpec, run_experiment
+from repro.engine.spec import shared_knob
 from repro.engine.factories import (
     AttackLookup,
     DatasetLookup,
     PointKey,
     SchemesFromSpecs,
 )
-from repro.protocol.plan import check_protocol
+from repro.knobs import (
+    IDENTITY,
+    Spec,
+    axis,
+    constant,
+    domain,
+    fraction,
+    integer,
+    knob,
+    nonempty_text,
+    positive,
+    text,
+)
 from repro.registry import ATTACKS, DATASETS
 from repro.simulation.sweep import SweepRecord, format_table, records_to_table
 from repro.utils.rng import RngLike, ensure_rng
-from repro.utils.validation import check_fraction, check_integer
 
 #: named poison distributions accepted in attack specs
 POISON_DISTRIBUTIONS: Mapping[str, type] = {
@@ -183,232 +192,89 @@ def _unique_labels(pairs: Sequence[Tuple[str, Any]], what: str) -> Dict[str, Any
     return mapping
 
 
-#: top-level keys accepted in a scenario document
-SCENARIO_KEYS = (
-    "name",
-    "description",
-    "schemes",
-    "epsilons",
-    "attacks",
-    "datasets",
-    "gammas",
-    "trials",
-    "n_trials",
-    "seed",
-    "epsilon_min",
-    "collect_workers",
-    "backend",
-    "protocol",
-    "population",
-)
+def _epsilon(value: Any, name: str) -> float:
+    return float(positive(value, name))
 
-#: keys accepted under ``population``
-POPULATION_KEYS = ("n_users", "gamma", "input_domain")
+
+def _gamma(value: Any, name: str) -> float:
+    return float(fraction(value, name))
 
 
 @dataclass
-class ScenarioSpec:
+class ScenarioSpec(Spec):
     """A declarative cross-grid workload over registered components.
 
     The sweep grid is ``datasets x attacks x (gammas) x epsilons``, with every
     scheme evaluated at each point (the scheme axis of the emitted records).
-
-    Attributes
-    ----------
-    name:
-        Scenario identifier, used for run artifacts.
-    schemes:
-        Scheme specs (names or mappings — see
-        :func:`~repro.simulation.schemes.scheme_from_spec`).
-    epsilons:
-        The privacy-budget grid.
-    attacks, datasets:
-        Attack / dataset specs (names or mappings).
-    gammas:
-        Optional Byzantine-proportion grid; when given it becomes a sweep
-        axis, otherwise the constant ``gamma`` applies.
-    n_users, n_trials, gamma, seed:
-        Population scale, trials per point, default Byzantine proportion and
-        master seed.
-    epsilon_min:
-        Probing budget floor forwarded to DAP-style schemes.
-    input_domain:
-        Mechanism input domain.
-    collect_workers:
-        Fan every DAP collection round out over this many shard workers, so
-        one round uses that many cores.  Records are bit-identical for any
-        positive value, so this is a pure execution detail: it is excluded
-        from :meth:`document` (and hence the resume digest), exactly like
-        the executor's ``n_workers``.
-    backend:
-        Array-compute backend the run executes under (see
-        :data:`repro.backends.BACKENDS`); ``None`` keeps the process default
-        (the bit-stable ``"numpy"`` reference).  An execution detail like
-        ``collect_workers`` — excluded from :meth:`document` and the resume
-        digest, recorded only in ``meta.execution`` — though the fast
-        backends draw statistically equivalent (not bit-identical) samples.
-    protocol:
-        Trust model every scheme runs under (see
-        :data:`repro.protocol.PROTOCOL_NAMES`); the default ``"local"`` is
-        the classical local model.  An **identity** knob (unlike
-        ``backend``): the shuffle model changes what the adversary can
-        observe, so when it is not ``"local"`` it enters :meth:`document`
-        and the resume digest.  Leaving it at the default keeps digests of
-        existing scenarios unchanged.
+    Each field is one :func:`~repro.knobs.knob`: its metadata gives the
+    knob's role (identity or execution detail), validator and help text, and
+    :class:`~repro.knobs.Spec` derives the strict document parser
+    (:meth:`from_dict`), the identity :meth:`document` and its
+    :meth:`digest` from them.  Execution details (``collect_workers``,
+    ``backend``) stay out of the document, like the executor's
+    ``n_workers``: completed records are reusable verbatim whichever
+    configuration computes the rest, so a run stays resumable with
+    ``--collect-workers`` or ``--backend`` set.
     """
 
-    name: str
-    schemes: Sequence[Any]
-    epsilons: Sequence[float]
-    attacks: Sequence[Any] = ("none",)
-    datasets: Sequence[Any] = ("Uniform",)
-    gammas: Sequence[float] | None = None
-    n_users: int = 20_000
-    n_trials: int = 3
-    gamma: float = 0.25
-    seed: int = 0
-    epsilon_min: float = 1.0 / 16.0
-    input_domain: Tuple[float, float] = (-1.0, 1.0)
-    collect_workers: int | None = None
-    backend: str | None = None
-    protocol: str = "local"
-    description: str = ""
+    kind = "scenario"
 
-    def __post_init__(self) -> None:
-        if not str(self.name).strip():
-            raise ValueError("scenario needs a non-empty 'name'")
-        self.schemes = tuple(self.schemes)
-        self.epsilons = tuple(float(epsilon) for epsilon in self.epsilons)
-        self.attacks = tuple(self.attacks)
-        self.datasets = tuple(self.datasets)
-        for label, axis in (
-            ("schemes", self.schemes),
-            ("epsilons", self.epsilons),
-            ("attacks", self.attacks),
-            ("datasets", self.datasets),
-        ):
-            if not axis:
-                raise ValueError(f"scenario {self.name!r} has an empty {label!r} axis")
-        if any(epsilon <= 0 for epsilon in self.epsilons):
-            raise ValueError(f"epsilons must be positive, got {self.epsilons}")
-        check_integer(self.n_users, "n_users", minimum=10)
-        check_integer(self.n_trials, "n_trials", minimum=1)
-        check_fraction(self.gamma, "gamma")
-        if self.gammas is not None:
-            self.gammas = tuple(
-                check_fraction(float(g), "gammas entry") for g in self.gammas
-            )
-            if not self.gammas:
-                raise ValueError(f"scenario {self.name!r} has an empty 'gammas' grid")
-        self.input_domain = (float(self.input_domain[0]), float(self.input_domain[1]))
-        self.seed = int(self.seed)
-        if self.collect_workers is not None:
-            self.collect_workers = check_integer(
-                self.collect_workers, "collect_workers", minimum=1
-            )
-        if self.backend is not None:
-            check_backend(self.backend)
-        check_protocol(self.protocol)
+    name: str = knob(IDENTITY, nonempty_text, "scenario identifier, used for run artifacts")
+    description: str = knob(IDENTITY, text, "free-form provenance", default="", kw_only=True)
+    schemes: Sequence[Any] = knob(
+        IDENTITY,
+        axis(),
+        "scheme specs, registered names or mappings (see "
+        "repro.simulation.schemes.scheme_from_spec); the scheme axis of the records",
+    )
+    epsilons: Sequence[float] = knob(IDENTITY, axis(_epsilon), "the privacy-budget grid")
+    attacks: Sequence[Any] = knob(
+        IDENTITY, axis(), "attack specs, registered names or mappings", default=("none",)
+    )
+    datasets: Sequence[Any] = knob(
+        IDENTITY, axis(), "dataset specs, registered names or mappings", default=("Uniform",)
+    )
+    gammas: Sequence[float] | None = knob(
+        IDENTITY,
+        axis(_gamma),
+        "Byzantine-proportion grid; when given it becomes a sweep axis, "
+        "otherwise the constant population gamma applies",
+        default=None,
+    )
+    n_users: int = knob(
+        IDENTITY, integer(10), "users per trial", default=20_000, section="population"
+    )
+    gamma: float = knob(
+        IDENTITY, fraction, "Byzantine proportion", default=0.25, section="population"
+    )
+    input_domain: Tuple[float, float] = knob(
+        IDENTITY,
+        domain,
+        "mechanism input domain [low, high]",
+        default=(-1.0, 1.0),
+        section="population",
+    )
+    n_trials: int = knob(IDENTITY, integer(1), "trials per grid point", default=3, alias="trials")
+    seed: int = knob(
+        IDENTITY,
+        integer(),
+        "master seed: sampling the datasets, then the executor's seed matrix",
+        default=0,
+    )
+    epsilon_min: float = knob(
+        IDENTITY, positive, "probing budget floor of DAP-style schemes", default=1.0 / 16.0
+    )
+    # every trial runs on the per-trial path since the stacked-trials knob
+    # was removed; the constant keeps stored digests resumable
+    batched: bool = constant(False)
+    protocol: str = shared_knob("protocol", "local")
+    collect_workers: int | None = shared_knob("collect_workers")
+    backend: str | None = shared_knob("backend")
 
-    # ------------------------------------------------------------------
-    # construction from documents
-    # ------------------------------------------------------------------
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "ScenarioSpec":
         """Build a scenario from a parsed JSON document (strict keys)."""
-        if not isinstance(payload, Mapping):
-            raise TypeError(f"scenario document must be a mapping, got {payload!r}")
-        unknown = sorted(set(payload) - set(SCENARIO_KEYS))
-        if unknown:
-            raise ValueError(
-                f"unknown scenario keys {unknown}; allowed: {', '.join(SCENARIO_KEYS)}"
-            )
-        missing = [key for key in ("name", "schemes", "epsilons") if key not in payload]
-        if missing:
-            raise ValueError(f"scenario document is missing {missing}")
-        if "trials" in payload and "n_trials" in payload:
-            raise ValueError("give either 'trials' or 'n_trials', not both")
-        population = dict(payload.get("population", {}))
-        unknown = sorted(set(population) - set(POPULATION_KEYS))
-        if unknown:
-            raise ValueError(
-                f"unknown population keys {unknown}; allowed: "
-                f"{', '.join(POPULATION_KEYS)}"
-            )
-        kwargs: Dict[str, Any] = {
-            "name": payload["name"],
-            "schemes": payload["schemes"],
-            "epsilons": payload["epsilons"],
-        }
-        for key in ("description", "attacks", "datasets", "gammas", "seed",
-                    "epsilon_min", "collect_workers", "backend", "protocol"):
-            if key in payload:
-                kwargs[key] = payload[key]
-        n_trials = payload.get("trials", payload.get("n_trials"))
-        if n_trials is not None:
-            kwargs["n_trials"] = n_trials
-        for key in ("n_users", "gamma", "input_domain"):
-            if key in population:
-                kwargs[key] = population[key]
-        return cls(**kwargs)
-
-    @classmethod
-    def from_file(cls, path: str | os.PathLike) -> "ScenarioSpec":
-        """Load a scenario from a JSON file."""
-        with open(path) as handle:
-            try:
-                payload = json.load(handle)
-            except json.JSONDecodeError as error:
-                raise ValueError(f"{os.fspath(path)}: invalid JSON ({error})") from None
-        return cls.from_dict(payload)
-
-    # ------------------------------------------------------------------
-    # lowering
-    # ------------------------------------------------------------------
-    def document(self) -> Dict[str, Any]:
-        """The scenario as a canonical JSON-style document.
-
-        Captures every knob that affects results — including seed,
-        epsilon_min and per-component params — so its digest identifies the
-        scenario for artifact resume.  Execution details
-        (``collect_workers``, ``backend``) are deliberately excluded, like
-        the executor's ``n_workers``: completed records are reusable verbatim
-        whichever configuration computes the rest, so a run must stay
-        resumable with ``--collect-workers`` or ``--backend`` set.
-
-        The ``protocol`` trust model is the opposite: it changes what the
-        adversary observes, so it joins the document — but only when it is
-        not the default ``"local"``, so local-model digests are stable
-        across versions.
-        """
-        document = {
-            "name": self.name,
-            "description": self.description,
-            "schemes": list(self.schemes),
-            "epsilons": list(self.epsilons),
-            "attacks": list(self.attacks),
-            "datasets": list(self.datasets),
-            "gammas": None if self.gammas is None else list(self.gammas),
-            "population": {
-                "n_users": self.n_users,
-                "gamma": self.gamma,
-                "input_domain": list(self.input_domain),
-            },
-            "n_trials": self.n_trials,
-            "seed": self.seed,
-            "epsilon_min": self.epsilon_min,
-            # every trial runs on the per-trial path since the stacked-trials
-            # knob was removed; the constant keeps stored digests resumable
-            "batched": False,
-        }
-        if self.protocol != "local":
-            document["protocol"] = self.protocol
-        return document
-
-    def digest(self) -> str:
-        """Stable hash of :meth:`document` (part of the spec fingerprint)."""
-        payload = json.dumps(self.document(), sort_keys=True, default=repr)
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+        return cls.from_mapping(payload)
 
     def to_experiment_spec(self, rng: RngLike = None) -> ExperimentSpec:
         """Lower the scenario to an engine :class:`ExperimentSpec`.
@@ -538,6 +404,4 @@ __all__ = [
     "dataset_from_spec",
     "format_scenario_records",
     "POISON_DISTRIBUTIONS",
-    "SCENARIO_KEYS",
-    "POPULATION_KEYS",
 ]

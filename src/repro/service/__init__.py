@@ -23,7 +23,7 @@ from repro.service.runtime import (
     format_window,
     run_service,
 )
-from repro.service.spec import DEFAULT_DETECTOR, SERVICE_KEYS, ServiceSpec
+from repro.service.spec import DEFAULT_DETECTOR, ServiceSpec
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -32,7 +32,6 @@ __all__ = [
     "payload_checksum",
     "CusumDetector",
     "DEFAULT_DETECTOR",
-    "SERVICE_KEYS",
     "ServiceResult",
     "ServiceSpec",
     "WindowResult",

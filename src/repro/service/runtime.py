@@ -205,7 +205,7 @@ class WindowedAggregationService:
         # run state (populated by _fresh_state / _restore_state)
         self._cumulative: List[GroupAccumulator] = []
         self._warm: Dict[str, np.ndarray] | None = None
-        self._detector = CusumDetector(**spec.detector_config())
+        self._detector = CusumDetector(**spec.detector)
         self._windows: List[WindowResult] = []
         self._next_window = 0
         self._prev_probe_gamma = 0.0
@@ -225,7 +225,7 @@ class WindowedAggregationService:
             for epsilon_t in ladder
         ]
         self._warm = None
-        self._detector = CusumDetector(**self.spec.detector_config())
+        self._detector = CusumDetector(**self.spec.detector)
         self._windows = []
         self._next_window = 0
         self._prev_probe_gamma = 0.0
@@ -271,9 +271,11 @@ class WindowedAggregationService:
             if key in recorded and recorded[key] != current[key]
         }
         if drifted:
-            # execution details do not change the bits (sharding is
-            # block-seeded, backends are either bit-stable or explicitly
-            # chosen), but surface the drift for provenance
+            # sharding and checkpoint cadence never change the bits (shards
+            # are block-seeded), but another backend draws the remaining
+            # windows from a different, statistically equivalent stream:
+            # surface the drift so the resumed stream is not taken for a
+            # bit-identical one
             warnings.warn(
                 f"resuming with different execution details than the "
                 f"checkpointed run: {drifted}",

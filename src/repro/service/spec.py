@@ -20,19 +20,13 @@ Service files are what ``python -m repro serve`` executes::
       "seed": 7
     }
 
-Identity vs execution details follow the scenario doctrine: everything that
-changes a single output bit is part of :meth:`ServiceSpec.document` (and so
-of the digest that guards checkpoints), while knobs that only change *how*
-the same bits are computed — shard fan-out, worker counts, checkpoint
-cadence — are execution details.  Two service-specific callouts:
-
-* ``window_size`` and ``n_windows`` are **identity**: they fix the window
-  boundaries and the frozen probe-grid geometry, so changing either is a
-  different stream, not a different execution of the same stream.
-* ``warm_probe`` is **identity**: the service guarantees *bit-identical*
-  kill/resume, and warm starts change the iterate-level floating point of
-  every window's probe, so the digest must pin it for that guarantee to
-  mean anything.
+Identity vs execution details follow the scenario doctrine: each field is
+one :func:`~repro.knobs.knob` whose metadata gives its role, validator, CLI
+flag and help text.  Everything that changes a single output bit is part of
+:meth:`ServiceSpec.document` (and so of the digest that guards checkpoints);
+knobs that only change *how* the same bits are computed — shard fan-out,
+worker counts, checkpoint cadence — are execution details, recorded in the
+checkpoint but never compared.
 
 Documents are strict: unknown keys, including those of removed knobs, are
 refused rather than ignored.
@@ -40,41 +34,26 @@ refused rather than ignored.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Tuple
 
-from repro.backends import check_backend
-from repro.protocol.plan import check_protocol
-from repro.service.checkpoint import DEFAULT_RETAIN
-from repro.utils.validation import check_fraction, check_integer, check_positive
-
-#: keys accepted in a service JSON document
-SERVICE_KEYS = (
-    "name",
-    "description",
-    "epsilon",
-    "epsilon_min",
-    "estimator",
-    "dataset",
-    "attack",
-    "gamma",
-    "attack_start",
-    "window_size",
-    "n_windows",
-    "seed",
-    "input_domain",
-    "warm_probe",
-    "protocol",
-    "detector",
-    "backend",
-    "collect_shards",
-    "collect_workers",
-    "checkpoint_every",
-    "checkpoint_retain",
+from repro.engine.spec import shared_knob
+from repro.knobs import (
+    EXECUTION,
+    IDENTITY,
+    Spec,
+    boolean,
+    constant,
+    domain,
+    fraction,
+    integer,
+    knob,
+    nonempty_text,
+    positive,
+    text,
 )
+from repro.service.checkpoint import DEFAULT_RETAIN
 
 #: default sequential change-detector knobs (see ``repro.service.detector``)
 DEFAULT_DETECTOR: Mapping[str, float] = {
@@ -85,203 +64,135 @@ DEFAULT_DETECTOR: Mapping[str, float] = {
 }
 
 
+def _detector(value: Any, name: str) -> Dict[str, Any]:
+    """Detector overrides, stored merged over :data:`DEFAULT_DETECTOR`."""
+    if not isinstance(value, Mapping):
+        raise ValueError(f"{name} must be a mapping of detector knobs, got {value!r}")
+    unknown = set(value) - set(DEFAULT_DETECTOR)
+    if unknown:
+        raise ValueError(
+            f"unknown detector keys {sorted(unknown)}; known: "
+            f"{sorted(DEFAULT_DETECTOR)}"
+        )
+    return {**DEFAULT_DETECTOR, **value}
+
+
 @dataclass
-class ServiceSpec:
+class ServiceSpec(Spec):
     """A windowed continuous-aggregation workload.
 
-    Attributes
-    ----------
-    name:
-        Service name; keys the checkpoint file and the results artifact.
-    epsilon, epsilon_min, estimator:
-        The DAP knobs, as in :class:`repro.core.dap.DAPConfig`.
-    dataset:
-        Dataset spec (registered name or mapping) the normal users' values
-        are drawn from, window by window.
-    attack, gamma, attack_start:
-        The attack spec, the Byzantine proportion once the attack is live,
-        and the first window index (0-based) at which Byzantine users appear.
-        Windows before ``attack_start`` are attack-free — that prefix is what
-        the change detector calibrates on.
-    window_size:
-        Users arriving per window.
-    n_windows:
-        Horizon of the stream.  Also freezes the probe-grid geometry (the
-        paper's ``d' = floor(sqrt(N))`` evaluated at the horizon's expected
-        probe-group report count), so cumulative statistics from every window
-        merge on one grid.
-    seed:
-        Master seed; window ``w`` consumes a generator derived from
-        ``(seed, w)`` only, which is what makes kill/resume bit-identical.
-    warm_probe:
-        Warm-start each window's probe EMs from the previous window's
-        converged weights (the steady-state fast path).  Identity, because it
-        changes iterate-level floating point.
-    protocol:
-        Trust model the windows collect under (``"local"`` / ``"shuffle"``,
-        see :data:`repro.protocol.PROTOCOL_NAMES`).  Identity when not the
-        default ``"local"`` — the shuffle model changes what the adversary
-        observes — and left out of :meth:`document` otherwise, so digests
-        of existing local-model services are unchanged.
-    detector:
-        Change-detector overrides merged over :data:`DEFAULT_DETECTOR`.
-    backend, collect_shards, collect_workers, checkpoint_every:
-        Execution details: array backend, collection fan-out and checkpoint
-        cadence.  Excluded from the digest.
-    checkpoint_retain:
-        How many last-good checkpoint ancestors the service keeps alongside
-        the newest one (the rollback depth of chain recovery).  An execution
-        detail: retention bounds how far back a corrupted head can roll
-        back, never what a healthy run computes.
+    Users arrive in ``n_windows`` windows of ``window_size``; an attack may
+    switch on at ``attack_start``.  Each field's metadata gives its role,
+    validator, CLI flag and help text (:mod:`repro.knobs`).
     """
 
-    name: str
-    description: str = ""
-    epsilon: float = 1.0
-    epsilon_min: float = 1.0 / 16.0
-    estimator: str = "cemf_star"
-    dataset: Any = "Uniform"
-    attack: Any = "none"
-    gamma: float = 0.0
-    attack_start: int = 0
-    window_size: int = 10_000
-    n_windows: int = 20
-    seed: int = 0
-    input_domain: Tuple[float, float] = (-1.0, 1.0)
-    warm_probe: bool = True
-    protocol: str = "local"
-    detector: Dict[str, Any] = field(default_factory=dict)
-    backend: str | None = None
-    collect_shards: int = 1
-    collect_workers: int | None = None
-    checkpoint_every: int = 1
-    checkpoint_retain: int = DEFAULT_RETAIN
+    kind = "service"
 
-    def __post_init__(self) -> None:
-        if not self.name or not isinstance(self.name, str):
-            raise ValueError("service spec needs a non-empty 'name'")
-        check_positive(self.epsilon, "epsilon")
-        check_positive(self.epsilon_min, "epsilon_min")
-        check_fraction(self.gamma, "gamma")
-        check_integer(self.attack_start, "attack_start", minimum=0)
-        check_integer(self.window_size, "window_size", minimum=2)
-        check_integer(self.n_windows, "n_windows", minimum=1)
-        check_integer(self.seed, "seed")
-        check_integer(self.collect_shards, "collect_shards", minimum=1)
-        if self.collect_workers is not None:
-            check_integer(self.collect_workers, "collect_workers", minimum=1)
-        check_integer(self.checkpoint_every, "checkpoint_every", minimum=1)
-        check_integer(self.checkpoint_retain, "checkpoint_retain", minimum=1)
-        if not isinstance(self.warm_probe, bool):
-            raise ValueError(
-                f"warm_probe must be a boolean (true or false), got "
-                f"{self.warm_probe!r}"
-            )
-        check_protocol(self.protocol)
-        if self.backend is not None:
-            check_backend(self.backend)
-        if len(self.input_domain) != 2:
-            raise ValueError("input_domain must be a [low, high] pair")
-        self.input_domain = (float(self.input_domain[0]), float(self.input_domain[1]))
-        if self.input_domain[0] >= self.input_domain[1]:
-            raise ValueError(
-                f"input_domain low must be below high, got {self.input_domain}"
-            )
-        unknown = set(self.detector) - set(DEFAULT_DETECTOR)
-        if unknown:
-            raise ValueError(
-                f"unknown detector keys {sorted(unknown)}; known: "
-                f"{sorted(DEFAULT_DETECTOR)}"
-            )
-
-    # ------------------------------------------------------------------
-    # serialisation
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_mapping(cls, payload: Mapping[str, Any]) -> "ServiceSpec":
-        """Build a spec from a parsed JSON document (unknown keys rejected)."""
-        if not isinstance(payload, Mapping):
-            raise ValueError(
-                f"service document must be a mapping, got {type(payload).__name__}"
-            )
-        unknown = set(payload) - set(SERVICE_KEYS)
-        if unknown:
-            raise ValueError(
-                f"unknown service keys {sorted(unknown)}; known keys: "
-                f"{', '.join(SERVICE_KEYS)}"
-            )
-        params = dict(payload)
-        if "input_domain" in params:
-            params["input_domain"] = tuple(params["input_domain"])
-        return cls(**params)
-
-    @classmethod
-    def from_file(cls, path: str) -> "ServiceSpec":
-        """Load a spec from a JSON file."""
-        with open(path, "r", encoding="utf-8") as handle:
-            try:
-                payload = json.load(handle)
-            except json.JSONDecodeError as error:
-                raise ValueError(f"{os.fspath(path)}: invalid JSON ({error})") from None
-        return cls.from_mapping(payload)
-
-    def detector_config(self) -> Dict[str, float]:
-        """The detector knobs with defaults applied."""
-        merged = dict(DEFAULT_DETECTOR)
-        merged.update(self.detector)
-        return merged
-
-    def document(self) -> Dict[str, Any]:
-        """The service as a canonical JSON-style document.
-
-        Captures every knob that affects a single output bit — window
-        boundaries, grids, seeds, warm starts, detector thresholds.  Execution details (``backend``, ``collect_shards``,
-        ``collect_workers``, ``checkpoint_every``) are excluded, exactly as
-        the scenario digest excludes its collection knobs: a stream started
-        serially must stay resumable from its checkpoint with a shard pool.
-        """
-        document = {
-            "name": self.name,
-            "description": self.description,
-            "epsilon": self.epsilon,
-            "epsilon_min": self.epsilon_min,
-            "estimator": self.estimator,
-            "dataset": self.dataset,
-            "attack": self.attack,
-            "gamma": self.gamma,
-            "attack_start": self.attack_start,
-            "window_size": self.window_size,
-            "n_windows": self.n_windows,
-            "seed": self.seed,
-            "input_domain": list(self.input_domain),
-            "warm_probe": self.warm_probe,
-            # every window probes with the stacked side EM since the strategy
-            # knob was removed; the constant keeps checkpoint digests resumable
-            "probe_strategy": "batched",
-            "detector": self.detector_config(),
-        }
-        if self.protocol != "local":
-            document["protocol"] = self.protocol
-        return document
-
-    def digest(self) -> str:
-        """Stable hash of :meth:`document`; guards checkpoint compatibility."""
-        payload = json.dumps(self.document(), sort_keys=True, default=repr)
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-    def execution_details(self) -> Dict[str, Any]:
-        """The non-identity knobs, recorded (not enforced) in checkpoints."""
-        return {
-            "backend": self.backend,
-            "collect_shards": self.collect_shards,
-            "collect_workers": self.collect_workers,
-            "checkpoint_every": self.checkpoint_every,
-            "checkpoint_retain": self.checkpoint_retain,
-        }
+    name: str = knob(
+        IDENTITY,
+        nonempty_text,
+        "service name; keys the checkpoint file and the results artifact",
+    )
+    description: str = knob(IDENTITY, text, "free-form provenance", default="")
+    epsilon: float = knob(IDENTITY, positive, "privacy budget per report", default=1.0)
+    epsilon_min: float = knob(
+        IDENTITY, positive, "probing budget floor, as in DAPConfig", default=1.0 / 16.0
+    )
+    estimator: str = knob(
+        IDENTITY, text, "DAP estimator, as in DAPConfig", default="cemf_star"
+    )
+    dataset: Any = knob(
+        IDENTITY,
+        None,
+        "dataset spec (registered name or mapping) the normal users' values "
+        "are drawn from, window by window",
+        default="Uniform",
+    )
+    attack: Any = knob(
+        IDENTITY, None, "attack spec (registered name or mapping)", default="none"
+    )
+    gamma: float = knob(
+        IDENTITY, fraction, "Byzantine proportion once the attack is live", default=0.0
+    )
+    attack_start: int = knob(
+        IDENTITY,
+        integer(0),
+        "first window (0-based) with Byzantine users; the attack-free prefix "
+        "is what the change detector calibrates on",
+        default=0,
+    )
+    window_size: int = knob(
+        IDENTITY,
+        integer(2),
+        "users arriving per window; fixes the window boundaries",
+        default=10_000,
+        flag="--window-size",
+    )
+    n_windows: int = knob(
+        IDENTITY,
+        integer(1),
+        "horizon of the stream; it also freezes the probe-grid geometry "
+        "(d' = floor(sqrt(N)) at the horizon's expected probe-group report "
+        "count), so every window's statistics merge on one grid",
+        default=20,
+        flag="--windows",
+    )
+    seed: int = knob(
+        IDENTITY,
+        integer(),
+        "master seed; window w draws from (seed, w) only, which is what makes "
+        "kill/resume bit-identical",
+        default=0,
+    )
+    input_domain: Tuple[float, float] = knob(
+        IDENTITY, domain, "mechanism input domain [low, high]", default=(-1.0, 1.0)
+    )
+    warm_probe: bool = knob(
+        IDENTITY,
+        boolean,
+        "warm-start each window's probe EMs from the previous window's "
+        "converged weights; this changes iterate-level floating point, and "
+        "kill/resume is bit-identical only with the digest pinning it",
+        default=True,
+    )
+    # every window probes with the stacked side EM since the strategy knob
+    # was removed; the constant keeps checkpoint digests resumable
+    probe_strategy: str = constant("batched")
+    detector: Dict[str, Any] = knob(
+        IDENTITY,
+        _detector,
+        "change-detector overrides, merged over DEFAULT_DETECTOR",
+        default_factory=dict,
+    )
+    protocol: str = shared_knob("protocol", "local")
+    backend: str | None = shared_knob("backend")
+    collect_shards: int = knob(
+        EXECUTION,
+        integer(1),
+        "shards per window's collection round",
+        default=1,
+        flag="--collect-shards",
+    )
+    collect_workers: int | None = shared_knob("collect_workers")
+    checkpoint_every: int = knob(
+        EXECUTION,
+        integer(1),
+        "checkpoint after every N completed windows",
+        default=1,
+        flag="--checkpoint-every",
+    )
+    checkpoint_retain: int = knob(
+        EXECUTION,
+        integer(1),
+        "last-good checkpoint ancestors kept beside the newest one: how far "
+        "back chain recovery can roll a corrupted head",
+        default=DEFAULT_RETAIN,
+        flag="--checkpoint-retain",
+    )
 
     def default_checkpoint_path(self, directory: str) -> str:
         """The checkpoint file this service uses inside ``directory``."""
         return os.path.join(directory, f"{self.name}.checkpoint.json")
 
 
-__all__ = ["DEFAULT_DETECTOR", "SERVICE_KEYS", "ServiceSpec"]
+__all__ = ["DEFAULT_DETECTOR", "ServiceSpec"]

@@ -11,17 +11,51 @@ for the k-RR frequency extension.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
+from repro import knobs
 from repro.attacks import BiasedByzantineAttack, NoAttack, PoisonRange
 from repro.collect import CategoryCountAccumulator
 from repro.core.dap import DAPConfig, DAPProtocol
 from repro.core.frequency import FrequencyDAP
+from repro.cli import _with_overrides, build_parser
 from repro.engine import ExperimentSpec
 from repro.ldp.square_wave import SquareWaveMechanism
 from repro.scenario import ScenarioSpec
 from tests.client_reports import accumulate, chunk_array, group_reports
+
+SCENARIO_BASE = dict(name="x", schemes=["Ostrich"], epsilons=[1.0])
+#: one valid, non-default value per settable scenario knob
+SCENARIO_ALTERNATIVES = dict(
+    name="y",
+    description="another grid",
+    schemes=["Trimming"],
+    epsilons=[0.5, 1.0],
+    attacks=["ima"],
+    datasets=["Gaussian"],
+    gammas=[0.1, 0.3],
+    n_users=500,
+    gamma=0.1,
+    input_domain=(0.0, 1.0),
+    n_trials=2,
+    seed=7,
+    epsilon_min=0.25,
+    protocol="shuffle",
+    collect_workers=4,
+    backend="fast",
+)
+
+
+def scenario_roles(*wanted):
+    """The settable scenario knobs declared with one of ``wanted``."""
+    return {
+        f.name
+        for f in knobs.knobs(ScenarioSpec)
+        if f.init and f.metadata["role"] in wanted
+    }
 
 ATTACK = BiasedByzantineAttack(PoisonRange.of_c(0.5, 1.0))
 CHUNK_SIZES = (7, 997, 4_096, 10**7)  # includes chunk > n and n % chunk != 0
@@ -171,8 +205,51 @@ class TestExecutionDetails:
         assert "collect_workers" not in base
         assert spec(collect_workers=2).fingerprint() == base
 
+    def test_every_scenario_knob_has_a_tested_alternative(self):
+        # a new knob must get an alternative here, so the role tests below
+        # cover it; the legacy constant is the one entry nobody can set
+        assert {f.name for f in knobs.knobs(ScenarioSpec) if f.init} == set(
+            SCENARIO_ALTERNATIVES
+        )
+        assert {f.name for f in knobs.knobs(ScenarioSpec) if not f.init} == {"batched"}
+
     def test_scenario_digest_ignores_execution_details(self):
-        kwargs = dict(name="x", schemes=["Ostrich"], epsilons=[1.0])
-        base = ScenarioSpec(**kwargs)
-        assert ScenarioSpec(**kwargs, collect_workers=4).digest() == base.digest()
-        assert "collect_workers" not in base.document()
+        base = ScenarioSpec(**SCENARIO_BASE)
+        for name in scenario_roles(knobs.EXECUTION, knobs.EXECUTION_REDRAWS):
+            changed = ScenarioSpec(
+                **{**SCENARIO_BASE, name: SCENARIO_ALTERNATIVES[name]}
+            )
+            assert changed.digest() == base.digest(), name
+        assert set(knobs.execution_details(base)) == {"collect_workers", "backend"}
+
+    def test_scenario_digest_pins_identity_knobs(self):
+        base = ScenarioSpec(**SCENARIO_BASE)
+        for name in scenario_roles(knobs.IDENTITY, knobs.IDENTITY_UNLESS_DEFAULT):
+            changed = ScenarioSpec(
+                **{**SCENARIO_BASE, name: SCENARIO_ALTERNATIVES[name]}
+            )
+            assert changed.digest() != base.digest(), name
+
+    def test_scenario_document_follows_the_roles(self):
+        base = ScenarioSpec(**SCENARIO_BASE)
+        identity = scenario_roles(knobs.IDENTITY)
+        population = {"n_users", "gamma", "input_domain"}
+        expected = (identity - population) | {"population", "batched"}
+        assert set(base.document()) == expected
+        assert set(base.document()["population"]) == population
+        shuffle = ScenarioSpec(**SCENARIO_BASE, protocol="shuffle")
+        assert set(shuffle.document()) == expected | {"protocol"}
+
+    @pytest.mark.parametrize("command", ["run", "resume"])
+    @pytest.mark.parametrize(
+        "field", knobs.flagged(ScenarioSpec), ids=lambda f: f.metadata["flag"]
+    )
+    def test_every_scenario_flag_parses_onto_its_field(self, field, command):
+        value = SCENARIO_ALTERNATIVES[field.name]
+        text = value if isinstance(value, str) else json.dumps(value)
+        args = build_parser().parse_args(
+            [command, "scenario.json", field.metadata["flag"], text]
+        )
+        assert getattr(args, field.name) == value
+        overridden = _with_overrides(ScenarioSpec(**SCENARIO_BASE), args)
+        assert getattr(overridden, field.name) == value

@@ -94,6 +94,14 @@ class TestRun:
         assert result.returncode == 1
         assert "nope.json" in result.stderr  # not a bare errno
 
+    def test_non_integer_seed_is_refused(self, tmp_path):
+        path = tmp_path / "seed.json"
+        path.write_text(json.dumps(dict(TINY_SCENARIO, seed=7.9)))
+        result = run_cli("run", str(path), "--store", str(tmp_path / "a.json"))
+        assert result.returncode == 1
+        assert "seed must be an integer" in result.stderr
+        assert not (tmp_path / "a.json").exists()
+
     def test_invalid_document_fails_cleanly(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(dict(TINY_SCENARIO, bogus=1)))

@@ -122,6 +122,25 @@ class TestScenarioValidation:
                  "population": {"users": 5}}
             )
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("input_domain", [1.0, -1.0]),
+            ("input_domain", [-1.0, 0.0, 1.0]),
+            ("epsilon_min", -0.5),
+            ("seed", 7.9),
+        ],
+    )
+    def test_bad_knob_values_refused(self, key, value):
+        # the same values ServiceSpec refuses: one validator per knob
+        document = {"name": "s", "schemes": ["Ostrich"], "epsilons": [1.0]}
+        if key == "input_domain":
+            document["population"] = {key: value}
+        else:
+            document[key] = value
+        with pytest.raises(ValueError, match=key):
+            ScenarioSpec.from_dict(document)
+
     def test_missing_required_keys(self):
         with pytest.raises(ValueError, match="missing .*schemes"):
             ScenarioSpec.from_dict({"name": "s", "epsilons": [1.0]})

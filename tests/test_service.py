@@ -24,7 +24,9 @@ import sys
 import numpy as np
 import pytest
 
+from repro import knobs
 from repro.backends import use_backend
+from repro.cli import _with_overrides, build_parser
 from repro.service import (
     CHECKPOINT_VERSION,
     CusumDetector,
@@ -50,6 +52,41 @@ SMALL = dict(
 )
 
 
+#: one valid, non-default value per settable knob
+ALTERNATIVES = dict(
+    name="svc_other",
+    description="another stream",
+    epsilon=2.0,
+    epsilon_min=0.5,
+    estimator="emf",
+    dataset="Gaussian",
+    attack="ima",
+    gamma=0.25,
+    attack_start=2,
+    window_size=600,
+    n_windows=6,
+    seed=12,
+    input_domain=(0.0, 1.0),
+    warm_probe=False,
+    detector={"warmup": 3},
+    protocol="shuffle",
+    backend="fast",
+    collect_shards=4,
+    collect_workers=2,
+    checkpoint_every=3,
+    checkpoint_retain=5,
+)
+IDENTITY_ROLES = (knobs.IDENTITY, knobs.IDENTITY_UNLESS_DEFAULT)
+EXECUTION_ROLES = (knobs.EXECUTION, knobs.EXECUTION_REDRAWS)
+
+
+def roles(spec_class, *wanted):
+    """The settable knobs of ``spec_class`` declared with one of ``wanted``."""
+    return {
+        f.name for f in knobs.knobs(spec_class) if f.init and f.metadata["role"] in wanted
+    }
+
+
 def small_spec(**overrides) -> ServiceSpec:
     return ServiceSpec(**{**SMALL, **overrides})
 
@@ -64,25 +101,58 @@ def small_run():
 
 
 class TestServiceSpec:
+    def test_every_knob_has_a_tested_alternative(self):
+        # a new knob must get an alternative here, so the role tests below
+        # cover it; the legacy constant is the one entry nobody can set
+        settable = {f.name for f in knobs.knobs(ServiceSpec) if f.init}
+        assert settable == set(ALTERNATIVES)
+        constants = {f.name for f in knobs.knobs(ServiceSpec) if not f.init}
+        assert constants == {"probe_strategy"}
+
     def test_digest_ignores_execution_details(self):
         base = small_spec()
-        execution = small_spec(
-            backend="fast", collect_shards=4, collect_workers=2, checkpoint_every=3
-        )
-        assert execution.digest() == base.digest()
+        for name in roles(ServiceSpec, *EXECUTION_ROLES):
+            changed = small_spec(**{name: ALTERNATIVES[name]})
+            assert changed.digest() == base.digest(), name
 
     def test_digest_pins_identity_knobs(self):
         base = small_spec()
-        for overrides in (
-            {"seed": 12},
-            {"window_size": 600},
-            {"n_windows": 6},
-            {"warm_probe": False},
-            {"detector": {"warmup": 3}},
-            {"gamma": 0.25},
-            {"attack_start": 2},
-        ):
-            assert small_spec(**overrides).digest() != base.digest(), overrides
+        for name in roles(ServiceSpec, *IDENTITY_ROLES):
+            changed = small_spec(**{name: ALTERNATIVES[name]})
+            assert changed.digest() != base.digest(), name
+
+    def test_document_and_execution_details_follow_the_roles(self):
+        base = small_spec()
+        identity = roles(ServiceSpec, knobs.IDENTITY)
+        assert set(base.document()) == identity | {"probe_strategy"}
+        shuffle = small_spec(protocol="shuffle")
+        assert set(shuffle.document()) == identity | {"probe_strategy", "protocol"}
+        assert set(base.execution_details()) == roles(ServiceSpec, *EXECUTION_ROLES)
+
+    @pytest.mark.parametrize(
+        "field", knobs.flagged(ServiceSpec), ids=lambda f: f.metadata["flag"]
+    )
+    def test_every_flag_parses_onto_its_field(self, field):
+        value = ALTERNATIVES[field.name]
+        text = value if isinstance(value, str) else json.dumps(value)
+        args = build_parser().parse_args(
+            ["serve", "svc.json", field.metadata["flag"], text]
+        )
+        assert getattr(args, field.name) == value
+        assert getattr(_with_overrides(small_spec(), args), field.name) == value
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("input_domain", [1.0, -1.0]),
+            ("input_domain", [-1.0, 0.0, 1.0]),
+            ("epsilon_min", -0.5),
+            ("seed", 7.9),
+        ],
+    )
+    def test_bad_knob_values_refused(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            ServiceSpec.from_mapping({**SMALL, key: value})
 
     def test_unknown_keys_rejected(self):
         # a removed knob is unknown too, even at the value it always had
