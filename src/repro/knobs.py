@@ -122,21 +122,6 @@ def document(spec: Any) -> Dict[str, Any]:
     return out
 
 
-def digest(spec: Any) -> str:
-    """Stable hash of :func:`document`."""
-    payload = json.dumps(document(spec), sort_keys=True, default=repr)
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
-def execution_details(spec: Any) -> Dict[str, Any]:
-    """The execution-detail knobs and their values, in field order."""
-    return {
-        f.name: getattr(spec, f.name)
-        for f in knobs(spec)
-        if f.metadata["role"] in (EXECUTION, EXECUTION_REDRAWS)
-    }
-
-
 def _key_layout(cls: type) -> Dict[str | None, List[str]]:
     """Accepted document keys: top level under ``None``, then per section."""
     layout: Dict[str | None, List[str]] = {None: []}
@@ -211,11 +196,16 @@ class Spec:
 
     def digest(self) -> str:
         """Stable hash of :meth:`document`; keys artifact and checkpoint reuse."""
-        return digest(self)
+        payload = json.dumps(self.document(), sort_keys=True, default=repr)
+        return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
     def execution_details(self) -> Dict[str, Any]:
         """The execution-detail knobs, recorded (never compared) for provenance."""
-        return execution_details(self)
+        return {
+            f.name: getattr(self, f.name)
+            for f in knobs(self)
+            if f.metadata["role"] in (EXECUTION, EXECUTION_REDRAWS)
+        }
 
 
 # ----------------------------------------------------------------------
@@ -308,7 +298,7 @@ def axis(entry: Check | None = None) -> Check:
 
 __all__ = [
     "EXECUTION", "EXECUTION_REDRAWS", "IDENTITY", "IDENTITY_UNLESS_DEFAULT",
-    "ROLE_NOTES", "Spec", "axis", "boolean", "constant", "digest", "document",
-    "domain", "execution_details", "flagged", "fraction", "integer", "knob",
-    "knobs", "nonempty_text", "positive", "text", "validate",
+    "ROLE_NOTES", "Spec", "axis", "boolean", "constant", "document", "domain",
+    "flagged", "fraction", "integer", "knob", "knobs", "nonempty_text",
+    "positive", "text", "validate",
 ]

@@ -220,6 +220,8 @@ class ScenarioSpec(Spec):
     kind = "scenario"
 
     name: str = knob(IDENTITY, nonempty_text, "scenario identifier, used for run artifacts")
+    # keyword-only, so it can sit second (its place in the document) ahead
+    # of the required fields
     description: str = knob(IDENTITY, text, "free-form provenance", default="", kw_only=True)
     schemes: Sequence[Any] = knob(
         IDENTITY,

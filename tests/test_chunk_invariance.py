@@ -220,7 +220,7 @@ class TestExecutionDetails:
                 **{**SCENARIO_BASE, name: SCENARIO_ALTERNATIVES[name]}
             )
             assert changed.digest() == base.digest(), name
-        assert set(knobs.execution_details(base)) == {"collect_workers", "backend"}
+        assert set(base.execution_details()) == {"collect_workers", "backend"}
 
     def test_scenario_digest_pins_identity_knobs(self):
         base = ScenarioSpec(**SCENARIO_BASE)
