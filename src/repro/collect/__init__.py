@@ -29,7 +29,10 @@ the shuffle protocol (see :func:`repro.core.dap.DAPProtocol.collect_sharded`):
 :class:`~repro.collect.sharding.ShardPlan` behind every protocol's
 ``collect_sharded`` — the one collection path: every accumulator's
 associative ``merge()`` plus per-block pre-drawn seeds make the merged round
-bit-identical at any shard count and any worker count.
+bit-identical at any shard count and any worker count.  Shard tasks read
+their users' values through :class:`~repro.collect.sharding.ValueSlice`
+handles into one :class:`~repro.collect.sharding.ShardValues` buffer, shared
+memory when the round is pooled, so no task pickles values.
 """
 
 from repro.collect.accumulators import (

@@ -20,16 +20,23 @@ statistics are bit-identical at **any** shard count and any worker count:
 ``n_shards`` and the process-pool size are pure execution details, on the
 same footing as the engine's ``n_workers``.  Only ``block_size`` is part of
 the run's identity (it decides how the per-block generators are consumed).
+
+Shard tasks never carry user values: they carry :class:`ValueSlice` handles
+into one :class:`ShardValues` buffer per round, which pooled rounds back with
+a shared-memory segment the workers map instead of unpickling value copies.
 """
 
 from __future__ import annotations
 
+import itertools
+import os
 from dataclasses import dataclass
-from typing import Any, Callable, List, Sequence, Tuple
+from multiprocessing import shared_memory
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.resilience.pool import ResilientPool
+from repro.resilience.pool import ResilientPool, warn_degraded
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import check_integer
 
@@ -237,11 +244,185 @@ def run_shard_tasks(
     )
 
 
+# ----------------------------------------------------------------------
+# shard values: one buffer per round, handles in the tasks
+# ----------------------------------------------------------------------
+#: the tmpfs behind POSIX shared memory on Linux (Docker caps it at 64 MiB
+#: by default)
+SHM_DIR = "/dev/shm"
+
+_local_ids = itertools.count()
+
+#: buffers this process reads without attaching: its own live ones, plus —
+#: in a forked pool worker — the parent's, whose mappings fork inherits
+_buffers: Dict[str, np.ndarray] = {}
+
+#: segments a spawned pool worker attached by name; they live as long as
+#: the worker, which lives as long as its round's pool
+_attached: Dict[str, shared_memory.SharedMemory] = {}
+
+#: unlinked segments still pinned by a view (an exception's traceback can
+#: hold one past its round); closed by a later round once the view is gone
+_unclosed: List[shared_memory.SharedMemory] = []
+
+
+@dataclass(frozen=True)
+class ValueSlice:
+    """A picklable handle on ``length`` values at ``offset`` of a buffer.
+
+    Names a :class:`ShardValues` buffer: a shared-memory segment when the
+    round is pooled, a process-local one otherwise.
+    """
+
+    buffer: str
+    dtype: str
+    offset: int
+    length: int
+
+    def read(self) -> np.ndarray:
+        """The values: a view on the buffer, not a copy."""
+        array = _buffers.get(self.buffer)
+        if array is None:
+            array = _attach(self.buffer, np.dtype(self.dtype))
+        return array[self.offset : self.offset + self.length]
+
+
+def _attach(name: str, dtype: np.dtype) -> np.ndarray:
+    segment = _attached.get(name)
+    if segment is None:
+        segment = _attached[name] = shared_memory.SharedMemory(name=name)
+    return _segment_array(segment, segment.size // dtype.itemsize, dtype)
+
+
+def _segment_array(
+    segment: shared_memory.SharedMemory, size: int, dtype: np.dtype
+) -> np.ndarray:
+    # np.frombuffer holds a buffer export for as long as the array or any
+    # view of it lives, so the segment cannot be closed under a view (an
+    # np.ndarray(buffer=...) array keeps no export and would dangle)
+    return np.frombuffer(segment.buf, dtype=dtype, count=size)
+
+
+def _shm_free_bytes() -> int | None:
+    """Bytes free in :data:`SHM_DIR`, or ``None`` where there is none to check."""
+    try:
+        fs = os.statvfs(SHM_DIR)
+    except OSError:
+        return None
+    return fs.f_bavail * fs.f_frsize
+
+
+def _create_segment(nbytes: int) -> shared_memory.SharedMemory | None:
+    """A new segment of ``nbytes``, or ``None`` (warned) if none can be had.
+
+    tmpfs allocates a segment's pages on first touch, so a segment larger
+    than the free space would be created fine and then kill the process
+    with SIGBUS while it is filled; the free space is checked first.
+    """
+    free = _shm_free_bytes()
+    if free is not None and free < nbytes:
+        reason = (
+            f"{SHM_DIR} has {free / 2**20:.1f} MiB free, the shard values "
+            f"need {nbytes / 2**20:.1f} MiB"
+        )
+    else:
+        try:
+            return shared_memory.SharedMemory(create=True, size=max(nbytes, 1))
+        except OSError as error:
+            reason = f"shared memory unavailable ({error})"
+    warn_degraded(SHARD_POOL_LABEL, "shared-memory", reason)
+    return None
+
+
+def _close_unpinned() -> None:
+    for segment in list(_unclosed):
+        try:
+            segment.close()
+        except BufferError:
+            continue
+        _unclosed.remove(segment)
+
+
+class ShardValues:
+    """The value array one round's shard tasks read, as a context manager.
+
+    Tasks carry :meth:`slice` handles instead of value arrays, so no task
+    pickles values.  Shards that run in-process read :attr:`array` directly.
+    When the round's ``n_tasks`` shards go to a process pool of
+    ``n_workers``, :attr:`array` lives in one stdlib
+    ``multiprocessing.shared_memory`` segment instead: a forked worker
+    inherits its mapping, a spawned one attaches by name, and leaving the
+    ``with`` block unlinks it however the round ended.  If :data:`SHM_DIR`
+    cannot hold the segment, the round degrades to in-process execution
+    under the resilient pool's warning, and :attr:`n_workers` becomes 1 —
+    pass it on to :func:`run_shard_tasks`.
+
+    The constructor makes an unfilled buffer of ``size`` values;
+    :meth:`holding` takes values the caller already has (in-process they
+    are used as they are, not copied).
+    """
+
+    def __init__(
+        self,
+        size: int,
+        dtype: Any,
+        n_workers: int | None,
+        n_tasks: int,
+        values: np.ndarray | None = None,
+    ) -> None:
+        self.dtype = np.dtype(dtype)
+        self.n_workers = n_workers
+        self._segment = None
+        if ResilientPool(n_workers, SHARD_POOL_LABEL).pools(n_tasks):
+            self._segment = _create_segment(size * self.dtype.itemsize)
+            if self._segment is None:
+                self.n_workers = 1
+        if self._segment is not None:
+            self.name = self._segment.name
+            self.array = _segment_array(self._segment, size, self.dtype)
+            if values is not None:
+                self.array[...] = values
+        else:
+            self.name = f"local-{next(_local_ids)}"
+            self.array = np.empty(size, self.dtype) if values is None else values
+        _buffers[self.name] = self.array
+
+    @classmethod
+    def holding(
+        cls, values: np.ndarray, n_workers: int | None, n_tasks: int
+    ) -> "ShardValues":
+        """A buffer holding ``values`` (1-d)."""
+        return cls(values.size, values.dtype, n_workers, n_tasks, values=values)
+
+    def slice(self, start: int, stop: int) -> ValueSlice:
+        """A handle on values ``[start, stop)``."""
+        return ValueSlice(self.name, self.dtype.str, int(start), int(stop - start))
+
+    def close(self) -> None:
+        """Forget the buffer; unlink its segment, if any (idempotent)."""
+        _buffers.pop(self.name, None)
+        self.array = None
+        segment, self._segment = self._segment, None
+        if segment is not None:
+            segment.unlink()
+            _unclosed.append(segment)
+        _close_unpinned()
+
+    def __enter__(self) -> "ShardValues":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
+
+
 __all__ = [
     "DEFAULT_SHARD_BLOCK",
     "SHARD_POOL_LABEL",
+    "SHM_DIR",
     "ShardPlan",
     "ShardSlice",
+    "ShardValues",
+    "ValueSlice",
     "build_shard_plan",
     "run_shard_tasks",
 ]

@@ -59,6 +59,8 @@ from repro.backends import get_backend, use_backend
 from repro.collect.accumulators import GroupAccumulator, GroupStats
 from repro.collect.sharding import (
     DEFAULT_SHARD_BLOCK,
+    ShardValues,
+    ValueSlice,
     build_shard_plan,
     run_shard_tasks,
 )
@@ -439,9 +441,9 @@ class DAPProtocol:
         """Sharded grouping + perturbation: one collection round, many cores.
 
         The population is assigned to ``h`` (nearly) equal-sized groups by
-        one master-generator permutation draw, then each group's user range
-        is cut into fixed-size blocks with one pre-drawn seed per block
-        (:func:`repro.collect.build_shard_plan`).  A shard — a contiguous run
+        one master-generator permutation draw (:func:`assign_groups`), then
+        each group's user range is cut into fixed-size blocks with one
+        pre-drawn seed per block (:func:`repro.collect.build_shard_plan`).  A shard — a contiguous run
         of whole blocks — is perturbed and poisoned block by block into
         fresh :class:`~repro.collect.GroupAccumulator` objects, and shard
         results are folded back with ``merge()``.  Normal users perturb
@@ -463,13 +465,22 @@ class DAPProtocol:
         protocol, for poison blocks and for mechanisms other than PM / SW.
         Leaf size never changes a bit.
 
+        Besides the caller's ``normal_values``, the parent holds one
+        group-ordered copy of them (8 bytes per normal user); while
+        assigning groups it briefly holds the permutation (4 bytes per user)
+        and then one group label per user (1 byte), both dropped before any
+        shard runs.  Tasks carry handles into the copy, never values
+        (:class:`~repro.collect.sharding.ShardValues`).  For a process pool
+        the copy is one shared-memory segment: each worker maps it and
+        touches only its own shards' values, and a forked worker shares the
+        parent's other pages copy-on-write.
+
         Parameters
         ----------
         normal_values:
-            The normal users' values (materialised; at 10^7 users this is
-            ~80 MiB — the round's reports, which would be an order of
-            magnitude larger, are only ever held a leaf or a block at a
-            time).
+            The normal users' values (materialised; the round's reports,
+            which would be an order of magnitude larger, are only ever held
+            a leaf or a block at a time).
         attack:
             The Byzantine strategy (``None`` = :class:`NoAttack`).
         n_byzantine:
@@ -492,31 +503,12 @@ class DAPProtocol:
         n_byzantine = check_integer(n_byzantine, "n_byzantine", minimum=0)
         self._check_values(normal_values)
         n_normal = normal_values.size
-        n_total = n_normal + n_byzantine
-        if n_total == 0:
+        if n_normal + n_byzantine == 0:
             raise ValueError("at least one user is required")
+        n_shards = check_integer(n_shards, "n_shards", minimum=1)
 
         ladder = self.config.budget_ladder
-        h = len(ladder)
 
-        # one permutation draw, nearly-equal split, members processed in
-        # ascending user order
-        user_indices = rng.permutation(n_total)
-        group_values: List[np.ndarray] = []
-        group_byzantine: List[int] = []
-        for piece in np.array_split(user_indices, h):
-            members = np.sort(piece)
-            normal_members = members[members < n_normal]
-            group_values.append(normal_values[normal_members])
-            group_byzantine.append(int(members.size - normal_members.size))
-
-        plan = build_shard_plan(
-            [values.size for values in group_values],
-            group_byzantine,
-            n_shards=n_shards,
-            rng=rng,
-            block_size=block_size,
-        )
         def expected_reports(group_index: int, n_normal_part: int, n_byz_part: int) -> int:
             repeats = self._reports_per_user(ladder[group_index])
             return n_normal_part * repeats + attack.n_poison_reports(
@@ -527,47 +519,59 @@ class DAPProtocol:
         # backend travels with the task (the name of what actually runs —
         # a numba request without numba has already fallen back by here)
         backend_name = get_backend().name
-        tasks = [
-            _ShardTask(
-                config=self.config,
-                attack=attack,
-                block_size=block_size,
-                backend=backend_name,
-                groups=tuple(
-                    _ShardGroupPayload(
-                        group_index=piece.group_index,
-                        epsilon=ladder[piece.group_index],
-                        total_expected_reports=expected_reports(
-                            piece.group_index,
-                            group_values[piece.group_index].size,
-                            group_byzantine[piece.group_index],
-                        ),
-                        values=group_values[piece.group_index][
-                            piece.normal_start : piece.normal_stop
-                        ],
-                        normal_seeds=piece.normal_seeds,
-                        n_byzantine=piece.n_byzantine,
-                        byzantine_seeds=piece.byzantine_seeds,
-                    )
-                    for piece in plan.shard(shard_index)
-                ),
-            )
-            for shard_index in range(plan.n_shards)
-        ]
 
-        shard_states = run_shard_tasks(
-            _run_shard,
-            tasks,
-            n_workers,
-            pickle_probe=(self.config, attack),
-        )
+        # every shard index is a task, empty ones included
+        with ShardValues(n_normal, np.float64, n_workers, n_shards) as values:
+            normal_counts, byzantine_counts = assign_groups(
+                rng, normal_values, n_byzantine, len(ladder), out=values.array
+            )
+            starts = np.cumsum([0] + normal_counts[:-1]).tolist()
+            plan = build_shard_plan(
+                normal_counts,
+                byzantine_counts,
+                n_shards=n_shards,
+                rng=rng,
+                block_size=block_size,
+            )
+            tasks = [
+                _ShardTask(
+                    config=self.config,
+                    attack=attack,
+                    block_size=block_size,
+                    backend=backend_name,
+                    groups=tuple(
+                        _ShardGroupPayload(
+                            group_index=piece.group_index,
+                            epsilon=ladder[piece.group_index],
+                            total_expected_reports=expected_reports(
+                                piece.group_index,
+                                normal_counts[piece.group_index],
+                                byzantine_counts[piece.group_index],
+                            ),
+                            values=values.slice(
+                                starts[piece.group_index] + piece.normal_start,
+                                starts[piece.group_index] + piece.normal_stop,
+                            ),
+                            normal_seeds=piece.normal_seeds,
+                            n_byzantine=piece.n_byzantine,
+                            byzantine_seeds=piece.byzantine_seeds,
+                        )
+                        for piece in plan.shard(shard_index)
+                    ),
+                )
+                for shard_index in range(plan.n_shards)
+            ]
+            shard_states = run_shard_tasks(
+                _run_shard,
+                tasks,
+                values.n_workers,
+                pickle_probe=(self.config, attack),
+            )
 
         accumulators = [
             self.group_accumulator(
                 epsilon_t,
-                expected_reports(
-                    index, group_values[index].size, group_byzantine[index]
-                ),
+                expected_reports(index, normal_counts[index], byzantine_counts[index]),
                 n_users=0,
             )
             for index, epsilon_t in enumerate(ladder)
@@ -866,6 +870,68 @@ class DAPProtocol:
     run_sharded = run
 
 
+def assign_groups(
+    rng: np.random.Generator,
+    normal_values: np.ndarray,
+    n_byzantine: int,
+    n_groups: int,
+    out: np.ndarray,
+) -> Tuple[List[int], List[int]]:
+    """Split the users into ``n_groups`` nearly equal groups.
+
+    Users ``0 .. n_normal - 1`` are the normal ones, holding
+    ``normal_values``; the next ``n_byzantine`` are Byzantine.  One
+    permutation of all users is drawn from ``rng`` and cut into
+    ``n_groups`` consecutive pieces (:func:`numpy.array_split`); piece ``g``
+    is group ``g``.  Each group's normal values are written to ``out``
+    group after group, in ascending user order within a group.  Returns the
+    per-group normal and Byzantine head-counts.
+
+    The permutation is ``rng.permutation(n_total)`` — same draws, same
+    generator state afterwards — shuffled in place as int32 (int64 past
+    2^31 users).  It becomes one small-integer group label per user and is
+    dropped before any value is gathered, so a 10^7-user round never holds
+    an int64 index array or a per-group copy of the values.
+    """
+    n_normal = normal_values.size
+    labels, normal_counts, byzantine_counts = _group_labels(
+        rng, n_normal, n_normal + n_byzantine, n_groups
+    )
+    normal_labels = labels[:n_normal]
+    start = 0
+    for group, count in enumerate(normal_counts):
+        np.compress(
+            normal_labels == group, normal_values, out=out[start : start + count]
+        )
+        start += count
+    return normal_counts, byzantine_counts
+
+
+def _group_labels(
+    rng: np.random.Generator, n_normal: int, n_total: int, n_groups: int
+) -> Tuple[np.ndarray, List[int], List[int]]:
+    """Each user's group, and the groups' normal and Byzantine head-counts.
+
+    A function of its own so that the permutation, which the loop's last
+    ``piece`` view would keep alive, is freed on return.  Counted piece by
+    piece: ``np.bincount`` over the labels would make an 8-byte copy of
+    them.
+    """
+    order = np.arange(
+        n_total, dtype=np.int32 if n_total <= np.iinfo(np.int32).max else np.int64
+    )
+    rng.shuffle(order)
+    labels = np.empty(n_total, dtype=np.min_scalar_type(n_groups - 1))
+    normal_counts: List[int] = []
+    byzantine_counts: List[int] = []
+    for group, piece in enumerate(np.array_split(order, n_groups)):
+        labels[piece] = group
+        n_normal_members = int(np.count_nonzero(piece < n_normal))
+        normal_counts.append(n_normal_members)
+        byzantine_counts.append(piece.size - n_normal_members)
+    return labels, normal_counts, byzantine_counts
+
+
 # ----------------------------------------------------------------------
 # shard workers (module-level, so tasks pickle cleanly into process pools)
 # ----------------------------------------------------------------------
@@ -876,7 +942,7 @@ class _ShardGroupPayload:
     group_index: int
     epsilon: float
     total_expected_reports: int
-    values: np.ndarray
+    values: ValueSlice
     normal_seeds: Tuple[int, ...]
     n_byzantine: int
     byzantine_seeds: Tuple[int, ...]
@@ -978,6 +1044,7 @@ def _run_shard_inner(task: _ShardTask) -> List[Tuple[int, dict]]:
     streamed = get_backend().streams_leaves and not pipeline.plan.is_shuffle
     states: List[Tuple[int, dict]] = []
     for payload in task.groups:
+        values = payload.values.read()
         mechanism = protocol.mechanism_for(payload.epsilon)
         repeats = protocol._reports_per_user(payload.epsilon)
         leaf_reports = (
@@ -989,12 +1056,12 @@ def _run_shard_inner(task: _ShardTask) -> List[Tuple[int, dict]]:
         accumulator = GroupAccumulator(
             payload.epsilon,
             grid,
-            n_expected_reports=int(payload.values.size) * repeats
+            n_expected_reports=values.size * repeats
             + task.attack.n_poison_reports(payload.n_byzantine * repeats),
-            n_users=int(payload.values.size) + payload.n_byzantine,
+            n_users=values.size + payload.n_byzantine,
         )
         for index, seed in enumerate(payload.normal_seeds):
-            chunk = payload.values[index * block : (index + 1) * block]
+            chunk = values[index * block : (index + 1) * block]
             if not chunk.size or not repeats:
                 continue
             n_reports = chunk.size * repeats
@@ -1040,4 +1107,5 @@ __all__ = [
     "DAPProtocol",
     "DAPResult",
     "GroupEstimate",
+    "assign_groups",
 ]

@@ -31,6 +31,8 @@ from repro.backends import get_backend, use_backend
 from repro.collect.accumulators import CategoryCountAccumulator
 from repro.collect.sharding import (
     DEFAULT_SHARD_BLOCK,
+    ShardValues,
+    ValueSlice,
     build_shard_plan,
     run_shard_tasks,
 )
@@ -230,19 +232,17 @@ class FrequencyDAP:
             block_size=block_size,
         )
         backend_name = get_backend().name
-        tasks = []
-        for shard_index in range(plan.n_shards):
-            slices = plan.shard(shard_index)
-            if not slices:
-                continue
-            (piece,) = slices
-            tasks.append(
+        pieces = [
+            piece for index in range(plan.n_shards) for piece in plan.shard(index)
+        ]
+        with ShardValues.holding(normal_categories, n_workers, len(pieces)) as values:
+            tasks = [
                 _FrequencyShardTask(
                     epsilon=self.epsilon,
                     n_categories=self.n_categories,
-                    categories=normal_categories[
-                        piece.normal_start : piece.normal_stop
-                    ],
+                    categories=values.slice(
+                        piece.normal_start, piece.normal_stop
+                    ),
                     normal_seeds=piece.normal_seeds,
                     n_byzantine=piece.n_byzantine,
                     byzantine_seeds=piece.byzantine_seeds,
@@ -252,9 +252,11 @@ class FrequencyDAP:
                     protocol=self.protocol_plan.protocol,
                     shuffle_seed=self.protocol_plan.shuffle_seed,
                 )
-            )
+                for piece in pieces
+            ]
+            states = run_shard_tasks(_run_frequency_shard, tasks, values.n_workers)
         accumulator = CategoryCountAccumulator(self.n_categories)
-        for state in run_shard_tasks(_run_frequency_shard, tasks, n_workers):
+        for state in states:
             accumulator.merge(CategoryCountAccumulator.from_state(state))
         return accumulator
 
@@ -512,7 +514,7 @@ class _FrequencyShardTask:
 
     epsilon: float
     n_categories: int
-    categories: np.ndarray
+    categories: ValueSlice
     normal_seeds: Tuple[int, ...]
     n_byzantine: int
     byzantine_seeds: Tuple[int, ...]
@@ -536,8 +538,9 @@ def _run_frequency_shard_inner(task: _FrequencyShardTask) -> dict:
     )
     accumulator = CategoryCountAccumulator(task.n_categories)
     block = task.block_size
+    categories = task.categories.read()
     for index, seed in enumerate(task.normal_seeds):
-        chunk = task.categories[index * block : (index + 1) * block]
+        chunk = categories[index * block : (index + 1) * block]
         if not chunk.size:
             continue
         with stage("collect.sample"):

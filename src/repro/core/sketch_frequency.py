@@ -68,6 +68,8 @@ from repro.backends import get_backend, use_backend
 from repro.collect.accumulators import SketchAccumulator
 from repro.collect.sharding import (
     DEFAULT_SHARD_BLOCK,
+    ShardValues,
+    ValueSlice,
     build_shard_plan,
     run_shard_tasks,
 )
@@ -327,21 +329,19 @@ class SketchFrequencyDAP:
             block_size=block_size,
         )
         backend_name = get_backend().name
-        tasks = []
-        for shard_index in range(plan.n_shards):
-            slices = plan.shard(shard_index)
-            if not slices:
-                continue
-            (piece,) = slices
-            tasks.append(
+        pieces = [
+            piece for index in range(plan.n_shards) for piece in plan.shard(index)
+        ]
+        with ShardValues.holding(normal_categories, n_workers, len(pieces)) as values:
+            tasks = [
                 _SketchShardTask(
                     epsilon=self.epsilon,
                     n_categories=self.n_categories,
                     sketch_rows=self.sketch_rows,
                     sketch_width=self.sketch_width,
-                    categories=normal_categories[
-                        piece.normal_start : piece.normal_stop
-                    ],
+                    categories=values.slice(
+                        piece.normal_start, piece.normal_stop
+                    ),
                     normal_seeds=piece.normal_seeds,
                     n_byzantine=piece.n_byzantine,
                     byzantine_seeds=piece.byzantine_seeds,
@@ -351,9 +351,11 @@ class SketchFrequencyDAP:
                     protocol=self.protocol_plan.protocol,
                     shuffle_seed=self.protocol_plan.shuffle_seed,
                 )
-            )
+                for piece in pieces
+            ]
+            states = run_shard_tasks(_run_sketch_shard, tasks, values.n_workers)
         accumulator = SketchAccumulator(self.sketch_rows, self.sketch_width)
-        for state in run_shard_tasks(_run_sketch_shard, tasks, n_workers):
+        for state in states:
             accumulator.merge(SketchAccumulator.from_state(state))
         return accumulator
 
@@ -940,7 +942,7 @@ class _SketchShardTask:
     n_categories: int
     sketch_rows: int
     sketch_width: int
-    categories: np.ndarray
+    categories: ValueSlice
     normal_seeds: Tuple[int, ...]
     n_byzantine: int
     byzantine_seeds: Tuple[int, ...]
@@ -969,8 +971,9 @@ def _run_sketch_shard_inner(task: _SketchShardTask) -> dict:
     )
     accumulator = SketchAccumulator(task.sketch_rows, task.sketch_width)
     block = task.block_size
+    categories = task.categories.read()
     for index, seed in enumerate(task.normal_seeds):
-        chunk = task.categories[index * block : (index + 1) * block]
+        chunk = categories[index * block : (index + 1) * block]
         if not chunk.size:
             continue
         with stage("collect.sample"):

@@ -135,7 +135,12 @@ def reset_degradation_latch() -> None:
     _warned.clear()
 
 
-def _warn_degraded(label: str, category: str, reason: str) -> None:
+def warn_degraded(label: str, category: str, reason: str) -> None:
+    """Count a fall-back to in-process execution and warn once per run.
+
+    ``category`` keys the once-per-run latch together with ``label``, so
+    different causes at one seam each warn once.
+    """
     stats.record("serial_degradations")
     if (label, category) in _warned:
         return
@@ -202,6 +207,14 @@ class ResilientPool:
     # ------------------------------------------------------------------
     # public entry point
     # ------------------------------------------------------------------
+    def pools(self, n_tasks: int) -> bool:
+        """Whether :meth:`run` dispatches ``n_tasks`` tasks to a process pool.
+
+        ``False`` means they run in-process; ``True`` means a pool is tried,
+        which may still degrade to in-process execution.
+        """
+        return self.n_workers > 1 and n_tasks > 1
+
     def run(
         self,
         worker: Callable[[Any], Any],
@@ -225,12 +238,12 @@ class ResilientPool:
         serial_worker = serial_worker if serial_worker is not None else worker
         if not tasks:
             return []
-        if self.n_workers <= 1 or len(tasks) <= 1:
+        if not self.pools(len(tasks)):
             return self._run_serial(serial_worker, tasks, {}, on_result)
         try:
             pickle.dumps(pickle_probe if pickle_probe is not None else worker)
         except Exception as error:
-            _warn_degraded(
+            warn_degraded(
                 self.label,
                 "unpicklable",
                 f"task payload is not picklable ({error}); use module-level "
@@ -320,7 +333,7 @@ class ResilientPool:
         pool: concurrent.futures.ProcessPoolExecutor | None = None
 
         def degrade(category: str, reason: str) -> List[Any]:
-            _warn_degraded(self.label, category, reason)
+            warn_degraded(self.label, category, reason)
             return self._run_serial(serial_worker, tasks, results, on_result, attempts)
 
         def note_retry(index: int, event: str, error: BaseException | str) -> None:
@@ -519,4 +532,5 @@ __all__ = [
     "reset_degradation_latch",
     "retry_call",
     "use_retry_policy",
+    "warn_degraded",
 ]

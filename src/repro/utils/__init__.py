@@ -4,7 +4,7 @@ These helpers are intentionally small and dependency-free (NumPy only); every
 other subpackage builds on them.
 """
 
-from repro.utils.rng import ensure_rng, spawn_rngs
+from repro.utils.rng import ensure_rng
 from repro.utils.validation import (
     check_fraction,
     check_in_interval,
@@ -21,7 +21,6 @@ from repro.utils.histogram import (
 
 __all__ = [
     "ensure_rng",
-    "spawn_rngs",
     "check_fraction",
     "check_in_interval",
     "check_positive",

@@ -8,7 +8,7 @@ end to end when a seed is supplied and still convenient when it is not.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -35,23 +35,10 @@ def ensure_rng(rng: RngLike = None) -> np.random.Generator:
     )
 
 
-def spawn_rngs(rng: RngLike, count: int) -> Sequence[np.random.Generator]:
-    """Spawn ``count`` statistically independent child generators.
-
-    Useful when an experiment fans out over groups, trials or users and each
-    unit needs its own stream that is still reproducible from a single seed.
-    """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    base = ensure_rng(rng)
-    seeds = base.integers(0, 2**63 - 1, size=count, dtype=np.int64)
-    return [np.random.default_rng(int(seed)) for seed in seeds]
-
-
 def derive_seed(rng: RngLike, salt: int = 0) -> int:
     """Derive a deterministic child seed from ``rng`` plus an integer salt."""
     base = ensure_rng(rng)
     return int(base.integers(0, 2**31 - 1)) ^ (salt * 2654435761 % (2**31))
 
 
-__all__ = ["RngLike", "ensure_rng", "spawn_rngs", "derive_seed"]
+__all__ = ["RngLike", "ensure_rng", "derive_seed"]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import derive_seed, ensure_rng, spawn_rngs
+from repro.utils.rng import derive_seed, ensure_rng
 
 
 class TestEnsureRng:
@@ -29,27 +29,6 @@ class TestEnsureRng:
 
     def test_different_seeds_differ(self):
         assert not np.array_equal(ensure_rng(1).random(5), ensure_rng(2).random(5))
-
-
-class TestSpawnRngs:
-    def test_count(self):
-        assert len(spawn_rngs(0, 4)) == 4
-
-    def test_zero_count(self):
-        assert spawn_rngs(0, 0) == []
-
-    def test_negative_count_raises(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(0, -1)
-
-    def test_children_are_independent(self):
-        children = spawn_rngs(0, 2)
-        assert not np.array_equal(children[0].random(10), children[1].random(10))
-
-    def test_reproducible_from_seed(self):
-        a = [g.random(3).tolist() for g in spawn_rngs(5, 3)]
-        b = [g.random(3).tolist() for g in spawn_rngs(5, 3)]
-        assert a == b
 
 
 class TestDeriveSeed:
