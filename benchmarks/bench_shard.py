@@ -2,12 +2,17 @@
 
 Runs one DAP-CEMF* round (under a biased-Byzantine attack) at large
 population sizes through ``build_population`` + ``DAPProtocol.run_sharded``
-at several shard-worker counts.  Wall time and peak memory are recorded per
+at several shard-worker counts.  Wall time, peak memory and the per-stage
+split of the round (``repro.utils.profiling``) are recorded per
 configuration.
 
 The JSON payload is one ``results`` list of ``{mode, n_users, ok,
-wall_time_s, peak_rss_mb, collect_workers, ...}`` rows (``mode`` is
-``sharded-<workers>``).
+wall_time_s, peak_rss_mb, profile, collect_workers, ...}`` rows (``mode``
+is ``sharded-<workers>``).  ``profile`` maps each stage timed in the
+parent process to its seconds: ``population.build`` (``build_population``),
+``collect`` (group assignment, shard dispatch and merge), ``probe`` and
+``aggregate``.  The ``collect.*`` sub-timers run where the shards run, so
+they appear only at one worker; pool workers keep theirs.
 
 Every measurement runs in a fresh subprocess under an address-space cap
 (``--mem-limit-gb``, default 4 GiB): a round holds the raw values (~80 MiB
@@ -63,6 +68,7 @@ def run_single(mode: str, n_users: int, mem_limit_gb: float) -> dict:
     from repro.core.dap import DAPConfig, DAPProtocol
     from repro.datasets.synthetic import uniform_dataset
     from repro.simulation.population import build_population
+    from repro.utils import profiling
 
     dataset = uniform_dataset(n_samples=DATASET_SAMPLES, rng=SEED)
     attack = BiasedByzantineAttack(PAPER_POISON_RANGES["[C/2,C]"])
@@ -71,8 +77,10 @@ def run_single(mode: str, n_users: int, mem_limit_gb: float) -> dict:
     if not mode.startswith("sharded-"):
         raise ValueError(f"unknown mode {mode!r}")
     workers = int(mode.rsplit("-", 1)[1])
+    before = profiling.snapshot()
     start = time.perf_counter()
-    population = build_population(dataset, n_users, GAMMA, rng=SEED)
+    with profiling.stage("population.build"):
+        population = build_population(dataset, n_users, GAMMA, rng=SEED)
     result = protocol.run_sharded(
         population.normal_values,
         attack,
@@ -82,6 +90,7 @@ def run_single(mode: str, n_users: int, mem_limit_gb: float) -> dict:
         n_workers=workers,
     )
     elapsed = time.perf_counter() - start
+    profile = profiling.delta_since(before)
     truth = population.true_mean
 
     return {
@@ -90,6 +99,9 @@ def run_single(mode: str, n_users: int, mem_limit_gb: float) -> dict:
         "ok": True,
         "wall_time_s": round(elapsed, 3),
         "peak_rss_mb": round(max(_peak_rss_mb(), _peak_rss_children_mb()), 1),
+        "profile": {
+            name: round(seconds, 3) for name, seconds in sorted(profile.items())
+        },
         "estimate": result.estimate,
         "true_mean": truth,
         "abs_error": abs(result.estimate - truth),

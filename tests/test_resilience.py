@@ -1,6 +1,6 @@
 """Fault-tolerant execution layer: the recovery ladder never changes bits.
 
-Four families of guarantees:
+Five families of guarantees:
 
 * **ResilientPool** — retries, injected worker kills (real pool
   reincarnation), timeouts, straggler re-dispatch and serial degradation all
@@ -14,6 +14,10 @@ Four families of guarantees:
   foreign-digest checkpoints are quarantined (renamed aside) and the chain
   rolls back to the newest valid ancestor without raising, including through
   a full service re-run that replays the missing windows bit-identically;
+* **pooled chaos** — a sharded collection round and a pooled service
+  stream run under a worker kill, a timeout, a raise or two corrupted
+  checkpoints: every planned fault fires, the output is bit-identical to the
+  clean run, and the faulted run takes at most 5x the clean wall time;
 * **store atomicity** — a SIGKILL mid-artifact-write leaves the previous
   artifact intact (temp-file + fsync + rename), so a crashed run resumes.
 """
@@ -24,6 +28,7 @@ import json
 import multiprocessing
 import os
 import signal
+import time
 import warnings
 
 import numpy as np
@@ -202,8 +207,6 @@ class TestResilientPool:
 
 def _sleepy(x):
     if x == 99:
-        import time
-
         time.sleep(0.8)
     return x
 
@@ -549,6 +552,72 @@ class TestServiceRecovery:
             r.deterministic_view() for r in clean.windows
         ]
         assert faulted.resilience.get("injected_faults") == 1
+
+
+# ----------------------------------------------------------------------
+# pooled chaos on both surfaces: invisible in the output, cheap in time
+# ----------------------------------------------------------------------
+#: faulted wall time / clean wall time.  Retried shards re-execute, but the
+#: recovery machinery itself must stay cheap; tiny workloads make the ratio
+#: noisy, hence the loose bound
+OVERHEAD_BOUND = 5.0
+
+
+def _pooled_service_stream(directory):
+    spec = ServiceSpec(
+        **{
+            **SERVICE,
+            "window_size": 2_000,
+            "n_windows": 5,
+            "gamma": 0.25,
+            "collect_shards": 3,
+            "collect_workers": 2,
+        }
+    )
+    result = run_service(
+        spec, checkpoint_path=spec.default_checkpoint_path(str(directory))
+    )
+    return [row.deterministic_view() for row in result.windows]
+
+
+def _shard_fault(kind, task):
+    return {"kind": kind, "scope": SHARD_POOL_LABEL, "task": task, "attempt": 0}
+
+
+CHAOS = {
+    "collect": (
+        lambda directory: _mean_route("emf_star", 4, n_workers=2),
+        [_shard_fault("kill", 1), _shard_fault("timeout", 0), _shard_fault("raise", 2)],
+    ),
+    "service": (
+        _pooled_service_stream,
+        [
+            _shard_fault("kill", 1),
+            _shard_fault("timeout", 0),
+            {"kind": "checkpoint", "window": 1, "mode": "bitflip"},
+            {"kind": "checkpoint", "window": 3, "mode": "truncate"},
+        ],
+    ),
+}
+
+
+class TestPooledChaos:
+    @pytest.mark.parametrize("surface", sorted(CHAOS))
+    def test_faults_fire_change_nothing_and_cost_little(self, surface, tmp_path):
+        run, faults = CHAOS[surface]
+        start = time.perf_counter()
+        clean = run(tmp_path / "clean")
+        clean_s = time.perf_counter() - start
+        plan = FaultPlan.from_mapping({"faults": faults})
+        with use_fault_plan(plan) as injector, use_retry_policy(FAST):
+            start = time.perf_counter()
+            faulted = run(tmp_path / "faulted")
+            faulted_s = time.perf_counter() - start
+        assert faulted == clean
+        assert injector.fired == len(faults)
+        assert faulted_s <= OVERHEAD_BOUND * clean_s, (
+            f"faulted {faulted_s:.2f}s vs clean {clean_s:.2f}s"
+        )
 
 
 # ----------------------------------------------------------------------

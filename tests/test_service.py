@@ -3,12 +3,14 @@
 The load-bearing guarantees:
 
 * determinism — window ``w`` is a pure function of ``(spec, w)``, so fresh
-  re-runs, sharded runs and kill/resume runs all produce bit-identical
-  window results;
+  re-runs, sharded runs and kill/resume runs (simulated, and a real SIGKILL
+  of a serving process) all produce bit-identical window results;
 * checkpoint safety — corrupt or foreign checkpoints raise ``ValueError``
   instead of silently resuming the wrong stream;
-* warm-started probing — same side selections as cold probing, fewer EM
-  iterations once the stream reaches steady state;
+* bounded state — the checkpointed accumulators keep one shape however
+  long the stream runs;
+* warm-started probing — same side selections as cold probing, at least 3x
+  fewer EM iterations once the stream reaches steady state;
 * change detection — a mid-stream attack onset is flagged within a couple
   of windows, and an attack-free stream is never flagged.
 """
@@ -18,8 +20,10 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -31,6 +35,7 @@ from repro.service import (
     CHECKPOINT_VERSION,
     CusumDetector,
     ServiceSpec,
+    WindowResult,
     WindowedAggregationService,
     load_checkpoint,
     run_service,
@@ -359,6 +364,42 @@ class TestCheckpointGuards:
         assert deterministic(resumed) == deterministic(small_run)
 
 
+def array_shapes(state, path=()):
+    """``{path: length}`` of every array (list of scalars) in a JSON state."""
+    if isinstance(state, dict):
+        items = state.items()
+    elif isinstance(state, list) and any(
+        isinstance(item, (dict, list)) for item in state
+    ):
+        items = enumerate(state)
+    elif isinstance(state, list):
+        return {path: len(state)}
+    else:
+        return {}
+    shapes = {}
+    for key, value in items:
+        shapes.update(array_shapes(value, path + (key,)))
+    return shapes
+
+
+class TestBoundedState:
+    def test_cumulative_state_does_not_grow_with_the_stream(self, tmp_path):
+        # the service keeps sufficient statistics only, so the checkpointed
+        # accumulators have the same shape after the first and the last
+        # window; the per-window result rows grow by design and are not
+        # part of that state
+        spec = small_spec(n_windows=6)
+
+        def shapes(n_windows):
+            checkpoint = str(tmp_path / f"after-{n_windows}.json")
+            run_partial(spec, checkpoint, n_windows)
+            return array_shapes(load_checkpoint(checkpoint)["cumulative"])
+
+        first = shapes(1)
+        assert first
+        assert shapes(spec.n_windows) == first
+
+
 class TestWarmProbing:
     def test_warm_and_cold_select_the_same_side(self):
         warm = run_service(small_spec(n_windows=6))
@@ -366,8 +407,9 @@ class TestWarmProbing:
         assert [r.poisoned_side for r in warm.windows] == [
             r.poisoned_side for r in cold.windows
         ]
-        # steady state: warm needs fewer EM iterations than a cold solve
-        assert sum(r.probe_iterations for r in warm.windows[2:]) < sum(
+        # steady state: warm needs at least 3x fewer EM iterations than a
+        # cold solve (measured ~5.9x at this size)
+        assert 3 * sum(r.probe_iterations for r in warm.windows[2:]) <= sum(
             r.probe_iterations for r in cold.windows[2:]
         )
 
@@ -399,7 +441,7 @@ class TestChangeDetection:
 
 class TestServeCli:
     @staticmethod
-    def run_cli(*args, cwd=None):
+    def cli_env():
         env = dict(os.environ)
         src = os.path.join(
             os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
@@ -407,12 +449,16 @@ class TestServeCli:
         env["PYTHONPATH"] = src + (
             os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
         )
+        return env
+
+    @classmethod
+    def run_cli(cls, *args, cwd=None):
         return subprocess.run(
             [sys.executable, "-m", "repro", *args],
             capture_output=True,
             text=True,
             cwd=cwd,
-            env=env,
+            env=cls.cli_env(),
             timeout=300,
         )
 
@@ -448,6 +494,58 @@ class TestServeCli:
         )
         assert second.returncode == 0, second.stderr
         assert f"resumed from window {SMALL['n_windows']}" in second.stdout
+
+    def test_sigkill_mid_stream_then_resume_bit_identical(self, tmp_path):
+        # a real SIGKILL (no cooperative shutdown) of a serving process once
+        # its first checkpoint lands, then a re-serve from what survived.
+        # 40 windows of 1000 users leave ~1 s of stream after the first
+        # checkpoint on 2 cores, far longer than one poll below
+        overrides = dict(window_size=1000, n_windows=40)
+        spec = small_spec(**overrides)
+        service_file = tmp_path / "svc.json"
+        service_file.write_text(json.dumps({**SMALL, **overrides}))
+        checkpoint = spec.default_checkpoint_path(str(tmp_path))
+        serve = (
+            "serve", str(service_file), "--checkpoint-dir", str(tmp_path), "--quiet"
+        )
+
+        child = subprocess.Popen(
+            [sys.executable, "-m", "repro", *serve],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+            env=self.cli_env(),
+        )
+        killed_at = None
+        deadline = time.monotonic() + 120
+        try:
+            while child.poll() is None and time.monotonic() < deadline:
+                try:
+                    progressed = load_checkpoint(checkpoint)["next_window"]
+                except (OSError, ValueError):
+                    progressed = 0  # not written yet, or mid-rotation
+                if progressed >= 1:
+                    child.send_signal(signal.SIGKILL)
+                    killed_at = progressed
+                    break
+                time.sleep(0.005)
+        finally:
+            child.kill()
+            child.wait()
+        assert killed_at is not None and killed_at < spec.n_windows, (
+            f"the kill did not land mid-stream (next_window={killed_at}, "
+            f"exit code {child.returncode})"
+        )
+        assert child.returncode == -signal.SIGKILL
+
+        results = tmp_path / "results.json"
+        resumed = self.run_cli(*serve, "--results-out", str(results))
+        assert resumed.returncode == 0, resumed.stderr
+        payload = json.loads(results.read_text())
+        assert killed_at <= payload["resumed_from"] < spec.n_windows
+        assert [
+            WindowResult.from_dict(row).deterministic_view()
+            for row in payload["windows"]
+        ] == deterministic(run_service(spec))
 
     def test_serve_malformed_json_names_the_file(self, tmp_path):
         service_file = tmp_path / "broken.json"
