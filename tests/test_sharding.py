@@ -20,10 +20,13 @@ client stage raises — before a shard task could fail and be retried.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.attacks import BiasedByzantineAttack, PoisonRange
+from repro.backends import use_backend
 from repro.collect import CategoryCountAccumulator, GroupAccumulator, build_shard_plan
 from repro.core.dap import DAPConfig, DAPProtocol, _client_perturb, _client_poison
 from repro.core.frequency import FrequencyDAP
@@ -334,6 +337,61 @@ class TestFrequencySharded:
         dap = FrequencyDAP(epsilon=1.0, n_categories=4)
         with pytest.raises(ValueError, match="poisoned_categories"):
             dap.collect_sharded(np.zeros(10, dtype=int), (), 5, rng=0)
+
+
+def _categorical_round(route, protocol, backend, contribution_cap=None):
+    """Digest of one pooled k-RR or sketch round: raw counts, report count
+    and the master generator's next draw (which pins what the round drew)."""
+    options = dict(protocol=protocol, contribution_cap=contribution_cap)
+    if route == "krr":
+        dap = FrequencyDAP(1.0, 8, **options)
+        categories = np.random.default_rng(21).integers(0, 8, 5_000)
+    else:
+        dap = SketchFrequencyDAP(1.0, 500, sketch_rows=2, sketch_width=32, **options)
+        categories = np.random.default_rng(22).integers(0, 500, 5_000)
+    rng = np.random.default_rng(5)
+    with use_backend(backend):
+        accumulator = dap.collect_sharded(
+            categories, (3, 7), 1_200, rng=rng, n_shards=3, n_workers=2,
+            block_size=512,
+        )
+    digest = hashlib.sha256(accumulator.counts.astype(np.int64).tobytes())
+    digest.update(str(accumulator.n_reports).encode())
+    digest.update(str(int(rng.integers(2**63))).encode())
+    return digest.hexdigest()[:16]
+
+
+#: ten 512-user normal blocks and three Byzantine ones over 3 shards, as the
+#: per-class k-RR and sketch shard workers produced them
+PINNED_CATEGORICAL_ROUNDS = {
+    ("krr", "local", "numpy"): "64fdc3dd1bd756b6",
+    ("krr", "local", "fast"): "b2de24326178c36b",
+    ("krr", "shuffle", "numpy"): "64fdc3dd1bd756b6",
+    ("krr", "shuffle", "fast"): "b2de24326178c36b",
+    ("sketch", "local", "numpy"): "e30fa2660a201e10",
+    ("sketch", "local", "fast"): "495d671c47d57404",
+    ("sketch", "shuffle", "numpy"): "e30fa2660a201e10",
+    ("sketch", "shuffle", "fast"): "495d671c47d57404",
+}
+
+#: a contribution cap of 0 drops every report, so the round draws nothing
+PINNED_CAPPED_ROUNDS = {"krr": "b08c289905b14527", "sketch": "41e73bad8278189a"}
+
+
+@pytest.mark.parametrize("route, protocol, backend", sorted(PINNED_CATEGORICAL_ROUNDS))
+def test_categorical_rounds_keep_their_pinned_bits(route, protocol, backend):
+    assert (
+        _categorical_round(route, protocol, backend)
+        == PINNED_CATEGORICAL_ROUNDS[route, protocol, backend]
+    )
+
+
+@pytest.mark.parametrize("route", sorted(PINNED_CAPPED_ROUNDS))
+def test_capped_categorical_rounds_keep_their_pinned_bits(route):
+    assert (
+        _categorical_round(route, "local", "numpy", contribution_cap=0)
+        == PINNED_CAPPED_ROUNDS[route]
+    )
 
 
 class TestShardedTrialPath:
