@@ -8,7 +8,7 @@ this package compute those statistics block by block and merge, so a round
 holds at most one block's reports at a time — one leaf of at most 2^15
 reports under the ``fast`` backend and the local protocol, one seed block of
 up to ``block_size x repeats`` reports under the numpy reference backend or
-the shuffle protocol (see :func:`repro.core.dap.DAPProtocol.collect_sharded`):
+the shuffle protocol (see :func:`repro.collect.round.collect_shard`):
 
 * :class:`~repro.collect.accumulators.ExactSum` — chunking-invariant
   compensated summation (the corrected mean divides a report sum, so the sum
@@ -26,13 +26,15 @@ the shuffle protocol (see :func:`repro.core.dap.DAPProtocol.collect_sharded`):
   contributes to :meth:`repro.core.dap.DAPProtocol.aggregate_stats`.
 
 :mod:`repro.collect.sharding` adds the deterministic block-seeded
-:class:`~repro.collect.sharding.ShardPlan` behind every protocol's
-``collect_sharded`` — the one collection path: every accumulator's
-associative ``merge()`` plus per-block pre-drawn seeds make the merged round
+:class:`~repro.collect.sharding.ShardPlan`: every accumulator's associative
+``merge()`` plus per-block pre-drawn seeds make the merged round
 bit-identical at any shard count and any worker count.  Shard tasks read
 their users' values through :class:`~repro.collect.sharding.ValueSlice`
 handles into one :class:`~repro.collect.sharding.ShardValues` buffer, shared
 memory when the round is pooled, so no task pickles values.
+:mod:`repro.collect.round` is the one collection round behind every
+protocol's ``collect_sharded``: the shard task, the worker and the merge,
+written once, with each protocol supplying a small client.
 """
 
 from repro.collect.accumulators import (

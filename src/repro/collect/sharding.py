@@ -225,12 +225,12 @@ def run_shard_tasks(
 ) -> List[Any]:
     """Run shard tasks over the resilient pool harness, in task order.
 
-    The shared execution harness behind every ``collect_sharded`` path, now a
-    thin wrapper over :class:`repro.resilience.pool.ResilientPool` (seam
-    ``"collect.shard"``).  Results are identical under any worker count, any
-    retry, any pool reincarnation and the serial degradation path — each task
-    is a pure function of its pre-drawn block seeds.  ``pickle_probe`` (e.g.
-    a task's config + attack) is test-pickled before a pool is started;
+    The execution harness behind every ``collect_sharded`` path, over
+    :class:`repro.resilience.pool.ResilientPool` (seam ``"collect.shard"``).
+    Results are identical under any worker count, any retry, any pool
+    reincarnation and the serial degradation path — each task is a pure
+    function of its pre-drawn block seeds.  ``pickle_probe`` (e.g. the
+    round's client) is test-pickled before a pool is started;
     unpicklable configurations and pool failures degrade to serial execution
     with a single warning per run, mirroring the experiment executor.
 

@@ -23,18 +23,13 @@ end; ``DAPProtocol.aggregate_stats`` is the collector-only entry point.
 The collector only ever needs *sufficient statistics* of the report stream —
 the output-grid histogram (probing + the EMF family) and the report sum and
 count (corrected mean) — so a round never holds more than one block's
-reports: ``collect_sharded`` assigns users to groups, cuts each group into
+reports: ``collect_sharded`` assigns users to groups and runs the one
+collection round of :mod:`repro.collect.round`, which cuts each group into
 fixed-size blocks with one pre-drawn seed each, perturbs every block into
 per-group :class:`~repro.collect.GroupAccumulator` objects (optionally over
 a process pool) and merges them; ``aggregate_stats`` runs stages 3-5 on the
 merged statistics.  ``run`` is that round with one shard, and its result is
-the same at any shard or worker count.  Under the ``fast`` backend and the
-local protocol an honest block is drawn, binned and summed in leaves of at
-most :data:`LEAF_REPORTS` reports cut along numpy's pairwise-sum tree, so
-only one leaf's arrays (~2 MiB) exist at a time and the statistics are bit
-for bit the whole block's; under the numpy reference backend or the shuffle
-protocol (whose transport permutes the whole block) the leaf is the block,
-up to ``block_size x repeats`` reports.
+the same at any shard or worker count.
 
 Collection lowers to the shared client → transport → server pipeline of
 :mod:`repro.protocol`: the client stage applies the contribution cap and
@@ -48,22 +43,15 @@ under shuffle — writes the privacy-amplification ledger into
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Callable, List, Literal, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from repro.attacks.base import Attack, NoAttack
-from repro.backends import get_backend, use_backend
 from repro.collect.accumulators import GroupAccumulator, GroupStats
-from repro.collect.sharding import (
-    DEFAULT_SHARD_BLOCK,
-    ShardValues,
-    ValueSlice,
-    build_shard_plan,
-    run_shard_tasks,
-)
+from repro.collect.round import collect_shard, collection_round
+from repro.collect.sharding import DEFAULT_SHARD_BLOCK, run_shard_tasks
 from repro.core.aggregation import aggregate_means, aggregation_weights
 from repro.core.cemf_star import DEFAULT_SUPPRESSION_FACTOR, run_cemf_star
 from repro.core.emf import EMFResult, run_emf
@@ -84,10 +72,6 @@ from repro.utils.validation import check_integer, check_positive
 
 MechanismFactory = Callable[[float], NumericalMechanism]
 EstimatorName = Literal["emf", "emf_star", "cemf_star"]
-
-#: most reports one leaf of a streamed collection block holds: its handful
-#: of float64 work arrays (~2 MiB together) stay in cache
-LEAF_REPORTS = 1 << 15
 
 
 @dataclass
@@ -266,30 +250,6 @@ class DAPResult:
         return np.array([g.weight for g in self.group_estimates])
 
 
-def _client_perturb(
-    mechanism: NumericalMechanism,
-    values: np.ndarray,
-    repeats: int,
-    rng: RngLike,
-    start: int = 0,
-    stop: int | None = None,
-) -> np.ndarray:
-    """Client stage, honest users: perturb ``repeats`` reports per value.
-
-    The perturbation kernel every shard worker lowers to.  ``start`` /
-    ``stop`` select a slice of the ``values.size * repeats`` reports (all of
-    them by default); only the slice's inputs are built and perturbed.
-    """
-    if stop is None:
-        stop = values.size * repeats
-    first = start // repeats
-    users = values[first : (stop + repeats - 1) // repeats]
-    offset = start - first * repeats
-    with stage("collect.sample"):
-        inputs = np.repeat(users, repeats)[offset : offset + stop - start]
-        return mechanism.perturb(inputs, rng)
-
-
 def _client_poison(
     attack: Attack,
     mechanism_view: NumericalMechanism,
@@ -302,10 +262,7 @@ def _client_poison(
     ``mechanism_view`` is the group's own mechanism under the local
     protocol, or the group-blind domain-intersection view under shuffle.
     """
-    with stage("collect.poison"):
-        return attack.poison_reports(
-            n_reports, mechanism_view, reference_mean, rng
-        ).reports
+    return attack.poison_reports(n_reports, mechanism_view, reference_mean, rng).reports
 
 
 class DAPProtocol:
@@ -456,14 +413,9 @@ class DAPProtocol:
         bit-identical at any ``n_shards`` and any ``n_workers`` (both are
         execution details); only ``block_size`` is part of the run identity.
         Shard results cross process boundaries as accumulator snapshots
-        (bucket counts plus compacted sum partials), never as raw reports.
-
-        A worker holds the reports of one leaf at a time: at most
-        :data:`LEAF_REPORTS` of them under the ``fast`` backend and the local
-        protocol, a whole block of up to ``block_size`` times the group's
-        reports per user under the numpy reference backend, the shuffle
-        protocol, for poison blocks and for mechanisms other than PM / SW.
-        Leaf size never changes a bit.
+        (bucket counts plus compacted sum partials), never as raw reports,
+        and a worker holds one leaf or one block of reports at a time
+        (:func:`repro.collect.round.collect_shard`).
 
         Besides the caller's ``normal_values``, the parent holds one
         group-ordered copy of them (8 bytes per normal user); while
@@ -498,88 +450,19 @@ class DAPProtocol:
             benchmarking).
         """
         rng = ensure_rng(rng)
-        attack = attack or NoAttack()
         normal_values = np.asarray(normal_values, dtype=float).ravel()
         n_byzantine = check_integer(n_byzantine, "n_byzantine", minimum=0)
         self._check_values(normal_values)
-        n_normal = normal_values.size
-        if n_normal + n_byzantine == 0:
+        if normal_values.size + n_byzantine == 0:
             raise ValueError("at least one user is required")
-        n_shards = check_integer(n_shards, "n_shards", minimum=1)
-
-        ladder = self.config.budget_ladder
-
-        def expected_reports(group_index: int, n_normal_part: int, n_byz_part: int) -> int:
-            repeats = self._reports_per_user(ladder[group_index])
-            return n_normal_part * repeats + attack.n_poison_reports(
-                n_byz_part * repeats
+        client = _DAPClient(self, attack or NoAttack())
+        with collection_round(
+            client, normal_values, n_byzantine, rng, n_shards, n_workers, block_size
+        ) as shards:
+            states = run_shard_tasks(
+                collect_shard, shards.tasks, shards.n_workers, pickle_probe=client
             )
-
-        # shard workers run in their own processes, so the parent's active
-        # backend travels with the task (the name of what actually runs —
-        # a numba request without numba has already fallen back by here)
-        backend_name = get_backend().name
-
-        # every shard index is a task, empty ones included
-        with ShardValues(n_normal, np.float64, n_workers, n_shards) as values:
-            normal_counts, byzantine_counts = assign_groups(
-                rng, normal_values, n_byzantine, len(ladder), out=values.array
-            )
-            starts = np.cumsum([0] + normal_counts[:-1]).tolist()
-            plan = build_shard_plan(
-                normal_counts,
-                byzantine_counts,
-                n_shards=n_shards,
-                rng=rng,
-                block_size=block_size,
-            )
-            tasks = [
-                _ShardTask(
-                    config=self.config,
-                    attack=attack,
-                    block_size=block_size,
-                    backend=backend_name,
-                    groups=tuple(
-                        _ShardGroupPayload(
-                            group_index=piece.group_index,
-                            epsilon=ladder[piece.group_index],
-                            total_expected_reports=expected_reports(
-                                piece.group_index,
-                                normal_counts[piece.group_index],
-                                byzantine_counts[piece.group_index],
-                            ),
-                            values=values.slice(
-                                starts[piece.group_index] + piece.normal_start,
-                                starts[piece.group_index] + piece.normal_stop,
-                            ),
-                            normal_seeds=piece.normal_seeds,
-                            n_byzantine=piece.n_byzantine,
-                            byzantine_seeds=piece.byzantine_seeds,
-                        )
-                        for piece in plan.shard(shard_index)
-                    ),
-                )
-                for shard_index in range(plan.n_shards)
-            ]
-            shard_states = run_shard_tasks(
-                _run_shard,
-                tasks,
-                values.n_workers,
-                pickle_probe=(self.config, attack),
-            )
-
-        accumulators = [
-            self.group_accumulator(
-                epsilon_t,
-                expected_reports(index, normal_counts[index], byzantine_counts[index]),
-                n_users=0,
-            )
-            for index, epsilon_t in enumerate(ladder)
-        ]
-        for states in shard_states:
-            for group_index, state in states:
-                accumulators[group_index].merge(GroupAccumulator.from_state(state))
-        return accumulators
+        return shards.merge(states)
 
     def _check_values(self, normal_values: np.ndarray) -> None:
         """Refuse inputs a shard worker would, before any shard is dispatched.
@@ -933,173 +816,63 @@ def _group_labels(
 
 
 # ----------------------------------------------------------------------
-# shard workers (module-level, so tasks pickle cleanly into process pools)
+# DAP's client of the collection round (module-level, so tasks pickle)
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class _ShardGroupPayload:
-    """One group's slice of one shard, plus the data needed to process it."""
+class _DAPClient:
+    """DAP's side of :mod:`repro.collect.round`: one budget group per index."""
 
-    group_index: int
-    epsilon: float
-    total_expected_reports: int
-    values: ValueSlice
-    normal_seeds: Tuple[int, ...]
-    n_byzantine: int
-    byzantine_seeds: Tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class _ShardTask:
-    """Everything one worker needs to run one shard."""
-
-    config: DAPConfig
+    protocol: DAPProtocol
     attack: Attack
-    block_size: int
-    groups: Tuple[_ShardGroupPayload, ...]
-    backend: str = "numpy"
+
+    @property
+    def plan(self) -> ProtocolPlan:
+        return self.protocol.plan
+
+    def assign(
+        self,
+        rng: np.random.Generator,
+        values: np.ndarray,
+        n_byzantine: int,
+        out: np.ndarray,
+    ) -> Tuple[List[int], List[int]]:
+        n_groups = self.protocol.config.n_groups
+        return assign_groups(rng, values, n_byzantine, n_groups, out=out)
+
+    def group(self, index: int, n_normal: int, n_byzantine: int) -> "_DAPGroup":
+        return _DAPGroup(self, index, n_normal, n_byzantine)
 
 
-def _run_shard(task: _ShardTask) -> List[Tuple[int, dict]]:
-    """Process one shard into per-group accumulator snapshots.
+class _DAPGroup:
+    """One budget group of ``n_normal`` normal and ``n_byzantine`` Byzantine
+    users: its mechanism, repeats and poison, and its accumulators, each
+    sized for the whole group so that every shard's merges."""
 
-    Every block is perturbed (or poisoned) with a fresh generator seeded by
-    its pre-drawn block seed, so the output depends only on the task — never
-    on which process ran it or what ran before.  The task also carries the
-    submitting process's array backend, re-applied here so pooled shards
-    sample with the same kernels as in-process ones.
-    """
-    with use_backend(task.backend):
-        return _run_shard_inner(task)
-
-
-def _draw_normal(
-    pipeline: ProtocolPipeline,
-    mechanism: NumericalMechanism,
-    values: np.ndarray,
-    repeats: int,
-    seed: int,
-    rng: np.random.Generator,
-    start: int,
-    stop: int,
-) -> np.ndarray:
-    """Reports ``[start, stop)`` of one honest block, delivered."""
-    reports = _client_perturb(mechanism, values, repeats, rng, start, stop)
-    # the block seed is the shard-partition-invariant lane key, so shuffled
-    # merges stay bit-identical at any shard/worker count
-    return pipeline.deliver(reports, (seed,))
-
-
-def _collect_block(
-    accumulator: GroupAccumulator,
-    draw: Callable[[int, int], np.ndarray],
-    n_reports: int,
-    leaf_reports: int,
-) -> None:
-    """Draw, bin and sum one block's ``n_reports`` reports, a leaf at a time.
-
-    ``draw(start, stop)`` returns the block's reports ``[start, stop)`` and
-    must give, leaf after leaf, exactly the reports one whole-block draw
-    would.  The block is cut the way numpy's pairwise ``sum`` cuts an
-    array — at half its length rounded down to a multiple of 8 — until a
-    piece holds at most ``leaf_reports``.  Each leaf is drawn, binned and
-    summed while it fits in cache, and the leaf sums are added back up the
-    same tree, so counts and report sum are bit for bit those of one
-    :meth:`GroupAccumulator.update` with the whole block, and only one
-    leaf's arrays exist at a time.  With ``leaf_reports >= n_reports`` the
-    leaf is the whole block.
-    """
-    if n_reports <= leaf_reports:
-        reports = draw(0, n_reports)
-        with stage("collect.accumulate"):
-            accumulator.update(reports)
-        return
-
-    grid = accumulator.output_grid
-    histogram_chunk = get_backend().histogram_chunk
-    counts = np.zeros(grid.n_buckets, dtype=np.int64)
-
-    def tree_sum(start: int, stop: int) -> float:
-        size = stop - start
-        if size > leaf_reports:
-            half = size // 2
-            half -= half % 8
-            return tree_sum(start, start + half) + tree_sum(start + half, stop)
-        reports = draw(start, stop)
-        with stage("collect.accumulate"):
-            leaf_counts, leaf_sum = histogram_chunk(reports, grid)
-            np.add(counts, leaf_counts, out=counts)
-        return leaf_sum
-
-    report_sum = tree_sum(0, n_reports)
-    with stage("collect.accumulate"):
-        accumulator.fold(counts, n_reports, report_sum)
-
-
-def _run_shard_inner(task: _ShardTask) -> List[Tuple[int, dict]]:
-    protocol = DAPProtocol(task.config)
-    pipeline = protocol.pipeline
-    block = task.block_size
-    # leaves reproduce the whole-block draw only when the sampler takes one
-    # uniform per report in order and nothing reorders the block afterwards
-    streamed = get_backend().streams_leaves and not pipeline.plan.is_shuffle
-    states: List[Tuple[int, dict]] = []
-    for payload in task.groups:
-        values = payload.values.read()
-        mechanism = protocol.mechanism_for(payload.epsilon)
-        repeats = protocol._reports_per_user(payload.epsilon)
-        leaf_reports = (
-            LEAF_REPORTS if streamed and mechanism.samples_on_backend else None
+    def __init__(
+        self, client: _DAPClient, index: int, n_normal: int, n_byzantine: int
+    ) -> None:
+        self.protocol = client.protocol
+        self.attack = client.attack
+        self.epsilon = self.protocol.config.budget_ladder[index]
+        self.mechanism = self.protocol.mechanism_for(self.epsilon)
+        self.repeats = self.protocol._reports_per_user(self.epsilon)
+        self.streams_leaves = self.mechanism.samples_on_backend
+        self.n_reports = n_normal * self.repeats + self.attack.n_poison_reports(
+            n_byzantine * self.repeats
         )
-        grid = protocol.group_output_grid(
-            payload.epsilon, max(1, payload.total_expected_reports)
+
+    def accumulator(self, n_users: int) -> GroupAccumulator:
+        return self.protocol.group_accumulator(self.epsilon, self.n_reports, n_users)
+
+    def poison(self, n_users: int, rng: np.random.Generator) -> np.ndarray:
+        view = self.protocol.adversary_mechanism(self.epsilon)
+        return _client_poison(
+            self.attack,
+            view,
+            n_users * self.repeats,
+            self.protocol._reference_mean(view),
+            rng,
         )
-        accumulator = GroupAccumulator(
-            payload.epsilon,
-            grid,
-            n_expected_reports=values.size * repeats
-            + task.attack.n_poison_reports(payload.n_byzantine * repeats),
-            n_users=values.size + payload.n_byzantine,
-        )
-        for index, seed in enumerate(payload.normal_seeds):
-            chunk = values[index * block : (index + 1) * block]
-            if not chunk.size or not repeats:
-                continue
-            n_reports = chunk.size * repeats
-            _collect_block(
-                accumulator,
-                functools.partial(
-                    _draw_normal,
-                    pipeline,
-                    mechanism,
-                    chunk,
-                    repeats,
-                    int(seed),
-                    np.random.default_rng(int(seed)),
-                ),
-                n_reports,
-                leaf_reports or n_reports,
-            )
-        if payload.n_byzantine and repeats:
-            view = pipeline.adversary_view(mechanism, protocol._mechanisms)
-            reference = protocol._reference_mean(view)
-            remaining = payload.n_byzantine
-            for seed in payload.byzantine_seeds:
-                n_users_block = min(block, remaining)
-                remaining -= n_users_block
-                if not n_users_block:
-                    continue
-                poison = _client_poison(
-                    task.attack,
-                    view,
-                    n_users_block * repeats,
-                    reference,
-                    np.random.default_rng(int(seed)),
-                )
-                poison = pipeline.deliver(poison, (int(seed),))
-                with stage("collect.accumulate"):
-                    accumulator.update(poison)
-        states.append((payload.group_index, accumulator.state_dict()))
-    return states
 
 
 __all__ = [

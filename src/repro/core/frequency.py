@@ -23,21 +23,16 @@ Figure 9(c)(d) evaluates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Literal, Sequence, Tuple
+from typing import List, Literal, Sequence
 
 import numpy as np
 
-from repro.backends import get_backend, use_backend
 from repro.collect.accumulators import CategoryCountAccumulator
-from repro.collect.sharding import (
-    DEFAULT_SHARD_BLOCK,
-    ShardValues,
-    ValueSlice,
-    build_shard_plan,
-    run_shard_tasks,
-)
+from repro.collect.round import category_inputs, collect_shard, collection_round
+from repro.collect.sharding import DEFAULT_SHARD_BLOCK, run_shard_tasks
 from repro.core.emf_star import constrained_m_step
 from repro.ldp.ems import em_reconstruct, em_reconstruct_batch
+from repro.ldp.base import CategoricalMechanism
 from repro.ldp.krr import KRandomizedResponse
 from repro.protocol.pipeline import ProtocolPipeline
 from repro.protocol.plan import ProtocolPlan
@@ -170,10 +165,6 @@ class FrequencyDAP:
         """Stage helpers for the configured protocol (cheap to build)."""
         return ProtocolPipeline(self.protocol_plan)
 
-    def _reports_per_user(self) -> int:
-        """Each user sends one k-RR report, unless the cap drops it."""
-        return self.protocol_plan.effective_repeats(1)
-
     def contribution_summary(self, n_total: int) -> int:
         """Reports the contribution cap drops for ``n_total`` users."""
         return self.pipeline.skipped_reports([int(n_total)], [1])
@@ -207,58 +198,24 @@ class FrequencyDAP:
         Feed the result to :meth:`estimate_from_counts`.
         """
         rng = ensure_rng(rng)
-        normal_categories = np.asarray(normal_categories, dtype=int).ravel()
-        n_byzantine = check_integer(n_byzantine, "n_byzantine", minimum=0)
-        if n_byzantine and not poisoned_categories:
-            raise ValueError(
-                "poisoned_categories must be provided when n_byzantine > 0"
-            )
-        targets = np.asarray(list(poisoned_categories), dtype=int)
-        # refuse bad input here, where it raises once, instead of in a shard
-        # worker, whose failure the resilient pool would retry
-        self.mechanism.check_categories(normal_categories)
+        normal_categories, targets, n_byzantine = category_inputs(
+            self.mechanism, normal_categories, poisoned_categories, n_byzantine
+        )
         if n_byzantine and (targets.min() < 0 or targets.max() >= self.n_categories):
             raise ValueError(
                 f"poisoned_categories must lie in [0, {self.n_categories}), got "
                 f"{sorted(set(targets.tolist()))}"
             )
-        if not self._reports_per_user():
-            return CategoryCountAccumulator(self.n_categories)
-        plan = build_shard_plan(
-            [normal_categories.size],
-            [n_byzantine],
-            n_shards=n_shards,
-            rng=rng,
-            block_size=block_size,
-        )
-        backend_name = get_backend().name
-        pieces = [
-            piece for index in range(plan.n_shards) for piece in plan.shard(index)
-        ]
-        with ShardValues.holding(normal_categories, n_workers, len(pieces)) as values:
-            tasks = [
-                _FrequencyShardTask(
-                    epsilon=self.epsilon,
-                    n_categories=self.n_categories,
-                    categories=values.slice(
-                        piece.normal_start, piece.normal_stop
-                    ),
-                    normal_seeds=piece.normal_seeds,
-                    n_byzantine=piece.n_byzantine,
-                    byzantine_seeds=piece.byzantine_seeds,
-                    targets=targets,
-                    block_size=block_size,
-                    backend=backend_name,
-                    protocol=self.protocol_plan.protocol,
-                    shuffle_seed=self.protocol_plan.shuffle_seed,
-                )
-                for piece in pieces
-            ]
-            states = run_shard_tasks(_run_frequency_shard, tasks, values.n_workers)
-        accumulator = CategoryCountAccumulator(self.n_categories)
-        for state in states:
-            accumulator.merge(CategoryCountAccumulator.from_state(state))
-        return accumulator
+        client = _CategoryClient(self.protocol_plan, self.mechanism, targets)
+        if not client.repeats:
+            return client.accumulator(0)
+        with collection_round(
+            client, normal_categories, n_byzantine, rng, n_shards, n_workers, block_size
+        ) as shards:
+            states = run_shard_tasks(
+                collect_shard, shards.tasks, shards.n_workers, pickle_probe=client
+            )
+        return shards.merge(states)[0]
 
     # ------------------------------------------------------------------
     # collector side
@@ -506,64 +463,37 @@ class FrequencyDAP:
 
 
 # ----------------------------------------------------------------------
-# shard workers (module-level, so tasks pickle cleanly into process pools)
+# the categorical client of the collection round (module-level, so tasks
+# pickle)
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class _FrequencyShardTask:
-    """One shard of a k-RR collection round (picklable)."""
+class _CategoryClient:
+    """What a k-RR round adds to :mod:`repro.collect.round`.
 
-    epsilon: float
-    n_categories: int
-    categories: ValueSlice
-    normal_seeds: Tuple[int, ...]
-    n_byzantine: int
-    byzantine_seeds: Tuple[int, ...]
+    One group, one report per user: honest users report through
+    ``mechanism``, Byzantine users one of ``targets``, uniformly at random.
+    """
+
+    plan: ProtocolPlan
+    mechanism: CategoricalMechanism
     targets: np.ndarray
-    block_size: int
-    backend: str = "numpy"
-    protocol: str = "local"
-    shuffle_seed: int = 0
 
+    streams_leaves = False
+    assign = None
 
-def _run_frequency_shard(task: _FrequencyShardTask) -> dict:
-    """Perturb + poison one shard into a category-count snapshot."""
-    with use_backend(task.backend):
-        return _run_frequency_shard_inner(task)
+    @property
+    def repeats(self) -> int:
+        """One report per user, unless the contribution cap drops it."""
+        return self.plan.effective_repeats(1)
 
+    def group(self, index: int, n_normal: int, n_byzantine: int) -> "_CategoryClient":
+        return self
 
-def _run_frequency_shard_inner(task: _FrequencyShardTask) -> dict:
-    mechanism = KRandomizedResponse(task.epsilon, task.n_categories)
-    pipeline = ProtocolPipeline(
-        ProtocolPlan(protocol=task.protocol, shuffle_seed=task.shuffle_seed)
-    )
-    accumulator = CategoryCountAccumulator(task.n_categories)
-    block = task.block_size
-    categories = task.categories.read()
-    for index, seed in enumerate(task.normal_seeds):
-        chunk = categories[index * block : (index + 1) * block]
-        if not chunk.size:
-            continue
-        with stage("collect.sample"):
-            reports = mechanism.perturb(chunk, np.random.default_rng(int(seed)))
-        # block seeds are the shard-partition-invariant delivery lanes
-        reports = pipeline.deliver(reports, (int(seed),))
-        with stage("collect.accumulate"):
-            accumulator.update(reports)
-    remaining = task.n_byzantine
-    for seed in task.byzantine_seeds:
-        n_users_block = min(block, remaining)
-        remaining -= n_users_block
-        if not n_users_block:
-            continue
-        block_rng = np.random.default_rng(int(seed))
-        with stage("collect.poison"):
-            poison = task.targets[
-                block_rng.integers(0, task.targets.size, size=n_users_block)
-            ]
-        poison = pipeline.deliver(poison, (int(seed),))
-        with stage("collect.accumulate"):
-            accumulator.update(poison)
-    return accumulator.state_dict()
+    def accumulator(self, n_users: int) -> CategoryCountAccumulator:
+        return CategoryCountAccumulator(self.mechanism.n_categories)
+
+    def poison(self, n_users: int, rng: np.random.Generator) -> np.ndarray:
+        return self.targets[rng.integers(0, self.targets.size, size=n_users)]
 
 
 __all__ = [

@@ -60,21 +60,15 @@ also (by construction) not frequency-relevant at the sketch's resolution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
-from repro.backends import get_backend, use_backend
 from repro.collect.accumulators import SketchAccumulator
-from repro.collect.sharding import (
-    DEFAULT_SHARD_BLOCK,
-    ShardValues,
-    ValueSlice,
-    build_shard_plan,
-    run_shard_tasks,
-)
+from repro.collect.round import category_inputs, collect_shard, collection_round
+from repro.collect.sharding import DEFAULT_SHARD_BLOCK, run_shard_tasks
 from repro.core.emf_star import constrained_m_step
-from repro.core.frequency import EstimatorName
+from repro.core.frequency import EstimatorName, _CategoryClient
 from repro.ldp.count_sketch import CountSketch
 from repro.protocol.pipeline import ProtocolPipeline
 from repro.protocol.plan import ProtocolPlan
@@ -275,10 +269,6 @@ class SketchFrequencyDAP:
         """Stage helpers for the configured protocol (cheap to build)."""
         return ProtocolPipeline(self.protocol_plan)
 
-    def _reports_per_user(self) -> int:
-        """Each user sends one sketch report, unless the cap drops it."""
-        return self.protocol_plan.effective_repeats(1)
-
     def contribution_summary(self, n_total: int) -> int:
         """Reports the contribution cap drops for ``n_total`` users."""
         return self.pipeline.skipped_reports([int(n_total)], [1])
@@ -307,57 +297,21 @@ class SketchFrequencyDAP:
         bit-identical at any ``n_shards`` / ``n_workers``.
         """
         rng = ensure_rng(rng)
-        normal_categories = np.asarray(normal_categories, dtype=int).ravel()
-        n_byzantine = check_integer(n_byzantine, "n_byzantine", minimum=0)
-        if n_byzantine and not len(poisoned_categories):
-            raise ValueError(
-                "poisoned_categories must be provided when n_byzantine > 0"
-            )
-        targets = np.asarray(list(poisoned_categories), dtype=int)
-        # refuse bad input here, where it raises once, instead of in a shard
-        # worker, whose failure the resilient pool would retry
-        self.mechanism.check_categories(normal_categories)
+        normal_categories, targets, n_byzantine = category_inputs(
+            self.mechanism, normal_categories, poisoned_categories, n_byzantine
+        )
         if n_byzantine:
             self.mechanism.check_categories(targets)
-        if not self._reports_per_user():
-            return SketchAccumulator(self.sketch_rows, self.sketch_width)
-        plan = build_shard_plan(
-            [normal_categories.size],
-            [n_byzantine],
-            n_shards=n_shards,
-            rng=rng,
-            block_size=block_size,
-        )
-        backend_name = get_backend().name
-        pieces = [
-            piece for index in range(plan.n_shards) for piece in plan.shard(index)
-        ]
-        with ShardValues.holding(normal_categories, n_workers, len(pieces)) as values:
-            tasks = [
-                _SketchShardTask(
-                    epsilon=self.epsilon,
-                    n_categories=self.n_categories,
-                    sketch_rows=self.sketch_rows,
-                    sketch_width=self.sketch_width,
-                    categories=values.slice(
-                        piece.normal_start, piece.normal_stop
-                    ),
-                    normal_seeds=piece.normal_seeds,
-                    n_byzantine=piece.n_byzantine,
-                    byzantine_seeds=piece.byzantine_seeds,
-                    targets=targets,
-                    block_size=block_size,
-                    backend=backend_name,
-                    protocol=self.protocol_plan.protocol,
-                    shuffle_seed=self.protocol_plan.shuffle_seed,
-                )
-                for piece in pieces
-            ]
-            states = run_shard_tasks(_run_sketch_shard, tasks, values.n_workers)
-        accumulator = SketchAccumulator(self.sketch_rows, self.sketch_width)
-        for state in states:
-            accumulator.merge(SketchAccumulator.from_state(state))
-        return accumulator
+        client = _SketchClient(self.protocol_plan, self.mechanism, targets)
+        if not client.repeats:
+            return client.accumulator(0)
+        with collection_round(
+            client, normal_categories, n_byzantine, rng, n_shards, n_workers, block_size
+        ) as shards:
+            states = run_shard_tasks(
+                collect_shard, shards.tasks, shards.n_workers, pickle_probe=client
+            )
+        return shards.merge(states)[0]
 
     # ------------------------------------------------------------------
     # collector side
@@ -932,71 +886,17 @@ class SketchFrequencyDAP:
 
 
 # ----------------------------------------------------------------------
-# shard workers (module-level, so tasks pickle cleanly into process pools)
+# the sketch client of the collection round (module-level, so tasks pickle)
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class _SketchShardTask:
-    """One shard of a count-sketch collection round (picklable)."""
+class _SketchClient(_CategoryClient):
+    """A k-RR round's client with sketch counts and sketch poison."""
 
-    epsilon: float
-    n_categories: int
-    sketch_rows: int
-    sketch_width: int
-    categories: ValueSlice
-    normal_seeds: Tuple[int, ...]
-    n_byzantine: int
-    byzantine_seeds: Tuple[int, ...]
-    targets: np.ndarray
-    block_size: int
-    backend: str = "numpy"
-    protocol: str = "local"
-    shuffle_seed: int = 0
+    def accumulator(self, n_users: int) -> SketchAccumulator:
+        mechanism = self.mechanism
+        return SketchAccumulator(mechanism.sketch_rows, mechanism.sketch_width)
 
-
-def _run_sketch_shard(task: _SketchShardTask) -> dict:
-    """Perturb + poison one shard into a sketch-count snapshot."""
-    with use_backend(task.backend):
-        return _run_sketch_shard_inner(task)
-
-
-def _run_sketch_shard_inner(task: _SketchShardTask) -> dict:
-    mechanism = CountSketch(
-        task.epsilon,
-        task.n_categories,
-        sketch_rows=task.sketch_rows,
-        sketch_width=task.sketch_width,
-    )
-    pipeline = ProtocolPipeline(
-        ProtocolPlan(protocol=task.protocol, shuffle_seed=task.shuffle_seed)
-    )
-    accumulator = SketchAccumulator(task.sketch_rows, task.sketch_width)
-    block = task.block_size
-    categories = task.categories.read()
-    for index, seed in enumerate(task.normal_seeds):
-        chunk = categories[index * block : (index + 1) * block]
-        if not chunk.size:
-            continue
-        with stage("collect.sample"):
-            reports = mechanism.perturb(chunk, np.random.default_rng(int(seed)))
-        # block seeds are the shard-partition-invariant delivery lanes
-        reports = pipeline.deliver(reports, (int(seed),))
-        with stage("collect.accumulate"):
-            accumulator.update(reports)
-    remaining = task.n_byzantine
-    for seed in task.byzantine_seeds:
-        n_users_block = min(block, remaining)
-        remaining -= n_users_block
-        if not n_users_block:
-            continue
-        block_rng = np.random.default_rng(int(seed))
-        with stage("collect.poison"):
-            poison = mechanism.target_reports(
-                task.targets, block_rng, size=n_users_block
-            )
-        poison = pipeline.deliver(poison, (int(seed),))
-        with stage("collect.accumulate"):
-            accumulator.update(poison)
-    return accumulator.state_dict()
+    def poison(self, n_users: int, rng: np.random.Generator) -> np.ndarray:
+        return self.mechanism.target_reports(self.targets, rng, size=n_users)
 
 
 __all__ = ["SketchFrequencyDAP", "SketchFrequencyDAPResult"]

@@ -3,7 +3,7 @@
 A collection round never materialises its reports, so tests that need raw
 report arrays (chunk invariance, output-domain checks) draw them directly
 from the same client-stage kernels the shard workers run:
-:func:`repro.core.dap._client_perturb` and :func:`repro.core.dap._client_poison`.
+:func:`repro.collect.round._client_perturb` and :func:`repro.core.dap._client_poison`.
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ from typing import Iterator, List
 
 import numpy as np
 
-from repro.core.dap import DAPProtocol, _client_perturb, _client_poison
+from repro.collect.round import _client_perturb
+from repro.core.dap import DAPProtocol, _client_poison
 
 
 @dataclass

@@ -13,7 +13,8 @@ from repro.collect import (
     HistogramAccumulator,
     SumCount,
 )
-from repro.core.dap import _client_perturb, _client_poison
+from repro.collect.round import _client_perturb
+from repro.core.dap import _client_poison
 from repro.ldp import PiecewiseMechanism
 from repro.utils.discretization import BucketGrid
 from tests.client_reports import chunk_array

@@ -3,7 +3,7 @@
 Under the ``fast`` backend and the local protocol a shard worker draws,
 bins and sums each seed block in leaves of at most ``LEAF_REPORTS``
 reports, cut along numpy's pairwise-sum tree
-(:func:`repro.core.dap._collect_block`).  These tests pin that the counts,
+(:func:`repro.collect.round._collect_block`).  These tests pin that the counts,
 the report sum (compared as ``float.hex``) and the report count equal a
 one-shot oracle that perturbs the whole block and updates an accumulator
 with it — which also catches a numpy whose ``sum`` reduces differently —
@@ -22,8 +22,9 @@ import pytest
 from repro.attacks import BiasedByzantineAttack, PoisonRange
 from repro.backends import get_backend, use_backend
 from repro.collect import GroupAccumulator
-from repro.core import dap
-from repro.core.dap import LEAF_REPORTS, DAPConfig, DAPProtocol
+from repro.collect import round as collect_round
+from repro.collect.round import LEAF_REPORTS
+from repro.core.dap import DAPConfig, DAPProtocol
 from repro.ldp import HybridMechanism, PiecewiseMechanism, SquareWaveMechanism
 from repro.utils.discretization import BucketGrid
 
@@ -51,7 +52,7 @@ def _assert_same_stats(streamed: GroupAccumulator, oracle: GroupAccumulator) -> 
 def _draw(mechanism, values, repeats, seed):
     """A local-protocol block's report slices, drawn from one seeded generator."""
     return functools.partial(
-        dap._draw_normal,
+        collect_round._draw_normal,
         DAPProtocol(DAPConfig(1.0)).pipeline,
         mechanism,
         values,
@@ -73,7 +74,7 @@ def test_streamed_block_matches_the_whole_block(mechanism_cls, repeats, n_report
     streamed = GroupAccumulator(0.5, grid)
     oracle = GroupAccumulator(0.5, grid)
     with use_backend("fast"):
-        dap._collect_block(
+        collect_round._collect_block(
             streamed, _draw(mechanism, values, repeats, seed=5), n_reports, LEAF_REPORTS
         )
         # the last user may send only part of its reports, so the oracle
@@ -92,14 +93,16 @@ def test_streamed_block_matches_client_perturb(repeats):
     streamed = GroupAccumulator(0.5, grid)
     oracle = GroupAccumulator(0.5, grid)
     with use_backend("fast"):
-        dap._collect_block(
+        collect_round._collect_block(
             streamed,
             _draw(mechanism, values, repeats, seed=9),
             values.size * repeats,
             LEAF_REPORTS,
         )
         oracle.update(
-            dap._client_perturb(mechanism, values, repeats, np.random.default_rng(9))
+            collect_round._client_perturb(
+                mechanism, values, repeats, np.random.default_rng(9)
+            )
         )
     _assert_same_stats(streamed, oracle)
 
@@ -159,7 +162,7 @@ def test_whole_block_leaves_give_the_streamed_round(monkeypatch, mechanism):
     # Hybrid draws its PM/Duchi choice before sampling, so its blocks must
     # stay whole even under the fast backend
     streamed = _round("local", 1, 1, mechanism)
-    monkeypatch.setattr(dap, "LEAF_REPORTS", 1 << 40)
+    monkeypatch.setattr(collect_round, "LEAF_REPORTS", 1 << 40)
     whole = _round("local", 1, 1, mechanism)
     for left, right in zip(streamed, whole):
         _assert_same_stats(left, right)

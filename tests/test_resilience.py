@@ -9,7 +9,8 @@ Five families of guarantees:
 * **fault-plan determinism (property)** — Hypothesis-drawn fault plans
   injecting kills/timeouts/raises at arbitrary ``(task, attempt)`` never
   change the collected statistics or estimates, for the mean route
-  (emf / emf_star) and the k-RR frequency route at 1 / 2 / 5 shards;
+  (emf / emf_star) and the k-RR and sketch frequency routes at 1 / 2 / 5
+  shards;
 * **checkpoint chain** — truncated, bit-flipped, version-bumped and
   foreign-digest checkpoints are quarantined (renamed aside) and the chain
   rolls back to the newest valid ancestor without raising, including through
@@ -40,6 +41,7 @@ from repro.attacks import BiasedByzantineAttack, PAPER_POISON_RANGES
 from repro.collect.sharding import SHARD_POOL_LABEL, run_shard_tasks
 from repro.core.dap import DAPConfig, DAPProtocol
 from repro.core.frequency import FrequencyDAP
+from repro.core.sketch_frequency import SketchFrequencyDAP
 from repro.engine.store import load_run, save_run
 from repro.resilience import (
     FaultPlan,
@@ -306,6 +308,20 @@ def _krr_route(n_shards, n_workers=None):
     return json.dumps(accumulator.state_dict(), sort_keys=True)
 
 
+def _sketch_route(n_shards, n_workers=None):
+    dap = SketchFrequencyDAP(1.0, 64, sketch_rows=2, sketch_width=32)
+    accumulator = dap.collect_sharded(
+        _CATEGORIES,
+        poisoned_categories=(0,),
+        n_byzantine=_N_BYZANTINE,
+        rng=np.random.default_rng(9),
+        n_shards=n_shards,
+        n_workers=n_workers,
+        block_size=64,
+    )
+    return json.dumps(accumulator.state_dict(), sort_keys=True)
+
+
 def _baseline(key, compute):
     if key not in _BASELINES:
         _BASELINES[key] = compute()
@@ -354,14 +370,15 @@ class TestFaultPlansNeverChangeRecords:
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
-    def test_krr_route_bit_identical_under_arbitrary_faults(self, entries):
+    def test_frequency_routes_bit_identical_under_arbitrary_faults(self, entries):
         plan = FaultPlan.from_mapping({"faults": entries})
-        for n_shards in SHARD_COUNTS:
-            clean = _baseline(
-                ("krr", n_shards), lambda s=n_shards: _krr_route(s)
-            )
-            with use_fault_plan(plan), use_retry_policy(FAST):
-                assert _krr_route(n_shards) == clean
+        for name, route in (("krr", _krr_route), ("sketch", _sketch_route)):
+            for n_shards in SHARD_COUNTS:
+                clean = _baseline(
+                    (name, n_shards), lambda r=route, s=n_shards: r(s)
+                )
+                with use_fault_plan(plan), use_retry_policy(FAST):
+                    assert route(n_shards) == clean
 
     @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
     def test_real_worker_kill_bit_identical_with_pool(self, n_shards):

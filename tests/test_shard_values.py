@@ -4,7 +4,9 @@
 tasks read.  In-process it is a plain array (the caller's own, for values the
 caller already holds); for a process pool it is one shared-memory segment,
 unlinked when the round ends however it ends.  The subprocess cases run a
-pooled round with 2 workers — clean, with a fault that exhausts the retries,
+pooled round with 2 workers — a DAP round, whose segment starts unfilled, or
+a k-RR round, whose segment holds the caller's categories (clean and killed
+only) — clean, with a fault that exhausts the retries,
 with a worker killed mid-round, with too little room in ``/dev/shm``, and
 degraded to in-process execution where a shard keeps failing — and check that no segment is left behind, that the resource tracker reports
 no leak, and that every completed round has the serial round's bits.
@@ -28,6 +30,7 @@ from repro.attacks import BiasedByzantineAttack, PAPER_POISON_RANGES
 from repro.collect import sharding
 from repro.collect.sharding import SHM_DIR, ShardValues
 from repro.core.dap import DAPConfig, DAPProtocol
+from repro.core.frequency import FrequencyDAP
 from repro.resilience import reset_degradation_latch
 
 pytestmark = pytest.mark.skipif(
@@ -105,6 +108,7 @@ import numpy as np
 from repro.attacks import BiasedByzantineAttack, PAPER_POISON_RANGES
 from repro.collect import sharding
 from repro.core.dap import DAPConfig, DAPProtocol
+from repro.core.frequency import FrequencyDAP
 from repro.resilience import (
     FaultPlan, RetryPolicy, TaskFailedError, use_fault_plan, use_retry_policy,
 )
@@ -119,7 +123,7 @@ class BrokenInProcess(BiasedByzantineAttack):
         raise RuntimeError("poison failed")
 
 
-case = sys.argv[1]
+case, route = sys.argv[1:3]
 attack = (BrokenInProcess if case == "degraded-raise" else BiasedByzantineAttack)(
     PAPER_POISON_RANGES["[C/2,C]"]
 )
@@ -137,6 +141,9 @@ if case == "no-room":
     sharding._shm_free_bytes = lambda: 0
 protocol = DAPProtocol(DAPConfig(epsilon=1.0, epsilon_min=0.25))
 values = np.random.default_rng(5).uniform(-1.0, 1.0, 30_000)
+if route == "krr":
+    # eight categories; the second argument of collect_sharded is the targets
+    protocol, values, attack = FrequencyDAP(1.0, 8), ((values + 1) * 4).astype(int), (3,)
 policy = RetryPolicy(max_attempts=3, backoff_base=0.0, backoff_cap=0.0)
 with warnings.catch_warnings(record=True) as caught:
     warnings.simplefilter("always")
@@ -154,13 +161,21 @@ with warnings.catch_warnings(record=True) as caught:
         except TaskFailedError:
             digest = "TaskFailedError"
         else:
+            if route == "krr":
+                accumulators = [accumulators]
             states = [accumulator.state_dict() for accumulator in accumulators]
             digest = hashlib.sha256(pickle.dumps(states)).hexdigest()
 print(json.dumps({"digest": digest, "warnings": [str(w.message) for w in caught]}))
 """
 
 
-def _serial_digest():
+def _serial_digest(route="dap"):
+    if route == "krr":
+        categories = (np.random.default_rng(5).uniform(-1.0, 1.0, 30_000) + 1) * 4
+        accumulator = FrequencyDAP(1.0, 8).collect_sharded(
+            categories.astype(int), (3,), 6_000, rng=11, n_shards=3, block_size=4_096
+        )
+        return hashlib.sha256(pickle.dumps([accumulator.state_dict()])).hexdigest()
     accumulators = DAPProtocol(DAPConfig(epsilon=1.0, epsilon_min=0.25)).collect_sharded(
         np.random.default_rng(5).uniform(-1.0, 1.0, 30_000),
         BiasedByzantineAttack(PAPER_POISON_RANGES["[C/2,C]"]),
@@ -173,14 +188,14 @@ def _serial_digest():
     return hashlib.sha256(pickle.dumps(states)).hexdigest()
 
 
-def _pooled_round(case):
+def _pooled_round(case, route="dap"):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(ROOT, "src")] + [p for p in [env.get("PYTHONPATH")] if p]
     )
     before = _segments()
     completed = subprocess.run(
-        [sys.executable, "-c", ROUND, case],
+        [sys.executable, "-c", ROUND, case, route],
         cwd=ROOT,
         env=env,
         capture_output=True,
@@ -194,10 +209,13 @@ def _pooled_round(case):
     return json.loads(completed.stdout.strip().splitlines()[-1])
 
 
+# the k-RR round's segment holds the caller's categories
+# (ShardValues.holding); the DAP round's starts unfilled
+@pytest.mark.parametrize("route", ["dap", "krr"])
 @pytest.mark.parametrize("case", ["clean", "kill"])
-def test_pooled_round_leaves_nothing_and_keeps_the_bits(case):
-    outcome = _pooled_round(case)
-    assert outcome["digest"] == _serial_digest()
+def test_pooled_round_leaves_nothing_and_keeps_the_bits(case, route):
+    outcome = _pooled_round(case, route)
+    assert outcome["digest"] == _serial_digest(route)
     assert not any("degrading" in message for message in outcome["warnings"])
 
 

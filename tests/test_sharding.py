@@ -28,7 +28,8 @@ import pytest
 from repro.attacks import BiasedByzantineAttack, PoisonRange
 from repro.backends import use_backend
 from repro.collect import CategoryCountAccumulator, GroupAccumulator, build_shard_plan
-from repro.core.dap import DAPConfig, DAPProtocol, _client_perturb, _client_poison
+from repro.collect.round import _client_perturb
+from repro.core.dap import DAPConfig, DAPProtocol, _client_poison
 from repro.core.frequency import FrequencyDAP
 from repro.core.sketch_frequency import SketchFrequencyDAP
 from repro.datasets.synthetic import uniform_dataset
@@ -557,3 +558,15 @@ class TestBadInputRefusedInTheParent:
         self._assert_refused(
             lambda: dap.run(normal, targets, n_byzantine, rng=0), MechanismError
         )
+
+
+@pytest.mark.parametrize("kind", ["frequency", "sketch"])
+@pytest.mark.parametrize("targets", [(0, 3), (0,)])
+def test_numpy_targets_run_like_a_tuple(kind, targets):
+    """Targets may be any sequence: a numpy array gives the tuple's round
+    bit for bit (a one-element ``[0]`` array is not "no targets")."""
+    dap, (normal, _, n_byzantine), _ = ROUNDS[kind]()
+    normal = normal[:5_000]
+    as_array = dap.run(normal, np.array(targets), n_byzantine, rng=3)
+    as_tuple = dap.run(normal, targets, n_byzantine, rng=3)
+    assert _fingerprint(as_array) == _fingerprint(as_tuple)
