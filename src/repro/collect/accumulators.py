@@ -564,7 +564,7 @@ class GroupAccumulator:
     ) -> "GroupAccumulator":
         """Fold in reports binned elsewhere: bucket counts plus their sum.
 
-        The streamed collector (:mod:`repro.core.dap`) bins a block leaf by
+        The streamed collector (:mod:`repro.collect.round`) bins a block leaf by
         leaf and adds the leaf sums up numpy's pairwise-sum tree, then folds
         the block here once — the statistics :meth:`update` takes from the
         whole block under a pre-reducing backend, bit for bit.

@@ -8,16 +8,21 @@ runs of blocks — are collected independently and merged.
 ``i`` is shard ``i``, empty shards included (they always form a suffix,
 because every group splits its blocks like ``numpy.array_split``).  Callers
 run the tasks with :func:`collect_shard` through their own module's
-``run_shard_tasks``, then :meth:`CollectionRound.merge` the states.
+``run_shard_tasks`` and fold the states with :meth:`CollectionRound.merge`.
 
-A protocol supplies what differs as a small picklable *client*: ``plan``
-(the :class:`~repro.protocol.plan.ProtocolPlan` whose transport delivers
-every block) and ``group(index, n_normal, n_byzantine)``, the group of that
-many users, with ``mechanism`` (honest sampler), ``repeats`` (reports per
-user), ``streams_leaves`` (whether honest blocks may be drawn leaf by leaf),
-``accumulator(n_users)`` (sized for the whole group, starting at ``n_users``
-users) and ``poison(n_users, rng)`` (that many Byzantine users' reports).
-Its ``assign`` splits the users into groups (``None``: they form one).
+A protocol supplies what differs as a small picklable *client*:
+
+* ``plan`` — the :class:`~repro.protocol.plan.ProtocolPlan` whose transport
+  delivers every block;
+* ``assign(rng, values, n_byzantine, out)`` — writes the normal values
+  group after group into ``out`` and returns the groups' normal and
+  Byzantine head-counts (``None``: the users form one group);
+* ``group(index, n_normal, n_byzantine)`` — the group of that many users,
+  with ``mechanism`` (the honest sampler), ``repeats`` (reports per user),
+  ``streams_leaves`` (whether honest blocks may be drawn leaf by leaf),
+  ``accumulator(n_users)`` (sized for the whole group, starting at
+  ``n_users`` users) and ``poison(n_users, rng)`` (that many Byzantine
+  users' reports).
 """
 
 from __future__ import annotations
@@ -75,9 +80,10 @@ def _client_perturb(
         stop = values.size * repeats
     first = start // repeats
     users = values[first : (stop + repeats - 1) // repeats]
-    offset = start - first * repeats
-    inputs = np.repeat(users, repeats)[offset : offset + stop - start]
-    return mechanism.perturb(inputs, rng)
+    if repeats > 1:
+        offset = start - first * repeats
+        users = np.repeat(users, repeats)[offset : offset + stop - start]
+    return mechanism.perturb(users, rng)
 
 
 def _draw_normal(
@@ -140,6 +146,10 @@ def _collect_block(
         return leaf_sum
 
     report_sum = tree_sum(0, n_reports)
+    # the recursive closure refers to itself; emptying its cell frees the
+    # block's draw (and the values it views) now, not at the next cyclic
+    # garbage collection
+    del tree_sum
     with stage("collect.accumulate"):
         accumulator.fold(counts, n_reports, report_sum)
 

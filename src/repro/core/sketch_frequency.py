@@ -889,7 +889,8 @@ class SketchFrequencyDAP:
 # the sketch client of the collection round (module-level, so tasks pickle)
 # ----------------------------------------------------------------------
 class _SketchClient(_CategoryClient):
-    """A k-RR round's client with sketch counts and sketch poison."""
+    """The sketch round's client: sketch counts, and poison from
+    :meth:`~repro.ldp.count_sketch.CountSketch.target_reports`."""
 
     def accumulator(self, n_users: int) -> SketchAccumulator:
         mechanism = self.mechanism
