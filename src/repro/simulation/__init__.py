@@ -8,8 +8,8 @@ handful of calls:
 * :mod:`repro.simulation.schemes` — a uniform ``Scheme`` interface wrapping
   the three DAP variants and every baseline defence;
 * :mod:`repro.simulation.runner` — run repeated trials and compute MSE;
-* :mod:`repro.simulation.sweep` — sweep parameters (epsilon, gamma, poison
-  range, ...) and collect tidy result records.
+* :mod:`repro.simulation.sweep` — the tidy per-(point, scheme) result
+  records and their tables.
 """
 
 from repro.simulation.population import (
@@ -27,12 +27,8 @@ from repro.simulation.schemes import (
     resolve_mechanism,
     PAPER_SCHEMES,
 )
-from repro.simulation.runner import (
-    TrialResult,
-    run_trials,
-    evaluate_schemes,
-)
-from repro.simulation.sweep import SweepRecord, sweep, records_to_table
+from repro.simulation.runner import TrialResult, run_trials
+from repro.simulation.sweep import SweepRecord, records_to_table
 
 __all__ = [
     "Population",
@@ -48,8 +44,6 @@ __all__ = [
     "PAPER_SCHEMES",
     "TrialResult",
     "run_trials",
-    "evaluate_schemes",
     "SweepRecord",
-    "sweep",
     "records_to_table",
 ]

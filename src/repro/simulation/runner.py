@@ -3,14 +3,14 @@
 The paper reports the MSE of each scheme's mean estimate over repeated runs;
 ``run_trials`` performs those repetitions, one per explicit trial seed, with
 independent randomness per trial (fresh perturbation noise, fresh poison
-values, fresh population draw), and ``evaluate_schemes`` aggregates them into
-per-scheme MSE.
+values, fresh population draw), and :class:`TrialResult` turns them into the
+scheme's MSE and bias.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from repro.datasets.base import NumericalDataset
 from repro.estimators.metrics import mean_squared_error
 from repro.simulation.population import build_population
 from repro.simulation.schemes import Scheme
-from repro.utils.rng import RngLike, ensure_rng
 
 
 @dataclass
@@ -109,46 +108,7 @@ def run_trials(
     return result
 
 
-def evaluate_schemes(
-    schemes: Sequence[Scheme],
-    dataset: NumericalDataset,
-    attack: Attack | None,
-    n_users: int,
-    gamma: float,
-    n_trials: int = 5,
-    rng: RngLike = None,
-    input_domain: tuple[float, float] = (-1.0, 1.0),
-) -> Dict[str, TrialResult]:
-    """Evaluate several schemes on the *same* sequence of trial seeds.
-
-    Using a shared seed sequence per trial index keeps the comparison paired:
-    every scheme sees the same population draw and the same attack randomness,
-    which reduces the variance of MSE differences between schemes.
-    """
-    rng = ensure_rng(rng)
-    trial_seeds = rng.integers(0, 2**63 - 1, size=n_trials, dtype=np.int64)
-    results: Dict[str, TrialResult] = {}
-    for scheme in schemes:
-        results[scheme.name] = run_trials(
-            scheme,
-            dataset,
-            attack,
-            n_users,
-            gamma,
-            trial_seeds,
-            input_domain=input_domain,
-        )
-    return results
-
-
-def summarize_mse(results: Dict[str, TrialResult]) -> Dict[str, float]:
-    """Convenience: map scheme name to its MSE."""
-    return {name: result.mse for name, result in results.items()}
-
-
 __all__ = [
     "TrialResult",
     "run_trials",
-    "evaluate_schemes",
-    "summarize_mse",
 ]

@@ -1,22 +1,17 @@
-"""Parameter sweeps producing tidy result records.
+"""Sweep result records and their paper-style tables.
 
 Every figure in the paper is a sweep over one or two parameters (epsilon,
 gamma, poison range, poison distribution, evasive fraction, ...) with the MSE
-of several schemes measured at each point.  :func:`sweep` runs such a sweep
-from a declarative list of points and returns flat :class:`SweepRecord` rows
-that the experiment drivers format into the paper's tables.
+of several schemes measured at each point.  The experiment engine
+(:mod:`repro.engine`) returns one flat :class:`SweepRecord` per (point,
+scheme); :func:`records_to_table` and :func:`format_table` pivot and render
+them the way the drivers print the paper's tables.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Sequence
-
-from repro.attacks.base import Attack
-from repro.datasets.base import NumericalDataset
-from repro.simulation.runner import evaluate_schemes
-from repro.simulation.schemes import Scheme
-from repro.utils.rng import RngLike, ensure_rng
+from dataclasses import dataclass
+from typing import Any, Dict, List, Mapping, Sequence
 
 
 @dataclass
@@ -42,59 +37,6 @@ class SweepRecord:
     mse: float
     bias: float
     n_trials: int
-
-
-#: a sweep point: parameters + factories for the schemes and the attack
-PointSpec = Mapping[str, Any]
-
-
-def sweep(
-    points: Iterable[PointSpec],
-    scheme_factory: Callable[[PointSpec], Sequence[Scheme]],
-    attack_factory: Callable[[PointSpec], Attack | None],
-    dataset_factory: Callable[[PointSpec], NumericalDataset],
-    n_users: int,
-    gamma: float | Callable[[PointSpec], float],
-    n_trials: int = 3,
-    rng: RngLike = None,
-    input_domain: tuple[float, float] | Callable[[PointSpec], tuple[float, float]] = (-1.0, 1.0),
-) -> List[SweepRecord]:
-    """Run a sweep and return one record per (point, scheme).
-
-    The factories receive the sweep point so every aspect of the experiment
-    (schemes, attack, dataset, Byzantine proportion, input domain) can depend
-    on the swept parameters.
-    """
-    rng = ensure_rng(rng)
-    records: List[SweepRecord] = []
-    for point in points:
-        point = dict(point)
-        schemes = scheme_factory(point)
-        attack = attack_factory(point)
-        dataset = dataset_factory(point)
-        point_gamma = gamma(point) if callable(gamma) else gamma
-        point_domain = input_domain(point) if callable(input_domain) else input_domain
-        results = evaluate_schemes(
-            schemes,
-            dataset,
-            attack,
-            n_users=n_users,
-            gamma=point_gamma,
-            n_trials=n_trials,
-            rng=rng,
-            input_domain=point_domain,
-        )
-        for name, result in results.items():
-            records.append(
-                SweepRecord(
-                    point=point,
-                    scheme=name,
-                    mse=result.mse,
-                    bias=result.bias,
-                    n_trials=n_trials,
-                )
-            )
-    return records
 
 
 def _point_key(record: SweepRecord, key: str, role: str) -> Any:
@@ -155,4 +97,4 @@ def format_table(
     return "\n".join(lines)
 
 
-__all__ = ["SweepRecord", "sweep", "records_to_table", "format_table"]
+__all__ = ["SweepRecord", "records_to_table", "format_table"]

@@ -27,9 +27,9 @@ from repro.engine import (
     run_experiment,
 )
 from repro.engine.store import columns_to_records, records_to_columns
-from repro.simulation.runner import evaluate_schemes
 from repro.simulation.schemes import make_scheme
-from repro.simulation.sweep import SweepRecord, sweep
+from repro.simulation.sweep import SweepRecord
+from tests.legacy_sweep import evaluate_schemes, sweep
 
 ATTACK = BiasedByzantineAttack(PAPER_POISON_RANGES["[C/2,C]"])
 

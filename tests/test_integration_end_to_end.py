@@ -16,7 +16,8 @@ from repro.core.mean_estimation import corrected_mean
 from repro.datasets import load_dataset
 from repro.defenses import OstrichDefense, TrimmingDefense
 from repro.ldp import PiecewiseMechanism
-from repro.simulation import build_population, evaluate_schemes, make_scheme
+from repro.simulation import build_population, make_scheme
+from tests.legacy_sweep import evaluate_schemes
 
 
 class TestMeanEstimationPipelines:

@@ -12,12 +12,11 @@ from repro.simulation import (
     Population,
     SingleRoundScheme,
     build_population,
-    evaluate_schemes,
     make_scheme,
     run_trials,
-    sweep,
 )
 from repro.simulation.sweep import format_table, records_to_table
+from tests.legacy_sweep import evaluate_schemes, sweep
 from repro.core.dap import DAPConfig
 from repro.defenses import OstrichDefense
 
