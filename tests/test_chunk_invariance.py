@@ -23,8 +23,10 @@ from repro.core.dap import DAPConfig, DAPProtocol
 from repro.core.frequency import FrequencyDAP
 from repro.cli import _with_overrides, build_parser
 from repro.engine import ExperimentSpec
+from repro.engine.executor import draw_seed_matrix, run_identity
 from repro.ldp.square_wave import SquareWaveMechanism
 from repro.scenario import ScenarioSpec
+from repro.utils.rng import ensure_rng
 from tests.client_reports import accumulate, chunk_array, group_reports
 
 SCENARIO_BASE = dict(name="x", schemes=["Ostrich"], epsilons=[1.0])
@@ -49,6 +51,11 @@ SCENARIO_ALTERNATIVES = dict(
 )
 
 
+#: scenario identity knobs that never reach a record: they key the scenario
+#: digest, but not the run identity its lowered experiment resumes against
+SCENARIO_PROVENANCE = {"description"}
+
+
 def scenario_roles(*wanted):
     """The settable scenario knobs declared with one of ``wanted``."""
     return {
@@ -56,6 +63,15 @@ def scenario_roles(*wanted):
         for f in knobs.knobs(ScenarioSpec)
         if f.init and f.metadata["role"] in wanted
     }
+
+
+def lowered_identity(scenario):
+    """The lowered spec's fingerprint and the run identity ``run_scenario``
+    resumes against."""
+    master = ensure_rng(scenario.seed)
+    spec = scenario.to_experiment_spec(rng=master)
+    matrix = draw_seed_matrix(master, len(spec.points), spec.n_trials)
+    return spec.fingerprint(), run_identity(spec, matrix)
 
 ATTACK = BiasedByzantineAttack(PoisonRange.of_c(0.5, 1.0))
 CHUNK_SIZES = (7, 997, 4_096, 10**7)  # includes chunk > n and n % chunk != 0
@@ -215,20 +231,31 @@ class TestExecutionDetails:
 
     def test_scenario_digest_ignores_execution_details(self):
         base = ScenarioSpec(**SCENARIO_BASE)
-        for name in scenario_roles(knobs.EXECUTION, knobs.EXECUTION_REDRAWS):
+        base_fingerprint, base_identity = lowered_identity(base)
+        execution = scenario_roles(knobs.EXECUTION, knobs.EXECUTION_REDRAWS)
+        for name in execution | SCENARIO_PROVENANCE:
             changed = ScenarioSpec(
                 **{**SCENARIO_BASE, name: SCENARIO_ALTERNATIVES[name]}
             )
-            assert changed.digest() == base.digest(), name
+            if name in execution:
+                assert changed.digest() == base.digest(), name
+            fingerprint, identity = lowered_identity(changed)
+            assert fingerprint == base_fingerprint, name
+            assert identity == base_identity, name
         assert set(base.execution_details()) == {"collect_workers", "backend"}
 
     def test_scenario_digest_pins_identity_knobs(self):
         base = ScenarioSpec(**SCENARIO_BASE)
+        base_fingerprint, base_identity = lowered_identity(base)
         for name in scenario_roles(knobs.IDENTITY, knobs.IDENTITY_UNLESS_DEFAULT):
             changed = ScenarioSpec(
                 **{**SCENARIO_BASE, name: SCENARIO_ALTERNATIVES[name]}
             )
             assert changed.digest() != base.digest(), name
+            if name not in SCENARIO_PROVENANCE:
+                fingerprint, identity = lowered_identity(changed)
+                assert fingerprint != base_fingerprint, name
+                assert identity != base_identity, name
 
     def test_scenario_document_follows_the_roles(self):
         base = ScenarioSpec(**SCENARIO_BASE)

@@ -9,11 +9,17 @@ The load-bearing guarantees:
 * the columnar store round-trips records exactly and supports resume.
 """
 
+import functools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro import knobs
 from repro.attacks import BiasedByzantineAttack, PAPER_POISON_RANGES
 from repro.datasets import uniform_dataset
 from repro.engine import (
@@ -25,13 +31,18 @@ from repro.engine import (
     load_run,
     resolve_workers,
     run_experiment,
+    save_run,
 )
+from repro.engine.executor import run_identity
 from repro.engine.store import columns_to_records, records_to_columns
+from repro.experiments import QUICK_SCALE, build_fig6_spec
+from repro.experiments.defaults import ExperimentScale
 from repro.simulation.schemes import make_scheme
 from repro.simulation.sweep import SweepRecord
 from tests.legacy_sweep import evaluate_schemes, sweep
 
 ATTACK = BiasedByzantineAttack(PAPER_POISON_RANGES["[C/2,C]"])
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 @pytest.fixture(scope="module")
@@ -220,31 +231,6 @@ class TestStore:
         records = run_experiment(other, rng=5, store_path=path)
         assert len(records) == 3 * 2  # recomputed for the new spec
 
-    @pytest.mark.parametrize("stored_batched, reused", [(False, True), (True, False)])
-    def test_resume_reuses_only_per_trial_artifacts(
-        self, dataset, tmp_path, stored_batched, reused
-    ):
-        """Records of the removed stacked-trials path never resume: only a
-        stored fingerprint with the constant ``"batched": false`` matches."""
-        path = tmp_path / "run.json"
-        spec = make_spec(dataset)
-        fresh = run_experiment(spec, rng=5, store_path=path)
-        # leave a partial artifact with sentinel values, so reused records
-        # are told apart from recomputed ones
-        document = json.loads(path.read_text())
-        document["meta"]["fingerprint"]["batched"] = stored_batched
-        columns = document["columns"]
-        for name in columns:
-            columns[name] = columns[name][:-1]
-        columns["mse"] = [123.0] * len(columns["mse"])
-        path.write_text(json.dumps(document))
-
-        resumed = run_experiment(spec, rng=5, store_path=path)
-        served = [record.mse == 123.0 for record in resumed]
-        assert served == [reused] * (len(fresh) - 1) + [False]
-        if not reused:
-            assert record_key(resumed) == record_key(fresh)
-
     def test_resume_rejects_same_shape_different_points(self, dataset, tmp_path):
         """An artifact from another sweep of identical shape must not be
         served: the fingerprint digests the point values themselves."""
@@ -269,54 +255,15 @@ class TestStore:
             load_run(path)
 
     @staticmethod
-    def _keep_only(path, scheme, **execution):
-        """Rewrite an artifact to hold only ``scheme``'s rows (a partial run),
-        optionally overriding fields of its ``meta.execution``."""
-        import json
-
+    def _keep_only(path, scheme):
+        """Rewrite an artifact to hold only ``scheme``'s rows (a partial run)."""
         payload = json.loads(path.read_text())
         kept = [i for i, s in enumerate(payload["columns"]["scheme"]) if s == scheme]
         payload["columns"] = {
             key: [column[i] for i in kept]
             for key, column in payload["columns"].items()
         }
-        payload["meta"]["execution"].update(execution)
         path.write_text(json.dumps(payload))
-
-    def test_partial_pre_sharding_artifact_resumes_and_warns(self, dataset, tmp_path):
-        """An artifact written while the in-memory and streaming collection
-        paths existed carries ``chunk_size`` in its ``meta.execution``.  It
-        still resumes — completed records verbatim — but its pending units
-        now run on the block-seeded sharded path, which is flagged."""
-        import warnings
-
-        path = tmp_path / "run.json"
-        spec = make_spec(dataset, schemes=("DAP-EMF", "Ostrich"))
-        first = run_experiment(spec, rng=5, store_path=path)
-        self._keep_only(path, "Ostrich", chunk_size=None)
-
-        with pytest.warns(RuntimeWarning, match="no longer exists"):
-            resumed = run_experiment(spec, rng=5, store_path=path)
-        assert len(resumed) == len(first)
-        ostrich = lambda records: [
-            (r.point["epsilon"], repr(r.mse)) for r in records if r.scheme == "Ostrich"
-        ]
-        assert ostrich(resumed) == ostrich(first)
-
-        # a complete artifact has no pending units: it resumes silently
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            run_experiment(spec, rng=5, store_path=path)
-
-        # a pre-change artifact that already ran sharded (collect_workers
-        # set) produced records the new path reproduces: no warning either
-        run_experiment(spec, rng=5, store_path=path, resume=False)
-        self._keep_only(path, "Ostrich", chunk_size=None, collect_workers=2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert record_key(run_experiment(spec, rng=5, store_path=path)) == (
-                record_key(first)
-            )
 
     def test_partial_resume_under_other_collect_workers_is_silent(
         self, dataset, tmp_path
@@ -359,33 +306,183 @@ class TestStore:
         ]
         assert ostrich(resumed) == ostrich(first)
 
-    def test_legacy_chunk_size_fingerprint_stays_resumable(
-        self, dataset, tmp_path, monkeypatch
-    ):
-        """Artifacts written when chunk_size was (wrongly) part of the
-        fingerprint, and before execution provenance existed, must still be
-        served — the legacy key is stripped before comparison."""
-        import json
 
+#: ``build_fig6_spec(QUICK_SCALE, rng=0).fingerprint()`` as the hand-built
+#: fingerprint computed it before the run identity held the spec's fields
+#: and the seed matrix
+HAND_BUILT_FIG6_FINGERPRINT = {
+    "batched": False,
+    "gamma": 0.25,
+    "granularity": "scheme",
+    "n_points": 5,
+    "n_trials": 3,
+    "n_users": 20000,
+    "name": "fig6",
+    "points_digest": "dabac6d183b4ecf1",
+    "schemes": ["DAP-EMF", "DAP-EMF*", "DAP-CEMF*", "Ostrich", "Trimming"],
+}
+
+
+class SelfReferencing:
+    """A value object whose state refers back to itself."""
+
+    def __init__(self):
+        self.me = self
+
+
+def closure(offset):
+    return lambda point: point["epsilon"] + offset
+
+
+@pytest.fixture
+def unit_calls(monkeypatch):
+    """The units the executor computes (rather than resumes), in order."""
+    calls = []
+    original = ExperimentSpec.evaluate_unit
+
+    def counting(self, unit, seeds):
+        calls.append(unit)
+        return original(self, unit, seeds)
+
+    monkeypatch.setattr(ExperimentSpec, "evaluate_unit", counting)
+    return calls
+
+
+class TestRunIdentity:
+    """A stored artifact resumes only under the same spec fields and the same
+    seed matrix; anything else recomputes and equals a fresh run."""
+
+    SCALE = ExperimentScale(n_users=3_000, n_trials=1, gamma=0.25)
+
+    def fig6(self, **kwargs):
+        return build_fig6_spec(
+            self.SCALE, epsilons=(1.0,), schemes=("DAP-EMF", "Ostrich"), rng=0, **kwargs
+        )
+
+    @staticmethod
+    def over(first, second, path, first_rng, second_rng):
+        """Run ``second`` over ``first``'s artifact, and ``second`` fresh."""
+        run_experiment(first, rng=first_rng, store_path=path)
+        resumed = run_experiment(second, rng=second_rng, store_path=path)
+        return record_key(resumed), record_key(run_experiment(second, rng=second_rng))
+
+    def test_other_master_seed_recomputes(self, tmp_path):
+        spec = self.fig6()
+        resumed, fresh = self.over(spec, spec, tmp_path / "run.json", 0, 12345)
+        assert resumed == fresh
+
+    def test_other_factory_options_recompute(self, tmp_path):
+        resumed, fresh = self.over(
+            self.fig6(), self.fig6(epsilon_min=0.5), tmp_path / "run.json", 0, 0
+        )
+        assert resumed == fresh
+
+    def test_other_dataset_values_recompute(self, dataset, tmp_path):
+        other = uniform_dataset(n_samples=3_000, low=0.0, high=0.8, rng=2)
+        resumed, fresh = self.over(
+            make_spec(dataset), make_spec(other), tmp_path / "run.json", 5, 5
+        )
+        assert resumed == fresh
+
+    def test_generator_state_decides_resume(self, dataset, tmp_path, unit_calls):
         path = tmp_path / "run.json"
         spec = make_spec(dataset)
-        first = run_experiment(spec, rng=5, store_path=path)
-        payload = json.loads(path.read_text())
-        payload["meta"]["fingerprint"]["chunk_size"] = 256  # legacy shape
-        del payload["meta"]["execution"]
-        path.write_text(json.dumps(payload))
+        first = run_experiment(spec, rng=np.random.default_rng(7), store_path=path)
+        unit_calls.clear()
+        same = run_experiment(spec, rng=np.random.default_rng(7), store_path=path)
+        assert unit_calls == [] and record_key(same) == record_key(first)
 
-        calls = []
-        original = ExperimentSpec.evaluate_unit
+        other = run_experiment(spec, rng=np.random.default_rng(8), store_path=path)
+        assert unit_calls == spec.units()
+        fresh = run_experiment(spec, rng=np.random.default_rng(8))
+        assert record_key(other) == record_key(fresh)
 
-        def counting(self, unit, seeds):
-            calls.append(unit)
-            return original(self, unit, seeds)
+    def test_lambda_spec_writes_its_artifact_but_never_resumes(
+        self, dataset, tmp_path, unit_calls
+    ):
+        spec = ExperimentSpec(
+            name="lambda-spec",
+            points=[{"epsilon": 1.0}],
+            n_users=1_000,
+            n_trials=1,
+            scheme_factory=lambda pt: [make_scheme("Ostrich", pt["epsilon"])],
+            attack_factory=lambda pt: ATTACK,
+            dataset_factory=lambda pt: dataset,
+        )
+        assert spec.fingerprint() == spec.fingerprint()
+        assert spec.fingerprint()["scheme_factory"] == knobs.OPAQUE
+        path = tmp_path / "run.json"
+        first = run_experiment(spec, rng=1, store_path=path)
+        assert record_key(load_run(path).records) == record_key(first)
+        again = run_experiment(spec, rng=1, store_path=path)
+        assert unit_calls == spec.units() * 2
+        assert record_key(again) == record_key(first)
 
-        monkeypatch.setattr(ExperimentSpec, "evaluate_unit", counting)
-        resumed = run_experiment(spec, rng=5, store_path=path)
-        assert calls == []  # everything served despite the legacy fingerprint
-        assert record_key(resumed) == record_key(first)
+    @pytest.mark.parametrize(
+        "component",
+        [
+            lambda point: None,
+            closure(1.0),
+            functools.partial(make_scheme, "Ostrich"),
+            np.random.default_rng(0),
+            SelfReferencing(),
+        ],
+        ids=["lambda", "closure", "partial", "generator", "cycle"],
+    )
+    def test_component_without_canonical_form_is_opaque(self, component):
+        document = knobs.canonical(component)
+        assert knobs.is_opaque(document)
+        assert document == knobs.canonical(component)
+
+    @pytest.mark.parametrize(
+        "legacy",
+        [{}, {"chunk_size": 256}, {"batched": True}],
+        ids=["hand-built", "with-chunk-size", "batched"],
+    )
+    def test_hand_built_fingerprint_never_resumes(self, legacy, tmp_path, unit_calls):
+        """Artifacts written before the run identity carry the hand-built
+        fingerprint (some with a ``chunk_size`` or a stacked-trials flag);
+        each recomputes once."""
+        spec = build_fig6_spec(QUICK_SCALE, rng=0)
+        records = [
+            SweepRecord(point=point, scheme=scheme.name, mse=123.0, bias=0.0, n_trials=3)
+            for point in spec.points
+            for scheme in spec.schemes_for(point)
+        ]
+        path = tmp_path / "run.json"
+        save_run(
+            path,
+            records,
+            point_indices=[index for index, _ in spec.units()],
+            meta={"fingerprint": {**HAND_BUILT_FIG6_FINGERPRINT, **legacy}},
+        )
+        stub = [SweepRecord(point={}, scheme="stub", mse=0.0, bias=0.0, n_trials=3)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ExperimentSpec, "_evaluate_unit", lambda self, unit, seeds: stub)
+            resumed = run_experiment(spec, rng=0, store_path=path)
+        assert unit_calls == spec.units()
+        assert all(record.mse == 0.0 for record in resumed)
+
+    def test_identity_is_independent_of_the_hash_seed(self):
+        """The fig6 quick identity computed under another ``PYTHONHASHSEED``
+        equals the in-process one, so a fresh process resumes."""
+        code = (
+            "import json, numpy as np\n"
+            "from repro.engine.executor import draw_seed_matrix, run_identity\n"
+            "from repro.experiments import QUICK_SCALE, build_fig6_spec\n"
+            "rng = np.random.default_rng(0)\n"
+            "spec = build_fig6_spec(QUICK_SCALE, rng=rng)\n"
+            "matrix = draw_seed_matrix(rng, len(spec.points), spec.n_trials)\n"
+            "print(json.dumps(run_identity(spec, matrix)))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED="4242")
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        rng = np.random.default_rng(0)
+        spec = build_fig6_spec(QUICK_SCALE, rng=rng)
+        matrix = draw_seed_matrix(rng, len(spec.points), spec.n_trials)
+        assert json.loads(result.stdout) == run_identity(spec, matrix)
 
 
 class TestSpecValidation:
