@@ -4,8 +4,8 @@ Builds the Figure 6 quick grid as an :class:`~repro.engine.ExperimentSpec`,
 executes it on a process pool, persists the columnar run artifact, then
 demonstrates the two things the artifact buys:
 
-* **resume** — re-running the same spec against the artifact performs no new
-  computation;
+* **resume** — re-running the same spec with the same seed against the
+  artifact performs no new computation;
 * **offline analysis** — the records are reloaded from disk and pivoted into
   the paper-style table without touching the simulator.
 
@@ -40,7 +40,7 @@ def main() -> None:
     print(f"computed {len(records)} records in {time.perf_counter() - start:.2f}s "
           f"-> {STORE_PATH}")
 
-    # resume: same spec + same artifact = no recomputation
+    # resume: same spec + same seed matrix + same artifact = no recomputation
     start = time.perf_counter()
     resumed = run_experiment(
         build_fig6_spec(scale, epsilons=(0.5, 1.0, 2.0), rng=0),
@@ -53,7 +53,9 @@ def main() -> None:
 
     # offline analysis straight from the artifact
     artifact = load_run(STORE_PATH)
-    print(f"\nartifact meta: {artifact.meta['fingerprint']}\n")
+    identity = artifact.meta["fingerprint"]
+    print(f"\nartifact identity: spec {identity['name']!r}, seed matrix "
+          f"{identity['seed_matrix']['sha256'][:16]}\n")
     print(format_fig6(artifact.records))
 
 

@@ -4,16 +4,17 @@ Runs an :class:`~repro.engine.spec.ExperimentSpec` either serially or fanned
 out over a ``concurrent.futures`` process pool.  Determinism contract:
 
 1. The master generator is consumed exactly once, up front, to draw the
-   ``(n_points, n_trials)`` seed matrix — in the same stream order the legacy
-   serial ``sweep`` drew its per-point trial seeds.
+   ``(n_points, n_trials)`` seed matrix, in the order a point-by-point
+   serial sweep would draw its per-point trial seeds.
 2. Every work unit (a ``(point, scheme)`` pair, or a whole point for
    point-granular specs) derives all of its randomness from its row of the
    seed matrix.
 3. Results are gathered back into canonical unit order.
 
 Together these make the output bit-identical for any worker count, including
-the serial fallback, and to the legacy :func:`repro.simulation.sweep.sweep`
-path.
+the serial fallback.  They also make the records a function of the spec and
+the seed matrix alone, so :func:`run_identity` (the spec's fingerprint plus
+the matrix's digest) is what a stored artifact must match to be resumed.
 
 Workers are forked (or spawned) with the spec shipped once via the pool
 initializer; each worker then owns a process-local transform cache
@@ -74,11 +75,20 @@ def draw_seed_matrix(rng: np.random.Generator, n_points: int, n_trials: int) -> 
     """Pre-draw the per-(point, trial) seed matrix from the master stream.
 
     A single ``(n_points, n_trials)`` draw consumes the PCG64 stream in the
-    same order as ``n_points`` successive length-``n_trials`` draws, which is
-    exactly what the legacy serial sweep did — so pre-drawing preserves
-    bit-identical seeds while decoupling the points from each other.
+    same order as ``n_points`` successive length-``n_trials`` draws, so
+    pre-drawing keeps a serial sweep's seeds while decoupling the points from
+    each other.
     """
     return rng.integers(0, 2**63 - 1, size=(n_points, n_trials), dtype=np.int64)
+
+
+def run_identity(spec: ExperimentSpec, seed_matrix: np.ndarray) -> dict:
+    """What a stored artifact must match to resume: the spec's fingerprint
+    plus the seed matrix's digest, since every unit's randomness comes from
+    its row of the matrix.  A generator in the same state resumes; one in
+    any other state recomputes.
+    """
+    return {**spec.fingerprint(), "seed_matrix": knobs.canonical(seed_matrix)}
 
 
 def _init_worker(spec: ExperimentSpec, seed_matrix: np.ndarray) -> None:
@@ -187,8 +197,9 @@ def run_experiment(
         is identical in every case.
     store_path:
         Optional JSON artifact path.  When given, completed units found in an
-        existing artifact with a matching spec fingerprint are reused
-        (``resume=True``) and the merged result is written back.
+        existing artifact with the same :func:`run_identity` are reused
+        (``resume=True``, never for an opaque spec) and the merged result is
+        written back.
     resume:
         Set ``False`` to ignore any existing artifact and recompute.
     progress:
@@ -208,9 +219,11 @@ def run_experiment(
     seed_matrix = draw_seed_matrix(master, len(spec.points), spec.n_trials)
     units = spec.units()
 
+    identity = run_identity(spec, seed_matrix) if store_path is not None else None
+
     completed: Dict[Unit, List[Any]] = {}
     if store_path is not None and resume and os.path.exists(store_path):
-        completed = _load_completed_units(spec, store_path, units)
+        completed = _load_completed_units(spec, identity, store_path, units)
 
     pending = [unit for unit in units if unit not in completed]
     done = len(completed)
@@ -218,7 +231,7 @@ def run_experiment(
         _report(progress, done, len(units))
     n_workers = resolve_workers(n_workers)
     if n_workers > 1 and len(pending) > 1:
-        collect_workers = getattr(spec, "collect_workers", None)
+        collect_workers = spec.collect_workers
         if collect_workers and collect_workers > 1:
             warnings.warn(
                 f"n_workers={n_workers} and collect_workers="
@@ -239,6 +252,7 @@ def run_experiment(
     if store_path is not None:
         _store_records(
             spec,
+            identity,
             store_path,
             records,
             units,
@@ -259,10 +273,10 @@ def _storable(spec: ExperimentSpec, records: Sequence[Any]) -> bool:
 
 
 def _load_completed_units(
-    spec: ExperimentSpec, store_path, units: Sequence[Unit]
+    spec: ExperimentSpec, identity: dict, store_path, units: Sequence[Unit]
 ) -> Dict[Unit, List[Any]]:
     """Map stored records back onto this spec's units (best effort)."""
-    if spec.is_point_granular():
+    if spec.is_point_granular() or knobs.is_opaque(identity):
         return {}
     try:
         artifact = load_run(store_path)
@@ -273,11 +287,7 @@ def _load_completed_units(
             stacklevel=3,
         )
         return {}
-    stored_fingerprint = dict(artifact.meta.get("fingerprint") or {})
-    # artifacts written before chunk_size became an execution detail folded
-    # it into the fingerprint; strip it so those runs stay resumable
-    stored_fingerprint.pop("chunk_size", None)
-    if stored_fingerprint != spec.fingerprint():
+    if artifact.meta.get("fingerprint") != identity:
         return {}
     if len(artifact.rows) < len(units):
         _warn_on_changed_collection(spec, artifact.meta.get("execution"))
@@ -297,31 +307,13 @@ def _load_completed_units(
 def _warn_on_changed_collection(spec: ExperimentSpec, stored: dict | None) -> None:
     """Warn when a partial artifact's pending units draw other randomness.
 
-    Execution knobs never gate reuse (completed records are served
-    verbatim), but two of them decide which randomness stream computes the
-    pending units, so the resumed records would no longer be reproducible
-    from one configuration:
-
-    * the collection path — an artifact written while in-memory and
-      streaming collection still existed carries ``chunk_size`` in its
-      ``meta.execution`` (or predates execution provenance altogether);
-      unless it ran sharded (``collect_workers`` set), its records came
-      from a path every pending unit now replaces with the block-seeded one;
-    * a knob declared :data:`~repro.knobs.EXECUTION_REDRAWS` (the
-      backend: the fast backends' samplers consume the RNG stream
-      differently from the reference).
-
-    Plain execution knobs (``collect_workers``) never change a record, so
-    they do not warrant the warning.
+    Execution knobs never gate reuse, but under another value of a knob
+    declared :data:`~repro.knobs.EXECUTION_REDRAWS` (the backend) the
+    pending units draw another randomness stream than the completed ones
+    did.  Plain execution knobs (``collect_workers``) never change a record.
     """
-    stored = stored or {"chunk_size": None}
+    stored = stored or {}
     changes = []
-    if "chunk_size" in stored and stored.get("collect_workers") is None:
-        changes.append(
-            "it was recorded on a collection path that no longer exists "
-            "(in-memory or streaming); pending units run on the block-seeded "
-            "sharded path"
-        )
     for field in knobs.knobs(spec):
         current = getattr(spec, field.name)
         redraws = field.metadata["role"] == knobs.EXECUTION_REDRAWS
@@ -343,8 +335,8 @@ def _warn_on_changed_collection(spec: ExperimentSpec, stored: dict | None) -> No
 def _execution_details(spec: ExperimentSpec) -> dict:
     """Every declared knob of the spec, recorded in artifacts for provenance.
 
-    Informational only — never compared for record reuse (that is the
-    fingerprint's job); used to warn when a partial artifact is resumed
+    Informational only — never compared for record reuse (that is the run
+    identity's job); used to warn when a partial artifact is resumed
     under a different randomness stream.  Under the shuffle protocol the
     details also carry a privacy-amplification digest: the Feldman et al.
     local→central bound evaluated at every swept epsilon with the full
@@ -376,6 +368,7 @@ def _execution_details(spec: ExperimentSpec) -> dict:
 
 def _store_records(
     spec: ExperimentSpec,
+    identity: dict,
     store_path,
     records: Sequence[Any],
     units: Sequence[Unit],
@@ -408,11 +401,7 @@ def _store_records(
             store_path,
             records,
             point_indices=point_indices,
-            meta={
-                "fingerprint": spec.fingerprint(),
-                "description": spec.description,
-                "execution": execution,
-            },
+            meta={"fingerprint": identity, "execution": execution},
         )
 
     # a transient write failure must not lose a finished run: the atomic
@@ -427,4 +416,5 @@ __all__ = [
     "draw_seed_matrix",
     "resolve_workers",
     "run_experiment",
+    "run_identity",
 ]

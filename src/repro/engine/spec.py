@@ -11,16 +11,14 @@ out over a process pool.
 Two properties make specs parallelisable without changing results:
 
 * **pre-drawn seeds** — the executor draws one seed per (point, trial) from
-  the master generator up front, in the same order the legacy serial
-  ``sweep`` consumed it, so every work unit depends only on its own seeds and
-  results are bit-identical regardless of worker count (or of whether a pool
-  is used at all);
+  the master generator up front, so every work unit depends only on the
+  spec and its own row of seeds, and results are bit-identical regardless
+  of worker count (or of whether a pool is used at all);
 * **picklable factories** — factories are small frozen dataclasses (not
   closures), so a spec can be shipped to worker processes.
 
 A scheme unit runs :func:`~repro.simulation.runner.run_trials`, the one
-trial runner, over its row of seeds, so its record equals the serial
-``sweep``'s bit for bit.
+trial runner, over its row of seeds.
 
 Experiments that are not scheme sweeps (Table I, the probing panels of
 Figures 5 and 8, the frequency-estimation panels) subclass the spec and
@@ -30,8 +28,6 @@ whole points instead of (point, scheme) units.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 from typing import Any, Callable, List, Mapping, Sequence, Tuple
 
@@ -123,18 +119,16 @@ class ExperimentSpec:
         round (see
         :meth:`repro.simulation.schemes.Scheme.configure_collection`), and
         ``protocol=None`` keeps each scheme's own default, the classical
-        ``"local"`` model.  The identity ones join :meth:`fingerprint`;
-        every one of them is recorded in ``meta.execution``.
+        ``"local"`` model.
     seed:
         Default master seed used when the executor is not handed an explicit
-        generator.
+        generator; it reaches the records only through the seed matrix.
     description:
         Free-form provenance recorded in run artifacts.
-    fingerprint_extra:
-        Extra identity merged into :meth:`fingerprint` — for builders whose
-        configuration is not visible in the points/schemes (e.g. the scenario
-        layer digests its whole document here so a resumed artifact can never
-        serve records from an edited scenario file).
+
+    Every field, a subclass's too, is identity (:meth:`fingerprint`) except
+    the execution knobs ``collect_workers``, ``backend``, ``seed`` and
+    ``description``.
     """
 
     name: str
@@ -152,9 +146,8 @@ class ExperimentSpec:
     collect_workers: int | None = shared_knob("collect_workers")
     backend: str | None = shared_knob("backend")
     protocol: str | None = shared_knob("protocol")
-    seed: int | None = None
-    description: str = ""
-    fingerprint_extra: Mapping[str, Any] | None = None
+    seed: int | None = knobs.knob(knobs.EXECUTION, None, "default master seed", default=None)
+    description: str = knobs.knob(knobs.EXECUTION, None, "free-form provenance", default="")
 
     def __post_init__(self) -> None:
         self.points = tuple(dict(point) for point in self.points)
@@ -273,46 +266,14 @@ class ExperimentSpec:
     # provenance
     # ------------------------------------------------------------------
     def fingerprint(self) -> dict:
-        """Identity of the spec for artifact validation / resume.
+        """The spec's part of a run's identity (see ``run_identity``).
 
-        Includes a digest of the sweep-point values and the scheme names, so
-        an artifact from a *different* sweep of the same shape (e.g. other
-        epsilons, or other schemes) can never be mistaken for this one.
-
-        Of the declared knobs only the identity ones join (``protocol``,
-        when set).  Execution details — ``collect_workers``, ``backend``
-        and the executor's worker count — are deliberately left out:
-        completed records are reusable verbatim whatever configuration
-        computes the remaining ones, so a run must stay resumable when only
-        its execution knobs change (e.g. resuming a serial run with
-        ``--collect-workers 4`` on a bigger machine).
+        Every identity field in canonical form (:func:`repro.knobs.document`):
+        factories as their class and options, datasets down to a digest of
+        their values.  A component with no canonical form, such as a lambda,
+        documents as :data:`repro.knobs.OPAQUE`, and its run never resumes.
         """
-        gamma = self.gamma if isinstance(self.gamma, (int, float)) else "per-point"
-        points_digest = hashlib.sha256(
-            json.dumps(list(self.points), sort_keys=True, default=str).encode()
-        ).hexdigest()[:16]
-        schemes = (
-            None
-            if self.is_point_granular()
-            else [scheme.name for scheme in self.schemes_for(self.points[0])]
-        )
-        fingerprint = {
-            "name": self.name,
-            "n_points": len(self.points),
-            "points_digest": points_digest,
-            "schemes": schemes,
-            "n_users": int(self.n_users),
-            "n_trials": int(self.n_trials),
-            "gamma": gamma,
-            # the stacked-trials path is gone and every record is computed
-            # per trial; the constant keeps stored artifacts resumable
-            "batched": False,
-            "granularity": "point" if self.is_point_granular() else "scheme",
-        }
-        fingerprint.update(knobs.document(self))
-        if self.fingerprint_extra:
-            fingerprint.update(self.fingerprint_extra)
-        return fingerprint
+        return knobs.document(self)
 
 
 __all__ = ["ExperimentSpec", "PointSpec", "Unit", "shared_knob"]

@@ -1,16 +1,16 @@
 """Columnar, JSON-persistable run artifacts.
 
-A run artifact captures one executed sweep: the spec fingerprint, the sweep
-points, and the measurements laid out column-wise (one array per field) so
-downstream tooling — the benchmark harness, notebooks, the examples — can
-load a run without re-running it, and an interrupted sweep can resume from
-the units already on disk.
+A run artifact captures one executed sweep: the run identity
+(:func:`repro.engine.executor.run_identity`), the sweep points, and the
+measurements laid out column-wise (one array per field) so downstream
+tooling — notebooks, the examples — can load a run without re-running it,
+and an interrupted sweep can resume from the units already on disk.
 
 Format (``repro.engine.run/v1``)::
 
     {
       "format": "repro.engine.run/v1",
-      "meta":    {...},                      # fingerprint + free-form info
+      "meta":    {...},                      # run identity + provenance
       "points":  {"0": {...}, "1": {...}},   # point_index -> sweep point
       "columns": {
         "point_index": [...], "scheme": [...],

@@ -81,7 +81,7 @@ def run_fig6(
     Defaults run one dataset and one poison range across every budget and
     scheme — one panel of the figure.  Pass ``datasets=FIG6_DATASETS`` and
     ``poison_ranges=FIG6_RANGES`` for the complete 16-panel grid.  The records
-    are bit-identical to the historical serial sweep for a given ``rng``.
+    depend only on ``rng`` (datasets, then the seed matrix), never on ``n_workers``.
     """
     rng = ensure_rng(rng)
     spec = build_fig6_spec(

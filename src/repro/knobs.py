@@ -14,7 +14,8 @@ so the role decides whether changing a knob re-keys stored work:
 * :data:`IDENTITY_UNLESS_DEFAULT` — as identity, but left out of the
   document while at its default, so adding the knob kept the digests of
   every document written before it;
-* :data:`EXECUTION` — the knob changes how the same bits are computed: it
+* :data:`EXECUTION` — the knob never changes a record (it changes how the
+  same bits are computed, or it is provenance such as a description): it
   stays out of the document and is recorded as an execution detail;
 * :data:`EXECUTION_REDRAWS` — an execution detail under which work still
   to be done draws other, statistically equivalent randomness: resuming
@@ -28,7 +29,11 @@ import hashlib
 import json
 import math
 import numbers
+import sys
+import types
 from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
+
+import numpy as np
 
 from repro.utils.validation import check_fraction, check_integer, check_positive
 
@@ -107,19 +112,76 @@ def validate(spec: Any) -> None:
 
 
 def document(spec: Any) -> Dict[str, Any]:
-    """The identity knobs as a JSON-style document, in field order."""
+    """The identity fields (any field without a role is one), in field order,
+    as one JSON-style document through :func:`canonical`."""
     out: Dict[str, Any] = {}
-    for f in knobs(spec):
-        role, value = f.metadata["role"], getattr(spec, f.name)
+    for f in dataclasses.fields(spec):
+        role, value = f.metadata.get("role", IDENTITY), getattr(spec, f.name)
         if not (role == IDENTITY or role == IDENTITY_UNLESS_DEFAULT and value != f.default):
             continue
-        if isinstance(value, tuple):
-            value = list(value)
-        elif isinstance(value, dict):
-            value = dict(value)
         section = f.metadata.get("section")
-        (out.setdefault(section, {}) if section else out)[f.name] = value
+        (out.setdefault(section, {}) if section else out)[f.name] = canonical(value)
     return out
+
+
+#: how a value with no canonical form (a lambda, a closure, a generator)
+#: documents; a document holding it identifies nothing (see :func:`is_opaque`)
+OPAQUE = "<opaque>"
+
+
+def canonical(value: Any, _path: frozenset = frozenset()) -> Any:
+    """``value`` as a JSON-style document of what it computes.
+
+    Sequences become lists and mapping keys strings; a numpy array documents
+    as its dtype, shape and sha256, a module-level class or function as its
+    qualified name, and an instance of a module-level class as its class
+    plus its dataclass fields (or, for a plain value object, its ``vars``).
+    Anything else, a reference cycle included, documents as :data:`OPAQUE`.
+    """
+    if isinstance(value, np.generic):
+        return value.item()
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    if id(value) in _path:
+        return OPAQUE
+    path = _path | {id(value)}
+    if isinstance(value, (tuple, list)):
+        return [canonical(item, path) for item in value]
+    if isinstance(value, Mapping):
+        return {str(key): canonical(item, path) for key, item in value.items()}
+    if isinstance(value, np.ndarray):
+        data = np.ascontiguousarray(value)
+        sha256 = hashlib.sha256(data.tobytes()).hexdigest()
+        return {"dtype": data.dtype.str, "shape": list(data.shape), "sha256": sha256}
+    if isinstance(value, (type, types.FunctionType, types.BuiltinFunctionType)):
+        return _qualified_name(value) or OPAQUE
+    cls = type(value)
+    name = _qualified_name(cls)
+    if name and dataclasses.is_dataclass(value):
+        fields = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+        return {"class": name, **canonical(fields, path)}
+    # a plain value object keeps all of its state in its vars
+    slotted = any(vars(base).get("__slots__") for base in cls.__mro__)
+    if name and hasattr(value, "__dict__") and cls.__reduce__ is object.__reduce__ and not slotted:
+        return {"class": name, **canonical(vars(value), path)}
+    return OPAQUE
+
+
+def _qualified_name(obj: Any) -> str | None:
+    """``module.qualname`` when that name imports back to ``obj``."""
+    target = sys.modules.get(getattr(obj, "__module__", None) or "")
+    for part in getattr(obj, "__qualname__", "").split("."):
+        target = getattr(target, part, None)
+    return f"{obj.__module__}.{obj.__qualname__}" if target is obj else None
+
+
+def is_opaque(document: Any) -> bool:
+    """Whether a :func:`canonical` document holds :data:`OPAQUE` anywhere."""
+    if isinstance(document, dict):
+        return any(map(is_opaque, document.values()))
+    if isinstance(document, list):
+        return any(map(is_opaque, document))
+    return document == OPAQUE
 
 
 def _key_layout(cls: type) -> Dict[str | None, List[str]]:
@@ -196,7 +258,7 @@ class Spec:
 
     def digest(self) -> str:
         """Stable hash of :meth:`document`; keys artifact and checkpoint reuse."""
-        payload = json.dumps(self.document(), sort_keys=True, default=repr)
+        payload = json.dumps(self.document(), sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
     def execution_details(self) -> Dict[str, Any]:
@@ -298,7 +360,7 @@ def axis(entry: Check | None = None) -> Check:
 
 __all__ = [
     "EXECUTION", "EXECUTION_REDRAWS", "IDENTITY", "IDENTITY_UNLESS_DEFAULT",
-    "ROLE_NOTES", "Spec", "axis", "boolean", "constant", "document", "domain",
-    "flagged", "fraction", "integer", "knob", "knobs", "nonempty_text",
-    "positive", "text", "validate",
+    "OPAQUE", "ROLE_NOTES", "Spec", "axis", "boolean", "canonical", "constant",
+    "document", "domain", "flagged", "fraction", "integer", "is_opaque", "knob",
+    "knobs", "nonempty_text", "positive", "text", "validate",
 ]

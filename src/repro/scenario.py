@@ -39,8 +39,6 @@ import os
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
 
-import numpy as np
-
 from repro.attacks.base import Attack
 from repro.attacks.distributions import (
     BetaPoison,
@@ -330,7 +328,6 @@ class ScenarioSpec(Spec):
             backend=self.backend,
             protocol=self.protocol if self.protocol != "local" else None,
             seed=self.seed,
-            fingerprint_extra={"scenario_digest": self.digest()},
         )
 
 
@@ -348,24 +345,14 @@ def run_scenario(
     One master generator (seeded from ``scenario.seed`` unless ``rng`` is
     given) drives dataset sampling and the executor's seed matrix, so records
     are bit-identical at any worker count and to the equivalent programmatic
-    ``to_experiment_spec`` + ``run_experiment`` call.
-
-    An ``rng`` override changes the records without changing the scenario
-    document, so it is folded into the artifact fingerprint: an integer seed
-    is recorded as-is, while an opaque generator (whose stream the document
-    cannot identify) gets a one-off token — its artifact is written but can
-    never be resumed, and it never matches a seed-identified artifact.
+    ``to_experiment_spec`` + ``run_experiment`` call.  That call's run
+    identity holds the sampled datasets and the seed matrix, so an ``rng``
+    override resumes exactly the artifacts written from a generator in the
+    same state.
     """
     master = ensure_rng(rng if rng is not None else scenario.seed)
-    spec = scenario.to_experiment_spec(rng=master)
-    if rng is not None:
-        if isinstance(rng, (int, np.integer)):
-            token = str(int(rng))
-        else:
-            token = f"opaque-{os.urandom(8).hex()}"
-        spec.fingerprint_extra = {**spec.fingerprint_extra, "rng_override": token}
     return run_experiment(
-        spec,
+        scenario.to_experiment_spec(rng=master),
         rng=master,
         n_workers=n_workers,
         store_path=store_path,

@@ -111,10 +111,10 @@ class TestRun:
 
 
 class TestResumeAcrossTheCollectionChange:
-    """Artifacts written while in-memory and streaming collection existed
-    record ``chunk_size`` in ``meta.execution``; they must still resume."""
+    """A partial artifact resumes under another shard-worker count, and a
+    document naming the removed ``chunk_size`` knob is refused."""
 
-    def _partial_artifact(self, tmp_path, **execution):
+    def _partial_artifact(self, tmp_path):
         scenario = dict(TINY_SCENARIO, name="legacy", schemes=["DAP-EMF", "Ostrich"])
         path = tmp_path / "legacy.json"
         path.write_text(json.dumps(scenario))
@@ -126,18 +126,8 @@ class TestResumeAcrossTheCollectionChange:
         payload["columns"] = {
             key: [column[i] for i in kept] for key, column in payload["columns"].items()
         }
-        payload["meta"]["execution"].update(execution)
         store.write_text(json.dumps(payload))
         return path, store, full
-
-    def test_pre_change_partial_artifact_resumes_with_a_warning(self, tmp_path):
-        path, store, full = self._partial_artifact(tmp_path, chunk_size=None)
-        result = run_cli("resume", str(path), "--store", str(store), "--quiet")
-        assert result.returncode == 0, result.stderr
-        assert "no longer exists" in result.stderr
-        # the pending DAP units ran on the one collection path, which is
-        # what a fresh run computes too
-        assert json.loads(store.read_text())["columns"] == full["columns"]
 
     def test_partial_resume_under_collect_workers_is_silent(self, tmp_path):
         path, store, full = self._partial_artifact(tmp_path)

@@ -276,7 +276,7 @@ class TestLowering:
         assert [(r.scheme, r.mse) for r in seeded] == [
             (r.scheme, r.mse) for r in fresh
         ]
-        # opaque generators can never be resumed, even by another opaque run
+        # a generator in another state draws another seed matrix: no resume
         run_scenario(scenario, rng=ensure_rng(5), store_path=store)
         again = run_scenario(scenario, rng=ensure_rng(6), store_path=store)
         fresh6 = run_scenario(scenario, rng=ensure_rng(6))
