@@ -435,25 +435,22 @@ class BatchEMResult:
     screened: np.ndarray
 
 
-def _scatter_tail(
-    out: np.ndarray, tail_weights: np.ndarray, rows: np.ndarray, share: float
-) -> None:
-    """Add ``share * tail_weights[h, t]`` to ``out[h, rows[h, t, s]]`` in place.
+def _scatter_tail(out: np.ndarray, tail_weights: np.ndarray, rows: np.ndarray) -> None:
+    """Add ``tail_weights[h, t]`` to ``out[h, rows[h, t]]`` in place.
 
     One ``bincount`` over the flat ``(hypothesis, row)`` cells sums every
     tail column's mass, so the call count does not grow with the tail width.
     """
     n_rows, d_out = out.shape
-    cells = np.arange(0, n_rows * d_out, d_out)[:, None, None] + rows
-    mass = np.broadcast_to((tail_weights * share)[:, :, None], rows.shape)
+    cells = np.arange(0, n_rows * d_out, d_out)[:, None] + rows
     out += np.bincount(
-        cells.ravel(), weights=mass.ravel(), minlength=out.size
+        cells.ravel(), weights=tail_weights.ravel(), minlength=out.size
     ).reshape(out.shape)
 
 
-def _gather_tail(ratios: np.ndarray, rows: np.ndarray, share: float) -> np.ndarray:
-    """Tail gradients ``share * sum_s ratios[h, rows[h, t, s]]``, shape ``(H, T)``."""
-    return share * ratios[np.arange(rows.shape[0])[:, None, None], rows].sum(axis=2)
+def _gather_tail(ratios: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Tail gradients ``ratios[h, rows[h, t]]``, shape ``(H, T)``."""
+    return ratios[np.arange(rows.shape[0])[:, None], rows]
 
 
 def em_reconstruct_batch(
@@ -489,11 +486,7 @@ def em_reconstruct_batch(
         Observed output-bucket counts, length ``d'`` (shared by every
         hypothesis — they explain the same observations).
     tail_rows:
-        ``(H, T)`` integer array of indicator rows, or ``(H, T, S)`` for
-        *spread* tails: tail column ``t`` of hypothesis ``h`` then places
-        mass ``1/S`` on each of the ``S`` distinct rows ``tail_rows[h, t]``
-        (the shape of a sketch poison column, which lands on one cell per
-        sketch row).  An ``(H, T)`` one-hot tail is the ``S = 1`` case.
+        ``(H, T)`` integer array of indicator rows.
         Hypotheses with fewer than ``T`` real tail columns are *padded*:
         repeat any of their real rows and mark the padding ``False`` in
         ``tail_mask`` — padded components are pinned to weight zero and
@@ -543,28 +536,13 @@ def em_reconstruct_batch(
     if counts.sum() == 0:
         raise ValueError("counts must contain at least one observation")
     tail_rows = np.asarray(tail_rows, dtype=np.intp)
-    if tail_rows.ndim == 2:
-        tail_rows = tail_rows[:, :, None]  # one-hot: the S = 1 spread
-    if tail_rows.ndim != 3:
-        raise ValueError(
-            f"tail_rows must be (H, T) or (H, T, S), got shape {tail_rows.shape}"
-        )
-    n_hypotheses, n_tail, spread = tail_rows.shape
-    if spread == 0:
-        raise ValueError("spread tail_rows need at least one row per column")
+    if tail_rows.ndim != 2:
+        raise ValueError(f"tail_rows must be (H, T), got shape {tail_rows.shape}")
+    n_hypotheses, n_tail = tail_rows.shape
     if n_hypotheses == 0:
         raise ValueError("at least one hypothesis is required")
     if n_tail and (tail_rows.min() < 0 or tail_rows.max() >= d_out):
         raise ValueError("tail_rows must index output rows of the dense block")
-    if spread > 1 and n_tail:
-        # a spread column models a sketch poison column, which lands on one
-        # cell per sketch row: a row repeated within a column is malformed
-        sorted_rows = np.sort(tail_rows, axis=2)
-        if np.any(sorted_rows[:, :, 1:] == sorted_rows[:, :, :-1]):
-            raise ValueError(
-                "spread tail_rows must be distinct within each tail column"
-            )
-    share = 1.0 / spread
     if tail_mask is None:
         tail_mask = np.ones((n_hypotheses, n_tail), dtype=bool)
     else:
@@ -607,9 +585,8 @@ def em_reconstruct_batch(
         """Clamped mixtures for the active block: one GEMM + one scatter."""
         out = backend.matmul(w[:, :n_dense], dense.T)
         # padded columns add exact zeros, so a cell that one real tail column
-        # hits reads exactly GEMM + weight; only cells two real columns share
-        # (sketch tails) depend on the summation order
-        _scatter_tail(out, w[:, n_dense:], rows, share)
+        # hits reads exactly GEMM + weight
+        _scatter_tail(out, w[:, n_dense:], rows)
         return np.maximum(out, 1e-300)
 
     def _log_likelihoods(mixtures: np.ndarray) -> np.ndarray:
@@ -669,7 +646,7 @@ def em_reconstruct_batch(
                 n_real_tail = real_rows.shape[0]
                 transform = np.zeros((d_out, n_dense + n_real_tail))
                 transform[:, :n_dense] = dense
-                transform[real_rows, n_dense + np.arange(n_real_tail)[:, None]] = share
+                transform[real_rows, n_dense + np.arange(n_real_tail)] = 1.0
                 budget = max_iter - iteration
                 if gap_tol is not None:
                     result = em_reconstruct_accelerated(
@@ -697,9 +674,7 @@ def em_reconstruct_batch(
                         initial=w_active[position][real],
                         max_iter=budget,
                         tol=tol,
-                        # spread columns are not one-hot, so the indicator
-                        # split does not apply to them
-                        indicator_tail=real_rows[:, 0] if spread == 1 else None,
+                        indicator_tail=real_rows,
                     )
                 weights[h][real] = result.weights
                 weights[h][~real] = 0.0
@@ -712,7 +687,7 @@ def em_reconstruct_batch(
         ratios = counts / mixtures  # zero counts contribute zero everywhere
         aggregates = np.empty((active.size, n_components))
         backend.matmul(ratios, dense, out=aggregates[:, :n_dense])
-        aggregates[:, n_dense:] = _gather_tail(ratios, rows_active, share)
+        aggregates[:, n_dense:] = _gather_tail(ratios, rows_active)
         responsibilities = w_active * aggregates
         totals = responsibilities.sum(axis=1)
         if use_bounds:

@@ -11,6 +11,7 @@ Covers the pieces the property tests (``test_sketch_properties.py``) do not:
 * the ``probe.decode`` / ``probe.em`` stage timers;
 * the cell-class reduction against the full-cell reduced problem (oracle);
 * the refit certificate report (``refit_converged``);
+* each single-flag gain's duality-gap certificate (``gains_certified``);
 * the cached domain occupancy;
 * the dense probe's frozen-poison-set transform cache.
 
@@ -406,6 +407,67 @@ class TestRefitCertificate:
         result = dap.estimate_from_counts(counts)
         assert result.refit_converged is False
         assert sorted(result.poisoned_categories) == sorted(TARGETS)
+
+
+class TestGainCertificate:
+    def test_each_gain_is_certified_by_its_duality_gap(
+        self, attack_round, monkeypatch
+    ):
+        dap, result = attack_round
+        seen, fits = {}, []
+        solve = dap._reconstruct_reduced
+        one_shot = dap._one_shot_gains
+
+        def record_fit(counts_flat, state, positions, **kwargs):
+            # inside the probe, the gain solves are the only reduced solves
+            fit = solve(counts_flat, state, positions, **kwargs)
+            fits.append((list(positions), fit))
+            return fit
+
+        def record_call(counts_flat, state, flagged, incumbent):
+            seen.update(counts=counts_flat, state=state, incumbent=incumbent)
+            return one_shot(counts_flat, state, flagged, incumbent)
+
+        monkeypatch.setattr(dap, "_reconstruct_reduced", record_fit)
+        monkeypatch.setattr(dap, "_one_shot_gains", record_call)
+        dap._probe(result.sketch_counts)
+        counts, state = seen["counts"], seen["state"]
+        incumbent = seen["incumbent"]
+        assert [positions for positions, _ in fits] == [
+            [position] for position in state.positions
+        ]
+        gap_tol = 1e-3 * dap.min_likelihood_gain
+        for gain, ([position], fit) in zip(result.log_likelihood_gains, fits):
+            transform = dap._poison_transform(state, [position])
+            mixture = transform @ fit.weights
+            ratios = np.divide(
+                counts, mixture, out=np.zeros_like(counts), where=counts > 0
+            )
+            gradient = transform.T @ ratios
+            assert gradient.max() - fit.weights @ gradient < gap_tol
+            assert gain == fit.log_likelihood - incumbent.log_likelihood
+        assert result.gains_certified == [True] * len(TARGETS)
+
+    def test_uncertified_gain_is_reported(self, monkeypatch):
+        dap = _dap()
+        rng = np.random.default_rng(SEED)
+        counts = dap.collect_sharded(_population(rng), list(TARGETS), N_BYZANTINE, rng)
+        solve = dap._reconstruct_reduced
+        forced = []
+
+        def first_gain_uncertified(*args, **kwargs):
+            # the first reduced solve of a round is its first gain solve
+            fit = solve(*args, **kwargs)
+            if forced:
+                return fit
+            forced.append(True)
+            return replace(fit, converged=False)
+
+        monkeypatch.setattr(dap, "_reconstruct_reduced", first_gain_uncertified)
+        result = dap.estimate_from_counts(counts)
+        assert result.gains_certified == [False, True]
+        assert len(result.log_likelihood_gains) == len(TARGETS)
+        assert result.refit_converged is True
 
 
 # ----------------------------------------------------------------------
