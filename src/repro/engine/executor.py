@@ -199,7 +199,9 @@ def run_experiment(
         Optional JSON artifact path.  When given, completed units found in an
         existing artifact with the same :func:`run_identity` are reused
         (``resume=True``, never for an opaque spec) and the merged result is
-        written back.
+        written back.  A point-granular spec (one that overrides
+        ``evaluate_point``) is never stored: its ``store_path`` is ignored
+        with a ``RuntimeWarning``.
     resume:
         Set ``False`` to ignore any existing artifact and recompute.
     progress:
@@ -218,6 +220,15 @@ def run_experiment(
     master = ensure_rng(rng if rng is not None else spec.seed)
     seed_matrix = draw_seed_matrix(master, len(spec.points), spec.n_trials)
     units = spec.units()
+    if store_path is not None and spec.is_point_granular():
+        warnings.warn(
+            f"spec {spec.name!r} overrides evaluate_point, whose records are "
+            f"not stored: no run artifact will be written to {store_path!s} "
+            f"and none is resumed from it",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        store_path = None
 
     identity = run_identity(spec, seed_matrix) if store_path is not None else None
 
@@ -266,17 +277,11 @@ def run_experiment(
 # ----------------------------------------------------------------------
 # store integration (SweepRecord sweeps only)
 # ----------------------------------------------------------------------
-def _storable(spec: ExperimentSpec, records: Sequence[Any]) -> bool:
-    return not spec.is_point_granular() and all(
-        isinstance(record, SweepRecord) for record in records
-    )
-
-
 def _load_completed_units(
     spec: ExperimentSpec, identity: dict, store_path, units: Sequence[Unit]
 ) -> Dict[Unit, List[Any]]:
     """Map stored records back onto this spec's units (best effort)."""
-    if spec.is_point_granular() or knobs.is_opaque(identity):
+    if knobs.is_opaque(identity):
         return {}
     try:
         artifact = load_run(store_path)
@@ -376,7 +381,7 @@ def _store_records(
     resilience_before: Dict[str, int] | None = None,
     worker_resilience: Dict[str, int] | None = None,
 ) -> None:
-    if not _storable(spec, records):
+    if not all(isinstance(record, SweepRecord) for record in records):
         return
     point_indices = [unit[0] for unit in units]
     execution = _execution_details(spec)

@@ -306,6 +306,25 @@ class TestStore:
         ]
         assert ostrich(resumed) == ostrich(first)
 
+    def test_point_granular_store_path_warns_and_writes_nothing(self, tmp_path):
+        """Point-granular records are never stored: the run says so once
+        instead of silently writing and resuming nothing."""
+
+        class TwoPointSpec(ExperimentSpec):
+            def evaluate_point(self, point, trial_seeds):
+                return [int(trial_seeds[0]) % 97]
+
+        spec = TwoPointSpec(name="two-point", points=[{}, {}], n_users=10, n_trials=1)
+        path = tmp_path / "run.json"
+        with pytest.warns(RuntimeWarning) as caught:
+            records = run_experiment(spec, rng=0, store_path=path)
+        assert len(caught) == 1
+        message = str(caught[0].message)
+        assert "'two-point'" in message and "no run artifact" in message
+        assert records == run_experiment(spec, rng=0)
+        assert not path.exists()
+        assert list(tmp_path.iterdir()) == []
+
 
 #: ``build_fig6_spec(QUICK_SCALE, rng=0).fingerprint()`` as the hand-built
 #: fingerprint computed it before the run identity held the spec's fields
