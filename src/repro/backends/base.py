@@ -24,10 +24,10 @@ Kernel families:
 * **accumulation** — ``histogram_chunk`` / ``category_chunk`` /
   ``sketch_chunk``, the fused assign+bincount of
   :mod:`repro.collect.accumulators`;
-* **count-sketch** — ``sketch_sample`` / ``sketch_decode`` /
-  ``sketch_occupancy``, the high-cardinality frequency kernels of
-  :mod:`repro.ldp.count_sketch` (reports are ``(row, bucket)`` pairs, so
-  nothing in this family ever materialises the categorical domain).
+* **count-sketch** — ``sketch_sample``, the high-cardinality client kernel
+  of :mod:`repro.ldp.count_sketch` (reports are ``(row, bucket)`` pairs, so
+  it never materialises the categorical domain; the decode gathers through
+  that module's cached cell table and is not a backend kernel).
 """
 
 from __future__ import annotations
@@ -314,86 +314,6 @@ class ArrayBackend:
         random_other = np.where(random_other >= hashed, random_other + 1, random_other)
         buckets = np.where(keep, hashed, random_other)
         return np.column_stack([rows.astype(np.int64), buckets.astype(np.int64)])
-
-    def sketch_decode(
-        self,
-        counts: np.ndarray,
-        categories: np.ndarray,
-        p: float,
-        q: float,
-        hash_fn: Callable[[np.ndarray, np.ndarray, int], np.ndarray],
-        row_seeds: np.ndarray,
-        width: int,
-        reduce: str = "mean",
-    ) -> np.ndarray:
-        """Debiased frequency estimates for ``categories`` from sketch counts.
-
-        Per row ``j`` the bucket counts are first unbiased against the k-RR
-        noise (``(count/n_j - q) / (p - q)``), then each candidate gathers its
-        own bucket's debiased frequency and reduces across rows — the
-        ``"mean"`` (unbiased, the estimator), the ``"median"`` (robust: a
-        category elevated in only a minority of rows, e.g. by colliding with
-        a poisoned cell, is suppressed — the count-median ranking rule), or
-        the ``"min"`` (the strictest row statistic: only a category elevated
-        in *every* row keeps a high value, which is what targeted sketch
-        poison — and nothing else — produces, so the min is what poison
-        *flagging* keys on).  The reduction still includes the ``1/width``
-        expected mass of colliding categories, which the final
-        ``(width * raw - 1) / (width - 1)`` removes — unbiased under the
-        uniform-collision approximation (for the mean; median/min inherit
-        the same affine debias as rank statistics).  Candidate hashing is
-        tiled so the ``(candidate, row)`` grid stays bounded.
-        """
-        if reduce not in ("mean", "median", "min"):
-            raise ValueError(
-                f"reduce must be 'mean', 'median' or 'min', got {reduce!r}"
-            )
-        n_rows = counts.shape[0]
-        row_totals = counts.sum(axis=1).astype(float)
-        freq_buckets = (
-            counts / np.maximum(row_totals, 1.0)[:, np.newaxis] - q
-        ) / (p - q)
-        out = np.empty(categories.size, dtype=float)
-        row_index = np.arange(n_rows)[np.newaxis, :]
-        seed_row = row_seeds[np.newaxis, :]
-        tile = max(1, OLH_SUPPORT_TILE_ELEMENTS // max(1, n_rows))
-        for start in range(0, categories.size, tile):
-            cats = categories[start : start + tile, np.newaxis]
-            hashed = hash_fn(cats, seed_row, width)
-            gathered = freq_buckets[row_index, hashed]
-            if reduce == "median":
-                raw = np.median(gathered, axis=1)
-            elif reduce == "min":
-                raw = gathered.min(axis=1)
-            else:
-                raw = gathered.mean(axis=1)
-            out[start : start + tile] = (width * raw - 1.0) / (width - 1.0)
-        return out
-
-    def sketch_occupancy(
-        self,
-        n_categories: int,
-        hash_fn: Callable[[np.ndarray, np.ndarray, int], np.ndarray],
-        row_seeds: np.ndarray,
-        width: int,
-    ) -> np.ndarray:
-        """Per-row bucket occupancy of the full domain: how many of the
-        ``n_categories`` categories hash to each ``(row, bucket)`` cell.
-        Tiled over the domain so the ``(category, row)`` hash grid stays
-        bounded.
-        """
-        n_rows = row_seeds.size
-        occupancy = np.zeros(n_rows * width, dtype=np.int64)
-        row_offsets = (np.arange(n_rows) * width)[np.newaxis, :]
-        seed_row = row_seeds[np.newaxis, :]
-        tile = max(1, OLH_SUPPORT_TILE_ELEMENTS // max(1, n_rows))
-        for start in range(0, n_categories, tile):
-            cats = np.arange(start, min(start + tile, n_categories), dtype=np.int64)
-            hashed = hash_fn(cats[:, np.newaxis], seed_row, width)
-            occupancy += np.bincount(
-                (hashed + row_offsets).ravel(), minlength=n_rows * width
-            )
-        return occupancy.reshape(n_rows, width)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"

@@ -94,6 +94,21 @@ _VERIFY_CHUNK = 500
 _VERIFY_MAX_ITER = 25_000
 
 
+def _top_k(ranked: np.ndarray, k: int) -> np.ndarray:
+    """Sorted ids of the ``k`` largest values, ties to the lowest ids.
+
+    Equals ``np.sort(np.lexsort((ids, -ranked))[:k])`` without sorting the
+    domain: a partition finds the ``k``-th largest value, every id above it
+    is kept, and the lowest ids at it fill the remaining slots.
+    """
+    if k >= ranked.size:
+        return np.arange(ranked.size)
+    threshold = np.partition(ranked, ranked.size - k)[ranked.size - k]
+    above = np.flatnonzero(ranked > threshold)
+    tied = np.flatnonzero(ranked == threshold)[: k - above.size]
+    return np.sort(np.concatenate([above, tied]))
+
+
 @dataclass
 class SketchFrequencyDAPResult:
     """Outcome of the sketch-backed categorical DAP pipeline.
@@ -380,21 +395,20 @@ class SketchFrequencyDAP:
         of the candidate set).  True heavy hitters and actual poison targets
         are elevated in every row, so both still rank (poison targets must:
         the probe needs them as candidates to flag them).  The *mean* decode
-        remains the reported unbiased estimate.
+        remains the reported unbiased estimate.  The top ``n_heavy_hitters``
+        are selected by :func:`_top_k` (a partition, ties to the lowest id),
+        not a sort of the whole domain.
         """
         mechanism = self.mechanism
         rows, width = self.sketch_rows, self.sketch_width
         ranked_all = mechanism.estimate_all(counts, reduce="min")
-        # deterministic ranking: min decode descending, category id tiebreak
-        order = np.lexsort((np.arange(ranked_all.size), -ranked_all))
-        candidates = np.sort(order[: self.n_heavy_hitters])
-        # decode-rank order for reporting; np.sort above keeps the cell/hash
-        # arithmetic cache-friendlier, so re-rank explicitly
+        candidates = _top_k(ranked_all, self.n_heavy_hitters)
+        # decode-rank order for reporting; _top_k returns the ids sorted, which
+        # keeps the cell arithmetic cache-friendlier, so re-rank explicitly
         candidates = candidates[np.argsort(-ranked_all[candidates], kind="stable")]
         decoded = mechanism.estimate_categories(counts, candidates)
 
-        cells = mechanism.hash_rows(candidates)  # (M, rows) buckets
-        cells = cells + (np.arange(rows) * width)[np.newaxis, :]  # flat indices
+        cells = mechanism.cells(candidates)  # (M, rows) flat cell indices
 
         n_other = self.n_categories - candidates.size
         p_cell = mechanism.p / rows

@@ -16,6 +16,12 @@ domain with an ``r x w`` counter matrix (``sketch_rows`` x ``sketch_width``):
   debiasing its bucket's count in every row and averaging; the residual
   ``1/w`` collision mass is removed in closed form.
 
+The decode never hashes: a category's cells depend only on the geometry
+``(k, r, w)``, so the first decode of a geometry builds a read-only
+``(r, k)`` *cell table* that later decodes and the domain occupancy gather
+through — a process-local memo, never mechanism state, so a mechanism
+pickled into a shard task or documented by its ``vars`` carries no table.
+
 Decoding is unbiased with standard error ``~ sqrt(w)/(sqrt(n) (e^eps - 1))``
 from the privacy noise plus ``~ sqrt(f2_other / (r w))`` from hash
 collisions, so wider sketches trade memory for collision error and more rows
@@ -26,11 +32,13 @@ instantiating the same ``(rows, width)`` sketch can merge their counters.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from repro.backends import get_backend
+from repro.backends.base import OLH_SUPPORT_TILE_ELEMENTS
 from repro.ldp.base import CategoricalMechanism, MechanismError
 from repro.ldp.olh import _hash_categories
 from repro.registry import MECHANISMS
@@ -51,6 +59,35 @@ def sketch_row_seeds(n_rows: int) -> np.ndarray:
     idx = np.arange(1, n_rows + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
     idx ^= idx >> np.uint64(31)
     return idx & np.uint64(0xFFFFFFFF)
+
+
+@functools.lru_cache(maxsize=4)
+def _cell_table(n_categories: int, n_rows: int, width: int) -> np.ndarray:
+    """Read-only ``(n_rows, n_categories)`` flat cell ``row * width + bucket``
+    of every category, hashed once per geometry in bounded tiles, in the
+    smallest unsigned dtype that holds ``n_rows * width - 1``."""
+    table = np.empty(
+        (n_rows, n_categories), dtype=np.min_scalar_type(n_rows * width - 1)
+    )
+    row_seeds = sketch_row_seeds(n_rows)[:, np.newaxis]
+    row_offsets = (np.arange(n_rows, dtype=np.int64) * width)[:, np.newaxis]
+    tile = max(1, OLH_SUPPORT_TILE_ELEMENTS // n_rows)
+    for start in range(0, n_categories, tile):
+        stop = min(start + tile, n_categories)
+        cats = np.arange(start, stop, dtype=np.int64)[np.newaxis, :]
+        table[:, start:stop] = _hash_categories(cats, row_seeds, width) + row_offsets
+    table.flags.writeable = False
+    return table
+
+
+@functools.lru_cache(maxsize=4)
+def _occupancy(n_categories: int, n_rows: int, width: int) -> np.ndarray:
+    """Read-only ``(n_rows, width)`` count of categories per cell."""
+    table = _cell_table(n_categories, n_rows, width)
+    occupancy = np.bincount(table.ravel(), minlength=n_rows * width)
+    occupancy = occupancy.reshape(n_rows, width)
+    occupancy.flags.writeable = False
+    return occupancy
 
 
 @MECHANISMS.register("count-sketch", aliases=("count_sketch", "cms"), kind="categorical")
@@ -84,7 +121,6 @@ class CountSketch(CategoricalMechanism):
         #: k-RR keep/other probabilities over the ``w``-bucket domain
         self.p = exp_eps / (exp_eps + self.sketch_width - 1.0)
         self.q = 1.0 / (exp_eps + self.sketch_width - 1.0)
-        self._occupancy: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # client side
@@ -149,14 +185,12 @@ class CountSketch(CategoricalMechanism):
             )
         return counts
 
-    def hash_rows(self, categories: np.ndarray) -> np.ndarray:
-        """Each category's bucket in every row: shape ``(m, rows)``."""
+    def cells(self, categories: np.ndarray) -> np.ndarray:
+        """Each category's flat cell ``row * width + bucket`` in every row:
+        shape ``(m, rows)``, from the cell table."""
+        table = _cell_table(self.n_categories, self.sketch_rows, self.sketch_width)
         categories = np.asarray(categories, dtype=np.int64).ravel()
-        return _hash_categories(
-            categories[:, np.newaxis],
-            self.row_seeds[np.newaxis, :],
-            self.sketch_width,
-        )
+        return np.take(table, categories, axis=1).T.astype(np.int64)
 
     def estimate_categories(
         self, counts: np.ndarray, categories: np.ndarray, reduce: str = "mean"
@@ -171,24 +205,46 @@ class CountSketch(CategoricalMechanism):
         ``reduce="min"`` keeps only mass present in *every* row — the
         signature of targeted poison, which lands on all of a target's cells;
         it is what poison *flagging* keys on.
+
+        Per row the counts are debiased against the k-RR noise, each
+        category gathers its cell in every row through the cell table (in
+        bounded tiles), the rows reduce, and ``(w * raw - 1) / (w - 1)``
+        removes the ``1/w`` expected mass of colliding categories.
         """
+        if reduce not in ("mean", "median", "min"):
+            raise ValueError(
+                f"reduce must be 'mean', 'median' or 'min', got {reduce!r}"
+            )
         counts = self.check_counts(counts)
         if int(counts.sum()) == 0:
             raise MechanismError("cannot estimate frequencies from zero reports")
         categories = self._validate_categories(np.asarray(categories)).ravel()
-        return get_backend().sketch_decode(
-            counts,
-            categories.astype(np.int64),
-            self.p,
-            self.q,
-            _hash_categories,
-            self.row_seeds,
-            self.sketch_width,
-            reduce=reduce,
-        )
+        rows, width = self.sketch_rows, self.sketch_width
+        row_totals = counts.sum(axis=1).astype(float)
+        freq_cells = (
+            (counts / np.maximum(row_totals, 1.0)[:, np.newaxis] - self.q)
+            / (self.p - self.q)
+        ).ravel()
+        table = _cell_table(self.n_categories, rows, width)
+        out = np.empty(categories.size, dtype=float)
+        tile = max(1, OLH_SUPPORT_TILE_ELEMENTS // rows)
+        for start in range(0, categories.size, tile):
+            # np.take gathers row-major, so each row reduces as one vector
+            cells = np.take(table, categories[start : start + tile], axis=1)
+            gathered = freq_cells[cells]
+            if reduce == "median":
+                raw = np.median(gathered, axis=0)
+            elif reduce == "min":
+                raw = gathered.min(axis=0)
+            else:
+                # numpy's pairwise sum groups a contiguous axis of 8+ rows
+                # differently: the mean keeps the (tile, rows) summation order
+                raw = np.ascontiguousarray(gathered.T).mean(axis=1)
+            out[start : start + tile] = (width * raw - 1.0) / (width - 1.0)
+        return out
 
     def estimate_all(self, counts: np.ndarray, reduce: str = "mean") -> np.ndarray:
-        """Debiased frequency estimates for the whole domain (tiled decode)."""
+        """Debiased frequency estimates for the whole domain (via the cell table)."""
         return self.estimate_categories(
             counts, np.arange(self.n_categories, dtype=np.int64), reduce=reduce
         )
@@ -203,17 +259,10 @@ class CountSketch(CategoricalMechanism):
     def occupancy(self) -> np.ndarray:
         """Per-cell domain occupancy: categories hashing to each ``(row, bucket)``.
 
-        A function of the mechanism's identity alone (domain size, row
-        seeds, width), so the full-domain hash pass runs once per instance;
-        the cached array is read-only.
+        A function of the geometry alone, counted once per process from the
+        cell table; the returned array is read-only and shared.
         """
-        if self._occupancy is None:
-            occupancy = get_backend().sketch_occupancy(
-                self.n_categories, _hash_categories, self.row_seeds, self.sketch_width
-            )
-            occupancy.flags.writeable = False
-            self._occupancy = occupancy
-        return self._occupancy
+        return _occupancy(self.n_categories, self.sketch_rows, self.sketch_width)
 
     # ------------------------------------------------------------------
     # accuracy

@@ -12,7 +12,9 @@ Covers the pieces the property tests (``test_sketch_properties.py``) do not:
 * the cell-class reduction against the full-cell reduced problem (oracle);
 * the refit certificate report (``refit_converged``);
 * each single-flag gain's duality-gap certificate (``gains_certified``);
-* the cached domain occupancy;
+* the cell-table decode and occupancy against the hashing oracles, and the
+  table's once-per-geometry, off-instance cache;
+* the top-k candidate selection against a full lexsort;
 * the dense probe's frozen-poison-set transform cache.
 
 The end-to-end configuration (k = 20_000, n = 40_000 + 2_000 Byzantine,
@@ -24,6 +26,7 @@ more than 3x, and the joint-likelihood verification gains are ~30 against a
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -31,11 +34,11 @@ import pytest
 
 from repro.collect import SketchAccumulator
 from repro.core.frequency import DENSE_MAX_CATEGORIES, FrequencyDAP
-from repro.backends import get_backend
 from repro.cli import build_parser
-from repro.core.sketch_frequency import SketchFrequencyDAP
-from repro.ldp.count_sketch import CountSketch
-from repro.ldp.olh import OLH_MAX_CATEGORIES, OptimizedLocalHashing
+from repro.core.sketch_frequency import SketchFrequencyDAP, _SketchClient, _top_k
+from repro.ldp import count_sketch
+from repro.ldp.count_sketch import CountSketch, sketch_row_seeds
+from repro.ldp.olh import OLH_MAX_CATEGORIES, OptimizedLocalHashing, _hash_categories
 from repro.ldp.oue import OUE_MAX_CATEGORIES, OptimizedUnaryEncoding
 from repro.registry import MECHANISMS
 from repro.scenario import ScenarioSpec
@@ -271,7 +274,10 @@ def _full_cell_state(dap: SketchFrequencyDAP, counts: np.ndarray):
     mechanism = dap.mechanism
     rows, width = dap.sketch_rows, dap.sketch_width
     candidates = classed.candidates
-    cells = mechanism.hash_rows(candidates) + (np.arange(rows) * width)[np.newaxis, :]
+    buckets = _hash_categories(
+        candidates[:, np.newaxis], sketch_row_seeds(rows)[np.newaxis, :], width
+    )
+    cells = buckets + (np.arange(rows) * width)[np.newaxis, :]
     n_other = dap.n_categories - candidates.size
     p_cell, q_cell = mechanism.p / rows, mechanism.q / rows
     dense = np.full((rows * width, candidates.size + (1 if n_other else 0)), q_cell)
@@ -471,35 +477,191 @@ class TestGainCertificate:
 
 
 # ----------------------------------------------------------------------
-# cached domain occupancy
+# cell-table decode vs the hashing decode it replaced
 # ----------------------------------------------------------------------
-class TestOccupancyCache:
-    def test_second_call_skips_the_kernel_and_result_is_read_only(
-        self, monkeypatch
-    ):
-        mechanism = CountSketch(1.0, 5_000, sketch_rows=3, sketch_width=64)
-        backend_type = type(get_backend())
-        kernel = backend_type.sketch_occupancy
+def _hashing_decode(mechanism, counts, categories, reduce, tile):
+    """The tiled hashing decode: every call re-hashes its categories."""
+    rows, width = mechanism.sketch_rows, mechanism.sketch_width
+    p, q = mechanism.p, mechanism.q
+    row_totals = counts.sum(axis=1).astype(float)
+    freq_buckets = (counts / np.maximum(row_totals, 1.0)[:, np.newaxis] - q) / (p - q)
+    out = np.empty(categories.size, dtype=float)
+    row_index = np.arange(rows)[np.newaxis, :]
+    seed_row = sketch_row_seeds(rows)[np.newaxis, :]
+    for start in range(0, categories.size, tile):
+        cats = categories[start : start + tile, np.newaxis]
+        gathered = freq_buckets[row_index, _hash_categories(cats, seed_row, width)]
+        if reduce == "median":
+            raw = np.median(gathered, axis=1)
+        elif reduce == "min":
+            raw = gathered.min(axis=1)
+        else:
+            raw = gathered.mean(axis=1)
+        out[start : start + tile] = (width * raw - 1.0) / (width - 1.0)
+    return out
+
+
+def _hashing_occupancy(mechanism, tile):
+    """The tiled hashing occupancy count of the full domain."""
+    rows, width = mechanism.sketch_rows, mechanism.sketch_width
+    occupancy = np.zeros(rows * width, dtype=np.int64)
+    row_offsets = (np.arange(rows) * width)[np.newaxis, :]
+    seed_row = sketch_row_seeds(rows)[np.newaxis, :]
+    for start in range(0, mechanism.n_categories, tile):
+        cats = np.arange(start, min(start + tile, mechanism.n_categories))
+        hashed = _hash_categories(cats[:, np.newaxis], seed_row, width)
+        occupancy += np.bincount((hashed + row_offsets).ravel(), minlength=rows * width)
+    return occupancy.reshape(rows, width)
+
+
+def _bits(values: np.ndarray) -> bytes:
+    return np.ascontiguousarray(values, dtype=float).tobytes()
+
+
+#: (n_categories, rows, width, table dtype): 1 to 9 rows (the mean's
+#: pairwise sum unrolls at 8), and domains that are no multiple of the tile
+DECODE_GEOMETRIES = [
+    (10_001, 2, 64, np.uint8),
+    (20_001, 1, 300, np.uint16),
+    (10_001, 4, 1024, np.uint16),
+    (4_001, 9, 16, np.uint8),
+    (10_001, 2, 1 << 16, np.uint32),
+]
+#: a decode tile small enough that every geometry spans several tiles
+SMALL_TILE_ELEMENTS = 1 << 14
+
+
+@pytest.fixture
+def fresh_tables(monkeypatch):
+    """Small decode tiles and empty geometry caches for the test's duration."""
+    monkeypatch.setattr(count_sketch, "OLH_SUPPORT_TILE_ELEMENTS", SMALL_TILE_ELEMENTS)
+    count_sketch._cell_table.cache_clear()
+    count_sketch._occupancy.cache_clear()
+    yield
+    count_sketch._cell_table.cache_clear()
+    count_sketch._occupancy.cache_clear()
+
+
+@pytest.mark.usefixtures("fresh_tables")
+class TestCellTableDecode:
+    @pytest.mark.parametrize(
+        "geometry", DECODE_GEOMETRIES, ids=lambda g: f"k{g[0]}-r{g[1]}-w{g[2]}"
+    )
+    def test_bit_identical_to_the_hashing_decode(self, geometry):
+        n_categories, rows, width, dtype = geometry
+        mechanism = CountSketch(1.5, n_categories, sketch_rows=rows, sketch_width=width)
+        tile = SMALL_TILE_ELEMENTS // rows
+        assert n_categories % tile and n_categories > tile
+        rng = np.random.default_rng(n_categories)
+        counts = rng.integers(0, 40, size=(rows, width))
+        everything = np.arange(n_categories)
+        subset = rng.integers(0, n_categories, size=(3 * n_categories) // 2)
+        assert np.unique(subset).size < subset.size  # unsorted and repeated
+        for reduce in ("min", "mean", "median"):
+            assert _bits(mechanism.estimate_all(counts, reduce=reduce)) == _bits(
+                _hashing_decode(mechanism, counts, everything, reduce, tile)
+            )
+            assert _bits(
+                mechanism.estimate_categories(counts, subset, reduce=reduce)
+            ) == _bits(_hashing_decode(mechanism, counts, subset, reduce, tile))
+        occupancy = mechanism.occupancy()
+        assert occupancy.dtype == np.int64
+        np.testing.assert_array_equal(occupancy, _hashing_occupancy(mechanism, tile))
+        assert count_sketch._cell_table(n_categories, rows, width).dtype == dtype
+
+    def test_unknown_reduce_is_rejected(self):
+        mechanism = CountSketch(1.0, 100, sketch_rows=2, sketch_width=16)
+        with pytest.raises(ValueError, match="reduce"):
+            mechanism.estimate_all(np.ones((2, 16), dtype=int), reduce="max")
+
+
+# ----------------------------------------------------------------------
+# the geometry cache: one hash pass per process, never on the instance
+# ----------------------------------------------------------------------
+@pytest.mark.usefixtures("fresh_tables")
+class TestCellTableCache:
+    def test_one_hash_pass_per_geometry(self, monkeypatch):
         calls = []
 
-        def counting(self, *args, **kwargs):
+        def counting(*args, **kwargs):
             calls.append(1)
-            return kernel(self, *args, **kwargs)
+            return _hash_categories(*args, **kwargs)
 
-        monkeypatch.setattr(backend_type, "sketch_occupancy", counting)
-        first = mechanism.occupancy()
-        second = mechanism.occupancy()
-        assert len(calls) == 1
-        assert second is first
-        assert int(first.sum()) == 3 * 5_000
-        with pytest.raises(ValueError):
-            first[0, 0] = 1
+        monkeypatch.setattr(count_sketch, "_hash_categories", counting)
+        n_categories = 5_000
+        tiles = -(-n_categories // (SMALL_TILE_ELEMENTS // 3))
+        counts = np.random.default_rng(0).integers(0, 9, size=(3, 64))
+        first = CountSketch(1.0, n_categories, sketch_rows=3, sketch_width=64)
+        second = CountSketch(2.0, n_categories, sketch_rows=3, sketch_width=64)
+        occupancies = []
+        for mechanism in (first, second, first):
+            mechanism.estimate_all(counts, reduce="min")
+            mechanism.estimate_categories(counts, [3, 1, 3])
+            occupancies.append(mechanism.occupancy())
+        assert len(calls) == tiles
+        assert all(occupancy is occupancies[0] for occupancy in occupancies)
+        assert int(occupancies[0].sum()) == 3 * n_categories
 
-    def test_cache_is_per_instance(self):
+        CountSketch(1.0, n_categories, sketch_rows=3, sketch_width=32).occupancy()
+        assert len(calls) == 2 * tiles
+
+    def test_table_and_occupancy_are_read_only(self):
+        mechanism = CountSketch(1.0, 5_000, sketch_rows=3, sketch_width=64)
+        occupancy = mechanism.occupancy()
+        table = count_sketch._cell_table(5_000, 3, 64)
+        for array in (occupancy, table):
+            with pytest.raises(ValueError):
+                array[0, 0] = 1
+
+    def test_cache_is_per_geometry(self):
         narrow = CountSketch(1.0, 1_000, sketch_rows=2, sketch_width=16)
         wide = CountSketch(1.0, 1_000, sketch_rows=2, sketch_width=32)
         assert narrow.occupancy().shape == (2, 16)
         assert wide.occupancy().shape == (2, 32)
+
+    def test_shard_task_client_stays_small_after_a_full_decode(self):
+        """The table lives in the process memo, not on the mechanism the
+        sketch client pickles into every pooled shard task."""
+        dap = SketchFrequencyDAP(1.0, 200_000, sketch_rows=4, sketch_width=1024)
+        client = _SketchClient(dap.protocol_plan, dap.mechanism, np.array([5, 7]))
+        before = len(pickle.dumps(client))
+        counts = np.random.default_rng(1).integers(0, 50, size=(4, 1024))
+        dap.mechanism.estimate_all(counts, reduce="min")
+        dap.mechanism.occupancy()
+        table = count_sketch._cell_table(200_000, 4, 1024)
+        assert len(pickle.dumps(client)) == before < table.nbytes // 100
+
+
+# ----------------------------------------------------------------------
+# top-k candidate selection vs a full lexsort
+# ----------------------------------------------------------------------
+def _lexsort_top_k(ranked: np.ndarray, k: int) -> np.ndarray:
+    return np.sort(np.lexsort((np.arange(ranked.size), -ranked))[:k])
+
+
+class TestTopK:
+    @pytest.mark.parametrize("k", [1, 5, 17, 40, 99])
+    def test_ties_straddling_the_kth_value(self, k):
+        ranked = np.random.default_rng(k).integers(0, 6, size=100).astype(float)
+        ranked[ranked == 2.0] = -0.5
+        selected = _top_k(ranked, k)
+        np.testing.assert_array_equal(selected, _lexsort_top_k(ranked, k))
+        assert selected.size == k
+
+    @pytest.mark.parametrize("k", [1, 7, 64])
+    def test_all_zero_decode_with_signed_zeros(self, k):
+        ranked = np.where(np.random.default_rng(3).random(200) < 0.5, -0.0, 0.0)
+        np.testing.assert_array_equal(_top_k(ranked, k), np.arange(k))
+        np.testing.assert_array_equal(_top_k(ranked, k), _lexsort_top_k(ranked, k))
+
+    def test_continuous_values(self):
+        ranked = np.random.default_rng(9).standard_normal(10_000)
+        np.testing.assert_array_equal(_top_k(ranked, 32), _lexsort_top_k(ranked, 32))
+
+    def test_k_equal_to_the_domain(self):
+        ranked = np.random.default_rng(4).integers(0, 3, size=50).astype(float)
+        np.testing.assert_array_equal(_top_k(ranked, 50), np.arange(50))
+        np.testing.assert_array_equal(_top_k(ranked, 50), _lexsort_top_k(ranked, 50))
 
 
 # ----------------------------------------------------------------------
