@@ -127,19 +127,20 @@ def _run_units(
     units: Sequence[Unit],
     seed_matrix: np.ndarray,
     n_workers: int,
+    results: Dict[Unit, List[Any]],
     progress: ProgressCallback | None = None,
     done: int = 0,
     total: int | None = None,
-) -> tuple[Dict[Unit, List[Any]], Dict[str, float], Dict[str, int]]:
+) -> tuple[Dict[str, float], Dict[str, int]]:
     """Run work units through the resilient pool harness (seam ``engine.unit``).
 
     Serial and pooled execution, retries, pool reincarnation and the serial
     degradation path all land here; the serial worker evaluates the spec
     in-process because only pool workers carry the initializer-installed
-    globals.
+    globals.  Each finished unit's records land in ``results`` as it
+    completes, so a run that raises keeps what it finished.
     """
     total = len(units) if total is None else total
-    results: Dict[Unit, List[Any]] = {}
     profile: Dict[str, float] = {}
     worker_resilience: Dict[str, int] = {}
     completed = {"count": done}
@@ -170,7 +171,7 @@ def _run_units(
         serial_worker=serial_worker,
         on_result=on_result,
     )
-    return results, profile, worker_resilience
+    return profile, worker_resilience
 
 
 def run_experiment(
@@ -199,7 +200,9 @@ def run_experiment(
         Optional JSON artifact path.  When given, completed units found in an
         existing artifact with the same :func:`run_identity` are reused
         (``resume=True``, never for an opaque spec) and the merged result is
-        written back.  A point-granular spec (one that overrides
+        written back.  A run that raises, ``KeyboardInterrupt`` included,
+        first writes the units it finished, so a rerun resumes from them.
+        A point-granular spec (one that overrides
         ``evaluate_point``) is never stored: its ``store_path`` is ignored
         with a ``RuntimeWarning``.
     resume:
@@ -253,25 +256,35 @@ def run_experiment(
                 RuntimeWarning,
                 stacklevel=2,
             )
-    fresh, run_profile, worker_resilience = _run_units(
-        spec, pending, seed_matrix, n_workers, progress, done, len(units)
-    )
+    fresh: Dict[Unit, List[Any]] = {}
 
-    records: List[Any] = []
-    for unit in units:
-        records.extend(completed.get(unit) or fresh[unit])
-    if store_path is not None:
-        _store_records(
-            spec,
-            identity,
-            store_path,
-            records,
-            units,
-            profile=run_profile if profile else None,
-            resilience_before=resilience_before,
-            worker_resilience=worker_resilience,
+    def finished(**store_options) -> List[Any]:
+        """Every finished unit's records in canonical order, stored if asked."""
+        ready = [unit for unit in units if unit in completed or unit in fresh]
+        records = [r for unit in ready for r in (completed.get(unit) or fresh[unit])]
+        if store_path is not None:
+            _store_records(
+                spec,
+                identity,
+                store_path,
+                records,
+                ready,
+                resilience_before=resilience_before,
+                **store_options,
+            )
+        return records
+
+    try:
+        run_profile, worker_resilience = _run_units(
+            spec, pending, seed_matrix, n_workers, fresh, progress, done, len(units)
         )
-    return records
+    except BaseException:
+        if fresh:
+            finished()
+        raise
+    return finished(
+        profile=run_profile if profile else None, worker_resilience=worker_resilience
+    )
 
 
 # ----------------------------------------------------------------------

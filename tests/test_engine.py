@@ -416,6 +416,30 @@ class TestRunIdentity:
         fresh = run_experiment(spec, rng=np.random.default_rng(8))
         assert record_key(other) == record_key(fresh)
 
+    def test_interrupted_run_stores_its_finished_units(self, tmp_path, unit_calls):
+        """A run that raises first writes what it finished, so the rerun
+        computes only the rest and equals an uninterrupted run."""
+        spec = build_fig6_spec(
+            self.SCALE, epsilons=(1.0, 2.0), schemes=("DAP-EMF", "Ostrich"), rng=0
+        )
+        assert len(spec.units()) == 4
+        path = tmp_path / "run.json"
+
+        def interrupt_after_three(completed, total):
+            if completed == 3:
+                raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(spec, rng=0, store_path=path, progress=interrupt_after_three)
+        assert len(load_run(path).records) == 3
+        stored = unit_calls[:3]
+
+        unit_calls.clear()
+        resumed = run_experiment(spec, rng=0, store_path=path)
+        assert len(unit_calls) == 1 and unit_calls[0] not in stored
+        assert len(load_run(path).records) == 4
+        assert record_key(resumed) == record_key(run_experiment(spec, rng=0))
+
     def test_lambda_spec_writes_its_artifact_but_never_resumes(
         self, dataset, tmp_path, unit_calls
     ):
