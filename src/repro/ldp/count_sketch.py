@@ -209,7 +209,8 @@ class CountSketch(CategoricalMechanism):
         Per row the counts are debiased against the k-RR noise, each
         category gathers its cell in every row through the cell table (in
         bounded tiles), the rows reduce, and ``(w * raw - 1) / (w - 1)``
-        removes the ``1/w`` expected mass of colliding categories.
+        removes the ``1/w`` expected mass of colliding categories (unbiased
+        for the mean under uniform collisions; median and min inherit it).
         """
         if reduce not in ("mean", "median", "min"):
             raise ValueError(
