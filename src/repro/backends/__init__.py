@@ -1,8 +1,8 @@
 """Pluggable array-compute backends for the pipeline's hot kernels.
 
-The mechanism samplers, the EM inner products, and the collection
-accumulators all funnel their array work through one process-local
-:class:`~repro.backends.base.ArrayBackend`, selected by name:
+The mechanism samplers and the collection accumulators funnel their array
+work through one process-local :class:`~repro.backends.base.ArrayBackend`,
+selected by name:
 
 ``"numpy"`` (default)
     The bit-stable reference — kernel bodies moved verbatim from the seed
@@ -10,15 +10,11 @@ accumulators all funnel their array work through one process-local
 ``"fast"``
     Pure-numpy single-pass rewrites (inverse-CDF samplers, sparse OUE,
     fused accumulation).  Statistically equivalent, not bit-identical.
-``"numba"``
-    JIT-compiled loops over the fast algorithms when numba is importable;
-    otherwise it degrades to the numpy reference with a
-    :class:`RuntimeWarning` instead of crashing.
 
 Like ``collect_workers``, the backend is an
 *execution detail*: it never enters an experiment fingerprint or scenario
-digest, but it is recorded in ``meta.execution`` because the fast backends
-consume the RNG stream differently and therefore change which statistically
+digest, but it is recorded in ``meta.execution`` because the fast backend
+consumes the RNG stream differently and therefore change which statistically
 equivalent sample a seeded run produces.
 
 The active backend is process-local state.  Hot-path call sites read it via
@@ -35,10 +31,9 @@ from typing import Dict, Iterator, Optional
 
 from repro.backends.base import ArrayBackend
 from repro.backends.fast import FastBackend
-from repro.backends.numba_backend import create_numba_backend, numba_available
 
 #: selectable backend names, reference first
-BACKENDS = ("numpy", "fast", "numba")
+BACKENDS = ("numpy", "fast")
 
 DEFAULT_BACKEND = "numpy"
 
@@ -63,19 +58,8 @@ def check_backend(backend: str) -> str:
 
 
 def resolve_backend(name: str) -> ArrayBackend:
-    """Instantiate (or reuse) the backend registered under ``name``.
-
-    Resolving ``"numba"`` without numba installed warns and hands back the
-    numpy reference — the returned instance's ``.name`` says what actually
-    runs, which is also what shard tasks and artifacts record.
-    """
+    """Instantiate (or reuse) the backend registered under ``name``."""
     check_backend(name)
-    if name == "numba":
-        # resolve through the factory every time so the absent-numba warning
-        # fires where the request happens (python's warning registry
-        # deduplicates repeats); the fallback instance is still shared
-        backend = create_numba_backend()
-        return _instances.setdefault(backend.name, backend)
     if name not in _instances:
         _instances[name] = FastBackend() if name == "fast" else ArrayBackend()
     return _instances[name]
@@ -123,7 +107,6 @@ __all__ = [
     "DEFAULT_BACKEND",
     "check_backend",
     "get_backend",
-    "numba_available",
     "resolve_backend",
     "set_backend",
     "use_backend",

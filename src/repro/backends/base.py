@@ -7,11 +7,12 @@ accumulator modules so the dispatch seam cannot change a single draw or a
 single rounding.  The equivalence tests in ``tests/test_backends.py`` pin
 this backend bit-for-bit against frozen copies of the seed algorithms.
 
-Subclasses (:mod:`repro.backends.fast`, :mod:`repro.backends.numba_backend`)
-override individual kernels with faster algorithms that are *statistically*
-equivalent — same distributions, different RNG consumption — which is why
-the backend choice is an execution detail (like ``collect_workers``) and not
-part of a run's identity.
+The subclass :mod:`repro.backends.fast` overrides individual kernels with
+faster algorithms that are *statistically* equivalent — same distributions,
+different RNG consumption — which is why the backend choice is an execution
+detail (like ``collect_workers``) and not part of a run's identity.  The EM
+solvers of :mod:`repro.ldp.ems` call numpy directly and are not backend
+kernels.
 
 Kernel families:
 
@@ -19,8 +20,6 @@ Kernel families:
   ``oue_sample`` / ``olh_sample`` / ``krr_sample`` (categorical);
 * **OLH support counting** — ``olh_support`` (tiled over bounded user
   chunks, so the ``(category, user)`` hash grid never materialises);
-* **EM linear algebra** — ``matvec`` / ``rmatvec`` / ``matmul``, the inner
-  products of :mod:`repro.ldp.ems`;
 * **accumulation** — ``histogram_chunk`` / ``category_chunk`` /
   ``sketch_chunk``, the fused assign+bincount of
   :mod:`repro.collect.accumulators`;
@@ -229,23 +228,6 @@ class ArrayBackend:
                 hashed == observed[np.newaxis, start : start + tile], axis=1
             )
         return support
-
-    # ------------------------------------------------------------------
-    # EM linear algebra
-    # ------------------------------------------------------------------
-    def matvec(self, matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
-        """``matrix @ vector`` — the EM mixture product."""
-        return matrix @ vector
-
-    def rmatvec(self, matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
-        """``matrix.T @ vector`` — the EM aggregation product."""
-        return matrix.T @ vector
-
-    def matmul(
-        self, a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """Batched EM matrix product (``numpy.matmul`` semantics)."""
-        return np.matmul(a, b, out=out)
 
     # ------------------------------------------------------------------
     # accumulation

@@ -276,8 +276,7 @@ def collection_round(
         groups = tuple(zip(plan.normal_counts, plan.byzantine_counts))
         handle = buffer.slice(0, values.size)
         # pool workers run in their own processes, so the parent's active
-        # backend travels with the task (the name of what actually runs — a
-        # numba request without numba has already fallen back by here)
+        # backend travels with the task
         backend = get_backend().name
         tasks = [
             ShardTask(client, groups, tuple(pieces), handle, plan.block_size, backend)

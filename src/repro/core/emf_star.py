@@ -22,40 +22,6 @@ import numpy as np
 from repro.core.emf import DEFAULT_MAX_ITER, EMFResult, default_tolerance
 from repro.core.transform import TransformMatrix
 from repro.ldp.ems import em_reconstruct
-from repro.utils.validation import check_fraction
-
-
-def constrained_m_step(gamma_hat: float, n_normal: int):
-    """Build the EMF* M-step callback for :func:`repro.ldp.ems.em_reconstruct`.
-
-    The callback receives the un-normalised responsibilities ``P`` (normal
-    block first, poison block second) and applies Theorem 4's renormalisation.
-    """
-    gamma_hat = check_fraction(gamma_hat, "gamma_hat")
-
-    def m_step(responsibilities: np.ndarray) -> np.ndarray:
-        normal = responsibilities[:n_normal]
-        poison = responsibilities[n_normal:]
-        out = np.empty_like(responsibilities)
-
-        normal_total = normal.sum()
-        if normal_total > 0:
-            out[:n_normal] = (1.0 - gamma_hat) * normal / normal_total
-        else:
-            out[:n_normal] = (1.0 - gamma_hat) / max(1, n_normal)
-
-        poison_total = poison.sum()
-        if poison.size == 0:
-            pass
-        elif gamma_hat == 0.0:
-            out[n_normal:] = 0.0
-        elif poison_total > 0:
-            out[n_normal:] = gamma_hat * poison / poison_total
-        else:
-            out[n_normal:] = gamma_hat / poison.size
-        return out
-
-    return m_step
 
 
 def run_emf_star(
@@ -109,7 +75,7 @@ def run_emf_star(
         counts,
         max_iter=max_iter,
         tol=tol,
-        m_step=constrained_m_step(gamma_hat, n_normal),
+        poison_mass=(gamma_hat, n_normal),
         fixed_zero=fixed_zero,
         indicator_tail=transform.poison_bucket_indices,
     )
@@ -124,4 +90,4 @@ def run_emf_star(
     )
 
 
-__all__ = ["run_emf_star", "constrained_m_step"]
+__all__ = ["run_emf_star"]

@@ -30,7 +30,6 @@ import numpy as np
 from repro.collect.accumulators import CategoryCountAccumulator
 from repro.collect.round import category_inputs, collect_shard, collection_round
 from repro.collect.sharding import DEFAULT_SHARD_BLOCK, run_shard_tasks
-from repro.core.emf_star import constrained_m_step
 from repro.ldp.ems import em_reconstruct, em_reconstruct_batch
 from repro.ldp.base import CategoricalMechanism
 from repro.ldp.krr import KRandomizedResponse
@@ -257,15 +256,15 @@ class FrequencyDAP:
     ):
         """Run EM (optionally gamma-constrained) for a given poison set."""
         transform = self._build_transform(poison_set)
-        m_step = None
+        poison_mass = None
         if gamma_hat is not None and poison_set:
-            m_step = constrained_m_step(gamma_hat, self.n_categories)
+            poison_mass = (gamma_hat, self.n_categories)
         # the poison columns are one-hot on their category row, so EM can use
         # the split dense + gather/scatter products
         return em_reconstruct(
             transform,
             counts,
-            m_step=m_step,
+            poison_mass=poison_mass,
             tol=1e-9,
             max_iter=10_000,
             indicator_tail=np.asarray(list(poison_set), dtype=np.intp),

@@ -68,7 +68,6 @@ import numpy as np
 from repro.collect.accumulators import SketchAccumulator
 from repro.collect.round import category_inputs, collect_shard, collection_round
 from repro.collect.sharding import DEFAULT_SHARD_BLOCK, run_shard_tasks
-from repro.core.emf_star import constrained_m_step
 from repro.core.frequency import EstimatorName, _CategoryClient
 from repro.ldp.count_sketch import CountSketch
 from repro.protocol.pipeline import ProtocolPipeline
@@ -585,7 +584,7 @@ class SketchFrequencyDAP:
                 transform,
                 counts_flat,
                 initial=initial,
-                m_step=constrained_m_step(gamma_hat, state.dense.shape[1]),
+                poison_mass=(gamma_hat, state.dense.shape[1]),
                 tol=1e-9,
                 max_iter=10_000,
             )

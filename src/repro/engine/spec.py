@@ -66,9 +66,8 @@ _SHARED_KNOBS = {
         flag="--backend",
         help=f"array-compute backend for the hot kernels, one of "
         f"{', '.join(BACKENDS)}: 'numpy' is the bit-stable reference, 'fast' "
-        f"draws statistically equivalent samples, 'numba' runs JIT loops when "
-        f"numba is installed and otherwise falls back to numpy with a warning; "
-        f"unset keeps the process default (numpy)",
+        f"draws statistically equivalent samples; unset keeps the process "
+        f"default (numpy)",
     ),
     "protocol": dict(
         role=knobs.IDENTITY_UNLESS_DEFAULT,

@@ -16,10 +16,11 @@ The EM update is
 * M-step:  ``F_k = P_k / sum_j P_j``
 
 EMF* and CEMF* only change the M-step (they renormalise the normal-user and
-poison blocks separately), so :func:`em_reconstruct` accepts an optional
-``m_step`` callback.  EMS adds a smoothing pass over the reconstructed
-histogram after each M-step (binomial kernel ``[1, 2, 1] / 4``), which is what
-``expectation_maximization_smoothing`` provides.
+poison blocks separately), which :func:`em_reconstruct` runs in place when
+given ``poison_mass``.  EMS adds a smoothing pass over the reconstructed
+histogram after each M-step (binomial kernel ``[1, 2, 1] / 4``) through the
+``m_step`` callback, which is what ``expectation_maximization_smoothing``
+provides.
 """
 
 from __future__ import annotations
@@ -29,9 +30,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.backends import get_backend
+from repro.utils.validation import check_fraction, check_integer
 
 MStep = Callable[[np.ndarray], np.ndarray]
+
+#: ``ndarray.sum`` without its method wrapper: the same pairwise summation,
+#: at a fraction of the call overhead of the loop's small reductions
+_sum = np.add.reduce
 
 #: minimum dense work saved per iteration (indicator columns x output rows)
 #: before the split products beat plain BLAS; below this the gather/scatter
@@ -111,6 +116,7 @@ def em_reconstruct(
     fixed_zero: Optional[np.ndarray] = None,
     indicator_tail: Optional[np.ndarray] = None,
     gap_tol: Optional[float] = None,
+    poison_mass: Optional[tuple[float, int]] = None,
 ) -> EMResult:
     """Run EM on a latent-mixture reconstruction problem.
 
@@ -128,7 +134,7 @@ def em_reconstruct(
     m_step:
         Optional replacement for the default "normalise to one" M-step.  The
         callback receives the un-normalised responsibilities ``P`` and must
-        return the next weight vector.
+        return the next weight vector (EMS smoothing uses it).
     fixed_zero:
         Optional boolean mask of components forced to zero throughout (used by
         CEMF* bucket suppression).
@@ -142,7 +148,8 @@ def em_reconstruct(
         rows, cutting the cost from ``O(d' * K)`` to ``O(d' * (K - P))`` —
         the dominant cost of large-population EMF runs, where the poison
         block holds half the output grid.  The indices must be unique and the
-        declared columns genuinely one-hot (spot-checked).
+        declared columns genuinely one-hot (spot-checked).  Rows forming one
+        ascending run (every EMF side band) are addressed as a slice.
     gap_tol:
         Optional optimality-gap stopping rule.  The log-likelihood is concave
         in the weights, so at any iterate ``F`` with gradient
@@ -153,9 +160,15 @@ def em_reconstruct(
         the loop stops (converged), typically long before the per-iteration
         improvement crawls under ``tol``.  ``None`` (the default) keeps the
         historical, bit-stable ``tol``-only behaviour.  Components pinned by
-        ``fixed_zero`` are excluded from the gradient max; a non-default
-        ``m_step`` constrains the feasible set further, which only loosens
-        the (still valid) bound.
+        ``fixed_zero`` are excluded from the gradient max; a constrained
+        M-step (``m_step`` or ``poison_mass``) restricts the feasible set
+        further, which only loosens the (still valid) bound.
+    poison_mass:
+        Optional ``(gamma, n_normal)``: Theorem 4's constrained M-step (EMF*
+        and CEMF*).  The leading ``n_normal`` components are renormalised to
+        hold ``1 - gamma`` of the mass and the trailing poison components to
+        hold ``gamma``, each block in proportion to its responsibilities.
+        Mutually exclusive with ``m_step``.
 
     Returns
     -------
@@ -163,107 +176,147 @@ def em_reconstruct(
     """
     transform, counts, weights = _validate_em_inputs(transform, counts, initial)
     d_out, n_components = transform.shape
-    backend = get_backend()
+    if poison_mass is not None:
+        if m_step is not None:
+            raise ValueError("pass at most one of m_step and poison_mass")
+        gamma, n_normal = poison_mass
+        gamma = check_fraction(gamma, "gamma_hat")
+        n_normal = check_integer(n_normal, "n_normal", minimum=0)
+        if n_normal > n_components:
+            raise ValueError(
+                f"poison_mass splits at component {n_normal} but the transform "
+                f"only has {n_components}"
+            )
 
-    zero_mask = None
+    zero = feasible = None
     if fixed_zero is not None:
         zero_mask = np.asarray(fixed_zero, dtype=bool)
         if zero_mask.shape != (n_components,):
             raise ValueError("fixed_zero mask must align with the number of components")
-        weights = weights.copy()
         weights[zero_mask] = 0.0
         total = weights.sum()
         if total <= 0:
             raise ValueError("fixed_zero mask suppresses every component")
         weights /= total
+        zero = np.flatnonzero(zero_mask)
+        feasible = np.flatnonzero(~zero_mask)
 
-    if indicator_tail is not None and (
-        np.asarray(indicator_tail).size * d_out < _INDICATOR_MIN_SAVINGS
-    ):
-        # too small to pay for the split products; a deterministic function
-        # of the problem shape, so any two runs on the same statistics still
-        # take the same branch
-        indicator_tail = None
+    # The indicator tail splits both products only when that saves enough
+    # dense work to pay for the gather/scatter (a deterministic function of
+    # the problem shape, so any two runs on the same statistics take the
+    # same branch); otherwise the whole transform is the dense block.
+    n_dense = n_components
+    band = None
     if indicator_tail is not None:
         tail = np.asarray(indicator_tail, dtype=np.intp).ravel()
-        n_dense = n_components - tail.size
-        if n_dense < 0:
-            raise ValueError(
-                f"indicator_tail declares {tail.size} indicator columns but the "
-                f"transform only has {n_components}"
-            )
-        if tail.size and (
-            tail.size != np.unique(tail).size
-            or not np.all(transform[tail, np.arange(n_dense, n_components)] == 1.0)
-        ):
-            raise ValueError(
-                "indicator_tail rows must be unique and each declared column "
-                "must be 1.0 at its indicator row"
-            )
-        dense = np.ascontiguousarray(transform[:, :n_dense])
+        if tail.size * d_out >= _INDICATOR_MIN_SAVINGS:
+            n_dense = n_components - tail.size
+            if n_dense < 0:
+                raise ValueError(
+                    f"indicator_tail declares {tail.size} indicator columns but "
+                    f"the transform only has {n_components}"
+                )
+            if tail.size != np.unique(tail).size or not np.all(
+                transform[tail, np.arange(n_dense, n_components)] == 1.0
+            ):
+                raise ValueError(
+                    "indicator_tail rows must be unique and each declared column "
+                    "must be 1.0 at its indicator row"
+                )
+            band = tail
+            if tail[0] >= 0 and np.all(np.diff(tail) == 1):
+                band = slice(int(tail[0]), int(tail[-1]) + 1)
+    dense = transform if band is None else np.ascontiguousarray(transform[:, :n_dense])
 
-        def _mixture(w: np.ndarray) -> np.ndarray:
-            out = backend.matvec(dense, w[:n_dense])
-            if tail.size:
-                out[tail] += w[n_dense:]
-            return out
+    # Work arrays, written in place every iteration, and their block views.
+    # The loop performs the historical allocating loop's floating-point
+    # operations in the same order (tests/em_oracle.py pins it bit for bit):
+    # the mixture is clamped once and carried into the next E-step, and the
+    # log-likelihood only reads the rows with positive counts.
+    mixture = np.empty(d_out)
+    ratio = np.empty(d_out)
+    aggregate = np.empty(n_components)
+    responsibilities = np.empty(n_components)
+    w_dense, w_tail = weights[:n_dense], weights[n_dense:]
+    a_dense, a_tail = aggregate[:n_dense], aggregate[n_dense:]
+    positive = counts > 0
+    observed = None if positive.all() else np.flatnonzero(positive)
+    ll_counts = counts.copy() if observed is None else counts[observed]
+    log_mixture = np.empty(ll_counts.size)
 
-        def _aggregate(v: np.ndarray) -> np.ndarray:
-            out = np.empty(n_components)
-            out[:n_dense] = backend.rmatvec(dense, v)
-            out[n_dense:] = v[tail]
-            return out
+    def _mixture_log_likelihood() -> float:
+        dense.dot(w_dense, out=mixture)
+        if band is not None:
+            mixture[band] += w_tail
+        np.maximum(mixture, 1e-300, out=mixture)
+        np.log(mixture if observed is None else mixture[observed], out=log_mixture)
+        return float(ll_counts.dot(log_mixture))
 
-    else:
+    if poison_mass is not None:
+        r_normal, r_poison = responsibilities[:n_normal], responsibilities[n_normal:]
+        w_normal, w_poison = weights[:n_normal], weights[n_normal:]
 
-        def _mixture(w: np.ndarray) -> np.ndarray:
-            return backend.matvec(transform, w)
+        def split_m_step() -> None:
+            # Theorem 4: x = (1 - gamma) P_x / sum(P_x), y = gamma P_y / sum(P_y);
+            # a block without responsibility mass is spread uniformly.  The
+            # proportional branches keep pinned components at exactly zero
+            # (their responsibilities are zeroed), so only a uniform fill
+            # has to re-pin them.
+            normal_total = _sum(r_normal)
+            if normal_total > 0:
+                np.multiply(r_normal, 1.0 - gamma, out=w_normal)
+                np.divide(w_normal, normal_total, out=w_normal)
+            else:
+                w_normal[:] = (1.0 - gamma) / max(1, n_normal)
+                if zero is not None:
+                    weights[zero] = 0.0
+            if not r_poison.size:
+                return
+            if gamma == 0.0:
+                w_poison[:] = 0.0
+                return
+            poison_total = _sum(r_poison)
+            if poison_total > 0:
+                np.multiply(r_poison, gamma, out=w_poison)
+                np.divide(w_poison, poison_total, out=w_poison)
+            else:
+                w_poison[:] = gamma / r_poison.size
+                if zero is not None:
+                    weights[zero] = 0.0
 
-        def _aggregate(v: np.ndarray) -> np.ndarray:
-            return backend.rmatvec(transform, v)
-
-    # One matrix-vector product per iteration: the mixture computed for the
-    # convergence check is exactly the mixture the next E-step needs, so it is
-    # carried forward instead of being recomputed (bit-identical, ~1/3 fewer
-    # BLAS calls).  The mixture is clamped once, right after it is computed —
-    # the clamped values serve both the log-likelihood (clamping commutes with
-    # the mask) and the next E-step division, instead of being re-clamped in
-    # each place.  The log-likelihood mask is constant across iterations.
-    mask = counts > 0
-    masked_counts = counts[mask]
-    mixture = np.maximum(_mixture(weights), 1e-300)
-    prev_ll = float(np.dot(masked_counts, np.log(mixture[mask])))
+    prev_ll = _mixture_log_likelihood()
     converged = False
     iteration = 0
     for iteration in range(1, max_iter + 1):
         # responsibilities aggregated over output buckets
-        aggregate = _aggregate(counts / mixture)
+        np.divide(counts, mixture, out=ratio)
+        ratio.dot(dense, out=a_dense)
+        if band is not None:
+            a_tail[:] = ratio[band]
         if gap_tol is not None:
             feasible_max = (
-                aggregate.max()
-                if zero_mask is None
-                else aggregate[~zero_mask].max()
+                aggregate.max() if feasible is None else aggregate[feasible].max()
             )
-            if feasible_max - float(np.dot(weights, aggregate)) < gap_tol:
+            if feasible_max - float(weights.dot(aggregate)) < gap_tol:
                 # certified: no feasible weights beat prev_ll by >= gap_tol
                 iteration -= 1
                 converged = True
                 break
-        responsibilities = weights * aggregate
-        if zero_mask is not None:
-            responsibilities[zero_mask] = 0.0
-        if m_step is None:
-            total = responsibilities.sum()
+        np.multiply(weights, aggregate, out=responsibilities)
+        if zero is not None:
+            responsibilities[zero] = 0.0
+        if poison_mass is not None:
+            split_m_step()
+        elif m_step is None:
+            total = _sum(responsibilities)
             if total <= 0:
                 break
-            weights = responsibilities / total
+            np.divide(responsibilities, total, out=weights)
         else:
-            weights = np.asarray(m_step(responsibilities), dtype=float)
-            if zero_mask is not None:
-                weights = weights.copy()
-                weights[zero_mask] = 0.0
-        mixture = np.maximum(_mixture(weights), 1e-300)
-        ll = float(np.dot(masked_counts, np.log(mixture[mask])))
+            weights[:] = m_step(responsibilities)
+            if zero is not None:
+                weights[zero] = 0.0
+        ll = _mixture_log_likelihood()
         if abs(ll - prev_ll) < tol:
             prev_ll = ll
             converged = True
@@ -308,19 +361,17 @@ def em_reconstruct_accelerated(
     iterate-for-iterate sequence must be preserved.
     """
     transform, counts, weights = _validate_em_inputs(transform, counts, initial)
-    backend = get_backend()
-
     mask = counts > 0
     masked_counts = counts[mask]
 
     def _mixture(w: np.ndarray) -> np.ndarray:
-        return np.maximum(backend.matvec(transform, w), 1e-300)
+        return np.maximum(transform @ w, 1e-300)
 
     def _log_likelihood(m: np.ndarray) -> float:
         return float(np.dot(masked_counts, np.log(m[mask])))
 
     def _em_step(w: np.ndarray, m: np.ndarray) -> Optional[np.ndarray]:
-        out = w * backend.rmatvec(transform, counts / m)
+        out = w * (transform.T @ (counts / m))
         total = out.sum()
         if total <= 0:
             return None
@@ -332,7 +383,7 @@ def em_reconstruct_accelerated(
     converged = False
     while iteration < max_iter:
         if gap_tol is not None:
-            gradient = backend.rmatvec(transform, counts / mixture)
+            gradient = transform.T @ (counts / mixture)
             gap = float(gradient.max() - np.dot(weights, gradient))
             if gap < gap_tol:
                 converged = True
@@ -393,7 +444,7 @@ def em_reconstruct_accelerated(
                 # does not end the solve: a near-boundary iterate can make
                 # sub-tol progress for many cycles while the duality gap
                 # still certifies it far from the optimum
-                gradient = backend.rmatvec(transform, counts / mixture)
+                gradient = transform.T @ (counts / mixture)
                 if float(gradient.max() - np.dot(weights, gradient)) >= gap_tol:
                     continue
             converged = True
@@ -554,7 +605,6 @@ def em_reconstruct_batch(
             )
     n_components = n_dense + n_tail
     real_counts = n_dense + tail_mask.sum(axis=1)
-    backend = get_backend()
 
     if initial is None:
         weights = np.repeat(1.0 / real_counts[:, None], n_components, axis=1)
@@ -583,7 +633,7 @@ def em_reconstruct_batch(
     # scatters into the full arrays per iteration.
     def _mixtures(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Clamped mixtures for the active block: one GEMM + one scatter."""
-        out = backend.matmul(w[:, :n_dense], dense.T)
+        out = w[:, :n_dense] @ dense.T
         # padded columns add exact zeros, so a cell that one real tail column
         # hits reads exactly GEMM + weight
         _scatter_tail(out, w[:, n_dense:], rows)
@@ -686,7 +736,7 @@ def em_reconstruct_batch(
         iteration += 1
         ratios = counts / mixtures  # zero counts contribute zero everywhere
         aggregates = np.empty((active.size, n_components))
-        backend.matmul(ratios, dense, out=aggregates[:, :n_dense])
+        np.matmul(ratios, dense, out=aggregates[:, :n_dense])
         aggregates[:, n_dense:] = _gather_tail(ratios, rows_active)
         responsibilities = w_active * aggregates
         totals = responsibilities.sum(axis=1)

@@ -2,9 +2,9 @@
 
 Three contracts are pinned here:
 
-1. **Selection semantics** — name validation, process-local active backend,
-   scoped selection via ``use_backend`` (including the ``None`` passthrough),
-   and the graceful numba-absent fallback.
+1. **Selection semantics** — name validation, process-local active backend
+   and scoped selection via ``use_backend`` (including the ``None``
+   passthrough).
 2. **Reference bit-identity** — under the default ``"numpy"`` backend, every
    mechanism's ``perturb`` must reproduce the seed implementation draw for
    draw; the frozen copies of the seed samplers live in this file, so the
@@ -17,8 +17,6 @@ Three contracts are pinned here:
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -28,7 +26,6 @@ from repro.backends import (
     DEFAULT_BACKEND,
     check_backend,
     get_backend,
-    numba_available,
     resolve_backend,
     set_backend,
     use_backend,
@@ -59,7 +56,7 @@ def _restore_backend():
 # ----------------------------------------------------------------------
 class TestSelection:
     def test_known_names(self):
-        assert BACKENDS == ("numpy", "fast", "numba")
+        assert BACKENDS == ("numpy", "fast")
         assert DEFAULT_BACKEND == "numpy"
         for name in BACKENDS:
             assert check_backend(name) == name
@@ -104,34 +101,6 @@ class TestSelection:
     def test_instances_are_shared(self):
         assert resolve_backend("fast") is resolve_backend("fast")
         assert resolve_backend("numpy") is resolve_backend("numpy")
-
-    @pytest.mark.skipif(numba_available(), reason="numba is installed")
-    def test_numba_fallback_warns_once_and_degrades_to_numpy(self):
-        from repro.backends.numba_backend import _reset_fallback_warning
-
-        _reset_fallback_warning()
-        with pytest.warns(RuntimeWarning, match="numba is not installed"):
-            backend = resolve_backend("numba")
-        # the fallback *is* the reference: bit-stable, honestly named
-        assert backend.name == "numpy"
-        # the warning is latched per process: later resolutions (a service
-        # resolving its backend every window, a pool worker per task) stay
-        # silent instead of repeating the same message
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with use_backend("numba") as active:
-                assert active.name == "numpy"
-            assert resolve_backend("numba").name == "numpy"
-        _reset_fallback_warning()
-        with pytest.warns(RuntimeWarning, match="numba is not installed"):
-            resolve_backend("numba")
-
-    @pytest.mark.skipif(not numba_available(), reason="numba not installed")
-    def test_numba_backend_resolves_when_available(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            backend = resolve_backend("numba")
-        assert backend.name == "numba"
 
 
 # ----------------------------------------------------------------------
@@ -507,15 +476,16 @@ class TestEmRouting:
         assert default.log_likelihood == explicit.log_likelihood
 
     def test_em_reconstruct_close_under_fast(self, rng):
-        """Fast matmul is the same BLAS call today; keep this loose so a
-        future fused kernel only needs statistical closeness."""
+        """EM calls numpy directly, not a backend kernel, so the active
+        backend cannot move a single bit of its output."""
         transform = np.abs(rng.random((30, 10)))
         transform /= transform.sum(axis=0, keepdims=True)
         counts = rng.integers(0, 100, 30).astype(float)
         default = em_reconstruct(transform, counts)
         with use_backend("fast"):
             fast = em_reconstruct(transform, counts)
-        np.testing.assert_allclose(fast.weights, default.weights, atol=1e-9)
+        np.testing.assert_array_equal(fast.weights, default.weights)
+        assert fast.log_likelihood == default.log_likelihood
 
 
 # ----------------------------------------------------------------------

@@ -357,24 +357,6 @@ class TestBackend:
         assert result.returncode == 0, result.stderr
         assert "partial artifact" in result.stderr
 
-    def test_numba_backend_falls_back_with_warning(self, scenario_file, tmp_path):
-        """Without numba installed the run must still succeed, warning once
-        and recording the requested knob."""
-        try:
-            import numba  # noqa: F401
-        except ImportError:
-            pass
-        else:
-            pytest.skip("numba is installed; the fallback path never fires")
-        store = tmp_path / "artifact.json"
-        result = run_cli(
-            "run", str(scenario_file), "--quiet", "--backend", "numba",
-            "--store", str(store),
-        )
-        assert result.returncode == 0, result.stderr
-        assert "numba is not installed" in result.stderr
-        assert load_run(store).meta["execution"]["backend"] == "numba"
-
     def test_rejects_unknown_backend(self, scenario_file):
         result = run_cli("run", str(scenario_file), "--backend", "gpu")
         assert result.returncode == 2

@@ -6,9 +6,10 @@ import pytest
 from repro.attacks import BiasedByzantineAttack, PAPER_POISON_RANGES
 from repro.core.cemf_star import run_cemf_star, suppression_mask
 from repro.core.emf import default_tolerance, run_emf
-from repro.core.emf_star import constrained_m_step, run_emf_star
+from repro.core.emf_star import run_emf_star
 from repro.core.transform import build_transform_matrix, default_bucket_counts
 from repro.ldp import PiecewiseMechanism
+from repro.ldp.ems import em_reconstruct
 
 
 @pytest.fixture
@@ -154,10 +155,15 @@ class TestEMFStar:
             )
 
     def test_constrained_m_step_splits_mass(self):
-        m_step = constrained_m_step(0.3, n_normal=2)
-        out = m_step(np.array([1.0, 1.0, 2.0, 2.0]))
+        # one EM step from uniform weights on the identity transform: the
+        # responsibilities are [1, 1, 2, 2] and Theorem 4 splits them 0.7/0.3
+        out = em_reconstruct(
+            np.eye(4), np.array([1.0, 1.0, 2.0, 2.0]), max_iter=1,
+            poison_mass=(0.3, 2),
+        ).weights
         assert out[:2].sum() == pytest.approx(0.7)
         assert out[2:].sum() == pytest.approx(0.3)
+        np.testing.assert_allclose(out, [0.35, 0.35, 0.15, 0.15])
 
 
 class TestCEMFStar:
