@@ -37,60 +37,16 @@ def _nearest_center_labels_brute(
 def _nearest_center_labels(values: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Nearest-centre assignment, bit-identical to the brute-force matrix.
 
-    With strictly increasing centres the nearest one is always at
-    ``searchsorted`` position ``p`` or ``p - 1``, so the assignment needs one
-    ``O(n log k)`` search plus a distance comparison per value — built from
-    exactly the same ``|value - center|`` subtractions the ``(n, k)`` matrix
-    uses — instead of materialising ``n * k`` distances.  ``argmin`` breaks
-    ties by lowest index over *computed* distances, whose rounding can tie
-    centres far from the value (a centre more than an ulp below the value
-    subtracts to the value itself), so the minimal-distance plateau may
-    extend left of the adjacent candidate; rounding is monotone, hence the
-    computed distances stay non-strictly unimodal and a vectorised binary
-    search over the non-increasing left segment recovers the leftmost tied
-    index — the exact ``argmin`` answer.  Unsorted or duplicated centres
-    (possible after an empty-cluster reseed) fall back to the brute-force
-    matrix.
+    The defence's configuration, two strictly increasing centres, takes one
+    comparison of the same two distances ``argmin`` would compute (strict
+    ``<``, so ties pick centre 0) instead of materialising the ``(n, 2)``
+    matrix; every other case is the brute-force matrix itself.
     """
-    if centers.size > 1 and not np.all(np.diff(centers) > 0):
-        return _nearest_center_labels_brute(values, centers)
-    if centers.size == 2:
-        # the defence's configuration: one comparison of the same two
-        # distances argmin would compute (strict <, so ties pick centre 0)
+    if centers.size == 2 and centers[0] < centers[1]:
         return (
             np.abs(values - centers[1]) < np.abs(values - centers[0])
         ).astype(np.intp)
-    position = np.searchsorted(centers, values)
-    lower = np.maximum(position - 1, 0)
-    upper = np.minimum(position, centers.size - 1)
-    below = np.abs(values - centers[lower])
-    above = np.abs(values - centers[upper])
-    labels = np.where(below <= above, lower, upper)
-    minimal = np.minimum(below, above)
-    # a plateau requires an *exact* computed-distance tie with the centre
-    # left of the winner — essentially never true for real data, so one
-    # gather+compare gates the whole tie resolution
-    neighbor = np.maximum(labels - 1, 0)
-    tied = (labels > 0) & (np.abs(values - centers[neighbor]) <= minimal)
-    if tied.any():
-        # leftmost index whose computed distance equals the minimum: binary
-        # search on the monotone predicate |value - center_j| <= minimum
-        # over the non-increasing segment j in [0, labels - 1]
-        index = np.flatnonzero(tied)
-        tied_values = values[index]
-        tied_minimal = minimal[index]
-        leftmost = np.zeros(index.size, dtype=labels.dtype)
-        ceiling = labels[index] - 1
-        while True:
-            unresolved = leftmost < ceiling
-            if not unresolved.any():
-                break
-            midpoint = (leftmost + ceiling) // 2
-            hit = np.abs(tied_values - centers[midpoint]) <= tied_minimal
-            ceiling = np.where(unresolved & hit, midpoint, ceiling)
-            leftmost = np.where(unresolved & ~hit, midpoint + 1, leftmost)
-        labels[index] = ceiling
-    return labels
+    return _nearest_center_labels_brute(values, centers)
 
 
 def kmeans_1d(
@@ -103,11 +59,10 @@ def kmeans_1d(
 
     Returns ``(labels, centers)``.  Centres are initialised at evenly spaced
     quantiles, which is deterministic and robust for 1-D data; the ``rng`` is
-    only used to break ties when a cluster empties.  Assignment uses the
-    sorted-centre ``searchsorted`` path of :func:`_nearest_center_labels`
-    (bit-identical to the historical distance matrix, test-enforced), so one
-    iteration is ``O(n log k)`` time and ``O(n)`` memory instead of
-    ``O(n k)`` for both.
+    only used to break ties when a cluster empties.  Assignment is
+    :func:`_nearest_center_labels` (bit-identical to the distance matrix,
+    test-enforced), so the defence's two-centre iteration is ``O(n)`` time
+    and memory.
     """
     values = np.asarray(values, dtype=float).ravel()
     if values.size == 0:

@@ -6,15 +6,18 @@ out over a ``concurrent.futures`` process pool.  Determinism contract:
 1. The master generator is consumed exactly once, up front, to draw the
    ``(n_points, n_trials)`` seed matrix, in the order a point-by-point
    serial sweep would draw its per-point trial seeds.
-2. Every work unit (a ``(point, scheme)`` pair, or a whole point for
-   point-granular specs) derives all of its randomness from its row of the
-   seed matrix.
+2. Every work unit (a ``(point index, sub-unit index)`` key, as
+   :meth:`~repro.engine.spec.ExperimentSpec.units` splits the points)
+   derives all of its randomness from its point's row of the seed matrix.
 3. Results are gathered back into canonical unit order.
 
 Together these make the output bit-identical for any worker count, including
 the serial fallback.  They also make the records a function of the spec and
 the seed matrix alone, so :func:`run_identity` (the spec's fingerprint plus
 the matrix's digest) is what a stored artifact must match to be resumed.
+A stored artifact (:mod:`repro.engine.store`) lists the units it finished,
+and a resumed run computes only the others, whatever records the spec
+produces.
 
 Workers are forked (or spawned) with the spec shipped once via the pool
 initializer; each worker then owns a process-local transform cache
@@ -43,7 +46,6 @@ from repro.resilience.pool import (
     reset_degradation_latch,
     retry_call,
 )
-from repro.simulation.sweep import SweepRecord
 from repro.utils import profiling
 from repro.utils.rng import RngLike, ensure_rng
 
@@ -197,14 +199,14 @@ def run_experiment(
         pool of that size, or ``"auto"`` for one worker per CPU.  The result
         is identical in every case.
     store_path:
-        Optional JSON artifact path.  When given, completed units found in an
+        Optional JSON artifact path.  When given, the units listed in an
         existing artifact with the same :func:`run_identity` are reused
-        (``resume=True``, never for an opaque spec) and the merged result is
-        written back.  A run that raises, ``KeyboardInterrupt`` included,
+        (``resume=True``, never for an opaque spec) and every finished unit
+        is written back.  A run that raises, ``KeyboardInterrupt`` included,
         first writes the units it finished, so a rerun resumes from them.
-        A point-granular spec (one that overrides
-        ``evaluate_point``) is never stored: its ``store_path`` is ignored
-        with a ``RuntimeWarning``.
+        Every spec stores: its records must be dataclasses defined under
+        ``repro`` (:func:`~repro.engine.store.save_run` raises
+        ``TypeError`` otherwise).
     resume:
         Set ``False`` to ignore any existing artifact and recompute.
     progress:
@@ -223,24 +225,14 @@ def run_experiment(
     master = ensure_rng(rng if rng is not None else spec.seed)
     seed_matrix = draw_seed_matrix(master, len(spec.points), spec.n_trials)
     units = spec.units()
-    if store_path is not None and spec.is_point_granular():
-        warnings.warn(
-            f"spec {spec.name!r} overrides evaluate_point, whose records are "
-            f"not stored: no run artifact will be written to {store_path!s} "
-            f"and none is resumed from it",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        store_path = None
-
     identity = run_identity(spec, seed_matrix) if store_path is not None else None
 
-    completed: Dict[Unit, List[Any]] = {}
+    results: Dict[Unit, List[Any]] = {}
     if store_path is not None and resume and os.path.exists(store_path):
-        completed = _load_completed_units(spec, identity, store_path, units)
+        results = _load_completed_units(spec, identity, store_path, units)
 
-    pending = [unit for unit in units if unit not in completed]
-    done = len(completed)
+    pending = [unit for unit in units if unit not in results]
+    done = len(results)
     if done:
         _report(progress, done, len(units))
     n_workers = resolve_workers(n_workers)
@@ -256,30 +248,27 @@ def run_experiment(
                 RuntimeWarning,
                 stacklevel=2,
             )
-    fresh: Dict[Unit, List[Any]] = {}
 
     def finished(**store_options) -> List[Any]:
         """Every finished unit's records in canonical order, stored if asked."""
-        ready = [unit for unit in units if unit in completed or unit in fresh]
-        records = [r for unit in ready for r in (completed.get(unit) or fresh[unit])]
+        ready = {unit: results[unit] for unit in units if unit in results}
         if store_path is not None:
             _store_records(
                 spec,
                 identity,
                 store_path,
-                records,
                 ready,
                 resilience_before=resilience_before,
                 **store_options,
             )
-        return records
+        return [record for records in ready.values() for record in records]
 
     try:
         run_profile, worker_resilience = _run_units(
-            spec, pending, seed_matrix, n_workers, fresh, progress, done, len(units)
+            spec, pending, seed_matrix, n_workers, results, progress, done, len(units)
         )
     except BaseException:
-        if fresh:
+        if len(results) > done:
             finished()
         raise
     return finished(
@@ -288,17 +277,17 @@ def run_experiment(
 
 
 # ----------------------------------------------------------------------
-# store integration (SweepRecord sweeps only)
+# store integration
 # ----------------------------------------------------------------------
 def _load_completed_units(
     spec: ExperimentSpec, identity: dict, store_path, units: Sequence[Unit]
 ) -> Dict[Unit, List[Any]]:
-    """Map stored records back onto this spec's units (best effort)."""
+    """The records of this run's units that a matching artifact finished."""
     if knobs.is_opaque(identity):
         return {}
     try:
         artifact = load_run(store_path)
-    except (ValueError, KeyError, OSError) as error:
+    except (ValueError, KeyError, TypeError, OSError) as error:
         warnings.warn(
             f"ignoring unreadable run artifact {store_path!s}: {error}",
             RuntimeWarning,
@@ -307,18 +296,11 @@ def _load_completed_units(
         return {}
     if artifact.meta.get("fingerprint") != identity:
         return {}
-    if len(artifact.rows) < len(units):
-        _warn_on_changed_collection(spec, artifact.meta.get("execution"))
-    by_key: Dict[tuple, SweepRecord] = {
-        (record.point_index, record.record.scheme): record.record
-        for record in artifact.rows
+    completed = {
+        unit: artifact.units[unit] for unit in units if unit in artifact.units
     }
-    completed: Dict[Unit, List[Any]] = {}
-    for point_index, scheme_index in units:
-        scheme = spec.schemes_for(spec.points[point_index])[scheme_index]
-        stored = by_key.get((point_index, scheme.name))
-        if stored is not None:
-            completed[(point_index, scheme_index)] = [stored]
+    if len(completed) < len(units):
+        _warn_on_changed_collection(spec, artifact.meta.get("execution"))
     return completed
 
 
@@ -388,15 +370,11 @@ def _store_records(
     spec: ExperimentSpec,
     identity: dict,
     store_path,
-    records: Sequence[Any],
-    units: Sequence[Unit],
+    units: Dict[Unit, List[Any]],
     profile: Dict[str, float] | None = None,
     resilience_before: Dict[str, int] | None = None,
     worker_resilience: Dict[str, int] | None = None,
 ) -> None:
-    if not all(isinstance(record, SweepRecord) for record in records):
-        return
-    point_indices = [unit[0] for unit in units]
     execution = _execution_details(spec)
     if profile is not None:
         execution["profile"] = {
@@ -416,10 +394,7 @@ def _store_records(
                 event: count for event, count in sorted(resilience.items())
             }
         save_run(
-            store_path,
-            records,
-            point_indices=point_indices,
-            meta={"fingerprint": identity, "execution": execution},
+            store_path, units, meta={"fingerprint": identity, "execution": execution}
         )
 
     # a transient write failure must not lose a finished run: the atomic

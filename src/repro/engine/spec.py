@@ -4,9 +4,9 @@ An :class:`ExperimentSpec` is a complete, self-contained description of one
 paper experiment: the sweep points, the factories producing schemes / attack /
 dataset per point, the population scale, and the trial count.  The figure
 drivers in :mod:`repro.experiments` are thin builders of these specs; the
-executor in :mod:`repro.engine.executor` turns a spec into
-:class:`~repro.simulation.sweep.SweepRecord` rows, either serially or fanned
-out over a process pool.
+executor in :mod:`repro.engine.executor` turns a spec into its records
+(:class:`~repro.simulation.sweep.SweepRecord` rows for a scheme sweep),
+either serially or fanned out over a process pool.
 
 Two properties make specs parallelisable without changing results:
 
@@ -22,8 +22,9 @@ trial runner, over its row of seeds.
 
 Experiments that are not scheme sweeps (Table I, the probing panels of
 Figures 5 and 8, the frequency-estimation panels) subclass the spec and
-override :meth:`ExperimentSpec.evaluate_point`; the executor then fans out
-whole points instead of (point, scheme) units.
+override :meth:`ExperimentSpec.evaluate_point`; their work units are whole
+points instead of (point, scheme) pairs.  That choice is made here alone:
+the executor and the store see only :meth:`ExperimentSpec.units` keys.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ from repro.utils.validation import check_integer
 #: a sweep point: a flat mapping of swept parameter values
 PointSpec = Mapping[str, Any]
 
-#: a work unit: ``(point index, scheme index)`` (scheme index 0 for
-#: point-granular specs)
+#: a work unit: ``(point index, scheme index)`` (scheme index 0 for a spec
+#: that evaluates whole points)
 Unit = Tuple[int, int]
 
 #: the knobs every spec layer (experiment, scenario, service) carries
@@ -155,12 +156,12 @@ class ExperimentSpec:
         check_integer(self.n_users, "n_users", minimum=1)
         check_integer(self.n_trials, "n_trials", minimum=1)
         knobs.validate(self)
-        if self.collect_workers is not None and self.is_point_granular():
+        if self.collect_workers is not None and _is_point_granular(self):
             raise ValueError(
                 f"spec {self.name!r} overrides evaluate_point, which runs "
                 f"outside the trial runners; collect_workers is never honoured"
             )
-        if not self.is_point_granular():
+        if not _is_point_granular(self):
             missing = [
                 label
                 for label, factory in (
@@ -205,13 +206,9 @@ class ExperimentSpec:
     # ------------------------------------------------------------------
     # execution interface (consumed by the executor)
     # ------------------------------------------------------------------
-    def is_point_granular(self) -> bool:
-        """Whether work units are whole points (custom ``evaluate_point``)."""
-        return type(self).evaluate_point is not ExperimentSpec.evaluate_point
-
     def units(self) -> List[Unit]:
         """Independent work units, in canonical (serial) order."""
-        if self.is_point_granular():
+        if _is_point_granular(self):
             return [(index, 0) for index in range(len(self.points))]
         return [
             (point_index, scheme_index)
@@ -227,7 +224,7 @@ class ExperimentSpec:
     def _evaluate_unit(self, unit: Unit, trial_seeds: np.ndarray) -> List[Any]:
         point_index, scheme_index = unit
         point = self.points[point_index]
-        if self.is_point_granular():
+        if _is_point_granular(self):
             return list(self.evaluate_point(point, trial_seeds))
         scheme = self.schemes_for(point)[scheme_index]
         result = run_trials(
@@ -273,6 +270,11 @@ class ExperimentSpec:
         documents as :data:`repro.knobs.OPAQUE`, and its run never resumes.
         """
         return knobs.document(self)
+
+
+def _is_point_granular(spec: ExperimentSpec) -> bool:
+    """Whether the spec's work units are whole points (custom ``evaluate_point``)."""
+    return type(spec).evaluate_point is not ExperimentSpec.evaluate_point
 
 
 __all__ = ["ExperimentSpec", "PointSpec", "Unit", "shared_knob"]

@@ -1,26 +1,37 @@
 """Columnar, JSON-persistable run artifacts.
 
-A run artifact captures one executed sweep: the run identity
-(:func:`repro.engine.executor.run_identity`), the sweep points, and the
-measurements laid out column-wise (one array per field) so downstream
-tooling — notebooks, the examples — can load a run without re-running it,
-and an interrupted sweep can resume from the units already on disk.
+A run artifact captures one executed run: the run identity
+(:func:`repro.engine.executor.run_identity`), the finished work units and
+their records laid out column-wise (one array per record field), so
+downstream tooling — notebooks, the examples — can load a run without
+re-running it, and an interrupted run can resume from the units already on
+disk.  Any dataclass record defined under ``repro`` is stored, whatever
+experiment produced it.
 
-Format (``repro.engine.run/v1``)::
+Format (``repro.engine.run/v2``)::
 
     {
-      "format": "repro.engine.run/v1",
-      "meta":    {...},                      # run identity + provenance
-      "points":  {"0": {...}, "1": {...}},   # point_index -> sweep point
+      "format": "repro.engine.run/v2",
+      "meta":    {...},                       # run identity + provenance
+      "units":   [[0, 0], [0, 1], ...],       # every finished work unit
+      "record_class": "repro.simulation.sweep.SweepRecord",  # null if none
       "columns": {
-        "point_index": [...], "scheme": [...],
-        "mse": [...], "bias": [...], "n_trials": [...]
+        "unit": [[0, 0], [0, 1], ...],        # the unit of each record
+        "<field>": [...], ...                 # one column per record field
       }
     }
+
+A unit that returned no records is listed in ``units`` all the same, so it
+resumes.  Column values are JSON values, except that a tuple is stored as
+``{"tuple": [...]}``, a mapping as ``{"dict": {...}}`` and a numeric array
+as ``{"ndarray": {"dtype", "shape", "values"}}``, so each comes back as the
+type it was written as.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import importlib
 import json
 import os
 import tempfile
@@ -29,121 +40,145 @@ from typing import Any, Dict, List, Mapping, Sequence
 
 import numpy as np
 
-from repro.simulation.sweep import SweepRecord
+from repro import knobs
+from repro.engine.spec import Unit
 
-FORMAT = "repro.engine.run/v1"
-
-#: the measurement columns of a sweep record
-RECORD_COLUMNS = ("point_index", "scheme", "mse", "bias", "n_trials")
-
-
-def _json_value(value: Any) -> Any:
-    """Coerce numpy scalars (and tuples) into JSON-representable values."""
-    if isinstance(value, np.generic):
-        return value.item()
-    if isinstance(value, (list, tuple)):
-        return [_json_value(item) for item in value]
-    return value
-
-
-@dataclass(frozen=True)
-class StoredRecord:
-    """One measurement row tied back to its sweep-point index."""
-
-    point_index: int
-    record: SweepRecord
+FORMAT = "repro.engine.run/v2"
 
 
 @dataclass
 class RunArtifact:
-    """A loaded run: provenance metadata plus the measurement rows."""
+    """A loaded run: provenance metadata plus each finished unit's records."""
 
     meta: Dict[str, Any]
-    rows: List[StoredRecord]
+    units: Dict[Unit, List[Any]]
 
     @property
-    def records(self) -> List[SweepRecord]:
-        """The measurements, in stored order."""
-        return [row.record for row in self.rows]
+    def records(self) -> List[Any]:
+        """Every record, in stored (canonical unit) order."""
+        return [record for records in self.units.values() for record in records]
 
 
-def records_to_columns(
-    records: Sequence[SweepRecord], point_indices: Sequence[int]
-) -> tuple[Dict[str, Dict[str, Any]], Dict[str, List[Any]]]:
-    """Lay sweep records out column-wise; returns ``(points, columns)``."""
-    if len(records) != len(point_indices):
-        raise ValueError(
-            f"{len(records)} records but {len(point_indices)} point indices"
+def _encode(value: Any) -> Any:
+    """``value`` as a JSON value that :func:`_decode` turns back into it."""
+    if isinstance(value, np.generic):
+        return value.item()
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    if isinstance(value, list):
+        return [_encode(item) for item in value]
+    if isinstance(value, tuple):
+        return {"tuple": [_encode(item) for item in value]}
+    if isinstance(value, Mapping) and all(isinstance(key, str) for key in value):
+        return {"dict": {key: _encode(item) for key, item in value.items()}}
+    if isinstance(value, np.ndarray) and value.dtype.kind in "biuf":
+        return {
+            "ndarray": {
+                "dtype": value.dtype.str,
+                "shape": list(value.shape),
+                "values": value.tolist(),
+            }
+        }
+    raise TypeError(f"a run artifact cannot store the value {value!r}")
+
+
+def _decode(value: Any) -> Any:
+    if isinstance(value, list):
+        return [_decode(item) for item in value]
+    if not isinstance(value, dict):
+        return value
+    ((tag, body),) = value.items()
+    if tag == "tuple":
+        return tuple(_decode(item) for item in body)
+    if tag == "dict":
+        return {key: _decode(item) for key, item in body.items()}
+    if tag == "ndarray":
+        return np.asarray(body["values"], dtype=body["dtype"]).reshape(body["shape"])
+    raise ValueError(f"unknown run artifact value tag {tag!r}")
+
+
+def _record_class(name: Any) -> type:
+    """The class a stored name imports back to.  Anything but a dataclass
+    defined under ``repro`` is refused, so loading an artifact never imports
+    code from outside the package."""
+    module, _, attribute = str(name).rpartition(".")
+    cls = None
+    if str(name).startswith("repro."):
+        try:
+            cls = getattr(importlib.import_module(module), attribute, None)
+        except ImportError:
+            pass
+    if not (
+        isinstance(cls, type)
+        and dataclasses.is_dataclass(cls)
+        and knobs._qualified_name(cls) == name
+    ):
+        raise ValueError(f"run artifact names {name!r}, not a repro dataclass")
+    return cls
+
+
+def _class_name(records: Sequence[Any]) -> str | None:
+    """The name of the one class of ``records``; ``TypeError`` unless
+    :func:`_record_class` resolves it back."""
+    classes = {type(record) for record in records}
+    if len(classes) > 1:
+        raise TypeError(
+            f"a run artifact stores records of one class, got "
+            f"{sorted(cls.__qualname__ for cls in classes)}"
         )
-    points: Dict[str, Dict[str, Any]] = {}
-    columns: Dict[str, List[Any]] = {name: [] for name in RECORD_COLUMNS}
-    for record, point_index in zip(records, point_indices):
-        key = str(int(point_index))
-        points.setdefault(
-            key, {name: _json_value(value) for name, value in record.point.items()}
-        )
-        columns["point_index"].append(int(point_index))
-        columns["scheme"].append(record.scheme)
-        columns["mse"].append(float(record.mse))
-        columns["bias"].append(float(record.bias))
-        columns["n_trials"].append(int(record.n_trials))
-    return points, columns
-
-
-def columns_to_records(
-    points: Mapping[str, Mapping[str, Any]], columns: Mapping[str, Sequence[Any]]
-) -> List[StoredRecord]:
-    """Inverse of :func:`records_to_columns`."""
-    missing = [name for name in RECORD_COLUMNS if name not in columns]
-    if missing:
-        raise KeyError(f"run artifact is missing columns {missing}")
-    lengths = {name: len(columns[name]) for name in RECORD_COLUMNS}
-    if len(set(lengths.values())) > 1:
-        raise ValueError(f"ragged run artifact columns: {lengths}")
-    rows: List[StoredRecord] = []
-    for index in range(lengths["point_index"]):
-        point_index = int(columns["point_index"][index])
-        point = dict(points.get(str(point_index), {}))
-        rows.append(
-            StoredRecord(
-                point_index=point_index,
-                record=SweepRecord(
-                    point=point,
-                    scheme=str(columns["scheme"][index]),
-                    mse=float(columns["mse"][index]),
-                    bias=float(columns["bias"][index]),
-                    n_trials=int(columns["n_trials"][index]),
-                ),
-            )
-        )
-    return rows
+    if not classes:
+        return None
+    (cls,) = classes
+    name = knobs._qualified_name(cls)
+    try:
+        _record_class(name)
+    except ValueError:
+        raise TypeError(
+            f"a run artifact stores dataclass records defined under repro, "
+            f"not {cls.__module__}.{cls.__qualname__}"
+        ) from None
+    return name
 
 
 def save_run(
     path: str | os.PathLike,
-    records: Sequence[SweepRecord],
-    point_indices: Sequence[int],
+    units: Mapping[Unit, Sequence[Any]],
     meta: Mapping[str, Any] | None = None,
 ) -> None:
-    """Write a run artifact atomically and durably.
+    """Write the finished ``units`` (unit key -> its records) atomically and
+    durably.
 
     Same discipline as the service checkpoints: serialise to a temp file in
     the destination directory, fsync it, then ``os.replace`` over the final
     path — a crash or kill at any instant leaves either the previous artifact
-    or the new one, never a torn file.  A pending ``artifact-write`` fault in
-    the active plan fails the call (before any file is touched) with an
-    ``OSError``, exercising the callers' retry path.
+    or the new one, never a torn file.  A record that is not a dataclass
+    defined under ``repro``, or records of two classes, raise ``TypeError``.
+    A pending ``artifact-write`` fault in the active plan fails the call
+    (before any file is touched) with an ``OSError``, exercising the
+    callers' retry path.
     """
     from repro.resilience.faults import active_injector
 
     injector = active_injector()
     if injector is not None and injector.take_artifact_write_fault():
         raise OSError("injected artifact write failure")
-    points, columns = records_to_columns(records, point_indices)
+    keys = [[int(index) for index in unit] for unit in units]
+    rows = [
+        (key, record)
+        for key, records in zip(keys, units.values())
+        for record in records
+    ]
+    record_class = _class_name([record for _, record in rows])
+    columns: Dict[str, List[Any]] = {"unit": [key for key, _ in rows]}
+    for field in dataclasses.fields(rows[0][1]) if rows else ():
+        columns[field.name] = [
+            _encode(getattr(record, field.name)) for _, record in rows
+        ]
     payload = {
         "format": FORMAT,
         "meta": dict(meta or {}),
-        "points": points,
+        "units": keys,
+        "record_class": record_class,
         "columns": columns,
     }
     path = os.fspath(path)
@@ -163,7 +198,11 @@ def save_run(
 
 
 def load_run(path: str | os.PathLike) -> RunArtifact:
-    """Load a run artifact written by :func:`save_run`."""
+    """Load a run artifact written by :func:`save_run`.
+
+    A foreign format, a record class that is not a ``repro`` dataclass, or
+    columns that do not match the class's fields raise ``ValueError``.
+    """
     with open(path) as handle:
         payload = json.load(handle)
     if payload.get("format") != FORMAT:
@@ -171,17 +210,20 @@ def load_run(path: str | os.PathLike) -> RunArtifact:
             f"{os.fspath(path)!s} is not a {FORMAT} artifact "
             f"(format={payload.get('format')!r})"
         )
-    rows = columns_to_records(payload.get("points", {}), payload["columns"])
-    return RunArtifact(meta=dict(payload.get("meta", {})), rows=rows)
+    units: Dict[Unit, List[Any]] = {tuple(key): [] for key in payload["units"]}
+    columns = payload["columns"]
+    if payload["record_class"] is not None:
+        cls = _record_class(payload["record_class"])
+        names = [field.name for field in dataclasses.fields(cls)]
+        lengths = {len(column) for column in columns.values()}
+        if sorted(columns) != sorted(["unit", *names]) or len(lengths) > 1:
+            raise ValueError(
+                f"run artifact columns do not hold {payload['record_class']} records"
+            )
+        for index, key in enumerate(columns["unit"]):
+            fields = {name: _decode(columns[name][index]) for name in names}
+            units[tuple(key)].append(cls(**fields))
+    return RunArtifact(meta=dict(payload.get("meta", {})), units=units)
 
 
-__all__ = [
-    "FORMAT",
-    "RECORD_COLUMNS",
-    "StoredRecord",
-    "RunArtifact",
-    "records_to_columns",
-    "columns_to_records",
-    "save_run",
-    "load_run",
-]
+__all__ = ["FORMAT", "RunArtifact", "save_run", "load_run"]

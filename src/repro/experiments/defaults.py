@@ -8,7 +8,10 @@ results, so two presets are provided:
   thousands of users and a couple of trials per point; every qualitative
   conclusion of the paper already holds at this scale.
 * :data:`PAPER_SCALE` — the paper's setting for users who want to reproduce
-  the absolute numbers more closely (takes hours on a laptop).
+  the absolute numbers more closely.  One Fig. 6 point at 10^6 users (Taxi,
+  ``[3C/4,C]``, epsilon 1, all five schemes, one trial) takes about 5.5 s
+  serial on 2 cores with OpenBLAS, so a point at its ten trials takes about
+  a minute and the full 16-panel Fig. 6 grid about 75 minutes.
 """
 
 from __future__ import annotations

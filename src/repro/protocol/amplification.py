@@ -7,11 +7,14 @@ form: shuffling ``n`` reports that are each ``eps_l``-LDP yields an
 
     eps_c = log(1 + (e^{eps_l} - 1) * (4 * sqrt(2 * log(4/delta) / ((e^{eps_l} + 1) * n)) + 4 / n))
 
-whenever that bound improves on ``eps_l`` (for tiny ``n`` the closed form
-can exceed the local guarantee, in which case the local epsilon is already
-the better bound and is reported unchanged).  The per-group ledger rows
-are recorded in :class:`repro.core.dap.DAPResult` and a population-level
-summary lands in ``meta.execution`` next to the other runtime details.
+The theorem ("Hiding Among the Clones", FOCS 2021) states this bound only
+for ``eps_l <= log(n / (16 * log(2/delta)))``.  Outside that range, and
+wherever the closed form does not improve on ``eps_l``, the local epsilon is
+the bound that holds and is reported unchanged; each ledger row names the
+bound it reports (``"closed-form"`` or ``"local"``).  The per-group ledger
+rows are recorded in :class:`repro.core.dap.DAPResult` and a
+population-level summary lands in ``meta.execution`` next to the other
+runtime details.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ def amplified_epsilon(epsilon_local: float, n: int, delta: float = DEFAULT_DELTA
         raise ValueError(f"epsilon_local must be >= 0, got {epsilon_local}")
     if not 0 < delta < 1:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
-    if n <= 0 or epsilon_local == 0.0:
+    if n <= 0 or epsilon_local > math.log(n / (16.0 * math.log(2.0 / delta))):
         return epsilon_local
     spread = 4.0 * math.sqrt(
         2.0 * math.log(4.0 / delta) / ((math.exp(epsilon_local) + 1.0) * n)
@@ -66,6 +69,7 @@ def amplification_ledger(
                 "n_reports": n_reports,
                 "delta": float(delta),
                 "epsilon_central": epsilon_central,
+                "bound": "closed-form" if epsilon_central < epsilon_local else "local",
                 "amplification_factor": (
                     epsilon_local / epsilon_central if epsilon_central > 0 else 1.0
                 ),

@@ -126,6 +126,7 @@ class TestResumeAcrossTheCollectionChange:
         payload["columns"] = {
             key: [column[i] for i in kept] for key, column in payload["columns"].items()
         }
+        payload["units"] = payload["columns"]["unit"]
         store.write_text(json.dumps(payload))
         return path, store, full
 
@@ -349,6 +350,7 @@ class TestBackend:
             key: [column[i] for i in kept]
             for key, column in payload["columns"].items()
         }
+        payload["units"] = payload["columns"]["unit"]
         store.write_text(json.dumps(payload))
         result = run_cli(
             "resume", str(scenario_file), "--quiet", "--backend", "fast",

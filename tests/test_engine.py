@@ -9,6 +9,7 @@ The load-bearing guarantees:
 * the columnar store round-trips records exactly and supports resume.
 """
 
+import dataclasses
 import functools
 import json
 import os
@@ -34,7 +35,6 @@ from repro.engine import (
     save_run,
 )
 from repro.engine.executor import run_identity
-from repro.engine.store import columns_to_records, records_to_columns
 from repro.experiments import QUICK_SCALE, build_fig6_spec
 from repro.experiments.defaults import ExperimentScale
 from repro.simulation.schemes import make_scheme
@@ -184,18 +184,28 @@ class TestFig6QuickGridEquivalence:
             assert record_key(engine) == record_key(legacy), n_workers
 
 
+@dataclasses.dataclass
+class ForeignRecord:
+    """A dataclass record defined outside ``repro``."""
+
+    value: int
+
+
 class TestStore:
-    def test_columns_roundtrip(self):
-        records = [
-            SweepRecord(point={"epsilon": 0.5}, scheme="Ostrich", mse=1.5,
-                        bias=-0.2, n_trials=3),
-            SweepRecord(point={"epsilon": 1.0}, scheme="Trimming", mse=0.25,
-                        bias=0.1, n_trials=3),
-        ]
-        points, columns = records_to_columns(records, [0, 1])
-        rows = columns_to_records(points, columns)
-        assert [r.record for r in rows] == records
-        assert [r.point_index for r in rows] == [0, 1]
+    def test_columns_roundtrip(self, tmp_path):
+        """Records come back per unit, and a unit that returned no records
+        is still listed as finished."""
+        units = {
+            (0, 0): [SweepRecord(point={"epsilon": 0.5, "targets": (1, 2)},
+                                 scheme="Ostrich", mse=1.5, bias=-0.2, n_trials=3)],
+            (0, 1): [],
+            (1, 0): [SweepRecord(point={"epsilon": 1.0}, scheme="Trimming",
+                                 mse=0.25, bias=0.1, n_trials=3)],
+        }
+        save_run(tmp_path / "run.json", units)
+        artifact = load_run(tmp_path / "run.json")
+        assert artifact.units == units
+        assert artifact.records == units[(0, 0)] + units[(1, 0)]
 
     def test_save_and_load_run(self, dataset, tmp_path):
         path = tmp_path / "run.json"
@@ -263,6 +273,7 @@ class TestStore:
             key: [column[i] for i in kept]
             for key, column in payload["columns"].items()
         }
+        payload["units"] = payload["columns"]["unit"]
         path.write_text(json.dumps(payload))
 
     def test_partial_resume_under_other_collect_workers_is_silent(
@@ -306,23 +317,21 @@ class TestStore:
         ]
         assert ostrich(resumed) == ostrich(first)
 
-    def test_point_granular_store_path_warns_and_writes_nothing(self, tmp_path):
-        """Point-granular records are never stored: the run says so once
-        instead of silently writing and resuming nothing."""
+    @pytest.mark.parametrize(
+        "record", [7, ForeignRecord(7)], ids=["int", "foreign-dataclass"]
+    )
+    def test_unstorable_record_raises_type_error(self, record, tmp_path):
+        """Only a dataclass defined under ``repro`` can be restored by name,
+        so any other record fails the write, naming its type, and no file
+        is left behind."""
 
         class TwoPointSpec(ExperimentSpec):
             def evaluate_point(self, point, trial_seeds):
-                return [int(trial_seeds[0]) % 97]
+                return [record]
 
         spec = TwoPointSpec(name="two-point", points=[{}, {}], n_users=10, n_trials=1)
-        path = tmp_path / "run.json"
-        with pytest.warns(RuntimeWarning) as caught:
-            records = run_experiment(spec, rng=0, store_path=path)
-        assert len(caught) == 1
-        message = str(caught[0].message)
-        assert "'two-point'" in message and "no run artifact" in message
-        assert records == run_experiment(spec, rng=0)
-        assert not path.exists()
+        with pytest.raises(TypeError, match=type(record).__qualname__):
+            run_experiment(spec, rng=0, store_path=tmp_path / "run.json")
         assert list(tmp_path.iterdir()) == []
 
 
@@ -495,8 +504,7 @@ class TestRunIdentity:
         path = tmp_path / "run.json"
         save_run(
             path,
-            records,
-            point_indices=[index for index, _ in spec.units()],
+            {unit: [record] for unit, record in zip(spec.units(), records)},
             meta={"fingerprint": {**HAND_BUILT_FIG6_FINGERPRINT, **legacy}},
         )
         stub = [SweepRecord(point={}, scheme="stub", mse=0.0, bias=0.0, n_trials=3)]
@@ -557,3 +565,132 @@ class TestSpecValidation:
         assert len(serial) == 2
         again = run_experiment(spec, rng=0)
         assert serial == again
+
+
+# ----------------------------------------------------------------------
+# the record codec: every driver's spec stores and resumes
+# ----------------------------------------------------------------------
+CODEC_SCALE = ExperimentScale(n_users=2_000, n_trials=1, gamma=0.25)
+
+#: each ``run_*`` driver on a shrunken grid (fig8 is its three panel drivers)
+DRIVERS = {
+    "table1": lambda E: E.table1.run_table1(
+        CODEC_SCALE, epsilons=(1.0,), poison_ranges=("[O,C]",), rng=0
+    ),
+    "fig4": lambda E: E.fig4.run_fig4(CODEC_SCALE, datasets=("Taxi", "Beta(2,5)"), rng=0),
+    "fig5": lambda E: E.fig5.run_fig5(
+        CODEC_SCALE, epsilons=(1.0,), gammas=(0.1,), poison_ranges=("[O,C]",), rng=0
+    ),
+    "fig6": lambda E: E.fig6.run_fig6(
+        CODEC_SCALE, epsilons=(1.0,), schemes=("DAP-EMF", "Ostrich"), rng=0
+    ),
+    "fig7": lambda E: E.fig7.run_fig7(
+        CODEC_SCALE, poison_ranges=("[O,C/2]",), gammas=(0.1,),
+        distributions=("Uniform",), schemes=("DAP-EMF", "Ostrich"), rng=0,
+    ),
+    "fig8": lambda E: (
+        E.fig8.run_fig8_distribution(CODEC_SCALE, epsilons=(1.0,), rng=0),
+        E.fig8.run_fig8_gamma(
+            CODEC_SCALE, dataset_names=("Beta(2,5)",), epsilons=(1.0,), rng=0
+        ),
+        E.fig8.run_fig8_mse(
+            CODEC_SCALE, dataset_names=("Beta(2,5)",), epsilons=(1.0,), rng=0
+        ),
+    ),
+    "fig9": lambda E: E.fig9.run_fig9_defense_comparison(
+        CODEC_SCALE, epsilons=(1.0,), sampling_rates=(0.5,), ima_inputs=(0.0,), rng=0
+    ),
+    "fig9_frequency": lambda E: E.fig9_freq.run_fig9_frequency(
+        CODEC_SCALE, epsilons=(1.0,), rng=0
+    ),
+    "fig10": lambda E: E.fig10.run_fig10(
+        CODEC_SCALE, evasive_fractions=(0.5,), schemes=("DAP-EMF",), rng=0
+    ),
+    "matrix": lambda E: E.matrix.run_matrix(
+        CODEC_SCALE, datasets=("Taxi",), attacks=({"name": "ima", "label": "IMA"},),
+        schemes=("Ostrich", "Trimming"), epsilons=(1.0,), rng=0,
+    ),
+}
+
+
+def driver_specs(name):
+    """The specs the driver ``name`` hands the executor, unexecuted."""
+    import repro.experiments as experiments
+    import repro.scenario
+
+    specs = []
+    with pytest.MonkeyPatch.context() as patch:
+        for module in [repro.scenario, *vars(experiments).values()]:
+            if getattr(module, "run_experiment", None) is run_experiment:
+                patch.setattr(
+                    module, "run_experiment", lambda spec, **_: specs.append(spec) or []
+                )
+        DRIVERS[name](experiments)
+    assert specs, name
+    return specs
+
+
+def same_records(actual, expected):
+    """Equal field by field, arrays bit for bit, containers of the same type."""
+    containers = (tuple, list, dict, np.ndarray)
+    kinds = lambda records: [
+        [type(value) for value in vars(record).values() if isinstance(value, containers)]
+        for record in records
+    ]
+    canonical = lambda records: json.dumps(knobs.canonical(records))
+    return canonical(actual) == canonical(expected) and kinds(actual) == kinds(expected)
+
+
+class TestRecordCodec:
+    @pytest.mark.parametrize("name", sorted(DRIVERS))
+    def test_driver_spec_round_trips_and_resumes(self, name, tmp_path, unit_calls):
+        for index, spec in enumerate(driver_specs(name)):
+            path = tmp_path / f"{index}.json"
+            records = run_experiment(spec, rng=3, store_path=path)
+            assert records and same_records(load_run(path).records, records)
+            unit_calls.clear()
+            resumed = run_experiment(spec, rng=3, store_path=path)
+            assert unit_calls == [] and same_records(resumed, records)
+
+    def test_fresh_interpreter_restores_table1_records(self, tmp_path):
+        (spec,) = driver_specs("table1")
+        path = tmp_path / "table1.json"
+        records = run_experiment(spec, rng=3, store_path=path)
+        code = (
+            "import sys\n"
+            "import repro.engine\n"
+            "assert 'repro.experiments.table1' not in sys.modules\n"
+            f"records = repro.engine.load_run({str(path)!r}).records\n"
+            "print(*{type(r).__module__ + '.' + type(r).__qualname__ for r in records})\n"
+            "print(repr(records))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=SRC)
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        kind, restored = result.stdout.splitlines()
+        assert kind == "repro.experiments.table1.Table1Record"
+        assert restored == repr(records)
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "repro.simulation.schemes.Scheme",
+            "tests.test_engine.ForeignRecord",
+            "repro.experiments.table1.NoSuchRecord",
+            "builtins.dict",
+        ],
+    )
+    def test_edited_class_name_is_refused(self, name, tmp_path, unit_calls):
+        (spec,) = driver_specs("table1")
+        path = tmp_path / "table1.json"
+        records = run_experiment(spec, rng=3, store_path=path)
+        payload = json.loads(path.read_text())
+        payload["record_class"] = name
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="not a repro dataclass"):
+            load_run(path)
+        unit_calls.clear()
+        with pytest.warns(RuntimeWarning, match="ignoring unreadable run artifact"):
+            recomputed = run_experiment(spec, rng=3, store_path=path)
+        assert unit_calls == spec.units() and same_records(recomputed, records)

@@ -155,6 +155,25 @@ class TestAmplification:
         assert summary["epsilon_local_max"] == 1.0
         assert summary["epsilon_central_max"] <= 1.0
 
+    @pytest.mark.parametrize(
+        "epsilon_local, n, expected, bound",
+        [
+            (8.0, 100_000, 8.0, "local"),
+            (6.0, 10_000, 6.0, "local"),
+            (4.0, 2_000, 4.0, "local"),
+            (1.0, 10_000, 0.1800063677313965, "closed-form"),
+        ],
+    )
+    def test_closed_form_only_inside_its_theorem(self, epsilon_local, n, expected, bound):
+        """The closed form holds for eps_l <= log(n / (16 log(2/delta)));
+        outside that range the ledger reports the local epsilon."""
+        limit = np.log(n / (16.0 * np.log(2.0 / 1e-6)))
+        assert (epsilon_local <= limit) == (bound == "closed-form")
+        assert amplified_epsilon(epsilon_local, n) == pytest.approx(expected, rel=1e-12)
+        (row,) = amplification_ledger([epsilon_local], [n], delta=1e-6)
+        assert row["bound"] == bound
+        assert row["epsilon_central"] == amplified_epsilon(epsilon_local, n)
+
     def test_ledger_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError, match="one count per budget"):
             amplification_ledger([1.0], [10, 20])

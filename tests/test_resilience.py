@@ -640,12 +640,14 @@ class TestPooledChaos:
 # ----------------------------------------------------------------------
 # store atomicity under SIGKILL
 # ----------------------------------------------------------------------
-def _records():
-    return [
-        SweepRecord(
-            point={"epsilon": 1.0}, scheme="S", mse=0.5, bias=0.1, n_trials=2
-        )
-    ]
+def _units():
+    return {
+        (0, 0): [
+            SweepRecord(
+                point={"epsilon": 1.0}, scheme="S", mse=0.5, bias=0.1, n_trials=2
+            )
+        ]
+    }
 
 
 def _die_mid_write(path):
@@ -653,18 +655,18 @@ def _die_mid_write(path):
     import repro.engine.store as store_module
 
     def dying_dump(payload, handle, **kwargs):
-        handle.write('{"format": "repro.engine.run/v1", "meta": {')
+        handle.write('{"format": "repro.engine.run/v2", "meta": {')
         handle.flush()
         os.kill(os.getpid(), signal.SIGKILL)
 
     store_module.json.dump = dying_dump
-    store_module.save_run(path, _records(), point_indices=[0])
+    store_module.save_run(path, _units())
 
 
 class TestStoreAtomicity:
     def test_sigkill_mid_write_keeps_previous_artifact(self, tmp_path):
         path = str(tmp_path / "run.json")
-        save_run(path, _records(), point_indices=[0], meta={"fingerprint": {}})
+        save_run(path, _units(), meta={"fingerprint": {}})
         before = load_run(path)
 
         context = multiprocessing.get_context("fork")
@@ -674,7 +676,7 @@ class TestStoreAtomicity:
         assert child.exitcode == -signal.SIGKILL
 
         after = load_run(path)  # resume path: artifact must still parse
-        assert after.rows == before.rows
+        assert after.units == before.units
         assert after.meta == before.meta
 
     def test_injected_artifact_write_fault_is_retried(self, tmp_path):
@@ -682,10 +684,10 @@ class TestStoreAtomicity:
         plan = FaultPlan.from_mapping({"faults": [{"kind": "artifact-write"}]})
         with use_fault_plan(plan) as injector, use_retry_policy(FAST):
             retry_call(
-                lambda: save_run(path, _records(), point_indices=[0]),
+                lambda: save_run(path, _units()),
                 label="engine.store",
                 event="artifact_write_retries",
             )
         assert injector.fired == 1
         assert stats.snapshot()["artifact_write_retries"] == 1
-        assert load_run(path).rows  # the retried write landed
+        assert load_run(path).units == _units()  # the retried write landed
