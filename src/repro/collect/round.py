@@ -12,8 +12,8 @@ run the tasks with :func:`collect_shard` through their own module's
 
 A protocol supplies what differs as a small picklable *client*:
 
-* ``plan`` — the :class:`~repro.protocol.plan.ProtocolPlan` whose transport
-  delivers every block;
+* ``plan`` — the :class:`~repro.protocol.plan.ProtocolPlan` that delivers
+  every block (:meth:`~repro.protocol.plan.ProtocolPlan.deliver`);
 * ``assign(rng, values, n_byzantine, out)`` — writes the normal values
   group after group into ``out`` and returns the groups' normal and
   Byzantine head-counts (``None``: the users form one group);
@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.backends import get_backend, use_backend
 from repro.collect.sharding import ShardSlice, ShardValues, ValueSlice, build_shard_plan
-from repro.protocol.pipeline import ProtocolPipeline
+from repro.protocol.plan import ProtocolPlan
 from repro.utils.profiling import stage
 from repro.utils.rng import RngLike
 from repro.utils.validation import check_integer
@@ -87,7 +87,7 @@ def _client_perturb(
 
 
 def _draw_normal(
-    pipeline: ProtocolPipeline,
+    plan: ProtocolPlan,
     mechanism: Any,
     values: np.ndarray,
     repeats: int,
@@ -101,7 +101,7 @@ def _draw_normal(
         reports = _client_perturb(mechanism, values, repeats, rng, start, stop)
     # the block seed is the shard-partition-invariant lane key, so shuffled
     # merges stay bit-identical at any shard/worker count
-    return pipeline.deliver(reports, (seed,))
+    return plan.deliver(reports, (seed,))
 
 
 def _collect_block(
@@ -167,15 +167,15 @@ def collect_shard(task: ShardTask) -> List[Tuple[int, dict]]:
     :data:`LEAF_REPORTS` of them under the ``fast`` backend and the local
     protocol, a whole block of up to ``block_size`` times the group's
     reports per user under the numpy reference backend, the shuffle
-    protocol (whose transport permutes the whole block), for poison blocks
+    protocol (whose delivery permutes the whole block), for poison blocks
     and for samplers that do not stream (mechanisms other than PM / SW, and
     the frequency routes).  Leaf size never changes a bit.
     """
     with use_backend(task.backend):
-        pipeline = ProtocolPipeline(task.client.plan)
+        plan = task.client.plan
         # leaves reproduce the whole-block draw only when the sampler takes
         # one uniform per report in order and nothing reorders the block
-        streamed = get_backend().streams_leaves and not pipeline.plan.is_shuffle
+        streamed = get_backend().streams_leaves and not plan.is_shuffle
         block = task.block_size
         starts = [0, *itertools.accumulate(n_normal for n_normal, _ in task.groups)]
         states: List[Tuple[int, dict]] = []
@@ -197,7 +197,7 @@ def collect_shard(task: ShardTask) -> List[Tuple[int, dict]]:
                     accumulator,
                     functools.partial(
                         _draw_normal,
-                        pipeline,
+                        plan,
                         group.mechanism,
                         chunk,
                         repeats,
@@ -211,7 +211,7 @@ def collect_shard(task: ShardTask) -> List[Tuple[int, dict]]:
                 n_users = min(block, piece.n_byzantine - index * block)
                 with stage("collect.poison"):
                     poison = group.poison(n_users, np.random.default_rng(int(seed)))
-                poison = pipeline.deliver(poison, (int(seed),))
+                poison = plan.deliver(poison, (int(seed),))
                 with stage("collect.accumulate"):
                     accumulator.update(poison)
             states.append((piece.group_index, accumulator.state_dict()))
@@ -294,8 +294,10 @@ def category_inputs(
     """A categorical round's normal categories, targets and Byzantine count.
 
     Refuses bad input in the parent, where it raises once, rather than in a
-    shard worker, whose failure the resilient pool would retry.  Targets
-    may be any sequence, numpy arrays included; callers check their range.
+    shard worker, whose failure the resilient pool would retry: categories
+    or (when there are Byzantine users) targets outside the mechanism's
+    domain raise :class:`~repro.ldp.base.MechanismError`.  Targets may be
+    any sequence, numpy arrays included.
     """
     normal = np.asarray(normal_categories, dtype=int).ravel()
     targets = np.asarray(list(poisoned_categories), dtype=int)
@@ -303,6 +305,8 @@ def category_inputs(
     if n_byzantine and not targets.size:
         raise ValueError("poisoned_categories must be provided when n_byzantine > 0")
     mechanism.check_categories(normal)
+    if n_byzantine:
+        mechanism.check_categories(targets)
     return normal, targets, n_byzantine
 
 

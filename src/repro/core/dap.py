@@ -31,13 +31,12 @@ a process pool) and merges them; ``aggregate_stats`` runs stages 3-5 on the
 merged statistics.  ``run`` is that round with one shard, and its result is
 the same at any shard or worker count.
 
-Collection lowers to the shared client → transport → server pipeline of
-:mod:`repro.protocol`: the client stage applies the contribution cap and
-hands compromised slots to the attack (under the shuffle protocol, against
-the group-blind domain-intersection view), the transport stage is an
-identity pass-through (``protocol="local"``) or the seeded shuffler
-(``protocol="shuffle"``), and the server stage folds accumulators and —
-under shuffle — writes the privacy-amplification ledger into
+The trust model is one :class:`~repro.protocol.plan.ProtocolPlan`
+(:attr:`DAPProtocol.plan`): it caps each user's reports, hands compromised
+slots to the attack (under the shuffle protocol, against the group-blind
+domain-intersection view), delivers every block (as is under
+``protocol="local"``, in a seeded shuffle under ``protocol="shuffle"``) and,
+under shuffle, writes the privacy-amplification ledger into
 :class:`DAPResult`.
 """
 
@@ -57,21 +56,24 @@ from repro.core.cemf_star import DEFAULT_SUPPRESSION_FACTOR, run_cemf_star
 from repro.core.emf import EMFResult, run_emf
 from repro.core.emf_star import run_emf_star
 from repro.core.features import ByzantineFeatures, estimate_byzantine_features
+from repro.core.frequency import EstimatorName, check_estimator
 from repro.core.mean_estimation import corrected_mean_from_stats
 from repro.core.transform import cached_transform_matrix, default_bucket_counts
 from repro.ldp.base import NumericalMechanism
 from repro.ldp.budget import dap_budget_ladder
 from repro.ldp.piecewise import PiecewiseMechanism
-from repro.protocol.client import intersection_output_domain
-from repro.protocol.pipeline import ProtocolPipeline
-from repro.protocol.plan import ProtocolPlan, check_contribution_cap, check_protocol
+from repro.protocol.plan import (
+    ProtocolPlan,
+    check_contribution_cap,
+    check_protocol,
+    intersection_output_domain,
+)
 from repro.utils.discretization import BucketGrid
 from repro.utils.profiling import profiled_stage, stage
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import check_integer, check_positive
 
 MechanismFactory = Callable[[float], NumericalMechanism]
-EstimatorName = Literal["emf", "emf_star", "cemf_star"]
 
 
 @dataclass
@@ -142,11 +144,7 @@ class DAPConfig:
                 f"epsilon_min ({self.epsilon_min:g}) must not exceed epsilon "
                 f"({self.epsilon:g})"
             )
-        if self.estimator not in ("emf", "emf_star", "cemf_star"):
-            raise ValueError(
-                f"estimator must be 'emf', 'emf_star' or 'cemf_star', got "
-                f"{self.estimator!r}"
-            )
+        check_estimator(self.estimator)
         if self.intra_group_mean not in ("corrected_sum", "distribution"):
             raise ValueError(
                 "intra_group_mean must be 'corrected_sum' or 'distribution', got "
@@ -155,15 +153,6 @@ class DAPConfig:
         check_integer(self.max_reports_per_user, "max_reports_per_user", minimum=1)
         check_protocol(self.protocol)
         check_contribution_cap(self.contribution_cap)
-
-    @property
-    def protocol_plan(self) -> ProtocolPlan:
-        """The pipeline contract this configuration lowers to."""
-        return ProtocolPlan(
-            protocol=self.protocol,
-            contribution_cap=self.contribution_cap,
-            shuffle_seed=self.shuffle_seed,
-        )
 
     @property
     def budget_ladder(self) -> List[float]:
@@ -250,21 +239,6 @@ class DAPResult:
         return np.array([g.weight for g in self.group_estimates])
 
 
-def _client_poison(
-    attack: Attack,
-    mechanism_view: NumericalMechanism,
-    n_reports: int,
-    reference_mean: float,
-    rng: RngLike,
-) -> np.ndarray:
-    """Client stage, compromised users: draw poison against a mechanism view.
-
-    ``mechanism_view`` is the group's own mechanism under the local
-    protocol, or the group-blind domain-intersection view under shuffle.
-    """
-    return attack.poison_reports(n_reports, mechanism_view, reference_mean, rng).reports
-
-
 class DAPProtocol:
     """The multi-group Differential Aggregation Protocol."""
 
@@ -275,17 +249,15 @@ class DAPProtocol:
         }
 
     # ------------------------------------------------------------------
-    # protocol pipeline (client → transport → server contract)
+    # trust model
     # ------------------------------------------------------------------
     @property
     def plan(self) -> ProtocolPlan:
         """The protocol contract, derived lazily from the (mutable) config."""
-        return self.config.protocol_plan
-
-    @property
-    def pipeline(self) -> ProtocolPipeline:
-        """Stage helpers for the configured protocol (cheap to build)."""
-        return ProtocolPipeline(self.plan)
+        config = self.config
+        return ProtocolPlan(
+            config.protocol, config.contribution_cap, config.shuffle_seed
+        )
 
     def adversary_mechanism(self, epsilon: float) -> NumericalMechanism:
         """The mechanism view the attack stage sees for one budget group.
@@ -294,9 +266,7 @@ class DAPProtocol:
         group-blind :class:`~repro.ldp.base.DomainRestrictedMechanism` over
         the ladder-wide output-domain intersection.
         """
-        return self.pipeline.adversary_view(
-            self.mechanism_for(epsilon), self._mechanisms
-        )
+        return self.plan.adversary_view(self.mechanism_for(epsilon), self._mechanisms)
 
     def contribution_summary(self, n_total: int) -> int:
         """Reports the contribution cap drops for ``n_total`` users.
@@ -304,7 +274,7 @@ class DAPProtocol:
         Deterministic without simulating: group head-counts are fixed by
         the nearly-equal split and per-user multiplicities by the ladder.
         """
-        return self.pipeline.skipped_reports(
+        return self.plan.skipped_reports(
             self.group_sizes(n_total),
             [self._uncapped_reports_per_user(eps) for eps in self.config.budget_ladder],
         )
@@ -575,7 +545,7 @@ class DAPProtocol:
             gamma_hat=gamma_global,
             group_estimates=estimates,
             features=features,
-            amplification=self.pipeline.ledger(
+            amplification=self.plan.ledger(
                 [group.epsilon for group in stats],
                 [group.n_reports for group in stats],
             ),
@@ -866,13 +836,9 @@ class _DAPGroup:
 
     def poison(self, n_users: int, rng: np.random.Generator) -> np.ndarray:
         view = self.protocol.adversary_mechanism(self.epsilon)
-        return _client_poison(
-            self.attack,
-            view,
-            n_users * self.repeats,
-            self.protocol._reference_mean(view),
-            rng,
-        )
+        return self.attack.poison_reports(
+            n_users * self.repeats, view, self.protocol._reference_mean(view), rng
+        ).reports
 
 
 __all__ = [

@@ -23,23 +23,35 @@ Figure 9(c)(d) evaluates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Literal, Sequence
+from typing import List, Literal, Sequence, get_args
 
 import numpy as np
 
 from repro.collect.accumulators import CategoryCountAccumulator
 from repro.collect.round import category_inputs, collect_shard, collection_round
 from repro.collect.sharding import DEFAULT_SHARD_BLOCK, run_shard_tasks
+from repro.core.cemf_star import suppression_mask
 from repro.ldp.ems import em_reconstruct, em_reconstruct_batch
 from repro.ldp.base import CategoricalMechanism
 from repro.ldp.krr import KRandomizedResponse
-from repro.protocol.pipeline import ProtocolPipeline
 from repro.protocol.plan import ProtocolPlan
 from repro.utils.profiling import profiled_stage, stage
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import check_integer, check_positive
 
+#: the reconstruction family every DAP route offers: plain EMF, the
+#: gamma-constrained EMF* and CEMF* (EMF* after low-mass suppression)
 EstimatorName = Literal["emf", "emf_star", "cemf_star"]
+
+
+def check_estimator(name: str) -> str:
+    """Validate an estimator name, returning it unchanged."""
+    if name not in get_args(EstimatorName):
+        raise ValueError(
+            f"estimator must be 'emf', 'emf_star' or 'cemf_star', got {name!r}"
+        )
+    return name
+
 
 #: Domains past this size make the dense route pathological: the probe's
 #: ``k x k`` transform alone is ``8 k^2`` bytes (0.5 GiB at 8192) and the
@@ -89,7 +101,131 @@ class FrequencyDAPResult:
     amplification: List[dict] | None = None
 
 
-class FrequencyDAP:
+# ----------------------------------------------------------------------
+# the categorical client of the collection round (module-level, so tasks
+# pickle)
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class _CategoryClient:
+    """What a k-RR round adds to :mod:`repro.collect.round`.
+
+    One group, one report per user: honest users report through
+    ``mechanism``, Byzantine users one of ``targets``, uniformly at random.
+    """
+
+    plan: ProtocolPlan
+    mechanism: CategoricalMechanism
+    targets: np.ndarray
+
+    streams_leaves = False
+    assign = None
+
+    @property
+    def repeats(self) -> int:
+        """One report per user, unless the contribution cap drops it."""
+        return self.plan.effective_repeats(1)
+
+    def group(self, index: int, n_normal: int, n_byzantine: int) -> "_CategoryClient":
+        return self
+
+    def accumulator(self, n_users: int) -> CategoryCountAccumulator:
+        return CategoryCountAccumulator(self.mechanism.n_categories)
+
+    def poison(self, n_users: int, rng: np.random.Generator) -> np.ndarray:
+        return self.targets[rng.integers(0, self.targets.size, size=n_users)]
+
+
+class CategoricalDAP:
+    """What the k-RR and the sketch frequency routes share.
+
+    One budget group, one report per user: the shared constructor checks,
+    the protocol plan, the collection round (each route names its client
+    and passes its own module's ``run_shard_tasks``), the contribution
+    tally and the end-to-end :meth:`run`.  Subclasses build ``mechanism``
+    and define ``collect_sharded`` and ``estimate_from_counts``.
+    """
+
+    #: the route's client of :mod:`repro.collect.round`
+    client_type: type
+
+    def __init__(
+        self,
+        epsilon: float,
+        n_categories: int,
+        estimator: EstimatorName,
+        min_likelihood_gain: float,
+        protocol: str,
+        contribution_cap: int | None,
+        shuffle_seed: int,
+    ) -> None:
+        self.epsilon = check_positive(epsilon, "epsilon")
+        self.n_categories = check_integer(n_categories, "n_categories", minimum=2)
+        self.estimator = check_estimator(estimator)
+        self.min_likelihood_gain = check_positive(
+            min_likelihood_gain, "min_likelihood_gain"
+        )
+        # one budget group, so the shuffle protocol leaves the adversary's
+        # reach unchanged (poison is already category-targeted); what
+        # shuffling adds here is the amplification ledger and the transport
+        # mixing (statistics-invariant)
+        self.plan = ProtocolPlan(
+            protocol=protocol,
+            contribution_cap=contribution_cap,
+            shuffle_seed=shuffle_seed,
+        )
+
+    def contribution_summary(self, n_total: int) -> int:
+        """Reports the contribution cap drops for ``n_total`` users."""
+        return self.plan.skipped_reports([int(n_total)], [1])
+
+    def _collect(
+        self,
+        run_tasks,
+        normal_categories: np.ndarray,
+        poisoned_categories: Sequence[int],
+        n_byzantine: int,
+        rng: RngLike,
+        n_shards: int,
+        n_workers: int | None,
+        block_size: int,
+    ):
+        """The body of ``collect_sharded``: one collection round, its shard
+        tasks run by ``run_tasks`` and merged into one accumulator."""
+        rng = ensure_rng(rng)
+        normal_categories, targets, n_byzantine = category_inputs(
+            self.mechanism, normal_categories, poisoned_categories, n_byzantine
+        )
+        client = self.client_type(self.plan, self.mechanism, targets)
+        if not client.repeats:
+            return client.accumulator(0)
+        with collection_round(
+            client, normal_categories, n_byzantine, rng, n_shards, n_workers, block_size
+        ) as shards:
+            states = run_tasks(
+                collect_shard, shards.tasks, shards.n_workers, pickle_probe=client
+            )
+        return shards.merge(states)[0]
+
+    def run(
+        self,
+        normal_categories: np.ndarray,
+        poisoned_categories: Sequence[int] = (),
+        n_byzantine: int = 0,
+        rng: RngLike = None,
+    ):
+        """Simulate one round end to end: ``collect_sharded`` (one shard)
+        followed by ``estimate_from_counts``."""
+        counts = self.collect_sharded(
+            normal_categories, poisoned_categories, n_byzantine, rng
+        )
+        result = self.estimate_from_counts(counts)
+        result.skipped_reports = self.contribution_summary(
+            int(np.asarray(normal_categories).size) + int(n_byzantine)
+        )
+        return result
+
+
+class FrequencyDAP(CategoricalDAP):
     """Collusion-robust frequency estimation on top of k-RR.
 
     Parameters
@@ -109,6 +245,8 @@ class FrequencyDAP:
         Greedy-probe stopping threshold on the per-step log-likelihood gain.
     """
 
+    client_type = _CategoryClient
+
     def __init__(
         self,
         epsilon: float,
@@ -120,8 +258,15 @@ class FrequencyDAP:
         contribution_cap: int | None = None,
         shuffle_seed: int = 0,
     ) -> None:
-        self.epsilon = check_positive(epsilon, "epsilon")
-        self.n_categories = check_integer(n_categories, "n_categories", minimum=2)
+        super().__init__(
+            epsilon,
+            n_categories,
+            estimator,
+            min_likelihood_gain,
+            protocol,
+            contribution_cap,
+            shuffle_seed,
+        )
         if self.n_categories > DENSE_MAX_CATEGORIES:
             transform_gib = 8.0 * float(self.n_categories) ** 2 / 2**30
             raise ValueError(
@@ -131,23 +276,8 @@ class FrequencyDAP:
                 f"route (SketchFrequencyDAP / mechanism 'count-sketch') for "
                 f"high-cardinality domains"
             )
-        if estimator not in ("emf", "emf_star", "cemf_star"):
-            raise ValueError(
-                f"estimator must be 'emf', 'emf_star' or 'cemf_star', got {estimator!r}"
-            )
-        self.estimator = estimator
         self.max_poisoned = (
             max(1, n_categories // 2) if max_poisoned is None else int(max_poisoned)
-        )
-        self.min_likelihood_gain = check_positive(min_likelihood_gain, "min_likelihood_gain")
-        # the frequency route has a single budget group, so the shuffle
-        # protocol leaves the adversary's reach unchanged (poison is already
-        # category-targeted); what shuffling adds here is the amplification
-        # ledger and the transport mixing (statistics-invariant)
-        self.protocol_plan = ProtocolPlan(
-            protocol=protocol,
-            contribution_cap=contribution_cap,
-            shuffle_seed=shuffle_seed,
         )
         self.mechanism = KRandomizedResponse(epsilon, n_categories)
         # transform caches: the k x k normal block never changes for a given
@@ -155,18 +285,6 @@ class FrequencyDAP:
         # the gamma-constrained re-solve) reuse the identical stacked matrix
         self._normal_block: np.ndarray | None = None
         self._transform_cache: tuple[tuple[int, ...], np.ndarray] | None = None
-
-    # ------------------------------------------------------------------
-    # protocol pipeline
-    # ------------------------------------------------------------------
-    @property
-    def pipeline(self) -> ProtocolPipeline:
-        """Stage helpers for the configured protocol (cheap to build)."""
-        return ProtocolPipeline(self.protocol_plan)
-
-    def contribution_summary(self, n_total: int) -> int:
-        """Reports the contribution cap drops for ``n_total`` users."""
-        return self.pipeline.skipped_reports([int(n_total)], [1])
 
     # ------------------------------------------------------------------
     # client-side simulation helpers
@@ -196,25 +314,16 @@ class FrequencyDAP:
         merged counts are bit-identical at any ``n_shards`` / ``n_workers``.
         Feed the result to :meth:`estimate_from_counts`.
         """
-        rng = ensure_rng(rng)
-        normal_categories, targets, n_byzantine = category_inputs(
-            self.mechanism, normal_categories, poisoned_categories, n_byzantine
+        return self._collect(
+            run_shard_tasks,
+            normal_categories,
+            poisoned_categories,
+            n_byzantine,
+            rng,
+            n_shards,
+            n_workers,
+            block_size,
         )
-        if n_byzantine and (targets.min() < 0 or targets.max() >= self.n_categories):
-            raise ValueError(
-                f"poisoned_categories must lie in [0, {self.n_categories}), got "
-                f"{sorted(set(targets.tolist()))}"
-            )
-        client = _CategoryClient(self.protocol_plan, self.mechanism, targets)
-        if not client.repeats:
-            return client.accumulator(0)
-        with collection_round(
-            client, normal_categories, n_byzantine, rng, n_shards, n_workers, block_size
-        ) as shards:
-            states = run_shard_tasks(
-                collect_shard, shards.tasks, shards.n_workers, pickle_probe=client
-            )
-        return shards.merge(states)[0]
 
     # ------------------------------------------------------------------
     # collector side
@@ -414,16 +523,16 @@ class FrequencyDAP:
             if self.estimator == "emf" or not poison_set:
                 weights = emf.weights
             else:
-                if self.estimator == "cemf_star" and poison_set:
+                if self.estimator == "cemf_star":
                     # suppress candidate poison columns with almost no mass
-                    poison_mass = emf.weights[self.n_categories:]
-                    threshold = 0.5 * gamma_hat / max(1, len(poison_set))
-                    kept = [
+                    suppressed = suppression_mask(
+                        emf.weights[self.n_categories:], gamma_hat
+                    )
+                    poison_set = [
                         category
-                        for category, mass in zip(poison_set, poison_mass)
-                        if mass >= threshold
+                        for category, drop in zip(poison_set, suppressed)
+                        if not drop
                     ]
-                    poison_set = kept or poison_set
                 weights = self._reconstruct(
                     counts, poison_set, gamma_hat=gamma_hat
                 ).weights
@@ -438,66 +547,16 @@ class FrequencyDAP:
             poisoned_categories=list(poison_set),
             gamma_hat=gamma_hat,
             log_likelihood_gains=gains,
-            amplification=self.pipeline.ledger([self.epsilon], [int(counts.sum())]),
+            amplification=self.plan.ledger([self.epsilon], [int(counts.sum())]),
         )
-
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        normal_categories: np.ndarray,
-        poisoned_categories: Sequence[int] = (),
-        n_byzantine: int = 0,
-        rng: RngLike = None,
-    ) -> FrequencyDAPResult:
-        """Simulate one round end to end: :meth:`collect_sharded` (one shard)
-        followed by :meth:`estimate_from_counts`."""
-        counts = self.collect_sharded(
-            normal_categories, poisoned_categories, n_byzantine, rng
-        )
-        result = self.estimate_from_counts(counts)
-        result.skipped_reports = self.contribution_summary(
-            int(np.asarray(normal_categories).size) + int(n_byzantine)
-        )
-        return result
-
-
-# ----------------------------------------------------------------------
-# the categorical client of the collection round (module-level, so tasks
-# pickle)
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class _CategoryClient:
-    """What a k-RR round adds to :mod:`repro.collect.round`.
-
-    One group, one report per user: honest users report through
-    ``mechanism``, Byzantine users one of ``targets``, uniformly at random.
-    """
-
-    plan: ProtocolPlan
-    mechanism: CategoricalMechanism
-    targets: np.ndarray
-
-    streams_leaves = False
-    assign = None
-
-    @property
-    def repeats(self) -> int:
-        """One report per user, unless the contribution cap drops it."""
-        return self.plan.effective_repeats(1)
-
-    def group(self, index: int, n_normal: int, n_byzantine: int) -> "_CategoryClient":
-        return self
-
-    def accumulator(self, n_users: int) -> CategoryCountAccumulator:
-        return CategoryCountAccumulator(self.mechanism.n_categories)
-
-    def poison(self, n_users: int, rng: np.random.Generator) -> np.ndarray:
-        return self.targets[rng.integers(0, self.targets.size, size=n_users)]
 
 
 __all__ = [
+    "CategoricalDAP",
     "DENSE_MAX_CATEGORIES",
+    "EstimatorName",
     "FrequencyDAP",
     "FrequencyDAPResult",
+    "check_estimator",
     "ostrich_frequencies",
 ]

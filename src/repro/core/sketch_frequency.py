@@ -66,12 +66,10 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.collect.accumulators import SketchAccumulator
-from repro.collect.round import category_inputs, collect_shard, collection_round
 from repro.collect.sharding import DEFAULT_SHARD_BLOCK, run_shard_tasks
-from repro.core.frequency import EstimatorName, _CategoryClient
+from repro.core.cemf_star import suppression_mask
+from repro.core.frequency import CategoricalDAP, EstimatorName, _CategoryClient
 from repro.ldp.count_sketch import CountSketch
-from repro.protocol.pipeline import ProtocolPipeline
-from repro.protocol.plan import ProtocolPlan
 from repro.ldp.ems import (
     EMResult,
     em_reconstruct,
@@ -81,7 +79,7 @@ from repro.ldp.ems import (
     em_reconstruct_batch,  # noqa: F401
 )
 from repro.utils.profiling import profiled_stage, stage
-from repro.utils.rng import RngLike, ensure_rng
+from repro.utils.rng import RngLike
 from repro.utils.validation import check_integer, check_positive
 
 #: sigmas of privacy noise a candidate's row-minimum decode must clear to
@@ -203,7 +201,22 @@ class _ProbeState:
         )
 
 
-class SketchFrequencyDAP:
+# ----------------------------------------------------------------------
+# the sketch client of the collection round (module-level, so tasks pickle)
+# ----------------------------------------------------------------------
+class _SketchClient(_CategoryClient):
+    """The sketch round's client: sketch counts, and poison from
+    :meth:`~repro.ldp.count_sketch.CountSketch.target_reports`."""
+
+    def accumulator(self, n_users: int) -> SketchAccumulator:
+        mechanism = self.mechanism
+        return SketchAccumulator(mechanism.sketch_rows, mechanism.sketch_width)
+
+    def poison(self, n_users: int, rng: np.random.Generator) -> np.ndarray:
+        return self.mechanism.target_reports(self.targets, rng, size=n_users)
+
+
+class SketchFrequencyDAP(CategoricalDAP):
     """Collusion-robust heavy-hitter frequency estimation on a count sketch.
 
     Parameters
@@ -232,6 +245,8 @@ class SketchFrequencyDAP:
         decode (and clears the absolute privacy-noise floor).
     """
 
+    client_type = _SketchClient
+
     def __init__(
         self,
         epsilon: float,
@@ -247,13 +262,15 @@ class SketchFrequencyDAP:
         contribution_cap: int | None = None,
         shuffle_seed: int = 0,
     ) -> None:
-        self.epsilon = check_positive(epsilon, "epsilon")
-        self.n_categories = check_integer(n_categories, "n_categories", minimum=2)
-        if estimator not in ("emf", "emf_star", "cemf_star"):
-            raise ValueError(
-                f"estimator must be 'emf', 'emf_star' or 'cemf_star', got {estimator!r}"
-            )
-        self.estimator = estimator
+        super().__init__(
+            epsilon,
+            n_categories,
+            estimator,
+            min_likelihood_gain,
+            protocol,
+            contribution_cap,
+            shuffle_seed,
+        )
         self.n_heavy_hitters = min(
             check_integer(n_heavy_hitters, "n_heavy_hitters", minimum=1),
             self.n_categories,
@@ -263,9 +280,6 @@ class SketchFrequencyDAP:
             if max_poisoned is None
             else int(max_poisoned)
         )
-        self.min_likelihood_gain = check_positive(
-            min_likelihood_gain, "min_likelihood_gain"
-        )
         self.flag_relative_cut = check_positive(
             flag_relative_cut, "flag_relative_cut"
         )
@@ -273,30 +287,11 @@ class SketchFrequencyDAP:
             raise ValueError(
                 f"flag_relative_cut must be in (0, 1], got {flag_relative_cut!r}"
             )
-        # single budget group: shuffling adds the amplification ledger and
-        # the (statistics-invariant) transport mixing, as in FrequencyDAP
-        self.protocol_plan = ProtocolPlan(
-            protocol=protocol,
-            contribution_cap=contribution_cap,
-            shuffle_seed=shuffle_seed,
-        )
         self.mechanism = CountSketch(
             epsilon, n_categories, sketch_rows=sketch_rows, sketch_width=sketch_width
         )
         self.sketch_rows = self.mechanism.sketch_rows
         self.sketch_width = self.mechanism.sketch_width
-
-    # ------------------------------------------------------------------
-    # protocol pipeline
-    # ------------------------------------------------------------------
-    @property
-    def pipeline(self) -> ProtocolPipeline:
-        """Stage helpers for the configured protocol (cheap to build)."""
-        return ProtocolPipeline(self.protocol_plan)
-
-    def contribution_summary(self, n_total: int) -> int:
-        """Reports the contribution cap drops for ``n_total`` users."""
-        return self.pipeline.skipped_reports([int(n_total)], [1])
 
     # ------------------------------------------------------------------
     # client-side simulation helpers
@@ -321,22 +316,18 @@ class SketchFrequencyDAP:
         seeds, shards folded with ``merge()`` — the merged sketch counts are
         bit-identical at any ``n_shards`` / ``n_workers``.
         """
-        rng = ensure_rng(rng)
-        normal_categories, targets, n_byzantine = category_inputs(
-            self.mechanism, normal_categories, poisoned_categories, n_byzantine
+        # the benchmark tracer rebinds this method and this module's
+        # run_shard_tasks by name, so both stay here
+        return self._collect(
+            run_shard_tasks,
+            normal_categories,
+            poisoned_categories,
+            n_byzantine,
+            rng,
+            n_shards,
+            n_workers,
+            block_size,
         )
-        if n_byzantine:
-            self.mechanism.check_categories(targets)
-        client = _SketchClient(self.protocol_plan, self.mechanism, targets)
-        if not client.repeats:
-            return client.accumulator(0)
-        with collection_round(
-            client, normal_categories, n_byzantine, rng, n_shards, n_workers, block_size
-        ) as shards:
-            states = run_shard_tasks(
-                collect_shard, shards.tasks, shards.n_workers, pickle_probe=client
-            )
-        return shards.merge(states)[0]
 
     # ------------------------------------------------------------------
     # collector side
@@ -827,13 +818,8 @@ class SketchFrequencyDAP:
                 initial = emf.weights
                 if self.estimator == "cemf_star":
                     poison_mass = emf.weights[n_dense:]
-                    threshold = 0.5 * gamma_hat / max(1, len(positions))
-                    keep = [
-                        index
-                        for index, mass in enumerate(poison_mass)
-                        if mass >= threshold
-                    ]
-                    if keep and len(keep) < len(positions):
+                    keep = np.flatnonzero(~suppression_mask(poison_mass, gamma_hat))
+                    if keep.size < len(positions):
                         positions = [positions[index] for index in keep]
                         initial = np.concatenate(
                             [emf.weights[:n_dense], poison_mass[keep]]
@@ -868,29 +854,8 @@ class SketchFrequencyDAP:
             refit_converged=bool(emf.converged),
             mechanism=self.mechanism,
             sketch_counts=counts,
-            amplification=self.pipeline.ledger(
-                [self.epsilon], [int(counts.sum())]
-            ),
+            amplification=self.plan.ledger([self.epsilon], [int(counts.sum())]),
         )
-
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        normal_categories: np.ndarray,
-        poisoned_categories: Sequence[int] = (),
-        n_byzantine: int = 0,
-        rng: RngLike = None,
-    ) -> SketchFrequencyDAPResult:
-        """Simulate one round end to end: :meth:`collect_sharded` (one shard)
-        followed by :meth:`estimate_from_counts`."""
-        counts = self.collect_sharded(
-            normal_categories, poisoned_categories, n_byzantine, rng
-        )
-        result = self.estimate_from_counts(counts)
-        result.skipped_reports = self.contribution_summary(
-            int(np.asarray(normal_categories).size) + int(n_byzantine)
-        )
-        return result
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -899,21 +864,6 @@ class SketchFrequencyDAP:
             f"rows={self.sketch_rows}, width={self.sketch_width}, "
             f"estimator={self.estimator!r})"
         )
-
-
-# ----------------------------------------------------------------------
-# the sketch client of the collection round (module-level, so tasks pickle)
-# ----------------------------------------------------------------------
-class _SketchClient(_CategoryClient):
-    """The sketch round's client: sketch counts, and poison from
-    :meth:`~repro.ldp.count_sketch.CountSketch.target_reports`."""
-
-    def accumulator(self, n_users: int) -> SketchAccumulator:
-        mechanism = self.mechanism
-        return SketchAccumulator(mechanism.sketch_rows, mechanism.sketch_width)
-
-    def poison(self, n_users: int, rng: np.random.Generator) -> np.ndarray:
-        return self.mechanism.target_reports(self.targets, rng, size=n_users)
 
 
 __all__ = ["SketchFrequencyDAP", "SketchFrequencyDAPResult"]

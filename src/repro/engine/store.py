@@ -34,7 +34,6 @@ import dataclasses
 import importlib
 import json
 import os
-import tempfile
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Sequence
 
@@ -42,6 +41,7 @@ import numpy as np
 
 from repro import knobs
 from repro.engine.spec import Unit
+from repro.utils.durable import write_json
 
 FORMAT = "repro.engine.run/v2"
 
@@ -148,10 +148,9 @@ def save_run(
     """Write the finished ``units`` (unit key -> its records) atomically and
     durably.
 
-    Same discipline as the service checkpoints: serialise to a temp file in
-    the destination directory, fsync it, then ``os.replace`` over the final
-    path — a crash or kill at any instant leaves either the previous artifact
-    or the new one, never a torn file.  A record that is not a dataclass
+    Same discipline as the service checkpoints
+    (:func:`repro.utils.durable.write_json`): a crash or kill at any instant
+    leaves either the previous artifact or the new one, never a torn file.  A record that is not a dataclass
     defined under ``repro``, or records of two classes, raise ``TypeError``.
     A pending ``artifact-write`` fault in the active plan fails the call
     (before any file is touched) with an ``OSError``, exercising the
@@ -181,20 +180,7 @@ def save_run(
         "record_class": record_class,
         "columns": columns,
     }
-    path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            json.dump(payload, handle, indent=1)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
+    write_json(path, payload, indent=1)
 
 
 def load_run(path: str | os.PathLike) -> RunArtifact:

@@ -31,11 +31,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 import warnings
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.resilience import stats
+from repro.utils.durable import write_json
 
 #: bump when the checkpoint layout changes incompatibly
 CHECKPOINT_VERSION = 1
@@ -61,23 +61,7 @@ def write_checkpoint(path: str, payload: Mapping[str, Any]) -> None:
     """Atomically write a checkpoint payload (checksum-stamped) to ``path``."""
     payload = dict(payload)
     payload["checksum"] = payload_checksum(payload)
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    descriptor, tmp_path = tempfile.mkstemp(
-        prefix=os.path.basename(path) + ".", suffix=".tmp", dir=directory
-    )
-    try:
-        with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
+    write_json(path, payload)
 
 
 def load_checkpoint(path: str, expected_digest: str | None = None) -> Dict[str, Any]:

@@ -45,7 +45,7 @@ class Scheme(abc.ABC):
         """Set the collection trust model (identity knob), where it applies.
 
         The DAP variants override this to lower their collection round to
-        the requested :mod:`repro.protocol` pipeline (``"local"`` /
+        the requested :mod:`repro.protocol` trust model (``"local"`` /
         ``"shuffle"``); schemes without a budget ladder (the single-round
         defences, the two-budget baseline with its fixed public split)
         validate the name and ignore it — shuffling cannot blind their

@@ -3,7 +3,7 @@
 A collection round never materialises its reports, so tests that need raw
 report arrays (chunk invariance, output-domain checks) draw them directly
 from the same client-stage kernels the shard workers run:
-:func:`repro.collect.round._client_perturb` and :func:`repro.core.dap._client_poison`.
+:func:`repro.collect.round._client_perturb` and the attack's ``poison_reports``.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Iterator, List
 import numpy as np
 
 from repro.collect.round import _client_perturb
-from repro.core.dap import DAPProtocol, _client_poison
+from repro.core.dap import DAPProtocol
 
 
 @dataclass
@@ -59,9 +59,9 @@ def group_reports(
         view = protocol.adversary_mechanism(epsilon)
         pieces = [
             _client_perturb(protocol.mechanism_for(epsilon), group_values, repeats, rng),
-            _client_poison(
-                attack, view, n_byz * repeats, protocol._reference_mean(view), rng
-            ),
+            attack.poison_reports(
+                n_byz * repeats, view, protocol._reference_mean(view), rng
+            ).reports,
         ]
         groups.append(
             GroupReports(epsilon, np.concatenate(pieces), group_values.size + n_byz)

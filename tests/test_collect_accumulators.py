@@ -14,7 +14,6 @@ from repro.collect import (
     SumCount,
 )
 from repro.collect.round import _client_perturb
-from repro.core.dap import _client_poison
 from repro.ldp import PiecewiseMechanism
 from repro.utils.discretization import BucketGrid
 from tests.client_reports import chunk_array
@@ -250,7 +249,7 @@ class TestClientStage:
     def test_poison_draws_the_requested_reports_inside_the_view(self):
         attack = BiasedByzantineAttack(PoisonRange.of_c(0.5, 1.0))
         mech = PiecewiseMechanism(1.0)
-        poison = _client_poison(attack, mech, 1_003, 0.0, np.random.default_rng(0))
+        poison = attack.poison_reports(1_003, mech, 0.0, np.random.default_rng(0)).reports
         assert poison.size == 1_003
         low, high = mech.output_domain
         assert poison.min() >= low - 1e-9 and poison.max() <= high + 1e-9

@@ -26,6 +26,7 @@ from repro.collect import round as collect_round
 from repro.collect.round import LEAF_REPORTS
 from repro.core.dap import DAPConfig, DAPProtocol
 from repro.ldp import HybridMechanism, PiecewiseMechanism, SquareWaveMechanism
+from repro.protocol import ProtocolPlan
 from repro.utils.discretization import BucketGrid
 
 REPORT_COUNTS = (
@@ -53,7 +54,7 @@ def _draw(mechanism, values, repeats, seed):
     """A local-protocol block's report slices, drawn from one seeded generator."""
     return functools.partial(
         collect_round._draw_normal,
-        DAPProtocol(DAPConfig(1.0)).pipeline,
+        ProtocolPlan(),
         mechanism,
         values,
         repeats,

@@ -1,11 +1,12 @@
-"""Tests for the protocol pipeline (``repro.protocol``).
+"""Tests for the protocol contract (``repro.protocol``).
 
-The contract under test, layer by layer:
+The contract under test, rule by rule:
 
 * plan — name validation with the registry-style name-listing ``KeyError``,
   the contribution-cap gate arithmetic;
-* transport — the shuffler is a seeded per-lane permutation that never
-  consumes the round's main RNG stream;
+* transport — ``ProtocolPlan.deliver`` passes local lanes through and
+  shuffles each shuffle lane with a seeded permutation that never consumes
+  the round's main RNG stream;
 * client — the shuffle model hands attacks a group-blind
   ``DomainRestrictedMechanism`` over the ladder's domain intersection;
 * server — the amplification ledger maps local to central epsilons with
@@ -36,10 +37,7 @@ from repro.core.sketch_frequency import SketchFrequencyDAP
 from repro.ldp import DomainRestrictedMechanism, PiecewiseMechanism
 from repro.protocol import (
     PROTOCOL_NAMES,
-    IdentityTransport,
-    ProtocolPipeline,
     ProtocolPlan,
-    Shuffler,
     amplification_ledger,
     amplified_epsilon,
     check_contribution_cap,
@@ -47,6 +45,7 @@ from repro.protocol import (
     intersection_output_domain,
     ledger_summary,
 )
+from repro.protocol.plan import SHUFFLER_NAMESPACE
 from repro.registry import PROTOCOLS
 
 
@@ -82,42 +81,51 @@ class TestProtocolPlan:
             ProtocolPlan(contribution_cap=-2)
 
 
+SHUFFLE = ProtocolPlan(protocol="shuffle")
+
+
 class TestTransport:
     def test_identity_passes_through_same_object(self):
         reports = np.arange(5.0)
-        assert IdentityTransport().deliver(reports, (0, 5)) is reports
+        assert ProtocolPlan().deliver(reports, (0, 5)) is reports
 
     def test_shuffler_is_a_permutation(self):
         reports = np.arange(100.0)
-        shuffled = Shuffler().deliver(reports, (0, 100))
+        shuffled = SHUFFLE.deliver(reports, (0, 100))
         assert not np.array_equal(shuffled, reports)
         assert np.array_equal(np.sort(shuffled), reports)
 
     def test_shuffler_deterministic_per_seed_and_lane(self):
         reports = np.arange(50.0)
-        a = Shuffler(shuffle_seed=4).deliver(reports, (1, 50))
-        b = Shuffler(shuffle_seed=4).deliver(reports, (1, 50))
-        c = Shuffler(shuffle_seed=5).deliver(reports, (1, 50))
-        d = Shuffler(shuffle_seed=4).deliver(reports, (2, 50))
+        seed4 = ProtocolPlan(protocol="shuffle", shuffle_seed=4)
+        seed5 = ProtocolPlan(protocol="shuffle", shuffle_seed=5)
+        a = seed4.deliver(reports, (1, 50))
+        b = seed4.deliver(reports, (1, 50))
+        c = seed5.deliver(reports, (1, 50))
+        d = seed4.deliver(reports, (2, 50))
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
         assert not np.array_equal(a, d)
+        # the lane's permutation is SeedSequence([namespace, seed, *lane])
+        lane = np.random.SeedSequence([SHUFFLER_NAMESPACE, 4, 1, 50])
+        order = np.random.default_rng(lane).permutation(50)
+        assert np.array_equal(a, reports[order])
 
     def test_tiny_lanes_pass_through(self):
         one = np.array([3.5])
-        assert Shuffler().deliver(one, (0, 1)) is one
+        assert SHUFFLE.deliver(one, (0, 1)) is one
         empty = np.empty(0)
-        assert Shuffler().deliver(empty, (0, 0)) is empty
+        assert SHUFFLE.deliver(empty, (0, 0)) is empty
 
     def test_shuffler_never_consumes_main_rng(self):
         rng = np.random.default_rng(0)
         before = rng.bit_generator.state["state"].copy()
-        Shuffler().deliver(np.arange(64.0), (0, 64))
+        SHUFFLE.deliver(np.arange(64.0), (0, 64))
         assert rng.bit_generator.state["state"] == before
 
     def test_shuffles_rows_of_2d_reports(self):
         rows = np.arange(20).reshape(10, 2)
-        shuffled = Shuffler().deliver(rows, (0, 10))
+        shuffled = SHUFFLE.deliver(rows, (0, 10))
         assert shuffled.shape == rows.shape
         assert sorted(map(tuple, shuffled)) == sorted(map(tuple, rows))
 

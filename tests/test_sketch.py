@@ -623,7 +623,7 @@ class TestCellTableCache:
         """The table lives in the process memo, not on the mechanism the
         sketch client pickles into every pooled shard task."""
         dap = SketchFrequencyDAP(1.0, 200_000, sketch_rows=4, sketch_width=1024)
-        client = _SketchClient(dap.protocol_plan, dap.mechanism, np.array([5, 7]))
+        client = _SketchClient(dap.plan, dap.mechanism, np.array([5, 7]))
         before = len(pickle.dumps(client))
         counts = np.random.default_rng(1).integers(0, 50, size=(4, 1024))
         dap.mechanism.estimate_all(counts, reduce="min")
