@@ -8,11 +8,13 @@ configuration.
 
 The JSON payload is one ``results`` list of ``{mode, n_users, ok,
 wall_time_s, peak_rss_mb, profile, collect_workers, ...}`` rows (``mode``
-is ``sharded-<workers>``).  ``profile`` maps each stage timed in the
-parent process to its seconds: ``population.build`` (``build_population``),
-``collect`` (group assignment, shard dispatch and merge), ``probe`` and
-``aggregate``.  The ``collect.*`` sub-timers run where the shards run, so
-they appear only at one worker; pool workers keep theirs.
+is ``sharded-<workers>``).  ``profile`` maps each stage to its seconds:
+``population.build`` (``build_population``), ``collect`` (group assignment,
+shard dispatch and merge), its ``collect.*`` sub-timers, ``probe`` and
+``aggregate``.  The sub-timers run where the shards run and come home with
+each shard's result, so at ``k`` workers they sum the seconds of ``k``
+processes and are bounded by ``k x collect``, not by ``collect``.  The
+payload's ``host`` block names the machine the rows were measured on.
 
 Every measurement runs in a fresh subprocess under an address-space cap
 (``--mem-limit-gb``, default 4 GiB): a round holds the raw values (~80 MiB
@@ -30,6 +32,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import resource
 import subprocess
 import sys
@@ -53,6 +57,30 @@ def _peak_rss_mb() -> float:
 def _peak_rss_children_mb() -> float:
     """Peak resident set size over reaped child processes in MiB."""
     return resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
+
+
+def _host() -> dict:
+    """The machine the rows are measured on: CPU, cores, Python, numpy, BLAS."""
+    import numpy as np
+
+    cpu = platform.processor()
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as handle:
+            cpu = next(
+                (line.split(":", 1)[1].strip() for line in handle
+                 if line.startswith("model name")),
+                cpu,
+            )
+    except OSError:
+        pass
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "cpu": cpu,
+        "cpus": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+    }
 
 
 def run_single(mode: str, n_users: int, mem_limit_gb: float) -> dict:
@@ -195,6 +223,7 @@ def main(argv=None) -> int:
 
     payload = {
         "benchmark": "sharded DAP collection per shard-worker count",
+        "host": _host(),
         "config": {
             "epsilon": EPSILON,
             "gamma": GAMMA,

@@ -110,15 +110,12 @@ def _resilience_context(args: argparse.Namespace):
     """The fault-plan + retry-policy scope a command's run executes under.
 
     Both are execution details: they never enter a scenario or service digest,
-    so a chaos run stays resumable into (and bit-identical with) a clean one.
-    Returns ``(context, plan)`` — the plan is surfaced so ``--results-out``
-    payloads can record what was injected.
+    so a chaos run stays resumable into (and bit-identical with) a clean one;
+    the run's execution record names the plan.
     """
     stack = contextlib.ExitStack()
-    plan = None
     if getattr(args, "fault_plan", None) is not None:
-        plan = FaultPlan.from_file(args.fault_plan)
-        stack.enter_context(use_fault_plan(plan))
+        stack.enter_context(use_fault_plan(FaultPlan.from_file(args.fault_plan)))
     overrides = {}
     if getattr(args, "task_retries", None) is not None:
         overrides["max_attempts"] = args.task_retries
@@ -128,7 +125,7 @@ def _resilience_context(args: argparse.Namespace):
         stack.enter_context(
             use_retry_policy(dataclasses.replace(DEFAULT_POLICY, **overrides))
         )
-    return stack, plan
+    return stack
 
 
 class _ProgressPrinter:
@@ -166,8 +163,7 @@ def _execute(args: argparse.Namespace, resume: bool, require_artifact: bool) -> 
         )
         return 1
     profile = args.profile or args.profile_out is not None
-    context, _plan = _resilience_context(args)
-    with context:
+    with _resilience_context(args):
         records = run_scenario(
             scenario,
             n_workers=args.workers,
@@ -237,8 +233,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     def progress(row) -> None:
         print(format_window(row, spec.n_windows), file=sys.stderr, flush=True)
 
-    context, plan = _resilience_context(args)
-    with context:
+    with _resilience_context(args):
         result = service.run(
             resume=not args.fresh, progress=None if args.quiet else progress
         )
@@ -259,16 +254,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if args.profile_out is not None:
             _write_profile(args.profile_out, result.profile)
     if args.results_out is not None:
-        execution = spec.execution_details()
-        execution["resilience"] = {
-            event: count for event, count in sorted(result.resilience.items())
-        }
-        if plan is not None:
-            execution["fault_plan"] = plan.document()
         payload = {
             "spec": spec.document(),
             "digest": spec.digest(),
-            "execution": execution,
+            "execution": result.execution,
             "resumed_from": result.resumed_from,
             "estimate": final.estimate,
             "flagged_window": flagged,

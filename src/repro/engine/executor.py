@@ -39,14 +39,9 @@ import numpy as np
 from repro import knobs
 from repro.engine.spec import ExperimentSpec, Unit
 from repro.engine.store import load_run, save_run
-from repro.resilience import stats
 from repro.resilience.faults import active_injector
-from repro.resilience.pool import (
-    ResilientPool,
-    reset_degradation_latch,
-    retry_call,
-)
-from repro.utils import profiling
+from repro.resilience.pool import ResilientPool, retry_call
+from repro.utils.ledger import Observation, observe
 from repro.utils.rng import RngLike, ensure_rng
 
 #: sentinel accepted by ``n_workers`` to use every available CPU
@@ -99,29 +94,9 @@ def _init_worker(spec: ExperimentSpec, seed_matrix: np.ndarray) -> None:
     _WORKER_SEEDS = seed_matrix
 
 
-def _run_unit(
-    unit: Unit,
-) -> tuple[Unit, List[Any], Dict[str, float], Dict[str, int]]:
+def _run_unit(unit: Unit) -> List[Any]:
     assert _WORKER_SPEC is not None and _WORKER_SEEDS is not None
-    before = profiling.snapshot()
-    resilience_before = stats.snapshot()
-    records = _WORKER_SPEC.evaluate_unit(unit, _WORKER_SEEDS[unit[0]])
-    # stage wall times and recovery events accumulate per process; shipping
-    # each unit's delta back with its records makes pool runs profile — and
-    # count nested shard-pool recoveries — like serial ones
-    return (
-        unit,
-        records,
-        profiling.delta_since(before),
-        stats.delta_since(resilience_before),
-    )
-
-
-def _report(
-    progress: ProgressCallback | None, completed: int, total: int
-) -> None:
-    if progress is not None:
-        progress(completed, total)
+    return _WORKER_SPEC.evaluate_unit(unit, _WORKER_SEEDS[unit[0]])
 
 
 def _run_units(
@@ -130,35 +105,26 @@ def _run_units(
     seed_matrix: np.ndarray,
     n_workers: int,
     results: Dict[Unit, List[Any]],
-    progress: ProgressCallback | None = None,
-    done: int = 0,
-    total: int | None = None,
-) -> tuple[Dict[str, float], Dict[str, int]]:
+    progress: ProgressCallback | None,
+    total: int,
+) -> None:
     """Run work units through the resilient pool harness (seam ``engine.unit``).
 
     Serial and pooled execution, retries, pool reincarnation and the serial
     degradation path all land here; the serial worker evaluates the spec
     in-process because only pool workers carry the initializer-installed
     globals.  Each finished unit's records land in ``results`` as it
-    completes, so a run that raises keeps what it finished.
+    completes, so a run that raises keeps what it finished.  A pooled
+    unit's stage seconds and events come home with its records (the pool
+    folds them into this process's ledger).
     """
-    total = len(units) if total is None else total
-    profile: Dict[str, float] = {}
-    worker_resilience: Dict[str, int] = {}
-    completed = {"count": done}
+    def serial_worker(unit: Unit) -> List[Any]:
+        return spec.evaluate_unit(unit, seed_matrix[unit[0]])
 
-    def serial_worker(unit: Unit):
-        before = profiling.snapshot()
-        records = spec.evaluate_unit(unit, seed_matrix[unit[0]])
-        return unit, records, profiling.delta_since(before), {}
-
-    def on_result(_index: int, payload) -> None:
-        unit, records, unit_profile, unit_resilience = payload
-        results[unit] = records
-        profiling.merge_profiles(profile, unit_profile)
-        stats.merge(worker_resilience, unit_resilience)
-        completed["count"] += 1
-        _report(progress, completed["count"], total)
+    def on_result(index: int, records: List[Any]) -> None:
+        results[units[index]] = records
+        if progress is not None:
+            progress(len(results), total)
 
     pool = ResilientPool(
         n_workers,
@@ -173,7 +139,6 @@ def _run_units(
         serial_worker=serial_worker,
         on_result=on_result,
     )
-    return profile, worker_resilience
 
 
 def run_experiment(
@@ -219,9 +184,11 @@ def run_experiment(
         see :mod:`repro.utils.profiling`) under ``meta.execution.profile``
         of the run artifact.  Units restored from an existing artifact cost
         no stage time, so they contribute nothing.
+
+    The run is one observation (:func:`repro.utils.ledger.observe`): its
+    stage seconds and recovery events, pool workers' included, make the
+    artifact's ``meta.execution``, and each degradation warns once per run.
     """
-    reset_degradation_latch()
-    resilience_before = stats.snapshot()
     master = ensure_rng(rng if rng is not None else spec.seed)
     seed_matrix = draw_seed_matrix(master, len(spec.points), spec.n_trials)
     units = spec.units()
@@ -233,8 +200,8 @@ def run_experiment(
 
     pending = [unit for unit in units if unit not in results]
     done = len(results)
-    if done:
-        _report(progress, done, len(units))
+    if done and progress is not None:
+        progress(done, len(units))
     n_workers = resolve_workers(n_workers)
     if n_workers > 1 and len(pending) > 1:
         collect_workers = spec.collect_workers
@@ -249,31 +216,23 @@ def run_experiment(
                 stacklevel=2,
             )
 
-    def finished(**store_options) -> List[Any]:
+    def finished(run: Observation, profile: bool = False) -> List[Any]:
         """Every finished unit's records in canonical order, stored if asked."""
         ready = {unit: results[unit] for unit in units if unit in results}
         if store_path is not None:
-            _store_records(
-                spec,
-                identity,
-                store_path,
-                ready,
-                resilience_before=resilience_before,
-                **store_options,
-            )
+            _store_records(spec, identity, store_path, ready, run, profile)
         return [record for records in ready.values() for record in records]
 
-    try:
-        run_profile, worker_resilience = _run_units(
-            spec, pending, seed_matrix, n_workers, results, progress, done, len(units)
-        )
-    except BaseException:
-        if len(results) > done:
-            finished()
-        raise
-    return finished(
-        profile=run_profile if profile else None, worker_resilience=worker_resilience
-    )
+    with observe() as run:
+        try:
+            _run_units(
+                spec, pending, seed_matrix, n_workers, results, progress, len(units)
+            )
+        except BaseException:
+            if len(results) > done:
+                finished(run)
+            raise
+        return finished(run, profile=profile)
 
 
 # ----------------------------------------------------------------------
@@ -338,15 +297,16 @@ def _execution_details(spec: ExperimentSpec) -> dict:
     Informational only — never compared for record reuse (that is the run
     identity's job); used to warn when a partial artifact is resumed
     under a different randomness stream.  Under the shuffle protocol the
-    details also carry a privacy-amplification digest: the Feldman et al.
-    local→central bound evaluated at every swept epsilon with the full
-    population size (an optimistic per-run summary — the exact per-group
-    ledger, with the actual report counts, rides on each
+    details also carry a privacy-amplification digest: the amplification
+    ledger's rows (:func:`~repro.protocol.amplification.amplification_ledger`)
+    at every swept epsilon with the full population size, each central
+    epsilon with the bound it reports (an optimistic per-run summary — the
+    exact per-group ledger, with the actual report counts, rides on each
     :class:`~repro.core.dap.DAPResult`).
     """
     details = {field.name: getattr(spec, field.name) for field in knobs.knobs(spec)}
     if spec.protocol == "shuffle":
-        from repro.protocol.amplification import DEFAULT_DELTA, amplified_epsilon
+        from repro.protocol.amplification import DEFAULT_DELTA, amplification_ledger
 
         epsilons = sorted(
             {
@@ -355,15 +315,36 @@ def _execution_details(spec: ExperimentSpec) -> dict:
                 if isinstance(point.get("epsilon"), (int, float))
             }
         )
+        rows = amplification_ledger(epsilons, [int(spec.n_users)] * len(epsilons))
         details["amplification"] = {
             "delta": DEFAULT_DELTA,
             "n": int(spec.n_users),
             "epsilon_central": {
-                f"{epsilon:g}": amplified_epsilon(epsilon, int(spec.n_users))
-                for epsilon in epsilons
+                f"{row['epsilon_local']:g}": row["epsilon_central"] for row in rows
             },
+            "bound": {f"{row['epsilon_local']:g}": row["bound"] for row in rows},
         }
     return details
+
+
+def execution_record(details: dict, run: Observation, profile: bool = False) -> dict:
+    """The ``execution`` block of a run artifact or a service results file.
+
+    ``details`` (the spec's execution knobs), then, when asked, the run's
+    stage seconds under ``profile``, the active fault plan, and the run's
+    recovery events under ``resilience``.
+    """
+    execution = dict(details)
+    if profile:
+        execution["profile"] = {
+            name: round(seconds, 6)
+            for name, seconds in sorted(run.book("stages").items())
+        }
+    injector = active_injector()
+    if injector is not None:
+        execution["fault_plan"] = injector.plan.document()
+    execution["resilience"] = dict(sorted(run.book("events").items()))
+    return execution
 
 
 def _store_records(
@@ -371,28 +352,15 @@ def _store_records(
     identity: dict,
     store_path,
     units: Dict[Unit, List[Any]],
-    profile: Dict[str, float] | None = None,
-    resilience_before: Dict[str, int] | None = None,
-    worker_resilience: Dict[str, int] | None = None,
+    run: Observation,
+    profile: bool = False,
 ) -> None:
-    execution = _execution_details(spec)
-    if profile is not None:
-        execution["profile"] = {
-            name: round(seconds, 6) for name, seconds in sorted(profile.items())
-        }
-    injector = active_injector()
-    if injector is not None:
-        execution["fault_plan"] = injector.plan.document()
+    details = _execution_details(spec)
 
     def write() -> None:
-        # the resilience delta is recomputed per attempt so a retried write
-        # records its own retry in the artifact it finally lands
-        if resilience_before is not None:
-            resilience = stats.delta_since(resilience_before)
-            stats.merge(resilience, worker_resilience or {})
-            execution["resilience"] = {
-                event: count for event, count in sorted(resilience.items())
-            }
+        # the record is assembled per attempt so a retried write records its
+        # own retry in the artifact it finally lands
+        execution = execution_record(details, run, profile)
         save_run(
             store_path, units, meta={"fingerprint": identity, "execution": execution}
         )
@@ -407,6 +375,7 @@ __all__ = [
     "UNIT_POOL_LABEL",
     "ProgressCallback",
     "draw_seed_matrix",
+    "execution_record",
     "resolve_workers",
     "run_experiment",
     "run_identity",

@@ -7,8 +7,10 @@ Public surface:
   shards, service windows).
 - :class:`FaultPlan` / :func:`use_fault_plan` — deterministic fault
   injection for chaos tests and benchmarks.
-- :mod:`repro.resilience.stats` — process-local recovery-event counters
-  surfaced under ``meta.execution.resilience``.
+- :mod:`repro.resilience.stats` — recovery-event counts, the ``"events"``
+  book of the observation ledger (:mod:`repro.utils.ledger`), surfaced
+  under ``meta.execution.resilience``; a pool task's counts travel home
+  with its result.
 
 Everything here is an *execution detail*: it changes how hard a run works,
 never what it computes.  Recovered runs are bit-identical to fault-free runs.
@@ -34,7 +36,6 @@ from repro.resilience.pool import (
     RetryPolicy,
     TaskFailedError,
     active_policy,
-    reset_degradation_latch,
     retry_call,
     use_retry_policy,
 )
@@ -55,7 +56,6 @@ __all__ = [
     "active_injector",
     "active_policy",
     "corrupt_file",
-    "reset_degradation_latch",
     "retry_call",
     "stats",
     "use_fault_plan",

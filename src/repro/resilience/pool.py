@@ -25,6 +25,9 @@ with an explicit recovery ladder:
 The recovery ladder changes wall-clock time only, never output bits, so the
 whole policy is an execution detail; recovery actions are counted in
 :mod:`repro.resilience.stats` and surfaced under ``meta.execution.resilience``.
+Each accepted pool task brings its worker's observation-ledger delta (stage
+seconds, events) home with its result, folded into the dispatching process
+(:mod:`repro.utils.ledger`); a task run in-process records directly.
 """
 
 from __future__ import annotations
@@ -37,10 +40,11 @@ import time
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.resilience import stats
 from repro.resilience.faults import FaultInjector, active_injector
+from repro.utils import ledger
 
 #: exit code an injected "kill" fault uses in the doomed pool worker
 KILL_EXIT_CODE = 86
@@ -124,27 +128,16 @@ def use_retry_policy(policy: RetryPolicy | None) -> Iterator[RetryPolicy]:
         _active_policy = previous
 
 
-# ----------------------------------------------------------------------
-# one warning per run, one message shape for every seam
-# ----------------------------------------------------------------------
-_warned: Set[Tuple[str, str]] = set()
-
-
-def reset_degradation_latch() -> None:
-    """Re-arm the once-per-run degradation warning (run entry points call this)."""
-    _warned.clear()
-
-
 def warn_degraded(label: str, category: str, reason: str) -> None:
     """Count a fall-back to in-process execution and warn once per run.
 
     ``category`` keys the once-per-run latch together with ``label``, so
-    different causes at one seam each warn once.
+    different causes at one seam each warn once; the run's observation
+    scopes the latch (:func:`repro.utils.ledger.first_time`).
     """
     stats.record("serial_degradations")
-    if (label, category) in _warned:
+    if not ledger.first_time((label, category)):
         return
-    _warned.add((label, category))
     warnings.warn(
         f"resilient pool [{label}] degrading to serial execution: {reason}",
         RuntimeWarning,
@@ -152,10 +145,14 @@ def warn_degraded(label: str, category: str, reason: str) -> None:
     )
 
 
-def _pool_entry(payload: Tuple[Callable[[Any], Any], Any, Optional[str]]) -> Any:
+def _pool_entry(
+    payload: Tuple[Callable[[Any], Any], Any, Optional[str]]
+) -> Tuple[Any, ledger.Books]:
     """Module-level pool trampoline: runs the task, or dies/raises on command.
 
-    The injected ``kill`` action exits the worker process the hard way
+    Returns the task's result with what the task added to this worker's
+    observation ledger, for the dispatching process to fold in.  The
+    injected ``kill`` action exits the worker process the hard way
     (``os._exit``), which breaks the whole pool exactly like a segfault or an
     OOM kill would — that is the point: it exercises the same recovery path.
     """
@@ -164,7 +161,9 @@ def _pool_entry(payload: Tuple[Callable[[Any], Any], Any, Optional[str]]) -> Any
         os._exit(KILL_EXIT_CODE)
     if action == "raise":
         raise InjectedFault("injected task failure")
-    return worker(task)
+    before = ledger.snapshot()
+    result = worker(task)
+    return result, ledger.delta_since(before)
 
 
 class ResilientPool:
@@ -332,6 +331,14 @@ class ResilientPool:
         restarts = 0
         pool: concurrent.futures.ProcessPoolExecutor | None = None
 
+        def accept(index: int, future: concurrent.futures.Future) -> None:
+            # first result wins; only the accepted result's ledger delta is
+            # folded, so a straggler's duplicate is never counted twice
+            results[index], delta = future.result()
+            ledger.fold(delta)
+            if on_result is not None:
+                on_result(index, results[index])
+
         def degrade(category: str, reason: str) -> List[Any]:
             warn_degraded(self.label, category, reason)
             return self._run_serial(serial_worker, tasks, results, on_result, attempts)
@@ -441,9 +448,7 @@ class ResilientPool:
                         ):
                             # the straggler beat its replacement; identical
                             # bits either way, so first result wins
-                            results[index] = future.result()
-                            if on_result is not None:
-                                on_result(index, results[index])
+                            accept(index, future)
                         continue
                     if future not in inflight:
                         continue
@@ -451,9 +456,7 @@ class ResilientPool:
                     error = future.exception()
                     if error is None:
                         if index not in results:
-                            results[index] = future.result()
-                            if on_result is not None:
-                                on_result(index, results[index])
+                            accept(index, future)
                     elif isinstance(error, _POOL_FAILURES):
                         # a worker death poisons every future on the pool;
                         # charge this task an attempt and queue it now (it is
@@ -529,7 +532,6 @@ __all__ = [
     "RetryPolicy",
     "TaskFailedError",
     "active_policy",
-    "reset_degradation_latch",
     "retry_call",
     "use_retry_policy",
     "warn_degraded",

@@ -1,29 +1,20 @@
-"""Process-local resilience event counters.
+"""Resilience event counts: the ``"events"`` book of the observation ledger.
 
-The fault-tolerant execution layer records every recovery action it takes —
+The fault-tolerant execution layer counts every recovery action it takes —
 task retries, timeout re-dispatches, worker-pool reincarnations, serial
-degradations, checkpoint quarantines — into one process-local counter
-registry, mirroring the stage timers of :mod:`repro.utils.profiling`.
-
-The counters are *diagnostics, never identity*: a retried task is
-bit-identical to a first-try task (every task is a pure function of
-pre-drawn seeds), so two runs of the same spec may legitimately differ in
-their counters while agreeing on every output bit.  Run entry points
-snapshot the registry before the run and record the delta under
-``meta.execution.resilience``.
-
-Counters live in the process that *dispatches* work: retries, watchdog
-timeouts and pool restarts all happen on the dispatching side, so nothing
-needs to cross a process boundary for the common one-level pool.  When pools
-compose (an engine worker running its own shard pool), the engine executor
-ships each worker's delta back with the unit results, exactly like the
-profiling timers.
+degradations, checkpoint quarantines — in the process that takes it, into
+the ledger of :mod:`repro.utils.ledger`; a pool task's counts travel home
+with its result.  A run records its observation's events under
+``meta.execution.resilience``.  They are *diagnostics, never identity*: a
+retried task is bit-identical to a first-try task, so two runs of one spec
+may differ in their counts while agreeing on every output bit.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Dict, Mapping
+from typing import Dict
+
+from repro.utils import ledger
 
 #: every event name the execution layer records (fixed vocabulary so
 #: downstream tooling can rely on the keys that appear)
@@ -38,40 +29,19 @@ EVENTS = (
     "artifact_write_retries",
 )
 
-_counters: Counter = Counter()
+_BOOK = "events"
 
 
 def record(event: str, n: int = 1) -> None:
     """Count ``n`` occurrences of ``event`` (must be a known event name)."""
     if event not in EVENTS:
         raise ValueError(f"unknown resilience event {event!r}; known: {EVENTS}")
-    _counters[event] += int(n)
+    ledger.add(_BOOK, event, int(n))
 
 
 def snapshot() -> Dict[str, int]:
-    """A copy of the current cumulative counters."""
-    return dict(_counters)
+    """A copy of this process's cumulative event counts."""
+    return ledger.snapshot().get(_BOOK, {})
 
 
-def delta_since(before: Mapping[str, int]) -> Dict[str, int]:
-    """Events recorded since ``before`` (zero-delta events omitted)."""
-    delta = {}
-    for event, count in _counters.items():
-        diff = count - int(before.get(event, 0))
-        if diff:
-            delta[event] = diff
-    return delta
-
-
-def merge(into: Dict[str, int], delta: Mapping[str, int]) -> None:
-    """Fold a shipped-back worker delta into an accumulating dict."""
-    for event, count in delta.items():
-        into[event] = into.get(event, 0) + int(count)
-
-
-def reset() -> None:
-    """Zero every counter (test hook)."""
-    _counters.clear()
-
-
-__all__ = ["EVENTS", "delta_since", "merge", "record", "reset", "snapshot"]
+__all__ = ["EVENTS", "record", "snapshot"]

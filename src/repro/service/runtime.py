@@ -35,7 +35,7 @@ from __future__ import annotations
 import sys
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
@@ -44,15 +44,15 @@ from repro.backends import use_backend
 from repro.collect.accumulators import GroupAccumulator
 from repro.core.dap import DAPConfig, DAPProtocol
 from repro.core.transform import default_bucket_counts
-from repro.resilience import stats as resilience_stats
+from repro.engine.executor import execution_record
 from repro.resilience.faults import active_injector, corrupt_file
-from repro.resilience.pool import reset_degradation_latch
 from repro.scenario import attack_from_spec, dataset_from_spec
 from repro.service.checkpoint import CHECKPOINT_VERSION, CheckpointChain
 from repro.service.detector import CusumDetector
 from repro.service.spec import ServiceSpec
 from repro.simulation.population import build_population
 from repro.utils import profiling
+from repro.utils.ledger import observe
 
 try:  # pragma: no cover - absent only off-POSIX
     import resource
@@ -108,24 +108,7 @@ class WindowResult:
     )
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "window": self.window,
-            "n_users_cum": self.n_users_cum,
-            "n_reports_cum": self.n_reports_cum,
-            "estimate": self.estimate,
-            "gamma_hat": self.gamma_hat,
-            "poisoned_side": self.poisoned_side,
-            "window_gamma": self.window_gamma,
-            "detector_score": self.detector_score,
-            "flagged": self.flagged,
-            "warm": self.warm,
-            "probe_iterations": self.probe_iterations,
-            "collect_seconds": self.collect_seconds,
-            "probe_seconds": self.probe_seconds,
-            "aggregate_seconds": self.aggregate_seconds,
-            "window_seconds": self.window_seconds,
-            "peak_rss_mb": self.peak_rss_mb,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, row: Dict[str, Any]) -> "WindowResult":
@@ -145,9 +128,14 @@ class ServiceResult:
     resumed_from: int
     checkpoint_path: Optional[str]
     profile: Dict[str, float] = field(default_factory=dict)
-    #: recovery events this run absorbed (retries, quarantines, ...) — a
-    #: diagnostic, never part of the deterministic outputs
-    resilience: Dict[str, int] = field(default_factory=dict)
+    #: the run's execution record (:func:`repro.engine.executor.execution_record`)
+    execution: Dict[str, Any] = field(default_factory=dict)
+
+    @property
+    def resilience(self) -> Dict[str, int]:
+        """Recovery events this run absorbed (retries, quarantines, ...) — a
+        diagnostic, never part of the deterministic outputs."""
+        return self.execution.get("resilience", {})
 
     @property
     def estimate(self) -> float:
@@ -322,51 +310,52 @@ class WindowedAggregationService:
         the stream from window 0 (the chain is rotated forward as usual).
         """
         spec = self.spec
-        reset_degradation_latch()
-        resilience_before = resilience_stats.snapshot()
-        self._fresh_state()
-        resumed_from = 0
-        chain = (
-            None
-            if self.checkpoint_path is None
-            else CheckpointChain(self.checkpoint_path, retain=spec.checkpoint_retain)
-        )
-        if resume and chain is not None:
-            payload, _quarantined = chain.load_latest(
-                expected_digest=spec.digest()
+        with observe() as run:
+            self._fresh_state()
+            resumed_from = 0
+            chain = (
+                None
+                if self.checkpoint_path is None
+                else CheckpointChain(
+                    self.checkpoint_path, retain=spec.checkpoint_retain
+                )
             )
-            if payload is not None:
-                self._restore_state(payload)
-                resumed_from = self._next_window
+            if resume and chain is not None:
+                payload, _quarantined = chain.load_latest(
+                    expected_digest=spec.digest()
+                )
+                if payload is not None:
+                    self._restore_state(payload)
+                    resumed_from = self._next_window
 
-        profile_before = profiling.snapshot()
-        with use_backend(spec.backend):
-            for window in range(self._next_window, spec.n_windows):
-                row = self._run_window(window)
-                self._windows.append(row)
-                self._next_window = window + 1
-                if chain is not None and (
-                    (window + 1) % spec.checkpoint_every == 0
-                    or window + 1 == spec.n_windows
-                ):
-                    chain.write(self._checkpoint_payload())
-                    injector = active_injector()
-                    if injector is not None:
-                        mode = injector.checkpoint_fault(window)
-                        if mode is not None:
-                            # damage the freshly written head: the in-memory
-                            # run is unaffected, and the next resume must
-                            # quarantine it and roll back to an ancestor
-                            corrupt_file(self.checkpoint_path, mode)
-                if progress is not None:
-                    progress(row)
+            with use_backend(spec.backend):
+                for window in range(self._next_window, spec.n_windows):
+                    row = self._run_window(window)
+                    self._windows.append(row)
+                    self._next_window = window + 1
+                    if chain is not None and (
+                        (window + 1) % spec.checkpoint_every == 0
+                        or window + 1 == spec.n_windows
+                    ):
+                        chain.write(self._checkpoint_payload())
+                        injector = active_injector()
+                        if injector is not None:
+                            mode = injector.checkpoint_fault(window)
+                            if mode is not None:
+                                # damage the freshly written head: the
+                                # in-memory run is unaffected, and the next
+                                # resume must quarantine it and roll back to
+                                # an ancestor
+                                corrupt_file(self.checkpoint_path, mode)
+                    if progress is not None:
+                        progress(row)
         return ServiceResult(
             spec=spec,
             windows=list(self._windows),
             resumed_from=resumed_from,
             checkpoint_path=self.checkpoint_path,
-            profile=profiling.delta_since(profile_before),
-            resilience=resilience_stats.delta_since(resilience_before),
+            profile=run.book("stages"),
+            execution=execution_record(spec.execution_details(), run),
         )
 
     def _run_window(self, window: int) -> WindowResult:

@@ -3,17 +3,14 @@
 The pipeline's interesting stages — client-side **collect**ion, the
 likelihood-driven **probe**, the remaining collector-side **aggregate**
 work, and classical **defense** scoring — are scattered across modules, so
-this module keeps one process-local accumulator that the instrumented call
-sites feed through :func:`stage`.  Accumulation is a pair of
-``perf_counter`` calls per stage entry (nanoseconds against rounds that
-take milliseconds), so it is always on; whether anything *reads* the
-totals is the caller's business — the engine snapshots them around each
-work unit and records the deltas into the run artifact's
-``meta.execution.profile`` when profiling is requested.
-
-Totals are per process.  Pool workers accumulate into their own process's
-totals, which the executor ships back alongside each unit's records, so a
-parallel run profiles just like a serial one.
+the instrumented call sites feed their wall time through :func:`stage` into
+the ``"stages"`` book of the observation ledger (:mod:`repro.utils.ledger`).
+A stage costs a pair of ``perf_counter`` calls (nanoseconds against rounds
+that take milliseconds), so it is always on; a run records its stage
+seconds under ``meta.execution.profile`` when profiling is requested.  A
+pool task's seconds travel home with its result, so a pooled run profiles
+like a serial one, except that a pooled sub-stage sums the seconds of every
+process that ran it.
 """
 
 from __future__ import annotations
@@ -23,13 +20,16 @@ import time
 from contextlib import contextmanager
 from typing import Callable, Dict, Iterator, Mapping, TypeVar
 
+from repro.utils import ledger
+
 _F = TypeVar("_F", bound=Callable)
 
 #: the canonical stage names, in pipeline order; the ``collect.*`` and
 #: ``probe.*`` entries are sub-timers that deliberately nest *inside* their
 #: parent stage (mechanism sampling, poison-report drawing, accumulator
 #: updates under ``collect``; sketch decoding and the greedy EM under
-#: ``probe``), so the parent bounds their sum rather than adding to it
+#: ``probe``), so the parent bounds their sum in one process rather than
+#: adding to it
 STAGES = (
     "collect",
     "collect.sample",
@@ -42,7 +42,7 @@ STAGES = (
     "defense",
 )
 
-_totals: Dict[str, float] = {}
+_BOOK = "stages"
 
 
 @contextmanager
@@ -59,7 +59,7 @@ def stage(name: str) -> Iterator[None]:
     try:
         yield
     finally:
-        _totals[name] = _totals.get(name, 0.0) + (time.perf_counter() - start)
+        ledger.add(_BOOK, name, time.perf_counter() - start)
 
 
 def profiled_stage(name: str) -> Callable[[_F], _F]:
@@ -78,25 +78,12 @@ def profiled_stage(name: str) -> Callable[[_F], _F]:
 
 def snapshot() -> Dict[str, float]:
     """Copy of this process's cumulative stage totals (seconds)."""
-    return dict(_totals)
+    return ledger.snapshot().get(_BOOK, {})
 
 
 def delta_since(before: Mapping[str, float]) -> Dict[str, float]:
     """Stage time accumulated since ``before`` (a :func:`snapshot`)."""
-    return {
-        name: total - before.get(name, 0.0)
-        for name, total in _totals.items()
-        if total - before.get(name, 0.0) > 0.0
-    }
-
-
-def merge_profiles(
-    target: Dict[str, float], addition: Mapping[str, float]
-) -> Dict[str, float]:
-    """Fold one profile delta into ``target`` (in place; returned for chaining)."""
-    for name, seconds in addition.items():
-        target[name] = target.get(name, 0.0) + seconds
-    return target
+    return ledger.delta_since({_BOOK: before}).get(_BOOK, {})
 
 
 def format_profile(profile: Mapping[str, float]) -> str:
@@ -112,6 +99,5 @@ __all__ = [
     "profiled_stage",
     "snapshot",
     "delta_since",
-    "merge_profiles",
     "format_profile",
 ]

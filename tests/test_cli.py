@@ -389,19 +389,28 @@ class TestProfile:
         profile = load_run(store).meta["execution"]["profile"]
         assert set(profile) >= {"collect", "probe", "aggregate"}
 
-    def test_profile_splits_collect_into_sub_timers(self, scenario_file, tmp_path):
+    @pytest.mark.parametrize("collect_workers", [1, 2])
+    def test_profile_splits_collect_into_sub_timers(self, tmp_path, collect_workers):
+        # the DAP rounds run on the sharded collector, pooled at two workers
+        path = tmp_path / "tiny_dap.json"
+        path.write_text(
+            json.dumps(dict(TINY_SCENARIO, schemes=["Ostrich", "DAP-CEMF*"]))
+        )
         store = tmp_path / "artifact.json"
         result = run_cli(
-            "run", str(scenario_file), "--quiet", "--profile", "--store", str(store)
+            "run", str(path), "--quiet", "--profile", "--store", str(store),
+            "--collect-workers", str(collect_workers),
         )
         assert result.returncode == 0, result.stderr
         profile = load_run(store).meta["execution"]["profile"]
-        assert {"collect", "collect.sample", "collect.poison"} <= set(profile)
-        # the sub-timers nest *inside* collect: they attribute its total,
-        # never add to it
+        sub_timers = {"collect.sample", "collect.poison", "collect.accumulate"}
+        assert {"collect"} | sub_timers <= set(profile)
+        # the sub-timers nest *inside* collect: in one process they
+        # attribute its total, never add to it; pooled ones are summed over
+        # the workers that ran them
         assert (
-            profile["collect.sample"] + profile["collect.poison"]
-            <= profile["collect"] + 1e-6
+            sum(profile[name] for name in sub_timers)
+            <= collect_workers * profile["collect"] + 1e-6
         )
 
     def test_profile_covers_accumulation(self, tmp_path):

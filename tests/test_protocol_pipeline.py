@@ -434,6 +434,12 @@ class TestSpecPlumbing:
         central = details["amplification"]["epsilon_central"]
         assert set(central) == {"0.5", "1"}
         assert central["1"] < 1.0
+        # the digest is the amplification ledger's rows, bound included
+        bounds = details["amplification"]["bound"]
+        for row in amplification_ledger([0.5, 1.0], [1_000, 1_000]):
+            key = f"{row['epsilon_local']:g}"
+            assert central[key] == row["epsilon_central"]
+            assert bounds[key] == row["bound"]
 
     def test_service_document_includes_protocol_only_when_set(self):
         from repro.service import ServiceSpec

@@ -49,12 +49,11 @@ from repro.resilience import (
     RetryPolicy,
     TaskFailedError,
     corrupt_file,
-    reset_degradation_latch,
     retry_call,
-    stats,
     use_fault_plan,
     use_retry_policy,
 )
+from repro.scenario import ScenarioSpec, run_scenario
 from repro.service.checkpoint import (
     CHECKPOINT_VERSION,
     CheckpointChain,
@@ -65,6 +64,7 @@ from repro.service.checkpoint import (
 from repro.service.runtime import run_service
 from repro.service.spec import ServiceSpec
 from repro.simulation.sweep import SweepRecord
+from repro.utils.ledger import observe
 
 #: no backoff sleeps and headroom for stacked faults on one task
 FAST = RetryPolicy(max_attempts=5, backoff_base=0.0, backoff_cap=0.0)
@@ -83,10 +83,10 @@ def always_fails(x):
 
 
 @pytest.fixture(autouse=True)
-def _fresh_resilience_state():
-    stats.reset()
-    reset_degradation_latch()
-    yield
+def observed():
+    """Each test is one run: its own observation and warn-once latch."""
+    with observe() as observation:
+        yield observation
 
 
 # ----------------------------------------------------------------------
@@ -102,7 +102,7 @@ class TestResilientPool:
     def test_empty_tasks(self):
         assert ResilientPool(4, "t").run(square, []) == []
 
-    def test_injected_kill_reincarnates_pool(self):
+    def test_injected_kill_reincarnates_pool(self, observed):
         plan = FaultPlan.from_mapping(
             {"faults": [{"kind": "kill", "scope": "t", "task": 0, "attempt": 0}]}
         )
@@ -110,11 +110,11 @@ class TestResilientPool:
             out = ResilientPool(2, "t").run(square, [1, 2, 3, 4])
         assert out == [1, 4, 9, 16]
         assert injector.fired == 1
-        snap = stats.snapshot()
+        snap = observed.book("events")
         assert snap["worker_deaths"] >= 1
         assert snap["pool_restarts"] >= 1
 
-    def test_injected_raise_and_timeout_retry(self):
+    def test_injected_raise_and_timeout_retry(self, observed):
         plan = FaultPlan.from_mapping(
             {
                 "faults": [
@@ -127,7 +127,7 @@ class TestResilientPool:
             out = ResilientPool(1, "t").run(square, [1, 2, 3, 4])
         assert out == [1, 4, 9, 16]
         assert injector.fired == 2
-        snap = stats.snapshot()
+        snap = observed.book("events")
         assert snap["retries"] >= 1
         assert snap["timeouts"] == 1
 
@@ -139,21 +139,21 @@ class TestResilientPool:
             assert ResilientPool(1, "t").run(square, [3]) == [9]
         assert injector.fired == 0
 
-    def test_permanent_failure_raises_after_max_attempts(self):
+    def test_permanent_failure_raises_after_max_attempts(self, observed):
         with use_retry_policy(RetryPolicy(max_attempts=2, backoff_base=0.0)):
             with pytest.raises(TaskFailedError, match="after 2 attempts"):
                 ResilientPool(1, "t").run(always_fails, [1])
-        assert stats.snapshot()["retries"] == 1
+        assert observed.book("events")["retries"] == 1
 
-    def test_watchdog_redispatches_straggler(self):
+    def test_watchdog_redispatches_straggler(self, observed):
         # a real straggler needs a genuinely slow worker; keep it tiny
         policy = RetryPolicy(task_timeout=0.25, backoff_base=0.0, max_attempts=6)
         with use_retry_policy(policy):
             out = ResilientPool(2, "t").run(_sleepy, [99, 1, 2])
         assert out == [99, 1, 2]
-        assert stats.snapshot()["timeouts"] >= 1
+        assert observed.book("events")["timeouts"] >= 1
 
-    def test_degradation_warns_once_with_unified_shape(self):
+    def test_degradation_warns_once_with_unified_shape(self, observed):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             first = ResilientPool(2, "t").run(
@@ -167,11 +167,10 @@ class TestResilientPool:
         assert len(messages) == 1
         assert "resilient pool [t] degrading to serial execution" in messages[0]
         assert "not picklable" in messages[0]
-        assert stats.snapshot()["serial_degradations"] == 2
+        assert observed.book("events")["serial_degradations"] == 2
 
         # a new run re-arms the latch
-        reset_degradation_latch()
-        with pytest.warns(RuntimeWarning, match="not picklable"):
+        with observe(), pytest.warns(RuntimeWarning, match="not picklable"):
             ResilientPool(2, "t").run(square, [1, 2], pickle_probe=lambda: None)
 
     def test_shard_harness_uses_the_same_message_shape(self):
@@ -184,7 +183,7 @@ class TestResilientPool:
             )
         assert out == [1, 4, 9]
 
-    def test_retry_call_retries_transient_oserror(self):
+    def test_retry_call_retries_transient_oserror(self, observed):
         calls = {"n": 0}
 
         def flaky():
@@ -196,7 +195,7 @@ class TestResilientPool:
         with use_retry_policy(FAST):
             assert retry_call(flaky, label="t") == "done"
         assert calls["n"] == 2
-        assert stats.snapshot()["retries"] == 1
+        assert observed.book("events")["retries"] == 1
 
     def test_invalid_policy_rejected(self):
         with pytest.raises(ValueError, match="max_attempts"):
@@ -452,7 +451,7 @@ class TestCheckpointChain:
         assert payload is None and quarantined == []
 
     @pytest.mark.parametrize("mode", ["truncate", "bitflip"])
-    def test_corrupt_head_quarantined_and_rolled_back(self, tmp_path, mode):
+    def test_corrupt_head_quarantined_and_rolled_back(self, tmp_path, mode, observed):
         chain = self.chain(tmp_path)
         chain.write(make_payload(1))
         chain.write(make_payload(2))
@@ -464,7 +463,7 @@ class TestCheckpointChain:
         assert quarantined[0].endswith(QUARANTINE_SUFFIX)
         assert os.path.exists(quarantined[0])
         assert not os.path.exists(chain.path)
-        assert stats.snapshot()["checkpoint_quarantined"] == 1
+        assert observed.book("events")["checkpoint_quarantined"] == 1
 
     def test_version_bumped_head_quarantined(self, tmp_path):
         chain = self.chain(tmp_path)
@@ -637,6 +636,30 @@ class TestPooledChaos:
         )
 
 
+    def test_nested_shard_pool_retries_are_counted_once(self, tmp_path):
+        """A shard-pool retry inside an engine worker reaches the artifact
+        once: the worker's events come home with its unit, and the fold adds
+        them to the run exactly as a serial run counts them."""
+        spec = ScenarioSpec(
+            name="nested", schemes=("DAP-CEMF*",), epsilons=(0.5, 1.0),
+            n_users=2_000, n_trials=2, collect_workers=2,
+        )
+        # one entry per collection round: however the rounds spread over the
+        # engine workers (each forks its own copy of the plan), every round's
+        # first shard task raises once
+        plan = FaultPlan.from_mapping({"faults": [_shard_fault("raise", 0)] * 8})
+        counts = {}
+        for n_workers in (1, 2):
+            store = tmp_path / f"workers-{n_workers}.json"
+            with use_fault_plan(plan), use_retry_policy(FAST):
+                with warnings.catch_warnings():
+                    # the two knobs compose multiplicatively; that is the point
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    run_scenario(spec, n_workers=n_workers, store_path=str(store))
+            counts[n_workers] = load_run(store).meta["execution"]["resilience"]
+        assert counts[1] == counts[2] == {"injected_faults": 4, "retries": 4}
+
+
 # ----------------------------------------------------------------------
 # store atomicity under SIGKILL
 # ----------------------------------------------------------------------
@@ -679,7 +702,7 @@ class TestStoreAtomicity:
         assert after.units == before.units
         assert after.meta == before.meta
 
-    def test_injected_artifact_write_fault_is_retried(self, tmp_path):
+    def test_injected_artifact_write_fault_is_retried(self, tmp_path, observed):
         path = str(tmp_path / "run.json")
         plan = FaultPlan.from_mapping({"faults": [{"kind": "artifact-write"}]})
         with use_fault_plan(plan) as injector, use_retry_policy(FAST):
@@ -689,5 +712,5 @@ class TestStoreAtomicity:
                 event="artifact_write_retries",
             )
         assert injector.fired == 1
-        assert stats.snapshot()["artifact_write_retries"] == 1
+        assert observed.book("events")["artifact_write_retries"] == 1
         assert load_run(path).units == _units()  # the retried write landed

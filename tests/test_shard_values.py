@@ -31,7 +31,7 @@ from repro.collect import sharding
 from repro.collect.sharding import SHM_DIR, ShardValues
 from repro.core.dap import DAPConfig, DAPProtocol
 from repro.core.frequency import FrequencyDAP
-from repro.resilience import reset_degradation_latch
+from repro.utils.ledger import observe
 
 pytestmark = pytest.mark.skipif(
     not os.path.isdir(SHM_DIR), reason=f"no {SHM_DIR} to inspect"
@@ -90,9 +90,10 @@ class TestShardValues:
 
     def test_no_room_in_dev_shm_degrades_to_serial(self, monkeypatch):
         monkeypatch.setattr(sharding, "_shm_free_bytes", lambda: 0)
-        reset_degradation_latch()
         before = _segments()
-        with pytest.warns(RuntimeWarning, match=r"collect\.shard\] degrading.*MiB free"):
+        with observe(), pytest.warns(
+            RuntimeWarning, match=r"collect\.shard\] degrading.*MiB free"
+        ):
             buffer = ShardValues(1_000, np.float64, 2, 2)
         with buffer:
             assert _segments() == before

@@ -34,9 +34,9 @@ from repro.core.frequency import FrequencyDAP
 from repro.core.sketch_frequency import SketchFrequencyDAP
 from repro.datasets.synthetic import uniform_dataset
 from repro.ldp.base import MechanismError
-from repro.resilience import stats
 from repro.simulation.runner import run_trials
 from repro.simulation.schemes import make_scheme
+from repro.utils.ledger import observe
 from tests.client_reports import accumulate, group_reports
 
 ATTACK = BiasedByzantineAttack(PoisonRange.of_c(0.5, 1.0))
@@ -539,15 +539,40 @@ class TestRunIsTheShardedRound:
                 assert _fingerprint(result) == reference, (n_shards, n_workers)
 
 
+class TestPooledRoundProfile:
+    """A pooled round's shard workers send their ``collect.*`` seconds home."""
+
+    @pytest.mark.parametrize("n_byzantine", [0, None])
+    @pytest.mark.parametrize("kind", sorted(ROUNDS))
+    def test_pooled_round_reports_the_collect_split(self, kind, n_byzantine):
+        protocol, (values, poison, byzantine), _ = ROUNDS[kind]()
+        n_byzantine = byzantine if n_byzantine is None else n_byzantine
+        n_workers = 2
+        with observe() as run:
+            protocol.collect_sharded(
+                values, poison, n_byzantine, rng=np.random.default_rng(9),
+                n_shards=2, n_workers=n_workers,
+            )
+        profile = run.book("stages")
+        sub_timers = {"collect.sample", "collect.accumulate"}
+        if n_byzantine:
+            sub_timers.add("collect.poison")
+        assert sub_timers <= set(profile), profile
+        # each worker's sub-timers nest inside the parent's collect span
+        children = sum(
+            seconds for name, seconds in profile.items() if name.startswith("collect.")
+        )
+        assert children <= n_workers * profile["collect"]
+
+
 class TestBadInputRefusedInTheParent:
     """The exception ``run()`` raised before every round was sharded, with
     no shard task dispatched (so none is retried)."""
 
     def _assert_refused(self, call, error):
-        before = stats.snapshot()
-        with pytest.raises(error):
+        with observe() as run, pytest.raises(error):
             call()
-        assert stats.delta_since(before).get("retries", 0) == 0
+        assert run.book("events").get("retries", 0) == 0
 
     @pytest.mark.parametrize(
         "bad, error",
