@@ -154,12 +154,12 @@ def run_emf(
         tol = default_tolerance(epsilon)
 
     result = em_reconstruct(
-        transform.matrix,
+        transform.normal_block,
         counts,
         initial=initial,
         max_iter=max_iter,
         tol=tol,
-        indicator_tail=transform.poison_bucket_indices,
+        tail_rows=transform.poison_bucket_indices,
     )
     normal, poison = transform.split_weights(result.weights)
     return EMFResult(
@@ -183,9 +183,11 @@ def run_emf_stacked(
     """Run EMF for several hypotheses sharing one normal block, jointly.
 
     The side hypotheses of Algorithm 3 (and any other family of transforms
-    that differ only in their poison columns) share their dense normal block
-    — the poison columns are one-hot indicators — so the whole family fits
-    :func:`repro.ldp.ems.em_reconstruct_batch`: every EM iteration advances
+    that differ only in their poison rows) share their normal block, and
+    each transform's poison columns are one-hot indicators given by its
+    ``poison_bucket_indices``, so the whole family fits
+    :func:`repro.ldp.ems.em_reconstruct_batch` as ``(normal block, poison
+    rows)`` without building any stacked matrix: every EM iteration advances
     all hypotheses with a single BLAS product over the shared normal block,
     and hypotheses that converge early stop consuming compute while the
     stragglers iterate.  Hypotheses with fewer poison buckets are padded
@@ -214,12 +216,10 @@ def run_emf_stacked(
         raise ValueError("at least one transform is required")
     first = transforms[0]
     n_normal = first.n_normal_components
-    dense = first.matrix[:, :n_normal]
+    dense = first.normal_block
     for transform in transforms[1:]:
-        if (
-            transform.n_normal_components != n_normal
-            or transform.output_grid != first.output_grid
-            or not np.array_equal(transform.matrix[:, :n_normal], dense)
+        if transform.output_grid != first.output_grid or not np.array_equal(
+            transform.normal_block, dense
         ):
             raise ValueError(
                 "stacked EMF hypotheses must share the output grid and the "

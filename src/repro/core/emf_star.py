@@ -71,13 +71,13 @@ def run_emf_star(
         )
 
     result = em_reconstruct(
-        transform.matrix,
+        transform.normal_block,
         counts,
         max_iter=max_iter,
         tol=tol,
         poison_mass=(gamma_hat, n_normal),
         fixed_zero=fixed_zero,
-        indicator_tail=transform.poison_bucket_indices,
+        tail_rows=transform.poison_bucket_indices,
     )
     normal, poison = transform.split_weights(result.weights)
     return EMFResult(

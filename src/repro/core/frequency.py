@@ -280,11 +280,8 @@ class FrequencyDAP(CategoricalDAP):
             max(1, n_categories // 2) if max_poisoned is None else int(max_poisoned)
         )
         self.mechanism = KRandomizedResponse(epsilon, n_categories)
-        # transform caches: the k x k normal block never changes for a given
-        # instance, and repeated solves over one poison set (plain EMF, then
-        # the gamma-constrained re-solve) reuse the identical stacked matrix
+        # the k x k normal block never changes for a given instance
         self._normal_block: np.ndarray | None = None
-        self._transform_cache: tuple[tuple[int, ...], np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     # client-side simulation helpers
@@ -334,29 +331,6 @@ class FrequencyDAP(CategoricalDAP):
             self._normal_block = self.mechanism.transition_matrix()
         return self._normal_block
 
-    def _build_transform(self, poison_set: Sequence[int]) -> np.ndarray:
-        """Normal k-RR block plus identity poison columns for ``poison_set``.
-
-        Single-slot cache keyed on the frozen poison set: the estimator
-        re-solves the same poison set back to back (plain EMF for
-        ``gamma_hat``, then the constrained re-solve), and rebuilding the
-        stacked ``k x (k + m)`` matrix each time dominated small-domain runs.
-        The cached matrix is returned as-is — solves never mutate it — so
-        repeated calls are bit-identical to fresh builds.
-        """
-        normal_block = self._transition_matrix()
-        if not poison_set:
-            return normal_block
-        key = tuple(int(category) for category in poison_set)
-        if self._transform_cache is not None and self._transform_cache[0] == key:
-            return self._transform_cache[1]
-        poison_block = np.zeros((self.n_categories, len(poison_set)))
-        for column, category in enumerate(poison_set):
-            poison_block[category, column] = 1.0
-        transform = np.hstack([normal_block, poison_block])
-        self._transform_cache = (key, transform)
-        return transform
-
     def _reconstruct(
         self,
         counts: np.ndarray,
@@ -364,19 +338,17 @@ class FrequencyDAP(CategoricalDAP):
         gamma_hat: float | None = None,
     ):
         """Run EM (optionally gamma-constrained) for a given poison set."""
-        transform = self._build_transform(poison_set)
         poison_mass = None
         if gamma_hat is not None and poison_set:
             poison_mass = (gamma_hat, self.n_categories)
-        # the poison columns are one-hot on their category row, so EM can use
-        # the split dense + gather/scatter products
+        # each poison column is one-hot on its category row
         return em_reconstruct(
-            transform,
+            self._transition_matrix(),
             counts,
             poison_mass=poison_mass,
             tol=1e-9,
             max_iter=10_000,
-            indicator_tail=np.asarray(list(poison_set), dtype=np.intp),
+            tail_rows=np.asarray(list(poison_set), dtype=np.intp),
         )
 
     def probe_poisoned_categories(

@@ -1,7 +1,7 @@
 """The EMF transform matrix ``M`` (Figure 2 of the paper).
 
-``M`` is a ``d' x (d + n_poison)`` matrix whose rows index output (perturbed
-value) buckets and whose columns index latent components:
+In the paper, ``M`` is a ``d' x (d + n_poison)`` matrix whose rows index
+output (perturbed value) buckets and whose columns index latent components:
 
 * the first ``d`` columns describe **normal users**: column ``k`` holds
   ``Pr[report in output bucket i | input in original bucket k]``, computed
@@ -11,6 +11,13 @@ value) buckets and whose columns index latent components:
   users submit their chosen value directly, so column ``j`` is the indicator
   of the output bucket hosting that poison bucket (``M[i, y_j] = 1`` iff
   ``i`` is the j-th poison bucket).
+
+The poison half is fully described by its list of output rows, so it is
+stored as exactly that: a :class:`TransformMatrix` holds the ``d' x d``
+normal block plus ``poison_bucket_indices``, and the EM solvers in
+:mod:`repro.ldp.ems` take the pair (``tail_rows``).  Only that module
+builds the stacked matrix: for problems too small to gain from split
+products, and for the certified accelerated straggler finisher.
 
 Poison buckets are the output buckets lying on the *poisoned side* of the
 reference mean ``O'`` (right side by default), matching footnote 5: when
@@ -73,18 +80,20 @@ def default_bucket_counts(n_reports: int, epsilon: float) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class TransformMatrix:
-    """The transform matrix together with the grids it was built on.
+    """The transform matrix, stored as its normal block plus poison rows.
 
     Attributes
     ----------
-    matrix:
-        ``(d', d + n_poison)`` array.
+    normal_block:
+        ``(d', d)`` array: the first ``d`` columns of ``M``.
     input_grid:
         Grid over the original value domain (``d`` buckets).
     output_grid:
         Grid over the perturbed value domain (``d'`` buckets).
     poison_bucket_indices:
-        Output-bucket index of each poison column (length ``n_poison``).
+        Output-bucket index of each poison column (length ``n_poison``):
+        column ``d + j`` of ``M`` is one at row ``poison_bucket_indices[j]``
+        and zero elsewhere.
     side:
         Which side of ``reference_mean`` hosts the poison buckets.
     reference_mean:
@@ -100,7 +109,7 @@ class TransformMatrix:
         set (a wide group's coarse buckets can dwarf a narrow known support).
     """
 
-    matrix: np.ndarray
+    normal_block: np.ndarray
     input_grid: BucketGrid
     output_grid: BucketGrid
     poison_bucket_indices: np.ndarray
@@ -125,7 +134,7 @@ class TransformMatrix:
     @property
     def n_components(self) -> int:
         """Total number of latent components ``d + n_poison``."""
-        return self.matrix.shape[1]
+        return self.n_normal_components + self.n_poison_components
 
     @property
     def poison_bucket_centers(self) -> np.ndarray:
@@ -166,6 +175,9 @@ def build_transform_matrix(
     use_cache: bool = False,
 ) -> TransformMatrix:
     """Build the transform matrix ``M`` for a mechanism.
+
+    Only the ``d' x d`` normal block is allocated; the poison columns are
+    returned as their output rows (``poison_bucket_indices``).
 
     Parameters
     ----------
@@ -255,14 +267,8 @@ def build_transform_matrix(
             "n_output_buckets or adjust reference_mean / poison_domain"
         )
 
-    # single allocation instead of a poison block + hstack copy: at paper
-    # scale the matrix is tens of MB, and this build sits on the per-trial
-    # hot path (the poison columns are one-hot, so a scatter fills them)
-    matrix = np.zeros((n_output_buckets, n_input_buckets + poison_indices.size))
-    matrix[:, :n_input_buckets] = normal_block
-    matrix[poison_indices, n_input_buckets + np.arange(poison_indices.size)] = 1.0
     return TransformMatrix(
-        matrix=matrix,
+        normal_block=normal_block,
         input_grid=input_grid,
         output_grid=output_grid,
         poison_bucket_indices=poison_indices,
@@ -290,7 +296,7 @@ def cached_transform_matrix(
     Numerically identical to an uncached build; the expensive normal block
     (the mechanism's interval-probability matrix over the grids) is computed
     once per ``(mechanism type, epsilon, d, d')`` per process — the poison
-    columns are rebuilt per call, so ``poison_domain`` needs no cache key.
+    rows are recomputed per call, so ``poison_domain`` needs no cache key.
     The returned ``TransformMatrix`` owns its arrays — callers may mutate
     them freely.
     """

@@ -76,8 +76,9 @@ class EMFKMeansScheme(Scheme):
     def _reconstructed_mean(self, reports: np.ndarray) -> float:
         counts = self._transform.output_grid.counts(reports)
         # plain EM reconstruction over the normal block only (gamma = 0)
-        normal_block = self._transform.matrix[:, : self._transform.n_normal_components]
-        result = em_reconstruct(normal_block, counts, tol=1e-6, max_iter=2_000)
+        result = em_reconstruct(
+            self._transform.normal_block, counts, tol=1e-6, max_iter=2_000
+        )
         histogram = normalize_histogram(result.weights)
         return histogram_mean(histogram, self._transform.input_grid.centers)
 

@@ -71,11 +71,13 @@ def _validate_em_inputs(
     transform: np.ndarray,
     counts: np.ndarray,
     initial: Optional[np.ndarray],
+    n_tail: int = 0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Shared preamble of the scalar EM kernels.
 
     Validates the transform/counts geometry and returns the normalised
-    initial weights (uniform when ``initial`` is ``None``), so the kernels'
+    initial weights (uniform when ``initial`` is ``None``) over the
+    transform's columns plus ``n_tail`` indicator columns, so the kernels'
     input contracts stay in lockstep.
     """
     transform = np.asarray(transform, dtype=float)
@@ -83,6 +85,7 @@ def _validate_em_inputs(
     if transform.ndim != 2:
         raise ValueError(f"transform must be 2-D, got shape {transform.shape}")
     d_out, n_components = transform.shape
+    n_components += n_tail
     if counts.shape != (d_out,):
         raise ValueError(
             f"counts must have length {d_out} (transform rows), got {counts.shape}"
@@ -106,6 +109,15 @@ def _validate_em_inputs(
     return transform, counts, weights
 
 
+def _stacked(block: np.ndarray, tail_rows: np.ndarray) -> np.ndarray:
+    """``[block | one-hot column per tail row]`` as one dense matrix."""
+    n_block = block.shape[1]
+    stacked = np.zeros((block.shape[0], n_block + tail_rows.size))
+    stacked[:, :n_block] = block
+    stacked[tail_rows, n_block + np.arange(tail_rows.size)] = 1.0
+    return stacked
+
+
 def em_reconstruct(
     transform: np.ndarray,
     counts: np.ndarray,
@@ -114,7 +126,7 @@ def em_reconstruct(
     tol: float = 1e-6,
     m_step: Optional[MStep] = None,
     fixed_zero: Optional[np.ndarray] = None,
-    indicator_tail: Optional[np.ndarray] = None,
+    tail_rows: Optional[np.ndarray] = None,
     gap_tol: Optional[float] = None,
     poison_mass: Optional[tuple[float, int]] = None,
 ) -> EMResult:
@@ -123,7 +135,9 @@ def em_reconstruct(
     Parameters
     ----------
     transform:
-        ``(d', K)`` transition matrix; every column should sum to (at most) 1.
+        ``(d', K - P)`` transition matrix (``P`` is the length of
+        ``tail_rows``, zero without it); every column should sum to (at
+        most) 1.
     counts:
         Observed counts per output bucket, length ``d'``.
     initial:
@@ -138,18 +152,21 @@ def em_reconstruct(
     fixed_zero:
         Optional boolean mask of components forced to zero throughout (used by
         CEMF* bucket suppression).
-    indicator_tail:
-        Optional row indices declaring that the trailing ``len(indicator_tail)``
-        columns of ``transform`` are one-hot indicator columns: column
-        ``K - P + j`` is 1 at row ``indicator_tail[j]`` and 0 elsewhere (the
-        EMF poison block and the k-RR poison columns have exactly this shape).
-        Both per-iteration matrix products then split into a dense product
-        over the leading columns plus a gather/scatter over the indicator
-        rows, cutting the cost from ``O(d' * K)`` to ``O(d' * (K - P))`` —
-        the dominant cost of large-population EMF runs, where the poison
-        block holds half the output grid.  The indices must be unique and the
-        declared columns genuinely one-hot (spot-checked).  Rows forming one
-        ascending run (every EMF side band) are addressed as a slice.
+    tail_rows:
+        Optional output rows of ``P`` one-hot *indicator* columns appended to
+        ``transform``: component ``K - P + j`` is 1 at row ``tail_rows[j]``
+        and 0 elsewhere (the EMF poison block and the k-RR poison columns,
+        the same meaning :func:`em_reconstruct_batch` gives its
+        ``tail_rows``).  The rows must be unique and index rows of
+        ``transform``.  When the indicator columns hold enough dense work
+        (``P * d' >= _INDICATOR_MIN_SAVINGS``), both per-iteration matrix
+        products split into a dense product over ``transform`` plus a
+        gather/scatter over the indicator rows, cutting the cost from
+        ``O(d' * K)`` to ``O(d' * (K - P))`` — the dominant cost of
+        large-population EMF runs, where the poison block holds half the
+        output grid.  Rows forming one ascending run (every EMF side band)
+        are addressed as a slice.  Below that size the solver stacks the
+        ``(d', K)`` matrix once per solve and runs plain dense products.
     gap_tol:
         Optional optimality-gap stopping rule.  The log-likelihood is concave
         in the weights, so at any iterate ``F`` with gradient
@@ -174,8 +191,11 @@ def em_reconstruct(
     -------
     EMResult
     """
-    transform, counts, weights = _validate_em_inputs(transform, counts, initial)
-    d_out, n_components = transform.shape
+    tail = None if tail_rows is None else np.asarray(tail_rows, dtype=np.intp).ravel()
+    transform, counts, weights = _validate_em_inputs(
+        transform, counts, initial, n_tail=0 if tail is None else tail.size
+    )
+    d_out, n_components = transform.shape[0], weights.size
     if poison_mass is not None:
         if m_step is not None:
             raise ValueError("pass at most one of m_step and poison_mass")
@@ -204,29 +224,22 @@ def em_reconstruct(
     # The indicator tail splits both products only when that saves enough
     # dense work to pay for the gather/scatter (a deterministic function of
     # the problem shape, so any two runs on the same statistics take the
-    # same branch); otherwise the whole transform is the dense block.
-    n_dense = n_components
+    # same branch); otherwise the stacked matrix is the dense block.
+    dense = transform
     band = None
-    if indicator_tail is not None:
-        tail = np.asarray(indicator_tail, dtype=np.intp).ravel()
+    if tail is not None and tail.size:
+        if tail.min() < 0 or tail.max() >= d_out:
+            raise ValueError("tail_rows must index rows of the transform")
+        if tail.size != np.unique(tail).size:
+            raise ValueError("tail_rows must be unique")
         if tail.size * d_out >= _INDICATOR_MIN_SAVINGS:
-            n_dense = n_components - tail.size
-            if n_dense < 0:
-                raise ValueError(
-                    f"indicator_tail declares {tail.size} indicator columns but "
-                    f"the transform only has {n_components}"
-                )
-            if tail.size != np.unique(tail).size or not np.all(
-                transform[tail, np.arange(n_dense, n_components)] == 1.0
-            ):
-                raise ValueError(
-                    "indicator_tail rows must be unique and each declared column "
-                    "must be 1.0 at its indicator row"
-                )
+            dense = np.ascontiguousarray(transform)
             band = tail
-            if tail[0] >= 0 and np.all(np.diff(tail) == 1):
+            if np.all(np.diff(tail) == 1):
                 band = slice(int(tail[0]), int(tail[-1]) + 1)
-    dense = transform if band is None else np.ascontiguousarray(transform[:, :n_dense])
+        else:
+            dense = _stacked(transform, tail)
+    n_dense = dense.shape[1]
 
     # Work arrays, written in place every iteration, and their block views.
     # The loop performs the historical allocating loop's floating-point
@@ -537,7 +550,9 @@ def em_reconstruct_batch(
         Observed output-bucket counts, length ``d'`` (shared by every
         hypothesis — they explain the same observations).
     tail_rows:
-        ``(H, T)`` integer array of indicator rows.
+        ``(H, T)`` integer array of indicator rows, e.g. each side's
+        :attr:`~repro.core.transform.TransformMatrix.poison_bucket_indices`;
+        the one-hot columns themselves are never built.
         Hypotheses with fewer than ``T`` real tail columns are *padded*:
         repeat any of their real rows and mark the padding ``False`` in
         ``tail_mask`` — padded components are pinned to weight zero and
@@ -693,14 +708,10 @@ def em_reconstruct_batch(
                 real = np.ones(n_components, dtype=bool)
                 real[n_dense:] = tail_mask[h]
                 real_rows = tail_rows[h][tail_mask[h]]
-                n_real_tail = real_rows.shape[0]
-                transform = np.zeros((d_out, n_dense + n_real_tail))
-                transform[:, :n_dense] = dense
-                transform[real_rows, n_dense + np.arange(n_real_tail)] = 1.0
                 budget = max_iter - iteration
                 if gap_tol is not None:
                     result = em_reconstruct_accelerated(
-                        transform,
+                        _stacked(dense, real_rows),
                         counts,
                         initial=w_active[position][real],
                         max_iter=budget,
@@ -719,12 +730,12 @@ def em_reconstruct_batch(
                         screened[h] = True
                 else:
                     result = em_reconstruct(
-                        transform,
+                        dense,
                         counts,
                         initial=w_active[position][real],
                         max_iter=budget,
                         tol=tol,
-                        indicator_tail=real_rows,
+                        tail_rows=real_rows,
                     )
                 weights[h][real] = result.weights
                 weights[h][~real] = 0.0

@@ -23,8 +23,9 @@ Plan document::
 ``scope`` names a dispatch seam (:class:`~repro.resilience.pool.ResilientPool`
 labels — ``"engine.unit"`` for experiment work units, ``"collect.shard"``
 for collection shards); ``task`` and ``attempt`` are 0-based indices within
-one pool run.  Each fault entry fires at most once (``artifact-write`` up to
-``count`` times).
+one pool run.  Each fault entry fires at most once per dispatching process
+(``artifact-write`` up to ``count`` times); see the last paragraph for what
+that means under nested pools.
 
 A fault plan is an **execution detail**: it changes how hard the run has to
 work, never what it computes — every injected fault is recovered by a retry,
@@ -36,9 +37,11 @@ is therefore excluded from fingerprints and digests and recorded under
 The active injector is process-local state scoped by :func:`use_fault_plan`,
 like :func:`repro.backends.use_backend`.  Injection decisions are made in
 the process that dispatches work; a forked pool worker that starts its own
-nested pool consults its inherited copy independently, which can only make a
-composed run inject a fault more than once — harmless, because recovery is
-invisible in the outputs.
+nested pool consults its inherited copy of the plan independently.  So under
+a pooled engine a ``collect.shard`` entry can fire once per engine worker,
+and ``injected_faults`` then depends on how the units were scheduled over
+the workers.  That is harmless for the outputs, because recovery is
+invisible in them.
 """
 
 from __future__ import annotations

@@ -57,7 +57,12 @@ def em_reconstruct(
     indicator_tail: Optional[np.ndarray] = None,
     gap_tol: Optional[float] = None,
 ) -> EMResult:
-    """The allocating EM loop (same contract as the library kernel)."""
+    """The allocating EM loop on the stacked matrix.
+
+    ``indicator_tail`` declares the trailing columns of ``transform`` one-hot
+    at those rows; the library kernel takes the leading block and the rows
+    (``tail_rows``) instead.
+    """
     transform, counts, weights = _validate_em_inputs(transform, counts, initial)
     d_out, n_components = transform.shape
 

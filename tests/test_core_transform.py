@@ -44,19 +44,25 @@ class TestBuildTransformMatrixPM:
         assert transform.n_normal_components == 10
         # half of the 40 output buckets lie right of 0
         assert transform.n_poison_components == 20
-        assert transform.matrix.shape == (40, 30)
+        assert transform.n_components == 30
+        # only the normal block is stored; the poison columns are their rows
+        assert transform.normal_block.shape == (40, 10)
+        assert transform.normal_block.flags.c_contiguous
 
     def test_normal_columns_sum_to_one(self, transform):
-        sums = transform.matrix[:, :10].sum(axis=0)
+        sums = transform.normal_block.sum(axis=0)
         np.testing.assert_allclose(sums, 1.0, atol=1e-9)
 
     def test_poison_columns_are_indicators(self, transform):
-        poison_block = transform.matrix[:, 10:]
-        assert set(np.unique(poison_block)) <= {0.0, 1.0}
-        np.testing.assert_allclose(poison_block.sum(axis=0), 1.0)
-        # indicator rows match the recorded poison bucket indices
-        rows = np.argmax(poison_block, axis=0)
-        np.testing.assert_array_equal(rows, transform.poison_bucket_indices)
+        # each poison column is one-hot at a distinct output row: the rows
+        # are unique, index the output grid and cover the right half of it
+        rows = transform.poison_bucket_indices
+        assert rows.dtype.kind == "i"
+        assert np.unique(rows).size == rows.size
+        assert rows.min() >= 0 and rows.max() < transform.output_grid.n_buckets
+        np.testing.assert_array_equal(
+            rows, np.flatnonzero(transform.output_grid.centers >= 0.0)
+        )
 
     def test_poison_buckets_on_right(self, transform):
         centers = transform.output_grid.centers[transform.poison_bucket_indices]
@@ -102,7 +108,7 @@ class TestBuildTransformMatrixVariants:
         mech = SquareWaveMechanism(1.0)
         transform = build_transform_matrix(mech, 8, 24, side="right")
         assert transform.n_normal_components == 8
-        np.testing.assert_allclose(transform.matrix[:, :8].sum(axis=0), 1.0, atol=1e-9)
+        np.testing.assert_allclose(transform.normal_block.sum(axis=0), 1.0, atol=1e-9)
         # default reference mean is the output-domain centre
         assert transform.reference_mean == pytest.approx(0.5)
 

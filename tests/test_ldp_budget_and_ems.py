@@ -153,7 +153,7 @@ class TestEMReconstruct:
 
 
 class TestIndicatorTail:
-    """The split dense + gather/scatter products for one-hot tail columns."""
+    """``tail_rows``: one-hot columns appended to the transform by their rows."""
 
     @staticmethod
     def _one_hot_problem(rng, d_out=320, d_dense=24, n_tail=120):
@@ -162,53 +162,54 @@ class TestIndicatorTail:
         tail_rows = rng.choice(d_out, size=n_tail, replace=False)
         tail_block = np.zeros((d_out, n_tail))
         tail_block[tail_rows, np.arange(n_tail)] = 1.0
-        transform = np.hstack([dense, tail_block])
+        stacked = np.hstack([dense, tail_block])
         counts = rng.integers(1, 200, d_out).astype(float)
-        return transform, counts, tail_rows
+        return dense, stacked, counts, tail_rows
 
     def test_matches_dense_path(self):
-        transform, counts, tail = self._one_hot_problem(np.random.default_rng(1))
-        assert tail.size * transform.shape[0] >= 1 << 14  # above the cutover
-        dense = em_reconstruct(transform, counts, max_iter=200, tol=1e-9)
-        split = em_reconstruct(
-            transform, counts, max_iter=200, tol=1e-9, indicator_tail=tail
-        )
+        block, stacked, counts, tail = self._one_hot_problem(np.random.default_rng(1))
+        assert tail.size * stacked.shape[0] >= 1 << 14  # above the cutover
+        dense = em_reconstruct(stacked, counts, max_iter=200, tol=1e-9)
+        split = em_reconstruct(block, counts, max_iter=200, tol=1e-9, tail_rows=tail)
         np.testing.assert_allclose(split.weights, dense.weights, rtol=1e-9, atol=1e-12)
         assert split.log_likelihood == pytest.approx(dense.log_likelihood)
 
     def test_small_problems_fall_back_to_dense_bit_for_bit(self):
         rng = np.random.default_rng(2)
-        transform, counts, tail = self._one_hot_problem(
+        block, stacked, counts, tail = self._one_hot_problem(
             rng, d_out=24, d_dense=6, n_tail=8
         )
-        dense = em_reconstruct(transform, counts, max_iter=100, tol=1e-9)
-        split = em_reconstruct(
-            transform, counts, max_iter=100, tol=1e-9, indicator_tail=tail
-        )
+        dense = em_reconstruct(stacked, counts, max_iter=100, tol=1e-9)
+        split = em_reconstruct(block, counts, max_iter=100, tol=1e-9, tail_rows=tail)
         np.testing.assert_array_equal(split.weights, dense.weights)
         assert split.log_likelihood == dense.log_likelihood
 
-    def test_rejects_columns_that_are_not_one_hot(self):
+    #: one problem above the split cutover and one below it: the rows are
+    #: checked on both paths
+    SIZES = (dict(), dict(d_out=24, d_dense=6, n_tail=8))
+
+    def test_rejects_out_of_range_tail_rows(self):
         rng = np.random.default_rng(3)
-        transform, counts, tail = self._one_hot_problem(rng)
-        broken = transform.copy()
-        broken[tail[0], transform.shape[1] - tail.size] = 0.5
-        with pytest.raises(ValueError, match="indicator row"):
-            em_reconstruct(broken, counts, indicator_tail=tail)
+        for size in self.SIZES:
+            block, _, counts, tail = self._one_hot_problem(rng, **size)
+            for bad_row in (-1, block.shape[0]):
+                broken = tail.copy()
+                broken[-1] = bad_row
+                with pytest.raises(ValueError, match="index rows"):
+                    em_reconstruct(block, counts, tail_rows=broken)
 
     def test_rejects_duplicate_tail_rows(self):
         rng = np.random.default_rng(4)
-        transform, counts, tail = self._one_hot_problem(rng)
-        tail = tail.copy()
-        tail[1] = tail[0]
-        with pytest.raises(ValueError, match="unique"):
-            em_reconstruct(transform, counts, indicator_tail=tail)
+        for size in self.SIZES:
+            block, _, counts, tail = self._one_hot_problem(rng, **size)
+            tail = tail.copy()
+            tail[1] = tail[0]
+            with pytest.raises(ValueError, match="unique"):
+                em_reconstruct(block, counts, tail_rows=tail)
 
     def test_rejects_oversized_tail(self):
-        with pytest.raises(ValueError, match="only has"):
-            em_reconstruct(
-                np.eye(300), np.ones(300), indicator_tail=np.arange(301)
-            )
+        with pytest.raises(ValueError, match="index rows"):
+            em_reconstruct(np.eye(300), np.ones(300), tail_rows=np.arange(301))
 
 
 class TestSmoothing:

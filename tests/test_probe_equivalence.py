@@ -199,7 +199,7 @@ def side_probe_problem():
         )
         for side in ("left", "right")
     ]
-    dense = sides[0].matrix[:, :d_in]
+    dense = sides[0].normal_block
     tails = [side.poison_bucket_indices for side in sides]
     tails += [tails[0][:150], tails[1][:300], tails[1][100:], tails[0][::3]]
     tails += [tails[1][::2], tails[1][50:]]

@@ -38,6 +38,7 @@ from repro.cli import build_parser
 from repro.core.sketch_frequency import SketchFrequencyDAP, _SketchClient, _top_k
 from repro.ldp import count_sketch
 from repro.ldp.count_sketch import CountSketch, sketch_row_seeds
+from repro.ldp.ems import em_reconstruct
 from repro.ldp.olh import OLH_MAX_CATEGORIES, OptimizedLocalHashing, _hash_categories
 from repro.ldp.oue import OUE_MAX_CATEGORIES, OptimizedUnaryEncoding
 from repro.registry import MECHANISMS
@@ -665,22 +666,26 @@ class TestTopK:
 
 
 # ----------------------------------------------------------------------
-# dense probe transform cache (frozen poison set)
+# dense probe transform: cached normal block plus poison rows
 # ----------------------------------------------------------------------
 class TestDenseTransformCache:
-    def test_repeat_poison_set_reuses_the_matrix(self):
+    def test_reconstruct_matches_the_stacked_transform(self):
         dap = FrequencyDAP(1.0, 16)
-        first = dap._build_transform([3, 5])
-        assert dap._build_transform([3, 5]) is first
-
-    def test_changed_poison_set_rebuilds(self):
-        dap = FrequencyDAP(1.0, 16)
-        first = dap._build_transform([3, 5])
-        second = dap._build_transform([3, 7])
-        assert second is not first
-        np.testing.assert_array_equal(
-            second, FrequencyDAP(1.0, 16)._build_transform([3, 7])
-        )
+        counts = np.random.default_rng(2).integers(1, 500, 16).astype(float)
+        for poison_set in ([3, 5], [3, 7], []):
+            stacked = np.hstack(
+                [dap.mechanism.transition_matrix(), np.eye(16)[:, poison_set]]
+            )
+            for gamma_hat in (None, 0.2):
+                poison_mass = (gamma_hat, 16) if gamma_hat and poison_set else None
+                expected = em_reconstruct(
+                    stacked, counts, poison_mass=poison_mass, tol=1e-9, max_iter=10_000
+                )
+                for _ in range(2):  # a repeated poison set solves identically
+                    got = dap._reconstruct(counts, poison_set, gamma_hat)
+                    np.testing.assert_array_equal(got.weights, expected.weights)
+                    assert got.log_likelihood == expected.log_likelihood
+                    assert got.n_iterations == expected.n_iterations
 
     def test_normal_block_cached_and_correct(self):
         dap = FrequencyDAP(1.0, 16)

@@ -38,8 +38,8 @@ class TestCachedTransformMatrix:
         fresh = build_transform_matrix(mechanism, d_in, d_out, side="right")
         cached_first = cached_transform_matrix(mechanism, d_in, d_out, side="right")
         cached_second = cached_transform_matrix(mechanism, d_in, d_out, side="right")
-        np.testing.assert_array_equal(cached_first.matrix, fresh.matrix)
-        np.testing.assert_array_equal(cached_second.matrix, fresh.matrix)
+        np.testing.assert_array_equal(cached_first.normal_block, fresh.normal_block)
+        np.testing.assert_array_equal(cached_second.normal_block, fresh.normal_block)
         np.testing.assert_array_equal(
             cached_second.poison_bucket_indices, fresh.poison_bucket_indices
         )
@@ -49,15 +49,15 @@ class TestCachedTransformMatrix:
     def test_mutation_does_not_poison_cache(self, mechanism_factory):
         mechanism = mechanism_factory(1.0)
         first = cached_transform_matrix(mechanism, 10, 20)
-        expected = first.matrix.copy()
-        first.matrix[:] = -1.0  # vandalise the returned copy
+        expected = first.normal_block.copy()
+        first.normal_block[:] = -1.0  # vandalise the returned copy
         second = cached_transform_matrix(mechanism, 10, 20)
-        np.testing.assert_array_equal(second.matrix, expected)
+        np.testing.assert_array_equal(second.normal_block, expected)
 
     def test_distinct_epsilons_get_distinct_entries(self):
         a = cached_transform_matrix(PiecewiseMechanism(0.5), 8, 16)
         b = cached_transform_matrix(PiecewiseMechanism(1.0), 8, 16)
-        assert a.matrix.shape != b.matrix.shape or not np.array_equal(a.matrix, b.matrix)
+        assert not np.array_equal(a.normal_block, b.normal_block)
         assert transform_cache_stats()["misses"] == 2
 
     def test_sides_share_the_normal_block_entry(self):
