@@ -60,6 +60,7 @@ def run_cemf_star(
     tol: float | None = None,
     max_iter: int = DEFAULT_MAX_ITER,
     suppression_factor: float = DEFAULT_SUPPRESSION_FACTOR,
+    initial: np.ndarray | None = None,
 ) -> EMFResult:
     """Run CEMF*: suppress weak poison buckets, then rerun EMF*.
 
@@ -73,7 +74,7 @@ def run_cemf_star(
     gamma_hat:
         Byzantine proportion to constrain to; defaults to the proportion
         carried by ``emf_result``.
-    reports, counts, epsilon, tol, max_iter:
+    reports, counts, epsilon, tol, max_iter, initial:
         Same as :func:`repro.core.emf_star.run_emf_star`.
     suppression_factor:
         Multiplier on the uniform per-bucket share used as the threshold.
@@ -97,6 +98,7 @@ def run_cemf_star(
         tol=tol,
         max_iter=max_iter,
         fixed_zero_poison=mask,
+        initial=initial,
     )
 
 

@@ -53,7 +53,7 @@ from repro.collect.round import collect_shard, collection_round
 from repro.collect.sharding import DEFAULT_SHARD_BLOCK, run_shard_tasks
 from repro.core.aggregation import aggregate_means, aggregation_weights
 from repro.core.cemf_star import DEFAULT_SUPPRESSION_FACTOR, run_cemf_star
-from repro.core.emf import EMFResult, run_emf
+from repro.core.emf import EMFResult, run_emf, warm_start_weights
 from repro.core.emf_star import run_emf_star
 from repro.core.features import ByzantineFeatures, estimate_byzantine_features
 from repro.core.frequency import EstimatorName, check_estimator
@@ -165,6 +165,34 @@ class DAPConfig:
         return len(self.budget_ladder)
 
 
+@dataclass(frozen=True)
+class GroupWarmState:
+    """Where one budget group's stage-4 solves ended.
+
+    ``weights`` maps each solve the group ran (``"emf"``, ``"emf_star"``,
+    ``"cemf_star"``) to its converged weight vector; they are only valid
+    as starting points on the same ``side``.
+    """
+
+    side: str
+    weights: Mapping[str, np.ndarray]
+
+
+@dataclass(frozen=True)
+class WarmState:
+    """Converged EM weights one round hands the next round over the same grids.
+
+    ``probe`` holds the side probe's two vectors, keyed ``"left"`` /
+    ``"right"``; ``groups`` holds each budget group's stage-4 state, keyed
+    by the group's budget.  :meth:`DAPProtocol.aggregate_stats` starts every
+    solve it has a vector for from it; the windowed service carries it from
+    window to window.
+    """
+
+    probe: Mapping[str, np.ndarray]
+    groups: Mapping[float, GroupWarmState]
+
+
 @dataclass
 class GroupEstimate:
     """Collector-side result for one group.
@@ -186,6 +214,12 @@ class GroupEstimate:
         Aggregation weight assigned by Theorem 6 (filled in at aggregation).
     emf:
         The reconstruction (EMF / EMF* / CEMF*) the mean was derived from.
+    warm:
+        The side and converged weights of the solves this group ran (a plain
+        EMF reused from the probe is not one of them) — what the next
+        round's stage 4 over the same grids may start from.
+    em_iterations:
+        EM iterations those solves took.
     """
 
     epsilon: float
@@ -195,6 +229,8 @@ class GroupEstimate:
     n_normal_estimate: float
     weight: float = 0.0
     emf: EMFResult | None = None
+    warm: GroupWarmState | None = None
+    em_iterations: int = 0
 
 
 @dataclass
@@ -213,8 +249,7 @@ class DAPResult:
         Per-group details (budget, corrected mean, weight, ...).
     features:
         The probing stage's full :class:`~repro.core.features.ByzantineFeatures`
-        (both side EMF runs included), so incremental callers can warm-start
-        the next round's probe from ``features.probe.warm_weights()``.
+        (both side EMF runs included).
     skipped_reports:
         Reports dropped by the contribution-cap client gate (0 when no cap
         is configured); filled by the end-to-end entry points, which know
@@ -223,6 +258,10 @@ class DAPResult:
         Privacy-amplification ledger, one row per contributing group
         (``epsilon_local`` / ``n_reports`` / ``delta`` / ``epsilon_central``
         / ``amplification_factor``); ``None`` under the local protocol.
+    warm_state:
+        The converged weights of this round's probe and stage-4 solves,
+        which an incremental caller passes to the next round's
+        :meth:`DAPProtocol.aggregate_stats`.
     """
 
     estimate: float
@@ -232,11 +271,17 @@ class DAPResult:
     features: ByzantineFeatures | None = None
     skipped_reports: int = 0
     amplification: List[dict] | None = None
+    warm_state: WarmState | None = None
 
     @property
     def weights(self) -> np.ndarray:
         """Aggregation weights, in group order."""
         return np.array([g.weight for g in self.group_estimates])
+
+    @property
+    def aggregate_iterations(self) -> int:
+        """EM iterations of the round's stage-4 solves, over all groups."""
+        return sum(g.em_iterations for g in self.group_estimates)
 
 
 class DAPProtocol:
@@ -463,7 +508,7 @@ class DAPProtocol:
     def aggregate_stats(
         self,
         stats: Sequence[GroupStats],
-        probe_warm_start: Mapping[str, np.ndarray] | None = None,
+        warm_state: WarmState | None = None,
     ) -> DAPResult:
         """Stages 3-5 on per-group sufficient statistics.
 
@@ -471,11 +516,12 @@ class DAPProtocol:
         corrected mean only needs the report sum and count, so no stage
         ever touches raw reports.
 
-        ``probe_warm_start`` optionally seeds the probing stage's side EMs
-        from a previous round's converged weights
-        (:meth:`~repro.core.probing.SideProbeResult.warm_weights` of the
-        returned ``result.features.probe``) — the incremental path the
-        windowed service runs every window.
+        ``warm_state`` optionally starts the probing stage's side EMs and
+        each group's stage-4 solves from a previous round's converged
+        weights (its ``result.warm_state``) — the incremental path the
+        windowed service runs every window.  A group the state does not
+        cover, or whose probed side changed, cold-starts.  Every vector must
+        fit the current grids (:func:`repro.core.emf.warm_start_weights`).
         """
         stats = [s for s in stats if s.n_reports > 0]
         if not stats:
@@ -498,7 +544,7 @@ class DAPProtocol:
                 n_output_buckets=d_out,
                 reference_mean=self.config.reference_mean,
                 epsilon=probe_stats.epsilon,
-                warm_start=probe_warm_start,
+                warm_start=None if warm_state is None else warm_state.probe,
                 poison_domain=self.poison_domain(),
             )
         side = features.side
@@ -516,12 +562,17 @@ class DAPProtocol:
                 if self.config.intra_group_mean == "corrected_sum"
                 else None
             )
+            warm_groups = {} if warm_state is None else warm_state.groups
             estimates: List[GroupEstimate] = []
             for group in stats:
                 reuse = reusable if group is probe_stats else None
                 estimates.append(
                     self._estimate_group(
-                        group, side=side, gamma_global=gamma_global, reuse_emf=reuse
+                        group,
+                        side=side,
+                        gamma_global=gamma_global,
+                        reuse_emf=reuse,
+                        warm=warm_groups.get(group.epsilon),
                     )
                 )
 
@@ -548,6 +599,10 @@ class DAPProtocol:
             amplification=self.plan.ledger(
                 [group.epsilon for group in stats],
                 [group.n_reports for group in stats],
+            ),
+            warm_state=WarmState(
+                probe=features.probe.warm_weights(),
+                groups={e.epsilon: e.warm for e in estimates},
             ),
         )
 
@@ -577,6 +632,7 @@ class DAPProtocol:
         side: str,
         gamma_global: float,
         reuse_emf: EMFResult | None = None,
+        warm: GroupWarmState | None = None,
     ) -> GroupEstimate:
         """Stage 4 for one group: reconstruct, correct, convert to users.
 
@@ -584,7 +640,8 @@ class DAPProtocol:
         holds a reconstruction of this group against the same transform (the
         probing stage produces exactly that for the probe group).  The reuse
         is rejected unless the transform geometry matches, so results are
-        identical with or without it.
+        identical with or without it.  ``warm`` starts each solve from the
+        group's previous converged weights when it was found on ``side``.
         """
         mechanism = self.mechanism_for(group.epsilon)
         d_in, d_out = self._bucket_counts(group.n_reports, group.epsilon)
@@ -609,25 +666,37 @@ class DAPProtocol:
         # tightens the paper's probing tolerance tau = 0.01 * e^eps
         tol = 1e-6 if self.config.intra_group_mean == "distribution" else None
 
+        previous = warm.weights if warm is not None and warm.side == side else {}
+
+        def initial(solve: str) -> np.ndarray | None:
+            label = f"group epsilon={group.epsilon:g} {solve}"
+            return warm_start_weights(previous.get(solve), transform, label)
+
         # plain EMF is only an input to the "emf" and "cemf_star" estimators;
-        # EMF* re-runs EM from scratch with its constrained M-step
-        emf: EMFResult | None = None
-        if self.config.estimator in ("emf", "cemf_star"):
-            emf = reuse_emf or run_emf(
-                transform, counts=counts, epsilon=group.epsilon, tol=tol
+        # EMF* re-runs EM with its constrained M-step
+        solved: dict[str, EMFResult] = {}
+        emf = reuse_emf
+        if emf is None and self.config.estimator in ("emf", "cemf_star"):
+            emf = solved["emf"] = run_emf(
+                transform,
+                counts=counts,
+                epsilon=group.epsilon,
+                tol=tol,
+                initial=initial("emf"),
             )
         if self.config.estimator == "emf":
             reconstruction = emf
         elif self.config.estimator == "emf_star":
-            reconstruction = run_emf_star(
+            reconstruction = solved["emf_star"] = run_emf_star(
                 transform,
                 gamma_hat=gamma_global,
                 counts=counts,
                 epsilon=group.epsilon,
                 tol=tol,
+                initial=initial("emf_star"),
             )
         else:  # cemf_star
-            reconstruction = run_cemf_star(
+            reconstruction = solved["cemf_star"] = run_cemf_star(
                 transform,
                 emf_result=emf,
                 gamma_hat=gamma_global,
@@ -635,6 +704,7 @@ class DAPProtocol:
                 epsilon=group.epsilon,
                 suppression_factor=self.config.suppression_factor,
                 tol=tol,
+                initial=initial("cemf_star"),
             )
 
         gamma_t = reconstruction.gamma_hat
@@ -662,6 +732,10 @@ class DAPProtocol:
             n_reports=group.n_reports,
             n_normal_estimate=n_normal_estimate,
             emf=reconstruction,
+            warm=GroupWarmState(
+                side, {solve: result.weights for solve, result in solved.items()}
+            ),
+            em_iterations=sum(result.n_iterations for result in solved.values()),
         )
 
     def _transform_matches(
@@ -846,5 +920,7 @@ __all__ = [
     "DAPProtocol",
     "DAPResult",
     "GroupEstimate",
+    "GroupWarmState",
+    "WarmState",
     "assign_groups",
 ]

@@ -34,6 +34,11 @@ from repro.utils.histogram import histogram_mean, histogram_variance
 #: probe at eps=0.0625, ~250 for its right side)
 DEFAULT_MAX_ITER = 5_000
 
+#: floor under every warm-start weight: EM's multiplicative update can never
+#: revive an exactly-zero component, so without it new data could not move
+#: mass back there (the floor washes out within an iteration or two)
+WARM_START_FLOOR = 1e-12
+
 
 def default_tolerance(epsilon: float | None) -> float:
     """The paper's termination threshold ``tau = 0.01 * e^epsilon``."""
@@ -76,6 +81,12 @@ class EMFResult:
         return float(self.poison_histogram.sum())
 
     @property
+    def weights(self) -> np.ndarray:
+        """The full weight vector ``[x_hat, y_hat]`` — the form ``initial``
+        takes when a later solve over the same transform is warm-started."""
+        return np.concatenate([self.normal_histogram, self.poison_histogram])
+
+    @property
     def normal_histogram_variance(self) -> float:
         """Variance of ``x_hat`` — the side-probing criterion (Algorithm 3)."""
         return histogram_variance(self.normal_histogram)
@@ -114,6 +125,34 @@ class EMFResult:
         )
 
 
+def warm_start_weights(
+    weights: np.ndarray | None, transform: TransformMatrix, label: str
+) -> np.ndarray | None:
+    """Validate a warm-start vector for ``transform`` and floor it for EM.
+
+    ``None`` stays ``None`` (a cold start).  A vector of the wrong length
+    raises ``ValueError`` — state accumulated over different grids must not
+    silently skew a solve — and so does a non-finite or negative entry.
+    Valid weights are floored at :data:`WARM_START_FLOOR`.  ``label`` names
+    the solve in the error message.
+    """
+    if weights is None:
+        return None
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != (transform.n_components,):
+        raise ValueError(
+            f"warm start for {label} must have length {transform.n_components} "
+            f"(current grids), got shape {weights.shape}; discard warm state "
+            f"accumulated over different grids"
+        )
+    if not np.all(np.isfinite(weights)) or np.any(weights < 0):
+        raise ValueError(
+            f"warm start for {label} must be finite and non-negative; the "
+            f"warm state is corrupt"
+        )
+    return np.maximum(weights, WARM_START_FLOOR)
+
+
 def run_emf(
     transform: TransformMatrix,
     reports: np.ndarray | None = None,
@@ -141,9 +180,11 @@ def run_emf(
     initial:
         Optional warm-start weights (length ``d + n_poison``, i.e. a previous
         run's ``concatenate([normal_histogram, poison_histogram])``); defaults
-        to the uniform cold start.  The log-likelihood is concave, so a warm
-        start converges to the same maximiser in fewer iterations — the
-        windowed service exploits this across consecutive windows.
+        to the uniform cold start.  The log-likelihood is concave, so both
+        head for the same maximiser, but the ``tau`` stop ends each solve
+        wherever its step fell below ``tau``: a warm and a cold solve stop at
+        different points on the flat top, each within the stop rule's slack
+        (see :func:`warm_start_weights` for the floor a warm vector gets).
     """
     if (reports is None) == (counts is None):
         raise ValueError("provide exactly one of `reports` or `counts`")
@@ -201,7 +242,9 @@ def run_emf_stacked(
     ----------
     transforms:
         The hypothesis transforms; they must share the output grid and the
-        normal block (verified).
+        normal block *object* (verified by identity; transforms built by
+        :func:`~repro.core.transform.cached_transform_matrix` over the same
+        grids share the cache's one read-only block).
     counts:
         Output-bucket counts shared by every hypothesis (the hypotheses
         explain the same observations).
@@ -218,12 +261,12 @@ def run_emf_stacked(
     n_normal = first.n_normal_components
     dense = first.normal_block
     for transform in transforms[1:]:
-        if transform.output_grid != first.output_grid or not np.array_equal(
-            transform.normal_block, dense
-        ):
+        shared = transform.normal_block is dense
+        if transform.output_grid != first.output_grid or not shared:
             raise ValueError(
                 "stacked EMF hypotheses must share the output grid and the "
-                "normal block; build them over the same grids and mechanism"
+                "normal block; build them with cached_transform_matrix over "
+                "the same grids and mechanism"
             )
     counts = np.asarray(counts, dtype=float)
     if tol is None:
@@ -294,5 +337,6 @@ __all__ = [
     "run_emf",
     "run_emf_stacked",
     "default_tolerance",
+    "warm_start_weights",
     "DEFAULT_MAX_ITER",
 ]

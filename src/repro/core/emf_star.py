@@ -33,6 +33,7 @@ def run_emf_star(
     tol: float | None = None,
     max_iter: int = DEFAULT_MAX_ITER,
     fixed_zero_poison: np.ndarray | None = None,
+    initial: np.ndarray | None = None,
 ) -> EMFResult:
     """Run EMF* (Algorithm 4).
 
@@ -48,6 +49,10 @@ def run_emf_star(
     fixed_zero_poison:
         Optional boolean mask over the *poison* columns forcing them to zero —
         this is how CEMF* reuses this routine after bucket suppression.
+    initial:
+        Optional warm-start weights, as in :func:`repro.core.emf.run_emf`;
+        pinned components are zeroed and the rest renormalised before the
+        first iteration.
     """
     if (reports is None) == (counts is None):
         raise ValueError("provide exactly one of `reports` or `counts`")
@@ -73,6 +78,7 @@ def run_emf_star(
     result = em_reconstruct(
         transform.normal_block,
         counts,
+        initial=initial,
         max_iter=max_iter,
         tol=tol,
         poison_mass=(gamma_hat, n_normal),

@@ -17,7 +17,12 @@ from typing import Dict, Mapping
 
 import numpy as np
 
-from repro.core.emf import DEFAULT_MAX_ITER, EMFResult, run_emf_stacked
+from repro.core.emf import (
+    DEFAULT_MAX_ITER,
+    EMFResult,
+    run_emf_stacked,
+    warm_start_weights,
+)
 from repro.core.transform import TransformMatrix, cached_transform_matrix
 
 
@@ -60,10 +65,7 @@ class SideProbeResult:
         call over the same grids accepts — the windowed service feeds window
         ``w``'s probe with window ``w-1``'s converged weights.
         """
-        return {
-            side: np.concatenate([emf.normal_histogram, emf.poison_histogram])
-            for side, emf in (("left", self.emf_left), ("right", self.emf_right))
-        }
+        return {"left": self.emf_left.weights, "right": self.emf_right.weights}
 
 
 def probe_poisoned_side(
@@ -102,12 +104,12 @@ def probe_poisoned_side(
         complete sufficient statistic of the probe.
     warm_start:
         Optional per-side initial weight vectors (a previous
-        :meth:`SideProbeResult.warm_weights` mapping).  The likelihood is
-        concave, so warm and cold starts reach the same maximisers — a warm
-        start only cuts iterations, which is what makes steady-state
-        incremental probing cheap.  Missing sides cold-start; a vector of the
-        wrong length raises ``ValueError`` (a stale checkpoint built over
-        different grids must not silently skew the probe).
+        :meth:`SideProbeResult.warm_weights` mapping), which is what makes
+        steady-state incremental probing cheap.  Missing sides cold-start;
+        each vector goes through :func:`repro.core.emf.warm_start_weights`,
+        so one of the wrong length (a stale checkpoint built over different
+        grids), or with a non-finite or negative entry, raises
+        ``ValueError``.
     poison_domain:
         Known support of the poison values when the trust model bounds the
         adversary (see :func:`repro.core.transform.build_transform_matrix`);
@@ -138,32 +140,13 @@ def probe_poisoned_side(
             # both sides share the output grid; bucketize once
             counts = transforms[side].output_counts(np.asarray(reports, dtype=float))
 
-    initials: dict[str, np.ndarray | None] = {"left": None, "right": None}
-    if warm_start:
-        for side in ("left", "right"):
-            weights = warm_start.get(side)
-            if weights is None:
-                continue
-            weights = np.asarray(weights, dtype=float)
-            expected = (
-                transforms[side].n_normal_components
-                + transforms[side].n_poison_components
-            )
-            if weights.shape != (expected,):
-                raise ValueError(
-                    f"warm start for side {side!r} must have length {expected} "
-                    f"(current probe grids), got shape {weights.shape}; "
-                    f"discard warm state accumulated over different grids"
-                )
-            if not np.all(np.isfinite(weights)) or np.any(weights < 0):
-                raise ValueError(
-                    f"warm start for side {side!r} must be finite and "
-                    f"non-negative; the checkpoint is corrupt"
-                )
-            # EM's multiplicative update can never revive an exactly-zero
-            # component; floor the warm weights so new data can still move
-            # mass anywhere (the floor washes out within an iteration or two)
-            initials[side] = np.maximum(weights, 1e-12)
+    warm_start = warm_start or {}
+    initials = {
+        side: warm_start_weights(
+            warm_start.get(side), transforms[side], f"probe side {side!r}"
+        )
+        for side in ("left", "right")
+    }
 
     # both side hypotheses share the normal block, so one stacked EM solves
     # them together; they reach the same maximisers as two independent

@@ -205,7 +205,7 @@ def build_transform_matrix(
         Serve the normal block from the process-local transform cache.  The
         block depends only on ``(mechanism type, epsilon, d, d')``, so sweeps
         that rebuild the same matrix per trial hit the cache after the first
-        build; a fresh copy is returned on every call.
+        build; every call shares the cache's one read-only block.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
@@ -297,8 +297,9 @@ def cached_transform_matrix(
     (the mechanism's interval-probability matrix over the grids) is computed
     once per ``(mechanism type, epsilon, d, d')`` per process — the poison
     rows are recomputed per call, so ``poison_domain`` needs no cache key.
-    The returned ``TransformMatrix`` owns its arrays — callers may mutate
-    them freely.
+    The returned ``TransformMatrix``'s normal block is the cache's read-only
+    array, shared by every transform over the same grids (both probe sides
+    included); its poison rows are its own.
     """
     return build_transform_matrix(
         mechanism,

@@ -5,9 +5,10 @@ its ancestors at ``path.1`` (one write ago), ``path.2``, ... up to the
 retention limit.  Every write is atomic (temp file in the same directory,
 fsync, then ``os.replace``), so a SIGKILL at any instant leaves either the
 previous or the new checkpoint — never a torn file.  The payload carries
-only sufficient statistics and probe state (accumulator snapshots, converged
-EM weights, detector state), so its size is bounded by the grid geometry,
-not by how many users the stream has absorbed.
+only sufficient statistics and warm state (accumulator snapshots, the probe's
+and every budget group's converged EM weights, detector state), so its size
+is bounded by the grid geometry and the window count, not by how many users
+the stream has absorbed.
 
 Atomic writes cannot protect a file *after* it lands — disks corrupt, ops
 truncate, backups restore partially.  Recovery is
@@ -21,24 +22,41 @@ JSON (checked when present, so pre-checksum checkpoints stay loadable): a
 flipped bit deep inside a float array still parses as valid JSON, and only
 the checksum catches it at load time.
 
-Python's ``json`` round-trips finite floats exactly (``repr`` emits the
-shortest representation that parses back to the same double), which is what
-makes resume *bit*-identical rather than merely close.
+Resume is *bit*-identical rather than merely close because every number
+comes back exactly.  Scalars ride as JSON floats, which Python's ``json``
+round-trips (``repr`` emits the shortest string that parses back to the same
+double).  The warm EM weight vectors ride as their raw bytes instead —
+little-endian float64, base64-encoded (:func:`encode_weights`) — which is
+exact too, and much cheaper to write than a JSON list of float reprs.
+:func:`load_checkpoint` decodes them (:func:`decode_weights`) and refuses a
+vector of the wrong length or with a non-finite or negative entry, so the
+chain quarantines such a checkpoint like any other invalid member.
 """
 
 from __future__ import annotations
 
+import base64
+import binascii
 import hashlib
 import json
 import os
 import warnings
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+import numpy as np
+
 from repro.resilience import stats
 from repro.utils.durable import write_json
 
-#: bump when the checkpoint layout changes incompatibly
-CHECKPOINT_VERSION = 1
+#: bump when the checkpoint layout changes incompatibly (2: the warm state
+#: covers every budget group, and weight vectors are encoded bytes)
+CHECKPOINT_VERSION = 2
+
+#: payload section holding the encoded warm EM weight vectors
+WARM_KEY = "warm"
+
+#: key of an encoded weight vector's base64 payload
+_BYTES_KEY = "f64le"
 
 #: suffix quarantined (invalid) chain members are renamed aside with
 QUARANTINE_SUFFIX = ".quarantined"
@@ -57,9 +75,74 @@ def payload_checksum(payload: Mapping[str, Any]) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def encode_weights(weights: np.ndarray) -> Dict[str, Any]:
+    """A weight vector as ``{"n": length, "f64le": base64 of its bytes}``.
+
+    The bytes are the vector's little-endian float64 values, so decoding
+    gives back every value bit for bit (zeros and subnormals included).
+    """
+    array = np.ascontiguousarray(weights, dtype="<f8")
+    return {
+        "n": int(array.size),
+        _BYTES_KEY: base64.b64encode(array.tobytes()).decode("ascii"),
+    }
+
+
+def decode_weights(encoded: Any) -> np.ndarray:
+    """Invert :func:`encode_weights`, refusing anything but a valid vector.
+
+    Raises ``ValueError`` unless ``encoded`` decodes to exactly ``n``
+    finite, non-negative float64 values.
+    """
+    if not isinstance(encoded, dict) or set(encoded) != {"n", _BYTES_KEY}:
+        raise ValueError(f"encoded weights must be {{'n', {_BYTES_KEY!r}}}")
+    n = encoded["n"]
+    try:
+        raw = base64.b64decode(encoded[_BYTES_KEY], validate=True)
+    except (binascii.Error, TypeError) as error:
+        raise ValueError(f"encoded weights are not valid base64: {error}") from None
+    if not isinstance(n, int) or isinstance(n, bool) or len(raw) != 8 * n:
+        raise ValueError(
+            f"encoded weights hold {len(raw)} bytes, not the {n!r} float64 "
+            f"values their length claims"
+        )
+    weights = np.frombuffer(raw, dtype="<f8").astype(float)
+    if not np.all(np.isfinite(weights)) or np.any(weights < 0):
+        raise ValueError("encoded weights must be finite and non-negative")
+    return weights
+
+
+def _encode_section(node: Any) -> Any:
+    """``node`` with every array in it encoded (:func:`encode_weights`)."""
+    if isinstance(node, np.ndarray):
+        return encode_weights(node)
+    if isinstance(node, dict):
+        return {key: _encode_section(value) for key, value in node.items()}
+    if isinstance(node, list):
+        return [_encode_section(value) for value in node]
+    return node
+
+
+def _decode_section(node: Any) -> Any:
+    """``node`` with every encoded weight vector in it decoded."""
+    if isinstance(node, dict):
+        if _BYTES_KEY in node:
+            return decode_weights(node)
+        return {key: _decode_section(value) for key, value in node.items()}
+    if isinstance(node, list):
+        return [_decode_section(value) for value in node]
+    return node
+
+
 def write_checkpoint(path: str, payload: Mapping[str, Any]) -> None:
-    """Atomically write a checkpoint payload (checksum-stamped) to ``path``."""
+    """Atomically write a checkpoint payload (checksum-stamped) to ``path``.
+
+    Arrays in the :data:`WARM_KEY` section are written as exact bytes
+    (:func:`encode_weights`).
+    """
     payload = dict(payload)
+    if payload.get(WARM_KEY) is not None:
+        payload[WARM_KEY] = _encode_section(payload[WARM_KEY])
     payload["checksum"] = payload_checksum(payload)
     write_json(path, payload)
 
@@ -72,6 +155,9 @@ def load_checkpoint(path: str, expected_digest: str | None = None) -> Dict[str, 
     different service identity (changed window boundaries, seed, probe
     knobs, ...).  A mismatched checkpoint must never be silently resumed:
     the resulting stream would be neither the old one nor the new one.
+    The :data:`WARM_KEY` section comes back with its weight vectors decoded
+    to arrays (:func:`decode_weights`, which raises ``ValueError`` too), so
+    a loaded payload can be written back as it is.
     """
     with open(path, "r", encoding="utf-8") as handle:
         try:
@@ -103,6 +189,13 @@ def load_checkpoint(path: str, expected_digest: str | None = None) -> Dict[str, 
             f"(digest {payload['digest']!r}, expected {expected_digest!r}); "
             f"delete it or restore the original spec"
         )
+    if payload.get(WARM_KEY) is not None:
+        try:
+            payload[WARM_KEY] = _decode_section(payload[WARM_KEY])
+        except ValueError as error:
+            raise ValueError(
+                f"checkpoint {path!r} holds invalid warm state: {error}"
+            ) from None
     return payload
 
 
@@ -200,6 +293,9 @@ __all__ = [
     "CheckpointChain",
     "DEFAULT_RETAIN",
     "QUARANTINE_SUFFIX",
+    "WARM_KEY",
+    "decode_weights",
+    "encode_weights",
     "load_checkpoint",
     "payload_checksum",
     "write_checkpoint",

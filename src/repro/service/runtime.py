@@ -14,20 +14,28 @@ long-running collector:
   report count), so every window's statistics live on one geometry and the
   cumulative state stays a few kilobytes per group no matter how many
   millions of users stream past.
-* **Probe incrementally** — stages 3-5 re-run per window on the cumulative
-  statistics, with the side-probe EMs warm-started from the previous
-  window's converged weights.  The likelihood is concave, so warm starts
-  reach the same maximisers; between consecutive windows the cumulative
-  histogram barely moves, so the steady-state probe converges in a handful
-  of iterations instead of a cold solve's hundreds.
+* **Estimate incrementally** — stages 3-5 re-run per window on the
+  cumulative statistics, with the side-probe EMs and every budget group's
+  stage-4 EMF / CEMF* (or EMF*) solves warm-started from the previous
+  window's converged weights (:class:`~repro.core.dap.WarmState`; a group
+  whose probed side flipped cold-starts).  Between consecutive windows the
+  cumulative histogram barely moves, so a warm solve stops after a handful
+  of iterations instead of a cold solve's hundreds.  The paper's stop rule
+  ``tau = 0.01 e^eps`` ends a solve on a flat stretch of the likelihood, so
+  a warm and a cold group solve stop at different points of it: the group
+  estimates move within that slack (by at most 0.015 over nine of the
+  benchmark's 40-window service streams), while the probe, and with it the
+  side, ``gamma_hat`` and the detector, is not affected by the group warm
+  starts at all.
 * **Detect** — the marginal (per-window) Byzantine proportion feeds a CUSUM
   detector (:mod:`repro.service.detector`), flagging a mid-stream attack
   onset within a couple of windows.
-* **Checkpoint** — after each window the cumulative accumulators, probe warm
-  state, detector state and window results snapshot atomically to one JSON
-  file.  Window ``w`` consumes randomness derived from ``(seed, w)`` only,
-  so a killed service resumes *bit-identically*: the estimates after a
-  SIGKILL + resume equal an uninterrupted run's, float for float.
+* **Checkpoint** — after each window the cumulative accumulators, warm
+  state (exact float64 bytes), detector state and window results snapshot
+  atomically to one JSON file.  Window ``w`` consumes randomness derived
+  from ``(seed, w)`` only, so a killed service resumes *bit-identically*:
+  the estimates after a SIGKILL + resume equal an uninterrupted run's,
+  float for float.
 """
 
 from __future__ import annotations
@@ -42,12 +50,16 @@ import numpy as np
 
 from repro.backends import use_backend
 from repro.collect.accumulators import GroupAccumulator
-from repro.core.dap import DAPConfig, DAPProtocol
+from repro.core.dap import DAPConfig, DAPProtocol, GroupWarmState, WarmState
 from repro.core.transform import default_bucket_counts
 from repro.engine.executor import execution_record
 from repro.resilience.faults import active_injector, corrupt_file
 from repro.scenario import attack_from_spec, dataset_from_spec
-from repro.service.checkpoint import CHECKPOINT_VERSION, CheckpointChain
+from repro.service.checkpoint import (
+    CHECKPOINT_VERSION,
+    WARM_KEY,
+    CheckpointChain,
+)
 from repro.service.detector import CusumDetector
 from repro.service.spec import ServiceSpec
 from repro.simulation.population import build_population
@@ -87,6 +99,7 @@ class WindowResult:
     flagged: bool
     warm: bool
     probe_iterations: int
+    aggregate_iterations: int
     collect_seconds: float = 0.0
     probe_seconds: float = 0.0
     aggregate_seconds: float = 0.0
@@ -192,7 +205,8 @@ class WindowedAggregationService:
 
         # run state (populated by _fresh_state / _restore_state)
         self._cumulative: List[GroupAccumulator] = []
-        self._warm: Dict[str, np.ndarray] | None = None
+        #: the next window's warm start; stays None when warm_probe is off
+        self._warm: WarmState | None = None
         self._detector = CusumDetector(**spec.detector)
         self._windows: List[WindowResult] = []
         self._next_window = 0
@@ -237,14 +251,7 @@ class WindowedAggregationService:
                     f"on a different grid; the checkpoint is corrupt"
                 )
         self._cumulative = cumulative
-        warm = payload.get("probe_warm")
-        if warm is None:
-            self._warm = None
-        else:
-            self._warm = {
-                side: np.asarray(weights, dtype=float)
-                for side, weights in warm.items()
-            }
+        self._warm = _warm_from_payload(payload.get(WARM_KEY))
         self._detector = CusumDetector.from_state(payload["detector"])
         self._windows = [WindowResult.from_dict(row) for row in payload["windows"]]
         self._next_window = int(payload["next_window"])
@@ -279,10 +286,8 @@ class WindowedAggregationService:
             "next_window": self._next_window,
             "execution": self.spec.execution_details(),
             "cumulative": [acc.state_dict() for acc in self._cumulative],
-            "probe_warm": (
-                None
-                if self._warm is None
-                else {side: weights.tolist() for side, weights in self._warm.items()}
+            WARM_KEY: (
+                None if self._warm is None else _warm_to_payload(self._warm)
             ),
             "probe_prev": {
                 "gamma_hat": self._prev_probe_gamma,
@@ -395,9 +400,9 @@ class WindowedAggregationService:
 
         warm_start = self._warm if spec.warm_probe else None
         stats = [acc.stats() for acc in self._cumulative if acc.n_reports > 0]
-        result = self.protocol.aggregate_stats(stats, probe_warm_start=warm_start)
+        result = self.protocol.aggregate_stats(stats, warm_state=warm_start)
         assert result.features is not None
-        self._warm = result.features.probe.warm_weights()
+        self._warm = result.warm_state if spec.warm_probe else None
 
         # marginal Byzantine proportion: poison mass the newest window added
         # to the probe group, as a fraction of the window's probe reports
@@ -432,6 +437,7 @@ class WindowedAggregationService:
                 result.features.probe.emf_left.n_iterations
                 + result.features.probe.emf_right.n_iterations
             ),
+            aggregate_iterations=result.aggregate_iterations,
             collect_seconds=delta.get("collect", 0.0),
             probe_seconds=delta.get("probe", 0.0),
             aggregate_seconds=delta.get("aggregate", 0.0),
@@ -458,8 +464,43 @@ def format_window(row: WindowResult, n_windows: int) -> str:
         f"window {row.window + 1}/{n_windows}: estimate={row.estimate:+.4f} "
         f"gamma={row.gamma_hat:.3f} side={row.poisoned_side} "
         f"probe={row.probe_seconds:.3f}s ({row.probe_iterations} EM iters) "
+        f"aggregate={row.aggregate_seconds:.3f}s "
+        f"({row.aggregate_iterations} EM iters) "
         f"window={row.window_seconds:.2f}s{flag}"
     )
+
+
+def _warm_to_payload(state: WarmState) -> Dict[str, Any]:
+    """The checkpoint's warm section (the checkpoint writes its arrays as
+    exact bytes)."""
+    return {
+        "probe": dict(state.probe),
+        "groups": [
+            {"epsilon": epsilon, "side": group.side, "weights": dict(group.weights)}
+            for epsilon, group in state.groups.items()
+        ],
+    }
+
+
+def _warm_from_payload(section: Dict[str, Any] | None) -> WarmState | None:
+    """Invert :func:`_warm_to_payload` on a loaded checkpoint's section."""
+    if section is None:
+        return None
+    try:
+        return WarmState(
+            probe=dict(section["probe"]),
+            groups={
+                float(row["epsilon"]): GroupWarmState(
+                    str(row["side"]), dict(row["weights"])
+                )
+                for row in section["groups"]
+            },
+        )
+    except (KeyError, TypeError) as error:
+        raise ValueError(
+            f"checkpoint warm state is malformed ({error!r}); the checkpoint "
+            f"is corrupt"
+        ) from None
 
 
 __all__ = [

@@ -150,9 +150,12 @@ class ServiceSpec(Spec):
     warm_probe: bool = knob(
         IDENTITY,
         boolean,
-        "warm-start each window's probe EMs from the previous window's "
-        "converged weights; this changes iterate-level floating point, and "
-        "kill/resume is bit-identical only with the digest pinning it",
+        "warm-start each window's probe EMs and every budget group's "
+        "stage-4 EMF/CEMF* (or EMF*) solves from the previous window's "
+        "converged weights, which the checkpoint carries exactly; the side "
+        "and gamma_hat stay those of a cold stream, while the estimates move "
+        "within the tau stop rule's slack, so kill/resume is bit-identical "
+        "only with the digest pinning it",
         default=True,
     )
     # every window probes with the stacked side EM since the strategy knob

@@ -9,8 +9,10 @@ reconstruction so each distinct matrix is computed once per process.
 
 The cache is process-local by design: the parallel experiment executor forks
 one cache per worker, so no locking is needed and workers stay independent.
-Every lookup returns a *fresh copy* of the stored array — mutating a returned
-matrix can never poison the cache.
+Every lookup hands out the stored array itself, marked read-only: callers
+that hit the same entry share one block (identity says so, with no element
+comparison), and writing to a returned matrix raises instead of poisoning
+the cache.
 """
 
 from __future__ import annotations
@@ -42,16 +44,17 @@ def mechanism_cache_key(mechanism) -> Tuple[Hashable, ...]:
 def cached_matrix(
     key: Tuple[Hashable, ...], builder: Callable[[], np.ndarray]
 ) -> np.ndarray:
-    """Return a copy of the matrix for ``key``, building it on first use.
+    """Return the read-only matrix for ``key``, building it on first use.
 
-    ``builder`` is only invoked on a miss; its result is stored read-only and
-    every caller (including the first) receives an independent copy.
+    ``builder`` is only invoked on a miss; its result is stored C-contiguous
+    and read-only, and every caller (including the first) receives that one
+    array.
     """
     global _HITS, _MISSES
     master = _CACHE.get(key)
     if master is None:
         _MISSES += 1
-        master = np.asarray(builder(), dtype=float)
+        master = np.ascontiguousarray(builder(), dtype=float)
         master.setflags(write=False)
         _CACHE[key] = master
         while len(_CACHE) > CACHE_CAPACITY:
@@ -59,7 +62,7 @@ def cached_matrix(
     else:
         _HITS += 1
         _CACHE.move_to_end(key)
-    return master.copy()
+    return master
 
 
 def clear_transform_cache() -> None:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.attacks import BiasedByzantineAttack, NoAttack, PAPER_POISON_RANGES
 from repro.core.baseline_protocol import BaselineProtocol
-from repro.core.dap import DAPConfig, DAPProtocol
+from repro.core.dap import DAPConfig, DAPProtocol, GroupWarmState, WarmState
 from repro.defenses import OstrichDefense
 from repro.ldp import PiecewiseMechanism, SquareWaveMechanism
 from tests.client_reports import group_reports
@@ -137,6 +137,86 @@ class TestDAPAggregate:
         result = DAPProtocol(config).run(normal_values, attack, 2_000, rng=7)
         assert result.poisoned_side == "left"
         assert result.estimate == pytest.approx(normal_values.mean(), abs=0.2)
+
+
+class TestDAPWarmState:
+    """``aggregate_stats`` hands back a warm state and restarts from one."""
+
+    SOLVES = {
+        "emf": {"emf"},
+        "emf_star": {"emf_star"},
+        "cemf_star": {"emf", "cemf_star"},
+    }
+
+    @staticmethod
+    def round_stats(normal_values, estimator="cemf_star"):
+        config = DAPConfig(epsilon=1.0, epsilon_min=1 / 4, estimator=estimator)
+        protocol = DAPProtocol(config)
+        groups = protocol.collect_sharded(normal_values, ATTACK, 1_500, rng=8)
+        return protocol, [group.stats() for group in groups]
+
+    @pytest.mark.parametrize("estimator", ["emf", "emf_star", "cemf_star"])
+    def test_state_covers_the_probe_and_every_group(self, normal_values, estimator):
+        protocol, stats = self.round_stats(normal_values, estimator)
+        cold = protocol.aggregate_stats(stats)
+        state = cold.warm_state
+        assert set(state.probe) == {"left", "right"}
+        assert set(state.groups) == {s.epsilon for s in stats}
+        probe_epsilon = min(s.epsilon for s in stats)
+        for epsilon, group in state.groups.items():
+            assert group.side == cold.poisoned_side
+            expected = set(self.SOLVES[estimator])
+            if epsilon == probe_epsilon:
+                expected.discard("emf")  # reused from the probe, not solved
+            assert set(group.weights) == expected
+        assert cold.aggregate_iterations == sum(
+            g.em_iterations for g in cold.group_estimates
+        )
+
+        # restarting on the same statistics from the converged state stops
+        # sooner and lands within the tau stop rule's slack of the cold answer
+        warm = protocol.aggregate_stats(stats, warm_state=state)
+        assert warm.poisoned_side == cold.poisoned_side
+        assert warm.aggregate_iterations < cold.aggregate_iterations
+        assert warm.estimate == pytest.approx(cold.estimate, abs=0.02)
+
+    def test_group_found_on_another_side_cold_starts(self, normal_values):
+        protocol, stats = self.round_stats(normal_values)
+        cold = protocol.aggregate_stats(stats)
+        flipped = "left" if cold.poisoned_side == "right" else "right"
+        stale = WarmState(
+            probe={},  # no probe vectors: the probe cold-starts too
+            groups={
+                epsilon: GroupWarmState(flipped, group.weights)
+                for epsilon, group in cold.warm_state.groups.items()
+            },
+        )
+        again = protocol.aggregate_stats(stats, warm_state=stale)
+        assert again.estimate == cold.estimate
+        assert again.aggregate_iterations == cold.aggregate_iterations
+
+    @pytest.mark.parametrize(
+        "damage,message",
+        [
+            (lambda w: w[:-1], "must have length"),
+            (lambda w: np.where(np.arange(w.size) == 0, np.nan, w), "finite"),
+            (lambda w: -w, "non-negative"),
+        ],
+    )
+    def test_invalid_group_vector_refused(self, normal_values, damage, message):
+        protocol, stats = self.round_stats(normal_values)
+        state = protocol.aggregate_stats(stats).warm_state
+        broken = WarmState(
+            probe=state.probe,
+            groups={
+                epsilon: GroupWarmState(
+                    group.side, {k: damage(w) for k, w in group.weights.items()}
+                )
+                for epsilon, group in state.groups.items()
+            },
+        )
+        with pytest.raises(ValueError, match=message):
+            protocol.aggregate_stats(stats, warm_state=broken)
 
 
 class TestDAPWithSquareWave:

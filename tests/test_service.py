@@ -9,8 +9,13 @@ The load-bearing guarantees:
   instead of silently resuming the wrong stream;
 * bounded state — the checkpointed accumulators keep one shape however
   long the stream runs;
-* warm-started probing — same side selections as cold probing, at least 3x
-  fewer EM iterations once the stream reaches steady state;
+* warm starts — the probe and every group's stage-4 solves restart from the
+  previous window: on a stream attacked from its first window, the same
+  side selections and flags as a cold stream, at least 3x fewer probe EM
+  iterations and fewer stage-4 iterations once the stream reaches steady
+  state; a cold stream keeps no warm state;
+* exact warm checkpoints — weight vectors round-trip bit for bit, and a
+  damaged vector makes its checkpoint invalid;
 * change detection — a mid-stream attack onset is flagged within a couple
   of windows, and an attack-free stream is never flagged.
 """
@@ -33,6 +38,7 @@ from repro.backends import use_backend
 from repro.cli import _with_overrides, build_parser
 from repro.service import (
     CHECKPOINT_VERSION,
+    CheckpointChain,
     CusumDetector,
     ServiceSpec,
     WindowResult,
@@ -41,6 +47,7 @@ from repro.service import (
     run_service,
     write_checkpoint,
 )
+from repro.service.checkpoint import WARM_KEY, decode_weights, encode_weights
 
 SMALL = dict(
     name="svc_test",
@@ -286,6 +293,76 @@ class TestCheckpointStore:
         assert os.listdir(tmp_path) == []
 
 
+def checkpoint_payload(**overrides):
+    return {
+        "version": CHECKPOINT_VERSION,
+        "digest": "abc",
+        "next_window": 2,
+        "cumulative": [],
+        "windows": [],
+        "detector": {},
+        **overrides,
+    }
+
+
+#: zeros, the smallest subnormal, a larger subnormal and ordinary values
+EDGE_WEIGHTS = np.array(
+    [0.0, 5e-324, 2.5e-310, np.finfo(float).tiny, 0.1, 1.0 / 3.0, 1e300]
+)
+
+
+class TestWarmCheckpointCodec:
+    def test_version_1_checkpoint_refused(self, tmp_path):
+        path = str(tmp_path / "c.json")
+        write_checkpoint(path, checkpoint_payload(version=1))
+        with pytest.raises(ValueError, match="has version 1, expected 2"):
+            load_checkpoint(path)
+
+    def test_weights_round_trip_bit_for_bit(self, tmp_path):
+        assert decode_weights(encode_weights(EDGE_WEIGHTS)).tobytes() == (
+            EDGE_WEIGHTS.tobytes()
+        )
+        path = str(tmp_path / "c.json")
+        warm = {"probe": {"left": EDGE_WEIGHTS, "right": EDGE_WEIGHTS[::-1]}}
+        write_checkpoint(path, checkpoint_payload(**{WARM_KEY: warm}))
+        loaded = load_checkpoint(path)[WARM_KEY]["probe"]
+        assert loaded["left"].tobytes() == EDGE_WEIGHTS.tobytes()
+        assert loaded["right"].tobytes() == EDGE_WEIGHTS[::-1].tobytes()
+        # a loaded payload writes back unchanged
+        write_checkpoint(path, load_checkpoint(path))
+        again = load_checkpoint(path)[WARM_KEY]["probe"]["left"]
+        assert again.tobytes() == EDGE_WEIGHTS.tobytes()
+
+    @pytest.mark.parametrize(
+        "encoded",
+        [
+            {**encode_weights(EDGE_WEIGHTS), "n": EDGE_WEIGHTS.size + 1},
+            encode_weights(EDGE_WEIGHTS)
+            | {"f64le": encode_weights(EDGE_WEIGHTS[:-1])["f64le"]},
+            encode_weights(np.array([0.5, np.nan])),
+            encode_weights(np.array([0.5, np.inf])),
+            encode_weights(np.array([0.5, -1e-300])),
+            {"n": 1, "f64le": "not base64!"},
+        ],
+        ids=["long-n", "short-bytes", "nan", "inf", "negative", "garbage"],
+    )
+    def test_invalid_vector_invalidates_the_checkpoint(self, tmp_path, encoded):
+        with pytest.raises(ValueError):
+            decode_weights(encoded)
+        chain = CheckpointChain(str(tmp_path / "c.json"))
+        chain.write(checkpoint_payload(next_window=1))
+        chain.write(
+            checkpoint_payload(**{WARM_KEY: {"probe": {"left": encoded}}})
+        )
+        with pytest.raises(ValueError, match="invalid warm state"):
+            load_checkpoint(chain.path)
+        # the chain quarantines the damaged head and rolls back
+        with pytest.warns(RuntimeWarning, match="quarantined"):
+            payload, quarantined = chain.load_latest("abc")
+        assert payload["next_window"] == 1
+        assert len(quarantined) == 1
+
+
 def run_partial(spec, checkpoint_path, n_windows):
     """Run the first ``n_windows`` windows and checkpoint — a simulated kill."""
     service = WindowedAggregationService(spec, checkpoint_path=checkpoint_path)
@@ -407,11 +484,43 @@ class TestWarmProbing:
         assert [r.poisoned_side for r in warm.windows] == [
             r.poisoned_side for r in cold.windows
         ]
+        assert [r.flagged for r in warm.windows] == [r.flagged for r in cold.windows]
         # steady state: warm needs at least 3x fewer EM iterations than a
         # cold solve (measured ~5.9x at this size)
         assert 3 * sum(r.probe_iterations for r in warm.windows[2:]) <= sum(
             r.probe_iterations for r in cold.windows[2:]
         )
+        # the stage-4 solves restart warm too (measured 391 against 618)
+        assert sum(r.aggregate_iterations for r in warm.windows[2:]) < sum(
+            r.aggregate_iterations for r in cold.windows[2:]
+        )
+
+    def test_checkpoint_carries_every_group(self, tmp_path):
+        spec = small_spec()
+        checkpoint = str(tmp_path / "warm.json")
+        run_partial(spec, checkpoint, 2)
+        warm = load_checkpoint(checkpoint)[WARM_KEY]
+        assert set(warm["probe"]) == {"left", "right"}
+        ladder = WindowedAggregationService(spec).config.budget_ladder
+        assert [group["epsilon"] for group in warm["groups"]] == ladder
+        for group in warm["groups"]:
+            # the probe group reuses the probe's EMF, so it solves CEMF* only
+            solves = {"cemf_star"} if group["epsilon"] == ladder[-1] else {
+                "emf",
+                "cemf_star",
+            }
+            assert set(group["weights"]) == solves
+            assert all(isinstance(w, np.ndarray) for w in group["weights"].values())
+
+    def test_cold_stream_keeps_no_warm_state(self, tmp_path):
+        spec = small_spec(warm_probe=False)
+        checkpoint = str(tmp_path / "cold.json")
+        run_partial(spec, checkpoint, 2)
+        assert load_checkpoint(checkpoint)[WARM_KEY] is None
+        service = WindowedAggregationService(spec)
+        service._fresh_state()
+        service._run_window(0)
+        assert service._warm is None
 
     def test_first_window_is_always_cold(self, small_run):
         assert small_run.windows[0].warm is False

@@ -2,12 +2,15 @@
 
 Satellite guarantees: a cache hit returns the same array a fresh build would
 produce (for both PM and SW across several ``(epsilon, n_buckets)``
-combinations), and mutating a returned matrix can never poison the cache.
+combinations), every hit hands out the one read-only master (so the probe's
+two sides share a block object), and writing to a returned matrix raises
+instead of poisoning the cache.
 """
 
 import numpy as np
 import pytest
 
+from repro.core.probing import probe_poisoned_side
 from repro.core.transform import build_transform_matrix, cached_transform_matrix
 from repro.ldp import PiecewiseMechanism, SquareWaveMechanism
 from repro.utils.transform_cache import (
@@ -50,9 +53,20 @@ class TestCachedTransformMatrix:
         mechanism = mechanism_factory(1.0)
         first = cached_transform_matrix(mechanism, 10, 20)
         expected = first.normal_block.copy()
-        first.normal_block[:] = -1.0  # vandalise the returned copy
+        with pytest.raises(ValueError, match="read-only"):
+            first.normal_block[:] = -1.0  # vandalise the returned block
         second = cached_transform_matrix(mechanism, 10, 20)
+        assert second.normal_block is first.normal_block
         np.testing.assert_array_equal(second.normal_block, expected)
+
+    def test_probe_sides_share_one_block_object(self):
+        mechanism = PiecewiseMechanism(0.5)
+        counts = np.random.default_rng(3).integers(1, 50, size=24).astype(float)
+        probe = probe_poisoned_side(mechanism, None, 8, 24, counts=counts)
+        left = probe.emf_left.transform
+        right = probe.emf_right.transform
+        assert left.normal_block is right.normal_block
+        assert not left.normal_block.flags.writeable
 
     def test_distinct_epsilons_get_distinct_entries(self):
         a = cached_transform_matrix(PiecewiseMechanism(0.5), 8, 16)
@@ -88,10 +102,10 @@ class TestGenericCache:
         first = cached_matrix(key, builder)
         second = cached_matrix(key, builder)
         assert calls == [1]
-        np.testing.assert_array_equal(first, second)
-        first[0, 0] = 99.0
-        third = cached_matrix(key, builder)
-        assert third[0, 0] == 0.0
+        assert second is first
+        with pytest.raises(ValueError, match="read-only"):
+            first[0, 0] = 99.0
+        assert cached_matrix(key, builder)[0, 0] == 0.0
 
     def test_lru_eviction_beyond_capacity(self):
         for index in range(CACHE_CAPACITY + 10):
