@@ -80,6 +80,7 @@ def run_fig10(
     schemes: Sequence[str] = ("DAP-EMF", "DAP-EMF*", "DAP-CEMF*"),
     rng: RngLike = None,
     n_workers: int | str | None = None,
+    store_path=None,
 ) -> List[SweepRecord]:
     """Regenerate the Figure 10 evasion sweep."""
     rng = ensure_rng(rng)
@@ -91,7 +92,7 @@ def run_fig10(
         schemes=schemes,
         rng=rng,
     )
-    return run_experiment(spec, rng=rng, n_workers=n_workers)
+    return run_experiment(spec, rng=rng, n_workers=n_workers, store_path=store_path)
 
 
 def format_fig10(records: Sequence[SweepRecord]) -> str:

@@ -69,6 +69,7 @@ def run_fig4(
     n_buckets: int = 40,
     rng: RngLike = None,
     n_workers: int | str | None = None,
+    store_path=None,
 ) -> List[Fig4Record]:
     """Regenerate the Figure 4 dataset summaries."""
     rng = ensure_rng(rng)
@@ -84,7 +85,7 @@ def run_fig4(
         datasets=loaded,
         n_buckets=n_buckets,
     )
-    return run_experiment(spec, rng=rng, n_workers=n_workers)
+    return run_experiment(spec, rng=rng, n_workers=n_workers, store_path=store_path)
 
 
 def format_fig4(records: Sequence[Fig4Record]) -> str:

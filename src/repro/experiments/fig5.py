@@ -118,6 +118,7 @@ def run_fig5(
     include_ima_panel: bool = True,
     rng: RngLike = None,
     n_workers: int | str | None = None,
+    store_path=None,
 ) -> List[Fig5Record]:
     """Regenerate the Figure 5 measurements.
 
@@ -177,7 +178,7 @@ def run_fig5(
         n_trials=1,
         values_by_dataset=values_by_dataset,
     )
-    return run_experiment(spec, rng=rng, n_workers=n_workers)
+    return run_experiment(spec, rng=rng, n_workers=n_workers, store_path=store_path)
 
 
 def format_fig5(records: Sequence[Fig5Record]) -> str:

@@ -124,6 +124,7 @@ def run_fig7(
     schemes: Sequence[str] = FIG6_SCHEMES,
     rng: RngLike = None,
     n_workers: int | str | None = None,
+    store_path=None,
 ) -> List[SweepRecord]:
     """Regenerate the Figure 7 sweeps (both the gamma and distribution axes)."""
     rng = ensure_rng(rng)
@@ -137,7 +138,7 @@ def run_fig7(
         schemes=schemes,
         rng=rng,
     )
-    return run_experiment(spec, rng=rng, n_workers=n_workers)
+    return run_experiment(spec, rng=rng, n_workers=n_workers, store_path=store_path)
 
 
 def format_fig7(records: Sequence[SweepRecord]) -> str:

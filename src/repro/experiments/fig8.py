@@ -166,6 +166,7 @@ def run_fig8_distribution(
     gamma: float = 0.25,
     rng: RngLike = None,
     n_workers: int | str | None = None,
+    store_path=None,
 ) -> List[Fig8ProbeRecord]:
     """Panel (a): Wasserstein distance of the reconstructed distribution."""
     rng = ensure_rng(rng)
@@ -180,7 +181,7 @@ def run_fig8_distribution(
         values=_sw_values(dataset),
         dataset_name=dataset_name,
     )
-    return run_experiment(spec, rng=rng, n_workers=n_workers)
+    return run_experiment(spec, rng=rng, n_workers=n_workers, store_path=store_path)
 
 
 def run_fig8_gamma(
@@ -190,6 +191,7 @@ def run_fig8_gamma(
     gamma: float = 0.25,
     rng: RngLike = None,
     n_workers: int | str | None = None,
+    store_path=None,
 ) -> List[Fig8ProbeRecord]:
     """Panel (b): ``|gamma_hat - gamma|`` under SW."""
     rng = ensure_rng(rng)
@@ -210,7 +212,7 @@ def run_fig8_gamma(
         gamma=gamma,
         values_by_dataset=values_by_dataset,
     )
-    return run_experiment(spec, rng=rng, n_workers=n_workers)
+    return run_experiment(spec, rng=rng, n_workers=n_workers, store_path=store_path)
 
 
 @dataclass(frozen=True)
@@ -283,6 +285,7 @@ def run_fig8_mse(
     epsilon_min: float = 1.0 / 4.0,
     rng: RngLike = None,
     n_workers: int | str | None = None,
+    store_path=None,
 ) -> List[SweepRecord]:
     """Panels (c)(d): mean-estimation MSE under SW."""
     rng = ensure_rng(rng)
@@ -293,7 +296,7 @@ def run_fig8_mse(
         epsilon_min=epsilon_min,
         rng=rng,
     )
-    return run_experiment(spec, rng=rng, n_workers=n_workers)
+    return run_experiment(spec, rng=rng, n_workers=n_workers, store_path=store_path)
 
 
 def run_fig8(

@@ -176,9 +176,16 @@ def run_fig9_defense_comparison(
     ima_epsilon: float = 1.0,
     rng: RngLike = None,
     n_workers: int | str | None = None,
+    store_paths: Mapping[str, str] | None = None,
 ) -> List[SweepRecord]:
-    """Regenerate Figure 9 (a) and optionally (b)."""
+    """Regenerate Figure 9 (a) and optionally (b).
+
+    The two panels are two experiment specs, and one run artifact holds one
+    spec, so ``store_paths`` maps a panel (``"a"``, ``"b"``) to its own
+    artifact; a panel it does not name is not stored.
+    """
     rng = ensure_rng(rng)
+    store_paths = store_paths or {}
     dataset = load_dataset(dataset_name, n_samples=scale.n_users, rng=rng)
 
     # ---- panel (a): BBA, DAP vs k-means over epsilon -------------------------
@@ -196,7 +203,9 @@ def run_fig9_defense_comparison(
         attack_factory=PoisonRangeAttack(),
         dataset_factory=FixedDataset(dataset),
     )
-    records = run_experiment(spec_a, rng=rng, n_workers=n_workers)
+    records = run_experiment(
+        spec_a, rng=rng, n_workers=n_workers, store_path=store_paths.get("a")
+    )
 
     # ---- panel (b): IMA, EMF-based vs plain k-means over beta ----------------
     if include_ima_panel:
@@ -215,7 +224,9 @@ def run_fig9_defense_comparison(
             attack_factory=Fig9IMAAttack(),
             dataset_factory=FixedDataset(dataset),
         )
-        records += run_experiment(spec_b, rng=rng, n_workers=n_workers)
+        records += run_experiment(
+            spec_b, rng=rng, n_workers=n_workers, store_path=store_paths.get("b")
+        )
     return records
 
 

@@ -107,6 +107,7 @@ def run_fig9_frequency(
     schemes: Sequence[str] = ("DAP-EMF", "DAP-EMF*", "DAP-CEMF*", "Ostrich"),
     rng: RngLike = None,
     n_workers: int | str | None = None,
+    store_path=None,
 ) -> List[Fig9FreqRecord]:
     """Regenerate the categorical frequency-estimation experiments."""
     rng = ensure_rng(rng)
@@ -128,7 +129,7 @@ def run_fig9_frequency(
         dataset=dataset,
         schemes=tuple(schemes),
     )
-    return run_experiment(spec, rng=rng, n_workers=n_workers)
+    return run_experiment(spec, rng=rng, n_workers=n_workers, store_path=store_path)
 
 
 def format_fig9_frequency(records: Sequence[Fig9FreqRecord]) -> str:

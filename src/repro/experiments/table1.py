@@ -85,6 +85,7 @@ def run_table1(
     poison_ranges: Sequence[str] = TABLE1_RANGES,
     rng: RngLike = None,
     n_workers: int | str | None = None,
+    store_path=None,
 ) -> List[Table1Record]:
     """Regenerate Table I on the (synthetic) Taxi dataset."""
     rng = ensure_rng(rng)
@@ -102,7 +103,7 @@ def run_table1(
         gamma=scale.gamma,
         values=dataset.values,
     )
-    return run_experiment(spec, rng=rng, n_workers=n_workers)
+    return run_experiment(spec, rng=rng, n_workers=n_workers, store_path=store_path)
 
 
 def format_table1(records: Sequence[Table1Record]) -> str:

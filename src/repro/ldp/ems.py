@@ -230,12 +230,14 @@ def em_reconstruct(
     if tail is not None and tail.size:
         if tail.min() < 0 or tail.max() >= d_out:
             raise ValueError("tail_rows must index rows of the transform")
-        if tail.size != np.unique(tail).size:
+        steps = np.diff(tail)
+        # strictly ascending rows (every EMF side band) are unique as given
+        if not np.all(steps > 0) and tail.size != np.unique(tail).size:
             raise ValueError("tail_rows must be unique")
         if tail.size * d_out >= _INDICATOR_MIN_SAVINGS:
             dense = np.ascontiguousarray(transform)
             band = tail
-            if np.all(np.diff(tail) == 1):
+            if np.all(steps == 1):
                 band = slice(int(tail[0]), int(tail[-1]) + 1)
         else:
             dense = _stacked(transform, tail)
@@ -383,8 +385,11 @@ def em_reconstruct_accelerated(
     def _log_likelihood(m: np.ndarray) -> float:
         return float(np.dot(masked_counts, np.log(m[mask])))
 
-    def _em_step(w: np.ndarray, m: np.ndarray) -> Optional[np.ndarray]:
-        out = w * (transform.T @ (counts / m))
+    def _gradient(m: np.ndarray) -> np.ndarray:
+        return transform.T @ (counts / m)
+
+    def _em_step(w: np.ndarray, gradient: np.ndarray) -> Optional[np.ndarray]:
+        out = w * gradient
         total = out.sum()
         if total <= 0:
             return None
@@ -392,22 +397,26 @@ def em_reconstruct_accelerated(
 
     mixture = _mixture(weights)
     prev_ll = _log_likelihood(mixture)
+    # the likelihood gradient at ``weights``: the gap certificate and the
+    # cycle's first EM step share it, so each iterate computes it once
+    gradient = None
     iteration = 0
     converged = False
     while iteration < max_iter:
+        if gradient is None:
+            gradient = _gradient(mixture)
         if gap_tol is not None:
-            gradient = transform.T @ (counts / mixture)
             gap = float(gradient.max() - np.dot(weights, gradient))
             if gap < gap_tol:
                 converged = True
                 break
             if ll_floor is not None and prev_ll + gap < ll_floor:
                 break  # certified below the floor: unconverged lower bound
-        f1 = _em_step(weights, mixture)
+        f1 = _em_step(weights, gradient)
         if f1 is None:
             break
         m1 = _mixture(f1)
-        f2 = _em_step(f1, m1)
+        f2 = _em_step(f1, _gradient(m1))
         if f2 is None:
             weights, mixture = f1, m1
             prev_ll = _log_likelihood(m1)
@@ -430,8 +439,9 @@ def em_reconstruct_accelerated(
                 np.maximum(extrapolated, 1e-16, out=extrapolated)
                 total = extrapolated.sum()
                 if total > 0:
+                    extrapolated /= total
                     stabilised = _em_step(
-                        extrapolated / total, _mixture(extrapolated / total)
+                        extrapolated, _gradient(_mixture(extrapolated))
                     )
                     if stabilised is not None:
                         iteration += 1
@@ -443,7 +453,7 @@ def em_reconstruct_accelerated(
                                 candidate_m,
                                 candidate_ll,
                             )
-        weights, mixture = best_w, best_m
+        weights, mixture, gradient = best_w, best_m, None
         delta = abs(best_ll - prev_ll)
         prev_ll = best_ll
         if stall_tol is not None and ll_floor is not None and best_ll < ll_floor and delta < stall_tol:
@@ -457,7 +467,7 @@ def em_reconstruct_accelerated(
                 # does not end the solve: a near-boundary iterate can make
                 # sub-tol progress for many cycles while the duality gap
                 # still certifies it far from the optimum
-                gradient = transform.T @ (counts / mixture)
+                gradient = _gradient(mixture)
                 if float(gradient.max() - np.dot(weights, gradient)) >= gap_tol:
                     continue
             converged = True
@@ -499,22 +509,74 @@ class BatchEMResult:
     screened: np.ndarray
 
 
-def _scatter_tail(out: np.ndarray, tail_weights: np.ndarray, rows: np.ndarray) -> None:
-    """Add ``tail_weights[h, t]`` to ``out[h, rows[h, t]]`` in place.
+def _validate_batch_inputs(
+    dense: np.ndarray,
+    counts: np.ndarray,
+    tail_rows: np.ndarray,
+    tail_mask: Optional[np.ndarray],
+    initial: Optional[np.ndarray],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Input contract of :func:`em_reconstruct_batch`.
 
-    One ``bincount`` over the flat ``(hypothesis, row)`` cells sums every
-    tail column's mass, so the call count does not grow with the tail width.
+    Validates the geometry and returns ``(dense, counts, tail_rows,
+    tail_mask, weights)``: the tail mask filled in (every column real when
+    ``None``) and the normalised initial weights, padded entries zero.
     """
-    n_rows, d_out = out.shape
-    cells = np.arange(0, n_rows * d_out, d_out)[:, None] + rows
-    out += np.bincount(
-        cells.ravel(), weights=tail_weights.ravel(), minlength=out.size
-    ).reshape(out.shape)
+    dense = np.asarray(dense, dtype=float)
+    counts = np.asarray(counts, dtype=float)
+    if dense.ndim != 2:
+        raise ValueError(f"dense block must be 2-D, got shape {dense.shape}")
+    d_out, n_dense = dense.shape
+    if counts.shape != (d_out,):
+        raise ValueError(
+            f"counts must have length {d_out} (dense rows), got {counts.shape}"
+        )
+    if np.any(counts < 0):
+        raise ValueError("counts must be non-negative")
+    if counts.sum() == 0:
+        raise ValueError("counts must contain at least one observation")
+    tail_rows = np.asarray(tail_rows, dtype=np.intp)
+    if tail_rows.ndim != 2:
+        raise ValueError(f"tail_rows must be (H, T), got shape {tail_rows.shape}")
+    n_hypotheses, n_tail = tail_rows.shape
+    if n_hypotheses == 0:
+        raise ValueError("at least one hypothesis is required")
+    if n_tail and (tail_rows.min() < 0 or tail_rows.max() >= d_out):
+        raise ValueError("tail_rows must index output rows of the dense block")
+    if tail_mask is None:
+        tail_mask = np.ones((n_hypotheses, n_tail), dtype=bool)
+    else:
+        tail_mask = np.asarray(tail_mask, dtype=bool)
+        if tail_mask.shape != (n_hypotheses, n_tail):
+            raise ValueError(
+                f"tail_mask must have shape {(n_hypotheses, n_tail)}, got "
+                f"{tail_mask.shape}"
+            )
+    if n_tail > 1:
+        # padding gets distinct negative stand-ins, so only a repeated
+        # *real* row shows up as a tie after sorting
+        real = np.sort(np.where(tail_mask, tail_rows, -1 - np.arange(n_tail)), axis=1)
+        if np.any(real[:, 1:] == real[:, :-1]):
+            raise ValueError("each hypothesis's real tail_rows must be unique")
+    n_components = n_dense + n_tail
 
-
-def _gather_tail(ratios: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Tail gradients ``ratios[h, rows[h, t]]``, shape ``(H, T)``."""
-    return ratios[np.arange(rows.shape[0])[:, None], rows]
+    if initial is None:
+        real_counts = n_dense + tail_mask.sum(axis=1)
+        weights = np.repeat(1.0 / real_counts[:, None], n_components, axis=1)
+        weights[:, n_dense:][~tail_mask] = 0.0
+    else:
+        weights = np.array(initial, dtype=float)
+        if weights.shape != (n_hypotheses, n_components):
+            raise ValueError(
+                f"initial weights must have shape "
+                f"{(n_hypotheses, n_components)}, got {weights.shape}"
+            )
+        weights[:, n_dense:][~tail_mask] = 0.0
+        totals = weights.sum(axis=1)
+        if np.any(totals <= 0):
+            raise ValueError("every hypothesis needs positive initial mass")
+        weights /= totals[:, None]
+    return dense, counts, tail_rows, tail_mask, weights
 
 
 def em_reconstruct_batch(
@@ -536,10 +598,20 @@ def em_reconstruct_batch(
     This is exactly the shape of the EMF poison block and of the k-RR poison
     columns, so one batch evaluates every candidate poison hypothesis of a
     greedy probing round — or both side hypotheses of Algorithm 3 — at once:
-    each EM iteration advances *all* still-active hypotheses with a single
-    BLAS matrix product over the shared dense block plus one scatter and one
-    gather over the indicator rows (a fixed number of numpy calls, whatever
-    the tail width), instead of one full EM solve per hypothesis.
+    each EM iteration advances *all* still-active hypotheses with one BLAS
+    product over the shared dense block in each direction, plus one gather
+    and one scatter over the indicator cells (a fixed number of numpy calls,
+    whatever the tail width), instead of one full EM solve per hypothesis.
+
+    The loop keeps the active hypotheses in the leading rows of work arrays
+    allocated once per solve and written with ``out=``; the flat
+    ``(hypothesis, row)`` cells of the indicator columns are rebuilt only
+    when a hypothesis leaves.  It performs the same floating-point
+    operations in the same order as the allocating loop kept in
+    ``tests/em_oracle.py`` (``tests/test_em_oracle.py`` pins weights,
+    log-likelihoods, iterations, ``converged`` and ``screened`` bit for
+    bit): each real tail column hits its own mixture cell once, so adding
+    its weight there gives the bits of the oracle's ``bincount`` sum.
 
     Parameters
     ----------
@@ -552,7 +624,8 @@ def em_reconstruct_batch(
     tail_rows:
         ``(H, T)`` integer array of indicator rows, e.g. each side's
         :attr:`~repro.core.transform.TransformMatrix.poison_bucket_indices`;
-        the one-hot columns themselves are never built.
+        the one-hot columns themselves are never built.  A hypothesis's
+        real rows must be unique.
         Hypotheses with fewer than ``T`` real tail columns are *padded*:
         repeat any of their real rows and mark the padding ``False`` in
         ``tail_mask`` — padded components are pinned to weight zero and
@@ -588,102 +661,31 @@ def em_reconstruct_batch(
     -------
     BatchEMResult
     """
-    dense = np.asarray(dense, dtype=float)
-    counts = np.asarray(counts, dtype=float)
-    if dense.ndim != 2:
-        raise ValueError(f"dense block must be 2-D, got shape {dense.shape}")
+    dense, counts, tail_rows, tail_mask, weights = _validate_batch_inputs(
+        dense, counts, tail_rows, tail_mask, initial
+    )
     d_out, n_dense = dense.shape
-    if counts.shape != (d_out,):
-        raise ValueError(
-            f"counts must have length {d_out} (dense rows), got {counts.shape}"
-        )
-    if np.any(counts < 0):
-        raise ValueError("counts must be non-negative")
-    if counts.sum() == 0:
-        raise ValueError("counts must contain at least one observation")
-    tail_rows = np.asarray(tail_rows, dtype=np.intp)
-    if tail_rows.ndim != 2:
-        raise ValueError(f"tail_rows must be (H, T), got shape {tail_rows.shape}")
     n_hypotheses, n_tail = tail_rows.shape
-    if n_hypotheses == 0:
-        raise ValueError("at least one hypothesis is required")
-    if n_tail and (tail_rows.min() < 0 or tail_rows.max() >= d_out):
-        raise ValueError("tail_rows must index output rows of the dense block")
-    if tail_mask is None:
-        tail_mask = np.ones((n_hypotheses, n_tail), dtype=bool)
-    else:
-        tail_mask = np.asarray(tail_mask, dtype=bool)
-        if tail_mask.shape != (n_hypotheses, n_tail):
-            raise ValueError(
-                f"tail_mask must have shape {(n_hypotheses, n_tail)}, got "
-                f"{tail_mask.shape}"
-            )
     n_components = n_dense + n_tail
-    real_counts = n_dense + tail_mask.sum(axis=1)
-
-    if initial is None:
-        weights = np.repeat(1.0 / real_counts[:, None], n_components, axis=1)
-        weights[:, n_dense:][~tail_mask] = 0.0
-    else:
-        weights = np.array(initial, dtype=float)
-        if weights.shape != (n_hypotheses, n_components):
-            raise ValueError(
-                f"initial weights must have shape "
-                f"{(n_hypotheses, n_components)}, got {weights.shape}"
-            )
-        weights[:, n_dense:][~tail_mask] = 0.0
-        totals = weights.sum(axis=1)
-        if np.any(totals <= 0):
-            raise ValueError("every hypothesis needs positive initial mass")
-        weights /= totals[:, None]
-
-    mask = counts > 0
-    masked_counts = counts[mask]
-    full_mask = bool(mask.all())
-
-    # The inner loop operates on *compacted* state — only the still-active
-    # hypotheses — and writes a hypothesis back to the full-size output
-    # arrays the moment it finishes, so converged hypotheses stop costing
-    # anything (convergence masking) and the loop never pays fancy-indexed
-    # scatters into the full arrays per iteration.
-    def _mixtures(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Clamped mixtures for the active block: one GEMM + one scatter."""
-        out = w[:, :n_dense] @ dense.T
-        # padded columns add exact zeros, so a cell that one real tail column
-        # hits reads exactly GEMM + weight
-        _scatter_tail(out, w[:, n_dense:], rows)
-        return np.maximum(out, 1e-300)
-
-    def _log_likelihoods(mixtures: np.ndarray) -> np.ndarray:
-        if full_mask:
-            return np.log(mixtures) @ masked_counts
-        return np.log(mixtures[:, mask]) @ masked_counts
-
-    log_likelihoods = np.empty(n_hypotheses)
-    n_iterations = np.zeros(n_hypotheses, dtype=np.intp)
-    converged = np.zeros(n_hypotheses, dtype=bool)
-    screened = np.zeros(n_hypotheses, dtype=bool)
-
+    out = BatchEMResult(
+        weights=weights,
+        log_likelihoods=np.empty(n_hypotheses),
+        n_iterations=np.zeros(n_hypotheses, dtype=np.intp),
+        converged=np.zeros(n_hypotheses, dtype=bool),
+        screened=np.zeros(n_hypotheses, dtype=bool),
+    )
     use_bounds = gap_tol is not None or ll_floor is not None
     has_pads = not bool(tail_mask.all())
-
-    active = np.arange(n_hypotheses)  # original hypothesis ids, compacted
-    w_active = weights.copy()
-    rows_active = tail_rows
-    mask_active = tail_mask
-    mixtures = _mixtures(w_active, rows_active)
-    ll_active = _log_likelihoods(mixtures)
-    log_likelihoods[:] = ll_active
     # In certified mode a handful of stragglers finish on the accelerated
     # scalar solver — extrapolation beats batching once the joint fan-out is
     # gone, and the finisher also stops when a whole accelerated cycle
     # improves the likelihood by less than an eighth of ``gap_tol`` (the
     # caller's own declaration of decision-irrelevant margin), so it never
     # grinds for certification precision no decision can see.  In bit-stable
-    # mode only a lone straggler leaves the joint loop, onto the plain
-    # scalar kernel, continuing the same update semantics (iterate-level
-    # floating point differs from the joint GEMM's summation order either
-    # way — callers needing bit-stability use the scalar kernel outright).
+    # mode only a lone straggler leaves the joint loop, onto the plain scalar
+    # kernel, continuing the same update semantics (iterate-level floating
+    # point differs from the joint GEMM's summation order either way —
+    # callers needing bit-stability use the scalar kernel outright).
     straggler_cutoff = 3 if gap_tol is not None else 1
     # Certified mode stops a *sub-floor* hypothesis when its per-iteration
     # improvement drops below an eighth of gap_tol: a candidate crawling
@@ -701,9 +703,100 @@ def em_reconstruct_batch(
         if gap_tol is not None and ll_floor is not None
         else None
     )
+    positive = counts > 0
+    observed = None if positive.all() else np.flatnonzero(positive)
+    ll_counts = counts.copy() if observed is None else counts[observed]
+    dense_t = dense.T
+
+    # Work arrays: rows [0, n) hold the n still-active hypotheses, and a
+    # hypothesis is written to ``out`` the moment it finishes, so finished
+    # hypotheses stop costing anything (convergence masking).
+    w = weights.copy()
+    mixtures = np.empty((n_hypotheses, d_out))
+    ratios = np.empty((n_hypotheses, d_out))
+    logs = np.empty((n_hypotheses, d_out)) if observed is None else None
+    aggregates = np.empty((n_hypotheses, n_components))
+    responsibilities = np.empty((n_hypotheses, n_components))
+    totals = np.empty(n_hypotheses)
+    ll = np.empty(n_hypotheses)
+    lls = np.empty(n_hypotheses)
+    w_flat, mixtures_flat, ratios_flat = w.ravel(), mixtures.ravel(), ratios.ravel()
+    tail_columns = n_dense + np.arange(n_tail)
+
+    def _active_views(n: int):
+        """The first ``n`` rows of the work arrays."""
+        return (
+            w[:n],
+            mixtures[:n],
+            ratios[:n],
+            # the observed columns' logs are column-major, as a boolean
+            # column selection returns them: the likelihood product sums in
+            # another order on another layout
+            logs[:n] if observed is None else np.empty((ll_counts.size, n)).T,
+            aggregates[:n],
+            responsibilities[:n],
+            totals[:n],
+            ll[:n],
+            lls[:n],
+        )
+
+    def _tail_cells(rows: np.ndarray, mask: np.ndarray):
+        """Flat work-array cells of the active tails.
+
+        Returns ``(gather, scatter, sources)``: ``gather[p, t]`` is row
+        ``rows[p, t]`` of ratio row ``p`` (padding included); ``scatter``
+        and ``sources`` are the mixture and weight cells of the real tail
+        columns only.
+        """
+        n = rows.shape[0]
+        gather = np.arange(0, n * d_out, d_out)[:, None] + rows
+        sources = np.arange(0, n * n_components, n_components)[:, None] + tail_columns
+        if has_pads:
+            return gather, gather[mask], sources[mask]
+        return gather, gather.ravel(), sources.ravel()
+
+    def _mixture_log_likelihoods(weight, mixture, log, lls_n) -> None:
+        """Clamped mixtures of the active rows and their log-likelihoods."""
+        weight[:, :n_dense].dot(dense_t, out=mixture)
+        # each real tail column hits its own cell once; padding adds nothing
+        mixtures_flat[scatter] += w_flat[sources]
+        np.maximum(mixture, 1e-300, out=mixture)
+        if observed is None:
+            np.log(mixture, out=log)
+        else:
+            mixture.take(observed, axis=1, out=log)
+            np.log(log, out=log)
+        log.dot(ll_counts, out=lls_n)
+
+    def _retain(keep: np.ndarray, *carried: np.ndarray) -> None:
+        """Shrink the active set to its ``keep`` rows.
+
+        The work arrays in ``carried`` (those whose rows outlive the step)
+        move their kept rows to the front; the fancy-indexed read copies
+        before the write, so the overlapping move is safe.
+        """
+        nonlocal n, active, rows_active, mask_active, gather, scatter, sources
+        kept = int(np.count_nonzero(keep))
+        for array in carried:
+            array[:kept] = array[:n][keep]
+        n = kept
+        active = active[keep]
+        rows_active, mask_active = rows_active[keep], mask_active[keep]
+        gather, scatter, sources = _tail_cells(rows_active, mask_active)
+
+    active = np.arange(n_hypotheses)  # original hypothesis ids, compacted
+    rows_active, mask_active = tail_rows, tail_mask
+    gather, scatter, sources = _tail_cells(rows_active, mask_active)
+    n = n_hypotheses
+    weight, mixture, ratio, log, aggregate, responsibility, total, ll_n, lls_n = (
+        _active_views(n)
+    )
+    _mixture_log_likelihoods(weight, mixture, log, lls_n)
+    ll[:] = lls
+    out.log_likelihoods[:] = ll
     iteration = 0
-    while active.size and iteration < max_iter:
-        if active.size <= straggler_cutoff:
+    while n and iteration < max_iter:
+        if n <= straggler_cutoff:
             for position, h in enumerate(map(int, active)):
                 real = np.ones(n_components, dtype=bool)
                 real[n_dense:] = tail_mask[h]
@@ -713,7 +806,7 @@ def em_reconstruct_batch(
                     result = em_reconstruct_accelerated(
                         _stacked(dense, real_rows),
                         counts,
-                        initial=w_active[position][real],
+                        initial=weight[position][real],
                         max_iter=budget,
                         tol=tol,
                         gap_tol=gap_tol,
@@ -727,124 +820,102 @@ def em_reconstruct_batch(
                     ):
                         # the finisher stopped early without converging:
                         # that is its certified-below-the-floor break
-                        screened[h] = True
+                        out.screened[h] = True
                 else:
                     result = em_reconstruct(
                         dense,
                         counts,
-                        initial=w_active[position][real],
+                        initial=weight[position][real],
                         max_iter=budget,
                         tol=tol,
                         tail_rows=real_rows,
                     )
-                weights[h][real] = result.weights
-                weights[h][~real] = 0.0
-                log_likelihoods[h] = result.log_likelihood
-                n_iterations[h] = iteration + result.n_iterations
-                converged[h] = result.converged
-            active = active[:0]
+                out.weights[h][real] = result.weights
+                out.weights[h][~real] = 0.0
+                out.log_likelihoods[h] = result.log_likelihood
+                out.n_iterations[h] = iteration + result.n_iterations
+                out.converged[h] = result.converged
+            n = 0
             break
         iteration += 1
-        ratios = counts / mixtures  # zero counts contribute zero everywhere
-        aggregates = np.empty((active.size, n_components))
-        np.matmul(ratios, dense, out=aggregates[:, :n_dense])
-        aggregates[:, n_dense:] = _gather_tail(ratios, rows_active)
-        responsibilities = w_active * aggregates
-        totals = responsibilities.sum(axis=1)
+        # zero counts contribute zero everywhere
+        np.divide(counts, mixture, out=ratio)
+        np.matmul(ratio, dense, out=aggregate[:, :n_dense])
+        aggregate[:, n_dense:] = ratios_flat[gather]
+        np.multiply(weight, aggregate, out=responsibility)
+        np.add.reduce(responsibility, axis=1, out=total)
+        # hypotheses without responsibility mass, and in certified mode the
+        # certified (gap_tol) and screened (ll_floor) ones, stop before the
+        # update
+        dead = total <= 0
+        leave = dead
         if use_bounds:
             # certified optimality gap at the current iterate (see gap_tol):
             # the aggregate IS the likelihood gradient and totals its inner
             # product with the weights, so the bounds come almost for free
             if has_pads:
                 feasible_max = np.maximum(
-                    aggregates[:, :n_dense].max(axis=1),
-                    np.where(mask_active, aggregates[:, n_dense:], -np.inf).max(axis=1),
+                    aggregate[:, :n_dense].max(axis=1),
+                    np.where(mask_active, aggregate[:, n_dense:], -np.inf).max(axis=1),
                 )
             else:
-                feasible_max = aggregates.max(axis=1)
-            gaps = feasible_max - totals
+                feasible_max = aggregate.max(axis=1)
+            gaps = feasible_max - total
             stop_conv = (
-                gaps < gap_tol
-                if gap_tol is not None
-                else np.zeros(active.size, dtype=bool)
+                gaps < gap_tol if gap_tol is not None else np.zeros(n, dtype=bool)
             )
             if ll_floor is not None:
-                stop_screen = ((ll_active + gaps) < ll_floor) & ~stop_conv
+                stop_screen = ((ll_n + gaps) < ll_floor) & ~stop_conv
                 halt = stop_conv | stop_screen
             else:
-                stop_screen = np.zeros(active.size, dtype=bool)
+                stop_screen = np.zeros(n, dtype=bool)
                 halt = stop_conv
-            if np.any(halt):
+            if halt.any():
                 ids = active[halt]
-                weights[ids] = w_active[halt]
-                log_likelihoods[ids] = ll_active[halt]
-                n_iterations[ids] = iteration - 1
-                converged[ids] = stop_conv[halt]
-                screened[ids] = stop_screen[halt]
-                keep = ~halt
-                active = active[keep]
-                if active.size == 0:
-                    break
-                w_active = w_active[keep]
-                rows_active = rows_active[keep]
-                if has_pads:
-                    mask_active = mask_active[keep]
-                responsibilities = responsibilities[keep]
-                totals = totals[keep]
-                ll_active = ll_active[keep]
-        dead = totals <= 0
-        if np.any(dead):
+                out.weights[ids] = weight[halt]
+                out.log_likelihoods[ids] = ll_n[halt]
+                out.n_iterations[ids] = iteration - 1
+                out.converged[ids] = stop_conv[halt]
+                out.screened[ids] = stop_screen[halt]
+            dead = dead & ~halt
+            leave = dead | halt
+        if dead.any():
             # mirror em_reconstruct: stop before the update, unconverged
             # (prior weights and log-likelihood are already in the outputs)
-            weights[active[dead]] = w_active[dead]
-            log_likelihoods[active[dead]] = ll_active[dead]
-            n_iterations[active[dead]] = iteration
-            keep = ~dead
-            active = active[keep]
-            if active.size == 0:
+            ids = active[dead]
+            out.weights[ids] = weight[dead]
+            out.log_likelihoods[ids] = ll_n[dead]
+            out.n_iterations[ids] = iteration
+        if leave.any():
+            _retain(~leave, w, responsibilities, totals, ll)
+            if not n:
                 break
-            w_active = w_active[keep]
-            rows_active = rows_active[keep]
-            if has_pads:
-                mask_active = mask_active[keep]
-            responsibilities = responsibilities[keep]
-            totals = totals[keep]
-            ll_active = ll_active[keep]
-        w_active = responsibilities / totals[:, None]
-        mixtures = _mixtures(w_active, rows_active)
-        lls = _log_likelihoods(mixtures)
-        deltas = np.abs(lls - ll_active)
+            weight, mixture, ratio, log, aggregate, responsibility, total, ll_n, lls_n = (
+                _active_views(n)
+            )
+        np.divide(responsibility, total[:, None], out=weight)
+        _mixture_log_likelihoods(weight, mixture, log, lls_n)
+        deltas = np.abs(lls_n - ll_n)
         done = deltas < tol
         if stall_tol is not None:
-            done |= (lls < ll_floor) & (deltas < stall_tol)
-        ll_active = lls
-        if np.any(done):
+            done |= (lls_n < ll_floor) & (deltas < stall_tol)
+        ll_n[:] = lls_n
+        if done.any():
             finished = active[done]
-            weights[finished] = w_active[done]
-            log_likelihoods[finished] = lls[done]
-            converged[finished] = True
-            n_iterations[finished] = iteration
-            keep = ~done
-            active = active[keep]
-            w_active = w_active[keep]
-            rows_active = rows_active[keep]
-            if has_pads:
-                mask_active = mask_active[keep]
-            mixtures = mixtures[keep]
-            ll_active = ll_active[keep]
-    if active.size:
+            out.weights[finished] = weight[done]
+            out.log_likelihoods[finished] = ll_n[done]
+            out.converged[finished] = True
+            out.n_iterations[finished] = iteration
+            _retain(~done, w, mixtures, ll)
+            weight, mixture, ratio, log, aggregate, responsibility, total, ll_n, lls_n = (
+                _active_views(n)
+            )
+    if n:
         # max_iter exhausted with several hypotheses still running
-        weights[active] = w_active
-        log_likelihoods[active] = ll_active
-        n_iterations[active] = max_iter
-
-    return BatchEMResult(
-        weights=weights,
-        log_likelihoods=log_likelihoods,
-        n_iterations=n_iterations,
-        converged=converged,
-        screened=screened,
-    )
+        out.weights[active] = weight
+        out.log_likelihoods[active] = ll_n
+        out.n_iterations[active] = max_iter
+    return out
 
 
 def smooth_histogram(histogram: np.ndarray, passes: int = 1) -> np.ndarray:

@@ -17,10 +17,16 @@ every invalid member (renamed aside with a ``.quarantined`` suffix, never
 deleted — it is evidence), and resume from the newest member that still
 validates; the service then replays the missing windows bit-identically,
 because each window's randomness is derived from the spec seed, not from
-run history.  Each payload embeds a SHA-256 ``checksum`` over its canonical
-JSON (checked when present, so pre-checksum checkpoints stay loadable): a
-flipped bit deep inside a float array still parses as valid JSON, and only
-the checksum catches it at load time.
+run history.
+
+The file body is the payload's *canonical* JSON (sorted keys, no
+whitespace), serialised once, with ``"checksum"`` — the SHA-256 of exactly
+that canonical text — spliced in as the first key.  Every version-2
+checkpoint must carry it, and :func:`load_checkpoint` re-derives the
+canonical text from the parsed payload and compares: a flipped bit deep
+inside a float array still parses as valid JSON, and only the checksum
+catches it.  A file whose ``checksum`` key is missing (deleted, or damaged
+into another key) is invalid like any other, so the chain quarantines it.
 
 Resume is *bit*-identical rather than merely close because every number
 comes back exactly.  Scalars ride as JSON floats, which Python's ``json``
@@ -46,7 +52,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.resilience import stats
-from repro.utils.durable import write_json
+from repro.utils.durable import write_text
 
 #: bump when the checkpoint layout changes incompatibly (2: the warm state
 #: covers every budget group, and weight vectors are encoded bytes)
@@ -65,14 +71,22 @@ QUARANTINE_SUFFIX = ".quarantined"
 DEFAULT_RETAIN = 3
 
 
-def payload_checksum(payload: Mapping[str, Any]) -> str:
-    """SHA-256 over the canonical JSON of everything except ``checksum``."""
-    canonical = json.dumps(
+def _canonical(payload: Mapping[str, Any]) -> str:
+    """The canonical JSON of everything in ``payload`` except ``checksum``."""
+    return json.dumps(
         {key: value for key, value in payload.items() if key != "checksum"},
         sort_keys=True,
         separators=(",", ":"),
     )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def payload_checksum(payload: Mapping[str, Any]) -> str:
+    """SHA-256 over the canonical JSON of everything except ``checksum``."""
+    return _sha256(_canonical(payload))
 
 
 def encode_weights(weights: np.ndarray) -> Dict[str, Any]:
@@ -137,21 +151,25 @@ def _decode_section(node: Any) -> Any:
 def write_checkpoint(path: str, payload: Mapping[str, Any]) -> None:
     """Atomically write a checkpoint payload (checksum-stamped) to ``path``.
 
+    The payload is serialised once, canonically; that text is both the
+    checksum's input and the file body, behind the ``"checksum"`` key.
     Arrays in the :data:`WARM_KEY` section are written as exact bytes
     (:func:`encode_weights`).
     """
     payload = dict(payload)
     if payload.get(WARM_KEY) is not None:
         payload[WARM_KEY] = _encode_section(payload[WARM_KEY])
-    payload["checksum"] = payload_checksum(payload)
-    write_json(path, payload)
+    canonical = _canonical(payload)
+    head = '{"checksum":"' + _sha256(canonical) + '"'
+    write_text(path, head + ("}" if canonical == "{}" else "," + canonical[1:]))
 
 
 def load_checkpoint(path: str, expected_digest: str | None = None) -> Dict[str, Any]:
     """Load and structurally validate a checkpoint.
 
     Raises ``ValueError`` when the file is not a checkpoint of the expected
-    version, or — when ``expected_digest`` is given — when it belongs to a
+    version, when its ``checksum`` is missing or does not match, or — when
+    ``expected_digest`` is given — when it belongs to a
     different service identity (changed window boundaries, seed, probe
     knobs, ...).  A mismatched checkpoint must never be silently resumed:
     the resulting stream would be neither the old one nor the new one.
@@ -175,10 +193,10 @@ def load_checkpoint(path: str, expected_digest: str | None = None) -> Dict[str, 
     for key in ("digest", "next_window", "cumulative", "windows", "detector"):
         if key not in payload:
             raise ValueError(f"checkpoint {path!r} is missing key {key!r}")
-    stored_checksum = payload.pop("checksum", None)
-    if stored_checksum is not None and stored_checksum != payload_checksum(payload):
-        # absent in pre-checksum checkpoints (still loadable); present but
-        # wrong means silent corruption that survived the JSON parse
+    if "checksum" not in payload:
+        raise ValueError(f"checkpoint {path!r} has no integrity checksum")
+    if payload.pop("checksum") != payload_checksum(payload):
+        # silent corruption that survived the JSON parse
         raise ValueError(
             f"checkpoint {path!r} failed its integrity checksum (the file "
             f"parses but its bytes were altered after writing)"

@@ -209,6 +209,9 @@ class WindowedAggregationService:
         self._warm: WarmState | None = None
         self._detector = CusumDetector(**spec.detector)
         self._windows: List[WindowResult] = []
+        #: ``to_dict`` of each finished window, converted once (a row never
+        #: changes after its window ends)
+        self._window_rows: List[Dict[str, Any]] = []
         self._next_window = 0
         self._prev_probe_gamma = 0.0
         self._prev_probe_reports = 0
@@ -229,6 +232,7 @@ class WindowedAggregationService:
         self._warm = None
         self._detector = CusumDetector(**self.spec.detector)
         self._windows = []
+        self._window_rows = []
         self._next_window = 0
         self._prev_probe_gamma = 0.0
         self._prev_probe_reports = 0
@@ -254,6 +258,7 @@ class WindowedAggregationService:
         self._warm = _warm_from_payload(payload.get(WARM_KEY))
         self._detector = CusumDetector.from_state(payload["detector"])
         self._windows = [WindowResult.from_dict(row) for row in payload["windows"]]
+        self._window_rows = [row.to_dict() for row in self._windows]
         self._next_window = int(payload["next_window"])
         prev = payload.get("probe_prev") or {}
         self._prev_probe_gamma = float(prev.get("gamma_hat", 0.0))
@@ -279,6 +284,9 @@ class WindowedAggregationService:
             )
 
     def _checkpoint_payload(self) -> Dict[str, Any]:
+        self._window_rows.extend(
+            row.to_dict() for row in self._windows[len(self._window_rows):]
+        )
         return {
             "version": CHECKPOINT_VERSION,
             "digest": self.spec.digest(),
@@ -294,7 +302,7 @@ class WindowedAggregationService:
                 "n_reports": self._prev_probe_reports,
             },
             "detector": self._detector.state_dict(),
-            "windows": [row.to_dict() for row in self._windows],
+            "windows": list(self._window_rows),
         }
 
     # ------------------------------------------------------------------

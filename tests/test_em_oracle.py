@@ -12,6 +12,12 @@ A case with one-hot poison columns hands the kernel the normal block plus
 ``tail_rows`` and the oracle the stacked ``[block | indicator columns]``
 matrix, so each such case also checks that the two formats agree bit for
 bit.
+
+``em_reconstruct_batch`` is held to its own allocating loop the same way,
+in weights, log-likelihoods, iterations, ``converged`` and ``screened``:
+EMF side bands and scattered k-RR candidate rows, with and without
+padding, in bit-stable and certified mode, with hypotheses that leave the
+joint loop on different iterations.
 """
 
 from __future__ import annotations
@@ -19,9 +25,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from em_oracle import constrained_m_step, em_reconstruct as oracle_em
+from em_oracle import (
+    constrained_m_step,
+    em_reconstruct as oracle_em,
+    em_reconstruct_batch as oracle_batch,
+)
 from repro.core.transform import build_transform_matrix
-from repro.ldp.ems import _INDICATOR_MIN_SAVINGS, em_reconstruct, smooth_histogram
+from repro.ldp.ems import (
+    _INDICATOR_MIN_SAVINGS,
+    em_reconstruct,
+    em_reconstruct_batch,
+    smooth_histogram,
+)
 from repro.ldp.piecewise import PiecewiseMechanism
 from repro.ldp.square_wave import SquareWaveMechanism
 
@@ -214,3 +229,182 @@ def test_poison_mass_rejects_a_second_m_step():
 def test_poison_mass_validated(poison_mass):
     with pytest.raises(ValueError):
         em_reconstruct(np.eye(3), np.ones(3), poison_mass=poison_mass)
+
+
+@pytest.mark.parametrize("rows", [[0, 2, 2], [2, 0, 2]], ids=["ascending", "unsorted"])
+def test_tail_rows_must_be_unique(rows):
+    block = np.full((4, 2), 0.25)
+    em_reconstruct(block, np.ones(4), tail_rows=[2, 0, 3], max_iter=2)
+    with pytest.raises(ValueError, match="unique"):
+        em_reconstruct(block, np.ones(4), tail_rows=rows, max_iter=2)
+
+
+# ----------------------------------------------------------------------
+# the batched loop
+# ----------------------------------------------------------------------
+def _side_batch(n_truncated: int = 0, d_out: int = 400):
+    """EMF left/right side tails on one normal block (band rows).
+
+    ``n_truncated`` adds ragged copies of the right side, which pads every
+    shorter tail by repeating its first row.
+    """
+    mechanism = PiecewiseMechanism(1.0)
+    sides = [
+        build_transform_matrix(mechanism, 12, d_out, side, 0.0)
+        for side in ("left", "right")
+    ]
+    block = sides[0].normal_block
+    tails = [side.poison_bucket_indices for side in sides]
+    tails += [tails[1][: tails[1].size - 40 * (j + 1)] for j in range(n_truncated)]
+    return block, _padded(tails)
+
+
+def _padded(tails):
+    """``(tail_rows, tail_mask)`` of ragged tails, padded as the probe pads."""
+    n_tail = max(tail.size for tail in tails)
+    rows = np.empty((len(tails), n_tail), dtype=np.intp)
+    mask = np.zeros((len(tails), n_tail), dtype=bool)
+    for h, tail in enumerate(tails):
+        rows[h] = tail[0]
+        rows[h, : tail.size] = tail
+        mask[h, : tail.size] = True
+    return rows, mask
+
+
+def _scattered_batch(padded: bool):
+    """k-RR block with scattered one-hot poison rows per hypothesis.
+
+    Like a greedy category probe round: every hypothesis holds the same
+    poison set plus one candidate category; with ``padded`` the candidates
+    come from rounds of different depth.
+    """
+    normal, _, _ = _krr(k=256, poison=())
+    poison_set = [5, 40, 77, 130]
+    candidates = [3, 9, 20, 64, 101, 180, 200, 255]
+    tails = [np.array(poison_set + [c], dtype=np.intp) for c in candidates]
+    if padded:
+        tails = [tail[: 2 + h % 4] for h, tail in enumerate(tails)]
+    return normal, _padded(tails)
+
+
+def _batch_counts(block, rows, mask, seed, zero_share=0.0):
+    """Counts drawn from the first hypothesis's stacked matrix."""
+    return _counts(_stacked(block, rows[0][mask[0]]), seed, zero_share)
+
+
+def _attacked_counts(block, seed):
+    """k-RR counts with 15% of the reports poured onto categories 64, 180."""
+    rng = np.random.default_rng(seed)
+    truth = block @ rng.dirichlet(np.ones(block.shape[1]))
+    truth[[64, 180]] += [0.1, 0.05]
+    return rng.poisson(truth / truth.sum() * 50_000).astype(float)
+
+
+def _batch_case(name):
+    """``(block, counts, tail_rows, kwargs)`` of one batch oracle case."""
+    if name in ("sides-band", "sides-band-padded", "sides-zero-counts"):
+        block, (rows, mask) = _side_batch(4 if name == "sides-band-padded" else 0)
+        share = 0.3 if name == "sides-zero-counts" else 0.0
+        counts = _batch_counts(block, rows, mask, 21, zero_share=share)
+        return block, counts, rows, dict(tail_mask=mask, tol=TOL, max_iter=3_000)
+    if name == "sides-warm-start-padded":
+        block, (rows, mask) = _side_batch(2)
+        counts = _batch_counts(block, rows, mask, 22)
+        rng = np.random.default_rng(22)
+        initial = rng.dirichlet(np.ones(rows.shape[1] + block.shape[1]), size=len(rows))
+        return block, counts, rows, dict(
+            tail_mask=mask, initial=initial, tol=TOL, max_iter=3_000
+        )
+    if name == "sides-max-iter-padded":
+        # several hypotheses still running when the budget runs out
+        block, (rows, mask) = _side_batch(3)
+        counts = _batch_counts(block, rows, mask, 23)
+        return block, counts, rows, dict(tail_mask=mask, tol=0.0, max_iter=40)
+    if name in ("scattered", "scattered-padded"):
+        block, (rows, mask) = _scattered_batch(name == "scattered-padded")
+        counts = _attacked_counts(block, 24)
+        return block, counts, rows, dict(tail_mask=mask, tol=1e-3, max_iter=3_000)
+    if name in (
+        "scattered-certified",
+        "scattered-padded-certified",
+        "scattered-gap-only",
+        "scattered-floor-only",
+    ):
+        block, (rows, mask) = _scattered_batch("padded" in name)
+        counts = _attacked_counts(block, 25)
+        plain = oracle_batch(block, counts, rows, tail_mask=mask, tol=1e-9)
+        kwargs = dict(tail_mask=mask, tol=1e-9, max_iter=3_000)
+        if name == "scattered-gap-only":
+            kwargs["gap_tol"] = 0.5
+        elif name != "scattered-floor-only":
+            kwargs["gap_tol"] = 0.01
+        if name != "scattered-gap-only":
+            # a floor no hypothesis reaches: some are screened, the rest
+            # stall beneath it
+            kwargs["ll_floor"] = float(plain.log_likelihoods.max()) + 1.0
+        return block, counts, rows, kwargs
+    if name == "dead-hypothesis":
+        # hypothesis 0 holds all its mass on a tail column whose row saw no
+        # reports: every responsibility is zero at the first E-step
+        block, (rows, mask) = _scattered_batch(False)
+        counts = _attacked_counts(block, 26)
+        counts[rows[0, -1]] = 0.0
+        initial = np.full((len(rows), block.shape[1] + rows.shape[1]), 1.0)
+        initial[0] = 0.0
+        initial[0, -1] = 1.0
+        return block, counts, rows, dict(initial=initial, tol=1e-3, max_iter=3_000)
+    raise KeyError(name)
+
+
+BATCH_CASES = (
+    "sides-band",
+    "sides-band-padded",
+    "sides-zero-counts",
+    "sides-warm-start-padded",
+    "sides-max-iter-padded",
+    "scattered",
+    "scattered-padded",
+    "scattered-certified",
+    "scattered-padded-certified",
+    "scattered-gap-only",
+    "scattered-floor-only",
+    "dead-hypothesis",
+)
+
+
+@pytest.mark.parametrize("name", BATCH_CASES)
+def test_batch_loop_matches_oracle_bit_for_bit(name):
+    block, counts, rows, kwargs = _batch_case(name)
+    lean = em_reconstruct_batch(block, counts, rows, **kwargs)
+    oracle = oracle_batch(block, counts, rows, **kwargs)
+    for field in ("weights", "log_likelihoods", "n_iterations", "converged", "screened"):
+        np.testing.assert_array_equal(
+            getattr(lean, field), getattr(oracle, field), err_msg=field
+        )
+    # each case reaches the branch it is named for
+    mask = kwargs.get("tail_mask")
+    assert (mask is not None and not mask.all()) == ("padded" in name)
+    if name == "sides-max-iter-padded":
+        assert np.all(lean.n_iterations == 40) and not lean.converged.any()
+    elif name == "dead-hypothesis":
+        assert lean.n_iterations[0] == 1 and not lean.converged[0]
+        assert lean.converged[1:].all()
+    else:
+        # hypotheses leave the joint loop on different iterations
+        assert np.unique(lean.n_iterations).size > 1
+    if "ll_floor" in kwargs:
+        assert lean.screened.any()
+    if name == "sides-zero-counts":
+        assert (counts == 0).any()
+
+
+def test_batch_rejects_a_repeated_real_tail_row():
+    block, (rows, mask) = _scattered_batch(True)
+    counts = _batch_counts(block, rows, mask, 27)
+    # padding repeats a real row, which is allowed ...
+    em_reconstruct_batch(block, counts, rows, tail_mask=mask, max_iter=2)
+    # ... but two real columns on one row are not
+    repeated = rows.copy()
+    repeated[0, 1] = repeated[0, 0]
+    with pytest.raises(ValueError, match="unique"):
+        em_reconstruct_batch(block, counts, repeated, tail_mask=mask, max_iter=2)

@@ -613,21 +613,79 @@ DRIVERS = {
 }
 
 
-def driver_specs(name):
-    """The specs the driver ``name`` hands the executor, unexecuted."""
+#: each driver that runs one spec, with its shrunken arguments
+SINGLE_SPEC_DRIVERS = {
+    "run_table1": ("table1", dict(epsilons=(1.0,), poison_ranges=("[O,C]",))),
+    "run_fig4": ("fig4", dict(datasets=("Taxi",))),
+    "run_fig5": (
+        "fig5", dict(epsilons=(1.0,), gammas=(0.1,), poison_ranges=("[O,C]",))
+    ),
+    "run_fig6": ("fig6", dict(epsilons=(1.0,), schemes=("Ostrich",))),
+    "run_fig7": (
+        "fig7",
+        dict(
+            poison_ranges=("[O,C/2]",), gammas=(0.1,), distributions=("Uniform",),
+            schemes=("Ostrich",),
+        ),
+    ),
+    "run_fig8_distribution": ("fig8", dict(epsilons=(1.0,))),
+    "run_fig8_gamma": ("fig8", dict(dataset_names=("Beta(2,5)",), epsilons=(1.0,))),
+    "run_fig8_mse": ("fig8", dict(dataset_names=("Beta(2,5)",), epsilons=(1.0,))),
+    "run_fig9_frequency": ("fig9_freq", dict(epsilons=(1.0,))),
+    "run_fig10": ("fig10", dict(evasive_fractions=(0.5,), schemes=("DAP-EMF",))),
+}
+
+
+def executor_calls(driver):
+    """``(spec, keyword arguments)`` of each executor call ``driver`` makes,
+    unexecuted."""
     import repro.experiments as experiments
     import repro.scenario
 
-    specs = []
+    calls = []
     with pytest.MonkeyPatch.context() as patch:
         for module in [repro.scenario, *vars(experiments).values()]:
             if getattr(module, "run_experiment", None) is run_experiment:
                 patch.setattr(
-                    module, "run_experiment", lambda spec, **_: specs.append(spec) or []
+                    module,
+                    "run_experiment",
+                    lambda spec, **kwargs: calls.append((spec, kwargs)) or [],
                 )
-        DRIVERS[name](experiments)
+        driver(experiments)
+    return calls
+
+
+def driver_specs(name):
+    """The specs the driver ``name`` hands the executor, unexecuted."""
+    specs = [spec for spec, _ in executor_calls(DRIVERS[name])]
     assert specs, name
     return specs
+
+
+@pytest.mark.parametrize("name", sorted(SINGLE_SPEC_DRIVERS))
+def test_driver_hands_its_store_path_to_the_executor(name, tmp_path):
+    module, kwargs = SINGLE_SPEC_DRIVERS[name]
+    path = tmp_path / "run.json"
+    calls = executor_calls(
+        lambda E: getattr(getattr(E, module), name)(
+            CODEC_SCALE, rng=0, store_path=path, **kwargs
+        )
+    )
+    assert [call_kwargs["store_path"] for _, call_kwargs in calls] == [path]
+
+
+def test_fig9_stores_each_panel_in_its_own_artifact(tmp_path):
+    stores = {"a": tmp_path / "a.json", "b": tmp_path / "b.json"}
+    calls = executor_calls(
+        lambda E: E.fig9.run_fig9_defense_comparison(
+            CODEC_SCALE, epsilons=(1.0,), sampling_rates=(0.5,), ima_inputs=(0.0,),
+            rng=0, store_paths=stores,
+        )
+    )
+    assert [(spec.name, kwargs["store_path"]) for spec, kwargs in calls] == [
+        ("fig9a", stores["a"]),
+        ("fig9b", stores["b"]),
+    ]
 
 
 def same_records(actual, expected):

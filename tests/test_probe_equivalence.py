@@ -9,8 +9,8 @@ Four contracts introduced by the perf overhauls, each enforced here:
   and the final estimates agree;
 * the batched EM kernel converges to the same maximisers as per-hypothesis
   scalar solves, and its screening certificates are sound;
-* the batched kernel's whole-array tail scatter/gather reproduces the
-  per-column loops it replaced bit for bit;
+* the batched kernel's flat-cell tail scatter/gather reproduces the
+  per-column loops of the original loop bit for bit;
 * the vectorized defense kernels (interval-encoded isolation forest,
   searchsorted k-means assignment, blocked subset sampling) are
   bit-identical to the seed loop implementations, kept below as oracles,
@@ -43,7 +43,7 @@ from repro.defenses.kmeans import (
     _nearest_center_labels_brute,
     kmeans_1d,
 )
-from repro.ldp import ems
+import em_oracle
 from repro.ldp.ems import (
     em_reconstruct,
     em_reconstruct_accelerated,
@@ -152,17 +152,17 @@ class TestBatchKernel:
 
 
 # ----------------------------------------------------------------------
-# batched EM tail products: one scatter + one gather == per-column loops
+# batched EM tail products: flat-cell scatter + gather == per-column loops
 # ----------------------------------------------------------------------
 def _loop_scatter_tail(out, tail_weights, rows):
-    """The per-tail-column scatter the batched kernel used to run (oracle)."""
+    """The per-tail-column scatter the batched kernel first ran (oracle)."""
     index = np.arange(rows.shape[0])
     for t in range(rows.shape[1]):
         out[index, rows[:, t]] += tail_weights[:, t]
 
 
 def _loop_gather_tail(ratios, rows):
-    """The per-tail-column gather the batched kernel used to run (oracle)."""
+    """The per-tail-column gather the batched kernel first ran (oracle)."""
     index = np.arange(rows.shape[0])
     out = np.empty(rows.shape)
     for t in range(rows.shape[1]):
@@ -171,12 +171,13 @@ def _loop_gather_tail(ratios, rows):
 
 
 def _batch_both_ways(monkeypatch, *args, **kwargs):
-    """Run ``em_reconstruct_batch`` vectorised, then on the loop oracle."""
+    """Run ``em_reconstruct_batch``, then the allocating loop of
+    ``tests/em_oracle.py`` with per-column tail loops."""
     fast = em_reconstruct_batch(*args, **kwargs)
     with monkeypatch.context() as patch:
-        patch.setattr(ems, "_scatter_tail", _loop_scatter_tail)
-        patch.setattr(ems, "_gather_tail", _loop_gather_tail)
-        loop = em_reconstruct_batch(*args, **kwargs)
+        patch.setattr(em_oracle, "_scatter_tail", _loop_scatter_tail)
+        patch.setattr(em_oracle, "_gather_tail", _loop_gather_tail)
+        loop = em_oracle.em_reconstruct_batch(*args, **kwargs)
     return fast, loop
 
 

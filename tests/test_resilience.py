@@ -25,6 +25,7 @@ Five families of guarantees:
 
 from __future__ import annotations
 
+import io
 import json
 import multiprocessing
 import os
@@ -59,11 +60,13 @@ from repro.service.checkpoint import (
     CheckpointChain,
     QUARANTINE_SUFFIX,
     load_checkpoint,
+    payload_checksum,
     write_checkpoint,
 )
 from repro.service.runtime import run_service
 from repro.service.spec import ServiceSpec
 from repro.simulation.sweep import SweepRecord
+from repro.utils.durable import write_json
 from repro.utils.ledger import observe
 
 #: no backoff sleeps and headroom for stacked faults on one task
@@ -519,6 +522,40 @@ class TestCheckpointChain:
         with pytest.raises(ValueError, match="integrity checksum"):
             load_checkpoint(path)
 
+    def test_missing_checksum_quarantined_and_rolled_back(self, tmp_path, observed):
+        """A head whose ``checksum`` key is gone is invalid, not a legacy
+        file: the chain quarantines it and resumes from the ancestor."""
+        chain = self.chain(tmp_path)
+        chain.write(make_payload(1))
+        chain.write(make_payload(2))
+        with open(chain.path, "r", encoding="utf-8") as handle:
+            payload = json.load(handle)
+        del payload["checksum"]
+        with open(chain.path, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle)
+        with pytest.raises(ValueError, match="no integrity checksum"):
+            load_checkpoint(chain.path)
+        with pytest.warns(RuntimeWarning, match="quarantined invalid checkpoint"):
+            loaded, quarantined = chain.load_latest("d1")
+        assert loaded["next_window"] == 1
+        assert len(quarantined) == 1 and os.path.exists(quarantined[0])
+        assert observed.book("events")["checkpoint_quarantined"] == 1
+
+    def test_file_body_is_the_checksummed_canonical_text(self, tmp_path):
+        """One serialisation: the body after the leading ``checksum`` entry
+        is the canonical JSON the checksum covers."""
+        path = str(tmp_path / "c.json")
+        payload = make_payload(3)
+        payload["windows"] = [{"window": 0, "estimate": 0.1, "flagged": False}]
+        write_checkpoint(path, payload)
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+        head = '{"checksum":"' + payload_checksum(payload) + '",'
+        assert text.startswith(head)
+        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        assert "{" + text[len(head):] == canonical
+        assert load_checkpoint(path) == payload
+
 
 SERVICE = dict(
     name="resilience_svc",
@@ -673,20 +710,46 @@ def _units():
     }
 
 
-def _die_mid_write(path):
-    """Child target: start an artifact write, then SIGKILL mid-serialise."""
-    import repro.engine.store as store_module
+class _DyingHandle:
+    """A temp-file handle that writes half its text, then SIGKILLs."""
 
-    def dying_dump(payload, handle, **kwargs):
-        handle.write('{"format": "repro.engine.run/v2", "meta": {')
-        handle.flush()
+    def __init__(self, handle):
+        self._handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._handle.close()
+
+    def write(self, text):
+        self._handle.write(text[: len(text) // 2])
+        self._handle.flush()
         os.kill(os.getpid(), signal.SIGKILL)
 
-    store_module.json.dump = dying_dump
+
+def _die_mid_write(path):
+    """Child target: start an artifact write, then SIGKILL mid-write."""
+    import repro.engine.store as store_module
+    import repro.utils.durable as durable_module
+
+    fdopen = durable_module.os.fdopen
+    durable_module.os.fdopen = lambda *args, **kwargs: _DyingHandle(
+        fdopen(*args, **kwargs)
+    )
     store_module.save_run(path, _units())
 
 
 class TestStoreAtomicity:
+    def test_write_json_writes_the_bytes_json_dump_writes(self, tmp_path):
+        path = tmp_path / "run.json"
+        payload = {"b": [1.0 / 3.0, 2, None, "é"], "a": {"nested": True}}
+        for options in ({}, {"indent": 1}, {"sort_keys": True}):
+            write_json(path, payload, **options)
+            expected = io.StringIO()
+            json.dump(payload, expected, **options)
+            assert path.read_text(encoding="utf-8") == expected.getvalue()
+
     def test_sigkill_mid_write_keeps_previous_artifact(self, tmp_path):
         path = str(tmp_path / "run.json")
         save_run(path, _units(), meta={"fingerprint": {}})
