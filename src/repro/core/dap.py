@@ -638,9 +638,14 @@ class DAPProtocol:
 
         ``reuse_emf`` short-circuits the plain EMF run when the caller already
         holds a reconstruction of this group against the same transform (the
-        probing stage produces exactly that for the probe group).  The reuse
-        is rejected unless the transform geometry matches, so results are
-        identical with or without it.  ``warm`` starts each solve from the
+        probing stage produces exactly that for the probe group, on the same
+        kernel, counts and tolerance).  The reuse is rejected unless the
+        transform geometry matches, so a round gives the same bits with or
+        without it, cold, and warm while the side holds: the group's
+        previous solve is then the probe's previous solve of that side.  A
+        group whose side flipped cold-starts while the probe warm-starts
+        each side, so from a flip on a warm chain that solves instead of
+        reusing stops elsewhere.  ``warm`` starts each solve from the
         group's previous converged weights when it was found on ``side``.
         """
         mechanism = self.mechanism_for(group.epsilon)

@@ -21,12 +21,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence
 
 import numpy as np
 
 from repro.core.transform import TransformMatrix
-from repro.ldp.ems import em_reconstruct, em_reconstruct_batch
+from repro.ldp.ems import (
+    em_reconstruct,
+    # unused here; the benchmark's span tracer (bench/spans.py) rebinds
+    # this module global by name, so it stays until that target goes
+    em_reconstruct_batch,  # noqa: F401
+)
 from repro.utils.histogram import histogram_mean, histogram_variance
 
 #: hard cap on EM iterations; above the slowest probe side seen in practice
@@ -213,129 +217,9 @@ def run_emf(
     )
 
 
-def run_emf_stacked(
-    transforms: Sequence[TransformMatrix],
-    counts: np.ndarray,
-    epsilon: float | None = None,
-    tol: float | None = None,
-    max_iter: int = DEFAULT_MAX_ITER,
-    initial: Sequence[np.ndarray | None] | None = None,
-) -> List[EMFResult]:
-    """Run EMF for several hypotheses sharing one normal block, jointly.
-
-    The side hypotheses of Algorithm 3 (and any other family of transforms
-    that differ only in their poison rows) share their normal block, and
-    each transform's poison columns are one-hot indicators given by its
-    ``poison_bucket_indices``, so the whole family fits
-    :func:`repro.ldp.ems.em_reconstruct_batch` as ``(normal block, poison
-    rows)`` without building any stacked matrix: every EM iteration advances
-    all hypotheses with a single BLAS product over the shared normal block,
-    and hypotheses that converge early stop consuming compute while the
-    stragglers iterate.  Hypotheses with fewer poison buckets are padded
-    internally (padded components are pinned to zero).
-
-    The reconstructions converge to the same maximisers as per-hypothesis
-    :func:`run_emf` calls; iterate-level floating-point ordering differs, so
-    use :func:`run_emf` where bit-stable output is required.
-
-    Parameters
-    ----------
-    transforms:
-        The hypothesis transforms; they must share the output grid and the
-        normal block *object* (verified by identity; transforms built by
-        :func:`~repro.core.transform.cached_transform_matrix` over the same
-        grids share the cache's one read-only block).
-    counts:
-        Output-bucket counts shared by every hypothesis (the hypotheses
-        explain the same observations).
-    epsilon, tol, max_iter:
-        Convergence controls as in :func:`run_emf`.
-    initial:
-        Optional per-hypothesis warm-start weight vectors (each of length
-        ``n_normal + n_poison(h)``, as in :func:`run_emf`); individual
-        entries may be ``None`` to cold-start just that hypothesis.
-    """
-    if not transforms:
-        raise ValueError("at least one transform is required")
-    first = transforms[0]
-    n_normal = first.n_normal_components
-    dense = first.normal_block
-    for transform in transforms[1:]:
-        shared = transform.normal_block is dense
-        if transform.output_grid != first.output_grid or not shared:
-            raise ValueError(
-                "stacked EMF hypotheses must share the output grid and the "
-                "normal block; build them with cached_transform_matrix over "
-                "the same grids and mechanism"
-            )
-    counts = np.asarray(counts, dtype=float)
-    if tol is None:
-        tol = default_tolerance(epsilon)
-
-    tail_sizes = [transform.n_poison_components for transform in transforms]
-    n_tail = max(tail_sizes)
-    tail_rows = np.empty((len(transforms), n_tail), dtype=np.intp)
-    tail_mask = np.zeros((len(transforms), n_tail), dtype=bool)
-    for h, transform in enumerate(transforms):
-        indices = transform.poison_bucket_indices
-        tail_rows[h, : indices.size] = indices
-        # pad by repeating the first poison row; padded weight stays zero
-        tail_rows[h, indices.size:] = indices[0] if indices.size else 0
-        tail_mask[h, : indices.size] = True
-
-    batch_initial = None
-    if initial is not None:
-        if len(initial) != len(transforms):
-            raise ValueError(
-                f"initial must provide one warm start per hypothesis "
-                f"({len(transforms)}), got {len(initial)}"
-            )
-        if any(weights is not None for weights in initial):
-            batch_initial = np.zeros((len(transforms), n_normal + n_tail))
-            for h, weights in enumerate(initial):
-                n_real = n_normal + tail_sizes[h]
-                if weights is None:
-                    # reproduce the batch kernel's cold start for this row
-                    batch_initial[h, :n_real] = 1.0 / n_real
-                    continue
-                weights = np.asarray(weights, dtype=float)
-                if weights.shape != (n_real,):
-                    raise ValueError(
-                        f"hypothesis {h} warm start must have length {n_real}, "
-                        f"got shape {weights.shape}"
-                    )
-                batch_initial[h, :n_real] = weights
-
-    batch = em_reconstruct_batch(
-        dense,
-        counts,
-        tail_rows,
-        tail_mask=tail_mask,
-        initial=batch_initial,
-        max_iter=max_iter,
-        tol=tol,
-    )
-    results: List[EMFResult] = []
-    for h, transform in enumerate(transforms):
-        weights = batch.weights[h][: n_normal + tail_sizes[h]]
-        normal, poison = transform.split_weights(weights)
-        results.append(
-            EMFResult(
-                normal_histogram=normal,
-                poison_histogram=poison,
-                transform=transform,
-                log_likelihood=float(batch.log_likelihoods[h]),
-                n_iterations=int(batch.n_iterations[h]),
-                converged=bool(batch.converged[h]),
-            )
-        )
-    return results
-
-
 __all__ = [
     "EMFResult",
     "run_emf",
-    "run_emf_stacked",
     "default_tolerance",
     "warm_start_weights",
     "DEFAULT_MAX_ITER",

@@ -17,12 +17,7 @@ from typing import Dict, Mapping
 
 import numpy as np
 
-from repro.core.emf import (
-    DEFAULT_MAX_ITER,
-    EMFResult,
-    run_emf_stacked,
-    warm_start_weights,
-)
+from repro.core.emf import DEFAULT_MAX_ITER, EMFResult, run_emf, warm_start_weights
 from repro.core.transform import TransformMatrix, cached_transform_matrix
 
 
@@ -140,24 +135,22 @@ def probe_poisoned_side(
             # both sides share the output grid; bucketize once
             counts = transforms[side].output_counts(np.asarray(reports, dtype=float))
 
+    # each side is one EMF solve on the kernel every stage-4 solve runs, so
+    # the selected side's result is exactly what stage 4 would compute from
+    # the same starting point
     warm_start = warm_start or {}
-    initials = {
-        side: warm_start_weights(
-            warm_start.get(side), transforms[side], f"probe side {side!r}"
+    emf_left, emf_right = (
+        run_emf(
+            transforms[side],
+            counts=counts,
+            epsilon=epsilon,
+            tol=tol,
+            max_iter=max_iter,
+            initial=warm_start_weights(
+                warm_start.get(side), transforms[side], f"probe side {side!r}"
+            ),
         )
         for side in ("left", "right")
-    }
-
-    # both side hypotheses share the normal block, so one stacked EM solves
-    # them together; they reach the same maximisers as two independent
-    # solves, and the variance comparison selects the same side
-    emf_left, emf_right = run_emf_stacked(
-        [transforms["left"], transforms["right"]],
-        counts=counts,
-        epsilon=epsilon,
-        tol=tol,
-        max_iter=max_iter,
-        initial=[initials["left"], initials["right"]],
     )
     variance_left = emf_left.normal_histogram_variance
     variance_right = emf_right.normal_histogram_variance

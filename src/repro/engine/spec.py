@@ -112,6 +112,10 @@ class ExperimentSpec:
         overrides :meth:`evaluate_point`.
     input_domain:
         Mechanism input domain — a constant or a per-point callable.
+    draws:
+        Not settable: the version of the seeded outputs
+        (:data:`repro.knobs.DRAWS`), so an artifact written before they last
+        moved recomputes.
     collect_workers, backend, protocol:
         The knobs shared with scenarios and services (see
         :func:`shared_knob`; each field's metadata gives its role and help).
@@ -143,6 +147,7 @@ class ExperimentSpec:
         -1.0,
         1.0,
     )
+    draws: int = knobs.constant(knobs.DRAWS)
     collect_workers: int | None = shared_knob("collect_workers")
     backend: str | None = shared_knob("backend")
     protocol: str | None = shared_knob("protocol")

@@ -84,11 +84,18 @@ def knob(
     )
 
 
+#: version of the seeded outputs, the value of every spec's ``draws``
+#: constant: a change meant to move seeded outputs (a golden re-pin) bumps
+#: it, so artifacts and checkpoints written before the change recompute
+#: instead of splicing old bits with new ones
+DRAWS = 1
+
+
 def constant(value: Any) -> Any:
-    """A legacy identity entry: always in the document, never settable.
+    """An identity entry that is always in the document and never settable.
 
     Removed knobs leave one so the digests of documents written while they
-    existed stay the same.
+    existed stay the same; ``draws`` (:data:`DRAWS`) is one on every spec.
     """
     return dataclasses.field(default=value, init=False, metadata={"role": IDENTITY})
 

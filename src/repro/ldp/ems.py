@@ -127,7 +127,6 @@ def em_reconstruct(
     m_step: Optional[MStep] = None,
     fixed_zero: Optional[np.ndarray] = None,
     tail_rows: Optional[np.ndarray] = None,
-    gap_tol: Optional[float] = None,
     poison_mass: Optional[tuple[float, int]] = None,
 ) -> EMResult:
     """Run EM on a latent-mixture reconstruction problem.
@@ -167,19 +166,6 @@ def em_reconstruct(
         output grid.  Rows forming one ascending run (every EMF side band)
         are addressed as a slice.  Below that size the solver stacks the
         ``(d', K)`` matrix once per solve and runs plain dense products.
-    gap_tol:
-        Optional optimality-gap stopping rule.  The log-likelihood is concave
-        in the weights, so at any iterate ``F`` with gradient
-        ``g = A^T (c / (A F))`` the optimum is bounded by
-        ``LL* <= LL(F) + max_k g_k - sum_k F_k g_k`` — both terms the E-step
-        already computes.  When the gap drops below ``gap_tol`` the iterate's
-        likelihood is *certified* to be within ``gap_tol`` of the optimum and
-        the loop stops (converged), typically long before the per-iteration
-        improvement crawls under ``tol``.  ``None`` (the default) keeps the
-        historical, bit-stable ``tol``-only behaviour.  Components pinned by
-        ``fixed_zero`` are excluded from the gradient max; a constrained
-        M-step (``m_step`` or ``poison_mass``) restricts the feasible set
-        further, which only loosens the (still valid) bound.
     poison_mass:
         Optional ``(gamma, n_normal)``: Theorem 4's constrained M-step (EMF*
         and CEMF*).  The leading ``n_normal`` components are renormalised to
@@ -208,7 +194,7 @@ def em_reconstruct(
                 f"only has {n_components}"
             )
 
-    zero = feasible = None
+    zero = None
     if fixed_zero is not None:
         zero_mask = np.asarray(fixed_zero, dtype=bool)
         if zero_mask.shape != (n_components,):
@@ -219,7 +205,6 @@ def em_reconstruct(
             raise ValueError("fixed_zero mask suppresses every component")
         weights /= total
         zero = np.flatnonzero(zero_mask)
-        feasible = np.flatnonzero(~zero_mask)
 
     # The indicator tail splits both products only when that saves enough
     # dense work to pay for the gather/scatter (a deterministic function of
@@ -308,15 +293,6 @@ def em_reconstruct(
         ratio.dot(dense, out=a_dense)
         if band is not None:
             a_tail[:] = ratio[band]
-        if gap_tol is not None:
-            feasible_max = (
-                aggregate.max() if feasible is None else aggregate[feasible].max()
-            )
-            if feasible_max - float(weights.dot(aggregate)) < gap_tol:
-                # certified: no feasible weights beat prev_ll by >= gap_tol
-                iteration -= 1
-                converged = True
-                break
         np.multiply(weights, aggregate, out=responsibilities)
         if zero is not None:
             responsibilities[zero] = 0.0
@@ -374,6 +350,14 @@ def em_reconstruct_accelerated(
     for hypothesis *evaluation* (where only the converged likelihood and
     weights matter); keep :func:`em_reconstruct` where the historical
     iterate-for-iterate sequence must be preserved.
+
+    ``gap_tol`` stops the solve *certified* once the duality gap
+    ``max_k g_k - sum_k F_k g_k`` (``g = A^T (c / (A F))``) drops below it:
+    the log-likelihood is concave, so the iterate's likelihood is then
+    within ``gap_tol`` of the optimum.  ``ll_floor`` stops it, unconverged,
+    once the certified upper bound ``LL + gap`` falls below the floor, and
+    ``stall_tol`` ends a sub-floor solve whose cycle improves it by less
+    (the screen and stall rule of :func:`em_reconstruct_batch`).
     """
     transform, counts, weights = _validate_em_inputs(transform, counts, initial)
     mask = counts > 0
@@ -488,14 +472,13 @@ class BatchEMResult:
     Attributes
     ----------
     weights:
-        Final latent weights, one row per hypothesis (``(H, K)``); padded
-        tail columns (see :func:`em_reconstruct_batch`) hold zeros.
+        Final latent weights, one row per hypothesis (``(H, K)``).
     log_likelihoods:
         Log-likelihood of each hypothesis at its final iterate (``(H,)``).
     n_iterations:
-        EM iterations each hypothesis performed before converging (``(H,)``).
+        EM iterations each hypothesis performed before it stopped (``(H,)``).
     converged:
-        Whether each hypothesis met the tolerance before ``max_iter``.
+        Whether each hypothesis stopped on a stop rule before ``max_iter``.
     screened:
         Whether a hypothesis was stopped early by the ``ll_floor`` screen —
         its certified optimum lies *below* the floor, so its reported
@@ -513,14 +496,13 @@ def _validate_batch_inputs(
     dense: np.ndarray,
     counts: np.ndarray,
     tail_rows: np.ndarray,
-    tail_mask: Optional[np.ndarray],
     initial: Optional[np.ndarray],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Input contract of :func:`em_reconstruct_batch`.
 
     Validates the geometry and returns ``(dense, counts, tail_rows,
-    tail_mask, weights)``: the tail mask filled in (every column real when
-    ``None``) and the normalised initial weights, padded entries zero.
+    weights)`` with the initial weights normalised per hypothesis (uniform
+    when ``initial`` is ``None``).
     """
     dense = np.asarray(dense, dtype=float)
     counts = np.asarray(counts, dtype=float)
@@ -543,65 +525,74 @@ def _validate_batch_inputs(
         raise ValueError("at least one hypothesis is required")
     if n_tail and (tail_rows.min() < 0 or tail_rows.max() >= d_out):
         raise ValueError("tail_rows must index output rows of the dense block")
-    if tail_mask is None:
-        tail_mask = np.ones((n_hypotheses, n_tail), dtype=bool)
-    else:
-        tail_mask = np.asarray(tail_mask, dtype=bool)
-        if tail_mask.shape != (n_hypotheses, n_tail):
-            raise ValueError(
-                f"tail_mask must have shape {(n_hypotheses, n_tail)}, got "
-                f"{tail_mask.shape}"
-            )
     if n_tail > 1:
-        # padding gets distinct negative stand-ins, so only a repeated
-        # *real* row shows up as a tie after sorting
-        real = np.sort(np.where(tail_mask, tail_rows, -1 - np.arange(n_tail)), axis=1)
-        if np.any(real[:, 1:] == real[:, :-1]):
-            raise ValueError("each hypothesis's real tail_rows must be unique")
+        ordered = np.sort(tail_rows, axis=1)
+        if np.any(ordered[:, 1:] == ordered[:, :-1]):
+            raise ValueError("each hypothesis's tail_rows must be unique")
     n_components = n_dense + n_tail
 
     if initial is None:
-        real_counts = n_dense + tail_mask.sum(axis=1)
-        weights = np.repeat(1.0 / real_counts[:, None], n_components, axis=1)
-        weights[:, n_dense:][~tail_mask] = 0.0
-    else:
-        weights = np.array(initial, dtype=float)
-        if weights.shape != (n_hypotheses, n_components):
-            raise ValueError(
-                f"initial weights must have shape "
-                f"{(n_hypotheses, n_components)}, got {weights.shape}"
-            )
-        weights[:, n_dense:][~tail_mask] = 0.0
-        totals = weights.sum(axis=1)
-        if np.any(totals <= 0):
-            raise ValueError("every hypothesis needs positive initial mass")
-        weights /= totals[:, None]
-    return dense, counts, tail_rows, tail_mask, weights
+        return dense, counts, tail_rows, np.full(
+            (n_hypotheses, n_components), 1.0 / n_components
+        )
+    weights = np.array(initial, dtype=float)
+    if weights.shape != (n_hypotheses, n_components):
+        raise ValueError(
+            f"initial weights must have shape "
+            f"{(n_hypotheses, n_components)}, got {weights.shape}"
+        )
+    totals = weights.sum(axis=1)
+    if np.any(totals <= 0):
+        raise ValueError("every hypothesis needs positive initial mass")
+    weights /= totals[:, None]
+    return dense, counts, tail_rows, weights
 
 
 def em_reconstruct_batch(
     dense: np.ndarray,
     counts: np.ndarray,
     tail_rows: np.ndarray,
-    tail_mask: Optional[np.ndarray] = None,
+    *,
+    gap_tol: float,
+    ll_floor: float,
     initial: Optional[np.ndarray] = None,
     max_iter: int = 10_000,
     tol: float = 1e-6,
-    gap_tol: Optional[float] = None,
-    ll_floor: Optional[float] = None,
 ) -> BatchEMResult:
-    """Run EM on a batch of hypotheses sharing one dense transform block.
+    """Certified EM on a batch of hypotheses sharing one dense transform block.
 
     Hypothesis ``h`` has the transition matrix ``[dense | E_h]`` where
     ``E_h`` holds one one-hot *indicator* column per entry of
     ``tail_rows[h]`` (column ``t`` is 1 at output row ``tail_rows[h, t]``).
-    This is exactly the shape of the EMF poison block and of the k-RR poison
-    columns, so one batch evaluates every candidate poison hypothesis of a
-    greedy probing round — or both side hypotheses of Algorithm 3 — at once:
-    each EM iteration advances *all* still-active hypotheses with one BLAS
+    That is the shape of one round of the greedy k-RR category probe
+    (:meth:`repro.core.frequency.FrequencyDAP.probe_poisoned_categories`):
+    every candidate adds one identity column to the current poison set's.
+    Each EM iteration advances *all* still-active hypotheses with one BLAS
     product over the shared dense block in each direction, plus one gather
-    and one scatter over the indicator cells (a fixed number of numpy calls,
-    whatever the tail width), instead of one full EM solve per hypothesis.
+    and one scatter over the indicator cells (a fixed number of numpy
+    calls, whatever the tail width), and every hypothesis leaves the joint
+    loop the iteration it stops.
+
+    Each hypothesis stops on the first of these rules:
+
+    * *certified* (``converged``): its duality gap ``max_k g_k - sum_k F_k
+      g_k`` (``g = A^T (c / (A F))``, the gradient the E-step computes
+      anyway) drops below ``gap_tol``, so its likelihood is provably within
+      ``gap_tol`` of its optimum;
+    * *screened* (``screened``): its certified *upper* bound ``LL + gap``
+      falls below ``ll_floor``, so it can never reach the floor;
+    * *converged*: its likelihood improves by less than ``tol`` in one
+      iteration, or, while below ``ll_floor``, by less than
+      ``max(tol, gap_tol / 8)`` — a sub-floor candidate in EM's terminal
+      wander would otherwise pin the batch at ``max_iter``.  Unlike the
+      screen this is a stopping heuristic, not a certificate; the probe
+      relies on the selection-equivalence tests, not on a proof;
+    * a hypothesis without responsibility mass stops unconverged.
+
+    Once three or fewer remain, each finishes alone on
+    :func:`em_reconstruct_accelerated` with the same rules (a finisher that
+    stops early without converging was screened): extrapolation beats
+    batching once the joint fan-out is gone.
 
     The loop keeps the active hypotheses in the leading rows of work arrays
     allocated once per solve and written with ``out=``; the flat
@@ -610,8 +601,8 @@ def em_reconstruct_batch(
     operations in the same order as the allocating loop kept in
     ``tests/em_oracle.py`` (``tests/test_em_oracle.py`` pins weights,
     log-likelihoods, iterations, ``converged`` and ``screened`` bit for
-    bit): each real tail column hits its own mixture cell once, so adding
-    its weight there gives the bits of the oracle's ``bincount`` sum.
+    bit): each tail column hits its own mixture cell once, so adding its
+    weight there gives the bits of the oracle's ``bincount`` sum.
 
     Parameters
     ----------
@@ -622,47 +613,23 @@ def em_reconstruct_batch(
         Observed output-bucket counts, length ``d'`` (shared by every
         hypothesis — they explain the same observations).
     tail_rows:
-        ``(H, T)`` integer array of indicator rows, e.g. each side's
-        :attr:`~repro.core.transform.TransformMatrix.poison_bucket_indices`;
-        the one-hot columns themselves are never built.  A hypothesis's
-        real rows must be unique.
-        Hypotheses with fewer than ``T`` real tail columns are *padded*:
-        repeat any of their real rows and mark the padding ``False`` in
-        ``tail_mask`` — padded components are pinned to weight zero and
-        never influence the fit.
-    tail_mask:
-        Optional ``(H, T)`` boolean mask of real (non-padding) tail columns;
-        ``None`` means every column is real.
+        ``(H, T)`` integer array of indicator rows; the one-hot columns
+        themselves are never built.  A hypothesis's rows must be unique.
+    gap_tol, ll_floor:
+        The certificate and screening thresholds above.
     initial:
         Optional ``(H, K)`` initial weights (``K = n_dense + T``); defaults
-        to per-hypothesis uniform over the real components.  Rows are
-        normalised; padded entries are forced to zero.  Warm starts go here.
+        to uniform.  Rows are normalised.  Warm starts go here.
     max_iter, tol:
-        Per-hypothesis convergence controls, with the same semantics as
-        :func:`em_reconstruct`: a hypothesis stops when its absolute
-        log-likelihood improvement drops below ``tol`` (convergence masking —
-        finished hypotheses stop consuming compute while stragglers iterate).
-    gap_tol:
-        Optional optimality-gap stopping rule (see :func:`em_reconstruct`):
-        a hypothesis whose certified gap ``max_k g_k - sum_k F_k g_k`` drops
-        below ``gap_tol`` stops converged, its likelihood provably within
-        ``gap_tol`` of its optimum.  EM's terminal crawl — thousands of
-        iterations each improving the likelihood by less than ``tol`` — is
-        exactly the regime this skips.
-    ll_floor:
-        Optional screening floor: a hypothesis whose certified *upper* bound
-        ``LL + max_k g_k - sum_k F_k g_k`` falls below ``ll_floor`` can never
-        reach the floor, so it is stopped immediately and flagged in
-        ``screened``.  This is how a greedy probing round discards candidates
-        that provably cannot achieve the acceptance gain, without running
-        them to convergence.
+        Iteration budget and likelihood-improvement tolerance, shared by
+        every hypothesis.
 
     Returns
     -------
     BatchEMResult
     """
-    dense, counts, tail_rows, tail_mask, weights = _validate_batch_inputs(
-        dense, counts, tail_rows, tail_mask, initial
+    dense, counts, tail_rows, weights = _validate_batch_inputs(
+        dense, counts, tail_rows, initial
     )
     d_out, n_dense = dense.shape
     n_hypotheses, n_tail = tail_rows.shape
@@ -674,35 +641,7 @@ def em_reconstruct_batch(
         converged=np.zeros(n_hypotheses, dtype=bool),
         screened=np.zeros(n_hypotheses, dtype=bool),
     )
-    use_bounds = gap_tol is not None or ll_floor is not None
-    has_pads = not bool(tail_mask.all())
-    # In certified mode a handful of stragglers finish on the accelerated
-    # scalar solver — extrapolation beats batching once the joint fan-out is
-    # gone, and the finisher also stops when a whole accelerated cycle
-    # improves the likelihood by less than an eighth of ``gap_tol`` (the
-    # caller's own declaration of decision-irrelevant margin), so it never
-    # grinds for certification precision no decision can see.  In bit-stable
-    # mode only a lone straggler leaves the joint loop, onto the plain scalar
-    # kernel, continuing the same update semantics (iterate-level floating
-    # point differs from the joint GEMM's summation order either way —
-    # callers needing bit-stability use the scalar kernel outright).
-    straggler_cutoff = 3 if gap_tol is not None else 1
-    # Certified mode stops a *sub-floor* hypothesis when its per-iteration
-    # improvement drops below an eighth of gap_tol: a candidate crawling
-    # beneath the acceptance floor is in EM's terminal wander (deltas orders
-    # of magnitude above a 1e-9 tol yet going nowhere) and would otherwise
-    # pin the whole batch at max_iter.  Hypotheses currently at or above the
-    # floor — the potential winners, whose converged likelihood becomes the
-    # next round's baseline — keep the full tolerance.  Unlike the ll_floor
-    # screen this is a stopping *heuristic*, not a certificate (a winner
-    # could in principle crawl below the floor before rising); callers rely
-    # on the selection-equivalence tests and the benchmark's
-    # selections-match gate, not on a proof.
-    stall_tol = (
-        max(tol, 0.125 * gap_tol)
-        if gap_tol is not None and ll_floor is not None
-        else None
-    )
+    stall_tol = max(tol, 0.125 * gap_tol)
     positive = counts > 0
     observed = None if positive.all() else np.flatnonzero(positive)
     ll_counts = counts.copy() if observed is None else counts[observed]
@@ -740,26 +679,22 @@ def em_reconstruct_batch(
             lls[:n],
         )
 
-    def _tail_cells(rows: np.ndarray, mask: np.ndarray):
-        """Flat work-array cells of the active tails.
+    def _tail_cells(rows: np.ndarray):
+        """Flat work-array cells of the active tails: ``(rows, weights)``.
 
-        Returns ``(gather, scatter, sources)``: ``gather[p, t]`` is row
-        ``rows[p, t]`` of ratio row ``p`` (padding included); ``scatter``
-        and ``sources`` are the mixture and weight cells of the real tail
-        columns only.
+        Cell ``[p, t]`` of the first is row ``rows[p, t]`` of ratio (and
+        mixture) row ``p``; of the second, tail column ``t``'s weight.
         """
         n = rows.shape[0]
-        gather = np.arange(0, n * d_out, d_out)[:, None] + rows
+        cells = np.arange(0, n * d_out, d_out)[:, None] + rows
         sources = np.arange(0, n * n_components, n_components)[:, None] + tail_columns
-        if has_pads:
-            return gather, gather[mask], sources[mask]
-        return gather, gather.ravel(), sources.ravel()
+        return cells, sources
 
     def _mixture_log_likelihoods(weight, mixture, log, lls_n) -> None:
         """Clamped mixtures of the active rows and their log-likelihoods."""
         weight[:, :n_dense].dot(dense_t, out=mixture)
-        # each real tail column hits its own cell once; padding adds nothing
-        mixtures_flat[scatter] += w_flat[sources]
+        # each tail column hits its own cell once
+        mixtures_flat[cells] += w_flat[sources]
         np.maximum(mixture, 1e-300, out=mixture)
         if observed is None:
             np.log(mixture, out=log)
@@ -775,18 +710,18 @@ def em_reconstruct_batch(
         move their kept rows to the front; the fancy-indexed read copies
         before the write, so the overlapping move is safe.
         """
-        nonlocal n, active, rows_active, mask_active, gather, scatter, sources
+        nonlocal n, active, rows_active, cells, sources
         kept = int(np.count_nonzero(keep))
         for array in carried:
             array[:kept] = array[:n][keep]
         n = kept
         active = active[keep]
-        rows_active, mask_active = rows_active[keep], mask_active[keep]
-        gather, scatter, sources = _tail_cells(rows_active, mask_active)
+        rows_active = rows_active[keep]
+        cells, sources = _tail_cells(rows_active)
 
     active = np.arange(n_hypotheses)  # original hypothesis ids, compacted
-    rows_active, mask_active = tail_rows, tail_mask
-    gather, scatter, sources = _tail_cells(rows_active, mask_active)
+    rows_active = tail_rows
+    cells, sources = _tail_cells(rows_active)
     n = n_hypotheses
     weight, mixture, ratio, log, aggregate, responsibility, total, ll_n, lls_n = (
         _active_views(n)
@@ -796,42 +731,25 @@ def em_reconstruct_batch(
     out.log_likelihoods[:] = ll
     iteration = 0
     while n and iteration < max_iter:
-        if n <= straggler_cutoff:
+        if n <= 3:
             for position, h in enumerate(map(int, active)):
-                real = np.ones(n_components, dtype=bool)
-                real[n_dense:] = tail_mask[h]
-                real_rows = tail_rows[h][tail_mask[h]]
                 budget = max_iter - iteration
-                if gap_tol is not None:
-                    result = em_reconstruct_accelerated(
-                        _stacked(dense, real_rows),
-                        counts,
-                        initial=weight[position][real],
-                        max_iter=budget,
-                        tol=tol,
-                        gap_tol=gap_tol,
-                        ll_floor=ll_floor,
-                        stall_tol=stall_tol,
-                    )
-                    if (
-                        ll_floor is not None
-                        and not result.converged
-                        and result.n_iterations < budget
-                    ):
-                        # the finisher stopped early without converging:
-                        # that is its certified-below-the-floor break
-                        out.screened[h] = True
-                else:
-                    result = em_reconstruct(
-                        dense,
-                        counts,
-                        initial=weight[position][real],
-                        max_iter=budget,
-                        tol=tol,
-                        tail_rows=real_rows,
-                    )
-                out.weights[h][real] = result.weights
-                out.weights[h][~real] = 0.0
+                result = em_reconstruct_accelerated(
+                    _stacked(dense, tail_rows[h]),
+                    counts,
+                    initial=weight[position],
+                    max_iter=budget,
+                    tol=tol,
+                    gap_tol=gap_tol,
+                    ll_floor=ll_floor,
+                    stall_tol=stall_tol,
+                )
+                # stopping early without converging is the finisher's
+                # certified-below-the-floor break
+                out.screened[h] = (
+                    not result.converged and result.n_iterations < budget
+                )
+                out.weights[h] = result.weights
                 out.log_likelihoods[h] = result.log_likelihood
                 out.n_iterations[h] = iteration + result.n_iterations
                 out.converged[h] = result.converged
@@ -841,44 +759,25 @@ def em_reconstruct_batch(
         # zero counts contribute zero everywhere
         np.divide(counts, mixture, out=ratio)
         np.matmul(ratio, dense, out=aggregate[:, :n_dense])
-        aggregate[:, n_dense:] = ratios_flat[gather]
+        aggregate[:, n_dense:] = ratios_flat[cells]
         np.multiply(weight, aggregate, out=responsibility)
         np.add.reduce(responsibility, axis=1, out=total)
-        # hypotheses without responsibility mass, and in certified mode the
-        # certified (gap_tol) and screened (ll_floor) ones, stop before the
-        # update
-        dead = total <= 0
-        leave = dead
-        if use_bounds:
-            # certified optimality gap at the current iterate (see gap_tol):
-            # the aggregate IS the likelihood gradient and totals its inner
-            # product with the weights, so the bounds come almost for free
-            if has_pads:
-                feasible_max = np.maximum(
-                    aggregate[:, :n_dense].max(axis=1),
-                    np.where(mask_active, aggregate[:, n_dense:], -np.inf).max(axis=1),
-                )
-            else:
-                feasible_max = aggregate.max(axis=1)
-            gaps = feasible_max - total
-            stop_conv = (
-                gaps < gap_tol if gap_tol is not None else np.zeros(n, dtype=bool)
-            )
-            if ll_floor is not None:
-                stop_screen = ((ll_n + gaps) < ll_floor) & ~stop_conv
-                halt = stop_conv | stop_screen
-            else:
-                stop_screen = np.zeros(n, dtype=bool)
-                halt = stop_conv
-            if halt.any():
-                ids = active[halt]
-                out.weights[ids] = weight[halt]
-                out.log_likelihoods[ids] = ll_n[halt]
-                out.n_iterations[ids] = iteration - 1
-                out.converged[ids] = stop_conv[halt]
-                out.screened[ids] = stop_screen[halt]
-            dead = dead & ~halt
-            leave = dead | halt
+        # the aggregate IS the likelihood gradient and the total its inner
+        # product with the weights, so the gap costs one row maximum;
+        # certified and screened hypotheses, and those without
+        # responsibility mass, stop before the update
+        gaps = aggregate.max(axis=1) - total
+        stop_conv = gaps < gap_tol
+        stop_screen = ((ll_n + gaps) < ll_floor) & ~stop_conv
+        halt = stop_conv | stop_screen
+        if halt.any():
+            ids = active[halt]
+            out.weights[ids] = weight[halt]
+            out.log_likelihoods[ids] = ll_n[halt]
+            out.n_iterations[ids] = iteration - 1
+            out.converged[ids] = stop_conv[halt]
+            out.screened[ids] = stop_screen[halt]
+        dead = (total <= 0) & ~halt
         if dead.any():
             # mirror em_reconstruct: stop before the update, unconverged
             # (prior weights and log-likelihood are already in the outputs)
@@ -886,6 +785,7 @@ def em_reconstruct_batch(
             out.weights[ids] = weight[dead]
             out.log_likelihoods[ids] = ll_n[dead]
             out.n_iterations[ids] = iteration
+        leave = dead | halt
         if leave.any():
             _retain(~leave, w, responsibilities, totals, ll)
             if not n:
@@ -896,9 +796,7 @@ def em_reconstruct_batch(
         np.divide(responsibility, total[:, None], out=weight)
         _mixture_log_likelihoods(weight, mixture, log, lls_n)
         deltas = np.abs(lls_n - ll_n)
-        done = deltas < tol
-        if stall_tol is not None:
-            done |= (lls_n < ll_floor) & (deltas < stall_tol)
+        done = (deltas < tol) | ((lls_n < ll_floor) & (deltas < stall_tol))
         ll_n[:] = lls_n
         if done.any():
             finished = active[done]

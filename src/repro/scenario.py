@@ -59,6 +59,7 @@ from repro.engine.factories import (
     SchemesFromSpecs,
 )
 from repro.knobs import (
+    DRAWS,
     IDENTITY,
     Spec,
     axis,
@@ -267,6 +268,7 @@ class ScenarioSpec(Spec):
     # every trial runs on the per-trial path since the stacked-trials knob
     # was removed; the constant keeps stored digests resumable
     batched: bool = constant(False)
+    draws: int = constant(DRAWS)
     protocol: str = shared_knob("protocol", "local")
     collect_workers: int | None = shared_knob("collect_workers")
     backend: str | None = shared_knob("backend")

@@ -40,6 +40,7 @@ from typing import Any, Dict, Mapping, Tuple
 
 from repro.engine.spec import shared_knob
 from repro.knobs import (
+    DRAWS,
     EXECUTION,
     IDENTITY,
     Spec,
@@ -152,15 +153,18 @@ class ServiceSpec(Spec):
         boolean,
         "warm-start each window's probe EMs and every budget group's "
         "stage-4 EMF/CEMF* (or EMF*) solves from the previous window's "
-        "converged weights, which the checkpoint carries exactly; the side "
-        "and gamma_hat stay those of a cold stream, while the estimates move "
-        "within the tau stop rule's slack, so kill/resume is bit-identical "
-        "only with the digest pinning it",
+        "converged weights, which the checkpoint carries exactly; each solve "
+        "stops elsewhere within the tau stop rule's slack, so gamma_hat and "
+        "the estimates differ from a cold stream's, and in an attack-free "
+        "stretch, where the two sides are a near tie, the probe may pick "
+        "the other side and the estimate moves with it; kill/resume is "
+        "bit-identical only with the digest pinning it",
         default=True,
     )
-    # every window probes with the stacked side EM since the strategy knob
-    # was removed; the constant keeps checkpoint digests resumable
+    # the probe strategy knob was removed (every window probes the one
+    # way); the constant keeps checkpoint digests resumable
     probe_strategy: str = constant("batched")
+    draws: int = constant(DRAWS)
     detector: Dict[str, Any] = knob(
         IDENTITY,
         _detector,

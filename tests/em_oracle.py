@@ -31,7 +31,6 @@ from repro.ldp.ems import (
     _validate_em_inputs,
     em_reconstruct_accelerated,
 )
-from repro.ldp.ems import em_reconstruct as _scalar_em
 
 
 def constrained_m_step(gamma_hat: float, n_normal: int) -> MStep:
@@ -71,7 +70,6 @@ def em_reconstruct(
     m_step: Optional[MStep] = None,
     fixed_zero: Optional[np.ndarray] = None,
     indicator_tail: Optional[np.ndarray] = None,
-    gap_tol: Optional[float] = None,
 ) -> EMResult:
     """The allocating EM loop on the stacked matrix.
 
@@ -138,16 +136,6 @@ def em_reconstruct(
     iteration = 0
     for iteration in range(1, max_iter + 1):
         aggregate = _aggregate(counts / mixture)
-        if gap_tol is not None:
-            feasible_max = (
-                aggregate.max()
-                if zero_mask is None
-                else aggregate[~zero_mask].max()
-            )
-            if feasible_max - float(np.dot(weights, aggregate)) < gap_tol:
-                iteration -= 1
-                converged = True
-                break
         responsibilities = weights * aggregate
         if zero_mask is not None:
             responsibilities[zero_mask] = 0.0
@@ -199,20 +187,20 @@ def em_reconstruct_batch(
     dense: np.ndarray,
     counts: np.ndarray,
     tail_rows: np.ndarray,
-    tail_mask: Optional[np.ndarray] = None,
+    *,
+    gap_tol: float,
+    ll_floor: float,
     initial: Optional[np.ndarray] = None,
     max_iter: int = 10_000,
     tol: float = 1e-6,
-    gap_tol: Optional[float] = None,
-    ll_floor: Optional[float] = None,
 ) -> BatchEMResult:
     """The allocating batch EM loop.
 
     Every iteration allocates its ratios, aggregates, responsibilities and
     mixtures, rebuilds the tail cells with ``arange`` and scatters the tail
     weights with one ``bincount`` (:func:`_scatter_tail`); finished
-    hypotheses are dropped by fancy indexing.  The straggler finishers are
-    the library's scalar kernels.
+    hypotheses are dropped by fancy indexing.  The straggler finisher is
+    the library's accelerated scalar kernel.
     """
     dense = np.asarray(dense, dtype=float)
     counts = np.asarray(counts, dtype=float)
@@ -235,21 +223,10 @@ def em_reconstruct_batch(
         raise ValueError("at least one hypothesis is required")
     if n_tail and (tail_rows.min() < 0 or tail_rows.max() >= d_out):
         raise ValueError("tail_rows must index output rows of the dense block")
-    if tail_mask is None:
-        tail_mask = np.ones((n_hypotheses, n_tail), dtype=bool)
-    else:
-        tail_mask = np.asarray(tail_mask, dtype=bool)
-        if tail_mask.shape != (n_hypotheses, n_tail):
-            raise ValueError(
-                f"tail_mask must have shape {(n_hypotheses, n_tail)}, got "
-                f"{tail_mask.shape}"
-            )
     n_components = n_dense + n_tail
-    real_counts = n_dense + tail_mask.sum(axis=1)
 
     if initial is None:
-        weights = np.repeat(1.0 / real_counts[:, None], n_components, axis=1)
-        weights[:, n_dense:][~tail_mask] = 0.0
+        weights = np.full((n_hypotheses, n_components), 1.0 / n_components)
     else:
         weights = np.array(initial, dtype=float)
         if weights.shape != (n_hypotheses, n_components):
@@ -257,7 +234,6 @@ def em_reconstruct_batch(
                 f"initial weights must have shape "
                 f"{(n_hypotheses, n_components)}, got {weights.shape}"
             )
-        weights[:, n_dense:][~tail_mask] = 0.0
         totals = weights.sum(axis=1)
         if np.any(totals <= 0):
             raise ValueError("every hypothesis needs positive initial mass")
@@ -275,8 +251,6 @@ def em_reconstruct_batch(
     def _mixtures(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Clamped mixtures for the active block: one GEMM + one scatter."""
         out = w[:, :n_dense] @ dense.T
-        # padded columns add exact zeros, so a cell that one real tail column
-        # hits reads exactly GEMM + weight
         _scatter_tail(out, w[:, n_dense:], rows)
         return np.maximum(out, 1e-300)
 
@@ -290,81 +264,36 @@ def em_reconstruct_batch(
     converged = np.zeros(n_hypotheses, dtype=bool)
     screened = np.zeros(n_hypotheses, dtype=bool)
 
-    use_bounds = gap_tol is not None or ll_floor is not None
-    has_pads = not bool(tail_mask.all())
-
     active = np.arange(n_hypotheses)  # original hypothesis ids, compacted
     w_active = weights.copy()
     rows_active = tail_rows
-    mask_active = tail_mask
     mixtures = _mixtures(w_active, rows_active)
     ll_active = _log_likelihoods(mixtures)
     log_likelihoods[:] = ll_active
-    # In certified mode a handful of stragglers finish on the accelerated
-    # scalar solver — extrapolation beats batching once the joint fan-out is
-    # gone, and the finisher also stops when a whole accelerated cycle
-    # improves the likelihood by less than an eighth of ``gap_tol`` (the
-    # caller's own declaration of decision-irrelevant margin), so it never
-    # grinds for certification precision no decision can see.  In bit-stable
-    # mode only a lone straggler leaves the joint loop, onto the plain
-    # scalar kernel, continuing the same update semantics (iterate-level
-    # floating point differs from the joint GEMM's summation order either
-    # way — callers needing bit-stability use the scalar kernel outright).
-    straggler_cutoff = 3 if gap_tol is not None else 1
-    # Certified mode stops a *sub-floor* hypothesis when its per-iteration
-    # improvement drops below an eighth of gap_tol: a candidate crawling
-    # beneath the acceptance floor is in EM's terminal wander (deltas orders
-    # of magnitude above a 1e-9 tol yet going nowhere) and would otherwise
-    # pin the whole batch at max_iter.  Hypotheses currently at or above the
-    # floor — the potential winners, whose converged likelihood becomes the
-    # next round's baseline — keep the full tolerance.  Unlike the ll_floor
-    # screen this is a stopping *heuristic*, not a certificate (a winner
-    # could in principle crawl below the floor before rising); callers rely
-    # on the selection-equivalence tests and the benchmark's
-    # selections-match gate, not on a proof.
-    stall_tol = (
-        max(tol, 0.125 * gap_tol)
-        if gap_tol is not None and ll_floor is not None
-        else None
-    )
+    # a handful of stragglers finish on the accelerated scalar solver; a
+    # sub-floor hypothesis stops once an iteration improves it by less than
+    # an eighth of gap_tol
+    stall_tol = max(tol, 0.125 * gap_tol)
     iteration = 0
     while active.size and iteration < max_iter:
-        if active.size <= straggler_cutoff:
+        if active.size <= 3:
             for position, h in enumerate(map(int, active)):
-                real = np.ones(n_components, dtype=bool)
-                real[n_dense:] = tail_mask[h]
-                real_rows = tail_rows[h][tail_mask[h]]
                 budget = max_iter - iteration
-                if gap_tol is not None:
-                    result = em_reconstruct_accelerated(
-                        _stacked(dense, real_rows),
-                        counts,
-                        initial=w_active[position][real],
-                        max_iter=budget,
-                        tol=tol,
-                        gap_tol=gap_tol,
-                        ll_floor=ll_floor,
-                        stall_tol=stall_tol,
-                    )
-                    if (
-                        ll_floor is not None
-                        and not result.converged
-                        and result.n_iterations < budget
-                    ):
-                        # the finisher stopped early without converging:
-                        # that is its certified-below-the-floor break
-                        screened[h] = True
-                else:
-                    result = _scalar_em(
-                        dense,
-                        counts,
-                        initial=w_active[position][real],
-                        max_iter=budget,
-                        tol=tol,
-                        tail_rows=real_rows,
-                    )
-                weights[h][real] = result.weights
-                weights[h][~real] = 0.0
+                result = em_reconstruct_accelerated(
+                    _stacked(dense, tail_rows[h]),
+                    counts,
+                    initial=w_active[position],
+                    max_iter=budget,
+                    tol=tol,
+                    gap_tol=gap_tol,
+                    ll_floor=ll_floor,
+                    stall_tol=stall_tol,
+                )
+                if not result.converged and result.n_iterations < budget:
+                    # the finisher stopped early without converging:
+                    # that is its certified-below-the-floor break
+                    screened[h] = True
+                weights[h] = result.weights
                 log_likelihoods[h] = result.log_likelihood
                 n_iterations[h] = iteration + result.n_iterations
                 converged[h] = result.converged
@@ -377,47 +306,29 @@ def em_reconstruct_batch(
         aggregates[:, n_dense:] = _gather_tail(ratios, rows_active)
         responsibilities = w_active * aggregates
         totals = responsibilities.sum(axis=1)
-        if use_bounds:
-            # certified optimality gap at the current iterate (see gap_tol):
-            # the aggregate IS the likelihood gradient and totals its inner
-            # product with the weights, so the bounds come almost for free
-            if has_pads:
-                feasible_max = np.maximum(
-                    aggregates[:, :n_dense].max(axis=1),
-                    np.where(mask_active, aggregates[:, n_dense:], -np.inf).max(axis=1),
-                )
-            else:
-                feasible_max = aggregates.max(axis=1)
-            gaps = feasible_max - totals
-            stop_conv = (
-                gaps < gap_tol
-                if gap_tol is not None
-                else np.zeros(active.size, dtype=bool)
-            )
-            if ll_floor is not None:
-                stop_screen = ((ll_active + gaps) < ll_floor) & ~stop_conv
-                halt = stop_conv | stop_screen
-            else:
-                stop_screen = np.zeros(active.size, dtype=bool)
-                halt = stop_conv
-            if np.any(halt):
-                ids = active[halt]
-                weights[ids] = w_active[halt]
-                log_likelihoods[ids] = ll_active[halt]
-                n_iterations[ids] = iteration - 1
-                converged[ids] = stop_conv[halt]
-                screened[ids] = stop_screen[halt]
-                keep = ~halt
-                active = active[keep]
-                if active.size == 0:
-                    break
-                w_active = w_active[keep]
-                rows_active = rows_active[keep]
-                if has_pads:
-                    mask_active = mask_active[keep]
-                responsibilities = responsibilities[keep]
-                totals = totals[keep]
-                ll_active = ll_active[keep]
+        # certified optimality gap at the current iterate: the aggregate IS
+        # the likelihood gradient and totals its inner product with the
+        # weights
+        gaps = aggregates.max(axis=1) - totals
+        stop_conv = gaps < gap_tol
+        stop_screen = ((ll_active + gaps) < ll_floor) & ~stop_conv
+        halt = stop_conv | stop_screen
+        if np.any(halt):
+            ids = active[halt]
+            weights[ids] = w_active[halt]
+            log_likelihoods[ids] = ll_active[halt]
+            n_iterations[ids] = iteration - 1
+            converged[ids] = stop_conv[halt]
+            screened[ids] = stop_screen[halt]
+            keep = ~halt
+            active = active[keep]
+            if active.size == 0:
+                break
+            w_active = w_active[keep]
+            rows_active = rows_active[keep]
+            responsibilities = responsibilities[keep]
+            totals = totals[keep]
+            ll_active = ll_active[keep]
         dead = totals <= 0
         if np.any(dead):
             # mirror em_reconstruct: stop before the update, unconverged
@@ -431,8 +342,6 @@ def em_reconstruct_batch(
                 break
             w_active = w_active[keep]
             rows_active = rows_active[keep]
-            if has_pads:
-                mask_active = mask_active[keep]
             responsibilities = responsibilities[keep]
             totals = totals[keep]
             ll_active = ll_active[keep]
@@ -440,9 +349,7 @@ def em_reconstruct_batch(
         mixtures = _mixtures(w_active, rows_active)
         lls = _log_likelihoods(mixtures)
         deltas = np.abs(lls - ll_active)
-        done = deltas < tol
-        if stall_tol is not None:
-            done |= (lls < ll_floor) & (deltas < stall_tol)
+        done = (deltas < tol) | ((lls < ll_floor) & (deltas < stall_tol))
         ll_active = lls
         if np.any(done):
             finished = active[done]
@@ -454,8 +361,6 @@ def em_reconstruct_batch(
             active = active[keep]
             w_active = w_active[keep]
             rows_active = rows_active[keep]
-            if has_pads:
-                mask_active = mask_active[keep]
             mixtures = mixtures[keep]
             ll_active = ll_active[keep]
     if active.size:

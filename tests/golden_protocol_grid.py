@@ -4,12 +4,18 @@ The committed ``tests/data/golden_local_protocol.json`` was produced by
 running :func:`compute_goldens`.  The regression test recomputes the same
 grid — once with the defaults and once with ``protocol="local"`` forced
 explicitly — and requires bit-identical floats, which pins the collection
-semantics for every registered mechanism and scheme.  Re-pin (run this
-module) only when a change is meant to move seeded outputs.
+semantics for every registered mechanism and scheme.
+
+``PYTHONPATH=src python tests/golden_protocol_grid.py --diff`` recomputes
+the grid and prints every entry that drifted from the committed file, with
+its absolute and ulp distance, writing nothing.  Without ``--diff`` the
+module re-pins the file; do that only when a change is meant to move
+seeded outputs, and list the drift it printed.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 from pathlib import Path
 
@@ -193,7 +199,68 @@ def compute_goldens(protocol: str | None = None) -> dict:
     }
 
 
+def ulp_distance(a: float, b: float) -> int:
+    """How many representable float64 values lie between ``a`` and ``b``."""
+    ordered = []
+    for value in (a, b):
+        bits = int(np.array(value, dtype=np.float64).view(np.int64))
+        # map the sign-magnitude bit patterns onto one monotone integer line
+        ordered.append(bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF))
+    return abs(ordered[0] - ordered[1])
+
+
+def drifted(committed: dict, fresh: dict) -> list[tuple[str, float, float]]:
+    """``(key, committed, fresh)`` for every entry that differs.
+
+    List entries are compared element by element (``key[i]``); a key present
+    on one side only reports ``nan`` for the missing value.
+    """
+    out = []
+    for section in sorted(set(committed) | set(fresh)):
+        old, new = committed.get(section, {}), fresh.get(section, {})
+        for key in sorted(set(old) | set(new)):
+            name = f"{section}/{key}"
+            a, b = old.get(key, float("nan")), new.get(key, float("nan"))
+            if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+                out += [
+                    (f"{name}[{i}]", x, y)
+                    for i, (x, y) in enumerate(zip(a, b))
+                    if x != y
+                ]
+            elif a != b:
+                out.append((name, a, b))
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--diff",
+        action="store_true",
+        help="print the entries that drifted from the committed goldens; write nothing",
+    )
+    args = parser.parse_args(argv)
+    fresh = compute_goldens()
+    if not args.diff:
+        GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
+        GOLDEN_PATH.write_text(json.dumps(fresh, indent=1, sort_keys=True))
+        print(f"wrote {GOLDEN_PATH}")
+        return 0
+    changes = drifted(json.loads(GOLDEN_PATH.read_text()), fresh)
+    for key, old, new in changes:
+        if isinstance(old, float) and isinstance(new, float):
+            distance = f"abs {abs(new - old):.3g}  ulp {ulp_distance(old, new)}"
+            print(f"{key}: {old!r} -> {new!r}  {distance}")
+        else:
+            print(f"{key}: {old!r} -> {new!r}")
+    total = sum(
+        len(v) if isinstance(v, list) else 1
+        for entries in fresh.values()
+        for v in entries.values()
+    )
+    print(f"{len(changes)} of {total} values drifted")
+    return 0
+
+
 if __name__ == "__main__":
-    GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
-    GOLDEN_PATH.write_text(json.dumps(compute_goldens(), indent=1, sort_keys=True))
-    print(f"wrote {GOLDEN_PATH}")
+    raise SystemExit(main())

@@ -223,11 +223,15 @@ class TestExecutionDetails:
 
     def test_every_scenario_knob_has_a_tested_alternative(self):
         # a new knob must get an alternative here, so the role tests below
-        # cover it; the legacy constant is the one entry nobody can set
+        # cover it; the legacy constant and the draws version are the only
+        # entries nobody can set
         assert {f.name for f in knobs.knobs(ScenarioSpec) if f.init} == set(
             SCENARIO_ALTERNATIVES
         )
-        assert {f.name for f in knobs.knobs(ScenarioSpec) if not f.init} == {"batched"}
+        assert {f.name for f in knobs.knobs(ScenarioSpec) if not f.init} == {
+            "batched",
+            "draws",
+        }
 
     def test_scenario_digest_ignores_execution_details(self):
         base = ScenarioSpec(**SCENARIO_BASE)
@@ -261,7 +265,7 @@ class TestExecutionDetails:
         base = ScenarioSpec(**SCENARIO_BASE)
         identity = scenario_roles(knobs.IDENTITY)
         population = {"n_users", "gamma", "input_domain"}
-        expected = (identity - population) | {"population", "batched"}
+        expected = (identity - population) | {"population", "batched", "draws"}
         assert set(base.document()) == expected
         assert set(base.document()["population"]) == population
         shuffle = ScenarioSpec(**SCENARIO_BASE, protocol="shuffle")

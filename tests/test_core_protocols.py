@@ -219,6 +219,55 @@ class TestDAPWarmState:
             protocol.aggregate_stats(stats, warm_state=broken)
 
 
+class TestStage4Reuse:
+    """The probe group's stage-4 EMF is the probe's solve of the selected
+    side, reused: every stage-4 solve runs the probe's kernel from the same
+    starting point, so switching the reuse off changes no bit, cold or warm
+    while the side holds (a warm round starts from the previous round of its
+    own chain)."""
+
+    @pytest.fixture(scope="class")
+    def rounds(self):
+        values = np.random.default_rng(5).uniform(-1.0, 1.0, 20_000)
+        protocol = DAPProtocol(DAPConfig(epsilon=1.0))
+        return [
+            [
+                group.stats()
+                for group in protocol.collect_sharded(values, ATTACK, 5_000, rng=seed)
+            ]
+            for seed in (1, 2)
+        ]
+
+    @staticmethod
+    def chain(estimator, rounds, warm):
+        protocol = DAPProtocol(DAPConfig(epsilon=1.0, estimator=estimator))
+        first = protocol.aggregate_stats(rounds[0])
+        if not warm:
+            return first
+        result = protocol.aggregate_stats(rounds[1], warm_state=first.warm_state)
+        assert result.poisoned_side == first.poisoned_side
+        return result
+
+    @staticmethod
+    def bits(result):
+        groups = [
+            (g.epsilon, g.mean, g.gamma_hat, g.emf.weights.tobytes())
+            for g in result.group_estimates
+        ]
+        return result.estimate, result.poisoned_side, result.gamma_hat, groups
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("estimator", ["emf", "cemf_star"])
+    def test_reuse_changes_no_bit(self, rounds, estimator, warm, monkeypatch):
+        reused = self.chain(estimator, rounds, warm)
+        with monkeypatch.context() as patch:
+            patch.setattr(DAPProtocol, "_transform_matches", lambda *args: False)
+            solved = self.chain(estimator, rounds, warm)
+        probe_group = solved.warm_state.groups[min(s.epsilon for s in rounds[0])]
+        assert "emf" in probe_group.weights  # solved, not reused
+        assert self.bits(solved) == self.bits(reused)
+
+
 class TestDAPWithSquareWave:
     def test_distribution_mode_runs(self):
         # SW reconstruction needs a reasonable signal (epsilon not too small)

@@ -13,10 +13,11 @@ A case with one-hot poison columns hands the kernel the normal block plus
 matrix, so each such case also checks that the two formats agree bit for
 bit.
 
-``em_reconstruct_batch`` is held to its own allocating loop the same way,
-in weights, log-likelihoods, iterations, ``converged`` and ``screened``:
-EMF side bands and scattered k-RR candidate rows, with and without
-padding, in bit-stable and certified mode, with hypotheses that leave the
+``em_reconstruct_batch`` (certified mode is its only mode) is held to its
+own allocating loop the same way, in weights, log-likelihoods, iterations,
+``converged`` and ``screened``: EMF side bands and scattered k-RR
+candidate rows, with zero counts, warm starts, an exhausted budget, a dead
+hypothesis and a screening floor, each with hypotheses that leave the
 joint loop on different iterations.
 """
 
@@ -107,16 +108,14 @@ def _case(name):
         block, tail, _ = _emf("right", d_out=100)
         kwargs = dict(tol=TOL, max_iter=3_000)
         return block, tail, _counts(_stacked(block, tail), 11), kwargs, kwargs
-    if name in ("gamma-constrained", "gamma-zero", "fixed-zero", "fixed-zero-gap"):
+    if name in ("gamma-constrained", "gamma-zero", "fixed-zero"):
         block, tail, n_normal = _emf("right")
         kwargs = dict(tol=TOL, max_iter=3_000)
-        if name.startswith("fixed-zero"):
+        if name == "fixed-zero":
             # CEMF*: every third poison bucket suppressed
             zero = np.zeros(n_normal + tail.size, dtype=bool)
             zero[n_normal::3] = True
             kwargs["fixed_zero"] = zero
-        if name == "fixed-zero-gap":
-            kwargs.update(tol=1e-12, gap_tol=GAP_TOL)
         gamma = 0.0 if name == "gamma-zero" else GAMMA
         new = dict(kwargs, poison_mass=(gamma, n_normal))
         old = dict(kwargs, m_step=constrained_m_step(gamma, n_normal))
@@ -148,10 +147,6 @@ def _case(name):
         matrix = _stacked(block, tail)
         kwargs = dict(tol=TOL, max_iter=3_000)
         return matrix[:, :n_normal], None, _counts(matrix, 7), kwargs, kwargs
-    if name == "gap-certified":
-        block, tail, _ = _emf("left")
-        kwargs = dict(tol=1e-12, max_iter=3_000, gap_tol=GAP_TOL)
-        return block, tail, _counts(_stacked(block, tail), 8), kwargs, kwargs
     if name == "ems-smoothing":
         matrix = SquareWaveMechanism(1.0).interval_probability_matrix(
             np.linspace(0.0, 1.0, 64), np.linspace(-0.6, 1.6, 257)
@@ -181,14 +176,12 @@ CASES = (
     "gamma-constrained",
     "gamma-zero",
     "fixed-zero",
-    "fixed-zero-gap",
     "krr-scattered-tail",
     "krr-gamma-constrained",
     "zero-counts-split",
     "zero-counts-dense",
     "no-tail",
     "column-slice",
-    "gap-certified",
     "ems-smoothing",
     "max-iter-exhausted",
     "total-nonpositive-break",
@@ -242,54 +235,41 @@ def test_tail_rows_must_be_unique(rows):
 # ----------------------------------------------------------------------
 # the batched loop
 # ----------------------------------------------------------------------
-def _side_batch(n_truncated: int = 0, d_out: int = 400):
-    """EMF left/right side tails on one normal block (band rows).
+#: a floor no likelihood falls below: nothing is screened, and every
+#: hypothesis stops on the gap certificate or on ``tol``
+NO_FLOOR = -np.inf
 
-    ``n_truncated`` adds ragged copies of the right side, which pads every
-    shorter tail by repeating its first row.
-    """
+
+def _side_batch(d_out: int = 400):
+    """EMF left/right side tails on one normal block, plus the same-width
+    bands between them (band rows, one ascending run each)."""
     mechanism = PiecewiseMechanism(1.0)
     sides = [
         build_transform_matrix(mechanism, 12, d_out, side, 0.0)
         for side in ("left", "right")
     ]
     block = sides[0].normal_block
-    tails = [side.poison_bucket_indices for side in sides]
-    tails += [tails[1][: tails[1].size - 40 * (j + 1)] for j in range(n_truncated)]
-    return block, _padded(tails)
+    left, right = (side.poison_bucket_indices for side in sides)
+    assert left.size == right.size
+    shifted = [left + 40 * (j + 1) for j in range(4)]
+    return block, np.array([left, right, *shifted])
 
 
-def _padded(tails):
-    """``(tail_rows, tail_mask)`` of ragged tails, padded as the probe pads."""
-    n_tail = max(tail.size for tail in tails)
-    rows = np.empty((len(tails), n_tail), dtype=np.intp)
-    mask = np.zeros((len(tails), n_tail), dtype=bool)
-    for h, tail in enumerate(tails):
-        rows[h] = tail[0]
-        rows[h, : tail.size] = tail
-        mask[h, : tail.size] = True
-    return rows, mask
-
-
-def _scattered_batch(padded: bool):
+def _scattered_batch():
     """k-RR block with scattered one-hot poison rows per hypothesis.
 
     Like a greedy category probe round: every hypothesis holds the same
-    poison set plus one candidate category; with ``padded`` the candidates
-    come from rounds of different depth.
+    poison set plus one candidate category.
     """
     normal, _, _ = _krr(k=256, poison=())
     poison_set = [5, 40, 77, 130]
     candidates = [3, 9, 20, 64, 101, 180, 200, 255]
-    tails = [np.array(poison_set + [c], dtype=np.intp) for c in candidates]
-    if padded:
-        tails = [tail[: 2 + h % 4] for h, tail in enumerate(tails)]
-    return normal, _padded(tails)
+    return normal, np.array([poison_set + [c] for c in candidates], dtype=np.intp)
 
 
-def _batch_counts(block, rows, mask, seed, zero_share=0.0):
+def _batch_counts(block, rows, seed, zero_share=0.0):
     """Counts drawn from the first hypothesis's stacked matrix."""
-    return _counts(_stacked(block, rows[0][mask[0]]), seed, zero_share)
+    return _counts(_stacked(block, rows[0]), seed, zero_share)
 
 
 def _attacked_counts(block, seed):
@@ -302,72 +282,52 @@ def _attacked_counts(block, seed):
 
 def _batch_case(name):
     """``(block, counts, tail_rows, kwargs)`` of one batch oracle case."""
-    if name in ("sides-band", "sides-band-padded", "sides-zero-counts"):
-        block, (rows, mask) = _side_batch(4 if name == "sides-band-padded" else 0)
+    certified = dict(gap_tol=GAP_TOL, ll_floor=NO_FLOOR, tol=1e-9, max_iter=3_000)
+    if name in ("sides-band", "sides-zero-counts"):
+        block, rows = _side_batch()
         share = 0.3 if name == "sides-zero-counts" else 0.0
-        counts = _batch_counts(block, rows, mask, 21, zero_share=share)
-        return block, counts, rows, dict(tail_mask=mask, tol=TOL, max_iter=3_000)
-    if name == "sides-warm-start-padded":
-        block, (rows, mask) = _side_batch(2)
-        counts = _batch_counts(block, rows, mask, 22)
+        return block, _batch_counts(block, rows, 21, zero_share=share), rows, certified
+    if name == "sides-warm-start":
+        block, rows = _side_batch()
+        counts = _batch_counts(block, rows, 22)
         rng = np.random.default_rng(22)
         initial = rng.dirichlet(np.ones(rows.shape[1] + block.shape[1]), size=len(rows))
-        return block, counts, rows, dict(
-            tail_mask=mask, initial=initial, tol=TOL, max_iter=3_000
-        )
-    if name == "sides-max-iter-padded":
+        return block, counts, rows, dict(certified, initial=initial)
+    if name == "sides-max-iter":
         # several hypotheses still running when the budget runs out
-        block, (rows, mask) = _side_batch(3)
-        counts = _batch_counts(block, rows, mask, 23)
-        return block, counts, rows, dict(tail_mask=mask, tol=0.0, max_iter=40)
-    if name in ("scattered", "scattered-padded"):
-        block, (rows, mask) = _scattered_batch(name == "scattered-padded")
-        counts = _attacked_counts(block, 24)
-        return block, counts, rows, dict(tail_mask=mask, tol=1e-3, max_iter=3_000)
-    if name in (
-        "scattered-certified",
-        "scattered-padded-certified",
-        "scattered-gap-only",
-        "scattered-floor-only",
-    ):
-        block, (rows, mask) = _scattered_batch("padded" in name)
-        counts = _attacked_counts(block, 25)
-        plain = oracle_batch(block, counts, rows, tail_mask=mask, tol=1e-9)
-        kwargs = dict(tail_mask=mask, tol=1e-9, max_iter=3_000)
-        if name == "scattered-gap-only":
-            kwargs["gap_tol"] = 0.5
-        elif name != "scattered-floor-only":
-            kwargs["gap_tol"] = 0.01
-        if name != "scattered-gap-only":
-            # a floor no hypothesis reaches: some are screened, the rest
-            # stall beneath it
-            kwargs["ll_floor"] = float(plain.log_likelihoods.max()) + 1.0
-        return block, counts, rows, kwargs
+        block, rows = _side_batch()
+        counts = _batch_counts(block, rows, 23)
+        return block, counts, rows, dict(certified, gap_tol=1e-12, tol=0.0, max_iter=40)
+    if name in ("scattered", "scattered-certified"):
+        block, rows = _scattered_batch()
+        counts = _attacked_counts(block, 24 if name == "scattered" else 25)
+        if name == "scattered":
+            return block, counts, rows, dict(certified, gap_tol=0.5)
+        # a floor no hypothesis reaches: some are screened, the rest stall
+        # beneath it
+        unscreened = oracle_batch(block, counts, rows, **dict(certified, gap_tol=1e-3))
+        floor = float(unscreened.log_likelihoods.max()) + 1.0
+        return block, counts, rows, dict(certified, gap_tol=0.01, ll_floor=floor)
     if name == "dead-hypothesis":
         # hypothesis 0 holds all its mass on a tail column whose row saw no
         # reports: every responsibility is zero at the first E-step
-        block, (rows, mask) = _scattered_batch(False)
+        block, rows = _scattered_batch()
         counts = _attacked_counts(block, 26)
         counts[rows[0, -1]] = 0.0
         initial = np.full((len(rows), block.shape[1] + rows.shape[1]), 1.0)
         initial[0] = 0.0
         initial[0, -1] = 1.0
-        return block, counts, rows, dict(initial=initial, tol=1e-3, max_iter=3_000)
+        return block, counts, rows, dict(certified, gap_tol=0.5, initial=initial)
     raise KeyError(name)
 
 
 BATCH_CASES = (
     "sides-band",
-    "sides-band-padded",
     "sides-zero-counts",
-    "sides-warm-start-padded",
-    "sides-max-iter-padded",
+    "sides-warm-start",
+    "sides-max-iter",
     "scattered",
-    "scattered-padded",
     "scattered-certified",
-    "scattered-padded-certified",
-    "scattered-gap-only",
-    "scattered-floor-only",
     "dead-hypothesis",
 )
 
@@ -382,9 +342,7 @@ def test_batch_loop_matches_oracle_bit_for_bit(name):
             getattr(lean, field), getattr(oracle, field), err_msg=field
         )
     # each case reaches the branch it is named for
-    mask = kwargs.get("tail_mask")
-    assert (mask is not None and not mask.all()) == ("padded" in name)
-    if name == "sides-max-iter-padded":
+    if name == "sides-max-iter":
         assert np.all(lean.n_iterations == 40) and not lean.converged.any()
     elif name == "dead-hypothesis":
         assert lean.n_iterations[0] == 1 and not lean.converged[0]
@@ -392,19 +350,17 @@ def test_batch_loop_matches_oracle_bit_for_bit(name):
     else:
         # hypotheses leave the joint loop on different iterations
         assert np.unique(lean.n_iterations).size > 1
-    if "ll_floor" in kwargs:
-        assert lean.screened.any()
+    assert lean.screened.any() == (name == "scattered-certified")
     if name == "sides-zero-counts":
         assert (counts == 0).any()
 
 
 def test_batch_rejects_a_repeated_real_tail_row():
-    block, (rows, mask) = _scattered_batch(True)
-    counts = _batch_counts(block, rows, mask, 27)
-    # padding repeats a real row, which is allowed ...
-    em_reconstruct_batch(block, counts, rows, tail_mask=mask, max_iter=2)
-    # ... but two real columns on one row are not
+    block, rows = _scattered_batch()
+    counts = _attacked_counts(block, 27)
+    kwargs = dict(gap_tol=GAP_TOL, ll_floor=NO_FLOOR, max_iter=2)
+    em_reconstruct_batch(block, counts, rows, **kwargs)
     repeated = rows.copy()
     repeated[0, 1] = repeated[0, 0]
     with pytest.raises(ValueError, match="unique"):
-        em_reconstruct_batch(block, counts, repeated, tail_mask=mask, max_iter=2)
+        em_reconstruct_batch(block, counts, repeated, **kwargs)

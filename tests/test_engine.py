@@ -425,6 +425,30 @@ class TestRunIdentity:
         fresh = run_experiment(spec, rng=np.random.default_rng(8))
         assert record_key(other) == record_key(fresh)
 
+    def test_artifact_without_draws_recomputes_every_unit(
+        self, dataset, tmp_path, unit_calls, monkeypatch
+    ):
+        """An artifact written before the ``draws`` constant existed holds
+        seeded outputs of older code: no unit of it is reused."""
+        path = tmp_path / "run.json"
+        spec = make_spec(dataset)
+        assert spec.fingerprint()["draws"] == knobs.DRAWS
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                ExperimentSpec,
+                "fingerprint",
+                lambda self: {
+                    k: v for k, v in knobs.document(self).items() if k != "draws"
+                },
+            )
+            run_experiment(spec, rng=7, store_path=path)
+        assert "draws" not in load_run(path).meta["fingerprint"]
+        unit_calls.clear()
+        resumed = run_experiment(spec, rng=7, store_path=path)
+        assert unit_calls == spec.units()
+        assert load_run(path).meta["fingerprint"]["draws"] == knobs.DRAWS
+        assert record_key(resumed) == record_key(run_experiment(spec, rng=7))
+
     def test_interrupted_run_stores_its_finished_units(self, tmp_path, unit_calls):
         """A run that raises first writes what it finished, so the rerun
         computes only the rest and equals an uninterrupted run."""

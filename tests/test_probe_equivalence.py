@@ -3,10 +3,10 @@
 Four contracts introduced by the perf overhauls, each enforced here:
 
 * the **batched** (screened, warm-started, gap-certified) hypothesis
-  evaluation selects the same poison categories, and the stacked side EM the
-  same poisoned side, as the **cold** oracles kept below (one cold-start EM
-  solve per hypothesis, the seed implementation's search) on the seed grids,
-  and the final estimates agree;
+  evaluation selects the same poison categories as the **cold** oracle
+  kept below (one cold-start EM solve per hypothesis, the seed
+  implementation's search) on the seed grids, and the final estimates
+  agree;
 * the batched EM kernel converges to the same maximisers as per-hypothesis
   scalar solves, and its screening certificates are sound;
 * the batched kernel's flat-cell tail scatter/gather reproduces the
@@ -15,6 +15,9 @@ Four contracts introduced by the perf overhauls, each enforced here:
   searchsorted k-means assignment, blocked subset sampling) are
   bit-identical to the seed loop implementations, kept below as oracles,
   under a fixed rng.
+
+The side probe (Algorithm 3) has no oracle here: it runs the two
+independent ``run_emf`` solves the seed implementation ran.
 """
 
 import numpy as np
@@ -22,13 +25,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.attacks.bba import BiasedByzantineAttack
-from repro.attacks.distributions import PAPER_POISON_RANGES
-from repro.core import features as features_module
 from repro.core.dap import DAPConfig, DAPProtocol
-from repro.core.emf import DEFAULT_MAX_ITER, default_tolerance, run_emf
 from repro.core.frequency import FrequencyDAP
-from repro.core.probing import SideProbeResult
 from repro.core.transform import cached_transform_matrix, default_bucket_counts
 from repro.datasets import covid_dataset
 from repro.datasets.synthetic import uniform_dataset
@@ -50,7 +48,9 @@ from repro.ldp.ems import (
     em_reconstruct_batch,
 )
 from repro.ldp.piecewise import PiecewiseMechanism
-from repro.simulation.population import build_population
+
+#: a screening floor no likelihood falls below
+NO_FLOOR = -np.inf
 
 
 # ----------------------------------------------------------------------
@@ -69,7 +69,12 @@ class TestBatchKernel:
         dense, counts = problem
         candidates = [3, 7, 11, 20]
         batch = em_reconstruct_batch(
-            dense, counts, np.array([[c] for c in candidates]), tol=1e-9
+            dense,
+            counts,
+            np.array([[c] for c in candidates]),
+            gap_tol=1e-9,
+            ll_floor=NO_FLOOR,
+            tol=1e-12,
         )
         for h, candidate in enumerate(candidates):
             column = np.zeros((30, 1))
@@ -85,38 +90,28 @@ class TestBatchKernel:
     def test_tails_must_be_one_hot_rows(self, problem):
         dense, counts = problem
         with pytest.raises(ValueError, match=r"must be \(H, T\)"):
-            em_reconstruct_batch(dense, counts, np.zeros((2, 3, 2), dtype=np.intp))
-
-    def test_padded_tails_match_ragged_hypotheses(self, problem):
-        dense, counts = problem
-        tail_rows = np.array([[3, 7], [11, 11]])
-        tail_mask = np.array([[True, True], [True, False]])
-        batch = em_reconstruct_batch(
-            dense, counts, tail_rows, tail_mask=tail_mask, tol=1e-9
-        )
-        two = np.zeros((30, 2))
-        two[3, 0] = two[7, 1] = 1.0
-        one = np.zeros((30, 1))
-        one[11, 0] = 1.0
-        ref2 = em_reconstruct(np.hstack([dense, two]), counts, tol=1e-9)
-        ref1 = em_reconstruct(np.hstack([dense, one]), counts, tol=1e-9)
-        assert batch.log_likelihoods[0] == pytest.approx(
-            ref2.log_likelihood, abs=1e-6
-        )
-        assert batch.log_likelihoods[1] == pytest.approx(
-            ref1.log_likelihood, abs=1e-6
-        )
-        assert batch.weights[1, -1] == 0.0  # padded component pinned to zero
+            em_reconstruct_batch(
+                dense,
+                counts,
+                np.zeros((2, 3, 2), dtype=np.intp),
+                gap_tol=1e-6,
+                ll_floor=NO_FLOOR,
+            )
 
     def test_screening_certificate_is_sound(self, problem):
         dense, counts = problem
         candidates = np.arange(dense.shape[0])
         floor_probe = em_reconstruct_batch(
-            dense, counts, candidates[:, None], tol=1e-9
+            dense,
+            counts,
+            candidates[:, None],
+            gap_tol=1e-9,
+            ll_floor=NO_FLOOR,
+            tol=1e-12,
         )
-        # set the floor above some hypotheses' converged optima: those (and
-        # only those) may be screened, and every screened hypothesis's true
-        # optimum must indeed lie below the floor
+        # set the floor above some hypotheses' optima (certified within
+        # 1e-9): those (and only those) may be screened, and every screened
+        # hypothesis's true optimum must indeed lie below the floor
         floor = float(np.median(floor_probe.log_likelihoods))
         screened_run = em_reconstruct_batch(
             dense,
@@ -145,7 +140,9 @@ class TestBatchKernel:
     def test_gap_certificate_stops_early_and_accurately(self, problem):
         dense, counts = problem
         full = em_reconstruct(dense, counts, tol=1e-12, max_iter=50_000)
-        certified = em_reconstruct(dense, counts, tol=1e-12, gap_tol=1e-4)
+        certified = em_reconstruct_accelerated(
+            dense, counts, tol=1e-12, gap_tol=1e-4
+        )
         assert certified.converged
         assert certified.n_iterations <= full.n_iterations
         assert full.log_likelihood - certified.log_likelihood <= 1e-4
@@ -183,11 +180,11 @@ def _batch_both_ways(monkeypatch, *args, **kwargs):
 
 @pytest.fixture(scope="module")
 def side_probe_problem():
-    """EMF side hypotheses at the real probe geometry, padded to one width.
+    """EMF side hypotheses at the real probe geometry, plus same-width tails.
 
     A ``DAPProtocol`` at eps=1 probes its eps=0.0625 group; 640,000 reports
-    there give d=12, d'=800 and 400 one-hot poison columns per side.  Six
-    truncated variants add ragged, zero-weight-padded tails.
+    there give d=12, d'=800 and 400 one-hot poison columns per side.  Three
+    shifted bands and the even and odd rows add five more 400-row tails.
     """
     protocol = DAPProtocol(DAPConfig(epsilon=1.0))
     epsilon = min(protocol.config.budget_ladder)
@@ -201,43 +198,33 @@ def side_probe_problem():
         for side in ("left", "right")
     ]
     dense = sides[0].normal_block
-    tails = [side.poison_bucket_indices for side in sides]
-    tails += [tails[0][:150], tails[1][:300], tails[1][100:], tails[0][::3]]
-    tails += [tails[1][::2], tails[1][50:]]
-    n_tail = max(tail.size for tail in tails)
-    tail_rows = np.empty((len(tails), n_tail), dtype=np.intp)
-    tail_mask = np.zeros((len(tails), n_tail), dtype=bool)
-    for h, tail in enumerate(tails):
-        tail_rows[h] = tail[0]
-        tail_rows[h, : tail.size] = tail
-        tail_mask[h, : tail.size] = True
+    left, right = (side.poison_bucket_indices for side in sides)
+    tails = [left, right, left + 100, left + 200, left + 300]
+    tails += [np.arange(0, d_out, 2), np.arange(1, d_out, 2)]
     rng = np.random.default_rng(13)
     normal = rng.dirichlet(np.ones(d_in))
     poison = np.zeros(d_out)
-    poison[tails[1][200:]] = 1.0 / tails[1][200:].size
+    poison[right[200:]] = 1.0 / right[200:].size
     mixture = 0.75 * (dense @ normal) + 0.25 * poison
     counts = rng.multinomial(640_000, mixture / mixture.sum()).astype(float)
-    return dense, counts, tail_rows, tail_mask, default_tolerance(epsilon)
+    return dense, counts, np.array(tails, dtype=np.intp)
 
 
 class TestVectorisedTailProducts:
-    @pytest.mark.parametrize("certified", [False, True], ids=["plain", "certified"])
-    def test_emf_tails_bit_identical_to_loop(
-        self, monkeypatch, side_probe_problem, certified
-    ):
-        dense, counts, tail_rows, tail_mask, tol = side_probe_problem
+    def test_emf_tails_bit_identical_to_loop(self, monkeypatch, side_probe_problem):
+        dense, counts, tail_rows = side_probe_problem
         # the iteration caps bound the loop oracle's cost (a few ms an
-        # iteration here); the right-side hypotheses still converge first
-        kwargs = {"tail_mask": tail_mask, "tol": tol, "max_iter": 600}
-        if certified:
-            plain = em_reconstruct_batch(dense, counts, tail_rows, **kwargs)
-            floor = float(np.median(plain.log_likelihoods))
-            kwargs.update(gap_tol=1.0, ll_floor=floor, tol=1e-9, max_iter=400)
-        fast, loop = _batch_both_ways(
-            monkeypatch, dense, counts, tail_rows, **kwargs
+        # iteration here); a floor at the median unscreened likelihood
+        # screens some hypotheses
+        kwargs = {"gap_tol": 1.0, "tol": 1e-9, "max_iter": 400}
+        unscreened = em_reconstruct_batch(
+            dense, counts, tail_rows, ll_floor=NO_FLOOR, **kwargs
         )
-        if certified:
-            assert loop.screened.any()
+        floor = float(np.median(unscreened.log_likelihoods))
+        fast, loop = _batch_both_ways(
+            monkeypatch, dense, counts, tail_rows, ll_floor=floor, **kwargs
+        )
+        assert loop.screened.any()
         for field in (
             "weights",
             "log_likelihoods",
@@ -322,78 +309,6 @@ class TestFrequencyProbeEquivalence:
         for strategy in ("batched", "cold"):
             with pytest.raises(TypeError, match="probe_strategy"):
                 FrequencyDAP(1.0, covid.n_categories, probe_strategy=strategy)
-
-
-# ----------------------------------------------------------------------
-# side probe: batched == cold side selection across the DAP estimators
-# ----------------------------------------------------------------------
-def _cold_side_probe(
-    mechanism,
-    reports,
-    n_input_buckets,
-    n_output_buckets,
-    reference_mean=None,
-    epsilon=None,
-    tol=None,
-    max_iter=DEFAULT_MAX_ITER,
-    counts=None,
-    warm_start=None,
-    poison_domain=None,
-):
-    """Algorithm 3 as two independent cold-start EMF solves (oracle)."""
-    assert reports is None and warm_start is None
-    emfs = {
-        side: run_emf(
-            cached_transform_matrix(
-                mechanism,
-                n_input_buckets=n_input_buckets,
-                n_output_buckets=n_output_buckets,
-                side=side,
-                reference_mean=reference_mean,
-                poison_domain=poison_domain,
-            ),
-            counts=counts,
-            epsilon=epsilon,
-            tol=tol,
-            max_iter=max_iter,
-        )
-        for side in ("left", "right")
-    }
-    variance_left = emfs["left"].normal_histogram_variance
-    variance_right = emfs["right"].normal_histogram_variance
-    return SideProbeResult(
-        side="left" if variance_left < variance_right else "right",
-        variance_left=variance_left,
-        variance_right=variance_right,
-        emf_left=emfs["left"],
-        emf_right=emfs["right"],
-    )
-
-
-class TestSideProbeEquivalence:
-    @pytest.mark.parametrize("estimator", ["emf", "emf_star", "cemf_star"])
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_same_side_and_equivalent_estimates(self, estimator, seed, monkeypatch):
-        dataset = uniform_dataset(n_samples=20_000, rng=seed)
-        population = build_population(dataset, 20_000, 0.25, rng=seed)
-        attack = BiasedByzantineAttack(PAPER_POISON_RANGES["[C/2,C]"])
-        protocol = DAPProtocol(DAPConfig(epsilon=1.0, estimator=estimator))
-
-        def run():
-            return protocol.run(
-                population.normal_values,
-                attack,
-                population.n_byzantine,
-                rng=np.random.default_rng(seed),
-            )
-
-        batched = run()
-        with monkeypatch.context() as patch:
-            patch.setattr(features_module, "probe_poisoned_side", _cold_side_probe)
-            cold = run()
-        assert batched.poisoned_side == cold.poisoned_side
-        assert batched.estimate == pytest.approx(cold.estimate, abs=1e-9)
-        assert batched.gamma_hat == pytest.approx(cold.gamma_hat, abs=1e-9)
 
 
 # ----------------------------------------------------------------------

@@ -112,10 +112,13 @@ class TestScenarioValidation:
         assert scenario.gamma == 0.1
 
     def test_unknown_keys_rejected(self):
-        with pytest.raises(ValueError, match="unknown scenario keys \\['bogus'\\]"):
-            ScenarioSpec.from_dict(
-                {"name": "s", "schemes": ["Ostrich"], "epsilons": [1.0], "bogus": 1}
-            )
+        # the draws constant is always in the document and never settable
+        for key in ("bogus", "draws"):
+            message = f"unknown scenario keys \\['{key}'\\]"
+            with pytest.raises(ValueError, match=message):
+                ScenarioSpec.from_dict(
+                    {"name": "s", "schemes": ["Ostrich"], "epsilons": [1.0], key: 1}
+                )
         with pytest.raises(ValueError, match="unknown population keys"):
             ScenarioSpec.from_dict(
                 {"name": "s", "schemes": ["Ostrich"], "epsilons": [1.0],

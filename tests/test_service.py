@@ -112,14 +112,19 @@ def small_run():
     return run_service(small_spec())
 
 
+#: the spec's entries that are always in the document and never settable
+CONSTANTS = {"probe_strategy", "draws"}
+
+
 class TestServiceSpec:
     def test_every_knob_has_a_tested_alternative(self):
         # a new knob must get an alternative here, so the role tests below
-        # cover it; the legacy constant is the one entry nobody can set
+        # cover it; the legacy constant and the draws version are the only
+        # entries nobody can set
         settable = {f.name for f in knobs.knobs(ServiceSpec) if f.init}
         assert settable == set(ALTERNATIVES)
         constants = {f.name for f in knobs.knobs(ServiceSpec) if not f.init}
-        assert constants == {"probe_strategy"}
+        assert constants == CONSTANTS
 
     def test_digest_ignores_execution_details(self):
         base = small_spec()
@@ -136,9 +141,9 @@ class TestServiceSpec:
     def test_document_and_execution_details_follow_the_roles(self):
         base = small_spec()
         identity = roles(ServiceSpec, knobs.IDENTITY)
-        assert set(base.document()) == identity | {"probe_strategy"}
+        assert set(base.document()) == identity | CONSTANTS
         shuffle = small_spec(protocol="shuffle")
-        assert set(shuffle.document()) == identity | {"probe_strategy", "protocol"}
+        assert set(shuffle.document()) == identity | CONSTANTS | {"protocol"}
         assert set(base.execution_details()) == roles(ServiceSpec, *EXECUTION_ROLES)
 
     @pytest.mark.parametrize(
@@ -167,8 +172,10 @@ class TestServiceSpec:
             ServiceSpec.from_mapping({**SMALL, key: value})
 
     def test_unknown_keys_rejected(self):
-        # a removed knob is unknown too, even at the value it always had
-        for extra in ({"n_wndows": 3}, {"probe_strategy": "batched"}):
+        # a removed knob is unknown too, even at the value it always had,
+        # and so is the draws constant
+        extras = ({"n_wndows": 3}, {"probe_strategy": "batched"}, {"draws": 1})
+        for extra in extras:
             with pytest.raises(ValueError, match="unknown service keys"):
                 ServiceSpec.from_mapping({**SMALL, **extra})
 
@@ -418,6 +425,25 @@ class TestCheckpointGuards:
         other = small_spec(seed=12)
         with pytest.raises(ValueError, match="different service configuration"):
             run_service(other, checkpoint_path=checkpoint)
+
+    def test_checkpoint_without_draws_rejected(self, tmp_path, monkeypatch):
+        """A checkpoint written before the ``draws`` constant existed holds
+        the state of older code: it belongs to a different configuration."""
+        spec = small_spec()
+        assert spec.document()["draws"] == knobs.DRAWS
+        checkpoint = spec.default_checkpoint_path(str(tmp_path))
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                ServiceSpec,
+                "document",
+                lambda self: {
+                    k: v for k, v in knobs.document(self).items() if k != "draws"
+                },
+            )
+            run_partial(spec, checkpoint, 1)
+        assert load_checkpoint(checkpoint)["digest"] != spec.digest()
+        with pytest.raises(ValueError, match="different service configuration"):
+            run_service(spec, checkpoint_path=checkpoint)
 
     def test_corrupt_cumulative_rejected(self, tmp_path):
         spec = small_spec()
