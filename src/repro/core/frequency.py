@@ -31,7 +31,11 @@ from repro.collect.accumulators import CategoryCountAccumulator
 from repro.collect.round import category_inputs, collect_shard, collection_round
 from repro.collect.sharding import DEFAULT_SHARD_BLOCK, run_shard_tasks
 from repro.core.cemf_star import suppression_mask
-from repro.ldp.ems import em_reconstruct, em_reconstruct_batch
+from repro.ldp.ems import (
+    em_reconstruct,
+    em_reconstruct_accelerated,
+    em_reconstruct_batch,
+)
 from repro.ldp.base import CategoricalMechanism
 from repro.ldp.krr import KRandomizedResponse
 from repro.protocol.plan import ProtocolPlan
@@ -359,28 +363,42 @@ class FrequencyDAP(CategoricalDAP):
 
     @profiled_stage("probe")
     def _probe(self, counts: np.ndarray) -> tuple[List[int], List[float]]:
-        """Greedy search with batched hypothesis evaluation.
+        """Greedy search over certified hypothesis solves.
 
         Each greedy round (1) discards candidates whose log-likelihood
         provably cannot reach ``current_ll + min_likelihood_gain`` — for any
         weight vector ``F``, ``(A @ F)_i <= max_k A[i, k]``, so
         ``sum_i c_i log(max_k A[i, k])`` caps the achievable likelihood, and
         a candidate's cap differs from the incumbent's only through the rows
-        its indicator column lifts to one; (2) solves every survivor in one
-        batched EM, each hypothesis warm-started from the incumbent's
-        converged weights with the new component seeded at a uniform share.
-        Screened-out candidates can never change the selection: if the best
-        survivor clears the gain threshold it also beats every screened
-        candidate's cap, and if it does not, the round terminates the greedy
-        loop exactly as a search solving every candidate from a cold start
-        would.  That cold search selects the same poison set (the screen is a
-        proof, the warm start a test-enforced property).
+        its indicator column lifts to one; (2) solves each survivor with its
+        own accelerated EM (:func:`repro.ldp.ems.em_reconstruct_batch`),
+        warm-started from the incumbent's weights with the new component
+        seeded at a uniform share.  Every likelihood the round compares is
+        certified within ``gap_tol`` of its optimum, the starting
+        incumbent's included, unless its solve is screened below the
+        acceptance floor or stalls beneath it.  Screened-out candidates can
+        never change the selection: if the best survivor clears the gain
+        threshold it also beats every screened candidate's cap, and if it
+        does not, the round terminates the greedy loop exactly as a search
+        solving every candidate from a cold start would.  That cold search
+        selects the same poison set (the screen is a proof, the warm start
+        a test-enforced property).
         """
         dense = self._transition_matrix()
         poison_set: List[int] = []
         poisoned: set[int] = set()
         gains: List[float] = []
-        incumbent = self._reconstruct(counts, poison_set)
+        # margins the greedy decisions never resolve
+        gap_tol = 1e-3 * self.min_likelihood_gain
+        # a safety cap, not a stop rule: every solve above the acceptance
+        # floor runs to its certificate.  Hypotheses whose poison column
+        # shares a row with a heavy normal column crawl along that ridge;
+        # the attacked k = 64 harmonic round of the ROADMAP recipe
+        # certifies its winner after 205,260 EM-equivalent iterations
+        max_iter = 1_000_000
+        incumbent = em_reconstruct_accelerated(
+            dense, counts, tol=1e-9, max_iter=max_iter, gap_tol=gap_tol
+        )
         current_ll = incumbent.log_likelihood
         incumbent_weights = incumbent.weights
 
@@ -412,14 +430,16 @@ class FrequencyDAP(CategoricalDAP):
             tail_rows = np.empty((survivors.size, n_tail), dtype=np.intp)
             tail_rows[:, :-1] = poison_set
             tail_rows[:, -1] = survivors
-            # warm start: the incumbent's converged weights with the new
-            # component seeded at a uniform share, plus a pinch of uniform
-            # mass so no component starts at the (EM-absorbing) exact zero.
-            # The deliberate blur keeps each candidate's effective solver
-            # accuracy comparable to a cold-start solve under the same
-            # tol/max_iter budget — candidates must not *out-converge* a
-            # cold search, or threshold-marginal configurations would select
-            # more categories than the cold search they must reproduce.
+            # warm start: the incumbent's weights with the new component
+            # seeded at a uniform share, blurred by 2% of uniform mass.  The
+            # blur lifts components the incumbent drove towards the
+            # EM-absorbing zero, where a candidate's solve crawls.  Without
+            # it, on the unattacked seed-2 COVID round of the probe
+            # equivalence tests, candidate 10 stalls 0.13 below the floor
+            # (duality gap 25; its optimum clears the floor by 0.42), so the
+            # probe flags nothing where the cold search flags [10]; and the
+            # attacked k = 128 harmonic round of the ROADMAP recipe probes
+            # in 66 s instead of 4 s (2 cores).
             share = 1.0 / n_components
             initial = np.empty((survivors.size, n_components))
             initial[:, :-1] = incumbent_weights * (1.0 - share)
@@ -432,12 +452,10 @@ class FrequencyDAP(CategoricalDAP):
                 tail_rows,
                 initial=initial,
                 tol=1e-9,
-                max_iter=10_000,
+                max_iter=max_iter,
                 # candidates certifiably below the acceptance floor stop
-                # immediately; the rest stop once their likelihood is
-                # certified within a fraction of the gain threshold of
-                # optimal — margins the greedy decisions never resolve
-                gap_tol=1e-3 * self.min_likelihood_gain,
+                # immediately
+                gap_tol=gap_tol,
                 ll_floor=current_ll + self.min_likelihood_gain,
             )
             best = int(np.argmax(batch.log_likelihoods))

@@ -154,9 +154,9 @@ def em_reconstruct(
     tail_rows:
         Optional output rows of ``P`` one-hot *indicator* columns appended to
         ``transform``: component ``K - P + j`` is 1 at row ``tail_rows[j]``
-        and 0 elsewhere (the EMF poison block and the k-RR poison columns,
-        the same meaning :func:`em_reconstruct_batch` gives its
-        ``tail_rows``).  The rows must be unique and index rows of
+        and 0 elsewhere (the EMF poison block and the k-RR poison columns;
+        :func:`em_reconstruct_batch` takes one such row set per
+        hypothesis).  The rows must be unique and index rows of
         ``transform``.  When the indicator columns hold enough dense work
         (``P * d' >= _INDICATOR_MIN_SAVINGS``), both per-iteration matrix
         products split into a dense product over ``transform`` plus a
@@ -356,8 +356,10 @@ def em_reconstruct_accelerated(
     the log-likelihood is concave, so the iterate's likelihood is then
     within ``gap_tol`` of the optimum.  ``ll_floor`` stops it, unconverged,
     once the certified upper bound ``LL + gap`` falls below the floor, and
-    ``stall_tol`` ends a sub-floor solve whose cycle improves it by less
-    (the screen and stall rule of :func:`em_reconstruct_batch`).
+    ``stall_tol`` ends a sub-floor solve, converged, whose cycle improves
+    it by less: a hypothesis that cannot matter above the floor would
+    otherwise wander in EM's terminal phase until ``max_iter``.  These are
+    the screen and stall rules of :func:`em_reconstruct_batch`.
     """
     transform, counts, weights = _validate_em_inputs(transform, counts, initial)
     mask = counts > 0
@@ -441,8 +443,7 @@ def em_reconstruct_accelerated(
         delta = abs(best_ll - prev_ll)
         prev_ll = best_ll
         if stall_tol is not None and ll_floor is not None and best_ll < ll_floor and delta < stall_tol:
-            # a sub-floor hypothesis stalling: see the batched kernel's
-            # stall_tol rationale
+            # a sub-floor hypothesis stalling (see the docstring)
             converged = True
             break
         if delta < tol:
@@ -476,13 +477,15 @@ class BatchEMResult:
     log_likelihoods:
         Log-likelihood of each hypothesis at its final iterate (``(H,)``).
     n_iterations:
-        EM iterations each hypothesis performed before it stopped (``(H,)``).
+        EM-equivalent iterations each hypothesis's solve performed (``(H,)``).
     converged:
-        Whether each hypothesis stopped on a stop rule before ``max_iter``.
+        Whether each hypothesis stopped certified (duality gap below
+        ``gap_tol``) or stalled beneath ``ll_floor``.
     screened:
-        Whether a hypothesis was stopped early by the ``ll_floor`` screen —
-        its certified optimum lies *below* the floor, so its reported
-        log-likelihood is a valid lower bound that can never reach the floor.
+        Whether an unconverged hypothesis's certified upper bound ``LL +
+        gap`` lies below ``ll_floor`` — its optimum lies *below* the floor,
+        so its reported log-likelihood is a valid lower bound that can
+        never reach the floor.
     """
 
     weights: np.ndarray
@@ -567,42 +570,23 @@ def em_reconstruct_batch(
     That is the shape of one round of the greedy k-RR category probe
     (:meth:`repro.core.frequency.FrequencyDAP.probe_poisoned_categories`):
     every candidate adds one identity column to the current poison set's.
-    Each EM iteration advances *all* still-active hypotheses with one BLAS
-    product over the shared dense block in each direction, plus one gather
-    and one scatter over the indicator cells (a fixed number of numpy
-    calls, whatever the tail width), and every hypothesis leaves the joint
-    loop the iteration it stops.
 
-    Each hypothesis stops on the first of these rules:
+    Each hypothesis is one :func:`em_reconstruct_accelerated` solve on its
+    stacked matrix, started from its row of ``initial``, and stops on the
+    first of these rules:
 
     * *certified* (``converged``): its duality gap ``max_k g_k - sum_k F_k
-      g_k`` (``g = A^T (c / (A F))``, the gradient the E-step computes
-      anyway) drops below ``gap_tol``, so its likelihood is provably within
-      ``gap_tol`` of its optimum;
+      g_k`` (``g = A^T (c / (A F))``) drops below ``gap_tol``, so its
+      likelihood is provably within ``gap_tol`` of its optimum;
     * *screened* (``screened``): its certified *upper* bound ``LL + gap``
       falls below ``ll_floor``, so it can never reach the floor;
-    * *converged*: its likelihood improves by less than ``tol`` in one
-      iteration, or, while below ``ll_floor``, by less than
-      ``max(tol, gap_tol / 8)`` — a sub-floor candidate in EM's terminal
-      wander would otherwise pin the batch at ``max_iter``.  Unlike the
-      screen this is a stopping heuristic, not a certificate; the probe
-      relies on the selection-equivalence tests, not on a proof;
-    * a hypothesis without responsibility mass stops unconverged.
-
-    Once three or fewer remain, each finishes alone on
-    :func:`em_reconstruct_accelerated` with the same rules (a finisher that
-    stops early without converging was screened): extrapolation beats
-    batching once the joint fan-out is gone.
-
-    The loop keeps the active hypotheses in the leading rows of work arrays
-    allocated once per solve and written with ``out=``; the flat
-    ``(hypothesis, row)`` cells of the indicator columns are rebuilt only
-    when a hypothesis leaves.  It performs the same floating-point
-    operations in the same order as the allocating loop kept in
-    ``tests/em_oracle.py`` (``tests/test_em_oracle.py`` pins weights,
-    log-likelihoods, iterations, ``converged`` and ``screened`` bit for
-    bit): each tail column hits its own mixture cell once, so adding its
-    weight there gives the bits of the oracle's ``bincount`` sum.
+    * *stalled* (``converged``): while below ``ll_floor``, one cycle
+      improves its likelihood by less than ``max(tol, gap_tol / 8)``.
+      Unlike the screen this is a stopping heuristic, not a certificate;
+      the probe relies on the selection-equivalence tests, not on a proof;
+    * ``max_iter`` runs out, or it has no responsibility mass left: it
+      stops neither converged nor screened, unless its final iterate is
+      certified below the floor.
 
     Parameters
     ----------
@@ -613,16 +597,16 @@ def em_reconstruct_batch(
         Observed output-bucket counts, length ``d'`` (shared by every
         hypothesis — they explain the same observations).
     tail_rows:
-        ``(H, T)`` integer array of indicator rows; the one-hot columns
-        themselves are never built.  A hypothesis's rows must be unique.
+        ``(H, T)`` integer array of indicator rows.  A hypothesis's rows
+        must be unique.
     gap_tol, ll_floor:
         The certificate and screening thresholds above.
     initial:
         Optional ``(H, K)`` initial weights (``K = n_dense + T``); defaults
         to uniform.  Rows are normalised.  Warm starts go here.
     max_iter, tol:
-        Iteration budget and likelihood-improvement tolerance, shared by
-        every hypothesis.
+        Per-hypothesis iteration budget and likelihood-improvement
+        tolerance.
 
     Returns
     -------
@@ -631,188 +615,38 @@ def em_reconstruct_batch(
     dense, counts, tail_rows, weights = _validate_batch_inputs(
         dense, counts, tail_rows, initial
     )
-    d_out, n_dense = dense.shape
-    n_hypotheses, n_tail = tail_rows.shape
-    n_components = n_dense + n_tail
+    n_hypotheses = tail_rows.shape[0]
     out = BatchEMResult(
         weights=weights,
         log_likelihoods=np.empty(n_hypotheses),
-        n_iterations=np.zeros(n_hypotheses, dtype=np.intp),
+        n_iterations=np.empty(n_hypotheses, dtype=np.intp),
         converged=np.zeros(n_hypotheses, dtype=bool),
         screened=np.zeros(n_hypotheses, dtype=bool),
     )
     stall_tol = max(tol, 0.125 * gap_tol)
-    positive = counts > 0
-    observed = None if positive.all() else np.flatnonzero(positive)
-    ll_counts = counts.copy() if observed is None else counts[observed]
-    dense_t = dense.T
-
-    # Work arrays: rows [0, n) hold the n still-active hypotheses, and a
-    # hypothesis is written to ``out`` the moment it finishes, so finished
-    # hypotheses stop costing anything (convergence masking).
-    w = weights.copy()
-    mixtures = np.empty((n_hypotheses, d_out))
-    ratios = np.empty((n_hypotheses, d_out))
-    logs = np.empty((n_hypotheses, d_out)) if observed is None else None
-    aggregates = np.empty((n_hypotheses, n_components))
-    responsibilities = np.empty((n_hypotheses, n_components))
-    totals = np.empty(n_hypotheses)
-    ll = np.empty(n_hypotheses)
-    lls = np.empty(n_hypotheses)
-    w_flat, mixtures_flat, ratios_flat = w.ravel(), mixtures.ravel(), ratios.ravel()
-    tail_columns = n_dense + np.arange(n_tail)
-
-    def _active_views(n: int):
-        """The first ``n`` rows of the work arrays."""
-        return (
-            w[:n],
-            mixtures[:n],
-            ratios[:n],
-            # the observed columns' logs are column-major, as a boolean
-            # column selection returns them: the likelihood product sums in
-            # another order on another layout
-            logs[:n] if observed is None else np.empty((ll_counts.size, n)).T,
-            aggregates[:n],
-            responsibilities[:n],
-            totals[:n],
-            ll[:n],
-            lls[:n],
+    for h, rows in enumerate(tail_rows):
+        transform = _stacked(dense, rows)
+        fit = em_reconstruct_accelerated(
+            transform,
+            counts,
+            initial=weights[h],
+            max_iter=max_iter,
+            tol=tol,
+            gap_tol=gap_tol,
+            ll_floor=ll_floor,
+            stall_tol=stall_tol,
         )
-
-    def _tail_cells(rows: np.ndarray):
-        """Flat work-array cells of the active tails: ``(rows, weights)``.
-
-        Cell ``[p, t]`` of the first is row ``rows[p, t]`` of ratio (and
-        mixture) row ``p``; of the second, tail column ``t``'s weight.
-        """
-        n = rows.shape[0]
-        cells = np.arange(0, n * d_out, d_out)[:, None] + rows
-        sources = np.arange(0, n * n_components, n_components)[:, None] + tail_columns
-        return cells, sources
-
-    def _mixture_log_likelihoods(weight, mixture, log, lls_n) -> None:
-        """Clamped mixtures of the active rows and their log-likelihoods."""
-        weight[:, :n_dense].dot(dense_t, out=mixture)
-        # each tail column hits its own cell once
-        mixtures_flat[cells] += w_flat[sources]
-        np.maximum(mixture, 1e-300, out=mixture)
-        if observed is None:
-            np.log(mixture, out=log)
-        else:
-            mixture.take(observed, axis=1, out=log)
-            np.log(log, out=log)
-        log.dot(ll_counts, out=lls_n)
-
-    def _retain(keep: np.ndarray, *carried: np.ndarray) -> None:
-        """Shrink the active set to its ``keep`` rows.
-
-        The work arrays in ``carried`` (those whose rows outlive the step)
-        move their kept rows to the front; the fancy-indexed read copies
-        before the write, so the overlapping move is safe.
-        """
-        nonlocal n, active, rows_active, cells, sources
-        kept = int(np.count_nonzero(keep))
-        for array in carried:
-            array[:kept] = array[:n][keep]
-        n = kept
-        active = active[keep]
-        rows_active = rows_active[keep]
-        cells, sources = _tail_cells(rows_active)
-
-    active = np.arange(n_hypotheses)  # original hypothesis ids, compacted
-    rows_active = tail_rows
-    cells, sources = _tail_cells(rows_active)
-    n = n_hypotheses
-    weight, mixture, ratio, log, aggregate, responsibility, total, ll_n, lls_n = (
-        _active_views(n)
-    )
-    _mixture_log_likelihoods(weight, mixture, log, lls_n)
-    ll[:] = lls
-    out.log_likelihoods[:] = ll
-    iteration = 0
-    while n and iteration < max_iter:
-        if n <= 3:
-            for position, h in enumerate(map(int, active)):
-                budget = max_iter - iteration
-                result = em_reconstruct_accelerated(
-                    _stacked(dense, tail_rows[h]),
-                    counts,
-                    initial=weight[position],
-                    max_iter=budget,
-                    tol=tol,
-                    gap_tol=gap_tol,
-                    ll_floor=ll_floor,
-                    stall_tol=stall_tol,
-                )
-                # stopping early without converging is the finisher's
-                # certified-below-the-floor break
-                out.screened[h] = (
-                    not result.converged and result.n_iterations < budget
-                )
-                out.weights[h] = result.weights
-                out.log_likelihoods[h] = result.log_likelihood
-                out.n_iterations[h] = iteration + result.n_iterations
-                out.converged[h] = result.converged
-            n = 0
-            break
-        iteration += 1
-        # zero counts contribute zero everywhere
-        np.divide(counts, mixture, out=ratio)
-        np.matmul(ratio, dense, out=aggregate[:, :n_dense])
-        aggregate[:, n_dense:] = ratios_flat[cells]
-        np.multiply(weight, aggregate, out=responsibility)
-        np.add.reduce(responsibility, axis=1, out=total)
-        # the aggregate IS the likelihood gradient and the total its inner
-        # product with the weights, so the gap costs one row maximum;
-        # certified and screened hypotheses, and those without
-        # responsibility mass, stop before the update
-        gaps = aggregate.max(axis=1) - total
-        stop_conv = gaps < gap_tol
-        stop_screen = ((ll_n + gaps) < ll_floor) & ~stop_conv
-        halt = stop_conv | stop_screen
-        if halt.any():
-            ids = active[halt]
-            out.weights[ids] = weight[halt]
-            out.log_likelihoods[ids] = ll_n[halt]
-            out.n_iterations[ids] = iteration - 1
-            out.converged[ids] = stop_conv[halt]
-            out.screened[ids] = stop_screen[halt]
-        dead = (total <= 0) & ~halt
-        if dead.any():
-            # mirror em_reconstruct: stop before the update, unconverged
-            # (prior weights and log-likelihood are already in the outputs)
-            ids = active[dead]
-            out.weights[ids] = weight[dead]
-            out.log_likelihoods[ids] = ll_n[dead]
-            out.n_iterations[ids] = iteration
-        leave = dead | halt
-        if leave.any():
-            _retain(~leave, w, responsibilities, totals, ll)
-            if not n:
-                break
-            weight, mixture, ratio, log, aggregate, responsibility, total, ll_n, lls_n = (
-                _active_views(n)
-            )
-        np.divide(responsibility, total[:, None], out=weight)
-        _mixture_log_likelihoods(weight, mixture, log, lls_n)
-        deltas = np.abs(lls_n - ll_n)
-        done = (deltas < tol) | ((lls_n < ll_floor) & (deltas < stall_tol))
-        ll_n[:] = lls_n
-        if done.any():
-            finished = active[done]
-            out.weights[finished] = weight[done]
-            out.log_likelihoods[finished] = ll_n[done]
-            out.converged[finished] = True
-            out.n_iterations[finished] = iteration
-            _retain(~done, w, mixtures, ll)
-            weight, mixture, ratio, log, aggregate, responsibility, total, ll_n, lls_n = (
-                _active_views(n)
-            )
-    if n:
-        # max_iter exhausted with several hypotheses still running
-        out.weights[active] = weight
-        out.log_likelihoods[active] = ll_n
-        out.n_iterations[active] = max_iter
+        out.weights[h] = fit.weights
+        out.log_likelihoods[h] = fit.log_likelihood
+        out.n_iterations[h] = fit.n_iterations
+        out.converged[h] = fit.converged
+        if not fit.converged:
+            # the solver's own gap arithmetic, so its screen break reads
+            # the same bits here
+            mixture = np.maximum(transform @ fit.weights, 1e-300)
+            gradient = transform.T @ (counts / mixture)
+            gap = float(gradient.max() - np.dot(fit.weights, gradient))
+            out.screened[h] = fit.log_likelihood + gap < ll_floor
     return out
 
 

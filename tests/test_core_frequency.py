@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.core import frequency
 from repro.core.frequency import FrequencyDAP, ostrich_frequencies
 from repro.datasets import covid_dataset
 from repro.estimators import frequency_mse
 from repro.ldp import KRandomizedResponse
+from repro.ldp.ems import _stacked, em_reconstruct_accelerated
 
 
 @pytest.fixture(scope="module")
@@ -105,3 +107,58 @@ class TestFrequencyDAPEstimation:
             FrequencyDAP(1.0, 5, estimator="bogus")
         with pytest.raises(ValueError):
             FrequencyDAP(0.0, 5)
+
+
+def _recipe_categories(k: int, kind: str) -> np.ndarray:
+    """ROADMAP item 13's inputs: 200,000 Zipf(1.3) or harmonic categories."""
+    rng = np.random.default_rng(1)
+    if kind == "zipf":
+        return rng.zipf(1.3, 200_000) % k
+    harmonic = 1.0 / np.arange(1, k + 1)
+    return rng.choice(k, 200_000, p=harmonic / harmonic.sum())
+
+
+class TestCertifiedProbeRounds:
+    """Every gain the greedy probe accepts is certified within gap_tol."""
+
+    @pytest.mark.parametrize("n_byzantine", [0, 10_000])
+    @pytest.mark.parametrize("kind", ["zipf", "harmonic"])
+    def test_accepted_gains_are_certified(
+        self, monkeypatch, kind, n_byzantine
+    ):
+        k = 64
+        dap = FrequencyDAP(2.0, k)
+        counts = dap.collect_sharded(
+            _recipe_categories(k, kind), (k - 1, k - 2), n_byzantine, rng=2
+        ).counts_float()
+        rounds = []
+        solve = frequency.em_reconstruct_batch
+
+        def recording_solve(dense, counts, tail_rows, **kwargs):
+            batch = solve(dense, counts, tail_rows, **kwargs)
+            rounds.append((tail_rows, kwargs, batch))
+            return batch
+
+        monkeypatch.setattr(frequency, "em_reconstruct_batch", recording_solve)
+        flags, _ = dap.probe_poisoned_categories(counts)
+        dense = dap._transition_matrix()
+
+        def gap(transform, weights):
+            gradient = transform.T @ (counts / np.maximum(transform @ weights, 1e-300))
+            return gradient.max() - weights @ gradient
+
+        # each accepted round's winner: certified within gap_tol
+        for tail_rows, kwargs, batch in rounds[: len(flags)]:
+            best = int(np.argmax(batch.log_likelihoods))
+            assert batch.converged[best]
+            transform = _stacked(dense, tail_rows[best])
+            assert gap(transform, batch.weights[best]) < kwargs["gap_tol"]
+        # the starting incumbent (the first round's floor, less the gain):
+        # within gap_tol of the no-poison optimum
+        _, kwargs, _ = rounds[0]
+        reference = em_reconstruct_accelerated(dense, counts, gap_tol=1e-6)
+        assert gap(dense, reference.weights) < 1e-6
+        incumbent_ll = kwargs["ll_floor"] - dap.min_likelihood_gain
+        assert reference.log_likelihood + 1e-6 - incumbent_ll < kwargs["gap_tol"]
+        if n_byzantine:
+            assert k - 1 in flags

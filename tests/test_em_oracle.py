@@ -13,12 +13,12 @@ A case with one-hot poison columns hands the kernel the normal block plus
 matrix, so each such case also checks that the two formats agree bit for
 bit.
 
-``em_reconstruct_batch`` (certified mode is its only mode) is held to its
-own allocating loop the same way, in weights, log-likelihoods, iterations,
-``converged`` and ``screened``: EMF side bands and scattered k-RR
-candidate rows, with zero counts, warm starts, an exhausted budget, a dead
-hypothesis and a screening floor, each with hypotheses that leave the
-joint loop on different iterations.
+``em_reconstruct_batch`` is one certified ``em_reconstruct_accelerated``
+solve per hypothesis: on EMF side bands and scattered k-RR candidate rows,
+with zero counts, warm starts, an exhausted budget, a dead hypothesis and a
+screening floor, every hypothesis must equal a standalone solve on its
+stacked matrix bit for bit, and ``converged`` and ``screened`` must mean
+what ``BatchEMResult`` says they mean.
 """
 
 from __future__ import annotations
@@ -26,15 +26,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from em_oracle import (
-    constrained_m_step,
-    em_reconstruct as oracle_em,
-    em_reconstruct_batch as oracle_batch,
-)
+from em_oracle import constrained_m_step, em_reconstruct as oracle_em
 from repro.core.transform import build_transform_matrix
 from repro.ldp.ems import (
     _INDICATOR_MIN_SAVINGS,
+    _validate_batch_inputs,
     em_reconstruct,
+    em_reconstruct_accelerated,
     em_reconstruct_batch,
     smooth_histogram,
 )
@@ -305,10 +303,12 @@ def _batch_case(name):
             return block, counts, rows, dict(certified, gap_tol=0.5)
         # a floor no hypothesis reaches: some are screened, the rest stall
         # beneath it
-        unscreened = oracle_batch(block, counts, rows, **dict(certified, gap_tol=1e-3))
+        unscreened = em_reconstruct_batch(
+            block, counts, rows, **dict(certified, gap_tol=1e-3)
+        )
         floor = float(unscreened.log_likelihoods.max()) + 1.0
         return block, counts, rows, dict(certified, gap_tol=0.01, ll_floor=floor)
-    if name == "dead-hypothesis":
+    if name in ("dead-hypothesis", "dead-of-three"):
         # hypothesis 0 holds all its mass on a tail column whose row saw no
         # reports: every responsibility is zero at the first E-step
         block, rows = _scattered_batch()
@@ -317,6 +317,9 @@ def _batch_case(name):
         initial = np.full((len(rows), block.shape[1] + rows.shape[1]), 1.0)
         initial[0] = 0.0
         initial[0, -1] = 1.0
+        if name == "dead-of-three":
+            # stopped early and unconverged, yet not below any floor
+            rows, initial = rows[:3], initial[:3]
         return block, counts, rows, dict(certified, gap_tol=0.5, initial=initial)
     raise KeyError(name)
 
@@ -329,28 +332,54 @@ BATCH_CASES = (
     "scattered",
     "scattered-certified",
     "dead-hypothesis",
+    "dead-of-three",
 )
+
+
+def _duality_gap(transform, counts, weights):
+    mixture = np.maximum(transform @ weights, 1e-300)
+    gradient = transform.T @ (counts / mixture)
+    return float(gradient.max() - np.dot(weights, gradient))
 
 
 @pytest.mark.parametrize("name", BATCH_CASES)
 def test_batch_loop_matches_oracle_bit_for_bit(name):
+    """The oracle of each hypothesis is a standalone accelerated solve."""
     block, counts, rows, kwargs = _batch_case(name)
-    lean = em_reconstruct_batch(block, counts, rows, **kwargs)
-    oracle = oracle_batch(block, counts, rows, **kwargs)
-    for field in ("weights", "log_likelihoods", "n_iterations", "converged", "screened"):
-        np.testing.assert_array_equal(
-            getattr(lean, field), getattr(oracle, field), err_msg=field
+    batch = em_reconstruct_batch(block, counts, rows, **kwargs)
+    *_, initial = _validate_batch_inputs(block, counts, rows, kwargs.get("initial"))
+    gap_tol, ll_floor = kwargs["gap_tol"], kwargs["ll_floor"]
+    for h, tail in enumerate(rows):
+        transform = _stacked(block, tail)
+        alone = em_reconstruct_accelerated(
+            transform,
+            counts,
+            initial=initial[h],
+            max_iter=kwargs["max_iter"],
+            tol=kwargs["tol"],
+            gap_tol=gap_tol,
+            ll_floor=ll_floor,
+            stall_tol=max(kwargs["tol"], 0.125 * gap_tol),
         )
+        np.testing.assert_array_equal(batch.weights[h], alone.weights)
+        assert batch.log_likelihoods[h] == alone.log_likelihood
+        assert batch.n_iterations[h] == alone.n_iterations
+        assert batch.converged[h] == alone.converged
+        # converged: certified, or stalled beneath the floor; screened: an
+        # unconverged solve whose certified upper bound lies below the floor
+        ll = batch.log_likelihoods[h]
+        gap = _duality_gap(transform, counts, batch.weights[h])
+        if batch.converged[h]:
+            assert gap < gap_tol or ll < ll_floor
+        assert batch.screened[h] == (not batch.converged[h] and ll + gap < ll_floor)
     # each case reaches the branch it is named for
     if name == "sides-max-iter":
-        assert np.all(lean.n_iterations == 40) and not lean.converged.any()
-    elif name == "dead-hypothesis":
-        assert lean.n_iterations[0] == 1 and not lean.converged[0]
-        assert lean.converged[1:].all()
-    else:
-        # hypotheses leave the joint loop on different iterations
-        assert np.unique(lean.n_iterations).size > 1
-    assert lean.screened.any() == (name == "scattered-certified")
+        assert np.all(batch.n_iterations == 40) and not batch.converged.any()
+    elif name.startswith("dead"):
+        assert not batch.converged[0] and not batch.screened[0]
+        assert batch.n_iterations[0] < kwargs["max_iter"]
+        assert batch.converged[1:].all()
+    assert batch.screened.any() == (name == "scattered-certified")
     if name == "sides-zero-counts":
         assert (counts == 0).any()
 

@@ -1,16 +1,15 @@
 """Equivalence suite for the fast probing + vectorized defense kernels.
 
-Four contracts introduced by the perf overhauls, each enforced here:
+Three contracts introduced by the perf overhauls, each enforced here:
 
-* the **batched** (screened, warm-started, gap-certified) hypothesis
-  evaluation selects the same poison categories as the **cold** oracle
-  kept below (one cold-start EM solve per hypothesis, the seed
+* the greedy category probe's **screened, warm-started, gap-certified**
+  hypothesis evaluation selects the same poison categories as the **cold**
+  oracle kept below (one cold-start EM solve per hypothesis, the seed
   implementation's search) on the seed grids, and the final estimates
   agree;
-* the batched EM kernel converges to the same maximisers as per-hypothesis
-  scalar solves, and its screening certificates are sound;
-* the batched kernel's flat-cell tail scatter/gather reproduces the
-  per-column loops of the original loop bit for bit;
+* the batch EM kernel (one certified accelerated solve per hypothesis)
+  converges to the same maximisers as plain scalar solves, and its
+  screening certificates are sound;
 * the vectorized defense kernels (interval-encoded isolation forest,
   searchsorted k-means assignment, blocked subset sampling) are
   bit-identical to the seed loop implementations, kept below as oracles,
@@ -25,9 +24,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.dap import DAPConfig, DAPProtocol
+from repro.core.dap import DAPConfig
 from repro.core.frequency import FrequencyDAP
-from repro.core.transform import cached_transform_matrix, default_bucket_counts
 from repro.datasets import covid_dataset
 from repro.datasets.synthetic import uniform_dataset
 from repro.defenses.isolation_forest import (
@@ -41,7 +39,6 @@ from repro.defenses.kmeans import (
     _nearest_center_labels_brute,
     kmeans_1d,
 )
-import em_oracle
 from repro.ldp.ems import (
     em_reconstruct,
     em_reconstruct_accelerated,
@@ -146,95 +143,6 @@ class TestBatchKernel:
         assert certified.converged
         assert certified.n_iterations <= full.n_iterations
         assert full.log_likelihood - certified.log_likelihood <= 1e-4
-
-
-# ----------------------------------------------------------------------
-# batched EM tail products: flat-cell scatter + gather == per-column loops
-# ----------------------------------------------------------------------
-def _loop_scatter_tail(out, tail_weights, rows):
-    """The per-tail-column scatter the batched kernel first ran (oracle)."""
-    index = np.arange(rows.shape[0])
-    for t in range(rows.shape[1]):
-        out[index, rows[:, t]] += tail_weights[:, t]
-
-
-def _loop_gather_tail(ratios, rows):
-    """The per-tail-column gather the batched kernel first ran (oracle)."""
-    index = np.arange(rows.shape[0])
-    out = np.empty(rows.shape)
-    for t in range(rows.shape[1]):
-        out[:, t] = ratios[index, rows[:, t]]
-    return out
-
-
-def _batch_both_ways(monkeypatch, *args, **kwargs):
-    """Run ``em_reconstruct_batch``, then the allocating loop of
-    ``tests/em_oracle.py`` with per-column tail loops."""
-    fast = em_reconstruct_batch(*args, **kwargs)
-    with monkeypatch.context() as patch:
-        patch.setattr(em_oracle, "_scatter_tail", _loop_scatter_tail)
-        patch.setattr(em_oracle, "_gather_tail", _loop_gather_tail)
-        loop = em_oracle.em_reconstruct_batch(*args, **kwargs)
-    return fast, loop
-
-
-@pytest.fixture(scope="module")
-def side_probe_problem():
-    """EMF side hypotheses at the real probe geometry, plus same-width tails.
-
-    A ``DAPProtocol`` at eps=1 probes its eps=0.0625 group; 640,000 reports
-    there give d=12, d'=800 and 400 one-hot poison columns per side.  Three
-    shifted bands and the even and odd rows add five more 400-row tails.
-    """
-    protocol = DAPProtocol(DAPConfig(epsilon=1.0))
-    epsilon = min(protocol.config.budget_ladder)
-    d_in, d_out = default_bucket_counts(640_000, epsilon)
-    assert (d_in, d_out) == (12, 800)
-    mechanism = protocol.mechanism_for(epsilon)
-    sides = [
-        cached_transform_matrix(
-            mechanism, n_input_buckets=d_in, n_output_buckets=d_out, side=side
-        )
-        for side in ("left", "right")
-    ]
-    dense = sides[0].normal_block
-    left, right = (side.poison_bucket_indices for side in sides)
-    tails = [left, right, left + 100, left + 200, left + 300]
-    tails += [np.arange(0, d_out, 2), np.arange(1, d_out, 2)]
-    rng = np.random.default_rng(13)
-    normal = rng.dirichlet(np.ones(d_in))
-    poison = np.zeros(d_out)
-    poison[right[200:]] = 1.0 / right[200:].size
-    mixture = 0.75 * (dense @ normal) + 0.25 * poison
-    counts = rng.multinomial(640_000, mixture / mixture.sum()).astype(float)
-    return dense, counts, np.array(tails, dtype=np.intp)
-
-
-class TestVectorisedTailProducts:
-    def test_emf_tails_bit_identical_to_loop(self, monkeypatch, side_probe_problem):
-        dense, counts, tail_rows = side_probe_problem
-        # the iteration caps bound the loop oracle's cost (a few ms an
-        # iteration here); a floor at the median unscreened likelihood
-        # screens some hypotheses
-        kwargs = {"gap_tol": 1.0, "tol": 1e-9, "max_iter": 400}
-        unscreened = em_reconstruct_batch(
-            dense, counts, tail_rows, ll_floor=NO_FLOOR, **kwargs
-        )
-        floor = float(np.median(unscreened.log_likelihoods))
-        fast, loop = _batch_both_ways(
-            monkeypatch, dense, counts, tail_rows, ll_floor=floor, **kwargs
-        )
-        assert loop.screened.any()
-        for field in (
-            "weights",
-            "log_likelihoods",
-            "n_iterations",
-            "converged",
-            "screened",
-        ):
-            np.testing.assert_array_equal(
-                getattr(fast, field), getattr(loop, field), err_msg=field
-            )
 
 
 # ----------------------------------------------------------------------
